@@ -15,8 +15,8 @@ Usage::
 Notes on reading the numbers: the parallel speedup is bounded by the cores
 the process may actually use — reported as both ``cpu_count`` (machine
 total) and ``cpu_affinity`` (scheduler mask; smaller under container CPU
-limits) — while the memoized-replay and batch-kernel tiers are
-hardware-independent.
+limits) — while the memoized-replay tier and the engine-vs-scalar ratio
+are hardware-independent.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.chain_stats import ChainProfile  # noqa: E402
-from repro.core.registry import PAPER_ORDER  # noqa: E402
+from repro.core.registry import PAPER_ORDER, get_strategy  # noqa: E402
 from repro.core.types import Resources  # noqa: E402
 from repro.engine import CampaignEngine  # noqa: E402
-from repro.obs import ObsConfig  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
 from repro.obs.sketch import DEFAULT_ALPHA, SKETCH_VERSION  # noqa: E402
 from repro.sim import SimConfig, bursty_trace, simulate  # noqa: E402
 from repro.workloads.synthetic import (  # noqa: E402
@@ -56,7 +56,8 @@ TABLE1_BUDGETS = (Resources(16, 4), Resources(10, 10), Resources(4, 16))
 #: accept it (tracks what the k-type generalization costs on the hot path).
 KTYPE_BUDGET = Resources.from_counts((4, 4, 2))
 KTYPE_STRATEGIES = ("fertac", "2catac", "otac_b", "otac_l")
-#: Strategies with a batch kernel, timed python-vs-batch on the campaign.
+#: Strategies with a batch kernel: the campaign through the engine is timed
+#: against the scalar solvers mapped over the same chains.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
 
@@ -99,6 +100,16 @@ def _arrays_match(a, b) -> bool:
     )
 
 
+def _matches_outcomes(record, outcomes) -> bool:
+    """Engine columns vs the scalar solvers' outcomes, bit for bit."""
+    usages = [outcome.solution.core_usage(2).counts for outcome in outcomes]
+    return (
+        np.array_equal(record.periods, [outcome.period for outcome in outcomes])
+        and np.array_equal(record.big_used, [usage[0] for usage in usages])
+        and np.array_equal(record.little_used, [usage[1] for usage in usages])
+    )
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chains", type=int, default=200)
@@ -130,7 +141,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"cpu_affinity={_cpu_affinity()}"
     )
 
-    # Tier 1: serial, no cache (the pre-engine baseline path).
+    # Tier 1: serial, no cache.
     serial_engine = CampaignEngine(jobs=1, backend="serial", memo=False)
     serial_s, serial_arrays = _time(
         lambda: serial_engine.solve_instances(chains, TABLE1_BUDGET, PAPER_ORDER)
@@ -197,61 +208,60 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     print(f"  k-type latency  budget {ktype_key}: {ktype_latencies_us}")
 
-    # Kernel scenario: the same campaign through the scalar python solvers
-    # vs the batch-vectorized kernel tier, per batchable strategy.  Results
-    # must stay bitwise identical — the speedup is the entire point.
-    kernel_wall_s: dict[str, dict[str, float]] = {}
-    kernel_speedup: dict[str, float] = {}
-    kernel_latency_us: dict[str, dict[str, float]] = {}
-    kernel_mismatch = False
-    batch_engine = CampaignEngine(
-        jobs=1, backend="serial", memo=False, kernel="batch"
-    )
-    # Untimed metrics-enabled pass: per-solve latency quantiles from the obs
-    # sketches (kept separate so obs overhead never touches the timed walls).
-    quantile_engine = CampaignEngine(
-        jobs=1, backend="serial", memo=False, obs=ObsConfig(metrics=True)
-    )
+    # Engine-vs-scalar scenario: the campaign through the engine (strategy
+    # groups on the batch kernels) vs the scalar solvers mapped over the
+    # same chains, per batchable strategy.  Results must stay bitwise
+    # identical — the speedup is the entire point.  Per-solve latency
+    # quantiles are those of the timed scalar calls.
+    versus_wall_s: dict[str, dict[str, float]] = {}
+    versus_speedup: dict[str, float] = {}
+    versus_latency_us: dict[str, dict[str, float]] = {}
+    versus_mismatch = False
     for name in KERNEL_STRATEGIES:
-        python_s, python_arrays = _time(
+        solver = get_strategy(name)
+        latencies = MetricsRegistry()
+
+        def scalar_map():
+            outcomes = []
+            for chain in chains:
+                start = time.perf_counter()
+                outcomes.append(solver(ChainProfile(chain), TABLE1_BUDGET))
+                latencies.observe(name, time.perf_counter() - start)
+            return outcomes
+
+        scalar_s, outcomes = _time(scalar_map, repeats=2)
+        engine_s, arrays = _time(
             functools.partial(
                 serial_engine.solve_instances, chains, TABLE1_BUDGET, (name,)
             ),
-            repeats=2,
-        )
-        batch_s, batch_arrays = _time(
-            functools.partial(
-                batch_engine.solve_instances, chains, TABLE1_BUDGET, (name,)
-            ),
             repeats=3,
         )
-        kernel_wall_s[name] = {
-            "python": round(python_s, 3),
-            "batch": round(batch_s, 3),
+        versus_wall_s[name] = {
+            "scalar": round(scalar_s, 3),
+            "engine": round(engine_s, 3),
         }
-        kernel_speedup[name] = round(python_s / batch_s, 2)
-        kernel_mismatch |= not _arrays_match(python_arrays, batch_arrays)
-        quantile_engine.solve_instances(chains, TABLE1_BUDGET, (name,))
-        sketch = quantile_engine.obs.metrics.sketch(f"solve.seconds.{name}")
-        kernel_latency_us[name] = {
+        versus_speedup[name] = round(scalar_s / engine_s, 2)
+        versus_mismatch |= not _matches_outcomes(arrays[name], outcomes)
+        sketch = latencies.sketch(name)
+        versus_latency_us[name] = {
             "p50": round(sketch.p50 * 1e6, 1),
             "p90": round(sketch.p90 * 1e6, 1),
             "p99": round(sketch.p99 * 1e6, 1),
         }
         print(
-            f"  kernel {name:12s} python {python_s:6.2f}s  "
-            f"batch {batch_s:6.2f}s  x{python_s / batch_s:.2f}  "
-            f"(scalar p50 {kernel_latency_us[name]['p50']:.0f}us "
-            f"p99 {kernel_latency_us[name]['p99']:.0f}us)"
+            f"  {name:12s} scalar {scalar_s:6.2f}s  "
+            f"engine {engine_s:6.2f}s  x{scalar_s / engine_s:.2f}  "
+            f"(scalar p50 {versus_latency_us[name]['p50']:.0f}us "
+            f"p99 {versus_latency_us[name]['p99']:.0f}us)"
         )
-    mismatch |= kernel_mismatch
+    mismatch |= versus_mismatch
 
     # Jobs-scaling scenario: the shared-memory process tier (zero-pickle
     # result planes + cost-adaptive chunking) vs serial, at several worker
-    # counts and on both kernels.  Speedups are same-run ratios; the gate
-    # only judges them when the candidate machine actually has the cores
-    # (tolerances carry ``requires_cores``), so a pinned single-core CI
-    # runner skips them explicitly instead of passing vacuously.
+    # counts.  Speedups are same-run ratios; the gate only judges them when
+    # the candidate machine actually has the cores (tolerances carry
+    # ``requires_cores``), so a pinned single-core CI runner skips them
+    # explicitly instead of passing vacuously.
     scaling_levels = [
         int(level)
         for level in args.scaling_jobs.split(",")
@@ -261,37 +271,20 @@ def main(argv: "list[str] | None" = None) -> int:
     scaling_mismatch = False
     if scaling_levels:
         jobs_scaling["jobs"] = scaling_levels
-        batch_serial_s, batch_serial_arrays = _time(
-            lambda: CampaignEngine(
-                jobs=1, backend="serial", memo=False, kernel="batch"
-            ).solve_instances(chains, TABLE1_BUDGET, PAPER_ORDER)
-        )
-        scaling_mismatch |= not _arrays_match(serial_arrays, batch_serial_arrays)
-        serial_walls = {"python": serial_s, "batch": batch_serial_s}
-        for kernel in ("python", "batch"):
-            tier: "dict[str, object]" = {
-                "serial_wall_s": round(serial_walls[kernel], 3)
+        jobs_scaling["serial_wall_s"] = round(serial_s, 3)
+        for level in scaling_levels:
+            engine = CampaignEngine(jobs=level, backend="process", memo=False)
+            wall_s, arrays = _time(
+                functools.partial(
+                    engine.solve_instances, chains, TABLE1_BUDGET, PAPER_ORDER
+                )
+            )
+            scaling_mismatch |= not _arrays_match(serial_arrays, arrays)
+            jobs_scaling[f"jobs{level}"] = {
+                "wall_s": round(wall_s, 3),
+                "speedup": round(serial_s / wall_s, 2),
             }
-            for level in scaling_levels:
-                engine = CampaignEngine(
-                    jobs=level, backend="process", memo=False, kernel=kernel
-                )
-                wall_s, arrays = _time(
-                    functools.partial(
-                        engine.solve_instances,
-                        chains, TABLE1_BUDGET, PAPER_ORDER,
-                    )
-                )
-                scaling_mismatch |= not _arrays_match(serial_arrays, arrays)
-                tier[f"jobs{level}"] = {
-                    "wall_s": round(wall_s, 3),
-                    "speedup": round(serial_walls[kernel] / wall_s, 2),
-                }
-                print(
-                    f"  scaling {kernel:6s} j={level:2d} {wall_s:8.2f}s  "
-                    f"x{serial_walls[kernel] / wall_s:.2f}"
-                )
-            jobs_scaling[kernel] = tier
+            print(f"  scaling j={level:2d} {wall_s:8.2f}s  x{serial_s / wall_s:.2f}")
         jobs_scaling["mismatch"] = scaling_mismatch
         mismatch |= scaling_mismatch
 
@@ -366,14 +359,14 @@ def main(argv: "list[str] | None" = None) -> int:
             "chains": args.latency_chains,
             "strategy_latency_us": ktype_latencies_us,
         },
-        "kernel_vs_python": {
+        "engine_vs_scalar": {
             "chains": len(chains),
             "num_tasks": args.tasks,
             "budget": [TABLE1_BUDGET.big, TABLE1_BUDGET.little],
-            "wall_s": kernel_wall_s,
-            "speedup": kernel_speedup,
-            "solve_latency_us": kernel_latency_us,
-            "mismatch": kernel_mismatch,
+            "wall_s": versus_wall_s,
+            "speedup": versus_speedup,
+            "solve_latency_us": versus_latency_us,
+            "mismatch": versus_mismatch,
         },
         "jobs_scaling": jobs_scaling,
         "sim_scenario": {

@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""Batch-kernel smoke: oracle replay through ``--kernel batch`` + bench.
+"""Batch-kernel smoke: oracle replay through the engine + bench.
 
 Two gates, both exiting non-zero on violation (CI ``kernel-smoke`` job):
 
 1. **Oracle replay** — every cell of the 1260-cell pre-refactor fixture
    (``tests/data/k2_oracle.json``: 30 chains x 6 budgets x 7 strategies)
-   is solved through the batch kernel tier (an engine with
-   ``kernel="batch"``, i.e. exactly what ``--kernel batch`` runs) with
-   certification on, and compared bitwise — period bits and per-type core
-   usage — against the stored pre-refactor outputs.
-2. **Bench smoke** — the standard campaign scenario is timed on both
-   kernels per batchable strategy; the batch path must not be slower than
-   python (it is ~5-19x faster at full scale, so equality means a
+   is solved by a default ``CampaignEngine`` (strategy groups on the batch
+   kernels, exactly what ``repro table1`` runs) with certification on, and
+   compared bitwise — period bits and per-type core usage — against the
+   stored pre-refactor outputs.
+2. **Bench smoke** — per batchable strategy, the standard campaign through
+   the engine is timed against the scalar ``get_strategy`` solver mapped
+   over the same chains; the engine must match it bitwise and must not be
+   slower (it is ~5-19x faster at full scale, so equality means a
    regression).
 
 Usage::
@@ -23,7 +24,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -34,6 +34,8 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.chain_stats import ChainProfile  # noqa: E402
+from repro.core.registry import get_strategy  # noqa: E402
 from repro.core.types import Resources  # noqa: E402
 from repro.engine import CampaignEngine  # noqa: E402
 from repro.workloads import generators as g  # noqa: E402
@@ -61,8 +63,14 @@ def _oracle_chains():
     return chains
 
 
+def _engine(jobs: int) -> CampaignEngine:
+    return CampaignEngine(
+        jobs=jobs, backend="serial" if jobs == 1 else "process", memo=False
+    )
+
+
 def _replay_oracle(jobs: int) -> int:
-    """Replay every fixture cell through the batch tier; count mismatches."""
+    """Replay every fixture cell through the engine; count mismatches."""
     oracle = json.loads(FIXTURE.read_text())
     chains = _oracle_chains()
     strategies = sorted({row["strategy"] for row in oracle["rows"]})
@@ -70,12 +78,7 @@ def _replay_oracle(jobs: int) -> int:
         (row["chain"], tuple(row["budget"]), row["strategy"]): row
         for row in oracle["rows"]
     }
-    engine = CampaignEngine(
-        jobs=jobs,
-        backend="serial" if jobs == 1 else "process",
-        memo=False,
-        kernel="batch",
-    )
+    engine = _engine(jobs)
     mismatches = 0
     for budget in oracle["meta"]["budgets"]:
         resources = Resources(*budget)
@@ -101,49 +104,45 @@ def _replay_oracle(jobs: int) -> int:
     total = len(cells)
     print(
         f"[kernel-smoke] oracle replay: {total - mismatches}/{total} cells "
-        f"bitwise-identical through --kernel batch (certified)"
+        f"bitwise-identical through the engine (certified)"
     )
     return mismatches
 
 
 def _bench(chains, resources, jobs: int) -> bool:
-    """Time both kernels per strategy; True when batch is never slower."""
+    """Time the engine against the scalar map; True when never slower."""
     ok = True
-    python_engine = CampaignEngine(
-        jobs=jobs, backend="serial" if jobs == 1 else "process", memo=False
-    )
-    batch_engine = CampaignEngine(
-        jobs=jobs,
-        backend="serial" if jobs == 1 else "process",
-        memo=False,
-        kernel="batch",
-    )
+    engine = _engine(jobs)
     for name in KERNEL_STRATEGIES:
+        solver = get_strategy(name)
+        def scalar_map():
+            return [
+                solver(ChainProfile(chain), resources).period for chain in chains
+            ]
+
+        def through_engine():
+            return engine.solve_instances(chains, resources, (name,))[name].periods
+
         timings = {}
-        results = {}
-        for label, engine in (("python", python_engine), ("batch", batch_engine)):
-            solve = functools.partial(
-                engine.solve_instances, chains, resources, (name,)
-            )
+        periods = {}
+        for label, solve in (("scalar", scalar_map), ("engine", through_engine)):
             solve()  # warm-up: imports, allocator, worker spin-up
             start = time.perf_counter()
-            results[label] = solve()
+            periods[label] = solve()
             timings[label] = time.perf_counter() - start
-        slower = timings["batch"] > timings["python"]
-        parity = np.array_equal(
-            results["python"][name].periods, results["batch"][name].periods
-        )
+        slower = timings["engine"] > timings["scalar"]
+        parity = np.array_equal(periods["scalar"], periods["engine"])
         verdict = "OK" if not slower and parity else "FAIL"
         print(
-            f"[kernel-smoke] bench {name:12s} python {timings['python']:6.3f}s  "
-            f"batch {timings['batch']:6.3f}s  "
-            f"x{timings['python'] / timings['batch']:.2f}  {verdict}"
+            f"[kernel-smoke] bench {name:12s} scalar {timings['scalar']:6.3f}s  "
+            f"engine {timings['engine']:6.3f}s  "
+            f"x{timings['scalar'] / timings['engine']:.2f}  {verdict}"
         )
         if slower:
-            print(f"FAIL {name}: batch kernel slower than python")
+            print(f"FAIL {name}: engine slower than the scalar solver map")
             ok = False
         if not parity:
-            print(f"FAIL {name}: batch kernel diverged from python")
+            print(f"FAIL {name}: engine diverged from the scalar solver")
             ok = False
     return ok
 
@@ -166,7 +165,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if mismatches or not bench_ok:
         print(f"[kernel-smoke] FAILED ({mismatches} oracle mismatches)")
         return 1
-    print("[kernel-smoke] OK: oracle bitwise, certified, batch not slower")
+    print("[kernel-smoke] OK: oracle bitwise, certified, engine not slower")
     return 0
 
 

@@ -8,9 +8,12 @@ fill, replication overlap, and bottleneck stalls in examples and docs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..streampu.simulator import SimulationResult
+if TYPE_CHECKING:  # annotation only: Table I must not import the runtime
+    from ..streampu.simulator import SimulationResult
 
 __all__ = ["render_gantt"]
 

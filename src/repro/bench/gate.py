@@ -6,7 +6,7 @@ one metric by dotted path and one judgment kind.  The gate philosophy,
 shaped by the fact that CI hardware is not the baseline's hardware:
 
 * ``flag_false`` — correctness flags (``engine_vs_serial_mismatch``,
-  ``kernel_vs_python.mismatch``): hard-fail if truthy, no tolerance.  A
+  ``engine_vs_scalar.mismatch``): hard-fail if truthy, no tolerance.  A
   perf gate that waves through wrong answers is worse than none.
 * ``higher_better`` / ``lower_better`` ratio metrics (speedups, hit rates):
   *same-run* ratios divide out the machine, so they gate tightly —
@@ -272,10 +272,11 @@ def seeded_slowdown(report: dict[str, Any], factor: float = 2.0) -> dict[str, An
     """A copy of ``report`` with hot-path costs scaled by ``factor``.
 
     The gate's sensitivity self-test: wall times of the parallel, replay,
-    kernel, and sim scenarios are multiplied and the derived same-run ratios
-    recomputed, exactly as if every hot path got ``factor``x slower while
-    the serial baseline stayed put.  ``scripts/bench_gate.py`` asserts that
-    comparing this against the fresh report exits non-zero.
+    engine-vs-scalar, and sim scenarios are multiplied and the derived
+    same-run ratios recomputed, exactly as if every hot path got
+    ``factor``x slower while the serial baseline stayed put.
+    ``scripts/bench_gate.py`` asserts that comparing this against the fresh
+    report exits non-zero.
     """
     seeded: dict[str, Any] = json.loads(json.dumps(report))
 
@@ -291,31 +292,27 @@ def seeded_slowdown(report: dict[str, Any], factor: float = 2.0) -> dict[str, An
             if isinstance(wall, (int, float)) and wall > 0:
                 speedups[name] = serial_s / wall
 
-    kernel = seeded.get("kernel_vs_python", {})
-    for name, tiers in kernel.get("wall_s", {}).items():
-        if "batch" in tiers:
-            tiers["batch"] = tiers["batch"] * factor
-        python_s = tiers.get("python")
-        batch_s = tiers.get("batch")
+    versus = seeded.get("engine_vs_scalar", {})
+    for name, tiers in versus.get("wall_s", {}).items():
+        if "engine" in tiers:
+            tiers["engine"] = tiers["engine"] * factor
+        scalar_s = tiers.get("scalar")
+        engine_s = tiers.get("engine")
         if (
-            isinstance(python_s, (int, float))
-            and isinstance(batch_s, (int, float))
-            and batch_s > 0
+            isinstance(scalar_s, (int, float))
+            and isinstance(engine_s, (int, float))
+            and engine_s > 0
         ):
-            kernel.setdefault("speedup", {})[name] = python_s / batch_s
+            versus.setdefault("speedup", {})[name] = scalar_s / engine_s
 
     scaling = seeded.get("jobs_scaling", {})
-    for kernel in ("python", "batch"):
-        tier = scaling.get(kernel)
-        if not isinstance(tier, dict):
+    serial_s = scaling.get("serial_wall_s")
+    for point in scaling.values():
+        if not isinstance(point, dict) or "wall_s" not in point:
             continue
-        serial_s = tier.get("serial_wall_s")
-        for name, point in tier.items():
-            if not isinstance(point, dict) or "wall_s" not in point:
-                continue
-            point["wall_s"] = point["wall_s"] * factor
-            if isinstance(serial_s, (int, float)) and point["wall_s"] > 0:
-                point["speedup"] = serial_s / point["wall_s"]
+        point["wall_s"] = point["wall_s"] * factor
+        if isinstance(serial_s, (int, float)) and point["wall_s"] > 0:
+            point["speedup"] = serial_s / point["wall_s"]
 
     sim = seeded.get("sim_scenario", {})
     if isinstance(sim.get("wall_s"), (int, float)):

@@ -28,17 +28,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .bench import compare_files, render_results
+# Only what every invocation needs is imported here (``import repro`` has
+# loaded core, engine and obs already); each subcommand imports its own
+# subsystem — experiments, lint, sim, bench — in the handler that runs it,
+# so ``repro table1`` never pays for the streaming runtime or the linter.
 from .core.certify import certify_outcome
 from .core.chain_stats import ChainProfile
 from .core.errors import InvalidParameterError, SchedulingError
 from .core.registry import get_info, solve_batch
 from .core.types import Resources, type_name
-from .engine import KERNELS, CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
-from .experiments import ablation, fig1, fig2, fig3, fig4, fig5, fig6, table1, table2, table3
-from .lint.cli import add_lint_arguments, run_lint
+from .engine import CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
 from .obs import (
     Observability,
     ObsConfig,
@@ -47,16 +49,6 @@ from .obs import (
     write_chrome_trace,
     write_flamegraph,
 )
-from .sim import (
-    SimConfig,
-    SimTrace,
-    bursty_trace,
-    diurnal_trace,
-    failure_storm_trace,
-    simulate,
-    write_sim_trace,
-)
-from .workloads.synthetic import GeneratorConfig, ktype_chain_batch
 
 __all__ = ["main", "build_parser"]
 
@@ -190,18 +182,6 @@ def _experiment_options() -> argparse.ArgumentParser:
             "audit every solution with the independent certificate checker "
             "(repro.core.certify) while the campaign runs; fails loudly on "
             "the first violation (disables memo-cache replay)"
-        ),
-    )
-    parent.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="python",
-        help=(
-            "solver tier: 'python' runs each (chain, strategy) cell through "
-            "the scalar solvers; 'batch' groups work units by strategy and "
-            "solves them through the vectorized numpy kernels "
-            "(repro.core.kernels) — bitwise-identical results, several "
-            "times the campaign throughput for herad/2catac"
         ),
     )
     parent.add_argument(
@@ -375,17 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "audit every solution with the independent certificate checker; "
             "exits non-zero on the first violation"
-        ),
-    )
-    solve_parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="python",
-        help=(
-            "solver tier: 'batch' schedules the whole chain batch per "
-            "strategy through the vectorized numpy kernels (bitwise-"
-            "identical outcomes; falls back to the python solvers where a "
-            "kernel does not apply, e.g. k>2 platforms)"
         ),
     )
     solve_parser.add_argument(
@@ -572,6 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
             "stdout hygiene, and worker picklability."
         ),
     )
+    from .lint.cli import add_lint_arguments
+
     add_lint_arguments(lint_parser)
     return parser
 
@@ -579,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_engine(
     args: argparse.Namespace, obs: "Observability | None" = None
 ) -> "CampaignEngine | None":
-    """A dedicated engine when a hardening, observability, or kernel flag is set.
+    """A dedicated engine when a hardening, observability, or planner flag is set.
 
     ``None`` means "use the process-wide default engine" (the lean fail-fast
     path).  The dedicated engine shares the default engine's memo cache, so
@@ -590,12 +561,7 @@ def _build_engine(
         or args.retries is not None
         or args.timeout is not None
     )
-    if (
-        not hardened
-        and obs is None
-        and args.kernel == "python"
-        and args.unit_wall is None
-    ):
+    if not hardened and obs is None and args.unit_wall is None:
         return None
     resilience: "ResilienceConfig | None" = None
     journal: "CheckpointJournal | None" = None
@@ -610,7 +576,6 @@ def _build_engine(
         resilience=resilience,
         journal=journal,
         obs=obs,
-        kernel=args.kernel,
         unit_wall=args.unit_wall,
     )
 
@@ -639,58 +604,32 @@ def _report_failures(engine: "CampaignEngine | None", name: str) -> None:
 def _run_one(
     name: str, args: argparse.Namespace, engine: "CampaignEngine | None" = None
 ) -> str:
-    jobs = args.jobs
-    certify = args.certify
-    if name == "table1":
-        return table1.render(
-            table1.run(
-                num_chains=args.chains, seed=args.seed, jobs=jobs, certify=certify,
-                engine=engine,
-            )
-        )
-    if name == "table2":
-        return table2.render(table2.run(num_frames=args.frames))
-    if name == "table3":
-        return table3.render(table3.run())
-    if name == "fig1":
-        return fig1.render(
-            fig1.run(
-                num_chains=args.chains, seed=args.seed, jobs=jobs, certify=certify,
-                engine=engine,
-            )
-        )
-    if name == "fig2":
-        return fig2.render(
-            fig2.run(
-                num_chains=args.chains, seed=args.seed, jobs=jobs, certify=certify,
-                engine=engine,
-            )
-        )
-    if name == "fig3":
-        return fig3.render(fig3.run(num_chains=args.timing_chains, seed=args.seed))
-    if name == "fig4":
-        return fig4.render(fig4.run(num_chains=args.timing_chains, seed=args.seed))
-    if name == "fig5":
-        return fig5.render(fig5.run(num_frames=args.frames))
-    if name == "ablation":
-        return ablation.render(
-            ablation.run(num_chains=min(args.chains, 100), seed=args.seed)
-        )
-    if name == "fig6":
-        return fig6.render(
-            fig6.run(
-                num_chains=min(args.chains, 200),
-                seed=args.seed,
-                jobs=jobs,
-                certify=certify,
-                engine=engine,
-            )
-        )
-    raise ValueError(f"unknown experiment {name!r}")
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    module = import_module(f".experiments.{name}", __package__)
+    campaign = dict(
+        seed=args.seed, jobs=args.jobs, certify=args.certify, engine=engine
+    )
+    if name in ("table1", "fig1", "fig2"):
+        result = module.run(num_chains=args.chains, **campaign)
+    elif name == "fig6":
+        result = module.run(num_chains=min(args.chains, 200), **campaign)
+    elif name in ("table2", "fig5"):
+        result = module.run(num_frames=args.frames)
+    elif name in ("fig3", "fig4"):
+        result = module.run(num_chains=args.timing_chains, seed=args.seed)
+    elif name == "ablation":
+        result = module.run(num_chains=min(args.chains, 100), seed=args.seed)
+    else:
+        result = module.run()  # table3: the fixed DVB-S2 chain
+    report: str = module.render(result)
+    return report
 
 
 def run_solve(args: argparse.Namespace) -> int:
     """``repro solve``: schedule synthetic chains on a --cores platform."""
+    from .workloads.synthetic import GeneratorConfig, ktype_chain_batch
+
     resources, labels = args.cores
     names = args.strategy or ["ktype_ref"]
     try:
@@ -709,27 +648,20 @@ def run_solve(args: argparse.Namespace) -> int:
     )
     print(f"platform: {budget}  (k={resources.ktype})")
     profiles = [ChainProfile(chain) for chain in chains]
-    solved: "dict[str, list] | None" = None
-    if args.kernel == "batch":
-        # One vectorized call per strategy over the whole batch; outcomes
-        # are bitwise identical to the per-chain loop below.
-        try:
-            solved = {
-                name: solve_batch(profiles, resources, name)
-                for name, _ in infos
-            }
-        except SchedulingError as error:
-            _log.error("%s", error)
-            return 2
+    # One solve_batch call per strategy over the whole batch (vectorized
+    # where the strategy has a kernel, the scalar solver mapped otherwise).
+    try:
+        solved = {
+            name: solve_batch(profiles, resources, name) for name, _ in infos
+        }
+    except SchedulingError as error:
+        _log.error("%s", error)
+        return 2
     for row, chain in enumerate(chains):
         profile = profiles[row]
         for name, info in infos:
+            outcome = solved[name][row]
             try:
-                outcome = (
-                    solved[name][row]
-                    if solved is not None
-                    else info.func(profile, resources)
-                )
                 if args.certify:
                     certify_outcome(
                         outcome,
@@ -752,6 +684,8 @@ def run_solve(args: argparse.Namespace) -> int:
 
 def run_bench(args: argparse.Namespace) -> int:
     """``repro bench compare``: the noise-aware perf-regression gate."""
+    from .bench import compare_files, render_results
+
     try:
         results = compare_files(args.baseline, args.candidate, args.tolerance_file)
     except InvalidParameterError as error:
@@ -763,6 +697,16 @@ def run_bench(args: argparse.Namespace) -> int:
 
 def run_simulate(args: argparse.Namespace) -> int:
     """``repro simulate``: online fault-tolerant discrete-event simulation."""
+    from .sim import (
+        SimConfig,
+        SimTrace,
+        bursty_trace,
+        diurnal_trace,
+        failure_storm_trace,
+        simulate,
+        write_sim_trace,
+    )
+
     if args.input is not None:
         trace = SimTrace.read(args.input)
     else:
@@ -834,6 +778,8 @@ def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.experiment == "lint":
+        from .lint.cli import run_lint
+
         return run_lint(args)
     if args.experiment == "bench":
         return run_bench(args)

@@ -18,6 +18,7 @@ All indices are 0-based and intervals are inclusive, matching
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -38,6 +39,13 @@ class ChainProfile:
             type ``v`` (so interval sums are two lookups).
         next_sequential: ``next_sequential[s]`` is the smallest index
             ``j >= s`` whose task is sequential, or ``n`` if none exists.
+
+    The ndarray attributes serve the vectorised consumers (HeRAD, the batch
+    kernels' ``ChainPack``).  The scalar queries below are the inner loop of
+    the greedy strategies, where boxing numpy scalars and calling
+    ``np.searchsorted`` on a ~20-element array dominated; they read a
+    python-list mirror of the same values instead, built on the first
+    scalar query so array-only users never pay for it.
     """
 
     __slots__ = (
@@ -50,6 +58,7 @@ class ChainProfile:
         "_max_weight",
         "_max_seq_weight",
         "_total",
+        "_scalar",
     )
 
     def __init__(self, chain: TaskChain) -> None:
@@ -85,6 +94,7 @@ class ChainProfile:
         else:
             self._max_seq_weight = tuple(0.0 for _ in self._weights)
         self._total = tuple(float(p[-1]) for p in self.prefix)
+        self._scalar: "tuple[tuple[list[float], ...], list[int]] | None" = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -130,6 +140,16 @@ class ChainProfile:
 
     # -- interval queries -----------------------------------------------------
 
+    def _mirror(self) -> "tuple[tuple[list[float], ...], list[int]]":
+        """Python-native ``(prefix, next_sequential)``: same values, no numpy."""
+        mirror = self._scalar
+        if mirror is None:
+            mirror = self._scalar = (
+                tuple(p.tolist() for p in self.prefix),
+                self.next_sequential.tolist(),
+            )
+        return mirror
+
     def _check_interval(self, start: int, end: int) -> None:
         if not (0 <= start <= end < self.n):
             raise InvalidChainError(
@@ -139,13 +159,13 @@ class ChainProfile:
     def interval_weight(self, start: int, end: int, core_type: CoreIndex) -> float:
         """Single-core weight of the interval, ``w([tau_s, tau_e], 1, v)``."""
         self._check_interval(start, end)
-        p = self.prefix[int(core_type)]
-        return float(p[end + 1] - p[start])
+        sums = (self._scalar or self._mirror())[0][core_type]
+        return sums[end + 1] - sums[start]
 
     def is_replicable(self, start: int, end: int) -> bool:
         """Paper's ``IsRep``: the interval contains no sequential task."""
         self._check_interval(start, end)
-        return int(self.next_sequential[start]) > end
+        return (self._scalar or self._mirror())[1][start] > end
 
     def final_replicable_task(self, start: int, end: int) -> int:
         """Paper's ``FinalRepTask``: largest ``i >= end`` with ``[start, i]``
@@ -155,7 +175,7 @@ class ChainProfile:
         guarded by ``IsRep``).
         """
         self._check_interval(start, end)
-        nxt = int(self.next_sequential[start])
+        nxt = (self._scalar or self._mirror())[1][start]
         if nxt <= end:
             raise InvalidChainError(
                 f"interval [{start}, {end}] is not replicable; FinalRepTask "
@@ -174,8 +194,11 @@ class ChainProfile:
         """
         if cores < 1:
             return INFINITY
-        w = self.interval_weight(start, end, core_type)
-        if self.is_replicable(start, end):
+        self._check_interval(start, end)
+        prefix, next_sequential = self._scalar or self._mirror()
+        sums = prefix[core_type]
+        w = sums[end + 1] - sums[start]
+        if next_sequential[start] > end:
             return w / cores
         return w
 
@@ -192,8 +215,9 @@ class ChainProfile:
             raise InvalidParameterError(
                 f"target period must be positive and finite: {period}"
             )
-        w = self.interval_weight(start, end, core_type)
-        return max(1, math.ceil(w / period))
+        self._check_interval(start, end)
+        sums = (self._scalar or self._mirror())[0][core_type]
+        return max(1, math.ceil((sums[end + 1] - sums[start]) / period))
 
     def max_packing(
         self, start: int, cores: int, core_type: CoreIndex, period: float
@@ -212,25 +236,25 @@ class ChainProfile:
         if cores < 1:
             # Weight is infinite for 0 cores: nothing fits, forced stage.
             return start
-        p = self.prefix[int(core_type)]
-        base = p[start]
-        nxt = int(self.next_sequential[start])
+        prefix, next_sequential = self._scalar or self._mirror()
+        sums = prefix[core_type]
+        base = sums[start]
+        nxt = next_sequential[start]
+        last = self.n - 1
 
         best = start
         # Replicable region: end in [start, nxt-1]; weight = sum / cores.
-        hi_rep = min(nxt - 1, self.n - 1)
+        hi_rep = min(nxt - 1, last)
         if hi_rep >= start:
             limit = base + period * cores
-            # Find the last e with p[e+1] <= limit within the region.
-            e = int(np.searchsorted(p, limit, side="right")) - 2
-            e = min(e, hi_rep)
+            # Find the last e with sums[e+1] <= limit within the region.
+            e = min(bisect_right(sums, limit) - 2, hi_rep)
             if e >= start:
                 best = max(best, e)
         # Sequential region: end in [nxt, n-1]; weight = sum (no division).
-        if nxt <= self.n - 1:
+        if nxt <= last:
             limit = base + period
-            e = int(np.searchsorted(p, limit, side="right")) - 2
-            e = min(e, self.n - 1)
+            e = min(bisect_right(sums, limit) - 2, last)
             if e >= nxt:
                 best = max(best, e)
         return best

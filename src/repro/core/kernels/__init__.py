@@ -1,4 +1,4 @@
-"""Batch-vectorized solver kernels (the ``--kernel batch`` tier).
+"""Batch-vectorized solver kernels (what every campaign solves on).
 
 One kernel call solves *many* chains: profiles are packed into padded
 ndarray planes (:mod:`.pack`), HeRAD's DP sweeps the whole batch per plane

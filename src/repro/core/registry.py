@@ -264,10 +264,10 @@ def solve_batch(
 ) -> list[ScheduleOutcome]:
     """Solve a whole batch of chains with one strategy at one budget.
 
-    The vectorized entry point of the ``--kernel batch`` tier: strategies
-    with a ``batch_func`` solve the batch in :data:`_BATCH_SPAN`-sized
-    sub-batches through their numpy kernel; everything else maps the scalar
-    python implementation over the batch.  Outcomes are returned in batch
+    The entry point every campaign solves through (the engine's work units,
+    ``repro solve``): strategies with a ``batch_func`` solve the batch in
+    :data:`_BATCH_SPAN`-sized sub-batches through their numpy kernel;
+    everything else maps the scalar python implementation over the batch.  Outcomes are returned in batch
     order and are **bitwise identical** to ``[func(c, resources) for c in
     chains]`` — the pure-python solvers remain the differential oracle.
 

@@ -44,7 +44,6 @@ from .batch import (
 from .checkpoint import CheckpointJournal, load_journal
 from .executor import (
     BACKENDS,
-    KERNELS,
     CampaignEngine,
     StrategyArrays,
     default_engine,
@@ -72,7 +71,6 @@ from .shm import PlaneDescriptor, ResultPlanes
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "CampaignEngine",
     "StrategyArrays",
     "default_engine",

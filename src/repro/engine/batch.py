@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..core.binary_search import ScheduleOutcome
@@ -81,12 +81,6 @@ class WorkUnit:
             records into it, and ships the resulting payload home in its
             :class:`UnitOutcome` — the only channel observability data has
             out of a worker process.
-        kernel: solver tier for this chunk — ``"python"`` runs each cell
-            through the scalar strategy functions, ``"batch"`` groups the
-            chunk by strategy and solves each group in one vectorized
-            :func:`repro.core.registry.solve_batch` call (bitwise-identical
-            results; instances targeted by an armed fault plan are routed
-            to the python path per instance, since faults trigger per cell).
         worker_memo: consult the process-local worker memo shard
             (:data:`_WORKER_MEMO`) before solving each cell.  Only honored
             on the process tier (worker processes die with their pool, so
@@ -114,7 +108,6 @@ class WorkUnit:
     faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
-    kernel: str = "python"
     worker_memo: bool = False
     dispatched_at: "float | None" = None
     planes: "PlaneDescriptor | None" = None
@@ -160,9 +153,9 @@ def solve_instance(
 ) -> dict[str, InstanceResult]:
     """Run the given strategies on one profiled chain.
 
-    The single authoritative "solve one campaign cell" routine — the serial
-    path, the thread tier, and the process workers all funnel through it, so
-    an instance's result cannot depend on where it was computed.
+    The per-cell scalar route: :func:`_solve_rows` sends the instances an
+    armed fault plan targets through it (everything else is solved a
+    strategy group at a time), on whichever tier the unit runs.
 
     With ``certify=True`` each outcome is audited by the independent
     certificate checker before the result row is recorded (raising
@@ -288,89 +281,51 @@ def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
         metrics.observe(f"solve.period.{name}", cached.period)
 
 
-def _solve_with_shard(
-    unit: WorkUnit, item: PendingInstance, profile: ChainProfile
-) -> dict[str, InstanceResult]:
-    """Solve one instance through the worker memo shard."""
-    results: dict[str, InstanceResult] = {}
-    todo: list[str] = []
-    metrics = current().metrics
-    prefix = f"worker.{os.getpid()}.memo"
-    for name in item.strategies:
-        cached = _WORKER_MEMO.get(make_key(item.chain, unit.resources, name))
-        if cached is None:
-            todo.append(name)
-        else:
-            results[name] = cached
-            _replay_shard_hit(name, cached)
-            if metrics.enabled:
-                metrics.add(f"{prefix}.hits")
-    if todo:
-        fresh = solve_instance(
-            profile,
-            unit.resources,
-            tuple(todo),
-            certify=unit.certify,
-            faults=unit.faults,
-            tier=unit.tier,
-        )
-        for name, result in fresh.items():
-            _WORKER_MEMO[make_key(item.chain, unit.resources, name)] = result
-            if metrics.enabled:
-                metrics.add(f"{prefix}.misses")
-        results.update(fresh)
-    return results
-
-
 def _solve_rows(unit: WorkUnit) -> UnitResult:
-    """Resolve a unit's instances into index-keyed rows."""
-    use_shard = _shard_usable(unit)
-    rows: UnitResult = []
-    for item in unit.pending:
-        profile = ChainProfile(item.chain)
-        if use_shard:
-            rows.append((item.index, _solve_with_shard(unit, item, profile)))
-            continue
-        rows.append(
-            (
-                item.index,
-                solve_instance(
-                    profile,
-                    unit.resources,
-                    item.strategies,
-                    certify=unit.certify,
-                    faults=unit.faults,
-                    tier=unit.tier,
-                ),
-            )
-        )
-    return rows
+    """Resolve a unit's instances into index-keyed rows.
 
+    The unit's cells are grouped by strategy (first-appearance order, so
+    the obs span sequence is deterministic) and each group goes through one
+    :func:`repro.core.registry.solve_batch` call — the vectorized kernels
+    where a strategy has one, the scalar solver mapped over the group where
+    it has not or the kernel refuses the instance; either way the outcomes
+    are bitwise those of the scalar solvers.  Certification audits every
+    solution with the independent checker.
 
-def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
-    """Resolve a unit through the vectorized batch kernels.
+    Instances an armed fault plan *could* target (non-consuming
+    :meth:`~repro.engine.faults.FaultPlan.targets` check) are solved cell
+    by cell through :func:`solve_instance` instead — the only place faults
+    get their ``fire()`` consultation — so injection is unconditional while
+    the rest of the unit stays batched.
 
-    The unit's instances are grouped by strategy (first-appearance order,
-    so the obs span sequence is deterministic) and each group goes through
-    one :func:`repro.core.registry.solve_batch` call — which guarantees
-    bitwise-identical outcomes to the scalar path, including the python
-    fallback for instances the kernels reject.  Certification audits every
-    batch-produced solution with the same independent checker as the scalar
-    path; the memoized result rows are constructed identically, so engine
-    assembly cannot tell the tiers apart.
+    Worker-shard hits are answered (with their deterministic counter
+    replay) before grouping, so each ``solve_batch`` call sees only
+    genuinely unsolved cells, and fresh results feed the shard for later
+    units on the same worker.
 
-    The worker memo shard composes with batching: shard-hit cells are
-    answered (with their deterministic counter replay) before grouping, so
-    each ``solve_batch`` call sees only genuinely unsolved cells, and fresh
-    group results feed the shard for later units on the same worker.
+    ``solve.seconds.<strategy>`` is fed here with the group wall divided by
+    its instance count: the per-cell cost the planner's sketch feedback and
+    the RunReport's per-strategy histograms read.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
     use_shard = _shard_usable(unit)
-    shard_metrics = current().metrics
-    prefix = f"worker.{os.getpid()}.memo"
+    obs = current()
+    shard_prefix = f"worker.{os.getpid()}.memo"
     by_strategy: dict[str, list[int]] = {}
     results: list[dict[str, InstanceResult]] = [{} for _ in unit.pending]
     for position, item in enumerate(unit.pending):
+        if unit.faults is not None and unit.faults.targets(
+            item.chain.fingerprint, item.strategies
+        ):
+            results[position] = solve_instance(
+                profiles[position],
+                unit.resources,
+                item.strategies,
+                certify=unit.certify,
+                faults=unit.faults,
+                tier=unit.tier,
+            )
+            continue
         for name in item.strategies:
             if use_shard:
                 cached = _WORKER_MEMO.get(
@@ -379,29 +334,24 @@ def _solve_rows_batch(unit: WorkUnit) -> UnitResult:
                 if cached is not None:
                     results[position][name] = cached
                     _replay_shard_hit(name, cached)
-                    if shard_metrics.enabled:
-                        shard_metrics.add(f"{prefix}.hits")
+                    obs.metrics.add(f"{shard_prefix}.hits")
                     continue
             by_strategy.setdefault(name, []).append(position)
 
-    obs = current()
     for name, members in by_strategy.items():
-        if obs.active:
-            with obs.span(
-                "solve_batch",
-                "solve",
-                strategy=name,
-                tier=unit.tier,
-                instances=len(members),
-            ):
-                start = monotonic()
-                _solve_group(unit, name, members, profiles, results, use_shard)
-                obs.metrics.observe(
-                    f"solve_batch.seconds.{name}", monotonic() - start
-                )
-                obs.metrics.add("solve.count", len(members))
-        else:
+        with obs.span(
+            "solve_batch",
+            "solve",
+            strategy=name,
+            tier=unit.tier,
+            instances=len(members),
+        ):
+            start = monotonic()
             _solve_group(unit, name, members, profiles, results, use_shard)
+            obs.metrics.observe(
+                f"solve.seconds.{name}", (monotonic() - start) / len(members)
+            )
+            obs.metrics.add("solve.count", len(members))
 
     return [
         (item.index, results[position])
@@ -415,14 +365,14 @@ def _solve_group(
     members: "list[int]",
     profiles: "list[ChainProfile]",
     results: "list[dict[str, InstanceResult]]",
-    use_shard: bool = False,
+    use_shard: bool,
 ) -> None:
-    """Solve one strategy's group of a batched unit and record its rows."""
+    """Solve one strategy's group of a unit and record its rows."""
     info = get_info(name)
     group = [profiles[position] for position in members]
     outcomes = solve_batch(group, unit.resources, name)
-    obs = current()
-    prefix = f"worker.{os.getpid()}.memo"
+    metrics = current().metrics
+    shard_prefix = f"worker.{os.getpid()}.memo"
     for position, outcome in zip(members, outcomes):
         if unit.certify:
             certify_outcome(
@@ -433,48 +383,14 @@ def _solve_group(
                 context=name,
             )
         result = _result_of(outcome, unit.resources)
-        if obs.metrics.enabled:
-            # Same deterministic period stream as the scalar path, so the
-            # sketch is kernel-invariant as well as tier-invariant.
-            obs.metrics.observe(f"solve.period.{name}", result.period)
+        # Same deterministic period stream as the per-cell route, so the
+        # sketch does not depend on which route a cell took.
+        metrics.observe(f"solve.period.{name}", result.period)
         if use_shard:
             key = make_key(unit.pending[position].chain, unit.resources, name)
             _WORKER_MEMO[key] = result
-            if obs.metrics.enabled:
-                obs.metrics.add(f"{prefix}.misses")
+            metrics.add(f"{shard_prefix}.misses")
         results[position][name] = result
-
-
-def _solve_rows_routed(unit: WorkUnit) -> UnitResult:
-    """Batch-kernel unit with an armed fault plan: route per instance.
-
-    Every instance the plan *could* target (non-consuming
-    :meth:`~repro.engine.faults.FaultPlan.targets` check) goes through the
-    scalar per-cell path — the only place faults get their ``fire()``
-    consultation — while the rest of the unit keeps the vectorized batch
-    kernels.  Routing all-or-nothing here used to silently bypass injection
-    whenever a batched unit mixed targeted and untargeted instances; the
-    split keeps injection unconditional without giving up batching.
-    """
-    assert unit.faults is not None
-    targeted = tuple(
-        item
-        for item in unit.pending
-        if unit.faults.targets(item.chain.fingerprint, item.strategies)
-    )
-    untargeted = tuple(
-        item
-        for item in unit.pending
-        if not unit.faults.targets(item.chain.fingerprint, item.strategies)
-    )
-    rows: UnitResult = []
-    if targeted:
-        rows.extend(_solve_rows(replace(unit, pending=targeted)))
-    if untargeted:
-        rows.extend(
-            _solve_rows_batch(replace(unit, pending=untargeted, faults=None))
-        )
-    return rows
 
 
 def _publish_to_planes(unit: WorkUnit, rows: UnitResult) -> UnitResult:
@@ -541,14 +457,9 @@ def _attribute_worker_costs(
 def solve_unit(unit: WorkUnit) -> UnitOutcome:
     """Resolve one work unit (the process-pool entry point).
 
-    Profiles each chain once, then runs every requested strategy on it —
-    cell by cell on the python kernel, strategy-grouped through
-    :func:`repro.core.registry.solve_batch` on the batch kernel.  An armed
-    fault plan routes *fault-targeted* instances to the scalar per-cell
-    path unconditionally (faults trigger per cell); the remaining instances
-    of the same unit still go through the batch kernels.  With
-    observability enabled on the unit, a fresh local context is built
-    and activated for the duration — worker processes have no access to the
+    Resolves the unit's cells through :func:`_solve_rows`.  With
+    observability enabled on the unit, a fresh local context is built and
+    activated for the duration — worker processes have no access to the
     engine's tracer, and thread-tier workers deliberately use the same
     ship-a-payload-home protocol so every tier aggregates identically.
 
@@ -562,14 +473,8 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
     wall rides along as planner feedback either way.
     """
     arrived = monotonic()
-    if unit.kernel != "batch":
-        solver = _solve_rows
-    elif unit.faults is None:
-        solver = _solve_rows_batch
-    else:
-        solver = _solve_rows_routed
     if unit.obs is None or not unit.obs.enabled:
-        rows = solver(unit)
+        rows = _solve_rows(unit)
         solved_at = monotonic()
         shipped = _publish_to_planes(unit, rows)
         return UnitOutcome(
@@ -582,7 +487,7 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
         with context.span(
             "unit", "engine", tier=unit.tier, instances=len(unit.pending)
         ):
-            rows = solver(unit)
+            rows = _solve_rows(unit)
         solved_at = monotonic()
         shipped = _publish_to_planes(unit, rows)
         if unit.tier == "process" and context.metrics.enabled:
@@ -602,7 +507,6 @@ def units_from_groups(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
-    kernel: str = "python",
     worker_memo: bool = False,
     planes: "PlaneDescriptor | None" = None,
 ) -> list[WorkUnit]:
@@ -627,7 +531,6 @@ def units_from_groups(
             faults=faults,
             tier=tier,
             obs=obs,
-            kernel=kernel,
             worker_memo=worker_memo,
             dispatched_at=dispatched_at,
             planes=planes,
@@ -645,7 +548,6 @@ def chunk_pending(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
-    kernel: str = "python",
     worker_memo: bool = False,
     planes: "PlaneDescriptor | None" = None,
 ) -> list[WorkUnit]:
@@ -669,7 +571,6 @@ def chunk_pending(
         faults=faults,
         tier=tier,
         obs=obs,
-        kernel=kernel,
         worker_memo=worker_memo,
         planes=planes,
     )

@@ -76,7 +76,6 @@ from .shm import ResultPlanes
 
 __all__ = [
     "BACKENDS",
-    "KERNELS",
     "resolve_jobs",
     "StrategyArrays",
     "CampaignEngine",
@@ -86,13 +85,6 @@ __all__ = [
 
 #: Recognized backend names (``auto`` picks serial for 1 job, else process).
 BACKENDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
-
-#: Recognized solver kernels: ``python`` solves cell by cell through the
-#: scalar strategy functions; ``batch`` groups each work unit by strategy
-#: and solves the groups through the vectorized kernels
-#: (:mod:`repro.core.kernels`) — bitwise-identical results, amortized
-#: dispatch.
-KERNELS: tuple[str, ...] = ("python", "batch")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -156,12 +148,6 @@ class CampaignEngine:
             zero-overhead no-op implementation.  Spans and counters are
             recorded *about* the campaign, never consulted by it — results
             are bitwise identical with observability on or off (tested).
-        kernel: one of :data:`KERNELS` — the solver tier work units run on.
-            ``"batch"`` routes each unit through the vectorized kernels of
-            :mod:`repro.core.kernels` (grouped by strategy, python fallback
-            per instance where a kernel does not apply); results are
-            bitwise identical to the default ``"python"`` tier (tested),
-            only the throughput changes.
         worker_memo: arm the process-local worker memo shard
             (:data:`repro.engine.batch._WORKER_MEMO`): process-tier workers
             skip cells whose ``(fingerprint, budget, strategy)`` key they
@@ -194,7 +180,6 @@ class CampaignEngine:
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
-        kernel: str = "python",
         worker_memo: bool = True,
         shared_results: bool = True,
         unit_wall: "float | None" = None,
@@ -202,10 +187,6 @@ class CampaignEngine:
         if backend not in BACKENDS:
             raise InvalidParameterError(
                 f"unknown backend {backend!r}; available: {BACKENDS}"
-            )
-        if kernel not in KERNELS:
-            raise InvalidParameterError(
-                f"unknown kernel {kernel!r}; available: {KERNELS}"
             )
         if chunk_size is not None and chunk_size < 1:
             raise InvalidParameterError(
@@ -218,7 +199,6 @@ class CampaignEngine:
         self.jobs = resolve_jobs(jobs)
         self.backend = backend
         self.chunk_size = chunk_size
-        self.kernel = kernel
         self.worker_memo = worker_memo
         self.shared_results = shared_results
         self.unit_wall = unit_wall if unit_wall is not None else DEFAULT_UNIT_WALL_S
@@ -460,6 +440,13 @@ class CampaignEngine:
             else ("thread" if pool_cls is ThreadPoolExecutor else "process")
         )
         obs_config = self.obs.worker_config()
+        # Cache every fingerprint before anything is dispatched: a process
+        # pool's feeder thread pickles a chain's ``__dict__`` while this
+        # thread handles earlier outcomes, and a chain sits in one unit per
+        # strategy, so a lazy ``chain.fingerprint`` (memo off, or certify)
+        # would grow that dict mid-pickle.  Workers reuse the cached value.
+        for item in pending:
+            item.chain.fingerprint
         if pool_cls is None and self.journal is None:
             # Serial fast path: one unit, zero chunk overhead.
             groups = [tuple(pending)]
@@ -470,7 +457,6 @@ class CampaignEngine:
                 cost_snapshot=self._cost_model.snapshot(),
                 unit_wall=self.unit_wall,
                 chunk_size=self.chunk_size,
-                kernel=self.kernel,
             )
 
         planes: "ResultPlanes | None" = None
@@ -488,7 +474,7 @@ class CampaignEngine:
             units = units_from_groups(
                 groups, resources, certify=certify,
                 faults=self.faults, tier=tier, obs=obs_config,
-                kernel=self.kernel, worker_memo=self.worker_memo,
+                worker_memo=self.worker_memo,
                 planes=planes.descriptor if planes is not None else None,
             )
 

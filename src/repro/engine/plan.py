@@ -12,19 +12,17 @@ campaign.
 Two properties are load-bearing:
 
 * **Determinism** — :func:`plan_units` is a pure function of the pending
-  instances, a frozen cost snapshot, the job count, and the kernel.  The
+  instances, a frozen cost snapshot, and the job count.  The
   engine snapshots its :class:`AdaptiveCostModel` once per campaign, so the
   plan is computed entirely up front; and because result rows are keyed by
   chain index and strategies are pure functions, the assembled arrays are
   bitwise identical for *any* plan — cost feedback can only change wall
   time, never results (``tests/engine/test_plan.py``,
   ``tests/engine/test_scaling.py``).
-* **Strategy grouping for the batch kernel** — with ``kernel="batch"`` the
-  planner first explodes instances into single-strategy cells and packs
-  units per strategy, so each worker's unit is one maximal
-  :func:`repro.core.registry.solve_batch` call.  This is what makes
-  ``--jobs N --kernel batch`` compose: the old fixed chunker handed workers
-  strategy-mixed units that fragmented the vectorized groups.
+* **Strategy grouping** — the planner first explodes instances into
+  single-strategy cells and packs units per strategy, so each worker's unit
+  is one maximal :func:`repro.core.registry.solve_batch` call; strategy-mixed
+  units would fragment the vectorized groups.
 
 The model is fed from two directions: always-on per-unit wall measurements
 (:attr:`repro.engine.batch.UnitOutcome.seconds`, read off the sanctioned
@@ -154,21 +152,20 @@ def plan_units(
     cost_snapshot: "tuple[tuple[str, float], ...]" = (),
     unit_wall: float = DEFAULT_UNIT_WALL_S,
     chunk_size: "int | None" = None,
-    kernel: str = "python",
 ) -> list[tuple[PendingInstance, ...]]:
     """Split pending instances into work-unit groups, deterministically.
 
     A pure function: the same ``(pending, jobs, cost_snapshot, unit_wall,
-    chunk_size, kernel)`` always yields the same plan, and every cell of
-    every instance appears in exactly one group.
+    chunk_size)`` always yields the same plan, and every cell of every
+    instance appears in exactly one group.
 
     ``chunk_size`` is the explicit fixed-row override (the engine's
-    long-standing knob, kept bitwise-compatible with the old chunker);
-    otherwise units target ``unit_wall`` estimated seconds, clamped so a
-    small campaign still fans out into ~:data:`_UNITS_PER_WORKER` units per
-    worker.  With ``kernel="batch"`` instances are first exploded into
-    single-strategy cells grouped by strategy (first-appearance order), so
-    each unit is one contiguous ``solve_batch`` shard.
+    long-standing knob: that many instances per unit, strategies unsplit).
+    Otherwise instances are first exploded into single-strategy cells
+    grouped by strategy (first-appearance order), so each unit is one
+    contiguous ``solve_batch`` shard, and units target ``unit_wall``
+    estimated seconds, clamped so a small campaign still fans out into
+    ~:data:`_UNITS_PER_WORKER` units per worker.
     """
     if unit_wall <= 0.0:
         raise InvalidParameterError(
@@ -182,26 +179,21 @@ def plan_units(
     if not items:
         return []
 
-    if kernel == "batch" and chunk_size is None:
-        order: list[str] = []
-        cells_by_strategy: dict[str, list[PendingInstance]] = {}
-        for item in items:
-            for name in item.strategies:
-                if name not in cells_by_strategy:
-                    order.append(name)
-                    cells_by_strategy[name] = []
-                cells_by_strategy[name].append(
-                    PendingInstance(
-                        index=item.index, chain=item.chain, strategies=(name,)
-                    )
-                )
-        items = [cell for name in order for cell in cells_by_strategy[name]]
-
     if chunk_size is not None:
         return [
             tuple(items[i : i + chunk_size])
             for i in range(0, len(items), chunk_size)
         ]
+
+    cells_by_strategy: dict[str, list[PendingInstance]] = {}
+    for item in items:
+        for name in item.strategies:
+            cells_by_strategy.setdefault(name, []).append(
+                PendingInstance(
+                    index=item.index, chain=item.chain, strategies=(name,)
+                )
+            )
+    items = [cell for cells in cells_by_strategy.values() for cell in cells]
 
     costs = dict(cost_snapshot)
     total = sum(_instance_cost(item, costs) for item in items)

@@ -110,7 +110,7 @@ class TestToleranceParsing:
         checks = load_tolerances(shipped)
         gated = [c for c in checks if c.requires_cores is not None]
         assert any(
-            c.metric == "jobs_scaling.python.jobs4.speedup"
+            c.metric == "jobs_scaling.jobs4.speedup"
             and c.requires_cores == 4
             for c in gated
         )

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chain_stats import ChainProfile, profile_of
-from repro.core.errors import InvalidChainError
+from repro.core.errors import InvalidChainError, InvalidParameterError
+from repro.core.kernels.pack import ChainPack
 from repro.core.task import TaskChain
 from repro.core.types import INFINITY, CoreType
 
@@ -171,3 +172,143 @@ class TestVectorHelpers:
         np.testing.assert_array_equal(
             profile.weights(CoreType.BIG), [4, 10, 3, 7]
         )
+
+
+# -- the list/bisect mirror against the numpy formulas it replaced -----------
+
+#: Edge weights (``Task`` rejects zero, so the subnormal stands in for it):
+#: duplicates, near-zero, and values around 2**53 where float sums absorb.
+_EDGE_WEIGHTS = (5e-324, 1e-300, 1.0, 1.0, 3.0, 0.1, 2.0**53 - 1, 2.0**53, 2.0**53 + 2)
+
+_weights = st.one_of(
+    st.sampled_from(_EDGE_WEIGHTS),
+    st.floats(1e-6, 1e6, allow_nan=False),
+    st.integers(1, 50).map(float),
+)
+
+
+@st.composite
+def _profiles(draw):
+    n = draw(st.integers(1, 12))
+    ktype = draw(st.sampled_from((2, 3)))
+    rows = [
+        draw(st.lists(_weights, min_size=n, max_size=n)) for _ in range(ktype)
+    ]
+    replicable = draw(
+        st.one_of(
+            st.just([True] * n),
+            st.just([False] * n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+    return ChainProfile(TaskChain.from_weight_matrix(rows, replicable))
+
+
+def _numpy_max_packing(profile, start, cores, v, period):
+    """``max_packing`` exactly as written on ``np.searchsorted``."""
+    if cores < 1:
+        return start
+    p = profile.prefix[v]
+    base = p[start]
+    nxt = int(profile.next_sequential[start])
+    best = start
+    hi_rep = min(nxt - 1, profile.n - 1)
+    if hi_rep >= start:
+        e = int(np.searchsorted(p, base + period * cores, side="right")) - 2
+        e = min(e, hi_rep)
+        if e >= start:
+            best = max(best, e)
+    if nxt <= profile.n - 1:
+        e = int(np.searchsorted(p, base + period, side="right")) - 2
+        e = min(e, profile.n - 1)
+        if e >= nxt:
+            best = max(best, e)
+    return best
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestScalarMirror:
+    @given(
+        profile=_profiles(),
+        data=st.data(),
+        cores=st.integers(0, 6),
+        period=st.one_of(
+            st.floats(1e-9, 1e18, allow_nan=False),
+            st.sampled_from((1.0, 3.0, 2.0**53, 1.7e308)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_queries_equal_the_numpy_formulas(
+        self, profile, data, cores, period
+    ):
+        start = data.draw(st.integers(0, profile.n - 1))
+        end = data.draw(st.integers(start, profile.n - 1))
+        v = data.draw(st.integers(0, profile.ktype - 1))
+        p = profile.prefix[v]
+        w = float(p[end + 1] - p[start])
+        rep = int(profile.next_sequential[start]) > end
+
+        _same_bits(profile.interval_weight(start, end, v), w)
+        assert profile.is_replicable(start, end) is rep
+        if rep:
+            assert profile.final_replicable_task(start, end) == min(
+                int(profile.next_sequential[start]) - 1, profile.n - 1
+            )
+        else:
+            with pytest.raises(InvalidChainError):
+                profile.final_replicable_task(start, end)
+        if cores < 1:
+            assert profile.stage_weight(start, end, cores, v) == INFINITY
+        else:
+            _same_bits(
+                profile.stage_weight(start, end, cores, v),
+                w / cores if rep else w,
+            )
+        assert profile.required_cores(start, end, v, period) == max(
+            1, math.ceil(w / period)
+        )
+        got = profile.max_packing(start, cores, v, period)
+        assert type(got) is int
+        assert got == _numpy_max_packing(profile, start, cores, v, period)
+
+    @given(profile=_profiles(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_guards_still_raise(self, profile, data):
+        n = profile.n
+        start, end = data.draw(
+            st.sampled_from(((-1, 0), (0, n), (n, n), (1, 0), (n - 1, n)))
+        )
+        for query in (
+            lambda: profile.interval_weight(start, end, 0),
+            lambda: profile.is_replicable(start, end),
+            lambda: profile.final_replicable_task(start, end),
+            lambda: profile.stage_weight(start, end, 1, 0),
+            lambda: profile.required_cores(start, end, 0, 1.0),
+            lambda: profile.max_packing(n, 1, 0, 1.0),
+            lambda: profile.max_packing(-1, 1, 0, 1.0),
+        ):
+            with pytest.raises(InvalidChainError):
+                query()
+        for period in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                profile.required_cores(0, n - 1, 0, period)
+
+    def test_mirror_is_built_by_the_first_scalar_query_only(self, simple_chain):
+        profile = ChainProfile(simple_chain)
+        profile.interval_weights_vector(3, CoreType.BIG)
+        profile.replicable_to(3)
+        profile.total_weight(CoreType.LITTLE)
+        ChainPack([profile])
+        assert profile._scalar is None  # array-only users never pay for it
+        profile.is_replicable(0, 1)
+        prefix, next_sequential = built = profile._scalar
+        assert [list(row) for row in prefix] == [
+            row.tolist() for row in profile.prefix
+        ]
+        assert next_sequential == profile.next_sequential.tolist()
+        profile.max_packing(0, 1, CoreType.BIG, 14.0)
+        assert profile._scalar is built

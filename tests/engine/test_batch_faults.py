@@ -1,11 +1,11 @@
-"""Regression tests: fault injection must fire under ``--kernel batch``.
+"""Regression tests: fault injection must fire inside batched units.
 
-The batch kernel used to route a unit to the vectorized path whenever *any*
-batching was possible, silently bypassing an armed fault plan for the whole
-unit.  ``solve_unit`` now splits a faulted batch unit per instance: every
-instance the plan could target goes through the scalar per-cell path (the
-only place ``FaultPlan.fire`` is consulted), the rest keep the batch
-kernels, and the merged rows stay bitwise identical to the python kernel.
+A unit is solved a strategy group at a time; routing a whole unit to the
+vectorized path used to bypass an armed fault plan silently.  ``solve_unit``
+splits a faulted unit per instance: every instance the plan could target
+goes through the scalar per-cell path (the only place ``FaultPlan.fire`` is
+consulted), the rest stay batched, and the merged rows stay bitwise
+identical to the scalar solvers.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ from repro.core.errors import CertificationError
 from repro.core.types import Resources
 from repro.engine import FaultPlan, FaultSpec, InjectedFault, solve_unit
 from repro.engine.batch import PendingInstance, WorkUnit
+from repro.engine.memo import InstanceResult
 from repro.obs.context import ObsConfig
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .oracle import scalar_outcomes
 
 
 def _chains(count=4, seed=0):
@@ -39,6 +42,26 @@ def _unit(chains, strategies=("fertac",), **kwargs):
 
 def _rows_by_index(outcome):
     return dict(outcome.rows)
+
+
+def _scalar_rows(chains, strategies=("fertac",), factor=1.0):
+    """The rows a unit must produce, from the scalar solvers alone
+    (``factor`` mimics a ``corrupt`` fault scaling every period)."""
+    resources = Resources(2, 2)
+    solved = scalar_outcomes(chains, resources, strategies)
+    rows = {}
+    for index in range(len(chains)):
+        rows[index] = {}
+        for name in strategies:
+            outcome = solved[name][index]
+            usage = outcome.solution.core_usage(resources.ktype)
+            rows[index][name] = InstanceResult(
+                period=outcome.period * factor,
+                big_used=usage.counts[0],
+                little_used=usage.counts[1],
+                extra_used=usage.counts[2:],
+            )
+    return rows
 
 
 class TestTargeting:
@@ -65,13 +88,13 @@ class TestBatchKernelInjection:
         """The regression: a targeted instance in a batched unit is hit."""
         chains = _chains(4)
         target = ChainProfile(chains[2]).fingerprint
-        clean = _rows_by_index(solve_unit(_unit(chains, kernel="batch")))
+        clean = _scalar_rows(chains)
         plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.5, fingerprint=target),),
             state_dir=str(tmp_path),
         )
         tampered = _rows_by_index(
-            solve_unit(_unit(chains, kernel="batch", faults=plan))
+            solve_unit(_unit(chains, faults=plan))
         )
         assert tampered[2]["fertac"].period == pytest.approx(
             clean[2]["fertac"].period * 0.5
@@ -80,13 +103,13 @@ class TestBatchKernelInjection:
     def test_untargeted_instances_stay_bitwise_identical(self, tmp_path):
         chains = _chains(4)
         target = ChainProfile(chains[2]).fingerprint
-        clean = _rows_by_index(solve_unit(_unit(chains, kernel="batch")))
+        clean = _scalar_rows(chains)
         plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.5, fingerprint=target),),
             state_dir=str(tmp_path),
         )
         tampered = _rows_by_index(
-            solve_unit(_unit(chains, kernel="batch", faults=plan))
+            solve_unit(_unit(chains, faults=plan))
         )
         for index in (0, 1, 3):
             assert tampered[index] == clean[index]
@@ -96,7 +119,7 @@ class TestBatchKernelInjection:
             specs=(FaultSpec(kind="raise"),), state_dir=str(tmp_path)
         )
         with pytest.raises(InjectedFault):
-            solve_unit(_unit(_chains(2), kernel="batch", faults=plan))
+            solve_unit(_unit(_chains(2), faults=plan))
 
     def test_certify_catches_batch_corruption(self, tmp_path):
         plan = FaultPlan(
@@ -105,33 +128,27 @@ class TestBatchKernelInjection:
         )
         with pytest.raises(CertificationError):
             solve_unit(
-                _unit(_chains(2), kernel="batch", faults=plan, certify=True)
+                _unit(_chains(2), faults=plan, certify=True)
             )
 
     def test_wildcard_plan_matches_python_kernel_results(self, tmp_path):
-        """With every instance targeted, the routed path must equal the
-        python kernel bitwise (it is the same scalar code)."""
+        """With every instance targeted, the unit is the scalar solvers'
+        outcomes, each period scaled by the corrupt factor."""
         chains = _chains(5, seed=3)
-        plan_a = FaultPlan(
+        plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.25),),
-            state_dir=str(tmp_path / "a"),
-        )
-        plan_b = FaultPlan(
-            specs=(FaultSpec(kind="corrupt", factor=0.25),),
-            state_dir=str(tmp_path / "b"),
+            state_dir=str(tmp_path),
         )
         strategies = ("fertac", "herad")
-        batch = _rows_by_index(
-            solve_unit(_unit(chains, strategies, kernel="batch", faults=plan_a))
+        routed = _rows_by_index(
+            solve_unit(_unit(chains, strategies, faults=plan))
         )
-        python = _rows_by_index(
-            solve_unit(_unit(chains, strategies, kernel="python", faults=plan_b))
-        )
-        assert batch == python
+        assert routed == _scalar_rows(chains, strategies, factor=0.25)
 
     def test_mixed_unit_records_both_solve_paths(self, tmp_path):
-        """A routed unit runs scalar cells for targeted instances and the
-        vectorized kernels for the rest — visible in the obs metrics."""
+        """A faulted unit runs scalar cells for targeted instances and one
+        batched group for the rest — visible in the spans, and both feed
+        the one ``solve.seconds.<strategy>`` histogram."""
         chains = _chains(4)
         target = ChainProfile(chains[1]).fingerprint
         plan = FaultPlan(
@@ -139,14 +156,11 @@ class TestBatchKernelInjection:
             state_dir=str(tmp_path),
         )
         outcome = solve_unit(
-            _unit(
-                chains,
-                kernel="batch",
-                faults=plan,
-                obs=ObsConfig(trace=False, metrics=True),
-            )
+            _unit(chains, faults=plan, obs=ObsConfig(trace=True, metrics=True))
         )
         assert outcome.obs is not None
-        counters = dict(outcome.obs.metrics.histograms)
-        assert any(name.startswith("solve.seconds.") for name in counters)
-        assert any(name.startswith("solve_batch.seconds.") for name in counters)
+        solves = [span for span in outcome.obs.spans if span.category == "solve"]
+        assert sorted(span.name for span in solves) == ["solve", "solve_batch"]
+        histograms = dict(outcome.obs.metrics.histograms)
+        assert histograms["solve.seconds.fertac"].count == 2
+        assert dict(outcome.obs.metrics.counters)["solve.count"] == 4.0

@@ -5,12 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import InvalidParameterError
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import (
     BACKENDS,
-    KERNELS,
     CampaignEngine,
     FaultPlan,
     FaultSpec,
@@ -26,18 +24,13 @@ from repro.engine.batch import PendingInstance, WorkUnit
 from repro.experiments.common import run_campaign
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .oracle import assert_same_arrays as _assert_same_arrays
+from .oracle import scalar_arrays
+
 
 def _chains(count=6, num_tasks=8, sr=0.5, seed=0):
     config = GeneratorConfig(num_tasks=num_tasks, stateless_ratio=sr)
     return list(chain_batch(count, config, seed=seed))
-
-
-def _assert_same_arrays(a, b):
-    assert set(a) == set(b)
-    for name in a:
-        np.testing.assert_array_equal(a[name].periods, b[name].periods)
-        np.testing.assert_array_equal(a[name].big_used, b[name].big_used)
-        np.testing.assert_array_equal(a[name].little_used, b[name].little_used)
 
 
 class TestResolveJobs:
@@ -260,12 +253,8 @@ class TestResilientDeterminism:
 
 
 class TestKernelTier:
-    """The batch kernel tier must be invisible in results, on every backend."""
-
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(InvalidParameterError):
-            CampaignEngine(kernel="simd")
-        assert KERNELS == ("python", "batch")
+    """The engine's one solve path (strategy groups through ``solve_batch``)
+    reproduces the scalar solvers bit for bit, on every backend."""
 
     @pytest.mark.parametrize(
         "backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)]
@@ -273,28 +262,26 @@ class TestKernelTier:
     def test_batch_kernel_bitwise_parity(self, backend, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        python = CampaignEngine(jobs=1, backend="serial", memo=False)
-        batch = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2, kernel="batch"
+        engine = CampaignEngine(
+            jobs=jobs, backend=backend, memo=False, chunk_size=2
         )
         _assert_same_arrays(
-            python.solve_instances(chains, resources, PAPER_ORDER),
-            batch.solve_instances(chains, resources, PAPER_ORDER),
+            scalar_arrays(chains, resources, PAPER_ORDER),
+            engine.solve_instances(chains, resources, PAPER_ORDER),
         )
 
     def test_batch_kernel_with_certification(self):
+        """``certify`` audits every batch-produced cell, and changes none."""
         chains = _chains(4)
-        engine = CampaignEngine(
-            jobs=1, backend="serial", memo=False, kernel="batch"
+        resources = Resources(2, 3)
+        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        _assert_same_arrays(
+            scalar_arrays(chains, resources, PAPER_ORDER),
+            engine.solve_instances(chains, resources, PAPER_ORDER, certify=True),
         )
-        arrays = engine.solve_instances(
-            chains, Resources(2, 3), PAPER_ORDER, certify=True
-        )
-        for name in PAPER_ORDER:
-            assert np.isfinite(arrays[name].periods).all()
 
     def test_fault_plan_forces_python_path(self, tmp_path):
-        """Faults fire per cell, so an armed plan must bypass the batch tier."""
+        """Faults fire per cell, so targeted instances leave the batch."""
         chains = _chains(2)
         plan = FaultPlan(
             specs=(FaultSpec(kind="raise", strategy="herad"),),
@@ -307,30 +294,44 @@ class TestKernelTier:
             ),
             resources=Resources(2, 2),
             faults=plan,
-            kernel="batch",
         )
         with pytest.raises(InjectedFault):
             solve_unit(unit)
 
     def test_batch_kernel_memo_counters_match_python(self):
-        """Bulk memo fills count hits/misses exactly like per-instance gets."""
+        """Bulk memo fills count hits/misses once per cell, on any tier."""
         chains = _chains(5)
         resources = Resources(3, 3)
+        cells = len(chains) * len(PAPER_ORDER)
 
-        def run(kernel, jobs=1, backend="serial"):
-            engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=MemoCache(), kernel=kernel
-            )
+        def run(jobs=1, backend="serial"):
+            engine = CampaignEngine(jobs=jobs, backend=backend, memo=MemoCache())
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
             stats = engine.memo.stats
             return stats.hits, stats.misses, stats.size
 
-        want = run("python")
-        assert want == (
-            len(chains) * len(PAPER_ORDER),
-            len(chains) * len(PAPER_ORDER),
-            len(chains) * len(PAPER_ORDER),
-        )
-        assert run("batch") == want
-        assert run("batch", jobs=4, backend="process") == want
+        assert run() == (cells, cells, cells)
+        assert run(jobs=4, backend="process") == (cells, cells, cells)
+
+    def test_fingerprints_are_cached_before_dispatch(self, monkeypatch):
+        """A chain sits in one unit per strategy, and a pool pickles units
+        on a feeder thread while outcomes are handled: a fingerprint cached
+        lazily then would mutate a chain mid-pickle."""
+        from repro.engine import executor
+
+        seen = []
+        build = executor.units_from_groups
+
+        def recording(groups, *args, **kwargs):
+            seen.extend(
+                "_fingerprint" in vars(item.chain)
+                for group in groups
+                for item in group
+            )
+            return build(groups, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "units_from_groups", recording)
+        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine.solve_instances(_chains(3), Resources(2, 2), ("fertac",), certify=True)
+        assert seen and all(seen)

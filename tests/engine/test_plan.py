@@ -1,7 +1,7 @@
 """Cost-adaptive planner: determinism, wall targeting, batch grouping.
 
 The planner's contract (:mod:`repro.engine.plan`): a *pure* function of
-``(pending, jobs, cost snapshot, unit wall, chunk_size, kernel)`` whose
+``(pending, jobs, cost snapshot, unit wall, chunk_size)`` whose
 groups partition every pending cell exactly once — results can therefore
 never depend on the plan, only wall time can (the engine's bitwise parity
 across job counts is pinned separately in ``test_scaling.py``).
@@ -12,7 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import InvalidParameterError
+from repro.core.registry import PAPER_ORDER
+from repro.core.types import Resources
+from repro.engine import CampaignEngine
 from repro.engine.batch import PendingInstance
+from repro.obs import ObsConfig
 from repro.engine.plan import (
     DEFAULT_UNIT_WALL_S,
     AdaptiveCostModel,
@@ -49,8 +53,8 @@ class TestPlanDeterminism:
 
     def test_every_cell_planned_exactly_once(self):
         pending = _pending(count=17, strategies=("a", "b", "c"))
-        for kernel in ("python", "batch"):
-            groups = plan_units(pending, jobs=3, kernel=kernel)
+        for chunk_size in (None, 4):
+            groups = plan_units(pending, jobs=3, chunk_size=chunk_size)
             cells = _cells(groups)
             assert sorted(cells) == sorted(
                 (item.index, name)
@@ -106,7 +110,7 @@ class TestWallTargeting:
 class TestBatchGrouping:
     def test_batch_kernel_units_are_single_strategy(self):
         pending = _pending(count=9, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, kernel="batch")
+        groups = plan_units(pending, jobs=2)
         for group in groups:
             names = {name for item in group for name in item.strategies}
             assert len(names) == 1  # one maximal solve_batch shard per unit
@@ -119,7 +123,7 @@ class TestBatchGrouping:
 
     def test_batch_with_chunk_size_keeps_fixed_rows(self):
         pending = _pending(count=6, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, kernel="batch", chunk_size=3)
+        groups = plan_units(pending, jobs=2, chunk_size=3)
         assert [len(g) for g in groups] == [3, 3]
 
 
@@ -156,3 +160,22 @@ class TestAdaptiveCostModel:
         snapshot = model.snapshot()
         assert snapshot == (("a", 0.1), ("b", 0.2))
         assert isinstance(snapshot, tuple)
+
+
+class TestCampaignFeedback:
+    def test_sketch_feedback_moves_the_cost_model(self):
+        """A metrics-enabled campaign feeds each strategy's
+        ``solve.seconds`` sketch back into the planner's cost model."""
+        config = GeneratorConfig(num_tasks=8, stateless_ratio=0.5)
+        chains = list(chain_batch(6, config, seed=0))
+        engine = CampaignEngine(jobs=1, memo=False, obs=ObsConfig(metrics=True))
+        assert engine._cost_model.snapshot() == ()
+        engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
+        costs = dict(engine._cost_model.snapshot())
+        assert set(costs) == set(PAPER_ORDER)
+        for name in PAPER_ORDER:
+            sketch = engine.obs.metrics.sketch(f"solve.seconds.{name}")
+            assert sketch is not None and sketch.count == 1  # one group
+        # The serial unit's wall alone is apportioned by equal priors, which
+        # would leave every strategy at one cost; the sketches tell them apart.
+        assert len(set(costs.values())) > 1

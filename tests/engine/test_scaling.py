@@ -2,8 +2,8 @@
 
 ISSUE 10's contract, pinned end to end on oracle-grade workloads:
 
-* serial vs ``--jobs 2`` vs ``--jobs 4`` vs ``--jobs 4 --kernel batch``
-  produce **bitwise identical** campaign arrays (zero-pickle planes,
+* serial, ``--jobs 2`` and ``--jobs 4`` all produce campaign arrays
+  **bitwise identical** to the scalar solvers' (zero-pickle planes,
   cost-adaptive plans, and worker memo shards are pure transport);
 * killing a ``--jobs`` process campaign mid-run and resuming through the
   same journal is bitwise identical to an uninterrupted serial run, with
@@ -14,7 +14,6 @@ ISSUE 10's contract, pinned end to end on oracle-grade workloads:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.chain_stats import ChainProfile
@@ -31,6 +30,9 @@ from repro.engine import (
 from repro.obs.context import ObsConfig
 from repro.workloads import generators as g
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .oracle import assert_same_arrays as _assert_same_arrays
+from .oracle import scalar_arrays
 
 _FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
@@ -50,38 +52,27 @@ def _oracle_chains():
     return chains
 
 
-def _assert_same_arrays(a, b):
-    assert set(a) == set(b)
-    for name in a:
-        np.testing.assert_array_equal(a[name].periods, b[name].periods)
-        np.testing.assert_array_equal(a[name].big_used, b[name].big_used)
-        np.testing.assert_array_equal(a[name].little_used, b[name].little_used)
-
-
 @pytest.fixture(scope="module")
 def oracle_setup():
     chains = _oracle_chains()
     resources = Resources(3, 3)
     names = tuple(sorted(STRATEGIES))
-    reference = CampaignEngine(
-        jobs=1, backend="serial", memo=False
-    ).solve_instances(chains, resources, names)
-    return chains, resources, names, reference
+    return chains, resources, names, scalar_arrays(chains, resources, names)
 
 
 class TestBitwiseParity:
+    def test_serial_matches_scalar_solvers(self, oracle_setup):
+        chains, resources, names, reference = oracle_setup
+        arrays = CampaignEngine(
+            jobs=1, backend="serial", memo=False
+        ).solve_instances(chains, resources, names)
+        _assert_same_arrays(arrays, reference)
+
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_process_jobs_match_serial(self, oracle_setup, jobs):
         chains, resources, names, reference = oracle_setup
         arrays = CampaignEngine(
             jobs=jobs, backend="process", memo=False
-        ).solve_instances(chains, resources, names)
-        _assert_same_arrays(arrays, reference)
-
-    def test_process_jobs4_batch_kernel_matches_serial(self, oracle_setup):
-        chains, resources, names, reference = oracle_setup
-        arrays = CampaignEngine(
-            jobs=4, backend="process", memo=False, kernel="batch"
         ).solve_instances(chains, resources, names)
         _assert_same_arrays(arrays, reference)
 
@@ -107,9 +98,7 @@ class TestResumeThroughSharedMemory:
     def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup):
         chains, resources, _, _ = oracle_setup
         names = ("fertac",)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, names)
+        reference = scalar_arrays(chains, resources, names)
 
         plan = FaultPlan(
             specs=(
@@ -159,20 +148,21 @@ class TestShardCounterParity:
         )
         serial.solve_instances(chains, resources, names)
         parallel = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=len(chains),
+            jobs=2, backend="process", memo=False, chunk_size=1,
             obs=ObsConfig(metrics=True), worker_memo=True,
         )
         parallel.solve_instances(chains, resources, names)
 
         serial_counters = serial.obs.metrics.counters()
         parallel_counters = parallel.obs.metrics.counters()
-        # The shard actually fired (one real solve, five replays)...
+        # The shard actually fired (each of the <= 2 workers solves the
+        # first copy it sees and replays the rest)...
         hits = sum(
             value
             for name, value in parallel_counters.items()
             if name.startswith("worker.") and name.endswith(".memo.hits")
         )
-        assert hits == 5.0
+        assert hits in (4.0, 5.0)
         # ...yet every deterministic solve.* counter matches serial exactly
         # (worker.* attribution is per-pid bookkeeping, exempt by design;
         # solve.seconds is wall-clock and inherently run-dependent).

@@ -25,6 +25,30 @@ def test_parser_accepts_all_experiments():
         assert args.experiment == name
 
 
+def test_import_is_lazy_about_subcommand_subsystems():
+    """``import repro.cli`` loads no subsystem only one subcommand needs;
+    the subcommands themselves still work (lint / bench compare below,
+    simulate here)."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.cli\n"
+        "print([m for m in ('repro.lint', 'repro.sim', 'repro.streampu', "
+        "'repro.sdr', 'repro.bench') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_simulate_subcommand_runs(capsys):
+    assert main(["simulate", "--kind", "storm", "--chains", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "ladder:" in out and "invariants: scheduleless=0  overcommit=0" in out
+
+
 def test_parser_rejects_unknown():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -75,6 +75,28 @@ class TestRunReport:
         assert report.memo_hits == 2.0
         assert report.sinks[0].name == "campaign"
 
+    def test_campaign_report_lists_every_solved_strategy(self):
+        from repro.core.registry import PAPER_ORDER
+        from repro.core.types import Resources
+        from repro.engine import CampaignEngine
+        from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+        chains = list(
+            chain_batch(4, GeneratorConfig(num_tasks=8, stateless_ratio=0.5), seed=0)
+        )
+        for jobs in (1, 2):
+            engine = CampaignEngine(
+                jobs=jobs, memo=False, obs=ObsConfig(trace=True, metrics=True)
+            )
+            engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
+            report = RunReport.from_observability(engine.obs, 1.0)
+            timed = dict(report.histograms)
+            rendered = report.render()
+            for name in PAPER_ORDER:
+                assert timed[f"solve.seconds.{name}"].count >= 1
+                assert f"solve.seconds.{name}: n=" in rendered
+            assert report.counter("solve.count") == len(chains) * len(PAPER_ORDER)
+
 
 class TestAmbientContext:
     def test_default_is_null(self):
