@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Scaling smoke: shared-memory process tier — parity, leaks, speedup.
 
-Three phases, any failure exits non-zero (CI ``scaling-smoke`` job):
+Four phases, any failure exits non-zero (CI ``scaling-smoke`` job):
 
 1. **Bitwise parity** — a Table I-style campaign solved serially and at
    ``--jobs``; the arrays must be identical to the bit.  This runs
@@ -15,11 +15,16 @@ Three phases, any failure exits non-zero (CI ``scaling-smoke`` job):
    ``--min-efficiency`` x jobs x serial throughput.  On fewer cores the
    phase is skipped loudly — a single-core speedup number is scheduler
    noise, not evidence.
+4. **Small campaigns** — same core gate: the nine Table I scenarios at
+   ``--small-chains`` chains each, back to back on one engine, must not be
+   slower at ``--jobs`` than serially (best of three runs each).
+   This is the sweep shape the paper's evaluation has and the one a pool
+   per campaign or a shredded plan loses on.
 
 Usage::
 
     PYTHONPATH=src python scripts/scaling_smoke.py [--chains 40] [--jobs 4]
-        [--min-efficiency 0.8]
+        [--min-efficiency 0.8] [--small-chains 10]
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.engine import (
     RetryPolicy,
 )
 from repro.engine.shm import ResultPlanes
+from repro.experiments import table1
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 BUDGET = Resources(10, 10)
@@ -98,6 +104,14 @@ class _PlaneRecorder:
         return alive
 
 
+def _small_table_seconds(jobs: int, chains: int, seed: int) -> float:
+    """Wall of the nine Table I campaigns on one engine, pool lifetime included."""
+    start = time.perf_counter()
+    with CampaignEngine(jobs=jobs, memo=False) as engine:
+        table1.run(num_chains=chains, seed=seed, jobs=jobs, engine=engine)
+    return time.perf_counter() - start
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chains", type=int, default=40)
@@ -105,6 +119,8 @@ def main(argv=None) -> int:
     parser.add_argument("--min-efficiency", type=float, default=0.8,
                         help="required speedup as a fraction of --jobs "
                         "(only asserted with >= 2 usable cores)")
+    parser.add_argument("--small-chains", type=int, default=10,
+                        help="chains per scenario of the small-campaign phase")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -123,11 +139,11 @@ def main(argv=None) -> int:
         serial = serial_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
         serial_s = time.perf_counter() - start
 
-        process_engine = CampaignEngine(
-            jobs=args.jobs, backend="process", memo=False
-        )
         start = time.perf_counter()
-        parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
+        with CampaignEngine(
+            jobs=args.jobs, backend="process", memo=False
+        ) as process_engine:
+            parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
         parallel_s = time.perf_counter() - start
 
         if _arrays_match(serial, parallel):
@@ -149,10 +165,13 @@ def main(argv=None) -> int:
                 ),
                 state_dir=state_dir,
             )
-            crashed = CampaignEngine(
+            with CampaignEngine(
                 jobs=args.jobs, backend="process", memo=False,
                 resilience=ResilienceConfig(retry=_FAST), faults=plan,
-            ).solve_instances(chains, BUDGET, ("fertac",))
+            ) as crash_engine:
+                crashed = crash_engine.solve_instances(
+                    chains, BUDGET, ("fertac",)
+                )
         reference = {"fertac": serial["fertac"]}
         if _arrays_match(reference, crashed):
             print("  crash recovery: bitwise identical")
@@ -182,6 +201,21 @@ def main(argv=None) -> int:
             f"cores (need >= x{wanted:.2f}) {verdict}"
         )
         if speedup < wanted:
+            failures += 1
+        serial_small, parallel_small = (
+            min(
+                _small_table_seconds(jobs, args.small_chains, args.seed)
+                for _ in range(3)
+            )
+            for jobs in (1, args.jobs)
+        )
+        verdict = "ok" if parallel_small <= serial_small else "FAIL"
+        print(
+            f"  small campaigns: 9 x {args.small_chains} chains "
+            f"{serial_small:.2f} s serial, {parallel_small:.2f} s at "
+            f"jobs={args.jobs} {verdict}"
+        )
+        if parallel_small > serial_small:
             failures += 1
     else:
         print(

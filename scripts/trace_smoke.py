@@ -124,7 +124,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     # 2. The expected phases must be present.
     names = {span.name for span in spans}
-    for expected in ("campaign", "unit", "solve"):
+    for expected in ("campaign", "unit", "solve_batch"):
         if expected not in names:
             print(f"FAIL: no {expected!r} span in the trace")
             failures += 1

@@ -531,19 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="per-metric checks (e.g. benchmarks/tolerances.json)",
     )
-    lint_parser = subparsers.add_parser(
+    # Listed for ``repro --help`` only: ``main`` hands ``repro lint ...`` to
+    # the linter's own parser, so no other command imports ``repro.lint``.
+    subparsers.add_parser(
         "lint",
-        help="run the project-specific static analysis (repro.lint)",
-        description=(
-            "Project lint: AST rules guarding float-comparison discipline, "
-            "value-object immutability, the core error hierarchy, engine "
-            "determinism, numpy scalar containment, strict public typing, "
-            "stdout hygiene, and worker picklability."
-        ),
+        help="run the project-specific static analysis (see 'repro lint --help')",
     )
-    from .lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint_parser)
     return parser
 
 
@@ -776,11 +769,12 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.experiment == "lint":
-        from .lint.cli import run_lint
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["lint"]:
+        from .lint.cli import main as lint_main
 
-        return run_lint(args)
+        return lint_main(argv[1:])
+    args = build_parser().parse_args(argv)
     if args.experiment == "bench":
         return run_bench(args)
     if args.experiment == "solve":
@@ -821,6 +815,7 @@ def main(argv: "list[str] | None" = None) -> int:
         # partial trace is still a viewable trace.
         if engine is not None and engine.journal is not None:
             engine.journal.close()
+        (engine if engine is not None else default_engine()).close()
         if obs is not None and args.trace is not None:
             path = write_chrome_trace(
                 args.trace, obs.spans(), obs.metrics.snapshot()

@@ -36,7 +36,6 @@ from .batch import (
     PendingInstance,
     UnitOutcome,
     WorkUnit,
-    chunk_pending,
     solve_instance,
     solve_unit,
     units_from_groups,
@@ -79,7 +78,6 @@ __all__ = [
     "PendingInstance",
     "UnitOutcome",
     "WorkUnit",
-    "chunk_pending",
     "solve_instance",
     "solve_unit",
     "units_from_groups",

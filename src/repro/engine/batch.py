@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 from ..core.binary_search import ScheduleOutcome
 from ..core.certify import certify_outcome
 from ..core.chain_stats import ChainProfile
-from ..core.errors import InvalidParameterError
 from ..core.registry import get_info, solve_batch
 from ..core.task import TaskChain
 from ..core.types import Resources
@@ -42,7 +41,6 @@ __all__ = [
     "UnitOutcome",
     "solve_instance",
     "solve_unit",
-    "chunk_pending",
     "units_from_groups",
 ]
 
@@ -83,9 +81,12 @@ class WorkUnit:
             out of a worker process.
         worker_memo: consult the process-local worker memo shard
             (:data:`_WORKER_MEMO`) before solving each cell.  Only honored
-            on the process tier (worker processes die with their pool, so
-            the shard's lifetime is one campaign) and bypassed entirely when
-            certifying or when a fault plan is armed.
+            on the process tier and bypassed entirely when certifying or
+            when a fault plan is armed.
+        epoch: the engine's campaign counter.  Workers outlive a campaign
+            (the pool is engine-scoped), so a worker drops its shard when a
+            unit arrives from a new epoch — the shard's lifetime stays one
+            campaign.
         dispatched_at: engine-side :func:`repro.obs.clock.monotonic` stamp
             taken when the unit was chunked for a process pool (``None``
             otherwise).  CLOCK_MONOTONIC is system-wide on Linux, so the
@@ -109,6 +110,7 @@ class WorkUnit:
     tier: str = "serial"
     obs: "ObsConfig | None" = None
     worker_memo: bool = False
+    epoch: int = 0
     dispatched_at: "float | None" = None
     planes: "PlaneDescriptor | None" = None
     unit_id: "int | None" = None
@@ -240,27 +242,39 @@ def _result_of(outcome: ScheduleOutcome, resources: Resources) -> InstanceResult
     )
 
 
-_WORKER_MEMO: "dict[MemoKey, InstanceResult]" = {}
-"""Process-local memo shard for process-tier workers.
+_WORKER_MEMO: "dict[int, dict[MemoKey, InstanceResult]]" = {}
+"""Process-local memo shard for process-tier workers, under its campaign epoch.
 
 Keyed exactly like the engine's :class:`~repro.engine.memo.MemoCache`, but
-living (and dying) with the worker process: pools are campaign-scoped, so
-the shard never leaks results across campaigns, and the serial/thread tiers
-never touch it (their process is the engine's).  Values are a pure function
-of the key — the same guarantee the engine memo rests on — so a hit returns
-exactly what a fresh solve would, and the only observable difference is the
-``worker.<pid>.memo.*`` attribution counters.
+living in the worker process; the serial/thread tiers never touch it (their
+process is the engine's).  The pool outlives a campaign, so the shard sits
+under the epoch of the campaign that filled it and :func:`_worker_shard`
+drops it when a unit of another epoch arrives: the ``worker.<pid>.memo.*``
+counters read per campaign what a fresh pool would report, and worker memory
+does not grow with the campaigns served.  Values are a pure function of the
+key — the guarantee the engine memo rests on — so a hit returns exactly
+what a fresh solve would.
 """
 
 
-def _shard_usable(unit: WorkUnit) -> bool:
-    """Worker-shard gate: process tier only, never under certify or faults."""
-    return (
-        unit.worker_memo
-        and unit.tier == "process"
-        and not unit.certify
-        and unit.faults is None
-    )
+def _worker_shard(unit: WorkUnit) -> "dict[MemoKey, InstanceResult] | None":
+    """This worker's shard for the unit's campaign (``None``: shard off).
+
+    Process tier only, never under certify or faults.  A unit from a new
+    epoch drops the earlier campaign's shard.
+    """
+    if (
+        not unit.worker_memo
+        or unit.tier != "process"
+        or unit.certify
+        or unit.faults is not None
+    ):
+        return None
+    shard = _WORKER_MEMO.get(unit.epoch)
+    if shard is None:
+        _WORKER_MEMO.clear()
+        shard = _WORKER_MEMO[unit.epoch] = {}
+    return shard
 
 
 def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
@@ -308,7 +322,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     the RunReport's per-strategy histograms read.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
-    use_shard = _shard_usable(unit)
+    shard = _worker_shard(unit)
     obs = current()
     shard_prefix = f"worker.{os.getpid()}.memo"
     by_strategy: dict[str, list[int]] = {}
@@ -327,10 +341,8 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
             )
             continue
         for name in item.strategies:
-            if use_shard:
-                cached = _WORKER_MEMO.get(
-                    make_key(item.chain, unit.resources, name)
-                )
+            if shard is not None:
+                cached = shard.get(make_key(item.chain, unit.resources, name))
                 if cached is not None:
                     results[position][name] = cached
                     _replay_shard_hit(name, cached)
@@ -347,7 +359,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
             instances=len(members),
         ):
             start = monotonic()
-            _solve_group(unit, name, members, profiles, results, use_shard)
+            _solve_group(unit, name, members, profiles, results, shard)
             obs.metrics.observe(
                 f"solve.seconds.{name}", (monotonic() - start) / len(members)
             )
@@ -365,7 +377,7 @@ def _solve_group(
     members: "list[int]",
     profiles: "list[ChainProfile]",
     results: "list[dict[str, InstanceResult]]",
-    use_shard: bool,
+    shard: "dict[MemoKey, InstanceResult] | None",
 ) -> None:
     """Solve one strategy's group of a unit and record its rows."""
     info = get_info(name)
@@ -386,9 +398,9 @@ def _solve_group(
         # Same deterministic period stream as the per-cell route, so the
         # sketch does not depend on which route a cell took.
         metrics.observe(f"solve.period.{name}", result.period)
-        if use_shard:
+        if shard is not None:
             key = make_key(unit.pending[position].chain, unit.resources, name)
-            _WORKER_MEMO[key] = result
+            shard[key] = result
             metrics.add(f"{shard_prefix}.misses")
         results[position][name] = result
 
@@ -509,6 +521,7 @@ def units_from_groups(
     obs: "ObsConfig | None" = None,
     worker_memo: bool = False,
     planes: "PlaneDescriptor | None" = None,
+    epoch: int = 0,
 ) -> list[WorkUnit]:
     """Materialize planner groups (:func:`repro.engine.plan.plan_units`)
     into work units.
@@ -532,45 +545,10 @@ def units_from_groups(
             tier=tier,
             obs=obs,
             worker_memo=worker_memo,
+            epoch=epoch,
             dispatched_at=dispatched_at,
             planes=planes,
             unit_id=unit_id,
         )
         for unit_id, group in enumerate(groups)
     ]
-
-
-def chunk_pending(
-    pending: Sequence[PendingInstance],
-    resources: Resources,
-    chunk_size: int,
-    certify: bool = False,
-    faults: "FaultPlan | None" = None,
-    tier: str = "serial",
-    obs: "ObsConfig | None" = None,
-    worker_memo: bool = False,
-    planes: "PlaneDescriptor | None" = None,
-) -> list[WorkUnit]:
-    """Split pending instances into work units of at most ``chunk_size``.
-
-    The fixed-row convenience chunker (tests and explicit ``chunk_size``
-    overrides); the engine's default path plans cost-adaptive groups via
-    :func:`repro.engine.plan.plan_units` and materializes them with
-    :func:`units_from_groups`.
-    """
-    if chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-    groups = [
-        tuple(pending[i : i + chunk_size])
-        for i in range(0, len(pending), chunk_size)
-    ]
-    return units_from_groups(
-        groups,
-        resources,
-        certify=certify,
-        faults=faults,
-        tier=tier,
-        obs=obs,
-        worker_memo=worker_memo,
-        planes=planes,
-    )

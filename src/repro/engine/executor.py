@@ -9,13 +9,17 @@ instances out over an execution *backend*:
   executor overhead);
 * ``thread`` — ``ThreadPoolExecutor``; useful when solves release the GIL
   or for IO-adjacent workloads, cheap to spin up;
-* ``process`` — ``ProcessPoolExecutor`` with chunked work units; the tier
-  that actually scales CPU-bound pure-Python solves across cores.
+* ``process`` — ``ProcessPoolExecutor`` over whole-strategy work units; the
+  tier that actually scales CPU-bound pure-Python solves across cores.
 
 Backends receive :class:`~repro.engine.batch.WorkUnit` chunks and return
 index-keyed rows, so assembly is order-independent and the engine's output
 is **bitwise identical for every backend and every job count** — a
 regression-tested guarantee (``tests/engine/test_engine.py``).
+
+The pooled tiers share one :class:`~repro.engine.pool.WorkerPool` per
+engine: workers spawn on the first pooled dispatch and serve every later
+campaign until :meth:`CampaignEngine.close` or a dirty round retires them.
 
 A :class:`~repro.engine.memo.MemoCache` sits in front of the fan-out:
 instances whose ``(chain fingerprint, budget, strategy)`` key was already
@@ -41,7 +45,6 @@ Two optional layers harden long campaigns (DESIGN.md §9):
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -66,6 +69,7 @@ from .checkpoint import CheckpointJournal
 from .faults import FaultPlan
 from .memo import InstanceResult, MemoCache, MemoKey, make_key
 from .plan import DEFAULT_UNIT_WALL_S, AdaptiveCostModel, plan_units
+from .pool import WorkerPool
 from .resilience import (
     FailureRecord,
     ResilienceConfig,
@@ -104,17 +108,11 @@ class StrategyArrays(NamedTuple):
     little_used: np.ndarray
 
 
-def _pool_factory(backend: str, jobs: int) -> "type[Executor] | None":
-    """Map a backend name + job count to an executor class (None = serial)."""
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; available: {BACKENDS}"
-        )
+def _tier_of(backend: str, jobs: int) -> str:
+    """Map a backend name + job count to the execution tier that runs it."""
     if jobs <= 1 or backend == "serial":
-        return None
-    if backend == "thread":
-        return ThreadPoolExecutor
-    return ProcessPoolExecutor  # "process" and "auto" with jobs > 1
+        return "serial"
+    return "thread" if backend == "thread" else "process"  # "auto" -> process
 
 
 class CampaignEngine:
@@ -126,9 +124,6 @@ class CampaignEngine:
         backend: one of :data:`BACKENDS`.
         memo: a shared :class:`MemoCache`, ``True`` for a private cache, or
             ``False``/``None`` to disable memoization.
-        chunk_size: instances per work unit; default splits the pending work
-            into ~4 units per worker, balancing dispatch overhead against
-            load imbalance.
         resilience: a :class:`~repro.engine.resilience.ResilienceConfig`
             (or ``True`` for the defaults) enabling retries, soft deadlines,
             backend degradation, and quarantine.  ``None``/``False`` keeps
@@ -166,8 +161,12 @@ class CampaignEngine:
             bitwise identical either way.
         unit_wall: target estimated solve seconds per work unit for the
             cost-adaptive planner (:mod:`repro.engine.plan`; default
-            :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).  An explicit
-            ``chunk_size`` overrides the planner entirely.
+            :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).
+
+    An engine that dispatched to a pooled tier holds live workers: call
+    :meth:`close` (or use the engine as a context manager) when done with
+    it.  A closed engine stays usable — the next pooled dispatch spawns a
+    fresh pool.
     """
 
     def __init__(
@@ -175,7 +174,6 @@ class CampaignEngine:
         jobs: int | None = None,
         backend: str = "auto",
         memo: "MemoCache | bool | None" = True,
-        chunk_size: int | None = None,
         resilience: "ResilienceConfig | bool | None" = None,
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
@@ -188,22 +186,18 @@ class CampaignEngine:
             raise InvalidParameterError(
                 f"unknown backend {backend!r}; available: {BACKENDS}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         if unit_wall is not None and unit_wall <= 0:
             raise InvalidParameterError(
                 f"unit_wall must be > 0 seconds, got {unit_wall}"
             )
         self.jobs = resolve_jobs(jobs)
         self.backend = backend
-        self.chunk_size = chunk_size
         self.worker_memo = worker_memo
         self.shared_results = shared_results
         self.unit_wall = unit_wall if unit_wall is not None else DEFAULT_UNIT_WALL_S
         self._cost_model = AdaptiveCostModel()
-        self._active_planes: "ResultPlanes | None" = None
+        self._pool = WorkerPool()
+        self._campaigns = 0
         if memo is True:
             self.memo: MemoCache | None = MemoCache()
         elif memo is False or memo is None:
@@ -233,6 +227,16 @@ class CampaignEngine:
             self.obs = NULL_OBSERVABILITY
         self._last_report: ResilienceReport | None = None
         self._all_failures: list[FailureRecord] = []
+
+    def close(self) -> None:
+        """Retire the engine's worker pool (idempotent; the engine stays usable)."""
+        self._pool.close()
+
+    def __enter__(self) -> "CampaignEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- campaign execution --------------------------------------------------
 
@@ -292,10 +296,11 @@ class CampaignEngine:
                     pending = self._fill_from_memo(chains, resources, names, arrays)
             if pending:
                 effective_jobs = self.jobs if jobs is None else resolve_jobs(jobs)
+                outcomes = self._execute(
+                    pending, resources, effective_jobs, certify=certify
+                )
                 try:
-                    for outcome in self._execute(
-                        pending, resources, effective_jobs, certify=certify
-                    ):
+                    for outcome in outcomes:
                         self.obs.absorb(outcome.obs)
                         solved: list[tuple[MemoKey, InstanceResult]] = []
                         for index, results in outcome.rows:
@@ -317,9 +322,9 @@ class CampaignEngine:
                 finally:
                     # An interrupt mid-campaign must not lose finished
                     # chunks, and an abandoned campaign must never leak a
-                    # shared-memory segment (destroy is idempotent: the
-                    # normal path already tore the planes down).
-                    self._destroy_planes()
+                    # pool or a shared-memory segment: closing the
+                    # suspended generator runs its cleanup now.
+                    outcomes.close()
                     if self.journal is not None:
                         self.journal.commit()
             if self.obs.metrics.enabled:
@@ -430,15 +435,11 @@ class CampaignEngine:
         With resilience enabled, execution runs through the
         retry/degradation/quarantine ladder of
         :mod:`repro.engine.resilience`; otherwise failures propagate
-        immediately (fail-fast), though the pool is still shut down with
+        immediately (fail-fast), though the pool is still discarded with
         ``cancel_futures`` so a Ctrl-C never leaks workers.
         """
-        pool_cls = _pool_factory(self.backend, jobs)
-        tier = (
-            "serial"
-            if pool_cls is None
-            else ("thread" if pool_cls is ThreadPoolExecutor else "process")
-        )
+        tier = _tier_of(self.backend, jobs)
+        self._campaigns += 1
         obs_config = self.obs.worker_config()
         # Cache every fingerprint before anything is dispatched: a process
         # pool's feeder thread pickles a chain's ``__dict__`` while this
@@ -447,7 +448,7 @@ class CampaignEngine:
         # would grow that dict mid-pickle.  Workers reuse the cached value.
         for item in pending:
             item.chain.fingerprint
-        if pool_cls is None and self.journal is None:
+        if tier == "serial" and self.journal is None:
             # Serial fast path: one unit, zero chunk overhead.
             groups = [tuple(pending)]
         else:
@@ -456,7 +457,6 @@ class CampaignEngine:
                 jobs=jobs,
                 cost_snapshot=self._cost_model.snapshot(),
                 unit_wall=self.unit_wall,
-                chunk_size=self.chunk_size,
             )
 
         planes: "ResultPlanes | None" = None
@@ -469,13 +469,13 @@ class CampaignEngine:
             planes = ResultPlanes.allocate(
                 names, 1 + max(item.index for item in pending), resources.ktype
             )
-        self._active_planes = planes
         try:
             units = units_from_groups(
                 groups, resources, certify=certify,
                 faults=self.faults, tier=tier, obs=obs_config,
                 worker_memo=self.worker_memo,
                 planes=planes.descriptor if planes is not None else None,
+                epoch=self._campaigns,
             )
 
             if self.resilience is not None:
@@ -484,7 +484,7 @@ class CampaignEngine:
                 try:
                     for outcome in execute_with_resilience(
                         units, jobs=jobs, config=self.resilience,
-                        report=report, planes=planes,
+                        report=report, pool=self._pool, planes=planes,
                     ):
                         yield self._hydrate(outcome, units, planes)
                 finally:
@@ -492,22 +492,20 @@ class CampaignEngine:
                     self._absorb_report(report)
                 return
 
-            if pool_cls is None:
+            if tier == "serial":
                 for unit in units:
                     yield self._hydrate(solve_unit(unit), units, planes)
                 return
 
-            workers = min(jobs, len(units))
-            pool = pool_cls(max_workers=workers)
-            clean = False
-            try:
-                for outcome in pool.map(solve_unit, units):
+            with self._pool.lease(tier, jobs) as executor:
+                for outcome in executor.map(solve_unit, units):
                     yield self._hydrate(outcome, units, planes)
-                clean = True
-            finally:
-                pool.shutdown(wait=clean, cancel_futures=not clean)
         finally:
-            self._destroy_planes()
+            # Also reached when the campaign abandons this generator
+            # (destroy is idempotent: resilience may have retired the
+            # planes on its way down the ladder).
+            if planes is not None:
+                planes.destroy()
 
     def _hydrate(
         self,
@@ -536,12 +534,6 @@ class CampaignEngine:
         if planes is not None and not outcome.rows:
             return replace(outcome, rows=planes.harvest(unit.pending))
         return outcome
-
-    def _destroy_planes(self) -> None:
-        """Unlink the active campaign's shared-memory planes (idempotent)."""
-        if self._active_planes is not None:
-            self._active_planes.destroy()
-            self._active_planes = None
 
     def _absorb_report(self, report: ResilienceReport) -> None:
         """Record a resilient execution's recovery counters as metrics.
@@ -609,6 +601,8 @@ def default_engine() -> CampaignEngine:
 
 
 def reset_default_engine() -> None:
-    """Drop the process-wide engine (tests; frees its memo cache)."""
+    """Drop the process-wide engine (tests; frees its memo cache and pool)."""
     global _DEFAULT_ENGINE
+    if _DEFAULT_ENGINE is not None:
+        _DEFAULT_ENGINE.close()
     _DEFAULT_ENGINE = None

@@ -1,28 +1,22 @@
-"""Cost-adaptive work-unit planning: size chunks by cost, not by row count.
+"""Cost-adaptive work-unit planning: whole strategy batches, cut only by cost.
 
-Fixed-row chunking made the process tier pay dispatch overhead per unit
-regardless of how much work a unit held — tiny units drown in IPC, huge
-units serialize the campaign tail.  The planner instead targets a fixed
-*unit wall* (:data:`DEFAULT_UNIT_WALL_S`): every unit is sized so its
-estimated solve time lands near the target, using per-strategy cell costs
-learned from earlier units.  This is the divisible-load idea of sizing
-installments to communication cost, applied to an embarrassingly-parallel
-campaign.
+A work unit is one strategy's batch of cells — one maximal
+:func:`repro.core.registry.solve_batch` call.  The batch kernels amortise
+their per-call cost over the rows they are handed (HeRAD 3.8 -> 2.5 ms per
+row from 8 to 32 rows), so a unit is cut only when its *estimated wall* —
+per-strategy cell costs learned from earlier units — exceeds the unit wall
+(:data:`DEFAULT_UNIT_WALL_S`), past which a straggler unit would serialize
+the campaign tail.  This is the divisible-load rule of sizing an
+installment against its measured fixed cost (Gallet–Robert–Vivien): a load
+split finer than that cost justifies finishes later than one not split.
 
-Two properties are load-bearing:
-
-* **Determinism** — :func:`plan_units` is a pure function of the pending
-  instances, a frozen cost snapshot, and the job count.  The
-  engine snapshots its :class:`AdaptiveCostModel` once per campaign, so the
-  plan is computed entirely up front; and because result rows are keyed by
-  chain index and strategies are pure functions, the assembled arrays are
-  bitwise identical for *any* plan — cost feedback can only change wall
-  time, never results (``tests/engine/test_plan.py``,
-  ``tests/engine/test_scaling.py``).
-* **Strategy grouping** — the planner first explodes instances into
-  single-strategy cells and packs units per strategy, so each worker's unit
-  is one maximal :func:`repro.core.registry.solve_batch` call; strategy-mixed
-  units would fragment the vectorized groups.
+Determinism is load-bearing: :func:`plan_units` is a pure function of the
+pending instances, a frozen cost snapshot, and the job count.  The engine
+snapshots its :class:`AdaptiveCostModel` once per campaign, so the plan is
+computed entirely up front; and because result rows are keyed by chain index
+and strategies are pure functions, the assembled arrays are bitwise
+identical for *any* plan — cost feedback can only change wall time, never
+results (``tests/engine/test_plan.py``, ``tests/engine/test_scaling.py``).
 
 The model is fed from two directions: always-on per-unit wall measurements
 (:attr:`repro.engine.batch.UnitOutcome.seconds`, read off the sanctioned
@@ -56,9 +50,11 @@ _PRIOR_CELL_COST_S: float = 2e-3
 #: EWMA smoothing for cost feedback (recent units dominate, noise damped).
 _EWMA_ALPHA: float = 0.3
 
-#: Units-per-worker floor the planner keeps when the campaign is too small
-#: to fill wall-sized units — the old fixed chunker's load-balance margin.
-_UNITS_PER_WORKER: int = 4
+#: Rows below which the batch kernels' per-row cost has not yet flattened
+#: (20-task chains, (10B,10L), ms per row at B = 8 / 16 / 32 / 64: HeRAD
+#: 3.8 / 3.0 / 2.5 / 2.5, 2CATAC 6.2 / 4.1 / 3.5 / 4.1): the planner never
+#: halves a unit into pieces smaller than this just to occupy a worker.
+_MIN_SPLIT_ROWS: int = 32
 
 
 class AdaptiveCostModel:
@@ -116,33 +112,12 @@ class AdaptiveCostModel:
         return tuple(sorted(self._cost.items()))
 
 
-def _instance_cost(
-    item: PendingInstance, costs: Mapping[str, float]
-) -> float:
-    return sum(
-        costs.get(name, _PRIOR_CELL_COST_S) for name in item.strategies
-    )
-
-
-def _pack(
-    items: Sequence[PendingInstance],
-    costs: Mapping[str, float],
-    target: float,
+def _even_split(
+    cells: Sequence[PendingInstance], parts: int
 ) -> list[tuple[PendingInstance, ...]]:
-    """Greedy in-order packing: cut a unit once it reaches ``target``."""
-    groups: list[tuple[PendingInstance, ...]] = []
-    unit: list[PendingInstance] = []
-    acc = 0.0
-    for item in items:
-        unit.append(item)
-        acc += _instance_cost(item, costs)
-        if acc >= target:
-            groups.append(tuple(unit))
-            unit = []
-            acc = 0.0
-    if unit:
-        groups.append(tuple(unit))
-    return groups
+    """Cut ``cells`` into ``parts`` contiguous runs whose sizes differ by <= 1."""
+    cuts = [-(-len(cells) * part // parts) for part in range(parts + 1)]
+    return [tuple(cells[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def plan_units(
@@ -151,56 +126,56 @@ def plan_units(
     jobs: int,
     cost_snapshot: "tuple[tuple[str, float], ...]" = (),
     unit_wall: float = DEFAULT_UNIT_WALL_S,
-    chunk_size: "int | None" = None,
 ) -> list[tuple[PendingInstance, ...]]:
     """Split pending instances into work-unit groups, deterministically.
 
-    A pure function: the same ``(pending, jobs, cost_snapshot, unit_wall,
-    chunk_size)`` always yields the same plan, and every cell of every
-    instance appears in exactly one group.
+    A pure function: the same ``(pending, jobs, cost_snapshot, unit_wall)``
+    always yields the same plan, and every cell of every instance appears
+    in exactly one group.
 
-    ``chunk_size`` is the explicit fixed-row override (the engine's
-    long-standing knob: that many instances per unit, strategies unsplit).
-    Otherwise instances are first exploded into single-strategy cells
-    grouped by strategy (first-appearance order), so each unit is one
-    contiguous ``solve_batch`` shard, and units target ``unit_wall``
-    estimated seconds, clamped so a small campaign still fans out into
-    ~:data:`_UNITS_PER_WORKER` units per worker.
+    Each strategy's cells are planned on their own, so a unit is one
+    contiguous ``solve_batch`` shard and never straddles two strategies.  A
+    strategy's batch stays whole unless its estimated wall exceeds
+    ``unit_wall``; then it is cut evenly into the fewest units that each fit
+    the wall.  Only a plan with fewer units than workers halves its
+    costliest unit, and never into pieces below :data:`_MIN_SPLIT_ROWS`.
+
+    Groups come back in dispatch order: longest estimated wall first (ties
+    keep first-appearance order), so a pool's shared queue does
+    longest-processing-time-first list scheduling.
     """
     if unit_wall <= 0.0:
         raise InvalidParameterError(
             f"unit_wall must be > 0 seconds, got {unit_wall}"
         )
-    if chunk_size is not None and chunk_size < 1:
-        raise InvalidParameterError(
-            f"chunk_size must be >= 1, got {chunk_size}"
-        )
-    items = list(pending)
-    if not items:
-        return []
-
-    if chunk_size is not None:
-        return [
-            tuple(items[i : i + chunk_size])
-            for i in range(0, len(items), chunk_size)
-        ]
-
     cells_by_strategy: dict[str, list[PendingInstance]] = {}
-    for item in items:
+    for item in pending:
         for name in item.strategies:
             cells_by_strategy.setdefault(name, []).append(
                 PendingInstance(
                     index=item.index, chain=item.chain, strategies=(name,)
                 )
             )
-    items = [cell for cells in cells_by_strategy.values() for cell in cells]
 
     costs = dict(cost_snapshot)
-    total = sum(_instance_cost(item, costs) for item in items)
-    workers = max(1, jobs)
-    # Clamp the target so small campaigns still spread across workers: at
-    # least ~_UNITS_PER_WORKER units per worker unless units would go
-    # sub-instance (packing always keeps >= 1 instance per unit).
-    target = min(unit_wall, total / (workers * _UNITS_PER_WORKER))
-    target = max(target, 1e-9)
-    return _pack(items, costs, target)
+    units: list[tuple[float, tuple[PendingInstance, ...]]] = []
+    for name, cells in cells_by_strategy.items():
+        cost = costs.get(name, _PRIOR_CELL_COST_S)
+        rows_per_unit = max(1, int(unit_wall / cost))
+        parts = -(-len(cells) // rows_per_unit)
+        units.extend(
+            (cost * len(group), group) for group in _even_split(cells, parts)
+        )
+
+    while 0 < len(units) < jobs:
+        position = max(range(len(units)), key=lambda i: units[i][0])
+        estimate, group = units[position]
+        if len(group) < 2 * _MIN_SPLIT_ROWS:
+            break
+        units[position : position + 1] = [
+            (estimate * len(half) / len(group), half)
+            for half in _even_split(group, 2)
+        ]
+
+    units.sort(key=lambda unit: -unit[0])
+    return [group for _, group in units]

@@ -1,0 +1,70 @@
+"""The engine's one worker pool: built on first use, kept until discarded.
+
+A Table I sweep is nine small campaigns, and a pool per campaign spawned
+nine sets of workers to do a second of solving; :class:`WorkerPool` lets
+every campaign of an engine borrow the same workers instead.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Iterator
+
+__all__ = ["WorkerPool"]
+
+#: Executor class per pooled tier — the engine's only executor construction
+#: site (tests may patch in recording doubles).
+_POOL_CLASSES: dict[str, type[Executor]] = {
+    "process": ProcessPoolExecutor,
+    "thread": ThreadPoolExecutor,
+}
+
+
+class WorkerPool:
+    """Lazily built, reusable executor for one ``(tier, jobs)`` at a time.
+
+    The rule that keeps reuse safe: a dispatch round that does not end
+    cleanly — a timeout, a broken pool, an interrupt, an abandoned
+    generator — drops the executor without waiting on it, so hung or dead
+    workers are never handed to the next round; the next borrow builds a
+    fresh one.  Not thread-safe: owned and driven by one engine from its
+    campaign loop.
+    """
+
+    def __init__(self) -> None:
+        self._executor: "Executor | None" = None
+        self._key: "tuple[str, int] | None" = None
+
+    @contextmanager
+    def lease(self, tier: str, jobs: int) -> Iterator[Executor]:
+        """Lend the ``tier`` executor with ``jobs`` workers for one round.
+
+        Reuses the live executor when it matches, otherwise retires it and
+        builds the requested one.  Leaving the block on any exception
+        (Ctrl-C and a closed generator included) discards the executor; a
+        round that returns with work left behind does so itself.
+        """
+        if self._key != (tier, jobs):
+            self.close()
+        if self._executor is None:
+            self._executor = _POOL_CLASSES[tier](max_workers=jobs)
+            self._key = (tier, jobs)
+        clean = False
+        try:
+            yield self._executor
+            clean = True
+        finally:
+            if not clean:
+                self.close(wait=False)
+
+    def close(self, wait: bool = True) -> None:
+        """Retire the executor (idempotent); ``wait=False`` abandons a hung one."""
+        executor, self._executor, self._key = self._executor, None, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=not wait)
+
+    # An owner dropped without close() would leave live workers to the
+    # executor's own finalizer, which winds them down asynchronously and
+    # races interpreter exit; the held executor is idle, so joining is quick.
+    __del__ = close

@@ -45,10 +45,7 @@ import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
-    Executor,
     Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
     wait,
 )
@@ -61,6 +58,7 @@ from ..obs.context import activate
 from .batch import UnitOutcome, UnitResult, WorkUnit, solve_instance, solve_unit
 from .faults import InjectedFault
 from .memo import InstanceResult
+from .pool import WorkerPool
 from .shm import ResultPlanes
 
 _log = logging.getLogger(__name__)
@@ -77,12 +75,6 @@ __all__ = [
 
 #: Degradation ladder, most parallel first.
 TIERS: tuple[str, ...] = ("process", "thread", "serial")
-
-#: Executor class per pooled tier (tests may patch in recording doubles).
-_POOL_CLASSES: dict[str, type[Executor]] = {
-    "process": ProcessPoolExecutor,
-    "thread": ThreadPoolExecutor,
-}
 
 #: Failure types worth retrying: environment/IPC trouble, injected transients,
 #: and certificate rejections (a corrupt *claim* may come from a sick worker —
@@ -243,6 +235,7 @@ def execute_with_resilience(
     jobs: int,
     config: ResilienceConfig,
     report: ResilienceReport,
+    pool: WorkerPool,
     planes: "ResultPlanes | None" = None,
 ) -> Iterator[UnitOutcome]:
     """Run work units through the retry/degradation/quarantine ladder.
@@ -251,6 +244,10 @@ def execute_with_resilience(
     they finish (order is arbitrary; rows are index-keyed, so assembly stays
     bitwise deterministic).  Quarantined instances appear in ``report`` and
     are simply absent from the yielded rows.
+
+    Pooled tiers borrow their executor from ``pool`` (the engine's
+    :class:`~repro.engine.pool.WorkerPool`): a clean round leaves it alive
+    for the next round or campaign, a dirty one discards it.
 
     ``planes`` is the campaign's shared-memory result transport, owned by
     the caller but *retired here* the moment execution degrades below the
@@ -276,7 +273,9 @@ def execute_with_resilience(
         held = [t for t in tracked if t.deterministic]
         if not runnable:
             break
-        leftovers = yield from _pooled_pass(tier, runnable, jobs, config, report)
+        leftovers = yield from _pooled_pass(
+            tier, runnable, jobs, config, report, pool
+        )
         tracked = held + leftovers
         if tracked:
             report.degradations += 1
@@ -314,9 +313,9 @@ def _pooled_pass(
     jobs: int,
     config: ResilienceConfig,
     report: ResilienceReport,
+    pool: WorkerPool,
 ) -> "Generator[UnitOutcome, None, list[_Tracked]]":
     """One tier of pooled attempts; returns the units that still fail."""
-    pool_cls = _POOL_CLASSES[tier]
     policy = config.retry
     pending = list(tracked)
     for t in pending:
@@ -328,17 +327,14 @@ def _pooled_pass(
             break
         if attempt:
             time.sleep(policy.delay(attempt - 1, token=tier))
-        workers = max(1, min(jobs, len(pending)))
-        pool = pool_cls(max_workers=workers)
-        clean = False
         retry_round: list[_Tracked] = []
-        try:
+        with pool.lease(tier, jobs) as executor:
             futures: list[tuple[Future[UnitOutcome], _Tracked]] = [
-                (pool.submit(solve_unit, t.unit), t) for t in pending
+                (executor.submit(solve_unit, t.unit), t) for t in pending
             ]
             deadline = None
             if config.timeout is not None:
-                rounds = -(-len(pending) // workers)
+                rounds = -(-len(pending) // min(jobs, len(pending)))
                 deadline = config.timeout * rounds
             done, not_done = wait([f for f, _ in futures], timeout=deadline)
 
@@ -380,11 +376,13 @@ def _pooled_pass(
                     escalation = exc
             if escalation is not None:
                 raise escalation
-            clean = not not_done
-        finally:
-            # A dirty round may hold hung or dead workers: don't block on
-            # them, and cancel whatever never started.
-            pool.shutdown(wait=clean, cancel_futures=not clean)
+            # The next round (or campaign) must inherit neither hung
+            # workers nor a broken executor, which accepts no more work; a
+            # broken one has no live worker left, so it is safe to join.
+            if not_done:
+                pool.close(wait=False)
+            elif any(isinstance(f.exception(), BrokenExecutor) for f in done):
+                pool.close()
         pending = retry_round
     return held + pending
 

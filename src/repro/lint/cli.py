@@ -14,14 +14,23 @@ from .base import RULE_REGISTRY
 from .engine import lint_paths, lint_project
 from .reporters import REPORTERS
 
-__all__ = ["add_lint_arguments", "build_parser", "run_lint", "main"]
+__all__ = ["build_parser", "main"]
 
 #: Default lint targets, relative to the repository root.
 DEFAULT_TARGETS = ("src/repro",)
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to a parser (shared with ``repro lint``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro lint`` / ``python -m repro.lint`` parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description=(
+            "Project-specific static analysis: float-comparison, "
+            "immutability, error-hierarchy, determinism, typing, and "
+            "picklability rules guarding the paper's invariants — plus "
+            "whole-project race/fork-safety/layering rules (--project)."
+        ),
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -76,20 +85,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="directory findings are reported relative to (default: cwd)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The standalone ``python -m repro.lint`` parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "Project-specific static analysis: float-comparison, "
-            "immutability, error-hierarchy, determinism, typing, and "
-            "picklability rules guarding the paper's invariants — plus "
-            "whole-project race/fork-safety/layering rules (--project)."
-        ),
-    )
-    add_lint_arguments(parser)
     return parser
 
 
@@ -126,9 +121,10 @@ def _list_rules() -> int:
     return 0
 
 
-def run_lint(args: argparse.Namespace) -> int:
-    """Execute a parsed lint invocation; returns the process exit code."""
-    if getattr(args, "explain", None):
+def main(argv: "list[str] | None" = None) -> int:
+    """Run one lint invocation; returns the process exit code."""
+    args = build_parser().parse_args(argv)
+    if args.explain:
         return _explain(args.explain)
     if args.list_rules:
         return _list_rules()
@@ -142,7 +138,7 @@ def run_lint(args: argparse.Namespace) -> int:
         ]
     paths = args.paths or [Path(p) for p in DEFAULT_TARGETS]
     try:
-        if getattr(args, "project", False):
+        if args.project:
             report = lint_project(
                 paths[0], rule_names=selectors, project_root=args.root
             )
@@ -153,11 +149,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
     print(REPORTERS[args.output_format](report))
     return 0 if report.ok else 1
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    """Standalone entry point."""
-    return run_lint(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

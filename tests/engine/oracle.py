@@ -13,6 +13,10 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.registry import get_info
 from repro.engine import StrategyArrays
 
+#: A ``unit_wall`` no cell fits under, so the planner makes every
+#: ``(chain, strategy)`` cell its own work unit — how tests force many units.
+ONE_CELL_UNITS = 1e-9
+
 
 def scalar_outcomes(chains, resources, names):
     """``{canonical name: [ScheduleOutcome per chain]}`` from the scalar solvers."""

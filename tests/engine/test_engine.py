@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import BrokenExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,16 +18,18 @@ from repro.engine import (
     FaultSpec,
     InjectedFault,
     MemoCache,
-    chunk_pending,
     default_engine,
+    plan_units,
     reset_default_engine,
     resolve_jobs,
     solve_unit,
+    units_from_groups,
 )
 from repro.engine.batch import PendingInstance, WorkUnit
 from repro.experiments.common import run_campaign
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays
 
@@ -52,7 +58,9 @@ class TestBatch:
             PendingInstance(index=i, chain=c, strategies=("fertac",))
             for i, c in enumerate(chains)
         ]
-        units = chunk_pending(pending, Resources(2, 2), 2)
+        # 0.04 s cells against the 0.1 s unit wall: two rows fit a unit.
+        groups = plan_units(pending, jobs=2, cost_snapshot=(("fertac", 0.04),))
+        units = units_from_groups(groups, Resources(2, 2))
         assert [len(u.pending) for u in units] == [2, 2, 1]
         flat = [item.index for u in units for item in u.pending]
         assert flat == [0, 1, 2, 3, 4]
@@ -83,17 +91,21 @@ class TestDeterminism:
         chains = _chains(6)
         resources = Resources(3, 3)
         serial = CampaignEngine(jobs=1, backend="serial", memo=False)
-        parallel = CampaignEngine(jobs=2, backend=backend, memo=False, chunk_size=2)
+        parallel = CampaignEngine(
+            jobs=2, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
+        )
         _assert_same_arrays(
             serial.solve_instances(chains, resources, PAPER_ORDER),
             parallel.solve_instances(chains, resources, PAPER_ORDER),
         )
 
-    def test_chunk_size_does_not_matter(self):
+    def test_unit_wall_does_not_matter(self):
         chains = _chains(5)
         resources = Resources(2, 3)
-        a = CampaignEngine(jobs=2, backend="process", memo=False, chunk_size=1)
-        b = CampaignEngine(jobs=2, backend="process", memo=False, chunk_size=4)
+        a = CampaignEngine(
+            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS
+        )
+        b = CampaignEngine(jobs=2, backend="process", memo=False, unit_wall=10.0)
         _assert_same_arrays(
             a.solve_instances(chains, resources, ("herad", "fertac")),
             b.solve_instances(chains, resources, ("herad", "fertac")),
@@ -179,9 +191,9 @@ class TestEngineConfig:
             CampaignEngine(backend="gpu")
         assert "serial" in BACKENDS
 
-    def test_rejects_bad_chunk_size(self):
+    def test_rejects_bad_unit_wall(self):
         with pytest.raises(ValueError):
-            CampaignEngine(chunk_size=0)
+            CampaignEngine(unit_wall=0.0)
 
     def test_default_engine_is_a_singleton_until_reset(self):
         reset_default_engine()
@@ -205,6 +217,70 @@ class TestEngineConfig:
         engine = CampaignEngine(jobs=1)
         with pytest.raises(InvalidParameterError, match="non-empty"):
             engine.measure_latency("fertac", [], Resources(2, 2))
+
+
+def _shm_segments():
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+class TestEnginePool:
+    """One pool per engine: built on first use, reused, retired on close."""
+
+    def test_one_pool_serves_every_campaign_until_it_breaks(self, recording_pool):
+        chains = _chains(4)
+        with CampaignEngine(jobs=2, backend="thread", memo=False) as engine:
+            assert not recording_pool.instances  # lazily, on first dispatch
+            for budget in range(1, 10):
+                engine.solve_instances(chains, Resources(budget, 2), ("fertac",))
+            assert len(recording_pool.instances) == 1
+
+            recording_pool.broken = True
+            with pytest.raises(BrokenExecutor):
+                engine.solve_instances(chains, Resources(2, 2), ("fertac",))
+            recording_pool.broken = False
+            # The broken pool was discarded, not handed to the next campaign.
+            engine.solve_instances(chains, Resources(2, 2), ("fertac",))
+            assert len(recording_pool.instances) == 2
+
+            # Another job count is another pool; the old one is retired.
+            engine.solve_instances(chains, Resources(2, 2), ("fertac",), jobs=3)
+            assert len(recording_pool.instances) == 3
+
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir(), reason="needs a /dev/shm to inspect"
+    )
+    def test_close_leaves_no_child_process_and_no_segment(self):
+        children = set(multiprocessing.active_children())
+        segments = _shm_segments()
+        engine = CampaignEngine(jobs=2, backend="process", memo=False)
+        engine.solve_instances(_chains(4), Resources(2, 2), ("fertac",))
+        workers = set(multiprocessing.active_children()) - children
+        assert workers  # the pool outlives its campaign ...
+        engine.solve_instances(_chains(4), Resources(3, 2), ("fertac",))
+        assert set(multiprocessing.active_children()) - children == workers
+        engine.close()  # ... and dies with the engine
+        engine.close()  # idempotent
+        assert set(multiprocessing.active_children()) - children == set()
+        assert _shm_segments() == segments
+        # A closed engine stays usable: the next dispatch spawns a new pool.
+        arrays = engine.solve_instances(_chains(4), Resources(2, 2), ("fertac",))
+        assert np.isfinite(arrays["fertac"].periods).all()
+        engine.close()
+        assert set(multiprocessing.active_children()) - children == set()
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_back_to_back_campaigns_on_one_pool_match_the_oracle(self, jobs):
+        chains = _chains(6)
+        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
+        with CampaignEngine(jobs=jobs, backend="process", memo=False) as engine:
+            for resources in (Resources(3, 3), Resources(2, 5)):
+                arrays = engine.solve_instances(chains, resources, PAPER_ORDER)
+                _assert_same_arrays(
+                    arrays, serial.solve_instances(chains, resources, PAPER_ORDER)
+                )
+                _assert_same_arrays(
+                    arrays, scalar_arrays(chains, resources, PAPER_ORDER)
+                )
 
 
 class TestSentinelPrefill:
@@ -234,7 +310,7 @@ class TestResilientDeterminism:
             jobs=1 if backend == "serial" else 4,
             backend=backend,
             memo=False,
-            chunk_size=2,
+            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
                 timeout=60.0,
@@ -263,7 +339,7 @@ class TestKernelTier:
         chains = _chains(6)
         resources = Resources(3, 3)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2
+            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
         )
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),

@@ -28,6 +28,7 @@ from repro.obs import Observability, ObsConfig, monotonic, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays, scalar_outcomes
 
@@ -52,9 +53,11 @@ class TestBitwiseParity:
     def test_traced_matches_untraced(self, backend, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        plain = CampaignEngine(jobs=jobs, backend=backend, memo=False, chunk_size=2)
+        plain = CampaignEngine(
+            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
+        )
         traced = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=2, obs=True
+            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS, obs=True
         )
         _assert_same_arrays(
             plain.solve_instances(chains, resources, PAPER_ORDER),
@@ -107,7 +110,7 @@ class TestExactCounters:
 
         def run(jobs, backend):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=False, chunk_size=1,
+                jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -128,7 +131,8 @@ class TestExactCounters:
             if name.startswith("worker.") and name.endswith(".units")
         }
         assert worker_units
-        assert sum(worker_units.values()) == len(chains)  # chunk_size=1
+        # One unit per cell (unit_wall=ONE_CELL_UNITS).
+        assert sum(worker_units.values()) == len(chains) * len(PAPER_ORDER)
 
     def test_faulted_process_counters_match_serial(self, tmp_path):
         """Injected faults: retries/quarantines count identically on every tier."""
@@ -157,7 +161,7 @@ class TestExactCounters:
                 jobs=jobs,
                 backend=backend,
                 memo=False,
-                chunk_size=1,
+                unit_wall=ONE_CELL_UNITS,
                 resilience=ResilienceConfig(
                     retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
                 ),
@@ -202,7 +206,7 @@ class TestExactCounters:
 
         def run(jobs, backend):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=True, chunk_size=1,
+                jobs=jobs, backend=backend, memo=True, unit_wall=ONE_CELL_UNITS,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -247,7 +251,7 @@ class TestSketchParity:
     def _sketches(jobs, backend):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=1,
+            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
             obs=ObsConfig(metrics=True),
         )
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
@@ -292,7 +296,7 @@ class TestWorkerAttribution:
     def _run(backend, jobs, **engine_kwargs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, chunk_size=1,
+            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
             obs=ObsConfig(metrics=True), **engine_kwargs,
         )
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
@@ -313,7 +317,7 @@ class TestWorkerAttribution:
             assert counters[f"worker.{pid}.pool_wait.seconds"] >= 0.0
         wait = snapshot.sketch("worker.pool_wait.seconds")
         assert wait is not None
-        assert wait.count == 6  # one wait observation per unit (chunk_size=1)
+        assert wait.count == 12  # one wait observation per one-cell unit
 
     def test_serial_and_thread_tiers_record_no_attribution(self):
         for backend, jobs in (("serial", 1), ("thread", 2)):
@@ -325,7 +329,7 @@ class TestWorkerAttribution:
         chains = [chain] * 6  # six copies; memo=False so all six dispatch
         engine = CampaignEngine(
             jobs=2, backend="process", memo=False,
-            chunk_size=1,  # six one-cell units over at most two workers
+            unit_wall=ONE_CELL_UNITS,  # six one-cell units over at most two workers
             obs=ObsConfig(metrics=True), worker_memo=True,
         )
         arrays = engine.solve_instances(chains, Resources(3, 3), ("herad",))

@@ -1,7 +1,7 @@
 """Cost-adaptive planner: determinism, wall targeting, batch grouping.
 
 The planner's contract (:mod:`repro.engine.plan`): a *pure* function of
-``(pending, jobs, cost snapshot, unit wall, chunk_size)`` whose
+``(pending, jobs, cost snapshot, unit wall)`` whose
 groups partition every pending cell exactly once — results can therefore
 never depend on the plan, only wall time can (the engine's bitwise parity
 across job counts is pinned separately in ``test_scaling.py``).
@@ -18,6 +18,7 @@ from repro.engine import CampaignEngine
 from repro.engine.batch import PendingInstance
 from repro.obs import ObsConfig
 from repro.engine.plan import (
+    _MIN_SPLIT_ROWS,
     DEFAULT_UNIT_WALL_S,
     AdaptiveCostModel,
     plan_units,
@@ -32,6 +33,11 @@ def _pending(count=12, strategies=("a", "b"), num_tasks=6):
         PendingInstance(index=i, chain=chain, strategies=tuple(strategies))
         for i, chain in enumerate(chains)
     ]
+
+
+def _strategy(group):
+    (name,) = {name for item in group for name in item.strategies}
+    return name
 
 
 def _cells(groups):
@@ -53,8 +59,8 @@ class TestPlanDeterminism:
 
     def test_every_cell_planned_exactly_once(self):
         pending = _pending(count=17, strategies=("a", "b", "c"))
-        for chunk_size in (None, 4):
-            groups = plan_units(pending, jobs=3, chunk_size=chunk_size)
+        for unit_wall in (DEFAULT_UNIT_WALL_S, 5e-3, 1e-9):
+            groups = plan_units(pending, jobs=3, unit_wall=unit_wall)
             cells = _cells(groups)
             assert sorted(cells) == sorted(
                 (item.index, name)
@@ -78,30 +84,58 @@ class TestWallTargeting:
         )
         # Each cell alone reaches the wall: one instance per unit.
         assert all(len(group) == 1 for group in small)
-        large = plan_units(pending, jobs=1, cost_snapshot=(("a", 1e-9),))
-        # Near-free cells: the units-per-worker clamp still splits the
-        # campaign for load balance, but units hold many instances.
-        assert max(len(group) for group in large) > 1
+        # Cells that fit the wall together stay one whole batch.
+        assert plan_units(pending, jobs=1, cost_snapshot=(("a", 1e-9),)) == [
+            tuple(pending)
+        ]
+
+    def test_over_wall_batch_is_cut_evenly(self):
+        pending = _pending(count=11, strategies=("a",))
+        # 0.03 s cells: three fit the 0.1 s wall, so 11 rows need 4 units.
+        groups = plan_units(pending, jobs=1, cost_snapshot=(("a", 0.03),))
+        assert [len(g) for g in groups] == [3, 3, 3, 2]
+        assert [item.index for g in groups for item in g] == list(range(11))
+
+    def test_table_campaign_plans_one_unit_per_strategy(self):
+        pending = _pending(count=10, strategies=PAPER_ORDER)
+        groups = plan_units(pending, jobs=2)
+        assert [_strategy(g) for g in groups] == list(PAPER_ORDER)
+        assert all(len(g) == 10 for g in groups)
 
     def test_small_campaign_still_fans_out(self):
-        pending = _pending(count=16, strategies=("a",))
-        groups = plan_units(
-            pending, jobs=4, cost_snapshot=(("a", 1e-9),)
-        )
-        assert len(groups) >= 4  # ~units-per-worker clamp, not one blob
+        """Fewer units than workers: only the costliest unit is halved, and
+        never into pieces below the kernels' row floor."""
+        rows = 2 * _MIN_SPLIT_ROWS
+        pending = _pending(count=rows, strategies=("a", "b"), num_tasks=3)
+        snapshot = (("a", 1e-4), ("b", 2e-4))
+        groups = plan_units(pending, jobs=3, cost_snapshot=snapshot)
+        assert [(_strategy(g), len(g)) for g in groups] == [
+            ("a", rows), ("b", _MIN_SPLIT_ROWS), ("b", _MIN_SPLIT_ROWS)
+        ]
+        # One more worker halves the now-costliest unit, "a"...
+        groups = plan_units(pending, jobs=4, cost_snapshot=snapshot)
+        assert sorted(len(g) for g in groups) == [_MIN_SPLIT_ROWS] * 4
+        # ...and then the floor stops it, however many workers idle.
+        assert plan_units(pending, jobs=16, cost_snapshot=snapshot) == groups
+        short = pending[: rows - 1]
+        groups = plan_units(short, jobs=16, cost_snapshot=snapshot)
+        assert [len(g) for g in groups] == [rows - 1, rows - 1]
 
-    def test_chunk_size_override_is_fixed_rows(self):
-        pending = _pending(count=10)
-        groups = plan_units(pending, jobs=4, chunk_size=4)
-        assert [len(g) for g in groups] == [4, 4, 2]
-        assert [item.index for g in groups for item in g] == list(range(10))
+    def test_dispatch_order_is_longest_first_and_stable(self):
+        pending = _pending(count=7, strategies=("a", "b", "c", "d"))
+        snapshot = (("a", 0.002), ("b", 0.06), ("c", 0.002), ("d", 0.005))
+        costs = dict(snapshot)
+        groups = plan_units(pending, jobs=2, cost_snapshot=snapshot)
+        estimates = [costs[_strategy(g)] * len(g) for g in groups]
+        assert estimates == sorted(estimates, reverse=True)
+        # "b" is over the wall (7 x 0.06 s): cut into one-row units, first.
+        assert [_strategy(g) for g in groups] == ["b"] * 7 + ["d", "a", "c"]
+        assert [g[0].index for g in groups[:7]] == list(range(7))
 
     def test_invalid_parameters_rejected(self):
         pending = _pending(count=2)
         with pytest.raises(InvalidParameterError):
             plan_units(pending, jobs=1, unit_wall=0.0)
-        with pytest.raises(InvalidParameterError):
-            plan_units(pending, jobs=1, chunk_size=0)
 
     def test_empty_pending_empty_plan(self):
         assert plan_units([], jobs=4) == []
@@ -110,21 +144,16 @@ class TestWallTargeting:
 class TestBatchGrouping:
     def test_batch_kernel_units_are_single_strategy(self):
         pending = _pending(count=9, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2)
-        for group in groups:
-            names = {name for item in group for name in item.strategies}
-            assert len(names) == 1  # one maximal solve_batch shard per unit
-        # First-appearance strategy order: all "a" units precede all "b".
-        order = [
-            next(iter({n for item in g for n in item.strategies}))
-            for g in groups
-        ]
-        assert order == sorted(order, key=("a", "b").index)
-
-    def test_batch_with_chunk_size_keeps_fixed_rows(self):
-        pending = _pending(count=6, strategies=("a", "b"))
-        groups = plan_units(pending, jobs=2, chunk_size=3)
-        assert [len(g) for g in groups] == [3, 3]
+        # Walls that cut "a" (and pack across strategies, if a planner
+        # concatenated the cell lists) as well as walls that cut nothing.
+        for unit_wall in (DEFAULT_UNIT_WALL_S, 7e-3, 1e-9):
+            groups = plan_units(pending, jobs=2, unit_wall=unit_wall)
+            for group in groups:
+                names = {name for item in group for name in item.strategies}
+                assert len(names) == 1  # one solve_batch shard per unit
+            # Equal estimates: first-appearance order, "a" units before "b".
+            order = [_strategy(g) for g in groups]
+            assert order == sorted(order, key=("a", "b").index)
 
 
 class TestAdaptiveCostModel:

@@ -9,6 +9,7 @@ sentinel cells; corrupt claim → certification rejects, re-solve recovers.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 
@@ -32,8 +33,11 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
     is_transient,
+    load_journal,
 )
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .oracle import ONE_CELL_UNITS
 
 
 def _chains(count=4, num_tasks=8, sr=0.5, seed=0):
@@ -207,7 +211,7 @@ class TestRetryRecovery:
             jobs=3,
             backend="thread",
             memo=False,
-            chunk_size=1,
+            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST, timeout=0.25),
             faults=plan,
         )
@@ -217,6 +221,87 @@ class TestRetryRecovery:
         assert report is not None
         assert report.timeouts >= 1
         assert report.quarantined == 0
+
+
+class TestPoolHygiene:
+    """A dirty round's workers never serve another round or campaign."""
+
+    def test_timed_out_round_does_not_hand_workers_on(self, tmp_path, recording_pool):
+        chains = _chains(3)
+        resources = Resources(2, 2)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    kind="hang",
+                    fingerprint=_fingerprint(chains[0]),
+                    tiers=("thread",),
+                    seconds=2.0,
+                    times=1,
+                ),
+            ),
+            state_dir=str(tmp_path),
+        )
+        engine = CampaignEngine(
+            jobs=3,
+            backend="thread",
+            memo=False,
+            unit_wall=ONE_CELL_UNITS,
+            resilience=ResilienceConfig(retry=_FAST, timeout=0.25),
+            faults=plan,
+        )
+        engine.solve_instances(chains, resources, ("fertac",))
+        assert engine.last_report is not None
+        assert engine.last_report.timeouts >= 1
+        hung, fresh = recording_pool.instances
+        # The round that timed out dropped its pool without waiting on it...
+        assert hung.shutdown_calls == [(False, True)]
+        assert fresh.shutdown_calls == []
+        # ...and the next campaign runs on the clean retry pool, not the hung one.
+        arrays = engine.solve_instances(chains, Resources(3, 2), ("fertac",))
+        _assert_same_arrays(arrays, _reference(chains, Resources(3, 2)))
+        assert recording_pool.instances == [hung, fresh]
+        engine.close()
+        assert fresh.shutdown_calls == [(True, False)]
+
+    def test_interrupt_commits_finished_units_and_leaves_no_pool(self, tmp_path):
+        children = set(multiprocessing.active_children())
+        chains = _chains(6)
+        resources = Resources(2, 2)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    kind="interrupt",
+                    fingerprint=_fingerprint(chains[4]),
+                    tiers=("process",),
+                    times=1,
+                ),
+            ),
+            state_dir=str(tmp_path / "faults"),
+        )
+        path = tmp_path / "run.jsonl"
+        engine = CampaignEngine(
+            jobs=2,
+            backend="process",
+            memo=False,
+            unit_wall=ONE_CELL_UNITS,
+            resilience=ResilienceConfig(retry=_FAST),
+            journal=path,
+            faults=plan,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            engine.solve_instances(chains, resources, ("fertac",))
+        # Units finished before the Ctrl-C are on disk; the pool is gone
+        # without anyone calling close().
+        assert len(load_journal(path)) == len(chains) - 1
+        for process in set(multiprocessing.active_children()) - children:
+            process.join(timeout=10)
+        assert set(multiprocessing.active_children()) - children == set()
+        # The engine survives: the rest resumes through the same journal on
+        # a fresh pool.
+        arrays = engine.solve_instances(chains, resources, ("fertac",))
+        _assert_same_arrays(arrays, _reference(chains, resources))
+        engine.close()
+        engine.journal.close()
 
 
 class TestDegradation:

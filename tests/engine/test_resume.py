@@ -10,8 +10,6 @@ that pools are shut down with ``cancel_futures`` on the way out.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -25,8 +23,9 @@ from repro.engine import (
     RetryPolicy,
     load_journal,
 )
-from repro.engine import resilience as resilience_mod
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .oracle import ONE_CELL_UNITS
 
 _FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
@@ -69,7 +68,7 @@ class TestInterruptAndResume:
             jobs=8,
             backend="process",
             memo=False,
-            chunk_size=2,
+            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,
@@ -87,7 +86,7 @@ class TestInterruptAndResume:
             jobs=8,
             backend="process",
             memo=False,
-            chunk_size=2,
+            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
         )
@@ -114,28 +113,14 @@ class TestInterruptAndResume:
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))
 
 
-class _RecordingThreadPool(ThreadPoolExecutor):
-    """A ThreadPoolExecutor double that records its shutdown arguments."""
-
-    shutdown_calls: "list[tuple[bool, bool]]" = []
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        type(self).shutdown_calls.append((wait, cancel_futures))
-        super().shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
 class TestCleanShutdown:
     def test_interrupted_pool_is_cancelled_not_leaked(
-        self, tmp_path, monkeypatch
+        self, tmp_path, recording_pool
     ):
         """On Ctrl-C the pool is shut down with cancel_futures=True and the
 
         journal retains every chunk that finished before the interrupt.
         """
-        _RecordingThreadPool.shutdown_calls = []
-        monkeypatch.setitem(
-            resilience_mod._POOL_CLASSES, "thread", _RecordingThreadPool
-        )
         chains = _chains(6)
         plan = FaultPlan(
             specs=(
@@ -153,7 +138,7 @@ class TestCleanShutdown:
             jobs=2,
             backend="thread",
             memo=False,
-            chunk_size=1,
+            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,
@@ -163,6 +148,7 @@ class TestCleanShutdown:
         engine.journal.close()
 
         # The dirty round's pool was torn down without waiting on workers.
-        assert (False, True) in _RecordingThreadPool.shutdown_calls
+        (pool,) = recording_pool.instances
+        assert pool.shutdown_calls == [(False, True)]
         # Chunks completed before the escalation survived in the journal.
         assert len(load_journal(path)) == len(chains) - 1

@@ -31,6 +31,7 @@ from repro.obs.context import ObsConfig
 from repro.workloads import generators as g
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays
 
@@ -113,7 +114,7 @@ class TestResumeThroughSharedMemory:
         )
         path = tmp_path / "run.jsonl"
         interrupted = CampaignEngine(
-            jobs=4, backend="process", memo=False, chunk_size=2,
+            jobs=4, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path, faults=plan,
         )
@@ -148,7 +149,7 @@ class TestShardCounterParity:
         )
         serial.solve_instances(chains, resources, names)
         parallel = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=1,
+            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
             obs=ObsConfig(metrics=True), worker_memo=True,
         )
         parallel.solve_instances(chains, resources, names)
@@ -178,3 +179,62 @@ class TestShardCounterParity:
         assert parallel_periods.count == serial_periods.count
         assert parallel_periods.minimum == serial_periods.minimum
         assert parallel_periods.maximum == serial_periods.maximum
+
+    @staticmethod
+    def _shard_traffic(engine):
+        counters = engine.obs.metrics.counters()
+        return tuple(
+            sum(
+                value
+                for name, value in counters.items()
+                if name.startswith("worker.") and name.endswith(suffix)
+            )
+            for suffix in (".memo.hits", ".memo.misses")
+        )
+
+    def test_shard_is_campaign_scoped_on_a_long_lived_pool(self):
+        """The pool outlives a campaign; the shard must not: a re-run of the
+        same cells on one engine reads as two fresh engines would."""
+        chains = _oracle_chains()
+        resources = Resources(3, 3)
+        names = ("fertac", "otac_b")
+
+        def engine():
+            return CampaignEngine(
+                jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
+                obs=ObsConfig(metrics=True),
+            )
+
+        fresh = [0.0, 0.0]
+        for _ in range(2):
+            with engine() as one_shot:
+                one_shot.solve_instances(chains, resources, names)
+                hits, misses = self._shard_traffic(one_shot)
+            fresh[0] += hits
+            fresh[1] += misses
+        with engine() as reused:
+            reused.solve_instances(chains, resources, names)
+            reused.solve_instances(chains, resources, names)
+            assert self._shard_traffic(reused) == tuple(fresh)
+        assert tuple(fresh) == (0.0, 2.0 * len(chains) * len(names))
+
+    def test_a_new_epoch_drops_the_previous_shard(self, monkeypatch):
+        """Worker memory does not grow with the campaigns a pool serves."""
+        from repro.engine import batch
+        from repro.engine.batch import PendingInstance, solve_unit, units_from_groups
+
+        monkeypatch.setattr(batch, "_WORKER_MEMO", {})
+        chains = _oracle_chains()[:4]
+        group = tuple(
+            PendingInstance(index=i, chain=chain, strategies=("fertac",))
+            for i, chain in enumerate(chains)
+        )
+        for epoch in (1, 2, 3):
+            for budget in (2, 3):  # two units of one campaign share a shard
+                (unit,) = units_from_groups(
+                    [group], Resources(budget, budget), tier="process",
+                    worker_memo=True, epoch=epoch,
+                )
+                solve_unit(unit)
+            assert list(batch._WORKER_MEMO) == [epoch]
+            assert len(batch._WORKER_MEMO[epoch]) == 2 * len(chains)

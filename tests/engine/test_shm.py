@@ -32,6 +32,8 @@ from repro.engine import (
 from repro.engine.shm import PlaneDescriptor, ResultPlanes
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .oracle import ONE_CELL_UNITS
+
 _FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
@@ -192,7 +194,7 @@ class TestNoLeaks:
             state_dir=str(tmp_path / "faults"),
         )
         engine = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=2,
+            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST), faults=plan,
         )
         engine.solve_instances(chains, Resources(2, 2), ("fertac",))
@@ -213,7 +215,7 @@ class TestNoLeaks:
             state_dir=str(tmp_path / "faults"),
         )
         engine = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=2,
+            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST), faults=plan,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -240,7 +242,7 @@ class TestNoLeaks:
             state_dir=str(tmp_path / "faults"),
         )
         engine = CampaignEngine(
-            jobs=2, backend="process", memo=False, chunk_size=2,
+            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST), faults=plan,
         )
         arrays = engine.solve_instances(chains, Resources(2, 2), ("fertac",))
