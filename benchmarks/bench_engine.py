@@ -40,7 +40,7 @@ def _arrays_equal(a, b) -> bool:
 
 
 def test_campaign_serial(benchmark, engine_chains):
-    engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+    engine = CampaignEngine(jobs=1, memo=False)
 
     def run():
         return engine.solve_instances(engine_chains, _RESOURCES, PAPER_ORDER)
@@ -52,10 +52,10 @@ def test_campaign_serial(benchmark, engine_chains):
 
 def test_campaign_process_pool_matches_serial(benchmark, engine_chains):
     """The engine-vs-serial mismatch gate: bitwise parity is asserted."""
-    serial = CampaignEngine(jobs=1, backend="serial", memo=False).solve_instances(
+    serial = CampaignEngine(jobs=1, memo=False).solve_instances(
         engine_chains, _RESOURCES, PAPER_ORDER
     )
-    engine = CampaignEngine(jobs=2, backend="process", memo=False)
+    engine = CampaignEngine(jobs=2, memo=False)
 
     def run():
         return engine.solve_instances(engine_chains, _RESOURCES, PAPER_ORDER)

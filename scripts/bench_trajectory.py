@@ -142,14 +142,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     # Tier 1: serial, no cache.
-    serial_engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+    serial_engine = CampaignEngine(jobs=1, memo=False)
     serial_s, serial_arrays = _time(
         lambda: serial_engine.solve_instances(chains, TABLE1_BUDGET, PAPER_ORDER)
     )
     print(f"  serial          {serial_s:8.2f}s")
 
     # Tier 2: process pool, no cache.
-    with CampaignEngine(jobs=jobs, backend="process", memo=False) as pool_engine:
+    with CampaignEngine(jobs=jobs, memo=False) as pool_engine:
         parallel_s, parallel_arrays = _time(
             lambda: pool_engine.solve_instances(
                 chains, TABLE1_BUDGET, PAPER_ORDER, jobs=jobs
@@ -256,13 +256,12 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     mismatch |= versus_mismatch
 
-    # Jobs-scaling scenario: the shared-memory process tier (zero-pickle
-    # result planes + whole-batch cost-adaptive units, first-use pool spawn
-    # included) vs serial, at several worker counts.  Speedups are same-run
-    # ratios; the gate only judges them when
-    # the candidate machine actually has the cores (tolerances carry
-    # ``requires_cores``), so a pinned single-core CI runner skips them
-    # explicitly instead of passing vacuously.
+    # Jobs-scaling scenario: the process tier (whole-batch cost-adaptive
+    # units, pickled result rows, first-use pool spawn included) vs serial,
+    # at several worker counts.  Speedups are same-run ratios; the gate only
+    # judges them when the candidate machine actually has the cores
+    # (tolerances carry ``requires_cores``), so a pinned single-core CI
+    # runner skips them explicitly instead of passing vacuously.
     scaling_levels = [
         int(level)
         for level in args.scaling_jobs.split(",")
@@ -274,9 +273,7 @@ def main(argv: "list[str] | None" = None) -> int:
         jobs_scaling["jobs"] = scaling_levels
         jobs_scaling["serial_wall_s"] = round(serial_s, 3)
         for level in scaling_levels:
-            with CampaignEngine(
-                jobs=level, backend="process", memo=False
-            ) as engine:
+            with CampaignEngine(jobs=level, memo=False) as engine:
                 wall_s, arrays = _time(
                     functools.partial(
                         engine.solve_instances, chains, TABLE1_BUDGET, PAPER_ORDER

@@ -107,7 +107,7 @@ def main(argv: "list[str] | None" = None) -> int:
     strategies = tuple(PAPER_ORDER)
 
     print(f"[baseline] serial, {args.chains} chains, {len(strategies)} strategies")
-    baseline = CampaignEngine(jobs=1, backend="serial", memo=False).solve_instances(
+    baseline = CampaignEngine(jobs=1, memo=False).solve_instances(
         chains, resources, strategies
     )
 
@@ -126,7 +126,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"[faulted] process tier, jobs={args.jobs}, one worker crash armed")
         engine = CampaignEngine(
             jobs=args.jobs,
-            backend="process",
             memo=False,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)

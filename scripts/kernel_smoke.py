@@ -64,9 +64,7 @@ def _oracle_chains():
 
 
 def _engine(jobs: int) -> CampaignEngine:
-    return CampaignEngine(
-        jobs=jobs, backend="serial" if jobs == 1 else "process", memo=False
-    )
+    return CampaignEngine(jobs=jobs, memo=False)
 
 
 def _replay_oracle(jobs: int) -> int:

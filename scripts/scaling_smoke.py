@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scaling smoke: shared-memory process tier — parity, leaks, speedup.
+"""Scaling smoke: the process tier — parity, leaks, speedup.
 
 Four phases, any failure exits non-zero (CI ``scaling-smoke`` job):
 
@@ -7,9 +7,10 @@ Four phases, any failure exits non-zero (CI ``scaling-smoke`` job):
    ``--jobs``; the arrays must be identical to the bit.  This runs
    everywhere, including pinned single-core runners: parity is
    hardware-independent.
-2. **Leak check** — every shared-memory plane the campaigns allocated must
-   be unlinked afterwards (attaching to its recorded name must fail), and a
-   fault-injected worker crash mid-campaign must not change that.
+2. **Leak check** — after the campaigns, a fault-injected worker crash
+   included, no child process is left, ``/dev/shm`` holds no new ``psm_*``
+   segment, and ``multiprocessing``'s resource tracker was never started
+   (results travel as pickled rows; nothing is allocated to track).
 3. **Speedup** — only when the runner reports at least 2 usable cores
    (``os.sched_getaffinity``): the process tier must reach
    ``--min-efficiency`` x jobs x serial throughput.  On fewer cores the
@@ -30,10 +31,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import tempfile
 import time
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +51,6 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.engine.shm import ResultPlanes
 from repro.experiments import table1
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
@@ -69,39 +72,8 @@ def _arrays_match(a, b) -> bool:
     )
 
 
-class _PlaneRecorder:
-    """Wrap ResultPlanes.allocate to record every descriptor handed out."""
-
-    def __init__(self):
-        self.descriptors = []
-        self._original = ResultPlanes.allocate.__func__
-
-    def __enter__(self):
-        recorder = self
-
-        def recording(cls, strategies, chains, ktype):
-            planes = recorder._original(cls, strategies, chains, ktype)
-            if planes is not None:
-                recorder.descriptors.append(planes.descriptor)
-            return planes
-
-        ResultPlanes.allocate = classmethod(recording)
-        return self
-
-    def __exit__(self, *exc):
-        ResultPlanes.allocate = classmethod(self._original)
-        return False
-
-    def leaked(self):
-        alive = []
-        for descriptor in self.descriptors:
-            try:
-                view = descriptor.open()
-            except FileNotFoundError:
-                continue
-            view.close()
-            alive.append(descriptor.periods_name)
-        return alive
+def _shm_segments() -> set:
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
 
 
 def _small_table_seconds(jobs: int, chains: int, seed: int) -> float:
@@ -133,64 +105,58 @@ def main(argv=None) -> int:
         f"strategies, jobs={args.jobs}, usable cores={cores}"
     )
 
-    with _PlaneRecorder() as recorder:
-        serial_engine = CampaignEngine(jobs=1, backend="serial", memo=False)
-        start = time.perf_counter()
-        serial = serial_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
-        serial_s = time.perf_counter() - start
+    segments = _shm_segments()
+    serial_engine = CampaignEngine(jobs=1, memo=False)
+    start = time.perf_counter()
+    serial = serial_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
+    serial_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        with CampaignEngine(
-            jobs=args.jobs, backend="process", memo=False
-        ) as process_engine:
-            parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
-        parallel_s = time.perf_counter() - start
+    start = time.perf_counter()
+    with CampaignEngine(jobs=args.jobs, memo=False) as process_engine:
+        parallel = process_engine.solve_instances(chains, BUDGET, PAPER_ORDER)
+    parallel_s = time.perf_counter() - start
 
-        if _arrays_match(serial, parallel):
-            print(f"  parity: serial vs jobs={args.jobs} bitwise identical")
-        else:
-            print("  parity: MISMATCH across tiers", file=sys.stderr)
-            failures += 1
-
-        # Fault-injected worker crash: recovery must not leak a segment.
-        with tempfile.TemporaryDirectory() as state_dir:
-            plan = FaultPlan(
-                specs=(
-                    FaultSpec(
-                        kind="crash",
-                        fingerprint=ChainProfile(chains[3]).fingerprint,
-                        tiers=("process",),
-                        times=1,
-                    ),
-                ),
-                state_dir=state_dir,
-            )
-            with CampaignEngine(
-                jobs=args.jobs, backend="process", memo=False,
-                resilience=ResilienceConfig(retry=_FAST), faults=plan,
-            ) as crash_engine:
-                crashed = crash_engine.solve_instances(
-                    chains, BUDGET, ("fertac",)
-                )
-        reference = {"fertac": serial["fertac"]}
-        if _arrays_match(reference, crashed):
-            print("  crash recovery: bitwise identical")
-        else:
-            print("  crash recovery: MISMATCH", file=sys.stderr)
-            failures += 1
-
-    if not recorder.descriptors:
-        print("  leak check: no planes allocated", file=sys.stderr)
+    if _arrays_match(serial, parallel):
+        print(f"  parity: serial vs jobs={args.jobs} bitwise identical")
+    else:
+        print("  parity: MISMATCH across tiers", file=sys.stderr)
         failures += 1
-    leaked = recorder.leaked()
-    if leaked:
-        print(f"  leak check: segments still linked: {leaked}", file=sys.stderr)
+
+    # Fault-injected worker crash: recovery must not leave anything behind.
+    with tempfile.TemporaryDirectory() as state_dir:
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    kind="crash",
+                    fingerprint=ChainProfile(chains[3]).fingerprint,
+                    tiers=("process",),
+                    times=1,
+                ),
+            ),
+            state_dir=state_dir,
+        )
+        with CampaignEngine(
+            jobs=args.jobs, memo=False,
+            resilience=ResilienceConfig(retry=_FAST), faults=plan,
+        ) as crash_engine:
+            crashed = crash_engine.solve_instances(chains, BUDGET, ("fertac",))
+    reference = {"fertac": serial["fertac"]}
+    if _arrays_match(reference, crashed):
+        print("  crash recovery: bitwise identical")
+    else:
+        print("  crash recovery: MISMATCH", file=sys.stderr)
+        failures += 1
+
+    leftovers = {
+        "child process(es)": multiprocessing.active_children(),
+        "new /dev/shm segment(s)": sorted(_shm_segments() - segments),
+        "resource tracker pid": resource_tracker._resource_tracker._pid,
+    }
+    if any(leftovers.values()):
+        print(f"  leak check: left behind {leftovers}", file=sys.stderr)
         failures += 1
     else:
-        print(
-            f"  leak check: all {len(recorder.descriptors)} plane "
-            "allocations unlinked"
-        )
+        print("  leak check: no child, no psm_* segment, no resource tracker")
 
     if cores >= 2:
         speedup = serial_s / parallel_s if parallel_s > 0 else 0.0

@@ -82,7 +82,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"[untraced] process tier, jobs={args.jobs}, {args.chains} chains x "
         f"{len(strategies)} strategies"
     )
-    plain = CampaignEngine(jobs=args.jobs, backend="process", memo=False)
+    plain = CampaignEngine(jobs=args.jobs, memo=False)
     start = monotonic()
     baseline = plain.solve_instances(chains, resources, strategies)
     untraced_s = monotonic() - start
@@ -90,7 +90,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     obs = Observability(ObsConfig(trace=True, metrics=True))
     traced_engine = CampaignEngine(
-        jobs=args.jobs, backend="process", memo=False, obs=obs
+        jobs=args.jobs, memo=False, obs=obs
     )
     print("[traced]   same campaign, spans + metrics on")
     start = monotonic()

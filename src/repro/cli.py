@@ -99,6 +99,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _parse_cores(text: str) -> "tuple[Resources, tuple[str, ...]]":
     """Parse ``--cores big=8,little=8,mid=4`` into a budget + class labels.
 
@@ -144,7 +151,7 @@ def _experiment_options() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--chains",
-        type=int,
+        type=_positive_int,
         default=200,
         help=(
             "chains per synthetic scenario (paper: 1000; default 200 keeps "
@@ -153,13 +160,13 @@ def _experiment_options() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--timing-chains",
-        type=int,
+        type=_positive_int,
         default=20,
         help="chains averaged per execution-time point (paper: 50)",
     )
     parent.add_argument(
         "--frames",
-        type=int,
+        type=_positive_int,
         default=2000,
         help="frames streamed per throughput measurement (table2/fig5)",
     )
@@ -185,18 +192,6 @@ def _experiment_options() -> argparse.ArgumentParser:
         ),
     )
     parent.add_argument(
-        "--unit-wall",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "target estimated solve seconds per work unit for the "
-            "cost-adaptive chunk planner (default 0.1); any value yields "
-            "bitwise-identical results — it trades dispatch overhead "
-            "against load balance on the process tier"
-        ),
-    )
-    parent.add_argument(
         "--resume",
         type=Path,
         default=None,
@@ -219,17 +214,17 @@ def _experiment_options() -> argparse.ArgumentParser:
             "enable resilient execution with N solve attempts per tier: "
             "transient failures (crashed workers, pickling errors, "
             "timeouts) retry with deterministic backoff, then degrade "
-            "process -> thread -> serial; instances that still fail are "
+            "process -> serial; instances that still fail are "
             "quarantined (reported on stderr) instead of aborting"
         ),
     )
     parent.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help=(
-            "soft deadline per work unit on pooled tiers; a hung solve is "
+            "soft deadline per work unit on the process tier; a hung solve is "
             "abandoned and retried instead of stalling the campaign "
             "(implies resilient execution)"
         ),
@@ -543,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_engine(
     args: argparse.Namespace, obs: "Observability | None" = None
 ) -> "CampaignEngine | None":
-    """A dedicated engine when a hardening, observability, or planner flag is set.
+    """A dedicated engine when a hardening or observability flag is set.
 
     ``None`` means "use the process-wide default engine" (the lean fail-fast
     path).  The dedicated engine shares the default engine's memo cache, so
@@ -554,7 +549,7 @@ def _build_engine(
         or args.retries is not None
         or args.timeout is not None
     )
-    if not hardened and obs is None and args.unit_wall is None:
+    if not hardened and obs is None:
         return None
     resilience: "ResilienceConfig | None" = None
     journal: "CheckpointJournal | None" = None
@@ -569,7 +564,6 @@ def _build_engine(
         resilience=resilience,
         journal=journal,
         obs=obs,
-        unit_wall=args.unit_wall,
     )
 
 

@@ -3,23 +3,19 @@
 Public API:
 
 * :class:`~repro.engine.executor.CampaignEngine` — solve batches of
-  ``(chain, budget, strategy)`` instances over a serial / thread / process
-  backend, deterministically.
+  ``(chain, budget, strategy)`` instances in-process (``jobs == 1``) or on
+  a process pool (``jobs > 1``), deterministically.
 * :func:`~repro.engine.executor.default_engine` — the process-wide engine
   with a shared memo cache (what ``run_campaign`` uses).
 * :class:`~repro.engine.memo.MemoCache` — the instance-result cache keyed by
   chain fingerprint + budget + strategy.
-* :class:`~repro.engine.shm.ResultPlanes` /
-  :class:`~repro.engine.shm.PlaneDescriptor` — the process tier's
-  zero-pickle result transport (workers write solved cells straight into
-  shared memory).
 * :func:`~repro.engine.plan.plan_units` /
   :class:`~repro.engine.plan.AdaptiveCostModel` — deterministic
   cost-adaptive work-unit planning (DESIGN.md §16).
 * :class:`~repro.engine.resilience.ResilienceConfig` /
   :class:`~repro.engine.resilience.RetryPolicy` — retries with deterministic
-  backoff, soft deadlines, backend degradation, and per-instance quarantine
-  (:class:`~repro.engine.resilience.FailureRecord`).
+  backoff, soft deadlines, process → serial degradation, and per-instance
+  quarantine (:class:`~repro.engine.resilience.FailureRecord`).
 * :class:`~repro.engine.checkpoint.CheckpointJournal` — crash-safe JSONL
   checkpointing behind ``--resume``.
 * :class:`~repro.engine.faults.FaultPlan` — deterministic fault injection
@@ -42,7 +38,6 @@ from .batch import (
 )
 from .checkpoint import CheckpointJournal, load_journal
 from .executor import (
-    BACKENDS,
     CampaignEngine,
     StrategyArrays,
     default_engine,
@@ -66,10 +61,8 @@ from .resilience import (
     RetryPolicy,
     is_transient,
 )
-from .shm import PlaneDescriptor, ResultPlanes
 
 __all__ = [
-    "BACKENDS",
     "CampaignEngine",
     "StrategyArrays",
     "default_engine",
@@ -84,8 +77,6 @@ __all__ = [
     "DEFAULT_UNIT_WALL_S",
     "AdaptiveCostModel",
     "plan_units",
-    "PlaneDescriptor",
-    "ResultPlanes",
     "DEFAULT_MAXSIZE",
     "InstanceResult",
     "MemoCache",

@@ -8,10 +8,11 @@ shared budget — and :func:`solve_unit` resolves it into indexed
 :class:`~repro.engine.memo.InstanceResult` rows.
 
 Everything here is picklable with module-level functions only, so the same
-code path runs in-process (serial / thread tiers) and in worker processes
-(process tier).  Results are keyed by chain index, which makes assembly
-order-independent: however the executor interleaves chunks, the final arrays
-are bitwise identical.
+code path runs in-process (serial tier) and in worker processes (process
+tier).  A unit's rows travel home inside its pickled :class:`UnitOutcome`
+— the engine's one result transport.  Results are keyed by chain index,
+which makes assembly order-independent: however the executor interleaves
+chunks, the final arrays are bitwise identical.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from ..obs.clock import monotonic
 from ..obs.context import ObsConfig, ObsPayload, activate, current
 from ..obs.metrics import MetricsLike
 from .faults import FaultPlan
-from .memo import InstanceResult, MemoKey, make_key
-from .shm import PlaneDescriptor
+from .memo import InstanceResult
 
 __all__ = [
     "PendingInstance",
@@ -71,36 +71,20 @@ class WorkUnit:
             checker (:mod:`repro.core.certify`) as it is produced.
         faults: deterministic fault plan armed for this chunk (tests and the
             fault-injection smoke; ``None`` in production).
-        tier: the execution tier running this chunk (``serial`` / ``thread``
-            / ``process``) — lets tier-scoped faults target, say, only
-            worker processes so the degradation ladder can be exercised.
+        tier: the execution tier running this chunk (``serial`` /
+            ``process``) — lets tier-scoped faults target, say, only worker
+            processes so the degradation ladder can be exercised.
         obs: observability switches for this chunk (``None`` = fully off).
             When set, the worker builds a local tracer/metrics context,
             records into it, and ships the resulting payload home in its
             :class:`UnitOutcome` — the only channel observability data has
             out of a worker process.
-        worker_memo: consult the process-local worker memo shard
-            (:data:`_WORKER_MEMO`) before solving each cell.  Only honored
-            on the process tier and bypassed entirely when certifying or
-            when a fault plan is armed.
-        epoch: the engine's campaign counter.  Workers outlive a campaign
-            (the pool is engine-scoped), so a worker drops its shard when a
-            unit arrives from a new epoch — the shard's lifetime stays one
-            campaign.
         dispatched_at: engine-side :func:`repro.obs.clock.monotonic` stamp
             taken when the unit was chunked for a process pool (``None``
             otherwise).  CLOCK_MONOTONIC is system-wide on Linux, so the
             worker can subtract it from its own clock read on entry to
             measure pool-wait (queueing) time.  Never consulted by the
             result path.
-        planes: descriptor of the engine's shared-memory result planes
-            (:mod:`repro.engine.shm`).  When set, the worker writes its
-            solved cells into the planes and ships *empty* result rows home
-            — the zero-pickle result path.  Always a name descriptor, never
-            a live ``SharedMemory`` handle (lint rule REP203).
-        unit_id: the unit's position in the engine's campaign plan; the key
-            the engine harvests plane cells by when the rows come home
-            empty.  ``None`` on units built outside the planner.
     """
 
     pending: tuple[PendingInstance, ...]
@@ -109,11 +93,7 @@ class WorkUnit:
     faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
-    worker_memo: bool = False
-    epoch: int = 0
     dispatched_at: "float | None" = None
-    planes: "PlaneDescriptor | None" = None
-    unit_id: "int | None" = None
 
 
 #: ``(chain index, {strategy: result})`` rows produced by one unit.
@@ -130,9 +110,6 @@ class UnitOutcome:
     separate paths — the engine assembles arrays from ``rows`` only, which
     is what keeps tracing off the result path.
 
-    When the unit carried a plane descriptor and published its cells to
-    shared memory, ``rows`` comes home *empty* and ``unit_id`` tells the
-    engine which unit's cells to harvest from the planes instead.
     ``seconds`` is the unit's measured solve wall (sanctioned
     :mod:`repro.obs.clock` read) — the always-on feedback signal of the
     cost-adaptive planner (:mod:`repro.engine.plan`); it steers future
@@ -141,7 +118,6 @@ class UnitOutcome:
 
     rows: UnitResult
     obs: "ObsPayload | None" = None
-    unit_id: "int | None" = None
     seconds: "float | None" = None
 
 
@@ -242,59 +218,6 @@ def _result_of(outcome: ScheduleOutcome, resources: Resources) -> InstanceResult
     )
 
 
-_WORKER_MEMO: "dict[int, dict[MemoKey, InstanceResult]]" = {}
-"""Process-local memo shard for process-tier workers, under its campaign epoch.
-
-Keyed exactly like the engine's :class:`~repro.engine.memo.MemoCache`, but
-living in the worker process; the serial/thread tiers never touch it (their
-process is the engine's).  The pool outlives a campaign, so the shard sits
-under the epoch of the campaign that filled it and :func:`_worker_shard`
-drops it when a unit of another epoch arrives: the ``worker.<pid>.memo.*``
-counters read per campaign what a fresh pool would report, and worker memory
-does not grow with the campaigns served.  Values are a pure function of the
-key — the guarantee the engine memo rests on — so a hit returns exactly
-what a fresh solve would.
-"""
-
-
-def _worker_shard(unit: WorkUnit) -> "dict[MemoKey, InstanceResult] | None":
-    """This worker's shard for the unit's campaign (``None``: shard off).
-
-    Process tier only, never under certify or faults.  A unit from a new
-    epoch drops the earlier campaign's shard.
-    """
-    if (
-        not unit.worker_memo
-        or unit.tier != "process"
-        or unit.certify
-        or unit.faults is not None
-    ):
-        return None
-    shard = _WORKER_MEMO.get(unit.epoch)
-    if shard is None:
-        _WORKER_MEMO.clear()
-        shard = _WORKER_MEMO[unit.epoch] = {}
-    return shard
-
-
-def _replay_shard_hit(name: str, cached: InstanceResult) -> None:
-    """Re-emit the deterministic ``solve.*`` observations for a shard hit.
-
-    A shard hit elides an actual solve, but the cross-tier counter-parity
-    guarantee (DESIGN.md §15) says ``solve.count`` and the
-    ``solve.period.<strategy>`` observation stream depend only on the
-    campaign, never on where or whether each cell was recomputed.  Cached
-    values are a pure function of the key, so replaying them here makes the
-    merged counters bitwise-independent of how units landed on workers —
-    which is what lets the shard default on.  ``solve.seconds`` is wall
-    clock (inherently run-dependent) and is deliberately not replayed.
-    """
-    metrics = current().metrics
-    if metrics.enabled:
-        metrics.add("solve.count")
-        metrics.observe(f"solve.period.{name}", cached.period)
-
-
 def _solve_rows(unit: WorkUnit) -> UnitResult:
     """Resolve a unit's instances into index-keyed rows.
 
@@ -312,19 +235,12 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     get their ``fire()`` consultation — so injection is unconditional while
     the rest of the unit stays batched.
 
-    Worker-shard hits are answered (with their deterministic counter
-    replay) before grouping, so each ``solve_batch`` call sees only
-    genuinely unsolved cells, and fresh results feed the shard for later
-    units on the same worker.
-
     ``solve.seconds.<strategy>`` is fed here with the group wall divided by
     its instance count: the per-cell cost the planner's sketch feedback and
     the RunReport's per-strategy histograms read.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
-    shard = _worker_shard(unit)
     obs = current()
-    shard_prefix = f"worker.{os.getpid()}.memo"
     by_strategy: dict[str, list[int]] = {}
     results: list[dict[str, InstanceResult]] = [{} for _ in unit.pending]
     for position, item in enumerate(unit.pending):
@@ -341,13 +257,6 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
             )
             continue
         for name in item.strategies:
-            if shard is not None:
-                cached = shard.get(make_key(item.chain, unit.resources, name))
-                if cached is not None:
-                    results[position][name] = cached
-                    _replay_shard_hit(name, cached)
-                    obs.metrics.add(f"{shard_prefix}.hits")
-                    continue
             by_strategy.setdefault(name, []).append(position)
 
     for name, members in by_strategy.items():
@@ -359,7 +268,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
             instances=len(members),
         ):
             start = monotonic()
-            _solve_group(unit, name, members, profiles, results, shard)
+            _solve_group(unit, name, members, profiles, results)
             obs.metrics.observe(
                 f"solve.seconds.{name}", (monotonic() - start) / len(members)
             )
@@ -377,14 +286,12 @@ def _solve_group(
     members: "list[int]",
     profiles: "list[ChainProfile]",
     results: "list[dict[str, InstanceResult]]",
-    shard: "dict[MemoKey, InstanceResult] | None",
 ) -> None:
     """Solve one strategy's group of a unit and record its rows."""
     info = get_info(name)
     group = [profiles[position] for position in members]
     outcomes = solve_batch(group, unit.resources, name)
     metrics = current().metrics
-    shard_prefix = f"worker.{os.getpid()}.memo"
     for position, outcome in zip(members, outcomes):
         if unit.certify:
             certify_outcome(
@@ -398,37 +305,7 @@ def _solve_group(
         # Same deterministic period stream as the per-cell route, so the
         # sketch does not depend on which route a cell took.
         metrics.observe(f"solve.period.{name}", result.period)
-        if shard is not None:
-            key = make_key(unit.pending[position].chain, unit.resources, name)
-            shard[key] = result
-            metrics.add(f"{shard_prefix}.misses")
         results[position][name] = result
-
-
-def _publish_to_planes(unit: WorkUnit, rows: UnitResult) -> UnitResult:
-    """Write a unit's solved cells into the shared result planes.
-
-    Returns the rows the outcome should *ship* — empty once the cells are
-    safely in shared memory, or the original rows when the unit carries no
-    descriptor or the planes are already gone (e.g. the engine tore them
-    down while this abandoned attempt was still running; the pickled-row
-    fallback keeps the attempt harmless either way).  Writes are pure
-    cell-data stores, so a retried unit republishing over a partial earlier
-    attempt rewrites identical bits.
-    """
-    if unit.planes is None:
-        return rows
-    try:
-        view = unit.planes.open()
-    except (OSError, ValueError):
-        return rows
-    try:
-        for index, results in rows:
-            for name, result in results.items():
-                view.write(index, name, result)
-    finally:
-        view.close()
-    return []
 
 
 def _attribute_worker_costs(
@@ -440,10 +317,8 @@ def _attribute_worker_costs(
     clocks, so it is inherently tier- and run-dependent: ``worker.*`` is the
     one metric namespace exempt from the cross-tier counter-parity guarantee
     (DESIGN.md §15).  The pickle costs are measured by re-serializing the
-    unit and its *shipped* rows with the same protocol the pool uses — the
-    bytes counted are the bytes the IPC channel actually carried (with the
-    shared-memory planes on, the result payload is an empty list and
-    ``pickle.bytes_out`` collapses to its ~5-byte envelope), the seconds are
+    unit and its rows with the same protocol the pool uses — the bytes
+    counted are the bytes the IPC channel actually carried, the seconds are
     a faithful re-run of the same work.
     """
     pid = os.getpid()
@@ -472,28 +347,19 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
     Resolves the unit's cells through :func:`_solve_rows`.  With
     observability enabled on the unit, a fresh local context is built and
     activated for the duration — worker processes have no access to the
-    engine's tracer, and thread-tier workers deliberately use the same
-    ship-a-payload-home protocol so every tier aggregates identically.
+    engine's tracer, and in-process units deliberately use the same
+    ship-a-payload-home protocol so both tiers aggregate identically.
 
     Process-tier units with metrics enabled additionally attribute their
     IPC costs (pool wait, pickle bytes/seconds in and out) to the worker's
     pid before the payload ships home — see :func:`_attribute_worker_costs`.
 
-    Units carrying a plane descriptor publish their cells to the engine's
-    shared-memory result planes and ship empty rows (plus their ``unit_id``
-    so the engine knows which cells to harvest); the unit's measured solve
-    wall rides along as planner feedback either way.
+    The unit's measured solve wall rides along as planner feedback.
     """
     arrived = monotonic()
     if unit.obs is None or not unit.obs.enabled:
         rows = _solve_rows(unit)
-        solved_at = monotonic()
-        shipped = _publish_to_planes(unit, rows)
-        return UnitOutcome(
-            rows=shipped,
-            unit_id=unit.unit_id,
-            seconds=solved_at - arrived,
-        )
+        return UnitOutcome(rows=rows, seconds=monotonic() - arrived)
     context = unit.obs.create_context()
     with activate(context):
         with context.span(
@@ -501,14 +367,10 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
         ):
             rows = _solve_rows(unit)
         solved_at = monotonic()
-        shipped = _publish_to_planes(unit, rows)
         if unit.tier == "process" and context.metrics.enabled:
-            _attribute_worker_costs(unit, shipped, arrived, context.metrics)
+            _attribute_worker_costs(unit, rows, arrived, context.metrics)
     return UnitOutcome(
-        rows=shipped,
-        obs=context.payload(),
-        unit_id=unit.unit_id,
-        seconds=solved_at - arrived,
+        rows=rows, obs=context.payload(), seconds=solved_at - arrived
     )
 
 
@@ -519,17 +381,13 @@ def units_from_groups(
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
-    worker_memo: bool = False,
-    planes: "PlaneDescriptor | None" = None,
-    epoch: int = 0,
 ) -> list[WorkUnit]:
     """Materialize planner groups (:func:`repro.engine.plan.plan_units`)
     into work units.
 
-    Each unit's ``unit_id`` is its plan position — the handle the engine
-    harvests shared-memory cells by.  Process-tier units built with metrics
-    enabled carry a ``dispatched_at`` monotonic stamp so workers can
-    attribute the dispatch-to-start (pool queueing) latency of each unit.
+    Process-tier units built with metrics enabled carry a ``dispatched_at``
+    monotonic stamp so workers can attribute the dispatch-to-start (pool
+    queueing) latency of each unit.
     """
     dispatched_at = (
         monotonic()
@@ -544,11 +402,7 @@ def units_from_groups(
             faults=faults,
             tier=tier,
             obs=obs,
-            worker_memo=worker_memo,
-            epoch=epoch,
             dispatched_at=dispatched_at,
-            planes=planes,
-            unit_id=unit_id,
         )
-        for unit_id, group in enumerate(groups)
+        for group in groups
     ]

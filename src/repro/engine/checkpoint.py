@@ -16,24 +16,18 @@ complete row is skipped, never fatal — and duplicate keys are fine (last
 wins; a resumed run may legitimately re-append rows the first run already
 journaled).
 
-Format: one JSON object per line.  The row schema is a property of the
-*result*, not of the transport: rows harvested from shared-memory result
-planes (DESIGN.md §16) journal identically to rows pickled back from a
-worker, so journals replay across tiers and engine versions.  Two-type
-rows keep the original layout (journals written before the k-type
-platform layer replay unchanged)::
-
-    {"fp": "3f9a...", "big": 10, "little": 10, "strategy": "fertac",
-     "period": 12.375, "big_used": 3, "little_used": 2}
-
-Rows solved on a ``k > 2``-type budget carry the full type signature
-instead, so they can never collide with a two-type instance::
+Format: one JSON object per line, carrying the budget's full type
+signature and the per-type usage::
 
     {"fp": "3f9a...", "counts": [10, 10, 4], "strategy": "ktype_ref",
      "period": 12.375, "used": [3, 2, 1]}
 
-:func:`load_journal` accepts both layouts in the same file (a "mixed"
-journal, e.g. after a campaign grew a third core type mid-way).
+Journals written before the k-type platform layer spelled two-type rows
+out field by field; :func:`load_journal` still reads that layout (alone or
+mixed with the current one in the same file), but nothing writes it::
+
+    {"fp": "3f9a...", "big": 10, "little": 10, "strategy": "fertac",
+     "period": 12.375, "big_used": 3, "little_used": 2}
 """
 
 from __future__ import annotations
@@ -53,27 +47,13 @@ _log = logging.getLogger(__name__)
 
 def _encode(key: MemoKey, result: InstanceResult) -> str:
     fingerprint, counts, strategy = key
-    row: dict[str, object]
-    if len(counts) == 2 and not result.extra_used:
-        # Paper-exact two-type rows keep the original journal layout, so
-        # pre-k-type journals and freshly written ones stay interchangeable.
-        row = {
-            "fp": fingerprint,
-            "big": counts[0],
-            "little": counts[1],
-            "strategy": strategy,
-            "period": result.period,
-            "big_used": result.big_used,
-            "little_used": result.little_used,
-        }
-    else:
-        row = {
-            "fp": fingerprint,
-            "counts": list(counts),
-            "strategy": strategy,
-            "period": result.period,
-            "used": list(result.usage),
-        }
+    row = {
+        "fp": fingerprint,
+        "counts": list(counts),
+        "strategy": strategy,
+        "period": result.period,
+        "used": list(result.usage),
+    }
     return json.dumps(row, separators=(",", ":"))
 
 
@@ -102,7 +82,7 @@ def _decode(line: str) -> "tuple[MemoKey, InstanceResult] | None":
         and isinstance(period, (int, float))
     ):
         return None
-    if "counts" in row:  # k-type layout
+    if "counts" in row:
         counts = _int_list(row.get("counts"))
         used = _int_list(row.get("used"))
         if counts is None or used is None or len(used) < 2:
@@ -114,6 +94,7 @@ def _decode(line: str) -> "tuple[MemoKey, InstanceResult] | None":
             little_used=used[1],
             extra_used=tuple(used[2:]),
         )
+    # Legacy two-type layout (read-only: no writer produces it any more).
     big = row.get("big")
     little = row.get("little")
     big_used = row.get("big_used")

@@ -1,39 +1,39 @@
-"""The campaign execution engine: pluggable fan-out + memoized solves.
+"""The campaign execution engine: fan-out + memoized solves.
 
 The paper's evaluation protocol is embarrassingly parallel — every
 ``(chain, budget, strategy)`` instance is independent — yet the original
-driver solved them in one Python loop.  :class:`CampaignEngine` fans the
-instances out over an execution *backend*:
+driver solved them in one Python loop.  :class:`CampaignEngine` runs the
+instances on one of two tiers, chosen by the job count alone:
 
-* ``serial`` — in-process loop (also the ``jobs=1`` fast path: zero
-  executor overhead);
-* ``thread`` — ``ThreadPoolExecutor``; useful when solves release the GIL
-  or for IO-adjacent workloads, cheap to spin up;
-* ``process`` — ``ProcessPoolExecutor`` over whole-strategy work units; the
-  tier that actually scales CPU-bound pure-Python solves across cores.
+* ``jobs == 1`` — the ``serial`` tier: an in-process loop, zero executor
+  overhead;
+* ``jobs > 1`` — the ``process`` tier: a ``ProcessPoolExecutor`` over
+  whole-strategy work units, the one that scales CPU-bound pure-Python
+  solves across cores (threads do not: the solvers hold the GIL).
 
-Backends receive :class:`~repro.engine.batch.WorkUnit` chunks and return
-index-keyed rows, so assembly is order-independent and the engine's output
-is **bitwise identical for every backend and every job count** — a
-regression-tested guarantee (``tests/engine/test_engine.py``).
+Either tier resolves :class:`~repro.engine.batch.WorkUnit` chunks into
+index-keyed rows — pickled home from workers, the only result transport —
+so assembly is order-independent and the engine's output is **bitwise
+identical for every job count** — a regression-tested guarantee
+(``tests/engine/test_engine.py``).
 
-The pooled tiers share one :class:`~repro.engine.pool.WorkerPool` per
+The process tier uses one :class:`~repro.engine.pool.WorkerPool` per
 engine: workers spawn on the first pooled dispatch and serve every later
 campaign until :meth:`CampaignEngine.close` or a dirty round retires them.
 
-A :class:`~repro.engine.memo.MemoCache` sits in front of the fan-out:
-instances whose ``(chain fingerprint, budget, strategy)`` key was already
-solved are replayed from cache without touching the backend.  The default
-process-wide engine shares one cache, which makes figure drivers that
-re-run the Table I campaign (Fig. 1, ablations, ``repro all``) nearly free
-after the first pass.
+A :class:`~repro.engine.memo.MemoCache` — the engine's only cache — sits in
+front of the fan-out: instances whose ``(chain fingerprint, budget,
+strategy)`` key was already solved are replayed without being dispatched.
+The default process-wide engine shares one cache, which makes figure
+drivers that re-run the Table I campaign (Fig. 1, ablations, ``repro
+all``) nearly free after the first pass.
 
 Two optional layers harden long campaigns (DESIGN.md §9):
 
 * **Resilience** (``resilience=``): transient failures — broken process
   pools, pickling/IPC errors, soft-deadline timeouts, injected faults — are
-  retried with deterministic backoff, degraded down the
-  process → thread → serial ladder, and instances that still fail are
+  retried with deterministic backoff, degraded from the process tier to
+  the serial one, and instances that still fail are
   *quarantined* as :class:`~repro.engine.resilience.FailureRecord` rows
   (their array cells keep NaN/-1 sentinels) instead of aborting the run.
 * **Checkpointing** (``journal=``): every solved instance is appended to a
@@ -45,7 +45,7 @@ Two optional layers harden long campaigns (DESIGN.md §9):
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -58,13 +58,7 @@ from ..core.task import TaskChain
 from ..core.types import Resources
 from ..obs.clock import monotonic
 from ..obs.context import NULL_OBSERVABILITY, Observability, ObsConfig, activate
-from .batch import (
-    PendingInstance,
-    UnitOutcome,
-    WorkUnit,
-    solve_unit,
-    units_from_groups,
-)
+from .batch import PendingInstance, UnitOutcome, solve_unit, units_from_groups
 from .checkpoint import CheckpointJournal
 from .faults import FaultPlan
 from .memo import InstanceResult, MemoCache, MemoKey, make_key
@@ -76,19 +70,14 @@ from .resilience import (
     ResilienceReport,
     execute_with_resilience,
 )
-from .shm import ResultPlanes
 
 __all__ = [
-    "BACKENDS",
     "resolve_jobs",
     "StrategyArrays",
     "CampaignEngine",
     "default_engine",
     "reset_default_engine",
 ]
-
-#: Recognized backend names (``auto`` picks serial for 1 job, else process).
-BACKENDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -108,27 +97,20 @@ class StrategyArrays(NamedTuple):
     little_used: np.ndarray
 
 
-def _tier_of(backend: str, jobs: int) -> str:
-    """Map a backend name + job count to the execution tier that runs it."""
-    if jobs <= 1 or backend == "serial":
-        return "serial"
-    return "thread" if backend == "thread" else "process"  # "auto" -> process
-
-
 class CampaignEngine:
     """Executes campaigns of scheduling instances with fan-out + memoization.
 
     Args:
         jobs: default worker count (``None``: ``os.cpu_count()``).  Overridable
-            per call.
-        backend: one of :data:`BACKENDS`.
+            per call.  One job solves in-process; more run on the engine's
+            process pool.
         memo: a shared :class:`MemoCache`, ``True`` for a private cache, or
             ``False``/``None`` to disable memoization.
         resilience: a :class:`~repro.engine.resilience.ResilienceConfig`
             (or ``True`` for the defaults) enabling retries, soft deadlines,
-            backend degradation, and quarantine.  ``None``/``False`` keeps
-            the lean fail-fast path, where any solver exception aborts the
-            campaign.
+            process → serial degradation, and quarantine.  ``None``/``False``
+            keeps the lean fail-fast path, where any solver exception aborts
+            the campaign.
         journal: a :class:`~repro.engine.checkpoint.CheckpointJournal` (or a
             path) recording every solved instance; an existing journal is
             replayed through the memo cache before solving, which is how
@@ -143,27 +125,11 @@ class CampaignEngine:
             zero-overhead no-op implementation.  Spans and counters are
             recorded *about* the campaign, never consulted by it — results
             are bitwise identical with observability on or off (tested).
-        worker_memo: arm the process-local worker memo shard
-            (:data:`repro.engine.batch._WORKER_MEMO`): process-tier workers
-            skip cells whose ``(fingerprint, budget, strategy)`` key they
-            already solved this campaign, reporting shard traffic under the
-            ``worker.<pid>.memo.*`` counters.  Results are bitwise identical
-            (shard values are a pure function of the key), and shard hits
-            replay their deterministic ``solve.count`` /
-            ``solve.period.<strategy>`` observations exactly, so the merged
-            ``solve.*`` counters keep the cross-tier parity guarantee —
-            which is why the shard now defaults **on**.
-        shared_results: allocate the campaign result arrays in
-            :mod:`multiprocessing.shared_memory` for process-tier runs
-            (:mod:`repro.engine.shm`): workers write solved cells in place
-            and ship zero result bytes home.  Falls back to pickled rows
-            automatically when shared memory is unavailable; results are
-            bitwise identical either way.
         unit_wall: target estimated solve seconds per work unit for the
             cost-adaptive planner (:mod:`repro.engine.plan`; default
             :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).
 
-    An engine that dispatched to a pooled tier holds live workers: call
+    An engine that dispatched to the process tier holds live workers: call
     :meth:`close` (or use the engine as a context manager) when done with
     it.  A closed engine stays usable — the next pooled dispatch spawns a
     fresh pool.
@@ -172,32 +138,21 @@ class CampaignEngine:
     def __init__(
         self,
         jobs: int | None = None,
-        backend: str = "auto",
         memo: "MemoCache | bool | None" = True,
         resilience: "ResilienceConfig | bool | None" = None,
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
-        worker_memo: bool = True,
-        shared_results: bool = True,
-        unit_wall: "float | None" = None,
+        unit_wall: float = DEFAULT_UNIT_WALL_S,
     ) -> None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {backend!r}; available: {BACKENDS}"
-            )
-        if unit_wall is not None and unit_wall <= 0:
+        if unit_wall <= 0:
             raise InvalidParameterError(
                 f"unit_wall must be > 0 seconds, got {unit_wall}"
             )
         self.jobs = resolve_jobs(jobs)
-        self.backend = backend
-        self.worker_memo = worker_memo
-        self.shared_results = shared_results
-        self.unit_wall = unit_wall if unit_wall is not None else DEFAULT_UNIT_WALL_S
+        self.unit_wall = unit_wall
         self._cost_model = AdaptiveCostModel()
         self._pool = WorkerPool()
-        self._campaigns = 0
         if memo is True:
             self.memo: MemoCache | None = MemoCache()
         elif memo is False or memo is None:
@@ -251,8 +206,8 @@ class CampaignEngine:
         """Solve every ``(chain, strategy)`` instance at one budget.
 
         Returns one :class:`StrategyArrays` per canonical strategy name, with
-        row ``i`` holding chain ``i``'s outcome — independent of backend, job
-        count, and cache state.
+        row ``i`` holding chain ``i``'s outcome — independent of job count
+        and cache state.
 
         With ``certify=True`` every solution is audited by the independent
         certificate checker (:mod:`repro.core.certify`) as it is produced.
@@ -302,6 +257,7 @@ class CampaignEngine:
                 try:
                     for outcome in outcomes:
                         self.obs.absorb(outcome.obs)
+                        self._feed_cost_model(outcome)
                         solved: list[tuple[MemoKey, InstanceResult]] = []
                         for index, results in outcome.rows:
                             chain = chains[index]
@@ -322,8 +278,8 @@ class CampaignEngine:
                 finally:
                     # An interrupt mid-campaign must not lose finished
                     # chunks, and an abandoned campaign must never leak a
-                    # pool or a shared-memory segment: closing the
-                    # suspended generator runs its cleanup now.
+                    # pool: closing the suspended generator runs its
+                    # cleanup now.
                     outcomes.close()
                     if self.journal is not None:
                         self.journal.commit()
@@ -425,22 +381,16 @@ class CampaignEngine:
         jobs: int,
         certify: bool = False,
     ) -> "Iterator[UnitOutcome]":
-        """Run the pending instances on the configured backend.
+        """Run the pending instances on the tier ``jobs`` selects.
 
         Yields one :class:`~repro.engine.batch.UnitOutcome` per completed
-        work unit (the journal fsync granularity), every outcome already
-        *hydrated*: units that published their cells to the shared-memory
-        result planes are harvested back into ordinary rows here, so the
-        assembly code upstream never knows which transport a result took.
-        With resilience enabled, execution runs through the
-        retry/degradation/quarantine ladder of
+        work unit (the journal fsync granularity).  With resilience enabled,
+        execution runs through the retry/degradation/quarantine ladder of
         :mod:`repro.engine.resilience`; otherwise failures propagate
         immediately (fail-fast), though the pool is still discarded with
         ``cancel_futures`` so a Ctrl-C never leaks workers.
         """
-        tier = _tier_of(self.backend, jobs)
-        self._campaigns += 1
-        obs_config = self.obs.worker_config()
+        tier = "serial" if jobs == 1 else "process"
         # Cache every fingerprint before anything is dispatched: a process
         # pool's feeder thread pickles a chain's ``__dict__`` while this
         # thread handles earlier outcomes, and a chain sits in one unit per
@@ -458,82 +408,39 @@ class CampaignEngine:
                 cost_snapshot=self._cost_model.snapshot(),
                 unit_wall=self.unit_wall,
             )
+        units = units_from_groups(
+            groups, resources, certify=certify,
+            faults=self.faults, tier=tier, obs=self.obs.worker_config(),
+        )
 
-        planes: "ResultPlanes | None" = None
-        if tier == "process" and self.shared_results:
-            names = tuple(
-                dict.fromkeys(
-                    name for item in pending for name in item.strategies
+        if self.resilience is not None:
+            report = ResilienceReport()
+            self._last_report = report
+            try:
+                yield from execute_with_resilience(
+                    units, jobs=jobs, config=self.resilience,
+                    report=report, pool=self._pool,
                 )
-            )
-            planes = ResultPlanes.allocate(
-                names, 1 + max(item.index for item in pending), resources.ktype
-            )
-        try:
-            units = units_from_groups(
-                groups, resources, certify=certify,
-                faults=self.faults, tier=tier, obs=obs_config,
-                worker_memo=self.worker_memo,
-                planes=planes.descriptor if planes is not None else None,
-                epoch=self._campaigns,
-            )
+            finally:
+                self._all_failures.extend(report.failures)
+                self._absorb_report(report)
+        elif tier == "serial":
+            yield from map(solve_unit, units)
+        else:
+            with self._pool.lease(jobs) as executor:
+                yield from executor.map(solve_unit, units)
 
-            if self.resilience is not None:
-                report = ResilienceReport()
-                self._last_report = report
-                try:
-                    for outcome in execute_with_resilience(
-                        units, jobs=jobs, config=self.resilience,
-                        report=report, pool=self._pool, planes=planes,
-                    ):
-                        yield self._hydrate(outcome, units, planes)
-                finally:
-                    self._all_failures.extend(report.failures)
-                    self._absorb_report(report)
-                return
+    def _feed_cost_model(self, outcome: UnitOutcome) -> None:
+        """Fold a unit's measured solve wall into the planner's cost model.
 
-            if tier == "serial":
-                for unit in units:
-                    yield self._hydrate(solve_unit(unit), units, planes)
-                return
-
-            with self._pool.lease(tier, jobs) as executor:
-                for outcome in executor.map(solve_unit, units):
-                    yield self._hydrate(outcome, units, planes)
-        finally:
-            # Also reached when the campaign abandons this generator
-            # (destroy is idempotent: resilience may have retired the
-            # planes on its way down the ladder).
-            if planes is not None:
-                planes.destroy()
-
-    def _hydrate(
-        self,
-        outcome: UnitOutcome,
-        units: "list[WorkUnit]",
-        planes: "ResultPlanes | None",
-    ) -> UnitOutcome:
-        """Harvest plane-published outcomes and feed the cost model.
-
-        An outcome that comes home with empty rows and a ``unit_id``
-        published its cells to shared memory: re-read exactly that unit's
-        cells (sentinel cells — quarantined instances — simply stay
-        absent).  The unit's measured solve wall updates the planner's cost
-        model either way; estimates steer future chunking only, so this
-        feedback cannot affect results.
+        Estimates steer future chunking only, so this feedback cannot
+        affect results.
         """
-        if outcome.unit_id is None:
-            return outcome
-        unit = units[outcome.unit_id]
-        if outcome.seconds is not None and outcome.seconds > 0:
-            cells: dict[str, int] = {}
-            for item in unit.pending:
-                for name in item.strategies:
-                    cells[name] = cells.get(name, 0) + 1
+        if outcome.seconds is not None:
+            cells = Counter(
+                name for _, results in outcome.rows for name in results
+            )
             self._cost_model.observe_unit(cells, outcome.seconds)
-        if planes is not None and not outcome.rows:
-            return replace(outcome, rows=planes.harvest(unit.pending))
-        return outcome
 
     def _absorb_report(self, report: ResilienceReport) -> None:
         """Record a resilient execution's recovery counters as metrics.

@@ -5,8 +5,8 @@ every one of its recovery paths is *provoked* under test, not just reasoned
 about.  This module provides the provocation: a :class:`FaultPlan` is a
 picklable, deterministic description of which scheduling instances fail, how,
 and how many times.  Plans ride inside :class:`~repro.engine.batch.WorkUnit`
-objects, so the same faults fire identically on the serial path, in thread
-workers, and in freshly-spawned worker processes.
+objects, so the same faults fire identically on the serial path and in
+freshly-spawned worker processes.
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -98,7 +98,7 @@ class FaultSpec:
         strategy: target canonical strategy name (``None`` matches all).
         tiers: execution tiers the fault is armed on (``None`` = every tier);
             e.g. ``("process",)`` injects only in worker processes, so the
-            thread/serial rungs of the degradation ladder run clean.
+            serial rung of the degradation ladder runs clean.
         times: firings per concrete ``(chain, strategy)`` instance before the
             fault disarms (1 = "fail once, then succeed").
         seconds: sleep duration of ``hang`` faults.

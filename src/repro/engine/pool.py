@@ -7,22 +7,15 @@ every campaign of an engine borrow the same workers instead.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Iterator
 
 __all__ = ["WorkerPool"]
 
-#: Executor class per pooled tier — the engine's only executor construction
-#: site (tests may patch in recording doubles).
-_POOL_CLASSES: dict[str, type[Executor]] = {
-    "process": ProcessPoolExecutor,
-    "thread": ThreadPoolExecutor,
-}
-
 
 class WorkerPool:
-    """Lazily built, reusable executor for one ``(tier, jobs)`` at a time.
+    """Lazily built, reusable process pool for one ``jobs`` at a time.
 
     The rule that keeps reuse safe: a dispatch round that does not end
     cleanly — a timeout, a broken pool, an interrupt, an abandoned
@@ -34,22 +27,24 @@ class WorkerPool:
 
     def __init__(self) -> None:
         self._executor: "Executor | None" = None
-        self._key: "tuple[str, int] | None" = None
+        self._jobs: "int | None" = None
 
     @contextmanager
-    def lease(self, tier: str, jobs: int) -> Iterator[Executor]:
-        """Lend the ``tier`` executor with ``jobs`` workers for one round.
+    def lease(self, jobs: int) -> Iterator[Executor]:
+        """Lend the executor with ``jobs`` workers for one round.
 
         Reuses the live executor when it matches, otherwise retires it and
         builds the requested one.  Leaving the block on any exception
         (Ctrl-C and a closed generator included) discards the executor; a
         round that returns with work left behind does so itself.
         """
-        if self._key != (tier, jobs):
+        if self._jobs != jobs:
             self.close()
         if self._executor is None:
-            self._executor = _POOL_CLASSES[tier](max_workers=jobs)
-            self._key = (tier, jobs)
+            # The engine's only executor construction site (tests patch
+            # this module's ``ProcessPoolExecutor`` with a recording double).
+            self._executor = ProcessPoolExecutor(max_workers=jobs)
+            self._jobs = jobs
         clean = False
         try:
             yield self._executor
@@ -60,7 +55,7 @@ class WorkerPool:
 
     def close(self, wait: bool = True) -> None:
         """Retire the executor (idempotent); ``wait=False`` abandons a hung one."""
-        executor, self._executor, self._key = self._executor, None, None
+        executor, self._executor, self._jobs = self._executor, None, None
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
 

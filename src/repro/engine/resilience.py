@@ -12,15 +12,14 @@ fan-out *resilient*:
   :attr:`RetryPolicy.max_attempts` times per tier, with exponential backoff
   and *seeded* jitter (hash-derived, never ``random``: the engine's
   determinism lint forbids entropy in solver paths).
-* **Soft deadlines** — on pooled tiers each dispatch round gets a deadline
-  derived from :attr:`ResilienceConfig.timeout`; units still running are
-  abandoned (their pool is shut down without waiting) and retried.  The
+* **Soft deadlines** — on the process tier each dispatch round gets a
+  deadline derived from :attr:`ResilienceConfig.timeout`; units still running
+  are abandoned (their pool is shut down without waiting) and retried.  The
   serial tier cannot preempt a running solve — deadlines are a pooled-tier
   guarantee.
 * **Graceful degradation** — a work unit that keeps failing on the process
-  tier is re-run on the thread tier, and finally instance-by-instance on the
-  serial tier, where failures are isolated to single ``(chain, strategy)``
-  cells.
+  tier is re-run instance-by-instance on the serial tier, where failures are
+  isolated to single ``(chain, strategy)`` cells.
 * **Quarantine** — an instance that still fails serially is recorded as a
   structured :class:`FailureRecord` and the campaign continues; its result
   cells keep the engine's sentinel values (``NaN`` period, ``-1`` cores).
@@ -59,7 +58,6 @@ from .batch import UnitOutcome, UnitResult, WorkUnit, solve_instance, solve_unit
 from .faults import InjectedFault
 from .memo import InstanceResult
 from .pool import WorkerPool
-from .shm import ResultPlanes
 
 _log = logging.getLogger(__name__)
 
@@ -74,7 +72,7 @@ __all__ = [
 ]
 
 #: Degradation ladder, most parallel first.
-TIERS: tuple[str, ...] = ("process", "thread", "serial")
+TIERS: tuple[str, ...] = ("process", "serial")
 
 #: Failure types worth retrying: environment/IPC trouble, injected transients,
 #: and certificate rejections (a corrupt *claim* may come from a sick worker —
@@ -157,18 +155,14 @@ class ResilienceConfig:
 
     Attributes:
         retry: the per-tier retry budget and backoff schedule.
-        timeout: soft deadline in seconds for one work unit on a pooled tier
-            (``None`` disables).  Each dispatch round waits
+        timeout: soft deadline in seconds for one work unit on the process
+            tier (``None`` disables).  Each dispatch round waits
             ``timeout * ceil(units / workers)`` so queued units are not
             charged for time spent waiting behind others.
-        degrade: walk the process → thread → serial ladder before
-            quarantining (``False`` jumps from the starting tier straight to
-            the serial isolation pass).
     """
 
     retry: RetryPolicy = field(default=RetryPolicy())
     timeout: "float | None" = None
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -227,7 +221,6 @@ class _Tracked:
 
     unit: WorkUnit
     attempts: int = 0
-    deterministic: bool = False
 
 
 def execute_with_resilience(
@@ -236,7 +229,6 @@ def execute_with_resilience(
     config: ResilienceConfig,
     report: ResilienceReport,
     pool: WorkerPool,
-    planes: "ResultPlanes | None" = None,
 ) -> Iterator[UnitOutcome]:
     """Run work units through the retry/degradation/quarantine ladder.
 
@@ -245,90 +237,45 @@ def execute_with_resilience(
     bitwise deterministic).  Quarantined instances appear in ``report`` and
     are simply absent from the yielded rows.
 
-    Pooled tiers borrow their executor from ``pool`` (the engine's
+    Process-tier units borrow their executor from ``pool`` (the engine's
     :class:`~repro.engine.pool.WorkerPool`): a clean round leaves it alive
     for the next round or campaign, a dirty one discards it.
-
-    ``planes`` is the campaign's shared-memory result transport, owned by
-    the caller but *retired here* the moment execution degrades below the
-    process tier: descriptors are stripped from the remaining units and the
-    segments unlinked, so thread/serial reruns ship rows inline and a
-    degraded campaign can never leak ``/dev/shm`` segments.  This is safe
-    mid-stream because outcomes are harvested by the caller as they are
-    yielded — by the time a pass ends, every plane-published outcome has
-    already been read back.
     """
     tracked = [_Tracked(unit=unit) for unit in units]
     start = units[0].tier if units else "serial"
     if start not in TIERS:
         raise InvalidParameterError(f"unknown execution tier {start!r}")
-    pooled = [t for t in TIERS[TIERS.index(start) :] if t != "serial"]
-    if not config.degrade:
-        pooled = pooled[:1]
 
-    for tier in pooled:
-        if tier != "process" and planes is not None:
-            planes = _retire_planes(tracked, planes)
-        runnable = [t for t in tracked if not t.deterministic]
-        held = [t for t in tracked if t.deterministic]
-        if not runnable:
-            break
-        leftovers = yield from _pooled_pass(
-            tier, runnable, jobs, config, report, pool
-        )
-        tracked = held + leftovers
+    if start == "process":
+        tracked = yield from _pooled_pass(tracked, jobs, config, report, pool)
         if tracked:
             report.degradations += 1
             _log.info(
-                "degrading %d work unit(s) below the %s tier", len(tracked), tier
+                "degrading %d work unit(s) below the process tier", len(tracked)
             )
     if tracked:
-        if planes is not None:
-            planes = _retire_planes(tracked, planes)
         yield from _serial_pass(tracked, config, report)
 
 
-def _retire_planes(
-    tracked: "list[_Tracked]", planes: ResultPlanes
-) -> None:
-    """Strip plane descriptors from units and unlink the segments.
-
-    Called when execution leaves the process tier: thread and serial
-    workers share the engine's address space, so inline rows cost nothing,
-    and keeping segments alive across a degradation would leave them
-    unreachable if the campaign later aborts.  Retried units republish
-    nothing — their descriptors are gone — so the pickled-rows fallback in
-    :func:`~repro.engine.batch.solve_unit` takes over transparently.
-    """
-    for t in tracked:
-        if t.unit.planes is not None:
-            t.unit = replace(t.unit, planes=None)
-    planes.destroy()
-    return None
-
-
 def _pooled_pass(
-    tier: str,
     tracked: "list[_Tracked]",
     jobs: int,
     config: ResilienceConfig,
     report: ResilienceReport,
     pool: WorkerPool,
 ) -> "Generator[UnitOutcome, None, list[_Tracked]]":
-    """One tier of pooled attempts; returns the units that still fail."""
+    """The process tier's attempts; returns the units that still fail."""
     policy = config.retry
     pending = list(tracked)
-    for t in pending:
-        t.unit = replace(t.unit, tier=tier)
     held: list[_Tracked] = []
 
     for attempt in range(policy.max_attempts):
         if not pending:
             break
         if attempt:
-            time.sleep(policy.delay(attempt - 1, token=tier))
+            time.sleep(policy.delay(attempt - 1, token="process"))
         retry_round: list[_Tracked] = []
-        with pool.lease(tier, jobs) as executor:
+        with pool.lease(jobs) as executor:
             futures: list[tuple[Future[UnitOutcome], _Tracked]] = [
                 (executor.submit(solve_unit, t.unit), t) for t in pending
             ]
@@ -350,8 +297,7 @@ def _pooled_pass(
                     report.retries += 1
                     retry_round.append(t)
                     _log.debug(
-                        "unit timed out on %s tier (attempt %d); retrying",
-                        tier,
+                        "unit timed out on process tier (attempt %d); retrying",
                         t.attempts,
                     )
                     continue
@@ -364,13 +310,13 @@ def _pooled_pass(
                         report.retries += 1
                         retry_round.append(t)
                         _log.debug(
-                            "transient %s on %s tier (attempt %d); retrying",
+                            "transient %s on process tier (attempt %d); retrying",
                             type(exc).__name__,
-                            tier,
                             t.attempts,
                         )
                     else:
-                        t.deterministic = True
+                        # Deterministic: retrying here is useless; the
+                        # serial rung isolates it to its cell.
                         held.append(t)
                 elif escalation is None:
                     escalation = exc

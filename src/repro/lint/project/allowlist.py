@@ -45,15 +45,4 @@ ALLOWLIST: tuple[AllowEntry, ...] = (
             "back into results; bitwise parity is covered by tests"
         ),
     ),
-    AllowEntry(
-        rule_id="REP201",
-        module="repro.engine.batch",
-        symbol="_WORKER_MEMO",
-        justification=(
-            "process-local memo shard: each pool worker mutates only its own "
-            "process's dict (never shared memory), values are a pure function "
-            "of the key, and pools are campaign-scoped so nothing leaks "
-            "across campaigns; cross-tier result parity is covered by tests"
-        ),
-    ),
 )

@@ -50,9 +50,8 @@ _FORK_UNSAFE_CTORS = frozenset(
         "BufferedWriter",
         "BufferedReader",
         # A live shared-memory mapping must never cross a WorkUnit boundary:
-        # workers attach by *name* (repro.engine.shm.PlaneDescriptor), never
-        # by pickled handle — a pickled handle re-registers ownership in the
-        # child's resource tracker and double-unlinks the segment.
+        # a pickled handle re-registers ownership in the child's resource
+        # tracker and double-unlinks the segment (attach by name instead).
         "SharedMemory",
     }
 )

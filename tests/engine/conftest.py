@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 import pytest
 
@@ -11,7 +11,8 @@ from repro.engine import pool as pool_mod
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Install a recording ``ThreadPoolExecutor`` double on the thread tier.
+    """Install a recording ``ProcessPoolExecutor`` double at the engine's one
+    executor construction site.
 
     The returned class lists every executor the engine built (``instances``),
     each with the ``(wait, cancel_futures)`` arguments of its shutdowns
@@ -19,8 +20,8 @@ def recording_pool(monkeypatch):
     pool.
     """
 
-    class RecordingThreadPool(ThreadPoolExecutor):
-        instances: "list[RecordingThreadPool]" = []
+    class RecordingProcessPool(ProcessPoolExecutor):
+        instances: "list[RecordingProcessPool]" = []
         broken = False
 
         def __init__(self, *args, **kwargs):
@@ -37,5 +38,5 @@ def recording_pool(monkeypatch):
             self.shutdown_calls.append((wait, cancel_futures))
             super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setitem(pool_mod._POOL_CLASSES, "thread", RecordingThreadPool)
-    return RecordingThreadPool
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingProcessPool)
+    return RecordingProcessPool

@@ -59,7 +59,7 @@ class TestSolveInstance:
 
 class TestEngineBypass:
     def test_certify_ignores_poisoned_memo(self, chains, resources):
-        engine = CampaignEngine(jobs=1, backend="serial", memo=True)
+        engine = CampaignEngine(jobs=1, memo=True)
         poisoned = InstanceResult(period=1e-9, big_used=0, little_used=0)
         for chain in chains:
             engine.memo.put(make_key(chain, resources, "herad"), poisoned)
@@ -70,13 +70,13 @@ class TestEngineBypass:
         audited = engine.solve_instances(
             chains, resources, ["herad"], certify=True
         )
-        fresh = CampaignEngine(jobs=1, backend="serial", memo=False).solve_instances(
+        fresh = CampaignEngine(jobs=1, memo=False).solve_instances(
             chains, resources, ["herad"]
         )
         assert np.array_equal(audited["herad"].periods, fresh["herad"].periods)
 
     def test_certified_solves_refresh_the_cache(self, chains, resources):
-        engine = CampaignEngine(jobs=1, backend="serial", memo=True)
+        engine = CampaignEngine(jobs=1, memo=True)
         poisoned = InstanceResult(period=1e-9, big_used=0, little_used=0)
         key = make_key(chains[0], resources, "herad")
         engine.memo.put(key, poisoned)
@@ -93,7 +93,7 @@ class TestRunCampaign:
             strategies=["herad", "fertac"],
             seed=3,
             jobs=1,
-            engine=CampaignEngine(jobs=1, backend="serial", memo=False),
+            engine=CampaignEngine(jobs=1, memo=False),
         )
         audited = run_campaign(
             resources,
@@ -102,7 +102,7 @@ class TestRunCampaign:
             strategies=["herad", "fertac"],
             seed=3,
             jobs=1,
-            engine=CampaignEngine(jobs=1, backend="serial", memo=False),
+            engine=CampaignEngine(jobs=1, memo=False),
             certify=True,
         )
         for name in ("herad", "fertac"):
@@ -118,7 +118,7 @@ class TestRunCampaign:
             strategies=["herad", "2catac"],
             seed=1,
             jobs=2,
-            engine=CampaignEngine(jobs=2, backend="process", memo=False),
+            engine=CampaignEngine(jobs=2, memo=False),
             certify=True,
         )
         assert np.all(np.isfinite(audited.records["herad"].periods))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def _assert_same_arrays(a, b):
 _KEY = ("fp0", (10, 4), "fertac")
 #: An awkward float: shortest-repr JSON must round-trip it bitwise.
 _RESULT = InstanceResult(period=0.1 + 0.2, big_used=3, little_used=1)
+#: ``_KEY -> _RESULT`` as journals older than the k-type platform layer
+#: spelled it (read-only today: the writer emits ``counts``/``used``).
+_LEGACY_LINE = json.dumps(
+    {
+        "fp": "fp0",
+        "big": 10,
+        "little": 4,
+        "strategy": "fertac",
+        "period": _RESULT.period,
+        "big_used": 3,
+        "little_used": 1,
+    }
+)
 
 
 class TestJournalFile:
@@ -104,8 +119,8 @@ class TestJournalFile:
 
 
 class TestMixedJournal:
-    """A single journal holding both two-type and k-type rows (satellite of
-    the k-type platform refactor: the key carries the full type signature)."""
+    """A single journal holding legacy two-type rows and ``counts`` rows: the
+    key carries the full type signature, and both layouts stay readable."""
 
     _K3_KEY = ("fp0", (10, 4, 2), "ktype_ref")
     _K3_RESULT = InstanceResult(
@@ -114,17 +129,25 @@ class TestMixedJournal:
 
     def test_mixed_rows_roundtrip(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
+        path.write_text(_LEGACY_LINE + "\n")
         with CheckpointJournal(path) as journal:
-            journal.record(_KEY, _RESULT)
             journal.record(self._K3_KEY, self._K3_RESULT)
         rows = load_journal(path)
         assert rows == {_KEY: _RESULT, self._K3_KEY: self._K3_RESULT}
 
     def test_two_type_rows_keep_legacy_layout(self, tmp_path):
-        """k=2 rows must stay readable by (and written like) pre-k-type
-        journals: big/little keys, no counts field."""
-        import json
+        """k=2 rows spelled the pre-k-type way (big/little keys, no counts
+        field) stay readable, and load to the entry the writer's own
+        ``counts`` spelling of the same row loads to."""
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text(_LEGACY_LINE + "\n")
+        current = tmp_path / "current.jsonl"
+        with CheckpointJournal(current) as journal:
+            journal.record(_KEY, _RESULT)
+        assert load_journal(legacy) == load_journal(current) == {_KEY: _RESULT}
 
+    def test_every_row_is_written_in_the_counts_layout(self, tmp_path):
+        """One writer layout whatever the platform."""
         path = tmp_path / "mixed.jsonl"
         with CheckpointJournal(path) as journal:
             journal.record(_KEY, _RESULT)
@@ -136,12 +159,10 @@ class TestMixedJournal:
         ]
         assert lines[0] == {
             "fp": "fp0",
-            "big": 10,
-            "little": 4,
+            "counts": [10, 4],
             "strategy": "fertac",
             "period": _RESULT.period,
-            "big_used": 3,
-            "little_used": 1,
+            "used": [3, 1],
         }
         assert lines[1] == {
             "fp": "fp0",
@@ -183,7 +204,7 @@ class TestEngineJournaling:
         chains = _chains(5)
         resources = Resources(2, 2)
         path = tmp_path / "run.jsonl"
-        engine = CampaignEngine(jobs=1, backend="serial", journal=path)
+        engine = CampaignEngine(jobs=1, journal=path)
         engine.solve_instances(chains, resources, ("fertac", "herad"))
         engine.journal.close()
         assert len(load_journal(path)) == 10  # 5 chains x 2 strategies
@@ -191,19 +212,19 @@ class TestEngineJournaling:
     def test_resume_replays_bitwise(self, tmp_path):
         chains = _chains(6)
         resources = Resources(2, 2)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, ("fertac",))
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, ("fertac",)
+        )
 
         path = tmp_path / "run.jsonl"
-        first = CampaignEngine(jobs=1, backend="serial", journal=path)
+        first = CampaignEngine(jobs=1, journal=path)
         _assert_same_arrays(
             first.solve_instances(chains, resources, ("fertac",)), reference
         )
         first.journal.close()
 
         # A fresh engine (fresh memo) resumes purely from the journal.
-        second = CampaignEngine(jobs=1, backend="serial", journal=path)
+        second = CampaignEngine(jobs=1, journal=path)
         _assert_same_arrays(
             second.solve_instances(chains, resources, ("fertac",)), reference
         )
@@ -225,12 +246,12 @@ class TestEngineJournaling:
         """
         chains = _chains(3)
         resources = Resources(2, 2)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, ("fertac",))
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, ("fertac",)
+        )
 
         path = tmp_path / "run.jsonl"
-        first = CampaignEngine(jobs=1, backend="serial", journal=path)
+        first = CampaignEngine(jobs=1, journal=path)
         first.solve_instances(chains, resources, ("fertac",))
         first.journal.close()
 
@@ -248,14 +269,14 @@ class TestEngineJournaling:
                 )
 
         # Control: without certify the poisoned rows do replay.
-        replayed = CampaignEngine(jobs=1, backend="serial", journal=path)
+        replayed = CampaignEngine(jobs=1, journal=path)
         tampered = replayed.solve_instances(chains, resources, ("fertac",))
         replayed.journal.close()
         assert tampered["fertac"].periods[0] == pytest.approx(
             reference["fertac"].periods[0] * 0.5
         )
 
-        certified = CampaignEngine(jobs=1, backend="serial", journal=path)
+        certified = CampaignEngine(jobs=1, journal=path)
         arrays = certified.solve_instances(
             chains, resources, ("fertac",), certify=True
         )

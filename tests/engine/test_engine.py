@@ -12,12 +12,13 @@ import pytest
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import (
-    BACKENDS,
     CampaignEngine,
     FaultPlan,
     FaultSpec,
     InjectedFault,
     MemoCache,
+    ResilienceConfig,
+    RetryPolicy,
     default_engine,
     plan_units,
     reset_default_engine,
@@ -86,14 +87,12 @@ class TestBatch:
 class TestDeterminism:
     """jobs=1 and jobs=N must produce bitwise-identical arrays."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, backend):
+    @pytest.mark.parametrize("jobs", [pytest.param(2, id="process")])
+    def test_parallel_matches_serial_bitwise(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
-        parallel = CampaignEngine(
-            jobs=2, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
-        )
+        serial = CampaignEngine(jobs=1, memo=False)
+        parallel = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
         _assert_same_arrays(
             serial.solve_instances(chains, resources, PAPER_ORDER),
             parallel.solve_instances(chains, resources, PAPER_ORDER),
@@ -102,10 +101,8 @@ class TestDeterminism:
     def test_unit_wall_does_not_matter(self):
         chains = _chains(5)
         resources = Resources(2, 3)
-        a = CampaignEngine(
-            jobs=2, backend="process", memo=False, unit_wall=ONE_CELL_UNITS
-        )
-        b = CampaignEngine(jobs=2, backend="process", memo=False, unit_wall=10.0)
+        a = CampaignEngine(jobs=2, memo=False, unit_wall=ONE_CELL_UNITS)
+        b = CampaignEngine(jobs=2, memo=False, unit_wall=10.0)
         _assert_same_arrays(
             a.solve_instances(chains, resources, ("herad", "fertac")),
             b.solve_instances(chains, resources, ("herad", "fertac")),
@@ -130,7 +127,7 @@ class TestDeterminism:
         )
         b = run_campaign(
             resources, 0.5, jobs=2,
-            engine=CampaignEngine(memo=False, backend="process"), **kwargs,
+            engine=CampaignEngine(memo=False), **kwargs,
         )
         for name in a.records:
             np.testing.assert_array_equal(
@@ -186,10 +183,14 @@ class TestMemoIntegration:
 
 
 class TestEngineConfig:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            CampaignEngine(backend="gpu")
-        assert "serial" in BACKENDS
+    def test_constructor_takes_exactly_seven_parameters(self):
+        """The tier follows ``jobs``; there is no backend/transport/cache knob."""
+        import inspect
+
+        parameters = list(inspect.signature(CampaignEngine.__init__).parameters)
+        assert parameters[1:] == [
+            "jobs", "memo", "resilience", "journal", "faults", "obs", "unit_wall"
+        ]
 
     def test_rejects_bad_unit_wall(self):
         with pytest.raises(ValueError):
@@ -228,7 +229,7 @@ class TestEnginePool:
 
     def test_one_pool_serves_every_campaign_until_it_breaks(self, recording_pool):
         chains = _chains(4)
-        with CampaignEngine(jobs=2, backend="thread", memo=False) as engine:
+        with CampaignEngine(jobs=2, memo=False) as engine:
             assert not recording_pool.instances  # lazily, on first dispatch
             for budget in range(1, 10):
                 engine.solve_instances(chains, Resources(budget, 2), ("fertac",))
@@ -252,7 +253,7 @@ class TestEnginePool:
     def test_close_leaves_no_child_process_and_no_segment(self):
         children = set(multiprocessing.active_children())
         segments = _shm_segments()
-        engine = CampaignEngine(jobs=2, backend="process", memo=False)
+        engine = CampaignEngine(jobs=2, memo=False)
         engine.solve_instances(_chains(4), Resources(2, 2), ("fertac",))
         workers = set(multiprocessing.active_children()) - children
         assert workers  # the pool outlives its campaign ...
@@ -268,11 +269,46 @@ class TestEnginePool:
         engine.close()
         assert set(multiprocessing.active_children()) - children == set()
 
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "worker-crash"])
+    def test_pooled_campaign_starts_no_resource_tracker(self, tmp_path, crash):
+        """Pickled rows are the only result transport: a pooled campaign —
+        clean, or recovering from a killed worker — never starts
+        multiprocessing's resource-tracker process, and a closed engine
+        leaves no child process and no ``/dev/shm`` segment behind."""
+        from multiprocessing import resource_tracker
+
+        children = set(multiprocessing.active_children())
+        segments = _shm_segments()
+        chains = _chains(4)
+        faults = None
+        if crash:
+            faults = FaultPlan(
+                specs=(
+                    FaultSpec(
+                        kind="crash",
+                        fingerprint=chains[1].fingerprint,
+                        tiers=("process",),
+                        times=1,
+                    ),
+                ),
+                state_dir=str(tmp_path),
+            )
+        retry = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
+        with CampaignEngine(
+            jobs=2, memo=False, resilience=ResilienceConfig(retry=retry), faults=faults
+        ) as engine:
+            arrays = engine.solve_instances(chains, Resources(2, 2), ("fertac",))
+            assert (engine.last_report.retries >= 1) == crash
+        _assert_same_arrays(arrays, scalar_arrays(chains, Resources(2, 2), ("fertac",)))
+        assert resource_tracker._resource_tracker._pid is None
+        assert set(multiprocessing.active_children()) - children == set()
+        assert _shm_segments() == segments
+
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_back_to_back_campaigns_on_one_pool_match_the_oracle(self, jobs):
         chains = _chains(6)
-        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
-        with CampaignEngine(jobs=jobs, backend="process", memo=False) as engine:
+        serial = CampaignEngine(jobs=1, memo=False)
+        with CampaignEngine(jobs=jobs, memo=False) as engine:
             for resources in (Resources(3, 3), Resources(2, 5)):
                 arrays = engine.solve_instances(chains, resources, PAPER_ORDER)
                 _assert_same_arrays(
@@ -286,7 +322,7 @@ class TestEnginePool:
 class TestSentinelPrefill:
     def test_arrays_prefilled_with_sentinels_not_garbage(self):
         """Unsolved cells are NaN/-1, never uninitialized np.empty memory."""
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         arrays = engine.solve_instances([], Resources(2, 2), ("fertac",))
         assert arrays["fertac"].periods.shape == (0,)
         # With chains, every cell must be overwritten by a real solve.
@@ -299,16 +335,15 @@ class TestSentinelPrefill:
 class TestResilientDeterminism:
     """Resilience enabled + no faults must stay bitwise identical."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_fault_free_resilient_matches_serial_bitwise(self, backend):
-        from repro.engine import ResilienceConfig, RetryPolicy
-
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial"), pytest.param(4, id="process")]
+    )
+    def test_fault_free_resilient_matches_serial_bitwise(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        serial = CampaignEngine(jobs=1, backend="serial", memo=False)
+        serial = CampaignEngine(jobs=1, memo=False)
         resilient = CampaignEngine(
-            jobs=1 if backend == "serial" else 4,
-            backend=backend,
+            jobs=jobs,
             memo=False,
             unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(
@@ -330,17 +365,15 @@ class TestResilientDeterminism:
 
 class TestKernelTier:
     """The engine's one solve path (strategy groups through ``solve_batch``)
-    reproduces the scalar solvers bit for bit, on every backend."""
+    reproduces the scalar solvers bit for bit, on either tier."""
 
     @pytest.mark.parametrize(
-        "backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)]
+        "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
     )
-    def test_batch_kernel_bitwise_parity(self, backend, jobs):
+    def test_batch_kernel_bitwise_parity(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
-        )
+        engine = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),
             engine.solve_instances(chains, resources, PAPER_ORDER),
@@ -350,7 +383,7 @@ class TestKernelTier:
         """``certify`` audits every batch-produced cell, and changes none."""
         chains = _chains(4)
         resources = Resources(2, 3)
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),
             engine.solve_instances(chains, resources, PAPER_ORDER, certify=True),
@@ -380,15 +413,15 @@ class TestKernelTier:
         resources = Resources(3, 3)
         cells = len(chains) * len(PAPER_ORDER)
 
-        def run(jobs=1, backend="serial"):
-            engine = CampaignEngine(jobs=jobs, backend=backend, memo=MemoCache())
+        def run(jobs):
+            engine = CampaignEngine(jobs=jobs, memo=MemoCache())
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
             stats = engine.memo.stats
             return stats.hits, stats.misses, stats.size
 
-        assert run() == (cells, cells, cells)
-        assert run(jobs=4, backend="process") == (cells, cells, cells)
+        assert run(jobs=1) == (cells, cells, cells)
+        assert run(jobs=4) == (cells, cells, cells)
 
     def test_fingerprints_are_cached_before_dispatch(self, monkeypatch):
         """A chain sits in one unit per strategy, and a pool pickles units
@@ -408,6 +441,6 @@ class TestKernelTier:
             return build(groups, *args, **kwargs)
 
         monkeypatch.setattr(executor, "units_from_groups", recording)
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         engine.solve_instances(_chains(3), Resources(2, 2), ("fertac",), certify=True)
         assert seen and all(seen)

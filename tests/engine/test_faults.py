@@ -57,13 +57,12 @@ class TestMatching:
 
     def test_strategy_scoping(self):
         spec = FaultSpec(kind="raise", strategy="fertac")
-        assert spec.matches("abc", "fertac", "thread")
-        assert not spec.matches("abc", "herad", "thread")
+        assert spec.matches("abc", "fertac", "serial")
+        assert not spec.matches("abc", "herad", "serial")
 
     def test_tier_scoping(self):
         spec = FaultSpec(kind="raise", tiers=("process",))
         assert spec.matches("abc", "fertac", "process")
-        assert not spec.matches("abc", "fertac", "thread")
         assert not spec.matches("abc", "fertac", "serial")
 
 

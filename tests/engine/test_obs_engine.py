@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §10): instrumentation is recorded *about*
 the campaign and never consulted by it — results are bitwise identical with
-observability on or off, for every backend — and counters merged from worker
+observability on or off, on either tier — and counters merged from worker
 payloads are *exact*, not sampled: a ``--jobs 4`` process campaign reports
 the same numbers as the serial run, even with faults firing.
 """
@@ -30,7 +30,7 @@ from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
-from .oracle import scalar_arrays, scalar_outcomes
+from .oracle import scalar_outcomes
 
 
 def _chains(count=6, num_tasks=8, seed=0):
@@ -49,15 +49,15 @@ def _resilience_counters(engine):
 class TestBitwiseParity:
     """Tracing on vs off must not change a single result bit."""
 
-    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("thread", 2), ("process", 4)])
-    def test_traced_matches_untraced(self, backend, jobs):
+    @pytest.mark.parametrize(
+        "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
+    )
+    def test_traced_matches_untraced(self, jobs):
         chains = _chains(6)
         resources = Resources(3, 3)
-        plain = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS
-        )
+        plain = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
         traced = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS, obs=True
+            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS, obs=True
         )
         _assert_same_arrays(
             plain.solve_instances(chains, resources, PAPER_ORDER),
@@ -68,7 +68,7 @@ class TestBitwiseParity:
 class TestSpanCoverage:
     def test_root_span_covers_the_campaign_wall_time(self):
         chains = _chains(6)
-        engine = CampaignEngine(jobs=2, backend="process", memo=False, obs=True)
+        engine = CampaignEngine(jobs=2, memo=False, obs=True)
         start = monotonic()
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
         wall = monotonic() - start
@@ -82,7 +82,7 @@ class TestSpanCoverage:
 
     def test_trace_of_a_process_campaign_is_chrome_valid(self):
         chains = _chains(6)
-        engine = CampaignEngine(jobs=2, backend="process", memo=False, obs=True)
+        engine = CampaignEngine(jobs=2, memo=False, obs=True)
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         document = to_chrome_trace(engine.obs.spans(), engine.obs.metrics.snapshot())
         assert validate_chrome_trace(document) == []
@@ -108,22 +108,21 @@ class TestExactCounters:
         chains = _chains(6)
         resources = Resources(3, 3)
 
-        def run(jobs, backend):
+        def run(jobs):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
+                jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
             return engine.obs.metrics.counters()
 
-        serial = run(1, "serial")
+        serial = run(1)
         assert serial["solve.count"] == len(chains) * len(PAPER_ORDER)
         assert serial["binary_search.calls"] > 0
         assert serial["herad.calls"] == len(chains)
         assert not any(name.startswith("worker.") for name in serial)
-        process = run(4, "process")
+        process = run(4)
         assert _deterministic(process) == serial
-        assert _deterministic(run(2, "thread")) == serial
         # The process tier additionally attributed its IPC costs per worker.
         worker_units = {
             name: value
@@ -140,12 +139,12 @@ class TestExactCounters:
         resources = Resources(3, 3)
         bug_chain = ChainProfile(chains[2]).fingerprint
 
-        def run(jobs, backend, state_dir):
+        def run(jobs, state_dir):
             plan = FaultPlan(
                 specs=(
                     # One chain's fertac has a deterministic bug -> quarantined.
-                    # times is high enough that the bug persists down the whole
-                    # process -> thread -> serial degradation ladder.
+                    # times is high enough that the bug persists down the
+                    # process -> serial degradation ladder.
                     FaultSpec(
                         kind="bug",
                         fingerprint=bug_chain,
@@ -159,7 +158,6 @@ class TestExactCounters:
             )
             engine = CampaignEngine(
                 jobs=jobs,
-                backend=backend,
                 memo=False,
                 unit_wall=ONE_CELL_UNITS,
                 resilience=ResilienceConfig(
@@ -171,10 +169,8 @@ class TestExactCounters:
             arrays = engine.solve_instances(chains, resources, ("fertac", "herad"))
             return arrays, _resilience_counters(engine), engine
 
-        serial_arrays, serial_counters, _ = run(1, "serial", tmp_path / "serial")
-        process_arrays, process_counters, engine = run(
-            4, "process", tmp_path / "process"
-        )
+        serial_arrays, serial_counters, _ = run(1, tmp_path / "serial")
+        process_arrays, process_counters, engine = run(4, tmp_path / "process")
 
         # Retry and quarantine counts are tier-independent facts about the
         # campaign; degradation counts are not (the serial tier has no ladder
@@ -199,14 +195,14 @@ class TestExactCounters:
     def test_batch_kernel_memo_counters_match_serial(self):
         """Bulk memo fills (get_many/put_many) count one miss then one hit
         per cell, and the ``memo.*`` metrics agree with the cache's own
-        stats — serial and on the pooled tiers alike."""
+        stats — serial and on the process tier alike."""
         chains = _chains(6)
         resources = Resources(3, 3)
         cells = len(chains) * len(PAPER_ORDER)
 
-        def run(jobs, backend):
+        def run(jobs):
             engine = CampaignEngine(
-                jobs=jobs, backend=backend, memo=True, unit_wall=ONE_CELL_UNITS,
+                jobs=jobs, memo=True, unit_wall=ONE_CELL_UNITS,
                 obs=ObsConfig(metrics=True),
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -221,9 +217,8 @@ class TestExactCounters:
             return memo_counters
 
         want = {"memo.hits": float(cells), "memo.misses": float(cells)}
-        assert run(1, "serial") == want
-        assert run(4, "process") == want
-        assert run(2, "thread") == want
+        assert run(1) == want
+        assert run(4) == want
 
     def test_memo_hit_counters_are_exact(self):
         chains = _chains(4)
@@ -248,10 +243,10 @@ class TestSketchParity:
     """
 
     @staticmethod
-    def _sketches(jobs, backend):
+    def _sketches(jobs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
+            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
             obs=ObsConfig(metrics=True),
         )
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
@@ -263,14 +258,12 @@ class TestSketchParity:
         )
 
     def test_process_tier_sketches_are_bitwise_identical_to_serial(self):
-        serial = self._sketches(1, "serial")
+        serial = self._sketches(1)
         assert serial  # every strategy sketched its period stream
         assert {name for name, _ in serial} == {
             f"solve.period.{name}" for name in PAPER_ORDER
         }
-        process = self._sketches(4, "process")
-        assert pickle.dumps(process) == pickle.dumps(serial)
-        assert pickle.dumps(self._sketches(2, "thread")) == pickle.dumps(serial)
+        assert pickle.dumps(self._sketches(4)) == pickle.dumps(serial)
 
     def test_batch_kernel_sketches_match_the_scalar_path(self):
         """The engine's period stream is the scalar solvers' period stream."""
@@ -280,10 +273,10 @@ class TestSketchParity:
             for outcome in outcomes:
                 registry.observe(f"solve.period.{name}", outcome.period)
         scalar = registry.snapshot().sketches
-        assert pickle.dumps(self._sketches(4, "process")) == pickle.dumps(scalar)
+        assert pickle.dumps(self._sketches(4)) == pickle.dumps(scalar)
 
     def test_quantiles_come_from_the_merged_sketch(self):
-        (first, *_rest) = self._sketches(4, "process")
+        (first, *_rest) = self._sketches(4)
         _name, sketch = first
         assert sketch.count == 6  # one observation per chain
         assert sketch.minimum <= sketch.p50 <= sketch.p99 <= sketch.maximum
@@ -293,17 +286,17 @@ class TestWorkerAttribution:
     """The process tier attributes IPC costs per worker pid."""
 
     @staticmethod
-    def _run(backend, jobs, **engine_kwargs):
+    def _run(jobs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, backend=backend, memo=False, unit_wall=ONE_CELL_UNITS,
-            obs=ObsConfig(metrics=True), **engine_kwargs,
+            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
+            obs=ObsConfig(metrics=True),
         )
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         return engine.obs.metrics.counters(), engine.obs.metrics.snapshot()
 
     def test_process_tier_reports_pickle_and_pool_wait(self):
-        counters, snapshot = self._run("process", 4)
+        counters, snapshot = self._run(4)
         pids = {
             name.split(".")[1]
             for name in counters
@@ -319,49 +312,15 @@ class TestWorkerAttribution:
         assert wait is not None
         assert wait.count == 12  # one wait observation per one-cell unit
 
-    def test_serial_and_thread_tiers_record_no_attribution(self):
-        for backend, jobs in (("serial", 1), ("thread", 2)):
-            counters, _ = self._run(backend, jobs)
-            assert not any(name.startswith("worker.") for name in counters)
-
-    def test_worker_memo_shard_elides_duplicate_cells(self):
-        chain = _chains(1)[0]
-        chains = [chain] * 6  # six copies; memo=False so all six dispatch
-        engine = CampaignEngine(
-            jobs=2, backend="process", memo=False,
-            unit_wall=ONE_CELL_UNITS,  # six one-cell units over at most two workers
-            obs=ObsConfig(metrics=True), worker_memo=True,
-        )
-        arrays = engine.solve_instances(chains, Resources(3, 3), ("herad",))
-        _assert_same_arrays(
-            arrays, scalar_arrays(chains, Resources(3, 3), ("herad",))
-        )
-        counters = engine.obs.metrics.counters()
-        hits = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("worker.") and name.endswith(".memo.hits")
-        )
-        misses = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("worker.") and name.endswith(".memo.misses")
-        )
-        # Each worker solves the first copy it sees and replays the rest
-        # from its shard (the shard is consulted before a unit's cells are
-        # grouped, so it elides repeats across units, not within one).
-        assert misses in (1.0, 2.0)
-        assert hits == 6.0 - misses
-        # Shard hits replay their deterministic solve observations, so the
-        # merged solve.* counters keep cross-tier parity: a serial run of the
-        # same campaign also records six solves.
-        assert counters["solve.count"] == 6.0
+    def test_serial_tier_records_no_attribution(self):
+        counters, _ = self._run(1)
+        assert not any(name.startswith("worker.") for name in counters)
 
 
 class TestNoOpPath:
     def test_disabled_engine_ships_no_payloads(self):
         chains = _chains(4)
-        engine = CampaignEngine(jobs=1, backend="serial", memo=False)
+        engine = CampaignEngine(jobs=1, memo=False)
         assert engine.obs.enabled is False
         assert engine.obs.worker_config() is None
         engine.solve_instances(chains, Resources(2, 2), ("fertac",))

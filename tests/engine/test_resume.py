@@ -47,9 +47,9 @@ class TestInterruptAndResume:
     def test_killed_process_campaign_resumes_bitwise(self, tmp_path):
         chains = _chains(16)
         resources = Resources(2, 2)
-        reference = CampaignEngine(
-            jobs=1, backend="serial", memo=False
-        ).solve_instances(chains, resources, ("fertac",))
+        reference = CampaignEngine(jobs=1, memo=False).solve_instances(
+            chains, resources, ("fertac",)
+        )
 
         # A Ctrl-C fired inside one worker process, mid-campaign.
         plan = FaultPlan(
@@ -66,7 +66,6 @@ class TestInterruptAndResume:
         path = tmp_path / "run.jsonl"
         interrupted = CampaignEngine(
             jobs=8,
-            backend="process",
             memo=False,
             unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
@@ -84,7 +83,6 @@ class TestInterruptAndResume:
         # Resume with a fresh engine: replay + solve the remainder.
         resumed = CampaignEngine(
             jobs=8,
-            backend="process",
             memo=False,
             unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
@@ -104,7 +102,6 @@ class TestInterruptAndResume:
         )
         engine = CampaignEngine(
             jobs=1,
-            backend="serial",
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             faults=plan,
@@ -127,7 +124,7 @@ class TestCleanShutdown:
                 FaultSpec(
                     kind="interrupt",
                     fingerprint=ChainProfile(chains[4]).fingerprint,
-                    tiers=("thread",),
+                    tiers=("process",),
                     times=1,
                 ),
             ),
@@ -136,7 +133,6 @@ class TestCleanShutdown:
         path = tmp_path / "run.jsonl"
         engine = CampaignEngine(
             jobs=2,
-            backend="thread",
             memo=False,
             unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -142,6 +145,27 @@ def test_retries_rejects_nonpositive():
         parser.parse_args(["table1", "--retries", "0"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--chains", "0"],
+        ["table1", "--chains", "-3"],
+        ["fig3", "--timing-chains", "0"],
+        ["table2", "--frames", "-1"],
+        ["table1", "--timeout", "0"],
+        ["table1", "--timeout", "-1"],
+    ],
+)
+def test_nonpositive_sizes_and_deadlines_are_usage_errors(argv, capsys):
+    """Exit 2 with argparse's one-line message, not a traceback from numpy,
+    ``chain_batch`` or ``ResilienceConfig`` deep inside the run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith("repro") and argv[1] in error
+
+
 def test_hardened_run_matches_plain(capsys, tmp_path):
     """--retries/--timeout/--resume must not change fault-free output."""
     from repro.engine import reset_default_engine
@@ -170,6 +194,25 @@ def test_hardened_run_matches_plain(capsys, tmp_path):
     assert main(["fig2", "--chains", "6", "--resume", str(journal)]) == 0
     resumed = capsys.readouterr().out
     assert resumed == plain
+
+
+def test_resume_replays_a_legacy_layout_journal_and_solves_nothing(capsys, tmp_path):
+    """A journal in the pre-``counts`` two-type layout (written by an older
+    release; no writer produces it now) still resumes: the same report, and
+    not one row appended — every instance replayed, none solved."""
+    from repro.engine import reset_default_engine
+
+    fixture = Path(__file__).parents[1] / "data" / "legacy_journal_fig2_chains4.jsonl"
+    assert '"big"' in fixture.read_text() and '"counts"' not in fixture.read_text()
+    journal = tmp_path / "legacy.jsonl"
+    shutil.copy(fixture, journal)
+    reset_default_engine()
+    assert main(["fig2", "--chains", "4", "--resume", str(journal)]) == 0
+    resumed = capsys.readouterr().out
+    assert journal.read_bytes() == fixture.read_bytes()
+    reset_default_engine()
+    assert main(["fig2", "--chains", "4"]) == 0
+    assert capsys.readouterr().out == resumed
 
 
 def test_obs_flags_default_off():
