@@ -12,8 +12,9 @@ Two gates, both exiting non-zero on violation (CI ``kernel-smoke`` job):
 2. **Bench smoke** — per batchable strategy, the standard campaign through
    the engine is timed against the scalar ``get_strategy`` solver mapped
    over the same chains; the engine must match it bitwise and must not be
-   slower (it is ~5-19x faster at full scale, so equality means a
-   regression).
+   slower (measured at 60-200 chains: HeRAD ~5-7x, 2CATAC ~1.6-1.8x now
+   that the scalar 2CATAC decides its probes on integer tuples — x9 before
+   — so equality means a regression).
 
 Usage::
 

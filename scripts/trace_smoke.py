@@ -161,7 +161,9 @@ def main(argv: "list[str] | None" = None) -> int:
     # 5. The disabled hook path must be noise: per-call null-hook cost times
     # the number of hook events this campaign fired, bounded at 2% of the
     # untraced wall.  (A direct wall-vs-wall comparison would drown in
-    # scheduler jitter at this campaign size; the model is stable.)
+    # scheduler jitter at this campaign size; the model is stable.  The
+    # greedy walks flush ``packing.compute_stage_calls`` once per probe, so
+    # its value over-counts their hook calls: the bound is conservative.)
     per_call = _null_hook_cost_s()
     hook_events = int(
         2 * counters.get("binary_search.calls", 0.0)

@@ -20,10 +20,15 @@ from typing import Protocol
 from ..obs.context import counter_add
 from .bounds import PeriodBounds, period_bounds, search_epsilon
 from .chain_stats import ChainProfile, profile_of
-from .errors import InvalidParameterError, InvalidPlatformError
+from .errors import (
+    CertificationError,
+    InvalidParameterError,
+    InvalidPlatformError,
+)
+from .packing import Walk, materialise
 from .solution import Solution
 from .task import TaskChain
-from .types import Resources
+from .types import INFINITY, Resources
 
 __all__ = [
     "ComputeSolutionFn",
@@ -35,13 +40,16 @@ __all__ = [
 class ComputeSolutionFn(Protocol):
     """Strategy-specific solution builder for one target period.
 
-    Must return a (possibly partial or empty) :class:`Solution`; the driver
-    validates it against the full chain, the budget, and the target period.
+    Returns either a (possibly partial or empty) :class:`Solution`, which the
+    driver validates against the full chain, the budget and the target
+    period; or — the greedy strategies — a :data:`~repro.core.packing.Walk`
+    decided on plain tuples, which the driver trusts probe by probe and
+    turns into one validated :class:`Solution` at the end.
     """
 
     def __call__(
         self, profile: ChainProfile, resources: Resources, period: float
-    ) -> Solution: ...
+    ) -> "Solution | Walk": ...
 
 
 @dataclass(frozen=True)
@@ -102,46 +110,69 @@ def schedule_by_binary_search(
 
     bounds = period_bounds(profile, resources)
     eps = search_epsilon(resources) if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise InvalidParameterError(f"epsilon must be positive, got {eps}")
+    if not 0 < eps < INFINITY:
+        raise InvalidParameterError(
+            f"epsilon must be positive and finite, got {eps}"
+        )
 
-    best = Solution.empty()
-    best_period = float("inf")
+    # The last feasible answer, as ``(solution or walk stages, period)``.
+    kept: "tuple[Solution, float] | Walk" = (None, INFINITY)
+    kept_target = INFINITY
     lower, upper = bounds.lower, bounds.upper
     probes: list[tuple[float, bool]] = []
+
+    def probe(target: float) -> bool:
+        """Ask the builder at ``target``; keep and log a feasible answer."""
+        nonlocal kept, kept_target
+        found = compute_solution(profile, resources, target)
+        if isinstance(found, Solution):
+            # Paper's ``IsValid`` (line 8), on the object contract.
+            valid = found.is_valid(profile, resources, target)
+            found = (found, found.period(profile)) if valid else (None, INFINITY)
+        feasible = found[0] is not None
+        if feasible:
+            kept, kept_target = found, target
+        probes.append((target, feasible))
+        return feasible
 
     iterations = 0
     while upper - lower >= eps and iterations < max_iterations:
         iterations += 1
         target = (upper + lower) / 2.0
-        candidate = compute_solution(profile, resources, target)
-        feasible = candidate.is_valid(profile, resources, target)
-        if feasible:
-            best = candidate
-            best_period = candidate.period(profile)
+        if probe(target):
             # The achieved period can only shrink from here (line 10).
-            upper = best_period
+            upper = kept[1]
         else:
             lower = target
-        probes.append((target, feasible))
 
-    if best.is_empty:
+    if kept[0] is None:
         # The bracket can start degenerate (upper - lower < eps) for
         # single-task chains, and adversarial weight tables may defeat the
         # theoretical feasibility of the upper bound for a *greedy* builder.
         # Probe the upper bound, then the always-feasible whole-chain-on-one-
         # core period, so callers always get a valid schedule.
-        fallbacks = [bounds.upper]
         usable = resources.usable_types()
-        fallbacks.append(min(profile.total_weight(v) for v in usable))
-        for target in fallbacks:
-            candidate = compute_solution(profile, resources, target)
-            feasible = candidate.is_valid(profile, resources, target)
-            probes.append((target, feasible))
-            if feasible:
-                best = candidate
-                best_period = candidate.period(profile)
-                break
+        one_core = min(profile.total_weight(v) for v in usable)
+        if not probe(bounds.upper):
+            probe(one_core)
+
+    best, best_period = kept
+    if best is None:
+        best = Solution.empty()
+    elif not isinstance(best, Solution):
+        # A walk: materialise once, and hold the one object to what the
+        # tuples said — same operands, same operations, so the re-derived
+        # period must be bit-equal.
+        best = materialise(kept, resources)
+        if (
+            not best.is_valid(profile, resources, kept_target)
+            or best.period(profile) != best_period  # lint: ignore[float-equality]
+        ):
+            raise CertificationError(
+                f"greedy walk at target {kept_target} claimed period "
+                f"{best_period} but materialised as {best.render()!r} with "
+                f"period {best.period(profile)}"
+            )
 
     # Observability hook: no-ops unless an obs context is ambient, and
     # records *about* the finished search — never feeds back into it.

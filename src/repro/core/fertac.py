@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from .binary_search import ScheduleOutcome, schedule_by_binary_search
 from .chain_stats import ChainProfile
-from .packing import StagePlan, compute_stage, stage_fits
+from .packing import Walk, first_fit_walk, materialise
 from .solution import Solution
-from .stage import Stage
 from .task import TaskChain
 from .types import CoreIndex, Resources
 
@@ -40,6 +39,13 @@ def efficiency_order(resources: Resources) -> tuple[CoreIndex, ...]:
     return tuple(reversed(resources.types()))
 
 
+def _fertac_walk(
+    profile: ChainProfile, resources: Resources, period: float
+) -> Walk:
+    order = tuple(map(int, efficiency_order(resources)))
+    return first_fit_walk(profile, resources, period, order)
+
+
 def fertac_compute_solution(
     profile: ChainProfile, resources: Resources, period: float
 ) -> Solution:
@@ -50,30 +56,7 @@ def fertac_compute_solution(
     empty solution when no core type can host some stage within the
     remaining budget.
     """
-    last = profile.n - 1
-    remaining = list(resources.counts)
-    order = efficiency_order(resources)
-    stages: list[Stage] = []
-
-    start = 0
-    while True:
-        chosen: "tuple[CoreIndex, StagePlan] | None" = None
-        for core_type in order:
-            available = remaining[int(core_type)]
-            plan = compute_stage(profile, start, available, core_type, period)
-            if stage_fits(profile, start, plan, available, core_type, period):
-                chosen = (core_type, plan)
-                break
-        if chosen is None:
-            return Solution.empty()
-
-        core_type, plan = chosen
-        stages.append(Stage(start, plan.end, plan.cores, core_type))
-        if plan.end == last:
-            return Solution(stages)
-
-        remaining[int(core_type)] -= plan.cores
-        start = plan.end + 1
+    return materialise(_fertac_walk(profile, resources, period), resources)
 
 
 def fertac(
@@ -94,5 +77,5 @@ def fertac(
         best schedule found and search diagnostics.
     """
     return schedule_by_binary_search(
-        chain, resources, fertac_compute_solution, epsilon=epsilon
+        chain, resources, _fertac_walk, epsilon=epsilon
     )

@@ -15,12 +15,13 @@ heterogeneous strategies (FERTAC, 2CATAC, HeRAD) close.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .binary_search import ScheduleOutcome, schedule_by_binary_search
 from .chain_stats import ChainProfile
 from .errors import InvalidPlatformError
-from .packing import compute_stage, stage_fits
+from .packing import first_fit_walk, materialise
 from .solution import Solution
-from .stage import Stage
 from .task import TaskChain
 from .types import CoreIndex, CoreType, Resources
 
@@ -38,20 +39,8 @@ def otac_compute_solution(
     Builds stages left to right on ``core_type`` cores only; any other cores
     in ``resources`` are ignored.
     """
-    last = profile.n - 1
-    remaining = resources.count(core_type)
-    stages: list[Stage] = []
-
-    start = 0
-    while True:
-        plan = compute_stage(profile, start, remaining, core_type, period)
-        if not stage_fits(profile, start, plan, remaining, core_type, period):
-            return Solution.empty()
-        stages.append(Stage(start, plan.end, plan.cores, core_type))
-        if plan.end == last:
-            return Solution(stages)
-        remaining -= plan.cores
-        start = plan.end + 1
+    walk = first_fit_walk(profile, resources, period, (int(core_type),))
+    return materialise(walk, resources)
 
 
 def otac(
@@ -88,12 +77,8 @@ def otac(
             cores if v == index else 0 for v in range(index + 1)
         )
 
-    def builder(
-        profile: ChainProfile, res: Resources, period: float
-    ) -> Solution:
-        return otac_compute_solution(profile, res, period, core_type)
-
-    return schedule_by_binary_search(chain, resources, builder, epsilon=epsilon)
+    walk = partial(first_fit_walk, order=(int(core_type),))
+    return schedule_by_binary_search(chain, resources, walk, epsilon=epsilon)
 
 
 def otac_big(

@@ -13,19 +13,44 @@ target period ``P``.  The procedure:
    the leftover tasks plus the following sequential task fit on a single
    core of the next stage) is a strictly better use of resources.
 
-The support predicates (``MaxPacking``, ``RequiredCores``, ``IsRep``,
-``FinalRepTask`` — Algo. 3) live on :class:`~repro.core.chain_stats.ChainProfile`.
+:func:`probe_stage` is the one scalar transcription of that procedure, fused
+with the single-stage validity check over the python-list mirror of a
+:class:`~repro.core.chain_stats.ChainProfile`.  The greedy strategies decide
+a whole bisection probe on it as a *walk* over ``(start, end, cores, type)``
+tuples (:func:`first_fit_walk` for FERTAC and OTAC, the branch exploration in
+:mod:`repro.core.twocatac`); the binary-search driver builds a
+:class:`~repro.core.solution.Solution` from the one walk it keeps
+(:func:`materialise`).  :func:`compute_stage` is the object-level view.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import ceil
+from typing import Sequence
 
 from ..obs.context import counter_add
 from .chain_stats import ChainProfile
-from .types import CoreIndex
+from .errors import InvalidChainError, InvalidParameterError
+from .solution import Solution
+from .stage import Stage
+from .types import INFINITY, CoreIndex, Resources
 
-__all__ = ["StagePlan", "compute_stage", "stage_fits"]
+__all__ = [
+    "StagePlan",
+    "Walk",
+    "compute_stage",
+    "first_fit_walk",
+    "materialise",
+    "probe_stage",
+    "probe_tables",
+    "stage_fits",
+]
+
+#: One probe's answer: the ``(start, end, cores, type index)`` stages in chain
+#: order and the period they achieve, or ``(None, inf)`` for "no schedule".
+Walk = tuple["list[tuple[int, int, int, int]] | None", float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +64,98 @@ class StagePlan:
 
     end: int
     cores: int
+
+
+def probe_stage(
+    sums: list[float],
+    nxt: list[int],
+    last: int,
+    start: int,
+    available: int,
+    period: float,
+) -> tuple[int, int, float]:
+    """``ComputeStage`` (Algo. 2) and its validity check, on the list mirror.
+
+    ``sums`` are one core type's weight prefix sums, ``nxt[s]`` the first
+    sequential task at or after ``s`` (``n`` if none), ``last`` the chain's
+    last index; the stage starts at ``start`` with ``available`` cores of
+    that type left.  Returns ``(end, cores, weight)``: the plan and its stage
+    weight (Eq. (1)).  The stage fits exactly when ``weight <= period``; a
+    core count outside ``1..available`` reports an infinite weight.  Guards
+    (:func:`probe_tables`) and the call count belong to the caller.
+    """
+    base = sums[start]
+    seq = nxt[start]
+
+    # Line 1: pack with one core (a forced single task when nothing fits).
+    # On one core the replicable and the sequential regions share the limit,
+    # so one bisection serves both (and ``n + 1`` sums bound it by ``last``).
+    end = bisect_right(sums, base + period) - 2
+    if end < start:
+        end = start
+
+    replicable = seq > end
+    if replicable and end != last:
+        # Lines 3-14: a replicable, non-final stage extends across the whole
+        # run of consecutive replicable tasks and absorbs more cores.  Inside
+        # the run ``MaxPacking`` is a single bisection capped at the run's
+        # end: the one-core packing stopped short of ``seq``, so the
+        # sequential region cannot contribute.
+        end = seq - 1
+        weight = sums[end + 1] - base
+        cores = ceil(weight / period) or 1
+        if cores > available:
+            # Lines 5-7: not enough cores for the full replicable run.
+            cores = available
+            if cores >= 1:
+                packed = bisect_right(sums, base + period * cores) - 2
+                if packed < end:
+                    end = packed if packed > start else start
+            else:
+                end = start
+            weight = sums[end + 1] - base
+        elif cores >= 2 and end != last:
+            # Lines 8-12: the next task is sequential.  Check whether giving
+            # up one core here lets the leftover tasks ride along with that
+            # sequential task on a single core of the next stage.  MaxPacking
+            # may return a *forced* single-task interval that violates the
+            # period (e.g. one heavy replicable task needing >= 2 cores);
+            # the shrink is only taken when the shorter stage actually fits.
+            fewer = cores - 1
+            shorter = bisect_right(sums, base + period * fewer) - 2
+            if shorter > end:
+                shorter = end
+            elif shorter < start:
+                shorter = start
+            short_weight = sums[shorter + 1] - base
+            if (
+                short_weight / fewer <= period
+                and ceil((sums[end + 2] - sums[shorter + 1]) / period) <= 1
+            ):
+                end, cores, weight = shorter, fewer, short_weight
+    else:
+        # Line 2: the cores this interval needs — more than one only when
+        # the packing was forced past the period by a single heavy task.
+        weight = sums[end + 1] - base
+        cores = ceil(weight / period) or 1
+
+    if cores < 1 or cores > available:
+        return end, cores, INFINITY
+    return end, cores, weight / cores if replicable else weight
+
+
+def probe_tables(
+    profile: ChainProfile, period: float
+) -> tuple[tuple[list[float], ...], list[int], int]:
+    """One probe's guard, hoisted out of its stages: check the target once
+    and hand out ``(prefix sums per type, next-sequential table, last index)``.
+    """
+    if not 0 < period < INFINITY:
+        raise InvalidParameterError(
+            f"target period must be positive and finite: {period}"
+        )
+    prefix, nxt = profile._mirror()
+    return prefix, nxt, profile.n - 1
 
 
 def compute_stage(
@@ -63,45 +180,17 @@ def compute_stage(
         — callers must check with :func:`stage_fits`, mirroring the paper
         where ``ComputeSolution`` validates each stage after building it.
     """
+    prefix, nxt, last = probe_tables(profile, period)
+    if not 0 <= start <= last:
+        raise InvalidChainError(
+            f"invalid stage start {start} for a chain of {profile.n} tasks"
+        )
     # Observability hook (no-op without an ambient obs context): stage
     # construction count is the greedy strategies' work metric.
     counter_add("packing.compute_stage_calls")
-    last = profile.n - 1
-
-    # Line 1-2: pack with one core, then count the cores this interval needs
-    # (more than one only when the packing was forced past the period by a
-    # single heavy replicable task).
-    end = profile.max_packing(start, 1, core_type, period)
-    cores = profile.required_cores(start, end, core_type, period)
-
-    # Lines 3-14: replicable, non-final stages may extend across the whole
-    # run of consecutive replicable tasks and absorb more cores.
-    if end != last and profile.is_replicable(start, end):
-        end = profile.final_replicable_task(start, end)
-        cores = profile.required_cores(start, end, core_type, period)
-        if cores > available:
-            # Lines 5-7: not enough cores for the full replicable run.
-            end = profile.max_packing(start, available, core_type, period)
-            cores = available
-        elif end != last and cores >= 2:
-            # Lines 8-12: the next task is sequential.  Check whether giving
-            # up one core here lets the leftover tasks ride along with that
-            # sequential task on a single core of the next stage.  MaxPacking
-            # may return a *forced* single-task interval that violates the
-            # period (e.g. one heavy replicable task needing >= 2 cores);
-            # the shrink is only taken when the shorter stage actually fits.
-            shorter = profile.max_packing(start, cores - 1, core_type, period)
-            if (
-                profile.stage_weight(start, shorter, cores - 1, core_type)
-                <= period
-                and profile.required_cores(
-                    shorter + 1, end + 1, core_type, period
-                )
-                == 1
-            ):
-                end = shorter
-                cores = cores - 1
-
+    end, cores, _ = probe_stage(
+        prefix[core_type], nxt, last, start, available, period
+    )
     return StagePlan(end=end, cores=cores)
 
 
@@ -122,4 +211,53 @@ def stage_fits(
         return False
     return (
         profile.stage_weight(start, plan.end, plan.cores, core_type) <= period
+    )
+
+
+def first_fit_walk(
+    profile: ChainProfile,
+    resources: Resources,
+    period: float,
+    order: Sequence[int],
+) -> Walk:
+    """Build stages left to right, each on the first type of ``order`` whose
+    stage fits the remaining budget: FERTAC's ``ComputeSolution`` (Algo. 4,
+    a tail call, hence a loop) in efficiency order, OTAC's with one type.
+    """
+    prefix, nxt, last = probe_tables(profile, period)
+    remaining = list(resources.counts)
+    stages = []
+    achieved = 0.0
+    calls = 0
+    start = 0
+    try:
+        while True:
+            for index in order:
+                calls += 1
+                end, cores, weight = probe_stage(
+                    prefix[index], nxt, last, start, remaining[index], period
+                )
+                if weight <= period:
+                    break
+            else:
+                return None, INFINITY
+            stages.append((start, end, cores, index))
+            if weight > achieved:
+                achieved = weight
+            if end == last:
+                return stages, achieved
+            remaining[index] -= cores
+            start = end + 1
+    finally:
+        counter_add("packing.compute_stage_calls", calls)
+
+
+def materialise(walk: Walk, resources: Resources) -> Solution:
+    """The :class:`Solution` a walk decided (empty for "no schedule")."""
+    types = resources.types()
+    # A list, not a generator: ``tuple(generator)`` resizes in place, which
+    # shifts blocks between CPython's per-size tuple free lists on every
+    # solve and lets RSS creep by ~1 MB over a campaign.
+    return Solution(
+        [Stage(s, e, cores, types[v]) for s, e, cores, v in walk[0] or ()]
     )

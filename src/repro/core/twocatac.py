@@ -27,37 +27,32 @@ available through ``memoize=True`` and ablated in the benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
+from ..obs.context import counter_add
 from .binary_search import ScheduleOutcome, schedule_by_binary_search
 from .chain_stats import ChainProfile
-from .packing import compute_stage, stage_fits
+from .packing import Walk, materialise, probe_stage, probe_tables
 from .solution import Solution
-from .stage import Stage
 from .task import TaskChain
-from .types import Resources
+from .types import INFINITY, Resources
 
 __all__ = ["twocatac_compute_solution", "twocatac", "choose_best"]
 
 
-@dataclass(frozen=True, slots=True)
-class _Partial:
+class _Partial(NamedTuple):
     """A partial solution: stages from some start to the end of the chain,
     with accumulated per-type core usage (the paper amortizes the usage sums
-    the same way, Algo. 5 line 13)."""
+    the same way, Algo. 5 line 13) and the largest stage weight among them.
 
-    stages: tuple[Stage, ...]
+    ``stages`` is a cons list ``((start, end, cores, type), rest)`` ending in
+    ``None``, so a branch shares its suffix instead of copying it.
+    """
+
+    stages: "tuple | None"
     used: tuple[int, ...]
-
-    @property
-    def used_big(self) -> int:
-        """Cores of type 0 (big) used."""
-        return self.used[0]
-
-    @property
-    def used_little(self) -> int:
-        """Cores of type 1 (little) used."""
-        return self.used[1] if len(self.used) > 1 else 0
+    weight: float = 0.0
 
 
 def _masses(used: tuple[int, ...]) -> tuple[int, int]:
@@ -104,6 +99,71 @@ def choose_best(
     return little_branch  # S_L uses fewer cores (or tie)
 
 
+def _twocatac_walk(
+    profile: ChainProfile, resources: Resources, period: float, memoize: bool
+) -> Walk:
+    prefix, nxt, last = probe_tables(profile, period)
+    ktype = resources.ktype
+    cache: "dict[tuple[int, tuple[int, ...]], _Partial | None] | None" = (
+        {} if memoize else None
+    )
+    calls = 0
+
+    def solve(start: int, remaining: tuple[int, ...]) -> "_Partial | None":
+        nonlocal calls
+        if cache is not None:
+            key = (start, remaining)
+            if key in cache:
+                return cache[key]
+
+        best: "_Partial | None" = None
+        for index in range(ktype):
+            calls += 1
+            end, cores, weight = probe_stage(
+                prefix[index], nxt, last, start, remaining[index], period
+            )
+            if weight > period:
+                continue
+            stage = (start, end, cores, index)
+            if end == last:
+                usage = [0] * ktype
+                usage[index] = cores
+                candidate = _Partial((stage, None), tuple(usage), weight)
+            else:
+                left = list(remaining)
+                left[index] -= cores
+                rest = solve(end + 1, tuple(left))
+                if rest is None:
+                    continue
+                usage = list(rest.used)
+                usage[index] += cores
+                candidate = _Partial(
+                    (stage, rest.stages),
+                    tuple(usage),
+                    weight if weight > rest.weight else rest.weight,
+                )
+            # Left fold in type order, later branch winning ties: at k = 2
+            # this is exactly choose_best(branches[BIG], branches[LITTLE]).
+            best = choose_best(best, candidate)
+
+        if cache is not None:
+            cache[key] = best
+        return best
+
+    try:
+        result = solve(0, resources.counts)
+    finally:
+        counter_add("packing.compute_stage_calls", calls)
+    if result is None:
+        return None, INFINITY
+    stages = []
+    node = result.stages
+    while node is not None:
+        stages.append(node[0])
+        node = node[1]
+    return stages, result.weight
+
+
 def twocatac_compute_solution(
     profile: ChainProfile,
     resources: Resources,
@@ -122,57 +182,8 @@ def twocatac_compute_solution(
             ``n * prod(counts)`` states while returning the same solutions,
             since a subproblem's outcome depends only on those values.
     """
-    last = profile.n - 1
-    types = resources.types()
-    cache: "dict[tuple[int, tuple[int, ...]], _Partial | None] | None" = (
-        {} if memoize else None
-    )
-
-    def solve(start: int, remaining: tuple[int, ...]) -> "_Partial | None":
-        key = (start, remaining)
-        if cache is not None and key in cache:
-            return cache[key]
-
-        best: "_Partial | None" = None
-        for core_type in types:
-            index = int(core_type)
-            available = remaining[index]
-            plan = compute_stage(profile, start, available, core_type, period)
-            candidate: "_Partial | None"
-            if not stage_fits(
-                profile, start, plan, available, core_type, period
-            ):
-                candidate = None
-            else:
-                stage = Stage(start, plan.end, plan.cores, core_type)
-                if plan.end == last:
-                    usage = [0] * len(remaining)
-                    usage[index] = plan.cores
-                    candidate = _Partial((stage,), tuple(usage))
-                else:
-                    left = list(remaining)
-                    left[index] -= plan.cores
-                    rest = solve(plan.end + 1, tuple(left))
-                    if rest is None:
-                        candidate = None
-                    else:
-                        usage = list(rest.used)
-                        usage[index] += plan.cores
-                        candidate = _Partial(
-                            (stage, *rest.stages), tuple(usage)
-                        )
-            # Left fold in type order, later branch winning ties: at k = 2
-            # this is exactly choose_best(branches[BIG], branches[LITTLE]).
-            best = candidate if best is None else choose_best(best, candidate)
-
-        if cache is not None:
-            cache[key] = best
-        return best
-
-    result = solve(0, resources.counts)
-    if result is None:
-        return Solution.empty()
-    return Solution(result.stages)
+    walk = _twocatac_walk(profile, resources, period, memoize)
+    return materialise(walk, resources)
 
 
 def twocatac(
@@ -194,10 +205,5 @@ def twocatac(
     Returns:
         The :class:`~repro.core.binary_search.ScheduleOutcome`.
     """
-
-    def builder(
-        profile: ChainProfile, res: Resources, period: float
-    ) -> Solution:
-        return twocatac_compute_solution(profile, res, period, memoize=memoize)
-
-    return schedule_by_binary_search(chain, resources, builder, epsilon=epsilon)
+    walk = partial(_twocatac_walk, memoize=memoize)
+    return schedule_by_binary_search(chain, resources, walk, epsilon=epsilon)
