@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""Batch-kernel smoke: oracle replay through the engine + bench.
+"""Batch solve-path smoke: oracle replay through the engine + bench.
 
 Two gates, both exiting non-zero on violation (CI ``kernel-smoke`` job):
 
 1. **Oracle replay** — every cell of the 1260-cell pre-refactor fixture
    (``tests/data/k2_oracle.json``: 30 chains x 6 budgets x 7 strategies)
-   is solved by a default ``CampaignEngine`` (strategy groups on the batch
-   kernels, exactly what ``repro table1`` runs) with certification on, and
+   is solved by a default ``CampaignEngine`` (``solve_batch`` per strategy
+   group, exactly what ``repro table1`` runs) with certification on, and
    compared bitwise — period bits and per-type core usage — against the
    stored pre-refactor outputs.
-2. **Bench smoke** — per batchable strategy, the standard campaign through
-   the engine is timed against the scalar ``get_strategy`` solver mapped
-   over the same chains; the engine must match it bitwise and must not be
-   slower (measured at 60-200 chains: HeRAD ~5-7x, 2CATAC ~1.6-1.8x now
-   that the scalar 2CATAC decides its probes on integer tuples — x9 before
-   — so equality means a regression).
+2. **Bench smoke** — per strategy with a ``batch_func``, the standard
+   campaign through the engine is timed against the plain scalar
+   ``get_strategy`` solver mapped over the same chains; the engine must
+   match it bitwise and must not be slower.  HeRAD's leg is the numpy
+   kernel against the scalar DP (~5-7x at 60-200 chains); 2CATAC's is the
+   memoised walk against the paper's un-memoised one (x1.85 at 60 chains),
+   so equality means a regression.
 
 Usage::
 
@@ -43,7 +44,8 @@ from repro.workloads import generators as g  # noqa: E402
 from repro.workloads.synthetic import GeneratorConfig, chain_batch  # noqa: E402
 
 FIXTURE = REPO_ROOT / "tests" / "data" / "k2_oracle.json"
-#: Strategies with a batch kernel (the bench-smoke subjects).
+#: Strategies whose campaigns do not solve on a plain map of the scalar
+#: solver (HeRAD kernel, memoised 2CATAC): the bench-smoke subjects.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
 

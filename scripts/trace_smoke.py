@@ -159,16 +159,18 @@ def main(argv: "list[str] | None" = None) -> int:
                 failures += 1
 
     # 5. The disabled hook path must be noise: per-call null-hook cost times
-    # the number of hook events this campaign fired, bounded at 2% of the
+    # the number of hook calls this campaign made, bounded at 2% of the
     # untraced wall.  (A direct wall-vs-wall comparison would drown in
-    # scheduler jitter at this campaign size; the model is stable.  The
-    # greedy walks flush ``packing.compute_stage_calls`` once per probe, so
-    # its value over-counts their hook calls: the bound is conservative.)
+    # scheduler jitter at this campaign size; the model is stable.)  Calls,
+    # not counter values: a bisection makes one
+    # ``packing.compute_stage_calls`` flush per probe — its iterations plus
+    # at most two fallback probes — and two calls at its end; a HeRAD solve
+    # makes two.
     per_call = _null_hook_cost_s()
     hook_events = int(
-        2 * counters.get("binary_search.calls", 0.0)
+        counters.get("binary_search.iterations", 0.0)
+        + 4 * counters.get("binary_search.calls", 0.0)
         + 2 * counters.get("herad.calls", 0.0)
-        + counters.get("packing.compute_stage_calls", 0.0)
     )
     overhead = per_call * hook_events
     fraction = overhead / untraced_s if untraced_s > 0 else 0.0

@@ -635,8 +635,8 @@ def run_solve(args: argparse.Namespace) -> int:
     )
     print(f"platform: {budget}  (k={resources.ktype})")
     profiles = [ChainProfile(chain) for chain in chains]
-    # One solve_batch call per strategy over the whole batch (vectorized
-    # where the strategy has a kernel, the scalar solver mapped otherwise).
+    # One solve_batch call per strategy over the whole batch (HeRAD's
+    # kernel, 2CATAC's memoised walk, the scalar solver mapped otherwise).
     try:
         solved = {
             name: solve_batch(profiles, resources, name) for name, _ in infos

@@ -41,7 +41,7 @@ class ChainProfile:
             ``j >= s`` whose task is sequential, or ``n`` if none exists.
 
     The ndarray attributes serve the vectorised consumers (HeRAD, the batch
-    kernels' ``ChainPack``).  The scalar queries below are the inner loop of
+    kernel's ``ChainPack``).  The scalar queries below are the inner loop of
     the greedy strategies, where boxing numpy scalars and calling
     ``np.searchsorted`` on a ~20-element array dominated; they read a
     python-list mirror of the same values instead, built on the first

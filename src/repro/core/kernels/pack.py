@@ -1,6 +1,6 @@
 """Packing a batch of chain profiles into padded ndarray planes.
 
-The batch kernels amortize numpy dispatch overhead by carrying *every*
+The batch kernel amortizes numpy dispatch overhead by carrying *every*
 instance of a work unit through each array operation at once.  To do that,
 per-chain vectors of different lengths are packed into rectangular planes
 with a leading batch axis:
@@ -10,15 +10,15 @@ with a leading batch axis:
   padded by **repeating the final prefix value**, which keeps every row
   non-decreasing (binary-search style ``count(p <= limit)`` packing stays
   correct: padding can only inflate a count that per-instance clipping with
-  ``ns``/``last`` caps anyway).
+  ``ns`` caps anyway).
 * ``next_seq`` — the "next sequential task" index vectors, shape
   ``(B, n + 1)``, padded with the instance's own ``n`` (i.e. "no sequential
   task at or after a padded position").
-* ``ns`` / ``last`` — the per-instance task counts and last task indices
-  that every kernel uses to clip padded garbage out of its results.
+* ``ns`` — the per-instance task counts that clip padded garbage out of
+  the results.
 
 The convention downstream (DESIGN.md §12): values computed for padded cells
-are *garbage but finite* — kernels must never read them into a real
+are *garbage but finite* — a kernel must never read them into a real
 instance's result, and never let them produce an index error, a NaN, or a
 runtime warning.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from ..chain_stats import ChainProfile
 from ..errors import InvalidChainError, InvalidPlatformError
 
-__all__ = ["ChainPack", "pack_profiles"]
+__all__ = ["ChainPack"]
 
 
 class ChainPack:
@@ -43,12 +43,15 @@ class ChainPack:
         size: the batch size ``B``.
         n: the padded task-count ``max_i n_i``.
         ns: per-instance task counts, shape ``(B,)``, ``int64``.
-        last: per-instance last task indices ``ns - 1``, shape ``(B,)``.
         prefix: two weight-prefix planes (big, little), each ``(B, n + 1)``.
         next_seq: next-sequential-task planes, ``(B, n + 1)``, ``int64``.
+
+    Raises:
+        InvalidChainError: on an empty batch.
+        InvalidPlatformError: when a profile lacks little-core weights.
     """
 
-    __slots__ = ("profiles", "size", "n", "ns", "last", "prefix", "next_seq")
+    __slots__ = ("profiles", "size", "n", "ns", "prefix", "next_seq")
 
     def __init__(self, profiles: Sequence[ChainProfile]) -> None:
         if not profiles:
@@ -56,7 +59,7 @@ class ChainPack:
         for profile in profiles:
             if profile.ktype < 2:
                 raise InvalidPlatformError(
-                    "the k=2 batch kernels need big and little weights; a "
+                    "the k=2 batch kernel needs big and little weights; a "
                     f"profiled chain carries only {profile.ktype} type(s)"
                 )
         self.profiles: tuple[ChainProfile, ...] = tuple(profiles)
@@ -64,7 +67,6 @@ class ChainPack:
         self.ns: np.ndarray = np.array(
             [p.n for p in self.profiles], dtype=np.int64
         )
-        self.last: np.ndarray = self.ns - 1
         self.n: int = int(self.ns.max())
 
         planes = []
@@ -84,12 +86,3 @@ class ChainPack:
             nxt[i, row.size :] = profile.n
         self.next_seq: np.ndarray = nxt
 
-
-def pack_profiles(profiles: Sequence[ChainProfile]) -> ChainPack:
-    """Pack a non-empty batch of profiles for the k=2 batch kernels.
-
-    Raises:
-        InvalidChainError: on an empty batch.
-        InvalidPlatformError: when a profile lacks little-core weights.
-    """
-    return ChainPack(profiles)

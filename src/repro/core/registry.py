@@ -19,7 +19,7 @@ from .chain_stats import ChainProfile
 from .errors import InvalidPlatformError, UnknownStrategyError
 from .fertac import fertac
 from .herad import herad
-from .kernels import herad_batch, twocatac_batch, twocatac_memo_batch
+from .kernels import herad_batch
 from .otac import otac_big, otac_little
 from .reference import ktype_reference
 from .task import TaskChain
@@ -40,14 +40,14 @@ __all__ = [
 
 StrategyFn = Callable[["TaskChain | ChainProfile", Resources], ScheduleOutcome]
 
-#: A batch kernel: solves many profiled chains at one budget in a single
-#: vectorized call, returning outcomes in batch order.  Must be bitwise
-#: identical to mapping the strategy's scalar ``func`` over the batch.
+#: A batch solver: solves many profiled chains at one budget in a single
+#: call, returning outcomes in batch order.  Must be bitwise identical to
+#: mapping the strategy's scalar ``func`` over the batch.
 BatchStrategyFn = Callable[
     [Sequence[ChainProfile], Resources], "list[ScheduleOutcome]"
 ]
 
-#: Instances handed to a batch kernel per call.  Larger batches amortize
+#: Instances handed to the HeRAD kernel per call.  Larger batches amortize
 #: numpy dispatch further but grow the DP working set past cache; ~50 is the
 #: empirical sweet spot for the paper-scale scenario (20 tasks, (10B,10L)).
 _BATCH_SPAN: int = 50
@@ -61,10 +61,10 @@ class StrategyInfo:
     to the paper's two core types (they raise ``InvalidPlatformError`` on a
     ``k != 2`` budget); every other strategy accepts any ``k``-type budget.
 
-    ``batch_func`` is the strategy's vectorized batch kernel
-    (:mod:`repro.core.kernels`), or ``None`` when only the scalar python
-    implementation exists; :func:`solve_batch` is the entry point that
-    handles the fallback rules.
+    ``batch_func`` is what campaigns solve a whole batch with when it is
+    not a plain map of ``func``: HeRAD's vectorized kernel
+    (:mod:`repro.core.kernels`, in sub-batches) and 2CATAC's memoised walk.
+    ``None`` means :func:`solve_batch` maps ``func`` itself.
     """
 
     name: str
@@ -81,6 +81,25 @@ def _twocatac_memo(
     chain: "TaskChain | ChainProfile", resources: Resources
 ) -> ScheduleOutcome:  # pragma: no cover - thin wrapper
     return twocatac(chain, resources, memoize=True)
+
+
+def _herad_spans(
+    profiles: Sequence[ChainProfile], resources: Resources
+) -> "list[ScheduleOutcome]":
+    outcomes: list[ScheduleOutcome] = []
+    for base in range(0, len(profiles), _BATCH_SPAN):
+        sub = profiles[base : base + _BATCH_SPAN]
+        try:
+            outcomes.extend(herad_batch(sub, resources))
+        except InvalidPlatformError:
+            outcomes.extend(herad(profile, resources) for profile in sub)
+    return outcomes
+
+
+def _twocatac_memo_map(
+    profiles: Sequence[ChainProfile], resources: Resources
+) -> "list[ScheduleOutcome]":
+    return [twocatac(profile, resources, memoize=True) for profile in profiles]
 
 
 def _norep(
@@ -105,7 +124,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "budgets (Eq. (4), Algos. 7-11)."
             ),
             two_type_only=True,
-            batch_func=herad_batch,
+            batch_func=_herad_spans,
         ),
         StrategyInfo(
             name="2catac",
@@ -117,7 +136,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "Two-choice greedy: builds each stage with both core types "
                 "and explores both branches (Algos. 5-6)."
             ),
-            batch_func=twocatac_batch,
+            batch_func=_twocatac_memo_map,
         ),
         StrategyInfo(
             name="2catac_memo",
@@ -129,7 +148,6 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "2CATAC with subproblem memoization — identical schedules, "
                 "polynomial state space (library extension)."
             ),
-            batch_func=twocatac_memo_batch,
         ),
         StrategyInfo(
             name="norep",
@@ -265,18 +283,20 @@ def solve_batch(
     """Solve a whole batch of chains with one strategy at one budget.
 
     The entry point every campaign solves through (the engine's work units,
-    ``repro solve``): strategies with a ``batch_func`` solve the batch in
-    :data:`_BATCH_SPAN`-sized sub-batches through their numpy kernel;
-    everything else maps the scalar python implementation over the batch.  Outcomes are returned in batch
-    order and are **bitwise identical** to ``[func(c, resources) for c in
-    chains]`` — the pure-python solvers remain the differential oracle.
+    ``repro solve``): HeRAD solves the batch in :data:`_BATCH_SPAN`-sized
+    sub-batches through its numpy kernel, 2CATAC walks each chain with the
+    subproblem memo on, and everything else maps the scalar python
+    implementation over the batch.  Outcomes are returned in batch order and
+    are **bitwise identical** to ``[func(c, resources) for c in chains]`` —
+    the plain scalar solvers remain the differential oracle.
 
-    Fallback rules (DESIGN.md §12): when a kernel rejects a sub-batch with
-    :class:`~repro.core.errors.InvalidPlatformError` — a ``k != 2`` budget,
-    a chain profiled without little-core weights, or an instance outside the
-    packed-key bit lanes — that sub-batch is re-solved per instance with the
-    scalar python strategy, which either handles the case or raises exactly
-    the error the solo campaign would.
+    Fallback rule, HeRAD's alone (DESIGN.md §12): when the kernel rejects a
+    sub-batch with :class:`~repro.core.errors.InvalidPlatformError` — a
+    ``k != 2`` budget, a chain profiled without little-core weights, or an
+    instance outside the packed-key bit lanes — that sub-batch is re-solved
+    per instance with the scalar DP, which either handles the case or raises
+    exactly the error the solo campaign would.  Every other strategy's
+    refusal propagates from the instance that raised it.
     """
     info = get_info(strategy)
     profiles = [
@@ -285,14 +305,7 @@ def solve_batch(
     ]
     if info.batch_func is None:
         return [info.func(profile, resources) for profile in profiles]
-    outcomes: list[ScheduleOutcome] = []
-    for base in range(0, len(profiles), _BATCH_SPAN):
-        sub = profiles[base : base + _BATCH_SPAN]
-        try:
-            outcomes.extend(info.batch_func(sub, resources))
-        except InvalidPlatformError:
-            outcomes.extend(info.func(profile, resources) for profile in sub)
-    return outcomes
+    return info.batch_func(profiles, resources)
 
 
 __all__.append("get_info")

@@ -27,12 +27,14 @@ available through ``memoize=True`` and ablated in the benchmarks.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import NamedTuple
 
 from ..obs.context import counter_add
 from .binary_search import ScheduleOutcome, schedule_by_binary_search
 from .chain_stats import ChainProfile
+from .errors import InvalidChainError
 from .packing import Walk, materialise, probe_stage, probe_tables
 from .solution import Solution
 from .task import TaskChain
@@ -152,6 +154,12 @@ def _twocatac_walk(
 
     try:
         result = solve(0, resources.counts)
+    except RecursionError:
+        raise InvalidChainError(
+            f"2CATAC recurses one frame per stage and ran out of stack at a "
+            f"stage depth <= {last + 1} (the chain's task count) under the "
+            f"interpreter's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     finally:
         counter_add("packing.compute_stage_calls", calls)
     if result is None:

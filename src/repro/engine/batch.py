@@ -223,11 +223,11 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
 
     The unit's cells are grouped by strategy (first-appearance order, so
     the obs span sequence is deterministic) and each group goes through one
-    :func:`repro.core.registry.solve_batch` call — the vectorized kernels
-    where a strategy has one, the scalar solver mapped over the group where
-    it has not or the kernel refuses the instance; either way the outcomes
-    are bitwise those of the scalar solvers.  Certification audits every
-    solution with the independent checker.
+    :func:`repro.core.registry.solve_batch` call — HeRAD's vectorized kernel,
+    2CATAC's memoised walk, the scalar solver mapped over the group
+    otherwise or where the kernel refuses the instance; either way the
+    outcomes are bitwise those of the plain scalar solvers.  Certification
+    audits every solution with the independent checker.
 
     Instances an armed fault plan *could* target (non-consuming
     :meth:`~repro.engine.faults.FaultPlan.targets` check) are solved cell

@@ -1,8 +1,8 @@
 """Cost-adaptive work-unit planning: whole strategy batches, cut only by cost.
 
 A work unit is one strategy's batch of cells — one maximal
-:func:`repro.core.registry.solve_batch` call.  The batch kernels amortise
-their per-call cost over the rows they are handed (HeRAD 3.8 -> 2.5 ms per
+:func:`repro.core.registry.solve_batch` call.  The HeRAD batch kernel
+amortises its per-call cost over the rows it is handed (3.8 -> 2.5 ms per
 row from 8 to 32 rows), so a unit is cut only when its *estimated wall* —
 per-strategy cell costs learned from earlier units — exceeds the unit wall
 (:data:`DEFAULT_UNIT_WALL_S`), past which a straggler unit would serialize
@@ -50,10 +50,11 @@ _PRIOR_CELL_COST_S: float = 2e-3
 #: EWMA smoothing for cost feedback (recent units dominate, noise damped).
 _EWMA_ALPHA: float = 0.3
 
-#: Rows below which the batch kernels' per-row cost has not yet flattened
-#: (20-task chains, (10B,10L), ms per row at B = 8 / 16 / 32 / 64: HeRAD
-#: 3.8 / 3.0 / 2.5 / 2.5, 2CATAC 6.2 / 4.1 / 3.5 / 4.1): the planner never
-#: halves a unit into pieces smaller than this just to occupy a worker.
+#: Rows below which the HeRAD batch kernel's per-row cost has not yet
+#: flattened (20-task chains, (10B,10L), ms per row at B = 8 / 16 / 32 / 64:
+#: 3.8 / 3.0 / 2.5 / 2.5; every other strategy is a per-row map with no
+#: batch effect): the planner never halves a unit into pieces smaller than
+#: this just to occupy a worker.
 _MIN_SPLIT_ROWS: int = 32
 
 

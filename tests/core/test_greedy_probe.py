@@ -14,6 +14,8 @@ Four contracts:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from repro.engine import CampaignEngine
 from repro.experiments import table1
 from repro.obs import ObsConfig
 from repro.platform.presets import SIMULATION_BUDGETS
+from repro.workloads.generators import fully_sequential_chain
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 class TestProbeAgainstOracle:
@@ -126,6 +129,21 @@ class TestTypedRefusals:
     def test_zero_core_budget(self, call):
         with pytest.raises(InvalidPlatformError):
             call()
+
+    def test_recursion_depth_is_refused_on_both_call_shapes(self):
+        """2CATAC recurses one frame per stage; a chain deeper than the
+        interpreter allows used to surface a bare ``RecursionError``."""
+        depth = sys.getrecursionlimit() + 200
+        deep = ChainProfile(fully_sequential_chain(depth))
+        budget = Resources(depth, depth)
+        with pytest.raises(InvalidChainError, match="recursion limit"):
+            get_strategy("2catac_memo")(deep, budget)
+        with pytest.raises(InvalidChainError, match="recursion limit"):
+            solve_batch([deep], budget, "2catac")
+        outcome = get_strategy("2catac_memo")(
+            fully_sequential_chain(400), Resources(400, 400)
+        )
+        assert len(outcome.solution.stages) == 400
 
     def test_zero_core_builders_answer_empty(self):
         """Below the driver, no cores is "no schedule", not an error."""
@@ -276,7 +294,7 @@ class TestEdgeCorpus:
 
 class TestParentParity:
     def test_twocatac_outcomes_agree_across_paths(self):
-        """Scalar, memoised scalar and batch kernel: one ``ScheduleOutcome``."""
+        """Scalar, memoised scalar and ``solve_batch``: one ``ScheduleOutcome``."""
         config = GeneratorConfig(num_tasks=20, stateless_ratio=0.5)
         profiles = [ChainProfile(c) for c in chain_batch(8, config, seed=11)]
         for resources in SIMULATION_BUDGETS:
@@ -301,13 +319,18 @@ class TestParentParity:
 
     def test_campaign_counters_equal_the_parent_commit(self):
         """A 3-chain Table I (27 cells x 5 strategies) does exactly the work
-        it did before the probe: the literals are the parent commit's."""
+        it did before the probe: the literals are the parent commit's, but
+        for ``packing.compute_stage_calls``, which since campaigns solve
+        2CATAC on the memoised walk also counts its stage probes:
+        3247 (FERTAC) + 1358 (OTAC B) + 1395 (OTAC L) = the parent's 6000,
+        plus 17392 for 2CATAC (each strategy solved alone on the same
+        cells)."""
         with CampaignEngine(
             jobs=1, memo=False, obs=ObsConfig(metrics=True)
         ) as engine:
             table1.run(num_chains=3, seed=0, jobs=1, engine=engine)
             counters = engine.obs.metrics.counters()
         assert counters["solve.count"] == 27 * len(PAPER_ORDER)
-        assert counters["packing.compute_stage_calls"] == 6000
+        assert counters["packing.compute_stage_calls"] == 6000 + 17392
         assert counters["binary_search.iterations"] == 773
         assert counters["binary_search.calls"] == 108

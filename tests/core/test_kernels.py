@@ -1,12 +1,13 @@
-"""Differential tests for the batch-vectorized solver kernels.
+"""Differential tests for the batch solve path (``registry.solve_batch``).
 
-The ``--kernel batch`` tier promises **bitwise-identical** outcomes to the
-pure-python solvers, which stay the differential oracle.  These tests pin
-that promise at three levels: the packing layer's invariants, each kernel
-against its scalar twin over mixed batches and degenerate budgets (the full
-outcome — period bits, rendered schedule, probe log, iteration count,
-bounds), and :func:`repro.core.registry.solve_batch` against the 1260-cell
-pre-refactor oracle fixture.
+What campaigns solve on — the HeRAD batch kernel and 2CATAC's memoised walk
+— promises **bitwise-identical** outcomes to the plain scalar solvers, which
+stay the differential oracle.  These tests pin that promise at three levels:
+the packing layer's invariants, each batch solver against its scalar twin
+over mixed batches and degenerate budgets (the full outcome — period bits,
+rendered schedule, probe log, iteration count, bounds), and
+:func:`repro.core.registry.solve_batch` against the 1260-cell pre-refactor
+oracle fixture.
 """
 
 from __future__ import annotations
@@ -18,14 +19,8 @@ import pytest
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidChainError, InvalidPlatformError
-from repro.core.kernels import (
-    ChainPack,
-    herad_batch,
-    pack_profiles,
-    twocatac_batch,
-    twocatac_memo_batch,
-)
-from repro.core.registry import STRATEGIES, get_info, solve_batch
+from repro.core.kernels import ChainPack, herad_batch
+from repro.core.registry import STRATEGIES, get_info, get_strategy, solve_batch
 from repro.core.types import Resources
 from repro.workloads import generators as g
 from repro.workloads.synthetic import (
@@ -37,14 +32,10 @@ from repro.workloads.synthetic import (
 _FIXTURE = Path(__file__).resolve().parent.parent / "data" / "k2_oracle.json"
 
 #: (strategy name, batch kernel) pairs under differential test.
-_KERNELS = (
-    ("herad", herad_batch),
-    ("2catac", twocatac_batch),
-    ("2catac_memo", twocatac_memo_batch),
-)
+_KERNELS = (("herad", herad_batch),)
 
 #: Budgets covering the paper scenario plus every degenerate shape the
-#: kernels special-case (single type, single core, tiny planes).
+#: kernel special-cases (single type, single core, tiny planes).
 _BUDGETS = (
     Resources(10, 10),
     Resources(4, 4),
@@ -88,7 +79,7 @@ def _signature(outcome):
 class TestChainPack:
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidChainError):
-            pack_profiles([])
+            ChainPack([])
 
     def test_single_type_profile_rejected(self):
         class OneTypeProfile:
@@ -97,7 +88,7 @@ class TestChainPack:
             ktype = 1
 
         with pytest.raises(InvalidPlatformError):
-            pack_profiles([OneTypeProfile()])
+            ChainPack([OneTypeProfile()])
 
     def test_padding_invariants(self):
         profiles = _mixed_profiles()
@@ -137,6 +128,9 @@ class TestKernelDifferential:
         for _, batch_fn in _KERNELS:
             with pytest.raises(InvalidPlatformError):
                 batch_fn(profiles, Resources(0, 0))
+        for name in ("herad", "2catac", "2catac_memo"):
+            with pytest.raises(InvalidPlatformError):
+                solve_batch(profiles, Resources(0, 0), name)
 
     def test_oversized_budget_exceeds_packed_key_lanes(self):
         profiles = _mixed_profiles()[:1]
@@ -189,6 +183,17 @@ class TestSolveBatch:
             f"tier; first: {mismatches[0]}"
         )
 
+    @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
+    @pytest.mark.parametrize("name", ("2catac", "2catac_memo"))
+    def test_twocatac_equals_plain_walk(self, name, budget):
+        """Campaign 2CATAC (the memoised walk) vs the paper's Algo. 5."""
+        profiles = _mixed_profiles()
+        plain = get_strategy("2catac")
+        outcomes = solve_batch(profiles, budget, name)
+        assert len(outcomes) == len(profiles)
+        for profile, got in zip(profiles, outcomes):
+            assert _signature(got) == _signature(plain(profile, budget))
+
     def test_scalar_only_strategy_maps_python(self):
         profiles = _mixed_profiles()[:5]
         resources = Resources(6, 6)
@@ -199,7 +204,7 @@ class TestSolveBatch:
                 get_info("fertac").func(profile, resources)
             )
 
-    def test_k3_budget_falls_back_per_instance(self):
+    def test_k3_budget_solves_like_python(self):
         chains = list(
             ktype_chain_batch(4, GeneratorConfig(num_tasks=8), ktype=3, seed=2)
         )
@@ -221,12 +226,13 @@ class TestSolveBatch:
         assert solve_batch([], Resources(4, 4), "herad") == []
 
     def test_spans_sub_batches(self):
-        """A batch larger than the kernel sub-batch span stays in order."""
+        """A batch larger than the sub-batch span stays in order."""
         cfg = GeneratorConfig(num_tasks=10, stateless_ratio=0.5)
         profiles = [ChainProfile(c) for c in chain_batch(120, cfg, seed=9)]
         resources = Resources(5, 5)
-        solo_fn = get_info("herad").func
-        outcomes = solve_batch(profiles, resources, "herad")
-        assert len(outcomes) == len(profiles)
-        for profile, got in zip(profiles, outcomes):
-            assert _signature(got) == _signature(solo_fn(profile, resources))
+        for name in ("herad", "2catac"):
+            solo_fn = get_info(name).func
+            outcomes = solve_batch(profiles, resources, name)
+            assert len(outcomes) == len(profiles)
+            for profile, got in zip(profiles, outcomes):
+                assert _signature(got) == _signature(solo_fn(profile, resources))

@@ -108,18 +108,24 @@ class TestExactCounters:
         chains = _chains(6)
         resources = Resources(3, 3)
 
-        def run(jobs):
+        def run(jobs, strategies=PAPER_ORDER):
             engine = CampaignEngine(
                 jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
                 obs=ObsConfig(metrics=True),
             )
-            engine.solve_instances(chains, resources, PAPER_ORDER)
+            engine.solve_instances(chains, resources, strategies)
             return engine.obs.metrics.counters()
 
         serial = run(1)
         assert serial["solve.count"] == len(chains) * len(PAPER_ORDER)
         assert serial["binary_search.calls"] > 0
         assert serial["herad.calls"] == len(chains)
+        # Stage probes are a campaign fact for every greedy strategy, 2CATAC
+        # included (campaigns walk it; no vectorized path skips the count).
+        greedy = [name for name in PAPER_ORDER if name != "herad"]
+        alone = [run(1, (name,))["packing.compute_stage_calls"] for name in greedy]
+        assert all(alone)
+        assert serial["packing.compute_stage_calls"] == sum(alone)
         assert not any(name.startswith("worker.") for name in serial)
         process = run(4)
         assert _deterministic(process) == serial

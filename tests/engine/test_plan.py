@@ -104,7 +104,7 @@ class TestWallTargeting:
 
     def test_small_campaign_still_fans_out(self):
         """Fewer units than workers: only the costliest unit is halved, and
-        never into pieces below the kernels' row floor."""
+        never into pieces below the HeRAD kernel's row floor."""
         rows = 2 * _MIN_SPLIT_ROWS
         pending = _pending(count=rows, strategies=("a", "b"), num_tasks=3)
         snapshot = (("a", 1e-4), ("b", 2e-4))
