@@ -1,10 +1,10 @@
-"""Campaign-engine bench — executor tiers, memo replay, sweep kernel.
+"""Campaign-engine bench — executor tiers, memo replay, one-instance HeRAD.
 
 Times the three engine execution tiers (serial, process-pool, memoized
 replay) over a shared campaign and asserts, on every run, that the tiers
 produce bitwise-identical arrays — CI fails on any engine-vs-serial
-mismatch.  Also times the HeRAD solve whose ``_neighbor_sweep`` hot path
-is vectorized above ``_SWEEP_SCALAR_CUTOFF`` cells.
+mismatch.  Also times the one-instance HeRAD solve (the batch DP on a
+one-row batch) from a tiny plane to a large one.
 
 Run ``python scripts/bench_trajectory.py`` for the standalone trajectory
 report (``BENCH_engine.json``).
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.herad import _SWEEP_SCALAR_CUTOFF, herad
+from repro.core.herad import herad
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import CampaignEngine
@@ -80,14 +80,9 @@ def test_campaign_memo_replay(benchmark, engine_chains):
 
 @pytest.mark.parametrize("budget", [(4, 4), (10, 10), (40, 40)])
 def test_herad_sweep_kernel(benchmark, engine_chains, budget):
-    """Single-instance HeRAD solve across the sweep's scalar/vector regimes."""
-    big, little = budget
-    resources = Resources(big, little)
+    """Single-instance HeRAD solve across plane sizes."""
+    resources = Resources(*budget)
     profile = paper_profiles(1, 0.5, seed=13)[0]
 
     outcome = benchmark(lambda: herad(profile, resources))
     assert outcome.feasible
-    cells = (big + 1) * (little + 1)
-    benchmark.extra_info["sweep_path"] = (
-        "scalar" if cells <= _SWEEP_SCALAR_CUTOFF else "vectorized"
-    )

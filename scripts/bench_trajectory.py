@@ -56,10 +56,11 @@ TABLE1_BUDGETS = (Resources(16, 4), Resources(10, 10), Resources(4, 16))
 #: accept it (tracks what the k-type generalization costs on the hot path).
 KTYPE_BUDGET = Resources.from_counts((4, 4, 2))
 KTYPE_STRATEGIES = ("fertac", "2catac", "otac_b", "otac_l")
-#: Strategies whose campaign path is not a plain map of the scalar solver:
-#: the engine is timed against, and held bitwise to, that map.  HeRAD's
-#: ratio is the numpy kernel's (gated); 2CATAC's is memoised vs plain walk
-#: and is kept for the bitwise ``mismatch`` flag only.
+#: Strategies whose campaign path is not a plain map of the one-instance
+#: solver: the engine is timed against, and held bitwise to, that map.
+#: HeRAD's ratio is one DP at two batch sizes, B=chains vs B=1 (gated);
+#: 2CATAC's is memoised vs plain walk and is kept for the bitwise
+#: ``mismatch`` flag only.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
 
@@ -211,10 +212,10 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"  k-type latency  budget {ktype_key}: {ktype_latencies_us}")
 
     # Engine-vs-scalar scenario: the campaign through the engine
-    # (``solve_batch`` per strategy group) vs the plain scalar solvers
+    # (``solve_batch`` per strategy group) vs the one-instance solvers
     # mapped over the same chains.  Results must stay bitwise identical —
     # the speedup is the entire point.  Per-solve latency quantiles are
-    # those of the timed scalar calls.
+    # those of the timed one-instance calls.
     versus_wall_s: dict[str, dict[str, float]] = {}
     versus_speedup: dict[str, float] = {}
     versus_latency_us: dict[str, dict[str, float]] = {}

@@ -10,12 +10,12 @@ Two gates, both exiting non-zero on violation (CI ``kernel-smoke`` job):
    compared bitwise — period bits and per-type core usage — against the
    stored pre-refactor outputs.
 2. **Bench smoke** — per strategy with a ``batch_func``, the standard
-   campaign through the engine is timed against the plain scalar
+   campaign through the engine is timed against the one-instance
    ``get_strategy`` solver mapped over the same chains; the engine must
-   match it bitwise and must not be slower.  HeRAD's leg is the numpy
-   kernel against the scalar DP (~5-7x at 60-200 chains); 2CATAC's is the
-   memoised walk against the paper's un-memoised one (x1.85 at 60 chains),
-   so equality means a regression.
+   match it bitwise and must not be slower.  HeRAD's leg is one DP at two
+   batch sizes — whole sub-batches against one-row batches (~5-6x at 60
+   chains); 2CATAC's is the memoised walk against the paper's un-memoised
+   one (x1.85 at 60 chains), so equality means a regression.
 
 Usage::
 
@@ -44,8 +44,9 @@ from repro.workloads import generators as g  # noqa: E402
 from repro.workloads.synthetic import GeneratorConfig, chain_batch  # noqa: E402
 
 FIXTURE = REPO_ROOT / "tests" / "data" / "k2_oracle.json"
-#: Strategies whose campaigns do not solve on a plain map of the scalar
-#: solver (HeRAD kernel, memoised 2CATAC): the bench-smoke subjects.
+#: Strategies whose campaigns do not solve on a plain map of the
+#: one-instance solver (batched HeRAD, memoised 2CATAC): the bench-smoke
+#: subjects.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
 

@@ -8,7 +8,8 @@ two types of resources (big/little cores):
 * greedy heuristics — :func:`fertac` (Algo. 4) and :func:`twocatac`
   (Algos. 5-6), both wrapped in the binary-search ``Schedule`` driver
   (Algo. 1);
-* the optimal dynamic program — :func:`herad` (Algos. 7-11 / Eq. (4));
+* the optimal dynamic program — :func:`herad` (Algos. 7-11 / Eq. (4)) and
+  :func:`herad_batch`, the same DP over a whole batch of chains;
 * the homogeneous baseline — :func:`otac`, :func:`otac_big`,
   :func:`otac_little`;
 * verification oracles — :func:`herad_reference` (literal pseudocode) and
@@ -41,7 +42,7 @@ from .errors import (
     UnknownStrategyError,
 )
 from .fertac import fertac, fertac_compute_solution
-from .herad import herad, herad_solution
+from .herad import herad, herad_batch, herad_solution
 from .herad_reference import herad_reference
 from .merge import merge_replicable_stages
 from .norep import norep_optimal, norep_period
@@ -113,6 +114,7 @@ __all__ = [
     "twocatac",
     "twocatac_compute_solution",
     "herad",
+    "herad_batch",
     "herad_solution",
     "herad_reference",
     "otac",

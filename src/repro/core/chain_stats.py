@@ -40,8 +40,8 @@ class ChainProfile:
         next_sequential: ``next_sequential[s]`` is the smallest index
             ``j >= s`` whose task is sequential, or ``n`` if none exists.
 
-    The ndarray attributes serve the vectorised consumers (HeRAD, the batch
-    kernel's ``ChainPack``).  The scalar queries below are the inner loop of
+    The ndarray attributes serve the vectorised consumer (HeRAD packs them
+    into its batch planes).  The scalar queries below are the inner loop of
     the greedy strategies, where boxing numpy scalars and calling
     ``np.searchsorted`` on a ~20-element array dominated; they read a
     python-list mirror of the same values instead, built on the first
@@ -264,10 +264,7 @@ class ChainProfile:
     def interval_weights_vector(
         self, end: int, core_type: CoreIndex
     ) -> np.ndarray:
-        """Vector of ``w([tau_i, tau_end], 1, v)`` for ``i`` in ``0..end``.
-
-        Used by the vectorized HeRAD implementation.
-        """
+        """Vector of ``w([tau_i, tau_end], 1, v)`` for ``i`` in ``0..end``."""
         self._check_interval(0, end)
         p = self.prefix[int(core_type)]
         return p[end + 1] - p[: end + 1]

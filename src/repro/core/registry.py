@@ -16,10 +16,9 @@ from typing import Callable, Iterable, Sequence
 
 from .binary_search import ScheduleOutcome
 from .chain_stats import ChainProfile
-from .errors import InvalidPlatformError, UnknownStrategyError
+from .errors import UnknownStrategyError
 from .fertac import fertac
-from .herad import herad
-from .kernels import herad_batch
+from .herad import herad, herad_batch
 from .otac import otac_big, otac_little
 from .reference import ktype_reference
 from .task import TaskChain
@@ -47,7 +46,7 @@ BatchStrategyFn = Callable[
     [Sequence[ChainProfile], Resources], "list[ScheduleOutcome]"
 ]
 
-#: Instances handed to the HeRAD kernel per call.  Larger batches amortize
+#: Instances handed to the HeRAD DP per call.  Larger batches amortize
 #: numpy dispatch further but grow the DP working set past cache; ~50 is the
 #: empirical sweet spot for the paper-scale scenario (20 tasks, (10B,10L)).
 _BATCH_SPAN: int = 50
@@ -62,9 +61,9 @@ class StrategyInfo:
     ``k != 2`` budget); every other strategy accepts any ``k``-type budget.
 
     ``batch_func`` is what campaigns solve a whole batch with when it is
-    not a plain map of ``func``: HeRAD's vectorized kernel
-    (:mod:`repro.core.kernels`, in sub-batches) and 2CATAC's memoised walk.
-    ``None`` means :func:`solve_batch` maps ``func`` itself.
+    not a plain map of ``func``: HeRAD's DP on the whole batch
+    (:func:`~repro.core.herad.herad_batch`, in sub-batches) and 2CATAC's
+    memoised walk.  ``None`` means :func:`solve_batch` maps ``func`` itself.
     """
 
     name: str
@@ -89,10 +88,7 @@ def _herad_spans(
     outcomes: list[ScheduleOutcome] = []
     for base in range(0, len(profiles), _BATCH_SPAN):
         sub = profiles[base : base + _BATCH_SPAN]
-        try:
-            outcomes.extend(herad_batch(sub, resources))
-        except InvalidPlatformError:
-            outcomes.extend(herad(profile, resources) for profile in sub)
+        outcomes.extend(herad_batch(sub, resources))
     return outcomes
 
 
@@ -283,20 +279,13 @@ def solve_batch(
     """Solve a whole batch of chains with one strategy at one budget.
 
     The entry point every campaign solves through (the engine's work units,
-    ``repro solve``): HeRAD solves the batch in :data:`_BATCH_SPAN`-sized
-    sub-batches through its numpy kernel, 2CATAC walks each chain with the
+    ``repro solve``): HeRAD sweeps the batch through its DP in
+    :data:`_BATCH_SPAN`-sized sub-batches, 2CATAC walks each chain with the
     subproblem memo on, and everything else maps the scalar python
     implementation over the batch.  Outcomes are returned in batch order and
-    are **bitwise identical** to ``[func(c, resources) for c in chains]`` —
-    the plain scalar solvers remain the differential oracle.
-
-    Fallback rule, HeRAD's alone (DESIGN.md §12): when the kernel rejects a
-    sub-batch with :class:`~repro.core.errors.InvalidPlatformError` — a
-    ``k != 2`` budget, a chain profiled without little-core weights, or an
-    instance outside the packed-key bit lanes — that sub-batch is re-solved
-    per instance with the scalar DP, which either handles the case or raises
-    exactly the error the solo campaign would.  Every other strategy's
-    refusal propagates from the instance that raised it.
+    are **bitwise identical** to ``[func(c, resources) for c in chains]``.
+    A strategy's refusal (:class:`~repro.core.errors.InvalidPlatformError`
+    and friends) propagates from the call that raised it.
     """
     info = get_info(strategy)
     profiles = [

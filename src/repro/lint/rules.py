@@ -970,15 +970,13 @@ class RawTimingRule(LintRule):
 #: Modules allowed to assume exactly two core types.  Each either *defines*
 #: the two-type compatibility surface (``repro.core.types``) or is a paper
 #: algorithm specialized to two types behind an explicit ``ktype == 2``
-#: guard (HeRAD's DP, its literal-pseudocode oracle, the no-replication
-#: optimal, and the batch-vectorized k=2 kernels — which fall back to the
-#: generic python solvers on any other platform).
+#: guard (HeRAD's DP, its literal-pseudocode oracle and the no-replication
+#: optimal).
 _SANCTIONED_TWO_TYPE = (
     "repro.core.types",
     "repro.core.herad",
     "repro.core.herad_reference",
     "repro.core.norep",
-    "repro.core.kernels",
 )
 
 

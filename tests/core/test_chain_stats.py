@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.chain_stats import ChainProfile, profile_of
 from repro.core.errors import InvalidChainError, InvalidParameterError
-from repro.core.kernels.pack import ChainPack
+from repro.core.herad import _pack
 from repro.core.task import TaskChain
 from repro.core.types import INFINITY, CoreType
 
@@ -302,7 +302,7 @@ class TestScalarMirror:
         profile.interval_weights_vector(3, CoreType.BIG)
         profile.replicable_to(3)
         profile.total_weight(CoreType.LITTLE)
-        ChainPack([profile])
+        _pack([profile])
         assert profile._scalar is None  # array-only users never pay for it
         profile.is_replicable(0, 1)
         prefix, next_sequential = built = profile._scalar

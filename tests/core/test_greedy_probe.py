@@ -334,3 +334,5 @@ class TestParentParity:
         assert counters["packing.compute_stage_calls"] == 6000 + 17392
         assert counters["binary_search.iterations"] == 773
         assert counters["binary_search.calls"] == 108
+        assert counters["herad.calls"] == 27
+        assert counters["herad.dp_cells"] == 54999

@@ -1,13 +1,11 @@
-"""Equivalence of HeRAD's scalar and vectorized neighbor sweeps.
+"""HeRAD's doubling-scan neighbor sweep against the literal ascending loop.
 
-:func:`repro.core.herad._neighbor_sweep` switches between a scalar double
-loop (tiny planes) and a Hillis-Steele doubling scan purely on plane size —
-a performance decision that must never be observable.  The batch kernel
-(:mod:`repro.core.kernels.herad_batch`) leans on the same invariant from the
-other side: it *always* runs the doubling scan, including on the degenerate
-budgets (``big=0``, ``little=0``, one core total) where the solo solver
-would always take the scalar path.  These tests sweep identical planes
-through all three implementations and require bitwise-equal results.
+:func:`repro.core.herad._neighbor_sweep` replaces Algo. 9's ``O(b * l)``
+scalar double loop with two Hillis-Steele prefix-minimum scans — a
+performance decision that must never be observable, least of all on the
+degenerate budgets (``big=0``, ``little=0``, one core total) where the scan
+has nothing to double over.  The loop is written out here, as the paper
+has it, and random tie-heavy planes are swept through both.
 """
 
 from __future__ import annotations
@@ -22,10 +20,8 @@ from repro.core.types import CoreType
 # The package re-exports the ``herad`` *function* under the submodule's
 # name, so attribute-style module access would resolve to the function.
 herad_mod = importlib.import_module("repro.core.herad")
-herad_batch_mod = importlib.import_module("repro.core.kernels.herad_batch")
 
-#: Degenerate budgets first (the satellite obligation), then shapes around
-#: the scalar/vector cutoff and a paper-sized plane.
+#: Degenerate budgets first, then tiny planes and a paper-sized one.
 _BUDGETS = (
     (0, 5),
     (5, 0),
@@ -38,35 +34,32 @@ _BUDGETS = (
     (10, 10),
 )
 
-_FIELD_NAMES = ("period", "acc_b", "acc_l", "prev_b", "prev_l", "vtype", "start")
 
-
-def _random_plane(rng, big: int, little: int) -> dict[str, np.ndarray]:
-    """A working plane with deliberate period ties and infeasible cells.
+def _random_planes(
+    rng, rows: int, big: int, little: int
+) -> dict[str, np.ndarray]:
+    """Working planes with deliberate period ties and infeasible cells.
 
     Companion fields (``prev_*`` / ``vtype`` / ``start``) are *derived* from
-    the ``(period, acc_b, acc_l)`` key rather than drawn independently: when
-    two cells carry bitwise-equal keys, either may win a tie, and the sweeps
+    the ``(period, combo)`` key rather than drawn independently: when two
+    cells carry bitwise-equal keys, either may win a tie, and the sweeps
     only promise identical results when equal keys imply equal payloads —
     which is exactly what real DP planes guarantee (a key determines the
     winning candidate).  Independent random fields would test a stronger
     property neither implementation claims.
     """
-    shape = (big + 1, little + 1)
+    shape = (rows, big + 1, little + 1)
     # Few distinct period values -> plenty of ties for the key comparison;
     # some cells infeasible (inf) like real early-prefix planes.
     period = rng.choice([1.0, 2.0, 4.0, np.inf], size=shape)
-    acc_b = rng.integers(0, big + 1, size=shape).astype(np.int32)
-    acc_l = rng.integers(0, little + 1, size=shape).astype(np.int32)
-    mix = (
-        acc_b.astype(np.int64) * 7
-        + acc_l.astype(np.int64) * 13
-        + np.where(np.isinf(period), 99.0, period).astype(np.int64) * 31
-    )
+    acc_b = rng.integers(0, big + 1, size=shape)
+    acc_l = rng.integers(0, little + 1, size=shape)
+    finite = np.where(np.isinf(period), 99.0, period).astype(np.int64)
+    mix = acc_b * 7 + acc_l * 13 + finite * 31
+    combo = (acc_b << herad_mod._ACC_B_SHIFT) | (acc_l << herad_mod._ACC_L_SHIFT)
     return {
         "period": period,
-        "acc_b": acc_b,
-        "acc_l": acc_l,
+        "combo": combo,
         "prev_b": (mix % (big + 2)).astype(np.int32),
         "prev_l": (mix % (little + 2)).astype(np.int32),
         "vtype": np.where(
@@ -76,70 +69,45 @@ def _random_plane(rng, big: int, little: int) -> dict[str, np.ndarray]:
     }
 
 
-def _copy(plane: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: field.copy() for name, field in plane.items()}
+def _literal_sweep(cur: dict[str, np.ndarray], big: int, little: int) -> None:
+    """Algo. 9, lines 2-3: each cell takes the better of its two lower
+    neighbours, which are final by the time the ascending loop reaches it."""
+    for row in range(cur["period"].shape[0]):
+        for bb in range(big + 1):
+            for ll in range(little + 1):
+                best = (bb, ll)
+                for nb in ((bb, ll - 1), (bb - 1, ll)):
+                    if min(nb) < 0:
+                        continue
+                    key = (cur["period"][row][nb], cur["combo"][row][nb])
+                    if key < (cur["period"][row][best], cur["combo"][row][best]):
+                        best = nb
+                for plane in cur.values():
+                    plane[row][bb, ll] = plane[row][best]
 
 
-def _planes_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
-    return all(np.array_equal(a[name], b[name]) for name in _FIELD_NAMES)
-
-
-@pytest.mark.parametrize("budget", _BUDGETS, ids=str)
-def test_scalar_and_vectorized_sweeps_identical(budget, monkeypatch):
-    big, little = budget
-    rng = np.random.default_rng(big * 100 + little)
-    for trial in range(20):
-        plane = _random_plane(rng, big, little)
-
-        scalar = _copy(plane)
-        herad_mod._neighbor_sweep_small(scalar, big, little)
-
-        # Force the doubling scan even on planes under the scalar cutoff.
-        vectorized = _copy(plane)
-        monkeypatch.setattr(herad_mod, "_SWEEP_SCALAR_CUTOFF", -1)
-        herad_mod._neighbor_sweep(vectorized, big, little)
-
-        assert _planes_equal(scalar, vectorized), (
-            f"budget {budget}, trial {trial}: scalar and vectorized sweeps "
-            "diverged"
-        )
+def _assert_sweeps_agree(rng, rows: int, big: int, little: int) -> None:
+    planes = _random_planes(rng, rows, big, little)
+    want = {name: plane.copy() for name, plane in planes.items()}
+    _literal_sweep(want, big, little)
+    herad_mod._neighbor_sweep(planes, big, little)
+    for name, plane in planes.items():
+        assert np.array_equal(plane, want[name]), f"field {name} diverged"
 
 
 @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
 def test_batch_sweep_matches_scalar_sweep(budget):
-    """The batch kernel's sweep on a 1-row batch equals the scalar sweep."""
+    """One-row planes — the shape ``herad()`` solves on."""
     big, little = budget
     rng = np.random.default_rng(1000 + big * 100 + little)
-    for trial in range(10):
-        plane = _random_plane(rng, big, little)
+    for _ in range(20):
+        _assert_sweeps_agree(rng, 1, big, little)
 
-        scalar = _copy(plane)
-        herad_mod._neighbor_sweep_small(scalar, big, little)
 
-        # Pack into the batch layout: leading batch axis, combo/start key.
-        shift_b = herad_batch_mod._ACC_B_SHIFT
-        shift_l = herad_batch_mod._ACC_L_SHIFT
-        batched = {
-            "period": plane["period"][None].copy(),
-            "combo": (
-                (plane["acc_b"].astype(np.int64) << shift_b)
-                | (plane["acc_l"].astype(np.int64) << shift_l)
-            )[None],
-            "prev_b": plane["prev_b"][None].copy(),
-            "prev_l": plane["prev_l"][None].copy(),
-            "vtype": plane["vtype"][None].copy(),
-            "start": plane["start"][None].copy(),
-        }
-        herad_batch_mod._neighbor_sweep(batched, big, little)
-
-        got_acc_b = (batched["combo"][0] >> shift_b).astype(np.int32)
-        got_acc_l = (
-            (batched["combo"][0] >> shift_l) & int(herad_batch_mod._ACC_L_MASK)
-        ).astype(np.int32)
-        assert np.array_equal(batched["period"][0], scalar["period"])
-        assert np.array_equal(got_acc_b, scalar["acc_b"])
-        assert np.array_equal(got_acc_l, scalar["acc_l"])
-        for name in ("prev_b", "prev_l", "vtype", "start"):
-            assert np.array_equal(batched[name][0], scalar[name]), (
-                f"budget {budget}, trial {trial}: field {name} diverged"
-            )
+@pytest.mark.parametrize("budget", _BUDGETS, ids=str)
+def test_scalar_and_vectorized_sweeps_identical(budget):
+    """Three-row planes: each batch row is swept as if it were alone."""
+    big, little = budget
+    rng = np.random.default_rng(big * 100 + little)
+    for _ in range(10):
+        _assert_sweeps_agree(rng, 3, big, little)

@@ -1,26 +1,38 @@
 """Differential tests for the batch solve path (``registry.solve_batch``).
 
-What campaigns solve on — the HeRAD batch kernel and 2CATAC's memoised walk
-— promises **bitwise-identical** outcomes to the plain scalar solvers, which
-stay the differential oracle.  These tests pin that promise at three levels:
-the packing layer's invariants, each batch solver against its scalar twin
-over mixed batches and degenerate budgets (the full outcome — period bits,
-rendered schedule, probe log, iteration count, bounds), and
+What campaigns solve on — HeRAD's DP over a whole batch and 2CATAC's
+memoised walk — promises outcomes **bitwise identical** to solving each
+chain alone.  These tests pin that promise at three levels: the packing
+invariants, both HeRAD call shapes against the answers of the deleted solo
+DP (``tests/data/herad_solo_oracle.json``: the full outcome — period bits,
+rendered schedule, probe log, iteration count, bounds — over mixed batches
+and degenerate budgets) with the packed key's lane edges, and
 :func:`repro.core.registry.solve_batch` against the 1260-cell pre-refactor
 oracle fixture.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidChainError, InvalidPlatformError
-from repro.core.kernels import ChainPack, herad_batch
-from repro.core.registry import STRATEGIES, get_info, get_strategy, solve_batch
+from repro.core.herad import (
+    _ACC_B_SHIFT,
+    _ACC_L_SHIFT,
+    _LANE_MASK,
+    _pack,
+    _unpack,
+    herad,
+    herad_batch,
+)
+from repro.core.registry import get_info, get_strategy, solve_batch
 from repro.core.types import Resources
 from repro.workloads import generators as g
 from repro.workloads.synthetic import (
@@ -29,13 +41,13 @@ from repro.workloads.synthetic import (
     ktype_chain_batch,
 )
 
-_FIXTURE = Path(__file__).resolve().parent.parent / "data" / "k2_oracle.json"
+_DATA = Path(__file__).resolve().parent.parent / "data"
+_FIXTURE = _DATA / "k2_oracle.json"
+#: What the solo HeRAD DP answered at the commit before it was deleted.
+_SOLO_ORACLE = json.loads((_DATA / "herad_solo_oracle.json").read_text())["rows"]
 
-#: (strategy name, batch kernel) pairs under differential test.
-_KERNELS = (("herad", herad_batch),)
-
-#: Budgets covering the paper scenario plus every degenerate shape the
-#: kernel special-cases (single type, single core, tiny planes).
+#: Budgets covering the paper scenario plus every degenerate shape (single
+#: type, single core, tiny planes).
 _BUDGETS = (
     Resources(10, 10),
     Resources(4, 4),
@@ -76,66 +88,115 @@ def _signature(outcome):
     )
 
 
+def _assert_equals_solo(row, profile, budget, batched):
+    """Both call shapes reproduce one frozen answer of the solo DP."""
+    want = row["signature"]
+    for outcome in (herad(profile, budget), batched):
+        assert json.loads(json.dumps(_signature(outcome))) == want
+    unmerged = herad(profile, budget, merge=False).solution.render()
+    assert unmerged == row["render_unmerged"]
+
+
 class TestChainPack:
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidChainError):
-            ChainPack([])
-
-    def test_single_type_profile_rejected(self):
-        class OneTypeProfile:
-            """A profile shape the two-type kernels must refuse."""
-
-            ktype = 1
-
-        with pytest.raises(InvalidPlatformError):
-            ChainPack([OneTypeProfile()])
+            _pack([])
+        with pytest.raises(InvalidChainError):
+            herad_batch([], Resources(4, 4))
 
     def test_padding_invariants(self):
         profiles = _mixed_profiles()
-        pack = ChainPack(profiles)
-        assert pack.n == max(p.n for p in profiles)
-        for row, profile in enumerate(pack.profiles):
+        prefixes, next_seq = _pack(profiles)
+        assert next_seq.shape == (len(profiles), max(p.n for p in profiles) + 1)
+        for row, profile in enumerate(profiles):
             for v in (0, 1):
-                plane = pack.prefix[v][row]
+                plane = prefixes[v][row]
                 # Real prefix values, then the final value repeated.
                 assert list(plane[: profile.n + 1]) == list(profile.prefix[v])
                 assert (plane[profile.n :] == plane[profile.n]).all()
                 assert (plane[1:] >= plane[:-1]).all()
-            # Padded next-sequential entries point past the real chain.
-            assert (pack.next_seq[row, profile.n + 1 :] == profile.n).all()
+            # Real next-sequential entries, then "none past the real chain".
+            assert list(next_seq[row, : profile.n + 1]) == list(
+                profile.next_sequential
+            )
+            assert (next_seq[row, profile.n + 1 :] == profile.n).all()
 
 
 class TestKernelDifferential:
     @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
-    @pytest.mark.parametrize("name,batch_fn", _KERNELS, ids=lambda k: str(k))
-    def test_bitwise_equal_to_python(self, name, batch_fn, budget):
+    def test_bitwise_equal_to_python(self, budget):
+        """``herad(p, R)`` and row *i* of ``herad_batch(profiles, R)`` both
+        equal what the deleted solo DP answered, on every cell."""
         profiles = _mixed_profiles()
-        solo_fn = STRATEGIES[name].func
-        batch_outcomes = batch_fn(profiles, budget)
+        rows = [
+            row
+            for row in _SOLO_ORACLE
+            if "chain" in row and row["budget"] == [budget.big, budget.little]
+        ]
+        assert [row["chain"] for row in rows] == list(range(len(profiles)))
+        batch_outcomes = herad_batch(profiles, budget)
         assert len(batch_outcomes) == len(profiles)
-        for profile, got in zip(profiles, batch_outcomes):
-            assert _signature(got) == _signature(solo_fn(profile, budget))
+        for row, profile, batched in zip(rows, profiles, batch_outcomes):
+            _assert_equals_solo(row, profile, budget, batched)
+
+    def test_large_planes_equal_solo_oracle(self):
+        """n=60 at (20,20) and n=20 at (40,40): past every tiny-plane path."""
+        rows = [row for row in _SOLO_ORACLE if "chain" not in row]
+        assert [(r["n"], r["budget"]) for r in rows] == [
+            (60, [20, 20]),
+            (20, [40, 40]),
+        ]
+        for row in rows:
+            cfg = GeneratorConfig(num_tasks=row["n"], stateless_ratio=0.5)
+            (chain,) = chain_batch(1, cfg, seed=row["seed"])
+            profile, budget = ChainProfile(chain), Resources(*row["budget"])
+            (batched,) = herad_batch([profile], budget)
+            _assert_equals_solo(row, profile, budget, batched)
 
     def test_k3_budget_rejected(self):
         profiles = _mixed_profiles()[:3]
         budget = Resources.from_counts((4, 4, 2))
-        for _, batch_fn in _KERNELS:
-            with pytest.raises(InvalidPlatformError):
-                batch_fn(profiles, budget)
+        with pytest.raises(InvalidPlatformError):
+            herad_batch(profiles, budget)
+        with pytest.raises(InvalidPlatformError):
+            herad(profiles[0], budget)
 
     def test_empty_budget_rejected(self):
         profiles = _mixed_profiles()[:3]
-        for _, batch_fn in _KERNELS:
-            with pytest.raises(InvalidPlatformError):
-                batch_fn(profiles, Resources(0, 0))
+        with pytest.raises(InvalidPlatformError):
+            herad_batch(profiles, Resources(0, 0))
         for name in ("herad", "2catac", "2catac_memo"):
             with pytest.raises(InvalidPlatformError):
                 solve_batch(profiles, Resources(0, 0), name)
 
     def test_oversized_budget_exceeds_packed_key_lanes(self):
-        profiles = _mixed_profiles()[:1]
-        with pytest.raises(InvalidPlatformError):
-            herad_batch(profiles, Resources(1 << 15, 1))
+        """Refused with the typed error before anything is allocated."""
+        profile = _mixed_profiles()[0]
+        for refused in (
+            lambda: herad(profile, Resources(1 << 21, 1)),
+            lambda: herad_batch([profile], Resources(1 << 21, 1)),
+            lambda: solve_batch([profile], Resources(1, 1 << 21), "herad"),
+        ):
+            began = time.perf_counter()
+            with pytest.raises(InvalidPlatformError):
+                refused()
+            assert time.perf_counter() - began < 0.1
+
+
+class TestPackedKeyLanes:
+    """``acc_b << 42 | acc_l << 21 | start``: three 21-bit lanes."""
+
+    def test_key_orders_like_the_tuple_at_the_lane_edges(self):
+        edges = (0, 1, (1 << 21) - 2, (1 << 21) - 1)
+        # product() of ascending edges yields the triples in tuple order.
+        triples = list(itertools.product(edges, repeat=3))
+        acc_b, acc_l, start = np.array(triples, dtype=np.int64).T
+        keys = (acc_b << _ACC_B_SHIFT) | (acc_l << _ACC_L_SHIFT) | start
+        assert (keys >= 0).all()  # sign-safe
+        assert (np.diff(keys) > 0).all()  # order-isomorphic, injective
+        for triple, key in zip(triples, keys):
+            stored = int(key & ~_LANE_MASK)
+            assert (*_unpack(stored), int(key & _LANE_MASK)) == triple
 
 
 class TestSolveBatch:

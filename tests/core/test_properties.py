@@ -10,7 +10,10 @@ These are the library's strongest correctness guarantees:
    and core usage;
 4. the ``CompareCells`` fold is order-insensitive and equivalent to the
    lexicographic key minimum (the insight the vectorization relies on);
-5. period bounds always bracket the optimum.
+5. period bounds always bracket the optimum;
+6. a HeRAD batch row's answer does not depend on the rest of the batch, and
+   scaling every weight by a power of two scales the period bitwise and
+   leaves the schedule alone (Benoit et al.'s scale invariance).
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from repro.core.fertac import fertac
 from repro.core.herad import herad
 from repro.core.herad_reference import _Cell, _compare_cells, herad_reference
 from repro.core.otac import otac_big, otac_little
+from repro.core.registry import _BATCH_SPAN, solve_batch
 from repro.core.task import TaskChain
 from repro.core.twocatac import twocatac
-from repro.core.types import Resources
+from repro.core.types import CoreType, Resources
 
 
 @st.composite
@@ -173,3 +177,45 @@ def test_memoized_twocatac_is_equivalent(instance):
     memo = twocatac(chain, resources, memoize=True)
     assert plain.period == memo.period
     assert plain.solution.core_usage() == memo.solution.core_usage()
+
+
+def _facets(outcome):
+    """An outcome's observable facets, with floats as exact bits."""
+    return (
+        outcome.period.hex(),
+        outcome.solution.render(),
+        (outcome.bounds.lower.hex(), outcome.bounds.upper.hex()),
+    )
+
+
+@given(
+    st.lists(instances(max_tasks=40), min_size=1, max_size=4),
+    st.sampled_from((1, 2, _BATCH_SPAN + 1)),
+    st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_herad_batch_row_is_independent_of_its_neighbours(drawn, size, data):
+    """Any composition — shuffled, duplicated rows, lengths 1-40 mixed, one
+    span or two — answers each row as the one-row batch does."""
+    pool = [ChainProfile(chain) for chain, _ in drawn]
+    resources = drawn[0][1]
+    alone = [_facets(herad(profile, resources)) for profile in pool]
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size)
+    )
+    outcomes = solve_batch([pool[i] for i in picks], resources, "herad")
+    assert [_facets(o) for o in outcomes] == [alone[i] for i in picks]
+
+
+@given(instances(max_tasks=8), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_herad_scales_with_the_weights(instance, k):
+    chain, resources = instance
+    scaled = TaskChain.from_weights(
+        [w * 2.0**k for w in chain.weights(CoreType.BIG)],
+        [w * 2.0**k for w in chain.weights(CoreType.LITTLE)],
+        [task.replicable for task in chain.tasks],
+    )
+    base, got = herad(chain, resources), herad(scaled, resources)
+    assert got.period.hex() == (base.period * 2.0**k).hex()
+    assert got.solution.render() == base.solution.render()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -292,8 +293,17 @@ class TestPoolHygiene:
         # Units finished before the Ctrl-C are on disk; the pool is gone
         # without anyone calling close().
         assert len(load_journal(path)) == len(chains) - 1
-        for process in set(multiprocessing.active_children()) - children:
-            process.join(timeout=10)
+        # The abandoned executor's manager thread joins these same workers.
+        # When it reaps one first, a join() here returns before the exit
+        # code is stored and active_children() lists the dead, reaped
+        # process for a moment more (1 full-suite run in ~7), so poll to
+        # the 10 s bound rather than look once right after a join().
+        deadline = time.monotonic() + 10
+        while (
+            set(multiprocessing.active_children()) - children
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
         assert set(multiprocessing.active_children()) - children == set()
         # The engine survives: the rest resumes through the same journal on
         # a fresh pool.

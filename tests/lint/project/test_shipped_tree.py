@@ -7,6 +7,7 @@ allowlist entry fails here before it fails in production.
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -87,6 +88,43 @@ class TestLayerContract:
             if module.count(".") >= 1
         }
         assert packages <= set(LAYER_RANKS), packages - set(LAYER_RANKS)
+
+
+def _star_subscripts(source: str) -> list[int]:
+    """Lines indexing with a bare ``x[a, *b]`` — PEP 646, a ``SyntaxError``
+    before 3.11.  The parenthesised ``x[(a, *b)]`` is an ordinary tuple
+    display and parses to the *same* tree, so the two are told apart by
+    position: a bare tuple starts where its first element does.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Tuple)
+        and any(isinstance(elt, ast.Starred) for elt in node.slice.elts)
+        and (node.slice.lineno, node.slice.col_offset)
+        == (node.slice.elts[0].lineno, node.slice.elts[0].col_offset)
+    ]
+
+
+class TestPython310Grammar:
+    """``requires-python >= 3.10`` and CI's 3.10 job: nothing under ``src/``
+    may need the 3.11 grammar just to import."""
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="3.10 cannot parse the bad form"
+    )
+    def test_detector_tells_the_two_forms_apart(self):
+        assert _star_subscripts("x[:, :, *grid]\ny[*grid]") == [1, 2]
+        assert _star_subscripts("x[(slice(None), *grid)]\ny[z][(*grid,)]") == []
+
+    def test_no_star_subscript_under_src(self):
+        found = {
+            str(path.relative_to(ROOT)): lines
+            for path in sorted(PACKAGE.rglob("*.py"))
+            if (lines := _star_subscripts(path.read_text()))
+        }
+        assert not found, found
 
 
 class TestPerformance:
