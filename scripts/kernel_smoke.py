@@ -45,7 +45,7 @@ from repro.workloads.synthetic import GeneratorConfig, chain_batch  # noqa: E402
 
 FIXTURE = REPO_ROOT / "tests" / "data" / "k2_oracle.json"
 #: Strategies whose campaigns do not solve on a plain map of the
-#: one-instance solver (batched HeRAD, memoised 2CATAC): the bench-smoke
+#: one-instance solver (batched HeRAD, memoised 2CATAC): this smoke's
 #: subjects.
 KERNEL_STRATEGIES = ("herad", "2catac")
 
@@ -152,7 +152,7 @@ def _bench(chains, resources, jobs: int) -> bool:
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chains", type=int, default=60,
-                        help="bench-smoke campaign size")
+                        help="timed campaign size")
     parser.add_argument("--num-tasks", type=int, default=20)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)

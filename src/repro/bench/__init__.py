@@ -1,34 +1,1 @@
-"""Noise-aware performance-regression gating over ``BENCH_engine.json``.
-
-The bench trajectory (``scripts/bench_trajectory.py``) measures; this
-package *judges*: :func:`~repro.bench.gate.evaluate` diffs a fresh report
-against a committed baseline under per-metric tolerances, and the
-``repro bench compare`` CLI turns the verdict into an exit code CI can gate
-on.  See DESIGN.md §15 for the tolerance philosophy (tight on same-run
-ratios, loose-with-slack on absolute wall times, hard-fail on mismatch
-flags).
-"""
-
-from .gate import (
-    Check,
-    CheckResult,
-    compare_files,
-    evaluate,
-    load_report,
-    load_tolerances,
-    lookup,
-    render_results,
-    seeded_slowdown,
-)
-
-__all__ = [
-    "Check",
-    "CheckResult",
-    "compare_files",
-    "evaluate",
-    "load_report",
-    "load_tolerances",
-    "lookup",
-    "render_results",
-    "seeded_slowdown",
-]
+"""The perf gate over the performance ledger: see :mod:`repro.bench.gate`."""

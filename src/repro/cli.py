@@ -12,8 +12,7 @@ Usage (after ``pip install -e .``)::
     repro table1 --trace out.json   # Chrome-trace the run (chrome://tracing)
     repro table1 --metrics          # print the end-of-run RunReport
     repro table1 --flamegraph out.folded   # collapsed-stack flamegraph
-    repro bench compare --baseline benchmarks/baseline.json \
-        --candidate BENCH_engine.json --tolerance-file benchmarks/tolerances.json
+    repro bench compare --baseline OLD/ledger.json --candidate perf/out/ledger.json
     repro lint                      # project-specific static analysis
     repro solve --cores big=6,little=8           # paper-style two-type solve
     repro solve --cores big=6,little=8,lpe=2 --certify   # k-type platform
@@ -106,6 +105,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _journal_path(text: str) -> Path:
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory, not a journal file")
+    return path
+
+
+def _out_dir(text: str) -> Path:
+    path = Path(text)
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} exists and is not a directory")
+    return path
+
+
 def _parse_cores(text: str) -> "tuple[Resources, tuple[str, ...]]":
     """Parse ``--cores big=8,little=8,mid=4`` into a budget + class labels.
 
@@ -193,7 +206,7 @@ def _experiment_options() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--resume",
-        type=Path,
+        type=_journal_path,
         default=None,
         metavar="JOURNAL",
         help=(
@@ -268,7 +281,7 @@ def _experiment_options() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--out",
-        type=Path,
+        type=_out_dir,
         default=None,
         help="directory to also write each report as <experiment>.txt",
     )
@@ -486,10 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser = subparsers.add_parser(
         "bench",
-        help="performance utilities (perf-regression gate over bench reports)",
+        help="performance utilities (the perf gate over two ledgers)",
         description=(
-            "Benchmark utilities.  'compare' diffs a fresh BENCH_engine.json "
-            "against a committed baseline under per-metric tolerances and "
+            "Benchmark utilities.  'compare' judges two ledgers written by "
+            "'python perf/run.py' by the bounds BENCHMARK.json declares and "
             "exits non-zero on regression — the CI perf gate."
         ),
     )
@@ -498,33 +511,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare_parser = bench_sub.add_parser(
         "compare",
-        help="judge a candidate bench report against a baseline",
+        help="judge a candidate ledger against a baseline ledger",
         description=(
-            "Evaluate every check in the tolerance file against the "
-            "(baseline, candidate) report pair.  Exit 0 when all checks "
-            "pass, 1 on regression, 2 on malformed inputs."
+            "For every workload x end-to-end metric the contract names, fail "
+            "the row when the candidate is worse than the baseline by more "
+            "than the metric's bound; fail a workload whose failed-op share "
+            "rose or that the candidate lacks.  Exit 0 when every row "
+            "passes, 1 on regression, 2 on malformed inputs or ledgers not "
+            "taken the same way (--quick, usable cores)."
         ),
     )
     compare_parser.add_argument(
         "--baseline",
         type=Path,
         required=True,
-        metavar="PATH",
-        help="committed reference report (e.g. benchmarks/baseline.json)",
+        metavar="LEDGER",
+        help="perf/out/ledger.json of the commit to compare against",
     )
     compare_parser.add_argument(
         "--candidate",
         type=Path,
-        default=Path("BENCH_engine.json"),
-        metavar="PATH",
-        help="fresh report to judge (default: BENCH_engine.json)",
+        required=True,
+        metavar="LEDGER",
+        help="perf/out/ledger.json of the commit being judged",
     )
     compare_parser.add_argument(
-        "--tolerance-file",
+        "--contract",
         type=Path,
-        required=True,
+        default=Path("BENCHMARK.json"),
         metavar="PATH",
-        help="per-metric checks (e.g. benchmarks/tolerances.json)",
+        help=(
+            "the benchmark contract naming workloads, metrics and bounds "
+            "(default: BENCHMARK.json)"
+        ),
     )
     # Listed for ``repro --help`` only: ``main`` hands ``repro lint ...`` to
     # the linter's own parser, so no other command imports ``repro.lint``.
@@ -670,16 +689,20 @@ def run_solve(args: argparse.Namespace) -> int:
 
 
 def run_bench(args: argparse.Namespace) -> int:
-    """``repro bench compare``: the noise-aware perf-regression gate."""
-    from .bench import compare_files, render_results
+    """``repro bench compare``: two ledgers judged by the benchmark contract."""
+    from .bench.gate import compare, load_object, render_rows
 
     try:
-        results = compare_files(args.baseline, args.candidate, args.tolerance_file)
+        rows = compare(
+            load_object(args.baseline),
+            load_object(args.candidate),
+            load_object(args.contract),
+        )
     except InvalidParameterError as error:
         print(f"bench compare: {error}", file=sys.stderr)
         return 2
-    print(render_results(results))
-    return 1 if any(not result.passed for result in results) else 0
+    print(render_rows(rows))
+    return 0 if all(row.passed for row in rows) else 1
 
 
 def run_simulate(args: argparse.Namespace) -> int:
@@ -694,26 +717,26 @@ def run_simulate(args: argparse.Namespace) -> int:
         write_sim_trace,
     )
 
-    if args.input is not None:
-        trace = SimTrace.read(args.input)
-    else:
-        counts = (
-            args.cores[0].counts
-            if args.cores is not None
-            else ((3, 3) if args.kind == "storm" else (4, 4))
-        )
-        if args.kind == "storm":
-            trace = failure_storm_trace(counts, seed=args.seed, chains=args.chains)
-        elif args.kind == "bursty":
-            trace = bursty_trace(args.events, counts, seed=args.seed)
-        else:
-            trace = diurnal_trace(args.events, counts, seed=args.seed)
-    if args.save_trace is not None:
-        _log.info("trace written to %s", trace.write(args.save_trace))
-    config = SimConfig(
-        strategy=args.strategy, deadline=args.deadline, certify=args.certify
-    )
     try:
+        if args.input is not None:
+            trace = SimTrace.read(args.input)
+        else:
+            counts = (
+                args.cores[0].counts
+                if args.cores is not None
+                else ((3, 3) if args.kind == "storm" else (4, 4))
+            )
+            if args.kind == "storm":
+                trace = failure_storm_trace(counts, seed=args.seed, chains=args.chains)
+            elif args.kind == "bursty":
+                trace = bursty_trace(args.events, counts, seed=args.seed)
+            else:
+                trace = diurnal_trace(args.events, counts, seed=args.seed)
+        if args.save_trace is not None:
+            _log.info("trace written to %s", trace.write(args.save_trace))
+        config = SimConfig(
+            strategy=args.strategy, deadline=args.deadline, certify=args.certify
+        )
         result = simulate(
             trace, config, journal=args.journal, stop_after=args.stop_after
         )
@@ -736,7 +759,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     )
     if result.resched_seconds:
         # Percentiles come from the obs quantile sketch, not ad-hoc sorting,
-        # so this line agrees with the bench trajectory and RunReport.
+        # so this line agrees with RunReport.
         sketch = result.resched_sketch()
         print(
             "resched: "

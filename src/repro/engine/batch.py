@@ -225,9 +225,9 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     the obs span sequence is deterministic) and each group goes through one
     :func:`repro.core.registry.solve_batch` call — HeRAD's vectorized kernel,
     2CATAC's memoised walk, the scalar solver mapped over the group
-    otherwise or where the kernel refuses the instance; either way the
-    outcomes are bitwise those of the plain scalar solvers.  Certification
-    audits every solution with the independent checker.
+    otherwise; either way the outcomes are bitwise those of the plain
+    scalar solvers.  Certification audits every solution with the
+    independent checker.
 
     Instances an armed fault plan *could* target (non-consuming
     :meth:`~repro.engine.faults.FaultPlan.targets` check) are solved cell

@@ -32,8 +32,9 @@ ALLOWLIST: tuple[AllowEntry, ...] = (
         module="repro.obs.context",
         symbol="_AMBIENT",
         justification=(
-            "threading.local ambient obs context: each worker thread/process "
-            "writes only its own slot, racing is impossible by construction"
+            "threading.local ambient obs context: each worker process (and "
+            "each thread of a library user's) writes only its own slot, "
+            "racing is impossible by construction"
         ),
     ),
     AllowEntry(

@@ -14,7 +14,7 @@ exporter interleave worker spans with engine spans on one timeline without
 any cross-process clock synchronisation step.
 
 ``wall()`` exists for the few places that need a human-meaningful timestamp
-(bench trajectory entries, JSONL event headers); it must never be used to
+(trace and JSONL export headers); it must never be used to
 measure durations.
 """
 

@@ -14,9 +14,11 @@ Three layers, from outermost in:
   the active :class:`ObsContext`.  Instrumentation hooks deep in the core
   algorithms (:func:`counter_add` in ``binary_search``/``herad``/``packing``)
   read it via :func:`current` instead of threading an ``obs`` parameter
-  through every call signature.  Thread-tier pool workers run in the same
-  process but *different threads*, so the engine re-activates the context
-  inside ``solve_unit`` rather than relying on inheritance.
+  through every call signature.  The engine itself runs one thread per
+  process (``jobs == 1`` in-process, ``jobs > 1`` worker processes), and a
+  worker process inherits nothing, so ``solve_unit`` activates the unit's
+  own context; the slot is per-thread so that a library user who drives
+  engines from several threads of theirs still gets one context each.
 
 The default everywhere is :data:`NULL_CONTEXT`: ``current()`` on a thread
 that never activated anything returns it, and every operation on it is a

@@ -2,12 +2,14 @@
 
 Concurrency model
 -----------------
-Thread-tier campaigns record spans from multiple pool threads at once.
-Rather than serialising every span append through one lock (which would put
-a lock acquisition on the solve hot path), each thread gets its own buffer
-and span stack via :class:`threading.local`; the only locked operation is
-registering a brand-new thread's buffer, which happens once per thread.
-``collect()`` merges all buffers into one deterministic order.
+The engine records from one thread per process and never shares a tracer
+between threads itself; the class nevertheless stays safe to call from a
+library user's threads.  Rather than serialising every span append through
+one lock (which would put a lock acquisition on the solve hot path), each
+thread gets its own buffer and span stack via :class:`threading.local`; the
+only locked operation is registering a brand-new thread's buffer, which
+happens once per thread.  ``collect()`` merges all buffers into one
+deterministic order.
 
 Process-tier campaigns can't share a tracer at all: each worker process
 builds its own :class:`Tracer` (from the picklable

@@ -116,8 +116,8 @@ class SimResult:
         The latencies themselves are wall-clock (non-deterministic), so the
         sketch lives outside :attr:`metrics` — but p50/p90/p99 come from the
         same :mod:`repro.obs.sketch` bucketing the rest of the project uses,
-        so the CLI, the bench trajectory, and the obs layer cannot disagree
-        about what a percentile means.
+        so the CLI and the obs layer cannot disagree about what a
+        percentile means.
         """
         return sketch_of(self.resched_seconds)
 

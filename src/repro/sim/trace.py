@@ -151,15 +151,30 @@ class SimTrace:
 
     @classmethod
     def read(cls, path: "Path | str") -> "SimTrace":
-        """Load a trace written by :meth:`write` (torn tails tolerated)."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        """Load a trace written by :meth:`write` (torn tails tolerated).
+
+        A file that cannot be read, or whose header line is not this
+        format's, raises :class:`InvalidParameterError` naming the path.
+        """
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameterError(f"cannot read trace file {path}: {exc}") from None
         if not lines:
             raise InvalidParameterError(f"empty trace file {path}")
-        header = json.loads(lines[0])
-        if header.get("format") != TRACE_FORMAT:
+        try:
+            header = json.loads(lines[0])
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise InvalidParameterError(
-                f"not a {TRACE_FORMAT} file: {path} "
-                f"(format={header.get('format')!r})"
+                f"not a {TRACE_FORMAT} file: {path} (its first line is not "
+                "that format's header)"
+            )
+        counts = header.get("initial_counts")
+        if not isinstance(counts, list) or not all(isinstance(c, int) for c in counts):
+            raise InvalidParameterError(
+                f"trace file {path}: header has no 'initial_counts' list of integers"
             )
         events = []
         for line in lines[1:]:
@@ -171,7 +186,7 @@ class SimTrace:
                 break  # torn final line of an interrupted writer
             events.append(_event_from_json(record))
         return cls(
-            initial_counts=tuple(header["initial_counts"]),
+            initial_counts=tuple(counts),
             events=tuple(events),
             name=str(header.get("name", "trace")),
             metadata=tuple(sorted(dict(header.get("metadata", {})).items())),

@@ -18,7 +18,8 @@ event-driven simulator of a *dynamic list scheduler* that dispatches each
 
 With zero overhead the dynamic scheduler is at least as flexible as any
 interval mapping; sweeping the overhead shows the crossover where static
-schedules win — see ``benchmarks/bench_dynamic.py``.
+schedules win — see ``repro ablation`` and
+``tests/streampu/test_dynamic.py::TestOverheadCrossover``.
 """
 
 from __future__ import annotations

@@ -2,12 +2,52 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.task import TaskChain
 from repro.core.types import Resources
+
+#: The benchmark contract ``perf/run.py`` and ``repro bench compare`` both read.
+BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+@pytest.fixture
+def make_ledger():
+    """Factory of ledgers shaped like ``perf/out/ledger.json``.
+
+    Synthesised from the real contract's workload and metric names, so the
+    gate's tests cannot drift from ``BENCHMARK.json``; every cell holds a
+    distinct positive value.
+    """
+    contract = json.loads(BENCHMARK_JSON.read_text())
+
+    def make(quick: bool = True, affinity: int = 2) -> dict:
+        results = {}
+        for row, workload in enumerate(contract["workloads"]):
+            results[workload["name"]] = {
+                "workload": workload["name"],
+                "attempted": 450,
+                "failed": 0,
+                "metrics": {
+                    metric["name"]: {
+                        "value": 1.0 + row + 0.1 * column,
+                        "unit": metric["unit"],
+                    }
+                    for column, metric in enumerate(contract["end_to_end"])
+                },
+            }
+        return {
+            "provenance": {"nproc": affinity, "affinity": affinity},
+            "quick": quick,
+            "results": results,
+        }
+
+    return make
 
 
 @pytest.fixture

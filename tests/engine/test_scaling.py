@@ -2,7 +2,7 @@
 
 Pinned end to end on oracle-grade workloads:
 
-* serial, ``--jobs 2`` and ``--jobs 4`` all produce campaign arrays
+* serial and ``--jobs 2`` / ``4`` / ``8`` all produce campaign arrays
   **bitwise identical** to the scalar solvers' (cost-adaptive plans and
   pickled result rows are pure transport);
 * killing a ``--jobs`` process campaign mid-run and resuming through the
@@ -65,7 +65,7 @@ class TestBitwiseParity:
         )
         _assert_same_arrays(arrays, reference)
 
-    @pytest.mark.parametrize("jobs", [2, 4])
+    @pytest.mark.parametrize("jobs", [2, 4, 8])
     def test_process_jobs_match_serial(self, oracle_setup, jobs):
         chains, resources, names, reference = oracle_setup
         arrays = CampaignEngine(jobs=jobs, memo=False).solve_instances(

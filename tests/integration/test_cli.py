@@ -166,6 +166,46 @@ def test_nonpositive_sizes_and_deadlines_are_usage_errors(argv, capsys):
     assert error.startswith("repro") and argv[1] in error
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["simulate", "--input", "PATH"], None),  # no such file
+        (["simulate", "--input", "PATH"], "time,kind\n0.0,arrival\n"),
+        (["simulate", "--input", "PATH"], '{"initial_counts": [3, 3]}\n'),
+        (["simulate", "--input", "PATH"], '{"format": "repro-sim-trace/1"}\n'),
+        (["table1", "--chains", "1", "--resume", "DIR"], None),
+        (["table3", "--out", "PATH"], "a file where a directory should go\n"),
+    ],
+    ids=["missing", "not-json", "untagged", "no-counts", "resume-dir", "out-file"],
+)
+def test_unusable_path_arguments_exit_two_without_traceback(argv, content, tmp_path):
+    """A fresh interpreter, as a user runs it: the in-process ``repro`` logger
+    keeps the stderr of whichever test configured it first."""
+    import subprocess
+    import sys
+
+    path = tmp_path / "argument"
+    if content is not None:
+        path.write_text(content)
+    argv = [{"PATH": str(path), "DIR": str(tmp_path)}.get(word, word) for word in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert argv[-1] in done.stderr.strip().splitlines()[-1]
+
+
+def test_simulate_input_tolerates_a_torn_final_line(capsys, tmp_path):
+    from repro.sim import failure_storm_trace
+
+    path = failure_storm_trace(seed=5, chains=4).write(tmp_path / "trace.jsonl")
+    text = path.read_text()
+    path.write_text(text[: len(text) - 20])
+    assert main(["simulate", "--input", str(path)]) == 0
+    assert "invariants: scheduleless=0  overcommit=0" in capsys.readouterr().out
+
+
 def test_hardened_run_matches_plain(capsys, tmp_path):
     """--retries/--timeout/--resume must not change fault-free output."""
     from repro.engine import reset_default_engine
@@ -348,68 +388,60 @@ def test_flamegraph_flag_writes_validating_collapsed_stacks(capsys, tmp_path):
 
 
 class TestBenchSubcommand:
+    """``repro bench compare`` over two ledgers (``make_ledger``: tests/conftest.py)."""
+
+    CONTRACT = Path(__file__).resolve().parents[2] / "BENCHMARK.json"
+
     @staticmethod
-    def _reports(tmp_path):
+    def _compare(tmp_path, baseline, candidate, *extra):
         import json
 
-        baseline = tmp_path / "baseline.json"
-        candidate = tmp_path / "candidate.json"
-        tolerances = tmp_path / "tolerances.json"
-        baseline.write_text(json.dumps({"speedup": {"memo": 10.0}, "bad": False}))
-        candidate.write_text(json.dumps({"speedup": {"memo": 9.5}, "bad": False}))
-        tolerances.write_text(
-            json.dumps(
-                {
-                    "checks": [
-                        {"metric": "bad", "kind": "flag_false"},
-                        {
-                            "metric": "speedup.memo",
-                            "kind": "higher_better",
-                            "min_factor": 0.6,
-                        },
-                    ]
-                }
-            )
-        )
-        return baseline, candidate, tolerances
-
-    def test_compare_passes_and_exits_zero(self, capsys, tmp_path):
-        baseline, candidate, tolerances = self._reports(tmp_path)
-        code = main(
+        paths = []
+        for name, ledger in (("baseline", baseline), ("candidate", candidate)):
+            paths.append(tmp_path / f"{name}.json")
+            if ledger is not None:
+                paths[-1].write_text(json.dumps(ledger))
+        return main(
             [
                 "bench", "compare",
-                "--baseline", str(baseline),
-                "--candidate", str(candidate),
-                "--tolerance-file", str(tolerances),
+                "--baseline", str(paths[0]),
+                "--candidate", str(paths[1]),
+                *extra,
             ]
         )
-        assert code == 0
-        assert "all passed" in capsys.readouterr().out
 
-    def test_compare_exits_one_on_regression(self, capsys, tmp_path):
-        import json
+    def test_compare_passes_and_exits_zero(
+        self, capsys, tmp_path, make_ledger, monkeypatch
+    ):
+        # --contract defaults to the BENCHMARK.json of the working directory.
+        monkeypatch.chdir(self.CONTRACT.parent)
+        assert self._compare(tmp_path, make_ledger(), make_ledger()) == 0
+        out = capsys.readouterr().out
+        assert "rows, all passed" in out and "FAIL" not in out
 
-        baseline, candidate, tolerances = self._reports(tmp_path)
-        candidate.write_text(json.dumps({"speedup": {"memo": 5.0}, "bad": False}))
-        code = main(
-            [
-                "bench", "compare",
-                "--baseline", str(baseline),
-                "--candidate", str(candidate),
-                "--tolerance-file", str(tolerances),
-            ]
+    def test_compare_exits_one_on_regression(self, capsys, tmp_path, make_ledger):
+        slower = make_ledger()
+        slower["results"]["solve_single.herad"]["metrics"]["wall_s"]["value"] *= 2
+        code = self._compare(
+            tmp_path, make_ledger(), slower, "--contract", str(self.CONTRACT)
         )
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
+        assert "FAIL solve_single.herad wall_s:" in out
 
-    def test_compare_exits_two_on_malformed_input(self, tmp_path):
-        baseline, candidate, tolerances = self._reports(tmp_path)
-        code = main(
-            [
-                "bench", "compare",
-                "--baseline", str(tmp_path / "missing.json"),
-                "--candidate", str(candidate),
-                "--tolerance-file", str(tolerances),
-            ]
-        )
-        assert code == 2
+    def test_compare_exits_two_on_malformed_input(self, capsys, tmp_path, make_ledger):
+        for baseline, candidate, reason in (
+            (None, make_ledger(), "cannot read"),
+            (make_ledger(), {"quick": True}, "no 'results' object"),
+            (make_ledger(), make_ledger(quick=False), "not comparable: quick"),
+            (make_ledger(affinity=1), make_ledger(), "not comparable: provenance.affinity"),
+        ):
+            code = self._compare(
+                tmp_path, baseline, candidate, "--contract", str(self.CONTRACT)
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("bench compare: ") and reason in line

@@ -127,6 +127,64 @@ class TestPython310Grammar:
         assert not found, found
 
 
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
+def _called_names(tree: ast.AST) -> set[str]:
+    """Last name of every call target: ``threading.Thread(...)`` -> ``Thread``."""
+    return {
+        func.attr if isinstance(func, ast.Attribute) else func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(func := node.func, (ast.Attribute, ast.Name))
+    }
+
+
+class TestOneThreadPerProcess:
+    """ROADMAP item 3(a): since PR 15 nothing in ``engine``, ``core``, ``sim``
+    or ``experiments`` runs on a second thread of its process.  Recorded while
+    true, so the change that makes the recorders lock-free can rely on it and
+    the change that breaks it has to say so here."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {
+            _module_name(path): ast.parse(path.read_text())
+            for path in sorted(PACKAGE.rglob("*.py"))
+        }
+
+    def test_the_modules_that_import_threading(self, trees):
+        importers = {
+            module
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "threading")
+        }
+        assert importers == {
+            "streampu.runtime", "streampu.channels",  # the runtime's stage threads
+            "obs.context", "obs.metrics", "obs.tracer", "engine.memo",  # locks only
+        }
+
+    def test_the_only_sites_that_start_a_thread_or_a_pool(self, trees):
+        def sites(*names: str) -> set[str]:
+            return {m for m, tree in trees.items() if _called_names(tree) & set(names)}
+
+        assert sites("Thread", "Timer") == {"streampu.runtime"}
+        assert sites("ThreadPoolExecutor", "ProcessPoolExecutor", "Pool") == {"engine.pool"}
+
+    def test_streampu_reads_the_clock_of_obs_and_nothing_else(self, pctx):
+        from_obs = {
+            record.target
+            for module, facts in pctx.facts.items()
+            if module.startswith("repro.streampu")
+            for record in facts.imports
+            if record.target == "repro.obs" or record.target.startswith("repro.obs.")
+        }
+        assert from_obs == {"repro.obs.clock"}
+
+
 class TestPerformance:
     def test_full_build_and_rules_under_ten_seconds(self):
         import time

@@ -64,6 +64,28 @@ class TestTraceSerialization:
         with pytest.raises(InvalidParameterError, match=TRACE_FORMAT):
             SimTrace.read(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no such file
+            b"\xff\xfe not utf-8",
+            "time,kind\n0.0,arrival\n",
+            '{"initial_counts": [3, 3]}\n',
+            f'["{TRACE_FORMAT}"]\n',
+            f'{{"format": "{TRACE_FORMAT}"}}\n',
+            f'{{"format": "{TRACE_FORMAT}", "initial_counts": "3,3"}}\n',
+        ],
+        ids=["missing", "binary", "not-json", "untagged", "list", "no-counts", "bad-counts"],
+    )
+    def test_unusable_header_is_a_typed_error_naming_the_path(self, tmp_path, content):
+        path = tmp_path / "trace.jsonl"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(InvalidParameterError, match=str(path)):
+            SimTrace.read(path)
+
     def test_torn_final_line_is_dropped(self, tmp_path):
         trace = failure_storm_trace(seed=5)
         path = tmp_path / "trace.jsonl"

@@ -81,10 +81,11 @@ class TestOverheadCrossover:
 
     def test_realistic_overhead_loses_to_static(self, instance):
         chain, resources, static = instance
-        dynamic = simulate_dynamic_scheduler(
-            chain, resources, num_frames=200, dispatch_overhead=100.0
-        )
-        assert dynamic.measured_period > static.period
+        for overhead_us in (100.0, 500.0):
+            dynamic = simulate_dynamic_scheduler(
+                chain, resources, num_frames=200, dispatch_overhead=overhead_us
+            )
+            assert dynamic.measured_period > static.period
 
     def test_overhead_monotonically_degrades(self, instance):
         chain, resources, _ = instance
