@@ -69,8 +69,8 @@ class WorkUnit:
         resources: the shared platform budget.
         certify: audit every solution with the independent certificate
             checker (:mod:`repro.core.certify`) as it is produced.
-        faults: deterministic fault plan armed for this chunk (tests and the
-            fault-injection smoke; ``None`` in production).
+        faults: deterministic fault plan armed for this chunk (tests only;
+            ``None`` in production).
         tier: the execution tier running this chunk (``serial`` /
             ``process``) — lets tier-scoped faults target, say, only worker
             processes so the degradation ladder can be exercised.

@@ -40,7 +40,7 @@ from typing import IO
 
 from .memo import InstanceResult, MemoCache, MemoKey
 
-__all__ = ["CheckpointJournal", "load_journal"]
+__all__ = ["CheckpointJournal", "load_journal", "open_for_append"]
 
 _log = logging.getLogger(__name__)
 
@@ -133,6 +133,24 @@ def load_journal(path: "str | Path") -> "dict[MemoKey, InstanceResult]":
     return rows
 
 
+def open_for_append(path: Path) -> "IO[str]":
+    """Open a JSONL journal for appending, cutting a torn tail off first.
+
+    A writer killed mid-``write`` leaves a last line with no newline; a row
+    appended straight after it would be glued onto it and both lost to every
+    later load.  The file is cut back to its last newline — what the loaders
+    already ignore — before the first append.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "ab+") as raw:
+        if raw.seek(0, os.SEEK_END):
+            raw.seek(-1, os.SEEK_END)
+            if raw.read(1) != b"\n":
+                raw.seek(0)
+                raw.truncate(raw.read().rfind(b"\n") + 1)
+    return open(path, "a", encoding="utf-8")
+
+
 class CheckpointJournal:
     """Append-only JSONL journal of solved campaign instances.
 
@@ -174,8 +192,7 @@ class CheckpointJournal:
     def record(self, key: MemoKey, result: InstanceResult) -> None:
         """Append one solved row (buffered until :meth:`commit`)."""
         if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "a", encoding="utf-8")
+            self._file = open_for_append(self.path)
         self._file.write(_encode(key, result) + "\n")
         self.rows_written += 1
 

@@ -117,7 +117,7 @@ class CampaignEngine:
             ``--resume`` works.  A journal implies an instance cache: if
             memoization was disabled, a private cache is created for replay.
         faults: a deterministic :class:`~repro.engine.faults.FaultPlan`
-            armed on every work unit (tests and fault-injection smoke only).
+            armed on every work unit (tests only).
         obs: observability surface.  Accepts a live
             :class:`~repro.obs.context.Observability`, an
             :class:`~repro.obs.context.ObsConfig`, ``True`` (tracing and

@@ -115,10 +115,9 @@ class ProjectContext:
             package_root: directory of the analyzed package (e.g.
                 ``src/repro``); every ``.py`` beneath it is analyzed.
             project_root: repository root; reference scanning for REP206
-                covers ``src``, ``tests``, ``scripts``, ``benchmarks`` and
-                ``examples`` under it (defaults to two levels above
-                ``package_root`` when that looks like ``<root>/src/repro``,
-                else ``package_root``'s parent).
+                covers ``src``, ``tests`` and ``examples`` under it
+                (defaults to two levels above ``package_root`` when that
+                looks like ``<root>/src/repro``, else its parent).
             allowlist: sanctioned-site entries (default: the shipped
                 :data:`~repro.lint.project.allowlist.ALLOWLIST`).
             reference_dirs: override the reference-scan subdirectories.
@@ -161,7 +160,7 @@ class ProjectContext:
                     frozen.add(klass.name)
 
         reference_names = _scan_references(
-            root, reference_dirs or ("src", "tests", "scripts", "benchmarks", "examples")
+            root, reference_dirs or ("src", "tests", "examples")
         )
 
         ctx = cls(

@@ -697,16 +697,15 @@ class DeadPublicSymbolRule(ProjectRule):
     id = "REP206"
     name = "dead-public-symbol"
     description = (
-        "name exported via __all__ but never referenced in src, tests, "
-        "scripts, benchmarks, or examples"
+        "name exported via __all__ but never referenced in src, tests, or examples"
     )
     hint = (
         "delete the symbol (and its __all__ entry), or add the test/usage "
         "that should have existed"
     )
     explanation = (
-        "Collects every identifier referenced anywhere under src/tests/"
-        "scripts/benchmarks/examples (name loads, attributes, imports, and "
+        "Collects every identifier referenced anywhere under "
+        "src/tests/examples (name loads, attributes, imports, and "
         "identifier tokens in string annotations/docs — __all__ entries "
         "themselves excluded) and flags exported names appearing in no "
         "reference set. Decorator-registered definitions are exempt: "
@@ -745,8 +744,7 @@ class DeadPublicSymbolRule(ProjectRule):
                     module,
                     export.lineno,
                     f"`{module}.{name}` is exported via __all__ but "
-                    f"referenced nowhere in src, tests, scripts, "
-                    f"benchmarks, or examples",
+                    f"referenced nowhere in src, tests, or examples",
                     symbol=name,
                     evidence=evidence,
                 )

@@ -20,7 +20,7 @@ too.  This package provides the project's single observability surface:
   engine carries.
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (loadable in
   ``chrome://tracing`` / Perfetto) and JSONL event sinks, with a schema
-  validator shared by tests and the CI trace smoke.
+  validator the tests hold every exported trace to.
 * :class:`~repro.obs.report.RunReport` — the human-readable end-of-run
   summary (top time sinks, memo hit rate, failure counts) the CLI prints
   under ``--metrics``.

@@ -13,8 +13,8 @@ Event ordering matters to viewers: within one (pid, tid) track, events are
 sorted by timestamp, and at *equal* timestamps E-events precede B-events
 (close before open) with deeper spans closing first and shallower spans
 opening first — exactly the order a correctly-nested stack unwinds and
-rewinds.  :func:`validate_chrome_trace` checks these invariants and is the
-shared oracle for the test suite and the CI trace smoke.
+rewinds.  :func:`validate_chrome_trace` checks these invariants; it is the
+oracle the test suite holds every exported trace to.
 
 JSONL sink
 ----------

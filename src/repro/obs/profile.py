@@ -18,8 +18,8 @@ view from the same buffers — no extra instrumentation, no sampling:
   collapsed-stack format (``root;child;leaf <count>`` with integer
   microsecond counts), renderable by ``flamegraph.pl``, speedscope, or any
   d3-flamegraph viewer.
-* :func:`validate_flamegraph` — the structural oracle shared by tests and
-  the CI trace smoke: line grammar, stack roots matching span roots, and
+* :func:`validate_flamegraph` — the structural oracle the tests hold every
+  written flamegraph to: line grammar, stack roots matching span roots, and
   the >= 95% attribution floor.
 
 Time spent inside a span but outside all of its children (scheduling glue,

@@ -205,7 +205,7 @@ class SketchBuilder:
 
 
 def sketch_of(values: Iterable[float], alpha: float = DEFAULT_ALPHA) -> SketchSnapshot:
-    """One-shot sketch of a finished value stream (bench scripts, sim reports)."""
+    """One-shot sketch of a finished value stream (sim reports)."""
     builder = SketchBuilder(alpha=alpha)
     for value in values:
         builder.observe(value)

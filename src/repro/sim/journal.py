@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
+from ..engine.checkpoint import open_for_append
 from .scheduler import ChainDecision
+from .trace import read_records
 
 __all__ = ["EventRecord", "SimJournal"]
 
@@ -102,25 +104,16 @@ class SimJournal:
         self._handle: "IO[str] | None" = None
 
     def load(self) -> "tuple[EventRecord, ...]":
-        """Read every intact record (torn final lines dropped)."""
+        """Read every record (a torn final line dropped; see ``read_records``)."""
         if not self.path.exists():
             return ()
-        records: "list[EventRecord]" = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            records.append(EventRecord.from_json(payload))
-        return tuple(records)
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        return tuple(read_records(self.path, lines, 1, EventRecord.from_json))
 
     def append(self, record: EventRecord) -> None:
         """Append one record and flush it to the OS."""
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._handle = open_for_append(self.path)
         self._handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         self._handle.flush()
 

@@ -3,7 +3,7 @@
 On every platform or workload change the simulator asks
 :class:`IncrementalScheduler` for a fresh assignment of every live chain.
 The scheduler's contract mirrors the engine's resilience ladder
-(process → thread → serial, :mod:`repro.engine.resilience`): *some* answer
+(process → serial, :mod:`repro.engine.resilience`): *some* answer
 is always produced, and quality degrades in explicit, counted steps:
 
 1. **keep** — nothing about this chain's instance changed (same allocation,

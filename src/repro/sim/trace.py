@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..core.errors import InvalidParameterError
 from ..core.task import TaskChain
@@ -82,6 +82,31 @@ def _event_from_json(record: "dict[str, Any]") -> SimEvent:
         core_type=int(record["core_type"]),
         cores=int(record["cores"]),
     )
+
+
+def read_records(
+    path: "Path | str", lines: "list[str]", first: int, build: "Callable[[Any], Any]"
+) -> "list[Any]":
+    """Decode JSONL ``lines`` through ``build``; ``lines[0]`` is line ``first`` of ``path``.
+
+    Only the file's last line may fail to decode — the torn tail of a writer
+    killed mid-``write`` — and it is dropped.  Any other undecodable line,
+    and any line ``build`` cannot use, is an :class:`InvalidParameterError`
+    naming the path and the 1-based line.
+    """
+    records = []
+    for number, line in enumerate(lines, first):
+        if not line.strip():
+            continue
+        try:
+            records.append(build(json.loads(line)))
+        except (LookupError, TypeError, ValueError) as exc:
+            if isinstance(exc, json.JSONDecodeError) and number == first + len(lines) - 1:
+                break
+            raise InvalidParameterError(
+                f"{path}, line {number}: not a usable record ({exc!r})"
+            ) from None
+    return records
 
 
 @dataclass(frozen=True)
@@ -151,10 +176,11 @@ class SimTrace:
 
     @classmethod
     def read(cls, path: "Path | str") -> "SimTrace":
-        """Load a trace written by :meth:`write` (torn tails tolerated).
+        """Load a trace written by :meth:`write` (a torn final line tolerated).
 
-        A file that cannot be read, or whose header line is not this
-        format's, raises :class:`InvalidParameterError` naming the path.
+        A file that cannot be read, whose header line is not this format's,
+        or with an unusable event line (:func:`read_records`) raises
+        :class:`InvalidParameterError` naming the path.
         """
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -176,18 +202,9 @@ class SimTrace:
             raise InvalidParameterError(
                 f"trace file {path}: header has no 'initial_counts' list of integers"
             )
-        events = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn final line of an interrupted writer
-            events.append(_event_from_json(record))
         return cls(
             initial_counts=tuple(counts),
-            events=tuple(events),
+            events=tuple(read_records(path, lines[1:], 2, _event_from_json)),
             name=str(header.get("name", "trace")),
             metadata=tuple(sorted(dict(header.get("metadata", {})).items())),
         )

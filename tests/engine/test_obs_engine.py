@@ -24,7 +24,8 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.obs import Observability, ObsConfig, monotonic, validate_chrome_trace, to_chrome_trace
+from repro.obs import Observability, ObsConfig, counter_add, monotonic, to_chrome_trace
+from repro.obs import validate_chrome_trace, validate_flamegraph, write_flamegraph
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
@@ -80,14 +81,20 @@ class TestSpanCoverage:
             assert span.start >= root.start - 1e-9
             assert span.end <= root.end + 1e-9
 
-    def test_trace_of_a_process_campaign_is_chrome_valid(self):
+    def test_trace_of_a_process_campaign_is_chrome_valid(self, tmp_path):
         chains = _chains(6)
         engine = CampaignEngine(jobs=2, memo=False, obs=True)
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
-        document = to_chrome_trace(engine.obs.spans(), engine.obs.metrics.snapshot())
+        spans = engine.obs.spans()
+        document = to_chrome_trace(spans, engine.obs.metrics.snapshot())
         assert validate_chrome_trace(document) == []
-        groups = [s for s in engine.obs.spans() if s.name == "solve_batch"]
+        groups = [s for s in spans if s.name == "solve_batch"]
         assert sum(s.attr_dict()["instances"] for s in groups) == 12
+        # ... and, with the workers' spans in it, a valid flamegraph on disk.
+        assert {"campaign", "unit"} <= {s.name for s in spans}
+        write_flamegraph(tmp_path / "run.folded", spans)
+        folded = (tmp_path / "run.folded").read_text().splitlines()
+        assert folded and validate_flamegraph(folded, spans) == []
 
 
 def _deterministic(counters):
@@ -332,6 +339,31 @@ class TestNoOpPath:
         engine.solve_instances(chains, Resources(2, 2), ("fertac",))
         assert engine.obs.spans() == ()
         assert engine.obs.metrics.snapshot().empty
+
+    def test_disabled_hooks_cost_under_two_percent_of_a_campaign(self):
+        """No ledger row measures the off path, so it is bounded here: the
+        per-call cost of a disabled ``counter_add`` times the hook calls the
+        campaign makes (a bisection flushes once per probe — its iterations
+        plus at most two fallback probes — and twice at its end; a HeRAD
+        solve twice) stays under 2 % of the campaign's untraced wall."""
+        chains, resources = _chains(6), Resources(3, 3)
+        start = monotonic()
+        CampaignEngine(jobs=1, memo=False).solve_instances(chains, resources, PAPER_ORDER)
+        wall = monotonic() - start
+        counted = CampaignEngine(jobs=1, memo=False, obs=ObsConfig(metrics=True))
+        counted.solve_instances(chains, resources, PAPER_ORDER)
+        counters = counted.obs.metrics.counters()
+        hook_calls = (
+            counters["binary_search.iterations"]
+            + 4 * counters["binary_search.calls"]
+            + 2 * counters["herad.calls"]
+        )
+        calls = 200_000  # ~40 ms: long enough that one preemption is noise
+        start = monotonic()
+        for _ in range(calls):
+            counter_add("noop")
+        per_call = (monotonic() - start) / calls
+        assert per_call * hook_calls < 0.02 * wall
 
     def test_observability_accepts_config_and_instance(self):
         obs = Observability(ObsConfig(trace=True))

@@ -93,6 +93,24 @@ class TestInterruptAndResume:
         _assert_same_arrays(arrays, reference)
         assert len(load_journal(path)) == len(chains)
 
+    def test_rows_appended_after_a_torn_tail_stay_loadable(self, tmp_path):
+        """A kill mid-write tears the last row; the resume must not glue its
+        first row onto that tail (both would be lost to every later load)."""
+        chains = _chains(6)
+        path = tmp_path / "run.jsonl"
+
+        def rows_written(count):
+            engine = CampaignEngine(jobs=1, memo=False, journal=path)
+            engine.solve_instances(chains[:count], Resources(2, 2), ("fertac",))
+            engine.journal.close()
+            return engine.journal.rows_written
+
+        assert rows_written(3) == 3
+        path.write_text(path.read_text()[:-20])  # tear the third row
+        assert rows_written(6) == 4
+        assert len(load_journal(path)) == len(path.read_text().splitlines()) == 6
+        assert rows_written(6) == 0
+
     def test_interrupt_on_serial_tier_propagates(self, tmp_path):
         """The retry loop classifies only Exception: a Ctrl-C escapes it."""
         chains = _chains(4)

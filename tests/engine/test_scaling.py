@@ -83,7 +83,7 @@ class TestBitwiseParity:
             _assert_same_arrays(arrays, reference)
 
 
-class TestResumeThroughSharedMemory:
+class TestResumeThroughJournal:
     """Kill a process-tier campaign mid-run, resume it through its journal."""
 
     def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup):

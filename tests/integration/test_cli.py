@@ -56,6 +56,10 @@ def test_simulate_subcommand_runs(capsys):
     assert main(["simulate", "--kind", "storm", "--chains", "4"]) == 0
     out = capsys.readouterr().out
     assert "ladder:" in out and "invariants: scheduleless=0  overcommit=0" in out
+    # Certified, with the ladder counters listed (exit 1 on a violation).
+    assert main(["simulate", "--kind", "storm", "--chains", "8", "--certify", "--metrics"]) == 0
+    out = capsys.readouterr().out
+    assert "invariants: scheduleless=0  overcommit=0" in out and "  sim.resched.shed = " in out
 
 
 def test_parser_rejects_unknown():
@@ -173,10 +177,15 @@ def test_nonpositive_sizes_and_deadlines_are_usage_errors(argv, capsys):
         (["simulate", "--input", "PATH"], "time,kind\n0.0,arrival\n"),
         (["simulate", "--input", "PATH"], '{"initial_counts": [3, 3]}\n'),
         (["simulate", "--input", "PATH"], '{"format": "repro-sim-trace/1"}\n'),
+        (["simulate", "--input", "PATH"], '{"format": "repro-sim-trace/1", "initial_counts": [3]}\n[1, 2]\n'),
+        (["simulate", "--input", "PATH"], '{"format": "repro-sim-trace/1", "initial_counts": [3]}\n{"ki\n[]\n'),
+        (["simulate", "--journal", "PATH"], "[1, 2, 3]\n"),
+        (["simulate", "--journal", "PATH"], '{"seq": 0}\n'),
         (["table1", "--chains", "1", "--resume", "DIR"], None),
         (["table3", "--out", "PATH"], "a file where a directory should go\n"),
     ],
-    ids=["missing", "not-json", "untagged", "no-counts", "resume-dir", "out-file"],
+    ids=["missing", "not-json", "untagged", "no-counts", "event-list", "torn-mid-file",
+         "journal-list", "journal-no-time", "resume-dir", "out-file"],
 )
 def test_unusable_path_arguments_exit_two_without_traceback(argv, content, tmp_path):
     """A fresh interpreter, as a user runs it: the in-process ``repro`` logger
@@ -316,6 +325,10 @@ class TestSolveSubcommand:
         out = capsys.readouterr().out
         assert "platform: big=4, little=4  (k=2)" in out
         assert out.count("period=") == 2
+        # Batched HeRAD (certified optimal) and the memoised 2CATAC walk.
+        strategies = ["--strategy", "herad", "--strategy", "2catac", "--certify"]
+        assert main(["solve", "--cores", "big=4,little=4", "--chains", "2", *strategies]) == 0
+        assert capsys.readouterr().out.count("[certified]") == 4
 
     def test_ktype_solve_certifies(self, capsys):
         assert (
@@ -366,6 +379,9 @@ def test_metrics_flag_prints_run_report(capsys):
     assert "== Run report ==" in out
     assert "memo:" in out
     assert "failures: none" in out
+    reset_default_engine()
+    assert main(["fig2", "--chains", "6", "--metrics", "--jobs", "2"]) == 0
+    assert "parallel efficiency (2 workers):" in capsys.readouterr().out
 
 
 def test_flamegraph_flag_writes_validating_collapsed_stacks(capsys, tmp_path):

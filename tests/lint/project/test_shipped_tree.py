@@ -8,6 +8,7 @@ allowlist entry fails here before it fails in production.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +54,18 @@ class TestShippedTreeClean:
     def test_allowlist_entries_carry_justifications(self):
         for entry in ALLOWLIST:
             assert len(entry.justification) > 20, entry
+
+    def test_ci_has_three_jobs_and_runs_only_files_the_tree_has(self):
+        """A job that runs a file the tree lacks is red on every push and no
+        tier-1 test notices (``perf-gate`` sat red for several PRs before
+        PR 17).  A text scan: no YAML dependency."""
+        text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        jobs = re.findall(r"^  ([\w-]+):$", text.partition("\njobs:\n")[2], re.M)
+        assert jobs == ["tests", "lint", "perf"]
+        paths = re.findall(
+            r"(?:python|pytest)(?: -\S+)*? ([\w./-]+\.py|[\w.-]+/[\w./-]*)", text
+        )
+        assert paths and all((ROOT / path).exists() for path in paths), paths
 
 
 class TestLayerContract:

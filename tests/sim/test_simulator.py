@@ -119,6 +119,20 @@ class TestJournalResume:
         resumed = simulate(trace, journal=journal)
         assert resumed.records == reference.records
 
+    def test_interrupted_resume_after_a_torn_line_keeps_every_record(self, tmp_path):
+        """Tear -> interrupted resume -> resume: the first appended record
+        must not be glued onto the torn tail, or no later run resumes past it."""
+        trace = failure_storm_trace(seed=7)
+        journal = tmp_path / "run.jsonl"
+        simulate(trace, journal=journal, stop_after=9)
+        text = journal.read_text()
+        journal.write_text(text[: len(text) - 30])  # tear the 9th record
+        for stop_after in (14, None):
+            result = simulate(trace, journal=journal, stop_after=stop_after)
+            lines = journal.read_text().splitlines()
+            assert len(lines) == result.num_events == len(SimJournal(journal).load())
+        assert result.records == simulate(trace).records
+
     def test_journal_rows_round_trip_exactly(self, tmp_path):
         trace = failure_storm_trace(seed=7)
         journal_path = tmp_path / "run.jsonl"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.errors import InvalidParameterError
@@ -16,6 +18,13 @@ from repro.sim import (
 )
 from repro.sim.trace import chain_from_payload, chain_to_payload
 from repro.core.task import TaskChain
+
+
+#: Two good lines of a trace file; the hostile event lines below sit on line 3.
+_HEAD = (
+    f'{{"format": "{TRACE_FORMAT}", "initial_counts": [3, 3]}}\n'
+    '{"kind": "core_failure", "time": 1.0, "core_type": 0, "cores": 1}\n'
+)
 
 
 def _chain(name="c"):
@@ -74,16 +83,23 @@ class TestTraceSerialization:
             f'["{TRACE_FORMAT}"]\n',
             f'{{"format": "{TRACE_FORMAT}"}}\n',
             f'{{"format": "{TRACE_FORMAT}", "initial_counts": "3,3"}}\n',
+            _HEAD + "[1, 2]\n",
+            _HEAD + '{"time": 1.0}\n',
+            _HEAD + '{"kind": "core_meltdown", "time": 1.0}\n',
+            _HEAD + '{"kind": "core_fail\n' + _HEAD.splitlines()[1] + "\n",
         ],
-        ids=["missing", "binary", "not-json", "untagged", "list", "no-counts", "bad-counts"],
+        ids=["missing", "binary", "not-json", "untagged", "list", "no-counts", "bad-counts",
+             "event-list", "event-no-kind", "event-unknown-kind", "torn-mid-file"],
     )
     def test_unusable_header_is_a_typed_error_naming_the_path(self, tmp_path, content):
+        """... and an unusable event line names its 1-based line as well."""
         path = tmp_path / "trace.jsonl"
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif content is not None:
             path.write_text(content)
-        with pytest.raises(InvalidParameterError, match=str(path)):
+        where = ", line 3" if str(content).startswith(_HEAD) else ""
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{path}{where}")):
             SimTrace.read(path)
 
     def test_torn_final_line_is_dropped(self, tmp_path):
