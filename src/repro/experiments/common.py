@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.chain_stats import ChainProfile
 from ..core.registry import PAPER_ORDER, get_info
+from ..core.task import TaskChain
 from ..core.types import Resources
 from ..engine import CampaignEngine, default_engine
 from ..workloads.synthetic import GeneratorConfig, chain_batch
@@ -30,6 +31,7 @@ __all__ = [
     "PAPER_NUM_CHAINS",
     "StrategyRecord",
     "CampaignResult",
+    "campaign_chains",
     "run_campaign",
     "TimingPoint",
     "time_strategy",
@@ -83,6 +85,18 @@ class CampaignResult:
         return self.records["herad"].periods
 
 
+def campaign_chains(
+    stateless_ratio: float,
+    num_chains: int = PAPER_NUM_CHAINS,
+    num_tasks: int = 20,
+    seed: int = 0,
+) -> "list[TaskChain]":
+    """The population of one synthetic campaign: a pure function of its
+    arguments, independent of the budget it is then solved on."""
+    config = GeneratorConfig(num_tasks=num_tasks, stateless_ratio=stateless_ratio)
+    return list(chain_batch(num_chains, config, seed=seed))
+
+
 def run_campaign(
     resources: Resources,
     stateless_ratio: float,
@@ -93,6 +107,7 @@ def run_campaign(
     jobs: int | None = None,
     engine: CampaignEngine | None = None,
     certify: bool = False,
+    chains: "Sequence[TaskChain] | None" = None,
 ) -> CampaignResult:
     """Run one synthetic campaign (Section VI-A-1 protocol).
 
@@ -114,6 +129,10 @@ def run_campaign(
             :class:`~repro.core.errors.CertificationError` on any violation.
             Bypasses the memo cache (cached entries hold no solution to
             audit).
+        chains: the population, when the caller already drew it with
+            :func:`campaign_chains` from the same arguments (a driver that
+            sweeps budgets over one population draws it once, and each
+            chain is fingerprinted once).
 
     Returns:
         The raw campaign outcomes.
@@ -123,8 +142,8 @@ def run_campaign(
         names.insert(0, "herad")
     canonical = [get_info(name).name for name in names]
 
-    config = GeneratorConfig(num_tasks=num_tasks, stateless_ratio=stateless_ratio)
-    chains = list(chain_batch(num_chains, config, seed=seed))
+    if chains is None:
+        chains = campaign_chains(stateless_ratio, num_chains, num_tasks, seed)
 
     eng = engine if engine is not None else default_engine()
     arrays = eng.solve_instances(

@@ -17,7 +17,7 @@ from ..core.registry import PAPER_ORDER, get_info
 from ..core.types import Resources
 from ..engine import CampaignEngine
 from ..platform.presets import SIMULATION_BUDGETS
-from .common import PAPER_STATELESS_RATIOS, run_campaign
+from .common import PAPER_STATELESS_RATIOS, campaign_chains, run_campaign
 
 __all__ = ["Fig1Scenario", "Fig1Result", "run", "render"]
 
@@ -56,11 +56,14 @@ def run(
     forwarded to every campaign.
     """
     scenarios = []
+    populations = {
+        sr: campaign_chains(sr, num_chains, seed=seed) for sr in stateless_ratios
+    }
     for resources in budgets:
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed, jobs=jobs,
-                certify=certify, engine=engine,
+                certify=certify, engine=engine, chains=populations[sr],
             )
             optimal = campaign.optimal_periods
             cdfs = {

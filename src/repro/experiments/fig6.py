@@ -25,7 +25,7 @@ from ..analysis.tables import render_table
 from ..core.registry import PAPER_ORDER, get_info
 from ..core.types import Resources
 from ..engine import CampaignEngine
-from .common import run_campaign, time_strategy
+from .common import campaign_chains, run_campaign, time_strategy
 from .table2 import Table2Result
 from .table2 import run as run_table2
 
@@ -76,12 +76,15 @@ def run(
     """
     slowdowns = {name: [] for name in strategies}
     extra = {name: [] for name in strategies}
+    populations = {
+        sr: campaign_chains(sr, num_chains, seed=seed) for sr in stateless_ratios
+    }
     for resources in budgets:
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed,
                 strategies=list(strategies), jobs=jobs, certify=certify,
-                engine=engine,
+                engine=engine, chains=populations[sr],
             )
             opt = campaign.records["herad"]
             for name in strategies:

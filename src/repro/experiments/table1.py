@@ -17,7 +17,12 @@ from ..core.registry import PAPER_ORDER, get_info
 from ..core.types import Resources
 from ..engine import CampaignEngine
 from ..platform.presets import SIMULATION_BUDGETS
-from .common import PAPER_STATELESS_RATIOS, CampaignResult, run_campaign
+from .common import (
+    PAPER_STATELESS_RATIOS,
+    CampaignResult,
+    campaign_chains,
+    run_campaign,
+)
 from .paper_data import PAPER_TABLE1
 
 __all__ = ["Table1Scenario", "Table1Result", "run", "render"]
@@ -66,11 +71,14 @@ def run(
             journaled engine here for ``--resume``/``--retries``/``--timeout``.
     """
     scenarios = []
+    populations = {
+        sr: campaign_chains(sr, num_chains, seed=seed) for sr in stateless_ratios
+    }
     for resources in budgets:
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed, jobs=jobs,
-                certify=certify, engine=engine,
+                certify=certify, engine=engine, chains=populations[sr],
             )
             stats = {
                 name: aggregate_scenario(

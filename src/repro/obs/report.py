@@ -266,17 +266,21 @@ class RunReport:
         if self.histograms:
             lines.append("histograms:")
             for name, stats in self.histograms:
+                # The name carries the unit: a ``seconds`` segment prints as
+                # milliseconds; periods (weight units) and modelled costs
+                # are not times and print bare.
+                scale, unit = (1e3, "ms") if "seconds" in name.split(".") else (1.0, "")
                 quantiles = ""
                 sketch = self.sketch(name)
                 if sketch is not None and not sketch.empty:
                     quantiles = (
-                        f" p50={sketch.p50 * 1e3:.3f}ms"
-                        f" p90={sketch.p90 * 1e3:.3f}ms"
-                        f" p99={sketch.p99 * 1e3:.3f}ms"
+                        f" p50={sketch.p50 * scale:.3f}{unit}"
+                        f" p90={sketch.p90 * scale:.3f}{unit}"
+                        f" p99={sketch.p99 * scale:.3f}{unit}"
                     )
                 lines.append(
-                    f"  {name}: n={stats.count} mean={stats.mean * 1e3:.3f}ms"
+                    f"  {name}: n={stats.count} mean={stats.mean * scale:.3f}{unit}"
                     f"{quantiles} "
-                    f"min={stats.minimum * 1e3:.3f}ms max={stats.maximum * 1e3:.3f}ms"
+                    f"min={stats.minimum * scale:.3f}{unit} max={stats.maximum * scale:.3f}{unit}"
                 )
         return "\n".join(lines)

@@ -46,7 +46,7 @@ class DownInterval:
 class PlatformState:
     """Mutable per-type availability derived from a failure event stream."""
 
-    __slots__ = ("_total", "_down", "_open", "_closed", "_clamped")
+    __slots__ = ("_total", "_down", "_open", "_closed", "_clamped", "_available")
 
     def __init__(self, counts: "Sequence[int] | Iterable[int]") -> None:
         total = tuple(int(c) for c in counts)
@@ -59,6 +59,8 @@ class PlatformState:
         self._open: "dict[tuple[int, int], float]" = {}
         self._closed: "list[DownInterval]" = []
         self._clamped: int = 0
+        # What is up changes only in fail / recover; every read is this value.
+        self._available = Resources.from_counts(total)
 
     # -- event application ---------------------------------------------------
 
@@ -76,6 +78,7 @@ class PlatformState:
             down.append(core)
             self._open[(core_type, core)] = time
         down.sort()
+        self._refresh()
         return len(victims)
 
     def recover(self, core_type: int, cores: int, time: float) -> int:
@@ -92,7 +95,13 @@ class PlatformState:
                 DownInterval(core_type, core, start, time)
             )
         del down[: len(revived)]
+        self._refresh()
         return len(revived)
+
+    def _refresh(self) -> None:
+        self._available = Resources.from_counts(
+            total - len(down) for total, down in zip(self._total, self._down)
+        )
 
     def _check_type(self, core_type: int) -> None:
         if not (0 <= core_type < len(self._total)):
@@ -115,14 +124,11 @@ class PlatformState:
 
     def available_counts(self) -> "tuple[int, ...]":
         """Per-type count of cores currently up."""
-        return tuple(
-            total - len(down)
-            for total, down in zip(self._total, self._down)
-        )
+        return self._available.counts
 
     def available(self) -> Resources:
         """The currently available budget (possibly all-zero)."""
-        return Resources.from_counts(self.available_counts())
+        return self._available
 
     def availability(self) -> float:
         """Fraction of all cores currently up, in ``[0, 1]``."""

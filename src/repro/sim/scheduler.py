@@ -1,7 +1,10 @@
 """Deadline-bounded incremental rescheduling with a degradation ladder.
 
 On every platform or workload change the simulator asks
-:class:`IncrementalScheduler` for a fresh assignment of every live chain.
+:class:`IncrementalScheduler` for a decision on every live chain.  A round
+costs what changed: each chain carries its *standing* decision, so a chain
+whose instance did not move is one comparison, and the platform split is
+recomputed only when the available counts or a kept chain changed.
 The scheduler's contract mirrors the engine's resilience ladder
 (process → serial, :mod:`repro.engine.resilience`): *some* answer
 is always produced, and quality degrades in explicit, counted steps:
@@ -34,7 +37,7 @@ left *honest* about what it dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..core.binary_search import ScheduleOutcome
@@ -94,15 +97,21 @@ class ChainDecision:
 
 @dataclass(slots=True)
 class ChainRecord:
-    """A registered chain and its last known schedule."""
+    """A registered chain and its last known schedule.
+
+    ``standing`` is the decision the next round repeats if nothing about
+    the chain moves: the ``keep`` form of its schedule (same counts, period
+    and triplets, cost 0), or its ``shed`` decision (``counts == ()``).
+    """
 
     chain: TaskChain
     profile: ChainProfile
     seq: int
+    load: float
     revision: int = 0
     outcome: "ScheduleOutcome | None" = None
-    counts: "tuple[int, ...] | None" = None
     solved_revision: int = -1
+    standing: "ChainDecision | None" = None
 
 
 def _triplets_of(outcome: ScheduleOutcome) -> "tuple[tuple[int, int, int, int], ...]":
@@ -140,23 +149,31 @@ class IncrementalScheduler:
         self.deadline = deadline
         self.certify = certify
         self.metrics: MetricsLike = metrics if metrics is not None else NullMetrics()
+        # Insertion order is arrival order: admit appends, mutate replaces
+        # in place, and a departed name that returns gets a new seq.
         self._records: "dict[str, ChainRecord]" = {}
         self._admitted: int = 0
+        # The last platform split and what it was computed from.
+        self._split_key: object = None
+        self._split: "tuple[tuple[int, ...], ...]" = ()
 
     # -- workload registration ----------------------------------------------
 
     @property
     def chains(self) -> "tuple[str, ...]":
         """Names of every registered chain, in arrival order."""
-        ordered = sorted(self._records.values(), key=lambda r: r.seq)
-        return tuple(record.chain.name for record in ordered)
+        return tuple(self._records)
 
     def admit(self, chain: TaskChain) -> None:
         """Register an arriving chain (scheduled on the next round)."""
         if chain.name in self._records:
             raise ValueError(f"chain {chain.name!r} is already registered")
+        profile = ChainProfile(chain)
         self._records[chain.name] = ChainRecord(
-            chain=chain, profile=ChainProfile(chain), seq=self._admitted
+            chain=chain,
+            profile=profile,
+            seq=self._admitted,
+            load=profile.total_weight(0),
         )
         self._admitted += 1
 
@@ -173,6 +190,7 @@ class IncrementalScheduler:
             raise ValueError(f"chain {chain.name!r} is not registered")
         record.chain = chain
         record.profile = ChainProfile(chain)
+        record.load = record.profile.total_weight(0)
         record.revision += 1
 
     def schedule_of(self, name: str) -> "ScheduleOutcome | None":
@@ -183,16 +201,16 @@ class IncrementalScheduler:
 
     def _allocate(
         self, kept: "list[ChainRecord]", available: Resources
-    ) -> "list[list[int]]":
+    ) -> "tuple[tuple[int, ...], ...]":
         """Proportional-share split of the available budget across chains.
 
         Largest-remainder apportionment on type-0 load per type, then a
         min-one-core fix-up so every kept chain can hold at least a
-        single-stage schedule.  Deterministic: quotas, remainders, and all
-        tie-breaks resolve by arrival order.
+        single-stage schedule.  Deterministic: ``kept`` is in arrival
+        order, so every tie (stable sort, first maximum) resolves by it.
         """
         ktype = available.ktype
-        loads = [record.profile.total_weight(0) for record in kept]
+        loads = [record.load for record in kept]
         total_load = sum(loads)
         shares = [
             load / total_load if total_load > 0 else 1.0 / len(kept)
@@ -204,28 +222,26 @@ class IncrementalScheduler:
             quotas = [share * budget for share in shares]
             base = [int(q) for q in quotas]
             spare = budget - sum(base)
-            order = sorted(
-                range(len(kept)),
-                key=lambda i: (-(quotas[i] - base[i]), kept[i].seq),
-            )
+            owed = [-(q - b) for q, b in zip(quotas, base)]
+            order = sorted(range(len(kept)), key=owed.__getitem__)
             for i in order[:spare]:
                 base[i] += 1
             for i, b in enumerate(base):
                 counts[i][v] = b
         # Min-one-core fix-up: donate from the richest chain (earliest on
         # ties), taking from its most-allocated type.
+        totals = [sum(c) for c in counts]
         for i, c in enumerate(counts):
-            while sum(c) == 0:
-                donor = max(
-                    range(len(kept)),
-                    key=lambda j: (sum(counts[j]), -kept[j].seq),
-                )
-                if sum(counts[donor]) <= 1:
+            if totals[i] == 0:
+                donor = totals.index(max(totals))
+                if totals[donor] <= 1:
                     break  # cannot happen when len(kept) <= total cores
-                v = max(range(ktype), key=lambda t: counts[donor][t])
+                v = counts[donor].index(max(counts[donor]))
                 counts[donor][v] -= 1
+                totals[donor] -= 1
                 c[v] += 1
-        return counts
+                totals[i] += 1
+        return tuple(tuple(c) for c in counts)
 
     # -- the ladder ----------------------------------------------------------
 
@@ -236,37 +252,44 @@ class IncrementalScheduler:
         every chain is either scheduled (with a certified-feasible
         solution) or explicitly shed.  Never raises on capacity loss.
         """
-        ordered = sorted(self._records.values(), key=lambda r: r.seq)
+        ordered = list(self._records.values())
         if not ordered:
             return ()
-        capacity = available.total
-        kept = ordered[: min(len(ordered), capacity)]
-        shed = ordered[len(kept):]
+        kept = ordered[: available.total]
+        key = (available.counts, [(r.seq, r.revision) for r in kept])
+        if key != self._split_key:
+            self._split_key = key
+            self._split = self._allocate(kept, available) if kept else ()
         decisions: "list[ChainDecision]" = []
         budget = float("inf") if self.deadline is None else self.deadline
-        allocations = self._allocate(kept, available) if kept else []
-        for record, alloc_counts in zip(kept, allocations):
-            allocation = Resources.from_counts(alloc_counts)
-            decision, budget = self._ladder(record, allocation, budget)
-            decisions.append(decision)
-        for record in shed:
-            decisions.append(self._shed(record))
-        self.metrics.set_gauge("sim.active_chains", float(len(kept)))
-        decisions.sort(key=lambda d: self._records[d.name].seq)
+        keeps = 0
+        for record, counts in zip(kept, self._split):
+            standing = record.standing
+            # Rung 1: same allocation, same weights — the schedule stands.
+            if (
+                standing is not None
+                and standing.counts == counts
+                and record.solved_revision == record.revision
+            ):
+                decisions.append(standing)
+                keeps += 1
+            else:
+                decision, budget = self._ladder(record, counts, budget)
+                decisions.append(decision)
+        beyond = ordered[len(kept):]
+        decisions.extend(self._shed(record) for record in beyond)
+        # keep and shed are counted once per round, not once per chain.
+        if keeps:
+            self.metrics.add("sim.resched.keep", keeps)
+        if beyond:
+            self.metrics.add("sim.resched.shed", len(beyond))
         return tuple(decisions)
 
     def _ladder(
-        self, record: ChainRecord, allocation: Resources, budget: float
+        self, record: ChainRecord, counts: "tuple[int, ...]", budget: float
     ) -> "tuple[ChainDecision, float]":
-        counts = allocation.counts
-        unchanged = (
-            record.outcome is not None
-            and record.counts == counts
-            and record.solved_revision == record.revision
-        )
-        if unchanged:
-            assert record.outcome is not None
-            return self._decide(record, "keep", counts, record.outcome, 0.0), budget
+        """Rungs 2-5 for a chain whose allocation or weights changed."""
+        allocation = Resources.from_counts(counts)
 
         # Rung 2: warm start from the previous structure.
         if record.outcome is not None and budget >= WARM_COST:
@@ -300,6 +323,7 @@ class IncrementalScheduler:
             return self._decide(record, "reuse", counts, record.outcome, 0.0), budget
 
         # Rung 5: explicit shed.
+        self.metrics.add("sim.resched.shed")
         return self._shed(record), budget
 
     def _within_bound(
@@ -332,11 +356,7 @@ class IncrementalScheduler:
         outcome: ScheduleOutcome,
         cost: float,
     ) -> ChainDecision:
-        record.outcome = outcome
-        record.counts = counts
-        record.solved_revision = record.revision
-        self.metrics.add(f"sim.resched.{action}")
-        return ChainDecision(
+        decision = ChainDecision(
             name=record.chain.name,
             action=action,
             counts=counts,
@@ -344,36 +364,41 @@ class IncrementalScheduler:
             triplets=_triplets_of(outcome),
             cost=cost,
         )
+        record.outcome = outcome
+        record.solved_revision = record.revision
+        record.standing = replace(decision, action="keep", cost=0.0)
+        self.metrics.add(f"sim.resched.{action}")
+        return decision
 
     def _shed(self, record: ChainRecord) -> ChainDecision:
-        record.outcome = None
-        record.counts = None
-        record.solved_revision = -1
-        self.metrics.add("sim.resched.shed")
-        return ChainDecision(
-            name=record.chain.name,
-            action="shed",
-            counts=(),
-            period=None,
-            triplets=(),
-            cost=0.0,
-        )
+        """The chain's shed decision (the caller counts it)."""
+        standing = record.standing
+        if standing is None or standing.action != "shed":
+            record.outcome = None
+            record.solved_revision = -1
+            record.standing = standing = ChainDecision(
+                name=record.chain.name,
+                action="shed",
+                counts=(),
+                period=None,
+                triplets=(),
+                cost=0.0,
+            )
+        return standing
 
     # -- replay --------------------------------------------------------------
 
     def apply_decision(self, decision: ChainDecision) -> None:
         """Apply a journaled decision without re-solving (resume replay).
 
-        Rebuilds the chain's schedule from the recorded triplets and
-        advances the ladder counters exactly as the live run did, so a
-        resumed simulation's metrics are bitwise identical.
+        Rebuilds the chain's schedule and standing decision from the
+        recorded triplets and advances the ladder counters exactly as the
+        live run did, so a resumed simulation continues bitwise.
         """
         record = self._records[decision.name]
         self.metrics.add(f"sim.resched.{decision.action}")
         if decision.action == "shed":
-            record.outcome = None
-            record.counts = None
-            record.solved_revision = -1
+            self._shed(record)
             return
         solution = Solution.from_triplets(decision.triplets)
         assert decision.period is not None
@@ -385,5 +410,5 @@ class IncrementalScheduler:
             bounds=period_bounds(record.profile, allocation),
             probes=(),
         )
-        record.counts = decision.counts
         record.solved_revision = record.revision
+        record.standing = replace(decision, action="keep", cost=0.0)

@@ -233,20 +233,25 @@ def simulate(
             else:
                 _apply_event(event, platform, scheduler, metrics)
                 started = monotonic()
-                decisions = scheduler.reschedule(platform.available())
+                available = platform.available()
+                decisions = scheduler.reschedule(available)
                 elapsed = monotonic() - started
                 latencies.append(elapsed)
-                metrics.observe("sim.resched.cost", sum(d.cost for d in decisions))
                 record = EventRecord(
                     seq=index,
                     time=time,
                     kind=event.kind,
                     availability=platform.availability(),
-                    counts=platform.available_counts(),
+                    counts=available.counts,
                     decisions=decisions,
                 )
                 if sink is not None:
                     sink.append(record)
+            # Observed from the record, so a replayed event counts the same.
+            metrics.observe("sim.resched.cost", sum(d.cost for d in record.decisions))
+            if record.decisions:  # a round with no chain registered decides nothing
+                scheduled = min(len(record.decisions), sum(record.counts))
+                metrics.set_gauge("sim.active_chains", float(scheduled))
             metrics.set_gauge("sim.availability", record.availability)
             _check_invariants(record, metrics)
             records.append(record)

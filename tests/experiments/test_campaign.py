@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.types import Resources
-from repro.experiments.common import run_campaign, time_strategy
+from repro.engine import CampaignEngine, MemoCache
+from repro.experiments import table1
+from repro.experiments.common import campaign_chains, run_campaign, time_strategy
 
 
 class TestRunCampaign:
@@ -50,6 +52,36 @@ class TestRunCampaign:
         for rec in campaign.records.values():
             assert (rec.big_used <= resources.big).all()
             assert (rec.little_used <= resources.little).all()
+
+    def test_a_handed_in_population_is_the_drawn_one(self):
+        """``chains=`` changes who draws, not what is solved: same arrays,
+        same memo keys, same hit / miss counts."""
+        def campaign(**extra):
+            engine = CampaignEngine(jobs=1, memo=MemoCache())
+            result = run_campaign(
+                Resources(2, 2), 0.5, num_chains=4, num_tasks=6, seed=5,
+                engine=engine, **extra,
+            )
+            return result, engine.memo.stats
+
+        drawn, drawn_stats = campaign()
+        handed, handed_stats = campaign(chains=campaign_chains(0.5, 4, 6, seed=5))
+        assert handed_stats == drawn_stats
+        for name, rec in drawn.records.items():
+            np.testing.assert_array_equal(rec.periods, handed.records[name].periods)
+            np.testing.assert_array_equal(rec.big_used, handed.records[name].big_used)
+
+    def test_table1_draws_each_population_once(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            table1, "campaign_chains",
+            lambda sr, n, seed: drawn.append(sr) or campaign_chains(sr, n, seed=seed),
+        )
+        engine = CampaignEngine(jobs=1, memo=MemoCache())
+        result = table1.run(num_chains=2, seed=3, engine=engine)
+        assert drawn == [0.2, 0.5, 0.8] and len(result.scenarios) == 9
+        # 9 scenarios x 2 chains x 5 strategies, every one a distinct key.
+        assert engine.memo.stats.misses == 90 and engine.memo.stats.hits == 0
 
 
 class TestTimeStrategy:

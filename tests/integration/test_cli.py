@@ -384,6 +384,33 @@ def test_metrics_flag_prints_run_report(capsys):
     assert "parallel efficiency (2 workers):" in capsys.readouterr().out
 
 
+def test_report_histograms_carry_their_unit(capsys):
+    """Golden lines of ``table1 --chains 2 --metrics``: a period is weight
+    units and prints bare (it read "mean=110807.870ms"); only a histogram
+    whose name has a ``seconds`` segment is a time and prints as ms."""
+    import re
+
+    from repro.engine import reset_default_engine
+
+    reset_default_engine()
+    assert main(["table1", "--chains", "2", "--metrics", "--jobs", "1"]) == 0
+    reset_default_engine()
+    report = capsys.readouterr().out.split("== Run report ==")[1].splitlines()
+    histograms = report[report.index("histograms:") + 1:]
+    assert histograms[:5] == [
+        "  solve.period.2catac: n=18 mean=110.808 p50=94.642 p90=190.590 p99=202.000 min=72.000 max=202.000",
+        "  solve.period.fertac: n=18 mean=111.478 p50=94.642 p90=190.590 p99=202.000 min=72.000 max=202.000",
+        "  solve.period.herad: n=18 mean=110.352 p50=94.642 p90=190.590 p99=202.000 min=72.000 max=202.000",
+        "  solve.period.otac_b: n=18 mean=165.778 p50=138.395 p90=284.331 p99=300.000 min=72.000 max=300.000",
+        "  solve.period.otac_l: n=18 mean=508.222 p50=399.474 p90=871.465 p99=889.070 min=262.000 max=898.000",
+    ]
+    timed = re.compile(
+        r"  solve\.seconds\.\w+: n=9 mean=[\d.]+ms p50=[\d.]+ms p90=[\d.]+ms "
+        r"p99=[\d.]+ms min=[\d.]+ms max=[\d.]+ms"
+    )
+    assert len(histograms) == 10 and all(timed.fullmatch(line) for line in histograms[5:])
+
+
 def test_flamegraph_flag_writes_validating_collapsed_stacks(capsys, tmp_path):
     """--flamegraph must not change stdout and must pass the structural oracle."""
     from repro.obs import validate_flamegraph

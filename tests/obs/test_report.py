@@ -45,6 +45,17 @@ class TestRunReport:
         assert report.memo_hit_rate == 0.9
         assert "memo: 9/10 hits (90.0%)" in report.render()
 
+    def test_only_seconds_histograms_print_as_milliseconds(self):
+        registry = MetricsRegistry()
+        registry.observe("sim.resched.cost", 9.0)
+        registry.observe("solve.seconds.herad", 0.002)
+        lines = RunReport.from_parts((), registry.snapshot(), 1.0).render().splitlines()
+        cost, timed = lines[lines.index("histograms:") + 1:]
+        assert cost.startswith("  sim.resched.cost: n=1 mean=9.000 p50=")
+        assert cost.endswith(" min=9.000 max=9.000") and "ms" not in cost
+        assert timed.startswith("  solve.seconds.herad: n=1 mean=2.000ms p50=")
+        assert timed.endswith(" min=2.000ms max=2.000ms")
+
     def test_zero_lookups_is_not_a_division(self):
         report = RunReport.from_parts((), MetricsSnapshot(), 1.0)
         assert report.memo_hit_rate == 0.0

@@ -203,3 +203,99 @@ class TestMetrics:
         counters = dict(metrics.snapshot().counters)
         assert counters.get("sim.resched.full") == 1.0
         assert counters.get("sim.resched.keep") == 1.0
+
+
+class TestRoundCostsWhatChanged:
+    """Standing decisions and the remembered platform split."""
+
+    def _loaded(self, chains=6, metrics=None):
+        sched = IncrementalScheduler(metrics=metrics)
+        for i in range(chains):
+            sched.admit(_chain(i, f"c{i}"))
+        return sched
+
+    def test_keep_is_the_previous_decision_at_cost_zero(self):
+        sched = self._loaded(3)
+        budget = Resources.from_counts((3, 3))
+        first = sched.reschedule(budget)
+        second = sched.reschedule(budget)
+        for before, after in zip(first, second):
+            assert after.action == "keep" and after.cost == 0.0
+            assert (after.name, after.counts, after.period, after.triplets) == (
+                before.name, before.counts, before.period, before.triplets
+            )
+        # The standing decision is one object, repeated round after round.
+        assert all(a is b for a, b in zip(second, sched.reschedule(budget)))
+
+    def test_a_chain_still_shed_repeats_its_shed_decision(self):
+        sched = self._loaded(4)
+        budget = Resources.from_counts((1, 1))
+        first = sched.reschedule(budget)
+        second = sched.reschedule(budget)
+        assert [d.action for d in first[2:]] == ["shed", "shed"]
+        assert all(a is b for a, b in zip(first[2:], second[2:]))
+
+    def test_split_is_recomputed_only_when_its_inputs_move(self, monkeypatch):
+        sched = self._loaded(6)
+        calls = []
+        allocate = sched._allocate
+        monkeypatch.setattr(
+            sched, "_allocate", lambda kept, available: calls.append(1) or allocate(kept, available)
+        )
+        budget = Resources.from_counts((2, 2))  # four kept, two shed
+        sched.reschedule(budget)
+        assert len(calls) == 1
+        sched.reschedule(budget)  # nothing moved
+        sched.admit(_chain(9, "late"))  # arrival beyond capacity
+        sched.reschedule(budget)
+        sched.mutate(_chain(10, "c5"))  # mutation of a shed chain
+        sched.reschedule(budget)
+        sched.depart("c4")  # departure of a shed chain
+        decisions = sched.reschedule(budget)
+        assert len(calls) == 1
+        assert [d.action for d in decisions] == ["keep"] * 4 + ["shed"] * 2
+        sched.mutate(_chain(11, "c0"))  # a kept chain's load moved
+        sched.reschedule(budget)
+        assert len(calls) == 2
+        sched.depart("c1")  # a kept chain left: c5 is promoted
+        sched.reschedule(budget)
+        assert len(calls) == 3
+        sched.reschedule(Resources.from_counts((2, 1)))  # the platform moved
+        assert len(calls) == 4
+
+    def test_a_name_that_returns_is_a_new_chain_for_the_split(self):
+        sched = self._loaded(2)
+        budget = Resources.from_counts((2, 2))
+        sched.reschedule(budget)
+        sched.depart("c1")
+        sched.admit(_chain(7, "c1"))  # same name, revision 0 again, new seq
+        decisions = sched.reschedule(budget)
+        assert _actions(decisions)["c1"] == "full"
+        fresh = IncrementalScheduler()
+        fresh.admit(_chain(0, "c0"))
+        fresh.admit(_chain(7, "c1"))
+        assert [d.counts for d in fresh.reschedule(budget)] == [d.counts for d in decisions]
+
+    def test_keep_and_shed_are_counted_per_chain(self):
+        metrics = MetricsRegistry()
+        sched = self._loaded(5, metrics)
+        budget = Resources.from_counts((2, 1))
+        for _ in range(3):
+            sched.reschedule(budget)
+        counters = dict(metrics.snapshot().counters)
+        assert counters["sim.resched.keep"] == 6.0
+        assert counters["sim.resched.shed"] == 6.0
+        assert sum(
+            v for k, v in counters.items() if k.startswith("sim.resched.")
+        ) == 15.0
+
+    def test_apply_decision_restores_the_standing_decisions(self):
+        live = self._loaded(5)
+        budget = Resources.from_counts((2, 2))
+        live.reschedule(Resources.from_counts((3, 3)))
+        journaled = live.reschedule(budget)
+        replayed = self._loaded(5)
+        for decision in journaled:
+            replayed.apply_decision(decision)
+        assert replayed.reschedule(budget) == live.reschedule(budget)
+        assert {d.action for d in replayed.reschedule(budget)} == {"keep", "shed"}

@@ -109,6 +109,18 @@ class TestJournalResume:
         assert resumed.metrics.counters == reference.metrics.counters
         assert resumed.final_periods == reference.final_periods
 
+    @pytest.mark.parametrize("stop_after", [9, None])
+    def test_resumed_metrics_are_the_whole_snapshot(self, tmp_path, stop_after):
+        """Replayed events feed ``sim.resched.cost`` and ``sim.active_chains``
+        too: before PR 21 a resumed run's histogram held only the live
+        events, and a fully replayed run had no active-chains gauge."""
+        trace = failure_storm_trace(seed=7)
+        reference = simulate(trace, SimConfig(deadline=12))
+        journal = tmp_path / "run.jsonl"
+        simulate(trace, SimConfig(deadline=12), journal=journal, stop_after=stop_after)
+        resumed = simulate(trace, SimConfig(deadline=12), journal=journal)
+        assert resumed.metrics == reference.metrics
+
     def test_resume_tolerates_torn_final_line(self, tmp_path):
         trace = failure_storm_trace(seed=7)
         reference = simulate(trace)

@@ -6,15 +6,37 @@ import pytest
 
 from repro.core.herad import herad
 from repro.core.types import CoreType, Resources
+from repro.streampu import profiler
 from repro.streampu.module import CallableTask, SyntheticSleepTask
 from repro.streampu.profiler import profile_chain, profile_executor
 
 
+class _Clock:
+    """The profiler's clock, advanced only by the executors it times — no
+    tier-1 assert reads the machine's wall clock."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0.0
+        monkeypatch.setattr(profiler, "time", self)
+
+    def perf_counter(self):
+        return self.now
+
+    def task(self, seconds, name="timed"):
+        def process(payload):
+            self.now += seconds
+            return payload
+
+        return CallableTask(seconds, process, name=name)
+
+
 class TestProfileExecutor:
-    def test_measures_sleep_duration(self):
-        executor = SyntheticSleepTask(weight=200.0, time_scale=1e-5)  # 2 ms
-        measured = profile_executor(executor, repetitions=3, warmup=1)
-        assert measured >= 0.002
+    def test_measures_sleep_duration(self, monkeypatch):
+        clock = _Clock(monkeypatch)
+        # 0.25 s per call: exact in binary, so the mean is exact too.
+        measured = profile_executor(clock.task(0.25), repetitions=3, warmup=1)
+        assert measured == 0.25
+        assert clock.now == 1.0  # the warm-up ran and was not timed
 
     def test_repetitions_validated(self):
         with pytest.raises(ValueError):
@@ -34,19 +56,19 @@ class TestProfileChain:
             for i, w in enumerate(weights)
         ]
 
-    def test_chain_reflects_speeds(self):
-        # Little "cores" are 2x slower.
-        big = self.make_executors([100, 200], scale=1e-5)
-        little = self.make_executors([200, 400], scale=1e-5)
+    def test_chain_reflects_speeds(self, monkeypatch):
+        clock = _Clock(monkeypatch)
+        # Little "cores" are 2x slower; time_unit 2^-10 s keeps weights exact.
+        unit = 2.0 ** -10
+        big = [clock.task(w * unit, f"t{i}") for i, w in enumerate([100, 200])]
+        little = [clock.task(w * unit, f"t{i}") for i, w in enumerate([200, 400])]
         chain, profiles = profile_chain(
-            big, little, [True, False], repetitions=2, time_unit=1e-5
+            big, little, [True, False], repetitions=2, time_unit=unit
         )
-        assert chain.n == 2
-        assert len(profiles) == 2
-        for task in chain:
-            assert task.weight_little > task.weight_big
-        # Sleep durations measured within ~50% of nominal.
-        assert chain[0].weight(CoreType.BIG) == pytest.approx(100, rel=0.8)
+        assert [p.name for p in profiles] == ["t0", "t1"]
+        assert [t.weight(CoreType.BIG) for t in chain] == [100.0, 200.0]
+        assert [t.weight(CoreType.LITTLE) for t in chain] == [200.0, 400.0]
+        assert profiles[1].little_latency == 400 * unit
 
     def test_profiled_chain_is_schedulable(self):
         big = self.make_executors([50, 100, 50], scale=1e-6)
