@@ -48,7 +48,6 @@ from .core import (
     TaskChain,
     UnknownStrategyError,
     audit_solution,
-    brute_force_optimal,
     certify_outcome,
     certify_solution,
     fertac,
@@ -90,7 +89,6 @@ __all__ = [
     "otac",
     "otac_big",
     "otac_little",
-    "brute_force_optimal",
     "merge_replicable_stages",
     "PowerModel",
     "PowerReport",

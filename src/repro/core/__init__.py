@@ -12,8 +12,8 @@ two types of resources (big/little cores):
   :func:`herad_batch`, the same DP over a whole batch of chains;
 * the homogeneous baseline — :func:`otac`, :func:`otac_big`,
   :func:`otac_little`;
-* verification oracles — :func:`herad_reference` (literal pseudocode) and
-  :func:`brute_force_optimal` (exhaustive enumeration).
+* the verification oracle — :func:`herad_reference` (literal pseudocode);
+  the exhaustive enumeration lives in ``tests/core/oracle_bruteforce.py``.
 """
 
 from .binary_search import (
@@ -22,7 +22,6 @@ from .binary_search import (
     schedule_by_binary_search,
 )
 from .bounds import PeriodBounds, period_bounds, search_epsilon
-from .bruteforce import brute_force_optimal, brute_force_period
 from .certify import (
     CertificateReport,
     CertificateViolation,
@@ -122,8 +121,6 @@ __all__ = [
     "otac_little",
     "norep_optimal",
     "norep_period",
-    "brute_force_optimal",
-    "brute_force_period",
     "ktype_reference",
     "reference_compute_solution",
     # registry

@@ -13,8 +13,6 @@ use for.
 from importlib import import_module
 from types import ModuleType
 
-from . import io
-from .io import load_json, result_to_dict, save_json
 from .common import (
     PAPER_NUM_CHAINS,
     PAPER_STATELESS_RATIOS,
@@ -43,10 +41,6 @@ __all__ = [
     "TimingPoint",
     "PAPER_NUM_CHAINS",
     "PAPER_STATELESS_RATIOS",
-    "io",
-    "save_json",
-    "load_json",
-    "result_to_dict",
 ]
 
 _DRIVERS = (

@@ -132,7 +132,8 @@ def run_campaign(
         chains: the population, when the caller already drew it with
             :func:`campaign_chains` from the same arguments (a driver that
             sweeps budgets over one population draws it once, and each
-            chain is fingerprinted once).
+            chain is fingerprinted once).  The result's ``num_chains`` is
+            this population's size.
 
     Returns:
         The raw campaign outcomes.
@@ -162,7 +163,7 @@ def run_campaign(
     return CampaignResult(
         resources=resources,
         stateless_ratio=stateless_ratio,
-        num_chains=num_chains,
+        num_chains=len(chains),
         records=records,
         seed=seed,
     )

@@ -2,9 +2,8 @@
 
 The paper profiles each receiver task on both platforms and both core types
 (Section VI-E, Table III); those numbers are this library's embedded
-dataset.  The driver renders the table, verifies the per-column totals the
-paper prints, and demonstrates the profiling *procedure* by re-measuring a
-synthetic executor chain on the threaded runtime.
+dataset.  The driver recomputes the four per-column totals from it, checks
+them against the totals the paper prints, and renders the table.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.tables import render_table
-from ..core.types import CoreType
-from ..obs.clock import monotonic
-from ..sdr.dvbs2 import DVBS2_TASK_TABLE, dvbs2_mac_studio_chain
-from ..streampu.module import SyntheticSleepTask
+from ..sdr.dvbs2 import DVBS2_TASK_TABLE
 
-__all__ = ["Table3Result", "run", "render", "profile_chain_executors"]
+__all__ = ["Table3Result", "run", "render"]
 
 #: Totals printed at the bottom of Table III (Mac B, Mac L, X7 B, X7 L).
 PAPER_TOTALS = (8530.8, 19841.3, 12592.5, 22530.7)
@@ -47,30 +43,6 @@ def run() -> Table3Result:
         sum(r.x7_little for r in DVBS2_TASK_TABLE),
     )
     return Table3Result(totals=totals, paper_totals=PAPER_TOTALS)
-
-
-def profile_chain_executors(
-    time_scale: float = 1e-6, repetitions: int = 5
-) -> list[tuple[str, float, float]]:
-    """Demonstrate the profiling procedure on synthetic executors.
-
-    Runs each Mac Studio task's sleep executor ``repetitions`` times and
-    returns ``(task name, nominal latency us, measured latency us)`` rows —
-    the same measure-each-task-independently protocol the paper used to
-    build Table III.
-    """
-    chain = dvbs2_mac_studio_chain()
-    rows = []
-    for task in chain:
-        executor = SyntheticSleepTask(
-            weight=task.weight(CoreType.BIG), time_scale=time_scale
-        )
-        start = monotonic()
-        for _ in range(repetitions):
-            executor.process(None)
-        elapsed = (monotonic() - start) / repetitions
-        rows.append((task.name, task.weight_big, elapsed / time_scale))
-    return rows
 
 
 def render(result: Table3Result) -> str:

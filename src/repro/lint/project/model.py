@@ -123,7 +123,8 @@ def annotation_tokens(node: "ast.expr | None") -> frozenset[str]:
 
 @dataclass(frozen=True, slots=True)
 class ImportRecord:
-    """One import statement edge out of a module.
+    """One import statement edge out of a module, at any depth (module body,
+    function body, ``if TYPE_CHECKING:``).
 
     ``target`` is the imported module's dotted name with relative imports
     resolved against the importing module; ``names`` holds the
@@ -519,6 +520,37 @@ def _resolve_relative(module: str, level: int, target: "str | None") -> str:
     return ".".join(parts)
 
 
+def _import_records(
+    module: str, node: "ast.Import | ast.ImportFrom"
+) -> list[ImportRecord]:
+    """The import-graph edges of one import statement of ``module``."""
+    if isinstance(node, ast.Import):
+        return [
+            ImportRecord(
+                target=alias.name,
+                names=(),
+                bound_as=alias.asname or alias.name.split(".")[0],
+                lineno=node.lineno,
+            )
+            for alias in node.names
+        ]
+    target = (
+        _resolve_relative(module, node.level, node.module)
+        if node.level
+        else (node.module or "")
+    )
+    return [
+        ImportRecord(
+            target=target,
+            names=tuple(
+                (alias.name, alias.asname or alias.name) for alias in node.names
+            ),
+            bound_as=None,
+            lineno=node.lineno,
+        )
+    ]
+
+
 def extract_module_facts(
     module: str, rel: str, tree: ast.Module
 ) -> ModuleFacts:
@@ -547,17 +579,22 @@ def extract_module_facts(
             )
         )
 
+    # Import records cover the whole module: an import deferred into a
+    # function or an ``if TYPE_CHECKING:`` block is still an edge of the
+    # import graph.  Module-body imports come last, so a name the module
+    # body binds keeps resolving to the module body's import.
+    statements = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    statements.sort(key=lambda node: node in tree.body)
+    for node in statements:
+        imports.extend(_import_records(module, node))
+
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imports.append(
-                    ImportRecord(
-                        target=alias.name,
-                        names=(),
-                        bound_as=alias.asname or alias.name.split(".")[0],
-                        lineno=node.lineno,
-                    )
-                )
                 record_binding(
                     alias.asname or alias.name.split(".")[0],
                     node.lineno,
@@ -565,22 +602,6 @@ def extract_module_facts(
                     kind="import",
                 )
         elif isinstance(node, ast.ImportFrom):
-            target = (
-                _resolve_relative(module, node.level, node.module)
-                if node.level
-                else (node.module or "")
-            )
-            imports.append(
-                ImportRecord(
-                    target=target,
-                    names=tuple(
-                        (alias.name, alias.asname or alias.name)
-                        for alias in node.names
-                    ),
-                    bound_as=None,
-                    lineno=node.lineno,
-                )
-            )
             for alias in node.names:
                 record_binding(
                     alias.asname or alias.name, node.lineno, None, kind="import"

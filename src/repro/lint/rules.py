@@ -126,7 +126,6 @@ _FLOAT_CALLS = frozenset(
         "midpoint",
         "search_epsilon",
         "norep_period",
-        "brute_force_period",
         "solution_power",
     }
 )
@@ -877,8 +876,6 @@ _RAW_TIMING_ALLOWED = frozenset(
         # is sanctioned so profiling helpers can stay in one module even if
         # one ever needs a raw timestamp.
         "repro.obs.profile",
-        # Models the C++ runtime's own instrumentation.
-        "repro.streampu.profiler",
     }
 )
 

@@ -3,8 +3,7 @@
 Every timing decision in the tree routes through this module so that the
 project has exactly one place where "what does a timestamp mean" is decided.
 Lint rule REP110 (``raw-timing``) enforces this: raw ``time.perf_counter()``
-and ``time.time()`` calls are forbidden outside ``repro.obs`` and the
-StreamPU profiler.
+and ``time.time()`` calls are forbidden outside ``repro.obs``.
 
 ``monotonic()`` is :func:`time.perf_counter`, which on Linux is
 ``CLOCK_MONOTONIC`` — a *system-wide* clock, so span timestamps recorded in

@@ -13,11 +13,6 @@ Python:
 """
 
 from .channels import ChannelClosedError, Frame, OrderedChannel
-from .communication import (
-    CommunicationModel,
-    boundary_costs,
-    simulate_with_communication,
-)
 from .dynamic import DynamicScheduleResult, simulate_dynamic_scheduler
 from .metrics import ThroughputReport, steady_state_period
 from .module import (
@@ -42,7 +37,6 @@ from .placement import (
     platform_cores,
     scatter_placement,
 )
-from .profiler import TaskProfile, profile_chain, profile_executor
 from .runtime import PipelineRuntime, RuntimeResult, StageGroup
 from .simulator import SimulationResult, simulate_pipeline
 
@@ -68,12 +62,6 @@ __all__ = [
     "NumpyKernelTask",
     "CallableTask",
     "executors_from_weights",
-    "TaskProfile",
-    "profile_chain",
-    "profile_executor",
-    "CommunicationModel",
-    "boundary_costs",
-    "simulate_with_communication",
     "simulate_dynamic_scheduler",
     "DynamicScheduleResult",
     "PhysicalCore",

@@ -1,13 +1,5 @@
-"""Workload generation: the paper's synthetic distribution and extra shapes."""
+"""Workload generation: the paper's synthetic distribution."""
 
-from .generators import (
-    alternating_chain,
-    fully_replicable_chain,
-    fully_sequential_chain,
-    heavy_tail_chain,
-    inverted_speed_chain,
-    uniform_chain,
-)
 from .synthetic import (
     DEFAULT_CONFIG,
     GeneratorConfig,
@@ -24,10 +16,4 @@ __all__ = [
     "chain_batch",
     "random_ktype_chain",
     "ktype_chain_batch",
-    "uniform_chain",
-    "fully_replicable_chain",
-    "fully_sequential_chain",
-    "alternating_chain",
-    "heavy_tail_chain",
-    "inverted_speed_chain",
 ]

@@ -1,7 +1,7 @@
-"""Additional structured chain generators (beyond the paper's distribution).
+"""Structured chain shapes for the tests (beyond the paper's distribution).
 
-These are used by the property-based tests and the ablation studies to probe
-strategy behaviour on extreme shapes: fully-replicable chains (where the
+The differential and property-based tests use these to probe strategy
+behaviour on extreme shapes: fully-replicable chains (where the
 homogeneous optimum is a single replicated stage), fully-sequential chains
 (pure pipelining, the CCP regime), heavy-tailed weights (one dominant task),
 and chains where little cores are *faster* than big ones (stress for the
@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.errors import InvalidChainError
-from ..core.task import Task, TaskChain
+from repro.core.errors import InvalidChainError
+from repro.core.task import Task, TaskChain
 
 __all__ = [
     "fully_replicable_chain",

@@ -1,7 +1,8 @@
 """Exhaustive optimal scheduler for small instances — an independent oracle.
 
-The test suite validates HeRAD against this module.  It shares *no* code
-with the dynamic program: it enumerates every contiguous partition of the
+``tests/core`` validates HeRAD, OTAC, the bounds and the k-type
+generalization against this module.  It shares *no* code with the dynamic
+program: it enumerates every contiguous partition of the
 chain (``2^(n-1)`` of them), every per-stage core-type assignment, and for
 each structure derives the optimal core allocation analytically (a
 sequential stage uses exactly one core; a replicable stage of single-core
@@ -18,12 +19,12 @@ import math
 from itertools import product
 from typing import Iterator
 
-from .chain_stats import ChainProfile, profile_of
-from .errors import InvalidPlatformError, SchedulingError
-from .solution import Solution
-from .stage import Stage
-from .task import TaskChain
-from .types import CoreIndex, Resources
+from repro.core.chain_stats import ChainProfile, profile_of
+from repro.core.errors import InvalidPlatformError, SchedulingError
+from repro.core.solution import Solution
+from repro.core.stage import Stage
+from repro.core.task import TaskChain
+from repro.core.types import CoreIndex, Resources
 
 __all__ = ["brute_force_optimal", "brute_force_period"]
 

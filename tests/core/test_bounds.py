@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_bruteforce import brute_force_optimal
+from tests.chain_shapes import inverted_speed_chain
 
 from repro.core.bounds import period_bounds, search_epsilon
-from repro.core.bruteforce import brute_force_optimal
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError
 from repro.core.task import TaskChain
 from repro.core.types import Resources
-from repro.workloads.generators import inverted_speed_chain
 
 
 class TestPaperRegime:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from repro.core.bruteforce import (
+from oracle_bruteforce import (
     _partitions,
     brute_force_optimal,
     brute_force_period,
 )
+
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError, SchedulingError
 from repro.core.merge import merge_replicable_stages

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_packing import oracle_compute_stage, oracle_first_fit, oracle_stage_fits
 from test_chain_stats import _profiles  # edge weights: subnormal, duplicates, ~2**53
+from tests.chain_shapes import fully_sequential_chain
 
 from repro.core.binary_search import schedule_by_binary_search
 from repro.core.chain_stats import ChainProfile
@@ -41,7 +42,6 @@ from repro.engine import CampaignEngine
 from repro.experiments import table1
 from repro.obs import ObsConfig
 from repro.platform.presets import SIMULATION_BUDGETS
-from repro.workloads.generators import fully_sequential_chain
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 class TestProbeAgainstOracle:

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle_bruteforce import brute_force_optimal
+from tests.chain_shapes import (
+    fully_replicable_chain,
+    fully_sequential_chain,
+    heavy_tail_chain,
+    inverted_speed_chain,
+)
 
-from repro.core.bruteforce import brute_force_optimal
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError
 from repro.core.herad import herad, herad_solution
 from repro.core.herad_reference import herad_reference
 from repro.core.task import TaskChain
 from repro.core.types import CoreType, Resources
-from repro.workloads.generators import (
-    fully_replicable_chain,
-    fully_sequential_chain,
-    heavy_tail_chain,
-    inverted_speed_chain,
-)
 from repro.workloads.synthetic import GeneratorConfig, random_chain
 
 

@@ -18,10 +18,10 @@ import json
 from pathlib import Path
 
 import pytest
+from tests import chain_shapes as g
 
 from repro.core.registry import STRATEGIES
 from repro.core.types import Resources
-from repro.workloads import generators as g
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 _FIXTURE = Path(__file__).resolve().parent.parent / "data" / "k2_oracle.json"

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from tests import chain_shapes as g
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidChainError, InvalidPlatformError
@@ -34,7 +35,6 @@ from repro.core.herad import (
 )
 from repro.core.registry import get_info, get_strategy, solve_batch
 from repro.core.types import Resources
-from repro.workloads import generators as g
 from repro.workloads.synthetic import (
     GeneratorConfig,
     chain_batch,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle_bruteforce import brute_force_optimal
 
 from repro.core.bounds import search_epsilon
-from repro.core.bruteforce import brute_force_optimal
 from repro.core.certify import certify_outcome
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidChainError, InvalidPlatformError

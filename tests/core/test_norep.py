@@ -6,8 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracle_bruteforce import _partitions
+from tests.chain_shapes import (
+    fully_replicable_chain,
+    fully_sequential_chain,
+)
 
-from repro.core.bruteforce import _partitions
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError
 from repro.core.herad import herad
@@ -15,10 +19,6 @@ from repro.core.norep import norep_optimal, norep_period
 from repro.core.registry import get_info
 from repro.core.task import TaskChain
 from repro.core.types import CoreType, Resources
-from repro.workloads.generators import (
-    fully_replicable_chain,
-    fully_sequential_chain,
-)
 from repro.workloads.synthetic import GeneratorConfig, random_chain
 
 

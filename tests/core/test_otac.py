@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle_bruteforce import brute_force_optimal
 
-from repro.core.bruteforce import brute_force_optimal
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError
 from repro.core.otac import otac, otac_big, otac_little

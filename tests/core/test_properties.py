@@ -23,9 +23,9 @@ import itertools
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_bruteforce import brute_force_optimal
 
 from repro.core.bounds import period_bounds
-from repro.core.bruteforce import brute_force_optimal
 from repro.core.chain_stats import ChainProfile
 from repro.core.fertac import fertac
 from repro.core.herad import herad

@@ -12,6 +12,7 @@ Pinned end to end on oracle-grade workloads:
 from __future__ import annotations
 
 import pytest
+from tests import chain_shapes as g
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.registry import STRATEGIES
@@ -24,7 +25,6 @@ from repro.engine import (
     RetryPolicy,
     load_journal,
 )
-from repro.workloads import generators as g
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 from .oracle import ONE_CELL_UNITS

@@ -71,6 +71,12 @@ class TestRunCampaign:
             np.testing.assert_array_equal(rec.periods, handed.records[name].periods)
             np.testing.assert_array_equal(rec.big_used, handed.records[name].big_used)
 
+    def test_a_handed_in_population_labels_the_result_with_its_own_size(self):
+        result = run_campaign(
+            Resources(2, 2), 0.5, chains=campaign_chains(0.5, 3, 6, seed=5)
+        )
+        assert result.num_chains == 3 == len(result.optimal_periods)
+
     def test_table1_draws_each_population_once(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(

@@ -133,13 +133,6 @@ class TestTable3:
         assert "match" in text
         assert "tau_19" in text
 
-    def test_profiler_demo(self):
-        rows = table3.profile_chain_executors(time_scale=1e-7, repetitions=1)
-        assert len(rows) == 23
-        for _, nominal, measured in rows:
-            assert measured >= 0.0
-            assert nominal > 0.0
-
 
 class TestFig5And6:
     def test_fig5_render(self):

@@ -51,12 +51,6 @@ def test_custom_strategy_output():
     assert "BIGFIRST" in out
 
 
-def test_functional_transceiver_output():
-    out = run_example("functional_transceiver.py")
-    assert "Bit errors: 0" in out
-    assert "error-free" in out
-
-
 def test_pipeline_visualization_output():
     out = run_example("pipeline_visualization.py")
     assert "Gantt" in out and "Pareto" in out

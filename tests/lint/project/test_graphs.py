@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.lint.project import ProjectContext
+from repro.lint.project.model import extract_module_facts
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
 
@@ -44,6 +46,21 @@ class TestImportResolution:
 
     def test_unknown_name_resolves_to_nothing(self, pctx):
         assert pctx.resolve_callable("repro.core.solvers", "no_such") == ()
+
+    def test_deferred_imports_are_edges_and_the_module_body_wins_a_name(self):
+        tree = ast.parse(
+            "from .solvers import solve\n"
+            "def late():\n"
+            "    from ..engine.cache import Cache as solve\n"
+            "if TYPE_CHECKING:\n"
+            "    import repro.obs.clock\n"
+        )
+        records = extract_module_facts("repro.core.late", "late.py", tree).imports
+        assert [(r.target, r.names) for r in records] == [
+            ("repro.engine.cache", (("Cache", "solve"),)),
+            ("repro.obs.clock", ()),
+            ("repro.core.solvers", (("solve", "solve"),)),
+        ]
 
 
 class TestCallGraph:

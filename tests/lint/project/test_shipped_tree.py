@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import ast
 import re
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.cli import _EXPERIMENTS, build_parser
 from repro.lint import lint_project
 from repro.lint.project import ALLOWLIST, ProjectContext
+from repro.lint.project.model import ImportRecord, ModuleFacts, extract_module_facts
 from repro.lint.project.rules import LAYER_RANKS
 
 ROOT = Path(__file__).resolve().parents[3]
@@ -66,6 +69,69 @@ class TestShippedTreeClean:
             r"(?:python|pytest)(?: -\S+)*? ([\w./-]+\.py|[\w.-]+/[\w./-]*)", text
         )
         assert paths and all((ROOT / path).exists() for path in paths), paths
+
+
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md")
+
+
+def _stale_references(text: str) -> list[str]:
+    """The ``dir/file.py`` paths, ``repro.<module>`` dotted names and
+    ``repro <subcommand>`` invocations in ``text`` that the tree lacks.
+
+    A path may be written from any directory (``core/herad.py``,
+    ``src/repro/core/herad.py``); a dotted name may end in one attribute of
+    the module or package it names (``repro.core.herad.herad_batch``).
+    """
+    files = [
+        "/" + path.relative_to(ROOT).as_posix()
+        for top in ("src", "tests", "perf", "examples")
+        for path in (ROOT / top).rglob("*.py")
+    ]
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if action.dest == "experiment"
+    )
+
+    def module_exists(dotted: str) -> bool:
+        here = PACKAGE
+        for part in dotted.split(".")[1:]:
+            if (here / part).is_dir():
+                here = here / part
+            elif (here / f"{part}.py").is_file():
+                here = here / f"{part}.py"
+            else:
+                source = here if here.is_file() else here / "__init__.py"
+                return re.search(rf"\b{part}\b", source.read_text()) is not None
+        return True
+
+    paths = re.findall(r"[\w./-]*/[\w.-]+\.py\b", text)
+    dotted = re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text)
+    invoked = re.findall(r"(?:-m |`)repro ([a-z][\w-]*)", text)
+    return sorted(
+        {p for p in paths if not any(f.endswith("/" + p.lstrip("./")) for f in files)}
+        | {d for d in dotted if not module_exists(d)}
+        | {f"repro {c}" for c in invoked if c not in commands}
+    )
+
+
+class TestDocsNameWhatExists:
+    """ROADMAP item 4(d): a doc that names a file, module or command the tree
+    no longer has misleads its next reader and nothing else notices."""
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_every_path_module_and_subcommand_resolves(self, doc):
+        assert _stale_references((ROOT / doc).read_text()) == []
+
+    def test_a_reference_to_something_the_tree_lacks_is_reported(self):
+        text = (
+            "`core/herad.py` and `src/repro/cli.py` feed `repro.core.herad.herad_batch`;"
+            " run `repro table1` or `python -m repro lint`.  Gone: `engine/shm.py`,"
+            " `repro.sdr.transceiver`, `repro.core.no_such_name`, `repro frobnicate`."
+        )
+        assert _stale_references(text) == [
+            "engine/shm.py", "repro frobnicate",
+            "repro.core.no_such_name", "repro.sdr.transceiver",
+        ]
 
 
 class TestLayerContract:
@@ -196,6 +262,93 @@ class TestOneThreadPerProcess:
             if record.target == "repro.obs" or record.target.startswith("repro.obs.")
         }
         assert from_obs == {"repro.obs.clock"}
+
+
+def _census_roots() -> list[ImportRecord]:
+    """What somebody can run: ``python -m repro`` and the drivers its
+    experiment commands load by name, ``python -m repro.lint``, and every
+    import of the ledger (``perf/*.py``) and the examples."""
+    entries = ["repro.__main__", "repro.lint.__main__"]
+    entries += [f"repro.experiments.{name}" for name in _EXPERIMENTS]
+    records = [ImportRecord(entry, (), None, 0) for entry in entries]
+    for script in sorted([*ROOT.glob("perf/*.py"), *ROOT.glob("examples/*.py")]):
+        tree = ast.parse(script.read_text())
+        records += extract_module_facts(script.stem, script.name, tree).imports
+    return records
+
+
+def _unreached(facts: dict[str, ModuleFacts], roots: list[ImportRecord]) -> list[str]:
+    """Modules no root's import records lead to.
+
+    A module is reached when a root or a reached module imports it.  Loading
+    it runs its packages' ``__init__``s, but an ``__init__``'s import is
+    followed only for a name somebody reached asks the package for — a
+    re-export nobody asks for keeps nothing alive — or when it binds a
+    private name, which nobody can ask for: it is there for its effect
+    (``from . import rules as _rules`` registers the lint rules).
+    """
+    reached: set[str] = set()
+
+    def load(target: str, name: "str | None" = None) -> None:
+        parent = target.rpartition(".")[0]
+        if parent:
+            load(parent)
+        package = facts.get(f"{target}.__init__")
+        if package is None:
+            if target in facts and target not in reached:
+                reached.add(target)
+                follow(facts[target].imports)
+            return
+        if package.module not in reached:
+            reached.add(package.module)
+            follow(
+                record for record in package.imports
+                if all(bound.startswith("_") for _, bound in record.names)
+            )
+        if name is None:
+            return
+        if f"{target}.{name}" in facts or f"{target}.{name}.__init__" in facts:
+            load(f"{target}.{name}")
+            return
+        for record in package.imports:
+            for original, bound in record.names:
+                if bound == name:
+                    load(record.target, original)
+
+    def follow(records) -> None:
+        for record in records:
+            if not record.names:  # plain ``import a.b``
+                load(record.target)
+            for original, _ in record.names:
+                load(record.target, original)
+
+    follow(roots)
+    return sorted(set(facts) - reached)
+
+
+class TestCensus:
+    """ROADMAP item 4(a): every module under ``src/repro`` is on the path of
+    a command, a ledger workload or an example.  A module only its own test
+    imports is a test helper and lives under ``tests/``."""
+
+    def test_every_module_is_reached_from_something_a_user_runs(self, pctx):
+        assert _unreached(pctx.facts, _census_roots()) == []
+
+    def test_an_unreferenced_module_and_an_unrequested_reexport_are_named(
+        self, tmp_path
+    ):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        (package / "core" / "orphan.py").write_text("ANSWER = 42\n")
+        (package / "sdr" / "shelved.py").write_text("def shelved():\n    return 1\n")
+        with (package / "sdr" / "__init__.py").open("a") as init:
+            init.write("from .shelved import shelved\n")
+        facts = ProjectContext.build(package, project_root=tmp_path).facts
+        assert _unreached(facts, _census_roots()) == [
+            "repro.core.orphan", "repro.sdr.shelved",
+        ]
 
 
 class TestPerformance:

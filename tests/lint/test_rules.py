@@ -741,19 +741,6 @@ class TestRawTiming:
         assert findings[0].rule_id == "REP110"
         assert "perf_counter" in findings[0].message
 
-    def test_streampu_profiler_is_exempt(self, lint_source):
-        findings = lint_source(
-            """
-            import time
-
-            def stamp():
-                return time.monotonic()
-            """,
-            relpath="src/repro/streampu/profiler.py",
-            rules=["raw-timing"],
-        )
-        assert findings == ()
-
     def test_obs_clock_import_is_not_flagged(self, lint_source):
         findings = lint_source(
             """

@@ -1,12 +1,9 @@
-"""Tests for repro.workloads.generators (structured chain shapes)."""
+"""Tests for the structured chain shapes in ``tests/chain_shapes.py``."""
 
 from __future__ import annotations
 
 import pytest
-
-from repro.core.errors import InvalidChainError
-from repro.core.types import CoreType
-from repro.workloads.generators import (
+from tests.chain_shapes import (
     alternating_chain,
     fully_replicable_chain,
     fully_sequential_chain,
@@ -14,6 +11,9 @@ from repro.workloads.generators import (
     inverted_speed_chain,
     uniform_chain,
 )
+
+from repro.core.errors import InvalidChainError
+from repro.core.types import CoreType
 
 
 def test_uniform_chain_stateless_split():
