@@ -13,15 +13,17 @@ with the secondary objective resolved per cell by the paper's
 ``CompareCells`` (Algo. 10) rule.  That fold is order-insensitive and equal
 to the lexicographic minimum of ``(period, big cores used, little cores
 used)`` (DESIGN.md §5), so each prefix length is a handful of whole-plane
-NumPy min passes — ``O(n (b+l))`` array operations instead of the
-``O(n^2 b l (b+l))`` scalar loop nest.
+NumPy min passes instead of the ``O(n^2 b l (b+l))`` scalar loop nest: the
+candidates of one core type are folded a *block* of core counts ``u`` at a
+time (:func:`_fill_tables`), and Algo. 9's neighbour propagation is one
+ranked prefix minimum per budget axis (:func:`_neighbor_sweep`).
 
 Every array carries a leading **batch axis**: :func:`herad_batch` sweeps a
-whole campaign batch through each operation at once (one instance costs
-~3 200 small NumPy calls at ``n = 20, R = (10, 10)``, so a batch amortises
-that dispatch), and :func:`herad` is the same DP on a one-row batch.  Rows
-never interact; three arguments make a row's answer independent of its
-neighbours:
+whole campaign batch through each operation at once (one instance is ~1 800
+NumPy calls and ~1 300 indexing operations at ``n = 20, R = (10, 10)`` —
+4 ms, nearly all of it dispatch — so a batch amortises that), and
+:func:`herad` is the same DP on a one-row batch.  Rows never interact; three
+arguments make a row's answer independent of its neighbours:
 
 * **Packed DP key.**  The cell key ``(period, acc_b, acc_l)`` with
   first-start tie-break is ``(period, acc_b << 42 | acc_l << 21 | start)``.
@@ -30,10 +32,12 @@ neighbours:
   integer min give the reduction *and* its winning start.  Tables store the
   key with the start lane zeroed.
 * **Masked invalid starts.**  A ``u >= 2``-core stage must be replicable;
-  the DP gathers the batch-*union* of replicable starts and masks the rest
-  of each row to an infinite stage weight.  An infinite-period candidate
-  always carries a positive accumulator while an untouched cell holds
-  ``(inf, 0)``, so the strict lexicographic update never fires on one.
+  the DP reads the run of starts from the batch's first replicable one on
+  and masks the rest of each row to an infinite stage weight.  An
+  infinite-period candidate always carries a positive accumulator while an
+  untouched cell holds ``(inf, 0)``, so the strict lexicographic update
+  never fires on one — nor on a candidate read from the ``(inf, 0)``
+  padding below budget zero (:func:`_padded_planes`).
 * **Padding.**  Planes ``j > n_i`` of a shorter chain hold finite garbage
   that nothing reads: plane ``j`` consumes only planes ``< j``, and
   extraction for instance ``i`` starts at plane ``n_i``.
@@ -48,7 +52,7 @@ Complexity matches the paper: ``O(n^2 b l (b+l))`` time, ``O(n b l)`` space.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,10 +74,19 @@ _KEY_SENTINEL = np.iinfo(np.int64).max
 _ACC_L_SHIFT = 21
 _ACC_B_SHIFT = 2 * _ACC_L_SHIFT
 #: Per-type budget / chain-length bound under which the packed key is exact.
-#: Far past what the tables could hold: at ``b = 2^21`` the per-``u``
-#: geometry alone is ``b^2 / 2 * 4 B`` ~ 8.8 TB.
+#: Far past what the DP could walk: at ``b = 2^21`` the ``u`` loop of one
+#: plane alone visits ``b^2 / 2`` ~ 2.2e12 candidate cells.
 _LANE_LIMIT = 1 << _ACC_L_SHIFT
 _LANE_MASK = _LANE_LIMIT - 1
+#: Candidate cells ``(row, start, u, b, l)`` one block of ``u`` values may
+#: hold (a single ``u`` is always allowed).  Below it a plane is bound by
+#: NumPy dispatch and stacking ``u`` removes calls; above it by memory
+#: traffic, and stacking only loses the per-``u`` early exit.  Measured on
+#: Table I's three budgets, 20 tasks, ms per row at 1 / 2^13 / 2^14 / 2^15 /
+#: 2^16 / 2^20: one row 8.9 / 4.1 / 4.1 / 4.0 / 4.0 / 4.3, ten rows 2.54 /
+#: 1.78 / 1.49 / 1.50 / 1.53 / 1.61, fifty rows 1.47 / 1.51 / 1.51 / 1.47 /
+#: 1.46 / 1.71 (run-to-run spread ~0.1).
+_BLOCK_CELLS = 1 << 15
 
 
 def _unpack(combo: int) -> tuple[int, int]:
@@ -107,241 +120,303 @@ def _pack(
     return (big, little), next_seq
 
 
+def _padded_planes(
+    size: int, n: int, pad: int, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Period and combo planes ``(size, n + 1, rows, cols)`` of a DP table.
+
+    Each plane is preceded in memory by ``pad`` more rows holding ``(inf,
+    0)``: "a stage of ``u`` cores out of a budget of fewer" reads an
+    infeasible predecessor there instead of needing a branch, which is what
+    lets one strided window serve several ``u`` at once
+    (:func:`_fill_tables`, whose window arithmetic relies on each returned
+    view's ``.base`` being that padded storage).
+    """
+    shape = (size, n + 1, pad + rows, cols)
+    period = np.full(shape, np.inf)[:, :, pad:]
+    period[:, 0] = 0.0  # P*(0, ., .) = 0
+    return period, np.zeros(shape, dtype=np.int64)[:, :, pad:]
+
+
 class _BatchTables:
     """The HeRAD solution matrices for a whole batch.
 
     Axis order is ``(instance, plane, big budget, little budget)`` where
     plane ``j`` describes optimal schedules of the first ``j`` tasks.  The
-    ``combo`` plane packs both accumulators (start lane zero).
+    ``combo`` plane packs both accumulators (start lane zero).  ``period``
+    and ``combo`` are :func:`_padded_planes` with ``pad`` rows below big
+    budget zero.
     """
 
     __slots__ = ("period", "combo", "prev_b", "prev_l", "vtype", "start")
 
-    def __init__(self, size: int, n: int, big: int, little: int) -> None:
+    def __init__(
+        self, size: int, n: int, big: int, little: int, pad: int
+    ) -> None:
         shape = (size, n + 1, big + 1, little + 1)
-        self.period = np.full(shape, np.inf, dtype=np.float64)
-        self.period[:, 0] = 0.0  # P*(0, ., .) = 0
-        self.combo = np.zeros(shape, dtype=np.int64)
+        self.period, self.combo = _padded_planes(size, n, pad, *shape[2:])
         self.prev_b = np.zeros(shape, dtype=np.int32)
         self.prev_l = np.zeros(shape, dtype=np.int32)
         self.vtype = np.full(shape, int(CoreType.LITTLE), dtype=np.int8)
         self.start = np.zeros(shape, dtype=np.int32)
 
 
-def _update_plane(
-    cur: dict[str, np.ndarray],
-    region: tuple[slice, slice],
-    new_period: np.ndarray,
-    new_key: np.ndarray,
-    fields: dict[str, np.ndarray],
-) -> None:
-    """Strict lexicographic key-compare update on ``region`` of every row.
-
-    Equal keys keep the incumbent — the competing solutions are equivalent
-    for both objectives.  ``new_key`` still carries the winner's start in
-    its low lane; the combo stored on update has it stripped, and the start
-    is delivered through its own plane.
-    """
-    sel = (slice(None), *region)
-    cur_p = cur["period"][sel]
-    cur_c = cur["combo"][sel]
-    # Lexicographic DP key: both planes hold values produced by the identical
-    # max/divide pipeline, so equal values really are bitwise-equal; isclose
-    # here would merge distinct optima.  Comparing the un-stripped key is
-    # exact: stored combos are multiples of 2^21 and the start lane is
-    # non-negative, so ``new_key < cur_c`` holds iff the stripped combo is
-    # *strictly* smaller — the start lane can never flip a tie.
-    better = (new_period < cur_p) | (
-        (new_period == cur_p)  # lint: ignore[float-equality]
-        & (new_key < cur_c)
-    )
-    if not better.any():
-        return
-    np.copyto(cur_p, new_period, where=better)
-    np.copyto(cur_c, new_key & ~_LANE_MASK, where=better)
-    np.copyto(
-        cur["start"][sel], (new_key & _LANE_MASK).astype(np.int32),
-        where=better,
-    )
-    for name, value in fields.items():
-        np.copyto(cur[name][sel], value, where=better)
-
-
-def _neighbor_sweep(
-    cur: dict[str, np.ndarray], big: int, little: int
-) -> None:
+def _neighbor_sweep(period: np.ndarray, combo: np.ndarray) -> np.ndarray:
     """Propagate solutions needing one core fewer (Algo. 9, lines 2-3).
 
-    Each cell must end up holding the lexicographic key minimum over its
-    lower-left quadrant (budgets ``(b', l') <= (b, l)``), with the winning
-    cell's companion fields carried along.  Instead of the naive
-    ``O(b * l)`` scalar double loop, run two vectorized lexicographic
-    prefix-minimum passes — one per budget axis, each a Hillis-Steele
-    doubling scan (``O(log)`` whole-plane steps) — tracking the flat
-    *source* index of each running minimum, then gather the winners' rows
-    once at the end.  Prefix minima compose across the two axes because the
-    lexicographic minimum is associative and commutative; strict
-    comparisons keep the incumbent cell on ties, exactly like the ascending
-    scalar loop (``tests/core/test_herad_sweep.py`` holds it to one).
+    Each cell must end up holding the lexicographic ``(period, combo)``
+    minimum over its lower-left quadrant (budgets ``(b', l') <= (b, l)``).
+    Returns, per cell of the ``(instance, big, little)`` planes, the flat
+    in-plane index of the cell that wins its quadrant; among equal keys the
+    winner is the one with the largest ``b'``, then the largest ``l'`` —
+    the cell itself whenever it ties (``tests/core/test_herad_sweep.py``
+    holds both to the literal ascending loops).
+
+    The pair is first replaced by its dense rank, so that ``rank * cells +
+    (cells - 1 - flat index)`` is one integer whose minimum is the minimal
+    key at the largest position; a prefix minimum is then one
+    ``np.minimum.accumulate`` per budget axis (minima compose across the
+    axes, being associative and commutative) and the remainder modulo
+    ``cells`` is the source.  Rows are ranked apart, so ``rank < cells`` and
+    the code stays far inside an ``int64`` for any plane that fits in memory.
     """
-    kp = cur["period"].copy()
-    kc = cur["combo"].copy()
-    size_b = kp.shape[0]
-    plane_cells = kp.shape[1] * kp.shape[2]
-    own = np.arange(plane_cells, dtype=np.intp).reshape(kp.shape[1:])
-    src = np.broadcast_to(own, kp.shape).copy()
+    size, cells = period.shape[0], period.shape[1] * period.shape[2]
+    flat_p, flat_c = period.reshape(size, cells), combo.reshape(size, cells)
+    order = np.lexsort((flat_c, flat_p))  # each row by period, then combo
+    rows = np.arange(size)[:, None]
+    sorted_p, sorted_c = flat_p[rows, order], flat_c[rows, order]
+    ranks = np.zeros((size, cells), dtype=np.int64)
+    np.cumsum(
+        (sorted_p[:, 1:] != sorted_p[:, :-1])  # lint: ignore[float-equality]
+        | (sorted_c[:, 1:] != sorted_c[:, :-1]),
+        axis=1,
+        out=ranks[:, 1:],
+    )
+    code = np.empty((size, cells), dtype=np.int64)
+    code[rows, order] = ranks
+    code *= cells
+    code += np.arange(cells - 1, -1, -1)
+    code = code.reshape(period.shape)
+    np.minimum.accumulate(code, axis=2, out=code)
+    np.minimum.accumulate(code, axis=1, out=code)
+    code %= cells
+    return np.subtract(cells - 1, code, out=code)
 
-    for axis, size in ((2, little), (1, big)):
-        step = 1
-        while step <= size:
-            if axis == 2:
-                prev_p = kp[:, :, :-step].copy()
-                prev_c = kc[:, :, :-step].copy()
-                prev_s = src[:, :, :-step].copy()
-                views = (kp[:, :, step:], kc[:, :, step:], src[:, :, step:])
-            else:
-                prev_p = kp[:, :-step].copy()
-                prev_c = kc[:, :-step].copy()
-                prev_s = src[:, :-step].copy()
-                views = (kp[:, step:], kc[:, step:], src[:, step:])
-            cur_p, cur_c, cur_s = views
-            better = (prev_p < cur_p) | (
-                (prev_p == cur_p)  # lint: ignore[float-equality]
-                & (prev_c < cur_c)
-            )
-            if better.any():
-                np.copyto(cur_p, prev_p, where=better)
-                np.copyto(cur_c, prev_c, where=better)
-                np.copyto(cur_s, prev_s, where=better)
-            step <<= 1
 
-    changed = src != own
-    if not changed.any():
-        return
-    rows = np.arange(size_b, dtype=np.intp)[:, None, None]
-    for plane in cur.values():
-        winners = plane.reshape(size_b, plane_cells)[rows, src]
-        np.copyto(plane, winners, where=changed)
+class _Lane(NamedTuple):
+    """One core type's view of the DP, with that type's budget as the row
+    axis of every plane — "``u`` cores fewer" is then a shift by whole rows
+    and the ``(rows, cols)`` run a block reads is contiguous."""
+
+    prefix: np.ndarray  #: (size, n + 1) weight prefix sums on this type
+    cap: int  #: cores of this type
+    pred_p: np.ndarray  #: predecessor periods (:func:`_padded_planes`)
+    pred_k: np.ndarray  #: predecessor combos
+    pad: int  #: rows of padding in front of each predecessor plane
+    cur_p: np.ndarray  #: the working plane's period ...
+    cur_k: np.ndarray  #: ... un-stripped key ...
+    choice: np.ndarray  #: ... and winning block, all row-major in this type
+    adds: np.ndarray  #: packed accumulator increment of u = 1 .. cap
+    divisors: np.ndarray  #: u = 2 .. cap as floats
+    mark: int  #: sign of this type's entries in the choice plane
 
 
 def _fill_tables(
     profiles: Sequence[ChainProfile], big: int, little: int
 ) -> _BatchTables:
-    """Run the DP over all planes for every instance of the batch."""
+    """Run the DP over all planes for every instance of the batch.
+
+    Plane ``j`` is the first-wins lexicographic minimum of ``(period,
+    combo)`` over the candidates in the order big ``u = 1, 2, ...`` then
+    little ``u = 1, 2, ...``, each ``u`` offering its own minimum over
+    stage starts with the smallest start among ties.  Candidates are
+    folded a *block* at a time: a block is one core type, a run of
+    consecutive ``u`` and a run of starts, evaluated as one
+    ``max(P[start, budget - u], w / u)`` array read through a strided
+    window of the padded predecessor planes and reduced by one float min
+    and one key min over the period-tied.  The key's low lane holds ``(u -
+    u0) * (n + 1) + start``, so that second min also settles first ``u``
+    then first start, and the block meets the plane through one strict
+    compare.  How many ``u`` a block stacks is set by its candidate count
+    (:data:`_BLOCK_CELLS`): a one-row plane folds all of ``u >= 2`` at
+    once, a fifty-row span one ``u`` at a time.
+
+    Only ``period``, that key and the block's ``(type, u0)`` are carried
+    through the plane; the four companion tables are derived once, from the
+    cell that wins the neighbour sweep.
+    """
     prefixes, next_seq = _pack(profiles)
     size, n = next_seq.shape[0], next_seq.shape[1] - 1
-    tables = _BatchTables(size, n, big, little)
-    caps = {CoreType.BIG: big, CoreType.LITTLE: little}
+    plane = (size, big + 1, little + 1)
+    cells = plane[1] * plane[2]
+    # The most u values one block may stack: what the candidate budget
+    # allows at a single start, and what the key's low lane can index.
+    stack = max(
+        1, min(_BLOCK_CELLS // (size * cells), (_LANE_LIMIT - 1) // (n + 1))
+    )
+    pad_b, pad_l = (max(0, min(stack, cap - 1) - 1) for cap in (big, little))
+    tables = _BatchTables(size, n, big, little, pad_b)
 
-    bb_grid = np.arange(big + 1, dtype=np.int32)[:, None]
-    ll_grid = np.arange(little + 1, dtype=np.int32)[None, :]
+    # The working plane, reset per prefix length: period, the un-stripped
+    # key, and the winning block as +u0 (big) / -u0 (little) / 0 (no
+    # candidate yet: decodes to the untouched cell's companions).
+    cur_p = np.empty(plane)
+    cur_k = np.empty(plane, dtype=np.int64)
+    choice = np.empty(plane, dtype=np.int32)
+    # Candidate buffers, sized for the largest block: every start at one u
+    # (a stacked block is capped to _BLOCK_CELLS, or is a single u).
+    room = max(size * n * cells, _BLOCK_CELLS)
+    work_p = np.empty(room)
+    work_k = np.empty(room, dtype=np.int64)
 
-    # The working plane: one buffer per field, allocated once and reset per
-    # prefix length ``j``.
-    shape = (size, big + 1, little + 1)
-    cur = {
-        "period": np.empty(shape, dtype=np.float64),
-        "combo": np.empty(shape, dtype=np.int64),
-        "prev_b": np.empty(shape, dtype=np.int32),
-        "prev_l": np.empty(shape, dtype=np.int32),
-        "vtype": np.empty(shape, dtype=np.int8),
-        "start": np.empty(shape, dtype=np.int32),
-    }
+    starts = np.arange(n, dtype=np.int64)
+    low_step = np.arange(stack, dtype=np.int64) * (n + 1)
+    row_base = (np.arange(size) * cells)[:, None, None]
 
-    # Per-(core type, u) geometry, independent of the prefix length ``j``:
-    # the predecessor cells a ``u``-core stage reads, the region it writes,
-    # its companion fields (``_update_plane`` broadcasts, so the half-open
-    # grids are passed unexpanded) and its packed accumulator increment.
-    group: dict[tuple[CoreType, int], tuple] = {}
-    for u in range(1, big + 1):
-        pred = (slice(0, big + 1 - u), slice(None))
-        region = (slice(u, big + 1), slice(None))
-        fields = {
-            "prev_b": bb_grid[u:] - u,
-            "prev_l": ll_grid,
-            "vtype": np.int8(int(CoreType.BIG)),
-        }
-        group[CoreType.BIG, u] = (pred, region, fields, np.int64(u) << _ACC_B_SHIFT)
-    for u in range(1, little + 1):
-        pred = (slice(None), slice(0, little + 1 - u))
-        region = (slice(None), slice(u, little + 1))
-        fields = {
-            "prev_b": bb_grid,
-            "prev_l": ll_grid[:, u:] - u,
-            "vtype": np.int8(int(CoreType.LITTLE)),
-        }
-        group[CoreType.LITTLE, u] = (pred, region, fields, np.int64(u) << _ACC_L_SHIFT)
+    # Big reads the tables themselves; little a little-major twin of their
+    # period and combo, written alongside.
+    lanes = []
+    if big:
+        counts = np.arange(1, big + 1, dtype=np.int64)
+        lanes.append(_Lane(
+            prefixes[int(CoreType.BIG)], big, tables.period, tables.combo,
+            pad_b, cur_p, cur_k, choice, counts << _ACC_B_SHIFT,
+            counts[1:].astype(np.float64), 1,
+        ))
+    if little:
+        twin_p, twin_k = _padded_planes(size, n, pad_l, little + 1, big + 1)
+        counts = np.arange(1, little + 1, dtype=np.int64)
+        lanes.append(_Lane(
+            prefixes[int(CoreType.LITTLE)], little, twin_p, twin_k, pad_l,
+            cur_p.transpose(0, 2, 1), cur_k.transpose(0, 2, 1),
+            choice.transpose(0, 2, 1), counts << _ACC_L_SHIFT,
+            counts[1:].astype(np.float64), -1,
+        ))
+
+    def fold(lane: _Lane, first: int, u0: int, stage_w: np.ndarray) -> None:
+        """Meet the working plane with one block: ``count`` starts from
+        ``first`` by ``u0 <= u < u0 + depth`` cores of ``lane``'s type,
+        ``stage_w`` their ``(size, count, depth)`` stage weights (infinite
+        where a row's start is masked)."""
+        count, depth = stage_w.shape[1:]
+        rows, cols = lane.cap + 1 - u0, lane.pred_p.shape[3]
+        block = (size, count, depth, rows, cols)
+        flat = (size, count * depth, rows, cols)
+        used = size * count * depth * rows * cols
+
+        def window(pred: np.ndarray) -> np.ndarray:
+            # [row, s, k, r, c] -> pred[row, first + s, r - k, c]: row r of
+            # the region is budget u0 + r, and u0 + k cores fewer is r - k.
+            by_row, by_plane, by_r, by_c = pred.strides
+            return np.ndarray(
+                block, pred.dtype, pred.base,
+                lane.pad * by_r + first * by_plane,
+                (by_row, by_plane, -by_r, by_r, by_c),
+            )
+
+        cand_p = work_p[:used].reshape(flat)
+        cand_k = work_k[:used].reshape(flat)
+        np.maximum(
+            window(lane.pred_p), stage_w[:, :, :, None, None],
+            out=cand_p.reshape(block),
+        )
+        p_min = cand_p.min(axis=1)
+        # Exact DP tie-break: p_min comes from the very array it is
+        # compared to, so equal values are bitwise-identical by
+        # construction; the packed-key min over the period-tied candidates
+        # then resolves ties by (acc_b, acc_l, u, start).  The others are
+        # raised to the sentinel (0 / 1 -> 0 / all ones, or-ed in), which
+        # measures at a third of ``np.min(..., where=)``; the float buffer
+        # is dead once they are known and lends its bytes to the keys.
+        np.not_equal(cand_p, p_min[:, None], out=cand_k)  # lint: ignore[float-equality]
+        cand_k *= _KEY_SENTINEL
+        keys = cand_p.view(np.int64)
+        offsets = starts[first : first + count, None] + (
+            lane.adds[u0 - 1 : u0 - 1 + depth] + low_step[:depth]
+        )
+        np.add(
+            window(lane.pred_k), offsets[:, :, None, None],
+            out=keys.reshape(block),
+        )
+        cand_k |= keys
+        key_min = cand_k.min(axis=1)
+
+        # Strict lexicographic update: an equal (period, stripped combo)
+        # keeps the incumbent — the earlier block.  Both planes hold values
+        # produced by the identical max/divide pipeline, so equal values
+        # really are bitwise-equal; isclose here would merge distinct
+        # optima.  Filling the candidate's low lane makes the integer
+        # compare exact: it is below the incumbent's key iff its stripped
+        # combo is *strictly* smaller, whatever the two low lanes hold.
+        tgt_p, tgt_k = lane.cur_p[:, u0:], lane.cur_k[:, u0:]
+        better = (p_min < tgt_p) | (
+            (p_min == tgt_p)  # lint: ignore[float-equality]
+            & ((key_min | _LANE_MASK) < tgt_k)
+        )
+        if not better.any():
+            return
+        np.copyto(tgt_p, p_min, where=better)
+        np.copyto(tgt_k, key_min, where=better)
+        np.copyto(lane.choice[:, u0:], lane.mark * u0, where=better)
 
     for j in range(1, n + 1):
         end = j - 1
-        cur["period"].fill(np.inf)
-        cur["combo"].fill(0)
-        cur["prev_b"].fill(0)
-        cur["prev_l"].fill(0)
-        cur["vtype"].fill(int(CoreType.LITTLE))
-        cur["start"].fill(0)
+        cur_p.fill(np.inf)
+        cur_k.fill(0)
+        choice.fill(0)
 
         # rep[i, s]: interval [s, end] of instance i is replicable (padded
         # rows yield garbage that the inf-mask argument neutralizes).  For
-        # u >= 2 only the batch-union of replicable starts is gathered —
-        # the complement would be all-masked rows, pure wasted work.
+        # u >= 2 only the starts from the batch's first replicable one on
+        # are read: replicable starts are a suffix of each row, so that run
+        # is their union and anything before it would be all-masked rows.
         rep = next_seq[:, :j] > end
-        rep_union = np.flatnonzero(rep.any(axis=0)).astype(np.int64)
-        all_starts = np.arange(j, dtype=np.int64)[None, :, None, None]
-        # Gather the replicable-start predecessor block once per plane; the
-        # per-u pred regions below are plain slice views into it.
-        if rep_union.size:
-            rep_period = tables.period[:, rep_union]
-            rep_combo = tables.combo[:, rep_union]
+        any_rep = rep.any(axis=0)
+        first = int(any_rep.argmax()) if any_rep.any() else j
 
-        for core_type in (CoreType.BIG, CoreType.LITTLE):
-            cap = caps[core_type]
-            if cap == 0:
-                continue
+        for lane in lanes:
             # weights[i, s] = w([tau_s, tau_end], 1, v) of instance i.
-            prefix = prefixes[int(core_type)]
-            weights = prefix[:, j : j + 1] - prefix[:, :j]
-            rep_w = weights[:, rep_union]
-            rep_mask = rep[:, rep_union]
-            rep_starts = rep_union[None, :, None, None]
+            weights = lane.prefix[:, j : j + 1] - lane.prefix[:, :j]
+            weights = weights[:, :, None]
+            fold(lane, 0, 1, weights)
+            if lane.cap == 1 or first == j:
+                continue
+            # Sequential stages gain nothing from extra cores (Section V
+            # optimization): only replicable starts can host a u-core
+            # stage; instances for which a start of the run is sequential
+            # are masked to inf, which the strict key update ignores.
+            stage_w = np.where(
+                rep[:, first:, None], weights[:, first:] / lane.divisors, np.inf
+            )
+            depth = max(
+                1, min(stack, _BLOCK_CELLS // (size * (j - first) * cells))
+            )
+            for k in range(0, lane.cap - 1, depth):
+                fold(lane, first, 2 + k, stage_w[:, :, k : k + depth])
 
-            for u in range(1, cap + 1):
-                pred_grid, region, fields, add = group[core_type, u]
-                if u == 1:
-                    pred = (slice(None), slice(0, j), *pred_grid)
-                    cand_p = np.maximum(
-                        tables.period[pred], weights[:, :, None, None]
-                    )
-                    cand_k = tables.combo[pred] + (all_starts + add)
-                else:
-                    # Sequential stages gain nothing from extra cores
-                    # (Section V optimization): only replicable starts can
-                    # host a u-core stage; instances for which a gathered
-                    # union start is sequential are masked to inf, which
-                    # the strict key update ignores.
-                    if rep_union.size == 0:
-                        break
-                    pred = (slice(None), slice(None), *pred_grid)
-                    stage_w = np.where(rep_mask, rep_w / u, np.inf)
-                    cand_p = np.maximum(
-                        rep_period[pred], stage_w[:, :, None, None]
-                    )
-                    cand_k = rep_combo[pred] + (rep_starts + add)
-
-                p_min = cand_p.min(axis=1)
-                # Exact DP tie-break: p_min comes from the very array it is
-                # compared to, so equal values are bitwise-identical by
-                # construction; the packed-key min over the period-tied
-                # candidates then resolves ties by (acc_b, acc_l, start).
-                mask = cand_p == p_min[:, None]  # lint: ignore[float-equality]
-                key_min = np.min(
-                    cand_k, axis=1, where=mask, initial=_KEY_SENTINEL
-                )
-                _update_plane(cur, region, p_min, key_min, fields)
-
-        _neighbor_sweep(cur, big, little)
-        for name, plane in cur.items():
-            getattr(tables, name)[:, j] = plane
+        combo = cur_k & ~_LANE_MASK
+        source = _neighbor_sweep(cur_p, combo)
+        winner = source + row_base
+        key = cur_k.ravel()[winner]
+        mark = choice.ravel()[winner]
+        # The winning candidate, decoded: the key's low lane is
+        # (u - u0) * (n + 1) + start and the mark is the block's signed u0.
+        ahead, start = np.divmod(key & _LANE_MASK, n + 1)
+        cores = np.abs(mark) + ahead
+        is_big = mark > 0
+        cores_b = np.where(is_big, cores, 0)
+        source_b, source_l = np.divmod(source, little + 1)
+        tables.period[:, j] = won_p = cur_p.ravel()[winner]
+        tables.combo[:, j] = won_k = key & ~_LANE_MASK
+        if little:
+            twin_p[:, j] = won_p.transpose(0, 2, 1)
+            twin_k[:, j] = won_k.transpose(0, 2, 1)
+        tables.prev_b[:, j] = source_b - cores_b
+        tables.prev_l[:, j] = source_l - (cores - cores_b)
+        tables.vtype[:, j] = np.where(
+            is_big, int(CoreType.BIG), int(CoreType.LITTLE)
+        )
+        tables.start[:, j] = start
 
     return tables
 

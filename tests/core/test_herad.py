@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from oracle_bruteforce import brute_force_optimal
@@ -14,7 +16,7 @@ from tests.chain_shapes import (
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import InvalidPlatformError
-from repro.core.herad import herad, herad_solution
+from repro.core.herad import herad, herad_batch, herad_solution
 from repro.core.herad_reference import herad_reference
 from repro.core.task import TaskChain
 from repro.core.types import CoreType, Resources
@@ -134,6 +136,54 @@ class TestAgainstOracles:
             profile = ChainProfile(chain)
             assert fast.period == ref.period(profile)
             assert fast.solution.core_usage() == ref.core_usage()
+
+
+def _flags_chain(flags, seed):
+    """Tasks with the given replicable flags and seeded integer weights."""
+    rng = np.random.default_rng(seed)
+    big, little = rng.integers(1, 9, (2, len(flags)))
+    return TaskChain.from_weights(big, little, flags)
+
+
+class TestEdgeCorpus:
+    """The block path where it has least to stand on: fewer than two cores
+    of a type (no ``u >= 2`` block, or a block of one), planes with no
+    replicable start, a batch whose rows agree on no replicable start, and
+    one-task chains — padded and masked cells "never an index error, a NaN
+    or a runtime warning", as a test rather than a sentence."""
+
+    _BUDGETS = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (3, 3))
+
+    #: Rows 0/1 are replicable exactly where the other is not, so at every
+    #: prefix length the starts one row may replicate from are masked in
+    #: the other; then no replicable task at all, nothing else, and n = 1.
+    _ROWS = (
+        _flags_chain([i % 2 == 0 for i in range(9)], 1),
+        _flags_chain([i % 2 == 1 for i in range(9)], 2),
+        _flags_chain([False] * 6, 3),
+        _flags_chain([True] * 7, 4),
+        _flags_chain([True], 5),
+        _flags_chain([False], 6),
+    )
+
+    @pytest.mark.parametrize("budget", _BUDGETS, ids=str)
+    def test_batch_rows_equal_solo_and_reference(self, budget):
+        resources = Resources(*budget)
+        profiles = [ChainProfile(chain) for chain in self._ROWS]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            batch = herad_batch(profiles, resources)
+            solo = [herad(profile, resources) for profile in profiles]
+            unmerged = [
+                herad(profile, resources, merge=False) for profile in profiles
+            ]
+        for profile, batched, alone, raw in zip(profiles, batch, solo, unmerged):
+            assert batched.solution.stages == alone.solution.stages
+            assert batched.period == alone.period
+            assert alone.solution.is_valid(profile, resources)
+            reference = herad_reference(profile, resources)
+            assert alone.period == reference.period(profile)
+            assert raw.solution.core_usage() == reference.core_usage()
 
 
 class TestMergeStep:

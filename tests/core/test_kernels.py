@@ -8,14 +8,16 @@ DP (``tests/data/herad_solo_oracle.json``: the full outcome — period bits,
 rendered schedule, probe log, iteration count, bounds — over mixed batches
 and degenerate budgets) with the packed key's lane edges, and
 :func:`repro.core.registry.solve_batch` against the 1260-cell pre-refactor
-oracle fixture.
+oracle fixture.  ``tests/data/herad_tie_oracle.json`` (weights in ``{1, 2}``,
+frozen before the plane loop was blocked) holds the same two call shapes to
+the full stage list where equal keys are the rule, at every block size.
 """
 
 from __future__ import annotations
 
 import itertools
+import importlib
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.core.herad import (
     herad_batch,
 )
 from repro.core.registry import get_info, get_strategy, solve_batch
+from repro.core.task import TaskChain
 from repro.core.types import Resources
 from repro.workloads.synthetic import (
     GeneratorConfig,
@@ -45,6 +48,11 @@ _DATA = Path(__file__).resolve().parent.parent / "data"
 _FIXTURE = _DATA / "k2_oracle.json"
 #: What the solo HeRAD DP answered at the commit before it was deleted.
 _SOLO_ORACLE = json.loads((_DATA / "herad_solo_oracle.json").read_text())["rows"]
+#: What the per-``(type, u)`` plane loop answered on tie-heavy chains.
+_TIE_ORACLE = json.loads((_DATA / "herad_tie_oracle.json").read_text())
+
+# The package re-exports the ``herad`` *function* under the submodule's name.
+herad_mod = importlib.import_module("repro.core.herad")
 
 #: Budgets covering the paper scenario plus every degenerate shape (single
 #: type, single core, tiny planes).
@@ -169,18 +177,63 @@ class TestKernelDifferential:
             with pytest.raises(InvalidPlatformError):
                 solve_batch(profiles, Resources(0, 0), name)
 
-    def test_oversized_budget_exceeds_packed_key_lanes(self):
+    def test_oversized_budget_exceeds_packed_key_lanes(self, monkeypatch):
         """Refused with the typed error before anything is allocated."""
+
+        def reached(*args):
+            raise AssertionError(f"the DP was entered with {args[1:]}")
+
+        monkeypatch.setattr(herad_mod, "_fill_tables", reached)
         profile = _mixed_profiles()[0]
         for refused in (
             lambda: herad(profile, Resources(1 << 21, 1)),
             lambda: herad_batch([profile], Resources(1 << 21, 1)),
             lambda: solve_batch([profile], Resources(1, 1 << 21), "herad"),
         ):
-            began = time.perf_counter()
             with pytest.raises(InvalidPlatformError):
                 refused()
-            assert time.perf_counter() - began < 0.1
+
+
+def _stages(solution):
+    return [[s.start, s.end, s.cores, int(s.core_type)] for s in solution.stages]
+
+
+class TestTieOracle:
+    """Equal keys everywhere: which candidate and which source cell win is
+    what a rewrite of the plane loop can change without moving a period."""
+
+    #: The default, one ``u`` per block, and every ``u`` of a plane at once.
+    @pytest.mark.parametrize("block_cells", (None, 1, 1 << 30))
+    def test_both_call_shapes_equal_the_frozen_stage_lists(
+        self, block_cells, monkeypatch
+    ):
+        if block_cells is not None:
+            monkeypatch.setattr(herad_mod, "_BLOCK_CELLS", block_cells)
+        profiles = [
+            ChainProfile(TaskChain.from_weights(
+                spec["big"], spec["little"], spec["replicable"]
+            ))
+            for spec in _TIE_ORACLE["chains"]
+        ]
+        assert {p.n for p in profiles} == {1, 2, 5, 20}
+        rows = _TIE_ORACLE["rows"]
+        for budget in sorted({tuple(row["budget"]) for row in rows}):
+            resources = Resources(*budget)
+            batch = herad_batch(profiles, resources)
+            mine = [row for row in rows if tuple(row["budget"]) == budget]
+            assert [row["chain"] for row in mine] == list(range(len(profiles)))
+            for row, profile, batched in zip(mine, profiles, batch):
+                solo = herad(profile, resources)
+                unmerged = herad(profile, resources, merge=False)
+                for outcome, want in (
+                    (solo, row["herad"]),
+                    (batched, row["herad_batch"]),
+                ):
+                    usage = outcome.solution.core_usage()
+                    assert outcome.period.hex() == want["period"]
+                    assert [usage.big, usage.little] == want["usage"]
+                    assert _stages(outcome.solution) == want["stages"]
+                assert _stages(unmerged.solution) == row["herad"]["stages_unmerged"]
 
 
 class TestPackedKeyLanes:
