@@ -250,10 +250,13 @@ def _fill_tables(
     plane = (size, big + 1, little + 1)
     cells = plane[1] * plane[2]
     # The most u values one block may stack: what the candidate budget
-    # allows at a single start, and what the key's low lane can index.
-    stack = max(
-        1, min(_BLOCK_CELLS // (size * cells), (_LANE_LIMIT - 1) // (n + 1))
-    )
+    # allows at a single start, what the key's low lane can index, and
+    # the u >= 2 a lane has (a block never reaches past its type's cap).
+    stack = max(1, min(
+        _BLOCK_CELLS // (size * cells),
+        (_LANE_LIMIT - 1) // (n + 1),
+        max(big, little) - 1,
+    ))
     pad_b, pad_l = (max(0, min(stack, cap - 1) - 1) for cap in (big, little))
     tables = _BatchTables(size, n, big, little, pad_b)
 
@@ -263,9 +266,11 @@ def _fill_tables(
     cur_p = np.empty(plane)
     cur_k = np.empty(plane, dtype=np.int64)
     choice = np.empty(plane, dtype=np.int32)
-    # Candidate buffers, sized for the largest block: every start at one u
-    # (a stacked block is capped to _BLOCK_CELLS, or is a single u).
-    room = max(size * n * cells, _BLOCK_CELLS)
+    # Candidate buffers, sized for the largest block the loop builds: a
+    # single-u block holds at most every start at one u, a stacked one at
+    # most _BLOCK_CELLS (the depth rule) and at most every start at
+    # ``stack`` u — so past that product a larger cap costs no memory.
+    room = max(size * n * cells, min(_BLOCK_CELLS, size * n * cells * stack))
     work_p = np.empty(room)
     work_k = np.empty(room, dtype=np.int64)
 

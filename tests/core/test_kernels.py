@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,53 @@ class TestTieOracle:
                     assert [usage.big, usage.little] == want["usage"]
                     assert _stages(outcome.solution) == want["stages"]
                 assert _stages(unmerged.solution) == row["herad"]["stages_unmerged"]
+
+
+class TestBlockMemory:
+    """A block cap past the largest block the DP can build costs nothing:
+    at ``C* = size * n * cells * max(1, max(b, l) - 1)`` every ``u`` of a
+    plane already stacks, so 2^30 builds the same blocks and may allocate
+    no more.  The slack is Python-object noise, a few hundred bytes."""
+
+    SLACK = 16 << 10
+
+    @staticmethod
+    def _peak(call):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget", ((0, 5), (4, 4), (10, 10), (16, 4)))
+    def test_peak_at_2_30_is_the_peak_at_the_largest_block(
+        self, budget, monkeypatch
+    ):
+        profiles = [
+            ChainProfile(TaskChain.from_weights(
+                spec["big"], spec["little"], spec["replicable"]
+            ))
+            for spec in _TIE_ORACLE["chains"]
+        ]
+        longest = max(profiles, key=lambda p: p.n)
+        resources = Resources(*budget)
+        # size * n * cells * max(1, max(b, l) - 1), with n the batch's.
+        per_row = longest.n * (budget[0] + 1) * (budget[1] + 1)
+        per_row *= max(1, max(budget) - 1)
+        for call, size in (
+            (lambda: herad_batch(profiles, resources), len(profiles)),
+            (lambda: herad(longest, resources), 1),
+        ):
+            call()  # first-call caches are not the buffers' to pay for
+            monkeypatch.setattr(herad_mod, "_BLOCK_CELLS", size * per_row)
+            at_largest_block = self._peak(call)
+            monkeypatch.setattr(herad_mod, "_BLOCK_CELLS", 1 << 30)
+            assert self._peak(call) <= at_largest_block + self.SLACK
 
 
 class TestPackedKeyLanes:
