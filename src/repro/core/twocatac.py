@@ -23,6 +23,18 @@ per probe when each stage holds one task).  A memoized variant — an extension
 over the paper, returning identical solutions because a subproblem is fully
 determined by ``(start, remaining budget)`` at fixed target period — is
 available through ``memoize=True`` and ablated in the benchmarks.
+
+Both variants evaluate a stage at most once per probe.  At a fixed target
+period ``ComputeStage`` is a pure function of ``(type, start, available)``
+that stops depending on ``available`` once the budget covers the cores it
+asks for, so a plan that used fewer cores than it was offered is the
+budget-free plan, and every budget ``>= cores`` gets it.  The walk's stage
+table keeps that plan per ``(type, start)`` and the others under their
+exact budget; a type with no core left fits no stage and is not evaluated
+at all.  The remaining budget travels as one mixed-radix integer: a
+branch spends cores with one subtraction and a memo key is an ``int``.
+Neither changes what is explored: ``packing.compute_stage_calls`` counts
+one stage decision per branch and type, evaluated or looked up.
 """
 
 from __future__ import annotations
@@ -101,40 +113,69 @@ def choose_best(
     return little_branch  # S_L uses fewer cores (or tie)
 
 
+#: A ``ComputeStage`` answer: ``(end, cores, weight)`` (``packing.probe_stage``).
+_Plan = tuple[int, int, float]
+#: One core type's share of a probe: ``(index, stride, radix, prefix sums,
+#: budget-free plans by start, budget-bound plans by start * radix + budget)``.
+_Layer = tuple[int, int, int, list[float], "list[_Plan | None]", "dict[int, _Plan]"]
+
+
 def _twocatac_walk(
     profile: ChainProfile, resources: Resources, period: float, memoize: bool
 ) -> Walk:
     prefix, nxt, last = probe_tables(profile, period)
-    ktype = resources.ktype
-    cache: "dict[tuple[int, tuple[int, ...]], _Partial | None] | None" = (
-        {} if memoize else None
-    )
+    # The remaining budget is one mixed-radix integer: type v's count is the
+    # digit ``code // stride[v] % radix[v]``, so spending ``cores`` of it is
+    # ``code - cores * stride[v]`` and a memo key is ``start * span + code``.
+    layers: "list[_Layer]" = []
+    span = 1
+    for index, count in enumerate(resources.counts):
+        # The stage table: ``free[start]`` is the plan ``ComputeStage`` makes
+        # when the budget does not bind, which every budget ``>= cores``
+        # gets; ``bound`` holds the others under ``start * radix + budget``.
+        free: "list[_Plan | None]" = [None] * (last + 1)
+        layers.append((index, span, count + 1, prefix[index], free, {}))
+        span *= count + 1
+    zero = (0,) * len(layers)
+    cache: "dict[int, _Partial | None] | None" = {} if memoize else None
     calls = 0
 
-    def solve(start: int, remaining: tuple[int, ...]) -> "_Partial | None":
+    def solve(start: int, code: int) -> "_Partial | None":
         nonlocal calls
         if cache is not None:
-            key = (start, remaining)
+            key = start * span + code
             if key in cache:
                 return cache[key]
 
         best: "_Partial | None" = None
-        for index in range(ktype):
+        for index, stride, radix, sums, free, bound in layers:
+            # One stage decision per type, whether or not it is evaluated.
             calls += 1
-            end, cores, weight = probe_stage(
-                prefix[index], nxt, last, start, remaining[index], period
-            )
+            available = code // stride % radix
+            if not available:
+                continue  # no core of this type left: no stage can fit
+            plan = free[start]
+            if plan is None or plan[1] > available:
+                slot = start * radix + available
+                plan = bound.get(slot)
+                if plan is None:
+                    plan = probe_stage(sums, nxt, last, start, available, period)
+                    # Fewer cores than the budget: it did not bind, and this
+                    # is the budget-free plan (test_greedy_probe.py holds it).
+                    if plan[1] < available:
+                        free[start] = plan
+                    else:
+                        bound[slot] = plan
+            end, cores, weight = plan
             if weight > period:
                 continue
             stage = (start, end, cores, index)
             if end == last:
-                usage = [0] * ktype
+                usage = list(zero)
                 usage[index] = cores
                 candidate = _Partial((stage, None), tuple(usage), weight)
             else:
-                left = list(remaining)
-                left[index] -= cores
-                rest = solve(end + 1, tuple(left))
+                rest = solve(end + 1, code - cores * stride)
                 if rest is None:
                     continue
                 usage = list(rest.used)
@@ -153,7 +194,7 @@ def _twocatac_walk(
         return best
 
     try:
-        result = solve(0, resources.counts)
+        result = solve(0, span - 1)
     except RecursionError:
         raise InvalidChainError(
             f"2CATAC recurses one frame per stage and ran out of stack at a "
@@ -162,6 +203,10 @@ def _twocatac_walk(
         ) from None
     finally:
         counter_add("packing.compute_stage_calls", calls)
+        # ``solve`` reaches itself through its closure: break the cycle so
+        # the memo and the stage table go with this probe, not at the next
+        # cyclic collection.
+        del solve
     if result is None:
         return None, INFINITY
     stages = []
@@ -187,8 +232,9 @@ def twocatac_compute_solution(
         period: target period ``P``.
         memoize: cache subproblems on ``(start, remaining budget)``.  This is
             an extension over the paper: it bounds the exploration by
-            ``n * prod(counts)`` states while returning the same solutions,
-            since a subproblem's outcome depends only on those values.
+            ``n * prod(counts + 1)`` states (a type's remaining count runs
+            from 0 to its budget) while returning the same solutions, since
+            a subproblem's outcome depends only on those values.
     """
     walk = _twocatac_walk(profile, resources, period, memoize)
     return materialise(walk, resources)

@@ -1,23 +1,33 @@
 """The integer greedy probe (``repro.core.packing.probe_stage``) and the
 walks built on it, held to the object-level oracle in ``oracle_packing.py``.
 
-Four contracts:
+Five contracts:
 
 1. plan for plan, the probe is the pre-probe ``ComputeStage`` + ``stage_fits``
    (hypothesis, edge weights included);
-2. hoisting the guards out of the inner loop lost no typed refusal;
-3. an edge corpus solves identically on both call shapes (scalar and
-   ``solve_batch``) and, for the first-fit strategies, identically to the
-   object-building oracle driven through the generic bisection path;
-4. outcomes and work counters are the ones recorded at the parent commit.
+2. a plan that did not use its whole budget is the budget-free plan, which
+   every budget ``>= cores`` gets — the premise of 2CATAC's stage table —
+   and the walk built on that table decides as the paper's recursion;
+3. hoisting the guards out of the inner loop lost no typed refusal;
+4. an edge corpus solves identically on both call shapes (scalar and
+   ``solve_batch``), identically to the answers frozen in
+   ``tests/data/greedy_edge_oracle.json`` and, for the first-fit strategies,
+   identically to the object-building oracle driven through the generic
+   bisection path;
+5. outcomes and work counters are the ones recorded at the parent commit.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
+import math
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_packing import oracle_compute_stage, oracle_first_fit, oracle_stage_fits
 from test_chain_stats import _profiles  # edge weights: subnormal, duplicates, ~2**53
@@ -36,13 +46,23 @@ from repro.core.otac import otac, otac_compute_solution
 from repro.core.packing import compute_stage, probe_stage, probe_tables
 from repro.core.registry import PAPER_ORDER, get_strategy, solve_batch
 from repro.core.task import TaskChain
-from repro.core.twocatac import twocatac, twocatac_compute_solution
+from repro.core.twocatac import (
+    _Partial,
+    _twocatac_walk,
+    choose_best,
+    twocatac,
+    twocatac_compute_solution,
+)
 from repro.core.types import CoreType, Resources
 from repro.engine import CampaignEngine
 from repro.experiments import table1
 from repro.obs import ObsConfig
 from repro.platform.presets import SIMULATION_BUDGETS
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+# The package re-exports the ``twocatac`` *function* under the module name.
+_twocatac_module = importlib.import_module("repro.core.twocatac")
+
 
 class TestProbeAgainstOracle:
     @given(
@@ -78,6 +98,196 @@ class TestProbeAgainstOracle:
                     compute_stage(profile, start, available, core_type, period)
                     == want
                 )
+
+
+#: More cores than any finite ``ceil(weight / period)`` (< 2^1024): ``R(inf)``.
+_UNBOUNDED = 1 << 1100
+
+
+def _premise(sums, nxt, last, period):
+    """Hold ``R(a) = probe_stage(..., available=a)`` to ``R(inf)`` at every
+    start, and return the ``ComputeStage`` paths the starts reached."""
+    reached = set()
+    for start in range(last + 1):
+        free = probe_stage(sums, nxt, last, start, _UNBOUNDED, period)
+        end, cores, _ = free
+        budgets = set(range(6)) | set(range(max(0, cores - 2), cores + 3))
+        for available in sorted(budgets):
+            plan = probe_stage(sums, nxt, last, start, available, period)
+            if available == 0:
+                assert plan[2] == math.inf  # the walk skips a spent type
+            if available >= cores:
+                assert plan == free, (start, available)
+            if plan[1] < available:
+                assert plan == free, (start, available)
+            if available < cores:
+                # The budget binds: the plan either shrinks to ``available``
+                # cores or asks for more than there are (infinite weight).
+                # A stage table reusing ``free`` here spends absent cores.
+                assert plan != free, (start, available)
+                reached.add("bound" if plan[1] == available else "over")
+        seq = nxt[start]
+        if cores >= 2 and seq <= end:
+            reached.add("heavy")  # Algo. 2 line 2: one sequential task, > P
+        if end < seq - 1:
+            reached.add("shrink")  # lines 8-12: one core given up
+    return reached
+
+
+def _mirror_of(weights, replicable):
+    """One type's list mirror, as ``ChainProfile._mirror`` lays it out."""
+    n = len(weights)
+    sums = [0.0]
+    for weight in weights:
+        sums.append(sums[-1] + weight)
+    nxt = [n] * (n + 1)
+    for start in range(n - 1, -1, -1):
+        nxt[start] = nxt[start + 1] if replicable[start] else start
+    return sums, nxt, n - 1
+
+
+@st.composite
+def _zero_weight_tables(draw):
+    """Zero weights, which a ``TaskChain`` refuses but a prefix table holds."""
+    n = draw(st.integers(1, 10))
+    weights = draw(
+        st.lists(st.sampled_from((0.0, 0.0, 1.0, 2.0, 3.5)), min_size=n, max_size=n)
+    )
+    replicable = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return _mirror_of(weights, replicable)
+
+
+def _paper_walk(profile, resources, period):
+    """Algos. 5-6 as written: every branch evaluates its stage afresh and
+    carries the remaining budget as a tuple."""
+    prefix, nxt, last = probe_tables(profile, period)
+    ktype = len(resources.counts)
+
+    def solve(start, remaining):
+        best = None
+        for index in range(ktype):
+            end, cores, weight = probe_stage(
+                prefix[index], nxt, last, start, remaining[index], period
+            )
+            if weight > period:
+                continue
+            stage = (start, end, cores, index)
+            spent = tuple(cores if v == index else 0 for v in range(ktype))
+            if end == last:
+                candidate = _Partial((stage, None), spent, weight)
+            else:
+                left = tuple(r - c for r, c in zip(remaining, spent))
+                rest = solve(end + 1, left)
+                if rest is None:
+                    continue
+                candidate = _Partial(
+                    (stage, rest.stages),
+                    tuple(u + c for u, c in zip(rest.used, spent)),
+                    max(weight, rest.weight),
+                )
+            best = choose_best(best, candidate)
+        return best
+
+    result = solve(0, resources.counts)
+    if result is None:
+        return None, math.inf
+    stages, node = [], result.stages
+    while node is not None:
+        stages.append(node[0])
+        node = node[1]
+    return stages, result.weight
+
+
+class TestStageTable:
+    """2CATAC's walk keeps one budget-free plan per ``(type, start)`` and
+    reuses it for every budget ``>= cores``; a plan that used fewer cores
+    than it was offered is that budget-free plan.  Both rest on the premise
+    below, and the walk built on them decides as the paper's recursion."""
+
+    @given(
+        profile=_profiles(),
+        scale=st.sampled_from((0.3, 0.5, 0.9, 1.0, 1.5, 2.5, 7.0)),
+        absolute=st.one_of(st.none(), st.floats(1e-3, 1e6)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_premise_on_chains(self, profile, scale, absolute):
+        """k = 2 and 3; subnormal, duplicate (tie) and ~2^53 weights."""
+        prefix, nxt = profile._mirror()
+        last = profile.n - 1
+        heaviest = max(s[i + 1] - s[i] for s in prefix for i in range(last + 1))
+        period = absolute or max(heaviest / scale, 5e-324)
+        for sums in prefix:
+            _premise(sums, nxt, last, period)
+
+    @given(
+        table=_zero_weight_tables(),
+        period=st.sampled_from((0.5, 1.0, 1.7, 3.5, 10.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_premise_with_zero_weights(self, table, period):
+        _premise(*table, period)
+
+    @pytest.mark.parametrize(
+        "weights, replicable, period, path",
+        [
+            ([5.0, 1.0], [False, False], 2.0, "heavy"),
+            ([2.0, 2.0, 2.0, 0.5], [True, True, True, False], 2.5, "shrink"),
+            ([2.0, 2.0, 2.0, 0.0], [True, True, True, False], 2.5, "shrink"),
+            ([1.0, 1.0, 1.0, 1.0, 1.0], [True] * 5, 1.0, "bound"),
+            ([5.0], [True], 2.0, "over"),
+        ],
+    )
+    def test_premise_reaches_every_budget_path(
+        self, weights, replicable, period, path
+    ):
+        """The paths the hypothesis draws must cover, each reached on purpose."""
+        assert path in _premise(*_mirror_of(weights, replicable), period)
+
+    @given(
+        profile=_profiles(),
+        counts=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        divisor=st.integers(1, 9),
+        memoize=st.booleans(),
+    )
+    @example(
+        profile=ChainProfile(TaskChain.from_weights(
+            [2, 2, 2, 1, 2, 2, 2, 1], [3, 3, 3, 2, 3, 3, 3, 2],
+            [True, True, True, False] * 2,
+        )),
+        counts=[3, 3, 0],
+        divisor=6,
+        memoize=False,
+    )
+    @example(
+        profile=ChainProfile(TaskChain.from_weight_matrix(
+            [[3, 9, 2, 7, 5, 4]] * 3, [True, True, False, True, True, False]
+        )),
+        counts=[2, 2, 2],
+        divisor=4,
+        memoize=False,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_decides_as_the_paper_recursion(
+        self, profile, counts, divisor, memoize
+    ):
+        """Same stages and period as Algos. 5-6 with a fresh ``ComputeStage``
+        per branch, and no ``(type, start, budget)`` evaluated twice."""
+        resources = Resources.from_counts(counts[: len(profile.types())])
+        if not any(resources.counts):
+            return
+        # From the heaviest type's total: a subnormal period against ~2^53
+        # weights overflows ``ceil`` in every greedy solver (CHANGES.md).
+        period = max(max(s[-1] for s in profile._mirror()[0]) / divisor, 5e-324)
+        seen = []
+
+        def recording(sums, nxt, last, start, available, target):
+            seen.append((id(sums), start, available))
+            return probe_stage(sums, nxt, last, start, available, target)
+
+        with mock.patch.object(_twocatac_module, "probe_stage", recording):
+            walk = _twocatac_walk(profile, resources, period, memoize)
+        assert walk == _paper_walk(profile, resources, period)
+        assert len(seen) == len(set(seen))
 
 
 _PROFILE = ChainProfile(
@@ -194,49 +404,17 @@ def _facts(outcome):
 
 _GREEDY = ("fertac", "otac_b", "otac_l", "2catac", "2catac_memo")
 
-_BIG = 2.0**53
+_DATA = Path(__file__).resolve().parent.parent / "data"
+#: The edge corpus and what every greedy strategy answered on it at the
+#: commit before 2CATAC's walk got its per-probe stage table.
+_EDGE_ORACLE = json.loads((_DATA / "greedy_edge_oracle.json").read_text())
 _EDGE_CORPUS = {
-    "n=1 sequential": ([[7.0], [9.0]], [False], Resources(2, 2)),
-    "n=1 replicable": ([[7.0], [9.0]], [True], Resources(2, 3)),
-    "all sequential": (
-        [[3, 9, 2, 7, 5, 1], [6, 11, 9, 8, 5, 4]], [False] * 6, Resources(3, 3)
-    ),
-    "all replicable": (
-        [[3, 9, 2, 7, 5, 1], [6, 11, 9, 8, 5, 4]], [True] * 6, Resources(3, 3)
-    ),
-    "duplicate weights": (
-        [[4.0] * 7, [4.0] * 7],
-        [True, False, True, True, False, True, True],
-        Resources(2, 4),
-    ),
-    "subnormal weights": (
-        [[5e-324, 1.0, 5e-324, 2.0, 5e-324], [5e-324, 3.0, 1e-300, 2.0, 5e-324]],
-        [True, True, False, True, True],
-        Resources(2, 2),
-    ),
-    "near 2^53": (
-        [
-            [_BIG - 1, 1.0, _BIG, 3.0, _BIG + 2, 1.0],
-            [_BIG + 2, 2.0, _BIG + 2, 5.0, _BIG + 4, 1.0],
-        ],
-        [True, True, False, True, True, False],
-        Resources(4, 4),
-    ),
-    "no big cores": (
-        [[3, 9, 2, 7, 5], [6, 11, 9, 8, 5]],
-        [True, False, True, True, False],
-        Resources(0, 4),
-    ),
-    "no little cores": (
-        [[3, 9, 2, 7, 5], [6, 11, 9, 8, 5]],
-        [True, False, True, True, False],
-        Resources(4, 0),
-    ),
-    "k=3 identical classes": (
-        [[3, 9, 2, 7, 5, 4]] * 3,
-        [True, True, False, True, True, False],
-        Resources.from_counts((2, 2, 2)),
-    ),
+    case: (
+        spec["weights"],
+        spec["replicable"],
+        Resources.from_counts(spec["counts"]),
+    )
+    for case, spec in _EDGE_ORACLE["cases"].items()
 }
 
 
@@ -286,6 +464,49 @@ class TestEdgeCorpus:
             assert _facts(_first_fit_oracle(name, profile, resources)) == _facts(
                 outcome
             )
+
+    @pytest.mark.parametrize(
+        "row",
+        _EDGE_ORACLE["rows"],
+        ids=lambda row: f"{row['strategy']}-{row['case']}",
+    )
+    def test_every_call_shape_equals_the_frozen_outcome(self, row):
+        """Scalar and ``solve_batch``: period bits, usage and stage list as
+        the parent commit answered (2CATAC rows cover the plain walk, the
+        memoised walk and the batch map)."""
+        rows, replicable, resources = _EDGE_CORPUS[row["case"]]
+        profile = ChainProfile(TaskChain.from_weight_matrix(rows, replicable))
+        name = row["strategy"]
+        shapes = (
+            lambda: get_strategy(name)(profile, resources),
+            lambda: solve_batch([profile], resources, name)[0],
+        )
+        for shape in shapes:
+            if "refused" in row:
+                with pytest.raises(InvalidPlatformError):
+                    shape()
+                continue
+            outcome = shape()
+            stages = [
+                [s.start, s.end, s.cores, int(s.core_type)]
+                for s in outcome.solution.stages
+            ]
+            usage = [
+                sum(c for _, _, c, v in stages if v == t)
+                for t in range(len(resources.counts))
+            ]
+            assert outcome.period.hex() == row["period"]
+            assert usage == row["usage"]
+            assert stages == row["stages"]
+
+    @pytest.mark.parametrize("memoize", (False, True), ids=("plain", "memo"))
+    def test_twocatac_recursion_refusal_on_both_walks(self, memoize):
+        """One type with cores keeps the plain walk's exploration a line, so
+        the refusal comes from depth, not from ``k^n`` branches."""
+        depth = sys.getrecursionlimit() + 200
+        deep = ChainProfile(fully_sequential_chain(depth))
+        with pytest.raises(InvalidChainError, match="recursion limit"):
+            twocatac(deep, Resources(depth, 0), memoize=memoize)
 
     def test_zero_weight_is_refused_at_the_chain(self):
         with pytest.raises(InvalidChainError):

@@ -237,6 +237,20 @@ class TestTieOracle:
                 assert _stages(unmerged.solution) == row["herad"]["stages_unmerged"]
 
 
+def traced_peak(call):
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestBlockMemory:
     """A block cap past the largest block the DP can build costs nothing:
     at ``C* = size * n * cells * max(1, max(b, l) - 1)`` every ``u`` of a
@@ -244,19 +258,6 @@ class TestBlockMemory:
     no more.  The slack is Python-object noise, a few hundred bytes."""
 
     SLACK = 16 << 10
-
-    @staticmethod
-    def _peak(call):
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
 
     @pytest.mark.parametrize("budget", ((0, 5), (4, 4), (10, 10), (16, 4)))
     def test_peak_at_2_30_is_the_peak_at_the_largest_block(
@@ -279,9 +280,9 @@ class TestBlockMemory:
         ):
             call()  # first-call caches are not the buffers' to pay for
             monkeypatch.setattr(herad_mod, "_BLOCK_CELLS", size * per_row)
-            at_largest_block = self._peak(call)
+            at_largest_block = traced_peak(call)
             monkeypatch.setattr(herad_mod, "_BLOCK_CELLS", 1 << 30)
-            assert self._peak(call) <= at_largest_block + self.SLACK
+            assert traced_peak(call) <= at_largest_block + self.SLACK
 
 
 class TestPackedKeyLanes:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from test_kernels import traced_peak
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.fertac import fertac
@@ -16,7 +20,11 @@ from repro.core.twocatac import (
     twocatac_compute_solution,
 )
 from repro.core.types import Resources
-from repro.workloads.synthetic import GeneratorConfig, random_chain
+from repro.workloads.synthetic import (
+    GeneratorConfig,
+    ktype_chain_batch,
+    random_chain,
+)
 
 
 class TestChooseBest:
@@ -116,3 +124,55 @@ class TestSchedule:
     def test_handles_single_type_budgets(self, simple_profile):
         assert twocatac(simple_profile, Resources(2, 0)).feasible
         assert twocatac(simple_profile, Resources(0, 2)).feasible
+
+
+class TestWalkMemory:
+    """A probe's walk holds at most ``n * prod(counts + 1)`` memo states
+    (one per ``(start, remaining budget)``) and a stage table of ``k * n``
+    budget-free plans plus at most ``n * sum(counts + 1)`` budget-bound
+    ones, and a solve keeps one probe's walk alive at a time.  The
+    ``tracemalloc`` peak is deterministic, so the bound is stated from the
+    objects' own sizes, not timed."""
+
+    #: Bisection bookkeeping, the kept walk's ``Solution`` and Python-object
+    #: noise, none of which grows with the budget.
+    SLACK = 16 << 10
+    #: A dict slot (hash, key, value) at a growth table's worst load, as
+    #: both tables are alive while one resizes.
+    SLOT = 3 * 8 * 3
+    #: What one identical solve may allocate more or less than the next.
+    NOISE = 1 << 10
+
+    def _bounds(self, n, counts):
+        k = len(counts)
+        key = sys.getsizeof(1 << 40)
+        stage = (0, n - 1, max(counts), k - 1)
+        partial = _Partial((stage, None), tuple(counts), 1.5)
+        per_state = self.SLOT + key + sum(
+            map(sys.getsizeof, (partial, partial.used, partial.stages, stage, 1.5))
+        )
+        per_plan = self.SLOT + key + sys.getsizeof((n, 1, 1.5)) + sys.getsizeof(1.5)
+        table = per_plan * n * (k + sum(c + 1 for c in counts))
+        states = per_state * n * math.prod(c + 1 for c in counts)
+        return table + self.SLACK, states + table + self.SLACK
+
+    @pytest.mark.parametrize(
+        "counts", ((16, 4), (10, 10), (4, 16), (4, 4, 4)), ids=str
+    )
+    def test_peak_within_states_and_stage_table(self, counts):
+        config = GeneratorConfig(num_tasks=20, stateless_ratio=0.5)
+        (chain,) = ktype_chain_batch(1, config, ktype=len(counts), seed=27)
+        profile = ChainProfile(chain)
+        resources = Resources.from_counts(counts)
+        plain_bound, memo_bound = self._bounds(profile.n, counts)
+        for memoize, bound in ((False, plain_bound), (True, memo_bound)):
+            twocatac(profile, resources, memoize=memoize)  # first-call caches
+            peaks = [
+                traced_peak(lambda: twocatac(profile, resources, memoize=memoize))
+                for _ in range(3)
+            ]
+            assert max(peaks) <= bound, (memoize, peaks, bound)
+            # Each probe's walk is freed when it returns: a walk left to the
+            # cyclic collector piles up tens of kB until a collection runs,
+            # so the peak would differ from one solve to the next.
+            assert max(peaks) - min(peaks) <= self.NOISE, (memoize, peaks)
