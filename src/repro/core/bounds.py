@@ -82,15 +82,20 @@ def period_bounds(profile: ChainProfile, resources: Resources) -> PeriodBounds:
     if not usable:
         raise InvalidPlatformError("cannot bound the period without cores")
 
-    weight_rows = [profile.weights(v) for v in usable]
+    chain = profile.chain
     # Fastest usable speed per task: a task can never run faster than this.
-    per_task_min = np.minimum.reduce(weight_rows)
+    fastest = chain.weights(usable[0])
+    for v in usable[1:]:
+        fastest = [a if a <= b else b for a, b in zip(fastest, chain.weights(v))]
 
-    # (I) replicate everything over all cores at the fastest usable speed.
-    balance = float(per_task_min.sum()) / resources.total
+    # (I) replicate everything over all cores at the fastest usable speed
+    # (numpy's pairwise sum: the bracket's bits steer every bisection probe).
+    balance = float(np.add.reduce(fastest, dtype=np.float64)) / resources.total
     # (II) the heaviest sequential task runs somewhere, unreplicated.
-    seq_mask = ~profile.replicable_mask
-    heaviest_seq = float(per_task_min[seq_mask].max()) if seq_mask.any() else 0.0
+    nxt = profile.next_sequential
+    heaviest_seq = float(
+        max([w for i, w in enumerate(fastest) if nxt[i] == i], default=0.0)
+    )
     lower = max(balance, heaviest_seq)
 
     # Feasible upper bound: best single-type greedy packing guarantee.

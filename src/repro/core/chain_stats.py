@@ -7,7 +7,7 @@ interval.  :class:`ChainProfile` bundles those precomputations:
 * ``interval_weight(s, e, v)`` — the single-core weight ``w([tau_s, tau_e], 1, v)``
   in O(1) via prefix sums;
 * ``is_replicable(s, e)`` — whether the interval contains a sequential task,
-  in O(1) via a "next sequential task" index array (this improves on the
+  in O(1) via a "next sequential task" index table (this improves on the
   paper's O(n^2) table while computing the same predicate);
 * interval stage weights ``w(s, e, r, v)`` implementing Eq. (1).
 
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import InvalidChainError, InvalidParameterError
 from .task import TaskChain
@@ -40,12 +39,11 @@ class ChainProfile:
         next_sequential: ``next_sequential[s]`` is the smallest index
             ``j >= s`` whose task is sequential, or ``n`` if none exists.
 
-    The ndarray attributes serve the vectorised consumer (HeRAD packs them
-    into its batch planes).  The scalar queries below are the inner loop of
-    the greedy strategies, where boxing numpy scalars and calling
-    ``np.searchsorted`` on a ~20-element array dominated; they read a
-    python-list mirror of the same values instead, built on the first
-    scalar query so array-only users never pay for it.
+    Both are tuples of python numbers, built once: the greedy strategies'
+    inner loop indexes and bisects them directly, and HeRAD copies them into
+    its batch planes.  Each prefix row is ``itertools.accumulate`` over the
+    task weights, the same sequential adds as ``np.cumsum``, so its bits are
+    those of the numpy formulation.
     """
 
     __slots__ = (
@@ -53,67 +51,49 @@ class ChainProfile:
         "n",
         "prefix",
         "next_sequential",
-        "_weights",
-        "_replicable",
         "_max_weight",
         "_max_seq_weight",
         "_total",
-        "_scalar",
     )
 
     def __init__(self, chain: TaskChain) -> None:
         self.chain = chain
-        self.n = chain.n
-
-        weight_vectors = []
-        prefixes = []
-        for v in chain.types():
-            w = np.asarray(chain.weights(v), dtype=np.float64)
-            p = np.zeros(self.n + 1, dtype=np.float64)
-            np.cumsum(w, out=p[1:])
-            weight_vectors.append(w)
-            prefixes.append(p)
-        self._weights = tuple(weight_vectors)
-        self.prefix = tuple(prefixes)
-
-        rep = np.asarray([t.replicable for t in chain.tasks], dtype=bool)
-        self._replicable = rep
+        n = self.n = chain.n
+        tasks = chain.tasks
+        rows = [list(map(float, chain.weights(v))) for v in range(chain.ktype)]
+        self.prefix = tuple((0.0, *accumulate(row)) for row in rows)
 
         # next_sequential[s]: first index >= s holding a sequential task.
-        nxt = np.full(self.n + 1, self.n, dtype=np.int64)
-        for i in range(self.n - 1, -1, -1):
-            nxt[i] = i if not rep[i] else nxt[i + 1]
-        self.next_sequential = nxt
+        nxt = [n] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            nxt[i] = nxt[i + 1] if tasks[i].replicable else i
+        self.next_sequential = tuple(nxt)
 
-        self._max_weight = tuple(float(w.max()) for w in self._weights)
-        seq_mask = ~rep
-        if seq_mask.any():
-            self._max_seq_weight = tuple(
-                float(w[seq_mask].max()) for w in self._weights
-            )
-        else:
-            self._max_seq_weight = tuple(0.0 for _ in self._weights)
-        self._total = tuple(float(p[-1]) for p in self.prefix)
-        self._scalar: "tuple[tuple[list[float], ...], list[int]] | None" = None
+        self._max_weight = tuple(map(max, rows))
+        seq = [i for i in range(n) if nxt[i] == i]
+        self._max_seq_weight = tuple(
+            max([row[i] for i in seq]) if seq else 0.0 for row in rows
+        )
+        self._total = tuple(p[-1] for p in self.prefix)
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def ktype(self) -> int:
         """Number of core types the profiled chain carries weights for."""
-        return len(self._weights)
+        return len(self.prefix)
 
     def types(self) -> tuple[CoreIndex, ...]:
         """Iteration order over the chain's core types (see :func:`core_types`)."""
         return core_types(self.ktype)
 
-    def weights(self, core_type: CoreIndex) -> np.ndarray:
-        """Per-task weight vector on ``core_type`` (read-only view)."""
-        return self._weights[int(core_type)]
+    def weights(self, core_type: CoreIndex) -> list[float]:
+        """Per-task weights on ``core_type``, in chain order."""
+        return list(map(float, self.chain.weights(core_type)))
 
     def weight_of(self, index: int, core_type: CoreIndex) -> float:
         """Weight of a single task on ``core_type``."""
-        return float(self._weights[int(core_type)][index])
+        return float(self.chain.tasks[index].weight(core_type))
 
     def total_weight(self, core_type: CoreIndex) -> float:
         """Sum of all weights on ``core_type``."""
@@ -133,22 +113,7 @@ class ChainProfile:
         """Largest sequential-task weight on ``core_type`` (0 if none)."""
         return self._max_seq_weight[int(core_type)]
 
-    @property
-    def replicable_mask(self) -> np.ndarray:
-        """Boolean mask of replicable tasks (read-only view)."""
-        return self._replicable
-
     # -- interval queries -----------------------------------------------------
-
-    def _mirror(self) -> "tuple[tuple[list[float], ...], list[int]]":
-        """Python-native ``(prefix, next_sequential)``: same values, no numpy."""
-        mirror = self._scalar
-        if mirror is None:
-            mirror = self._scalar = (
-                tuple(p.tolist() for p in self.prefix),
-                self.next_sequential.tolist(),
-            )
-        return mirror
 
     def _check_interval(self, start: int, end: int) -> None:
         if not (0 <= start <= end < self.n):
@@ -159,13 +124,13 @@ class ChainProfile:
     def interval_weight(self, start: int, end: int, core_type: CoreIndex) -> float:
         """Single-core weight of the interval, ``w([tau_s, tau_e], 1, v)``."""
         self._check_interval(start, end)
-        sums = (self._scalar or self._mirror())[0][core_type]
+        sums = self.prefix[core_type]
         return sums[end + 1] - sums[start]
 
     def is_replicable(self, start: int, end: int) -> bool:
         """Paper's ``IsRep``: the interval contains no sequential task."""
         self._check_interval(start, end)
-        return (self._scalar or self._mirror())[1][start] > end
+        return self.next_sequential[start] > end
 
     def final_replicable_task(self, start: int, end: int) -> int:
         """Paper's ``FinalRepTask``: largest ``i >= end`` with ``[start, i]``
@@ -175,7 +140,7 @@ class ChainProfile:
         guarded by ``IsRep``).
         """
         self._check_interval(start, end)
-        nxt = (self._scalar or self._mirror())[1][start]
+        nxt = self.next_sequential[start]
         if nxt <= end:
             raise InvalidChainError(
                 f"interval [{start}, {end}] is not replicable; FinalRepTask "
@@ -195,10 +160,9 @@ class ChainProfile:
         if cores < 1:
             return INFINITY
         self._check_interval(start, end)
-        prefix, next_sequential = self._scalar or self._mirror()
-        sums = prefix[core_type]
+        sums = self.prefix[core_type]
         w = sums[end + 1] - sums[start]
-        if next_sequential[start] > end:
+        if self.next_sequential[start] > end:
             return w / cores
         return w
 
@@ -216,7 +180,7 @@ class ChainProfile:
                 f"target period must be positive and finite: {period}"
             )
         self._check_interval(start, end)
-        sums = (self._scalar or self._mirror())[0][core_type]
+        sums = self.prefix[core_type]
         return max(1, math.ceil((sums[end + 1] - sums[start]) / period))
 
     def max_packing(
@@ -236,10 +200,9 @@ class ChainProfile:
         if cores < 1:
             # Weight is infinite for 0 cores: nothing fits, forced stage.
             return start
-        prefix, next_sequential = self._scalar or self._mirror()
-        sums = prefix[core_type]
+        sums = self.prefix[core_type]
         base = sums[start]
-        nxt = next_sequential[start]
+        nxt = self.next_sequential[start]
         last = self.n - 1
 
         best = start
@@ -258,21 +221,6 @@ class ChainProfile:
             if e >= nxt:
                 best = max(best, e)
         return best
-
-    # -- convenience ----------------------------------------------------------
-
-    def interval_weights_vector(
-        self, end: int, core_type: CoreIndex
-    ) -> np.ndarray:
-        """Vector of ``w([tau_i, tau_end], 1, v)`` for ``i`` in ``0..end``."""
-        self._check_interval(0, end)
-        p = self.prefix[int(core_type)]
-        return p[end + 1] - p[: end + 1]
-
-    def replicable_to(self, end: int) -> np.ndarray:
-        """Boolean vector ``rep[i] = is_replicable(i, end)`` for ``i <= end``."""
-        self._check_interval(0, end)
-        return self.next_sequential[: end + 1] > end
 
 
 def profile_of(chain: "TaskChain | ChainProfile") -> ChainProfile:

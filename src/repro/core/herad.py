@@ -113,8 +113,8 @@ def _pack(
     next_seq = np.empty(shape, dtype=np.int64)
     for i, profile in enumerate(profiles):
         for plane, row in zip((big, little), profile.prefix):
-            plane[i, : row.size] = row
-            plane[i, row.size :] = row[-1]
+            plane[i, : len(row)] = row
+            plane[i, len(row) :] = row[-1]
         next_seq[i, : profile.n + 1] = profile.next_sequential
         next_seq[i, profile.n + 1 :] = profile.n
     return (big, little), next_seq

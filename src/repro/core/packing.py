@@ -14,12 +14,12 @@ target period ``P``.  The procedure:
    core of the next stage) is a strictly better use of resources.
 
 :func:`probe_stage` is the one scalar transcription of that procedure, fused
-with the single-stage validity check over the python-list mirror of a
-:class:`~repro.core.chain_stats.ChainProfile`.  The greedy strategies decide
-a whole bisection probe on it as a *walk* over ``(start, end, cores, type)``
-tuples (:func:`first_fit_walk` for FERTAC and OTAC, the branch exploration in
-:mod:`repro.core.twocatac`); the binary-search driver builds a
-:class:`~repro.core.solution.Solution` from the one walk it keeps
+with the single-stage validity check, over the prefix-sum and next-sequential
+tuples of a :class:`~repro.core.chain_stats.ChainProfile`.  The greedy
+strategies decide a whole bisection probe on it as a *walk* over ``(start,
+end, cores, type)`` tuples (:func:`first_fit_walk` for FERTAC and OTAC, the
+branch exploration in :mod:`repro.core.twocatac`); the binary search builds
+a :class:`~repro.core.solution.Solution` from the one walk it keeps
 (:func:`materialise`).  :func:`compute_stage` is the object-level view.
 """
 
@@ -67,21 +67,22 @@ class StagePlan:
 
 
 def probe_stage(
-    sums: list[float],
-    nxt: list[int],
+    sums: tuple[float, ...],
+    nxt: tuple[int, ...],
     last: int,
     start: int,
     available: int,
     period: float,
 ) -> tuple[int, int, float]:
-    """``ComputeStage`` (Algo. 2) and its validity check, on the list mirror.
+    """``ComputeStage`` (Algo. 2) and its validity check, on the profile's tables.
 
     ``sums`` are one core type's weight prefix sums, ``nxt[s]`` the first
     sequential task at or after ``s`` (``n`` if none), ``last`` the chain's
     last index; the stage starts at ``start`` with ``available`` cores of
     that type left.  Returns ``(end, cores, weight)``: the plan and its stage
     weight (Eq. (1)).  The stage fits exactly when ``weight <= period``; a
-    core count outside ``1..available`` reports an infinite weight.  Guards
+    core count outside ``1..available`` reports an infinite weight, and a
+    core need that overflows to infinity counts as ``available + 1``.  Guards
     (:func:`probe_tables`) and the call count belong to the caller.
     """
     base = sums[start]
@@ -103,7 +104,10 @@ def probe_stage(
         # sequential region cannot contribute.
         end = seq - 1
         weight = sums[end + 1] - base
-        cores = ceil(weight / period) or 1
+        try:
+            cores = ceil(weight / period) or 1
+        except OverflowError:  # an infinite need: more than any budget
+            cores = available + 1
         if cores > available:
             # Lines 5-7: not enough cores for the full replicable run.
             cores = available
@@ -130,14 +134,18 @@ def probe_stage(
             short_weight = sums[shorter + 1] - base
             if (
                 short_weight / fewer <= period
-                and ceil((sums[end + 2] - sums[shorter + 1]) / period) <= 1
+                # ``ceil(x) <= 1`` is ``x <= 1``, and an infinite x is not.
+                and (sums[end + 2] - sums[shorter + 1]) / period <= 1
             ):
                 end, cores, weight = shorter, fewer, short_weight
     else:
         # Line 2: the cores this interval needs — more than one only when
         # the packing was forced past the period by a single heavy task.
         weight = sums[end + 1] - base
-        cores = ceil(weight / period) or 1
+        try:
+            cores = ceil(weight / period) or 1
+        except OverflowError:
+            cores = available + 1
 
     if cores < 1 or cores > available:
         return end, cores, INFINITY
@@ -146,7 +154,7 @@ def probe_stage(
 
 def probe_tables(
     profile: ChainProfile, period: float
-) -> tuple[tuple[list[float], ...], list[int], int]:
+) -> tuple[tuple[tuple[float, ...], ...], tuple[int, ...], int]:
     """One probe's guard, hoisted out of its stages: check the target once
     and hand out ``(prefix sums per type, next-sequential table, last index)``.
     """
@@ -154,8 +162,7 @@ def probe_tables(
         raise InvalidParameterError(
             f"target period must be positive and finite: {period}"
         )
-    prefix, nxt = profile._mirror()
-    return prefix, nxt, profile.n - 1
+    return profile.prefix, profile.next_sequential, profile.n - 1
 
 
 def compute_stage(

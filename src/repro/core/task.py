@@ -286,7 +286,14 @@ class TaskChain:
 
     def weights(self, core_type: CoreIndex) -> list[float]:
         """Per-task weights on the given core type, in chain order."""
-        return [t.weight(core_type) for t in self.tasks]
+        # ``Task.weight`` per task, with its type dispatch hoisted out of the
+        # loop: profiling an arriving chain reads every row.
+        index = int(core_type)
+        if index == 0:
+            return [t.weight_big for t in self.tasks]
+        if index == 1:
+            return [t.weight_little for t in self.tasks]
+        return [t.extra_weights[index - 2] for t in self.tasks]
 
     def total_weight(self, core_type: CoreIndex) -> float:
         """Sum of all task weights on the given core type."""

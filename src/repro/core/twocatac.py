@@ -117,7 +117,9 @@ def choose_best(
 _Plan = tuple[int, int, float]
 #: One core type's share of a probe: ``(index, stride, radix, prefix sums,
 #: budget-free plans by start, budget-bound plans by start * radix + budget)``.
-_Layer = tuple[int, int, int, list[float], "list[_Plan | None]", "dict[int, _Plan]"]
+_Layer = tuple[
+    int, int, int, "tuple[float, ...]", "list[_Plan | None]", "dict[int, _Plan]"
+]
 
 
 def _twocatac_walk(

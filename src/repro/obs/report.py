@@ -8,8 +8,9 @@ parallelism cost* (per-worker pickle/pool-wait attribution), and *did
 anything go wrong* (retries, degradations, quarantines).  The CLI prints
 :meth:`RunReport.render` when ``--metrics`` is set.
 
-Time sinks report both inclusive time ("how much wall-clock had a ``solve``
-span open" — double-counts nested spans by design) and exclusive self time
+Time sinks, listed when spans were recorded (``--trace``), report both
+inclusive time ("how much wall-clock had a ``solve`` span open" —
+double-counts nested spans by design) and exclusive self time
 derived by :mod:`repro.obs.profile` ("how much wall-clock is attributable to
 this frame and nothing below it" — sums to traced wall-clock exactly).  The
 full per-stack breakdown is the ``--flamegraph`` export.
@@ -63,6 +64,14 @@ class WorkerCost:
     pool_wait_seconds: float
     memo_hits: int
     memo_misses: int
+
+
+#: What a ``solve.seconds.<strategy>`` histogram holds, which its name alone
+#: does not say: one value per solve group (one strategy's instances of a
+#: work unit, solved in one call), that group's wall over its instance
+#: count — the planner's per-cell cost — so ``n`` counts groups and the
+#: quantiles are over groups, not over solves.
+_SOLVE_SECONDS_NOTE = " (seconds per instance, one value per solve group)"
 
 
 def _aggregate_sinks(spans: tuple[Span, ...]) -> tuple[SpanSink, ...]:
@@ -231,8 +240,6 @@ class RunReport:
                     f"{sink.name:<24s} [{sink.category}]  x{sink.count}  "
                     f"(mean {sink.mean_seconds * 1e3:.2f}ms)"
                 )
-        else:
-            lines.append("no spans recorded (run with --trace to collect them)")
 
         lookups = self.memo_hits + self.memo_misses
         if lookups:
@@ -278,8 +285,11 @@ class RunReport:
                         f" p90={sketch.p90 * scale:.3f}{unit}"
                         f" p99={sketch.p99 * scale:.3f}{unit}"
                     )
+                note = (
+                    _SOLVE_SECONDS_NOTE if name.startswith("solve.seconds.") else ""
+                )
                 lines.append(
-                    f"  {name}: n={stats.count} mean={stats.mean * scale:.3f}{unit}"
+                    f"  {name}{note}: n={stats.count} mean={stats.mean * scale:.3f}{unit}"
                     f"{quantiles} "
                     f"min={stats.minimum * scale:.3f}{unit} max={stats.maximum * scale:.3f}{unit}"
                 )

@@ -97,7 +97,7 @@ def simulate_dynamic_scheduler(
         CoreType.BIG: profile.weights(CoreType.BIG),
         CoreType.LITTLE: profile.weights(CoreType.LITTLE),
     }
-    replicable = profile.replicable_mask
+    replicable = [task.replicable for task in profile.chain.tasks]
 
     # Core pool: an idle set plus a busy queue of in-flight work items
     # keyed by completion time (the shared deterministic event core from

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import traced_memory
 
+from repro.core.bounds import period_bounds
 from repro.core.chain_stats import ChainProfile, profile_of
 from repro.core.errors import InvalidChainError, InvalidParameterError
-from repro.core.herad import _pack
+from repro.core.registry import get_strategy
 from repro.core.task import TaskChain
-from repro.core.types import INFINITY, CoreType
+from repro.core.twocatac import twocatac
+from repro.core.types import INFINITY, CoreType, Resources
+from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 
 @pytest.fixture
@@ -159,22 +167,13 @@ class TestMaxPacking:
 
 
 class TestVectorHelpers:
-    def test_interval_weights_vector(self, profile):
-        vec = profile.interval_weights_vector(3, CoreType.BIG)
-        assert vec.tolist() == [24, 20, 10, 7]
-
-    def test_replicable_to(self, profile):
-        assert profile.replicable_to(1).tolist() == [True, True]
-        assert profile.replicable_to(2).tolist() == [False, False, False]
-        assert profile.replicable_to(3).tolist() == [False, False, False, True]
-
     def test_weights_view(self, profile):
         np.testing.assert_array_equal(
             profile.weights(CoreType.BIG), [4, 10, 3, 7]
         )
 
 
-# -- the list/bisect mirror against the numpy formulas it replaced -----------
+# -- the tuple profile against the numpy formulas it replaced ----------------
 
 #: Edge weights (``Task`` rejects zero, so the subnormal stands in for it):
 #: duplicates, near-zero, and values around 2**53 where float sums absorb.
@@ -188,8 +187,8 @@ _weights = st.one_of(
 
 
 @st.composite
-def _profiles(draw):
-    n = draw(st.integers(1, 12))
+def _profiles(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     ktype = draw(st.sampled_from((2, 3)))
     rows = [
         draw(st.lists(_weights, min_size=n, max_size=n)) for _ in range(ktype)
@@ -204,23 +203,67 @@ def _profiles(draw):
     return ChainProfile(TaskChain.from_weight_matrix(rows, replicable))
 
 
-def _numpy_max_packing(profile, start, cores, v, period):
+def _numpy_tables(chain):
+    """The profile as the numpy formulation built it: ``np.cumsum`` prefixes
+    behind a zero, the next-sequential index, per-type maxima and totals."""
+    weights = [np.asarray(chain.weights(v), dtype=np.float64) for v in chain.types()]
+    prefix = []
+    for w in weights:
+        p = np.zeros(chain.n + 1, dtype=np.float64)
+        np.cumsum(w, out=p[1:])
+        prefix.append(p)
+    rep = np.asarray([t.replicable for t in chain.tasks], dtype=bool)
+    nxt = np.full(chain.n + 1, chain.n, dtype=np.int64)
+    for i in range(chain.n - 1, -1, -1):
+        nxt[i] = i if not rep[i] else nxt[i + 1]
+    seq = ~rep
+    return SimpleNamespace(
+        weights=weights,
+        replicable=rep,
+        prefix=prefix,
+        next_sequential=nxt,
+        max_weight=[float(w.max()) for w in weights],
+        max_seq_weight=[
+            float(w[seq].max()) if seq.any() else 0.0 for w in weights
+        ],
+        total=[float(p[-1]) for p in prefix],
+    )
+
+
+def _numpy_period_bounds(chain, resources):
+    """``period_bounds``' ``(lower, upper)`` as written on ndarrays."""
+    tables = _numpy_tables(chain)
+    usable = resources.usable_types()
+    per_task_min = np.minimum.reduce([tables.weights[v] for v in usable])
+    balance = float(per_task_min.sum()) / resources.total
+    seq = ~tables.replicable
+    heaviest_seq = float(per_task_min[seq].max()) if seq.any() else 0.0
+    lower = max(balance, heaviest_seq)
+    upper = min(
+        tables.total[v] / resources.count(v) + tables.max_weight[v]
+        for v in usable
+    )
+    return lower, max(upper, lower)
+
+
+def _numpy_max_packing(tables, start, cores, v, period):
     """``max_packing`` exactly as written on ``np.searchsorted``."""
     if cores < 1:
         return start
-    p = profile.prefix[v]
+    p = tables.prefix[v]
+    n = len(p) - 1
     base = p[start]
-    nxt = int(profile.next_sequential[start])
+    nxt = int(tables.next_sequential[start])
     best = start
-    hi_rep = min(nxt - 1, profile.n - 1)
+    hi_rep = min(nxt - 1, n - 1)
     if hi_rep >= start:
         e = int(np.searchsorted(p, base + period * cores, side="right")) - 2
         e = min(e, hi_rep)
         if e >= start:
             best = max(best, e)
-    if nxt <= profile.n - 1:
+    if nxt <= n - 1:
         e = int(np.searchsorted(p, base + period, side="right")) - 2
-        e = min(e, profile.n - 1)
+        e = min(e, n - 1)
         if e >= nxt:
             best = max(best, e)
     return best
@@ -229,6 +272,38 @@ def _numpy_max_packing(profile, start, cores, v, period):
 def _same_bits(got, want):
     assert type(got) is type(want)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+_NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def _numpy_calls(call):
+    """``call()``'s result and every call it makes into numpy, as
+    ``(callee, calling file)``: C functions of the numpy modules, methods of
+    arrays, scalars and ufuncs, and python functions defined under numpy."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or ""
+            if module.startswith("numpy") or isinstance(
+                owner, (np.ndarray, np.generic, np.ufunc)
+            ):
+                name = getattr(owner, "__name__", type(owner).__name__)
+                calls.append(
+                    (f"{name}.{arg.__name__}", os.path.basename(frame.f_code.co_filename))
+                )
+        elif event == "call" and frame.f_code.co_filename.startswith(_NUMPY_DIR):
+            calls.append((frame.f_code.co_name, frame.f_code.co_filename))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return SimpleNamespace(result=result, calls=calls)
 
 
 class TestScalarMirror:
@@ -248,15 +323,16 @@ class TestScalarMirror:
         start = data.draw(st.integers(0, profile.n - 1))
         end = data.draw(st.integers(start, profile.n - 1))
         v = data.draw(st.integers(0, profile.ktype - 1))
-        p = profile.prefix[v]
+        tables = _numpy_tables(profile.chain)
+        p = tables.prefix[v]
         w = float(p[end + 1] - p[start])
-        rep = int(profile.next_sequential[start]) > end
+        rep = int(tables.next_sequential[start]) > end
 
         _same_bits(profile.interval_weight(start, end, v), w)
         assert profile.is_replicable(start, end) is rep
         if rep:
             assert profile.final_replicable_task(start, end) == min(
-                int(profile.next_sequential[start]) - 1, profile.n - 1
+                int(tables.next_sequential[start]) - 1, profile.n - 1
             )
         else:
             with pytest.raises(InvalidChainError):
@@ -273,7 +349,7 @@ class TestScalarMirror:
         )
         got = profile.max_packing(start, cores, v, period)
         assert type(got) is int
-        assert got == _numpy_max_packing(profile, start, cores, v, period)
+        assert got == _numpy_max_packing(tables, start, cores, v, period)
 
     @given(profile=_profiles(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -297,18 +373,107 @@ class TestScalarMirror:
             with pytest.raises(InvalidParameterError):
                 profile.required_cores(0, n - 1, 0, period)
 
-    def test_mirror_is_built_by_the_first_scalar_query_only(self, simple_chain):
-        profile = ChainProfile(simple_chain)
-        profile.interval_weights_vector(3, CoreType.BIG)
-        profile.replicable_to(3)
-        profile.total_weight(CoreType.LITTLE)
-        _pack([profile])
-        assert profile._scalar is None  # array-only users never pay for it
-        profile.is_replicable(0, 1)
-        prefix, next_sequential = built = profile._scalar
-        assert [list(row) for row in prefix] == [
-            row.tolist() for row in profile.prefix
-        ]
-        assert next_sequential == profile.next_sequential.tolist()
-        profile.max_packing(0, 1, CoreType.BIG, 14.0)
-        assert profile._scalar is built
+    @given(profile=_profiles(max_n=40), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_profile_and_bounds_equal_the_numpy_formulas(self, profile, data):
+        """Prefix bits, next-sequential index, maxima and totals, and both
+        ends of the period bracket, on k = 2 and 3 chains up to 40 tasks
+        (numpy's pairwise sum blocks by 8) with subnormal, duplicate and
+        ~2^53 weights."""
+        want = _numpy_tables(profile.chain)
+        assert type(profile.prefix) is tuple and len(profile.prefix) == profile.ktype
+        for v in profile.types():
+            row = profile.prefix[v]
+            assert type(row) is tuple and len(row) == profile.n + 1
+            for got, ref in zip(row, want.prefix[v].tolist()):
+                _same_bits(got, ref)
+            _same_bits(profile.max_weight(v), want.max_weight[v])
+            _same_bits(profile.max_sequential_weight(v), want.max_seq_weight[v])
+            _same_bits(profile.total_weight(v), want.total[v])
+        assert type(profile.next_sequential) is tuple
+        assert all(type(i) is int for i in profile.next_sequential)
+        assert profile.next_sequential == tuple(want.next_sequential.tolist())
+
+        ktype = data.draw(st.integers(2, profile.ktype))
+        counts = data.draw(
+            st.lists(st.integers(0, 6), min_size=ktype, max_size=ktype).filter(any)
+        )
+        resources = Resources.from_counts(counts)
+        got = period_bounds(profile, resources)
+        lower, upper = _numpy_period_bounds(profile.chain, resources)
+        _same_bits(got.lower, lower)
+        _same_bits(got.upper, upper)
+
+    def test_profile_and_greedy_solves_build_no_ndarray(self, simple_chain):
+        """Profiling calls no numpy at all; a FERTAC or 2CATAC solve calls it
+        once, for the bracket's pairwise sum (``period_bounds``)."""
+        profile = _numpy_calls(lambda: ChainProfile(simple_chain))
+        assert profile.calls == []
+        for value in (profile.result.prefix, profile.result.next_sequential):
+            assert type(value) is tuple
+        resources = Resources(2, 2)
+        for solve in (
+            lambda: get_strategy("fertac")(profile.result, resources),
+            lambda: get_strategy("2catac")(profile.result, resources),
+            lambda: twocatac(profile.result, resources, memoize=True),
+        ):
+            solve()  # first-call imports and caches
+            assert _numpy_calls(solve).calls == [("add.reduce", "bounds.py")]
+
+
+class TestProfileMemory:
+    """What a profile keeps is its tables: ``k`` prefix tuples of ``n + 1``
+    floats, the next-sequential tuple of small (cached) ints and three
+    ``k``-tuples of floats the chain already holds; solving on it adds
+    nothing.  Stated from the objects' own sizes, as ``tracemalloc`` counts
+    are deterministic: at n = 20, k = 2 the bound is ~2.9 kB a profile and a
+    run retains ~2.3 kB a profile (~1.9 kB of tables), where the ndarray
+    profile with its list mirror retained ~4.0 kB."""
+
+    N, COUNT = 20, 300
+    #: Per-profile share of the result list and of the solves' free-list
+    #: residue: objects freed into CPython's free lists stay traced.
+    SLACK = 1 << 10
+    #: How far an identical run may retain from the median run (±1 kB).
+    NOISE = 1 << 10
+
+    def _bound(self, profile):
+        floats = sys.getsizeof(1.5) * profile.n * profile.ktype  # new sums
+        tables = (
+            sys.getsizeof(profile)
+            + sys.getsizeof(profile.prefix)
+            + sum(map(sys.getsizeof, profile.prefix))
+            + sys.getsizeof(profile.next_sequential)
+            + 3 * sys.getsizeof((1.5,) * profile.ktype)
+        )
+        return floats + tables + self.SLACK
+
+    def test_retained_bytes_after_herad_and_fertac(self):
+        config = GeneratorConfig(num_tasks=self.N, stateless_ratio=0.5)
+        chains = list(chain_batch(self.COUNT + 1, config, seed=3))
+        resources = Resources(4, 4)
+        herad, fertac = get_strategy("herad"), get_strategy("fertac")
+
+        def build():
+            # Every run starts with CPython's free lists empty (a full
+            # collection clears them) and none is cleared mid-run, so every
+            # run allocates, and ``tracemalloc`` counts, the same blocks.
+            gc.collect()
+            gc.disable()
+            try:
+                profiles = [ChainProfile(chain) for chain in chains[: self.COUNT]]
+                for profile in profiles:
+                    herad(profile, resources)
+                    fertac(profile, resources)
+            finally:
+                gc.enable()
+            return profiles
+
+        spare = ChainProfile(chains[-1])
+        herad(spare, resources), fertac(spare, resources)  # first-call caches
+        build()
+        retained = [traced_memory(build)[0] for _ in range(3)]
+        bound = self._bound(spare)
+        assert max(retained) / self.COUNT <= bound, (retained, bound)
+        middle = sorted(retained)[1]
+        assert all(abs(r - middle) <= self.NOISE for r in retained), retained

@@ -34,6 +34,7 @@ from test_chain_stats import _profiles  # edge weights: subnormal, duplicates, ~
 from tests.chain_shapes import fully_sequential_chain
 
 from repro.core.binary_search import schedule_by_binary_search
+from repro.core.certify import certify_outcome
 from repro.core.chain_stats import ChainProfile
 from repro.core.errors import (
     CertificationError,
@@ -59,6 +60,8 @@ from repro.experiments import table1
 from repro.obs import ObsConfig
 from repro.platform.presets import SIMULATION_BUDGETS
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+_GREEDY = ("fertac", "otac_b", "otac_l", "2catac", "2catac_memo")
 
 # The package re-exports the ``twocatac`` *function* under the module name.
 _twocatac_module = importlib.import_module("repro.core.twocatac")
@@ -100,6 +103,60 @@ class TestProbeAgainstOracle:
                 )
 
 
+#: A subnormal target against ~2^53 weights: ``weight / period`` overflows
+#: to infinity, whose ``ceil`` used to raise a bare ``OverflowError`` out of
+#: FERTAC and 2CATAC.
+_OVERFLOW_CHAIN = TaskChain.from_weights(
+    [5e-324, 5e-324, 1e-300], [2.0**53, 2.0**54, 1.0], [True, False, True]
+)
+
+
+class TestInfiniteCoreNeed:
+    """A stage whose core need overflows to infinity does not fit: it asks
+    for more cores than any budget holds, on every ``ComputeStage`` path."""
+
+    @pytest.mark.parametrize(
+        "weights, replicable, available, plan",
+        [
+            # Line 2: one sequential task, forced past the period.
+            ([2.0**53], [False], 3, (0, 4, math.inf)),
+            # Lines 3-7: a replicable run shrinks back to its two cores.
+            ([2.0**53, 2.0**53, 1.0], [True, True, False], 2, (0, 2, 2.0**52)),
+        ],
+    )
+    def test_the_probe_answers_more_cores_than_available(
+        self, weights, replicable, available, plan
+    ):
+        sums, nxt, last = _tables_of(weights, replicable)
+        assert probe_stage(sums, nxt, last, 0, available, 5e-324) == plan
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                "herad",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=CertificationError,
+                    reason="prefix sums absorb the 1.0 little weight next to "
+                    "2^54: HeRAD claims 5e-324 for a schedule of period 1.0",
+                ),
+            ),
+            *_GREEDY,
+        ],
+    )
+    def test_every_strategy_certifies_on_both_call_shapes(self, name):
+        resources = Resources(2, 2)
+        profile = ChainProfile(_OVERFLOW_CHAIN)
+        for outcome in (
+            get_strategy(name)(profile, resources),
+            solve_batch([profile], resources, name)[0],
+        ):
+            certify_outcome(
+                outcome, _OVERFLOW_CHAIN, resources, optimal=name == "herad"
+            )
+
+
 #: More cores than any finite ``ceil(weight / period)`` (< 2^1024): ``R(inf)``.
 _UNBOUNDED = 1 << 1100
 
@@ -134,8 +191,9 @@ def _premise(sums, nxt, last, period):
     return reached
 
 
-def _mirror_of(weights, replicable):
-    """One type's list mirror, as ``ChainProfile._mirror`` lays it out."""
+def _tables_of(weights, replicable):
+    """One type's ``(prefix sums, next-sequential, last index)``, as a
+    :class:`ChainProfile` lays them out."""
     n = len(weights)
     sums = [0.0]
     for weight in weights:
@@ -154,7 +212,7 @@ def _zero_weight_tables(draw):
         st.lists(st.sampled_from((0.0, 0.0, 1.0, 2.0, 3.5)), min_size=n, max_size=n)
     )
     replicable = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return _mirror_of(weights, replicable)
+    return _tables_of(weights, replicable)
 
 
 def _paper_walk(profile, resources, period):
@@ -212,7 +270,7 @@ class TestStageTable:
     @settings(max_examples=200, deadline=None)
     def test_premise_on_chains(self, profile, scale, absolute):
         """k = 2 and 3; subnormal, duplicate (tie) and ~2^53 weights."""
-        prefix, nxt = profile._mirror()
+        prefix, nxt = profile.prefix, profile.next_sequential
         last = profile.n - 1
         heaviest = max(s[i + 1] - s[i] for s in prefix for i in range(last + 1))
         period = absolute or max(heaviest / scale, 5e-324)
@@ -241,12 +299,13 @@ class TestStageTable:
         self, weights, replicable, period, path
     ):
         """The paths the hypothesis draws must cover, each reached on purpose."""
-        assert path in _premise(*_mirror_of(weights, replicable), period)
+        assert path in _premise(*_tables_of(weights, replicable), period)
 
     @given(
         profile=_profiles(),
         counts=st.lists(st.integers(0, 4), min_size=3, max_size=3),
         divisor=st.integers(1, 9),
+        type_index=st.integers(0, 2),
         memoize=st.booleans(),
     )
     @example(
@@ -256,6 +315,7 @@ class TestStageTable:
         )),
         counts=[3, 3, 0],
         divisor=6,
+        type_index=1,
         memoize=False,
     )
     @example(
@@ -264,20 +324,35 @@ class TestStageTable:
         )),
         counts=[2, 2, 2],
         divisor=4,
+        type_index=0,
         memoize=False,
+    )
+    @example(
+        profile=ChainProfile(_OVERFLOW_CHAIN),
+        counts=[2, 2, 0],
+        divisor=1,
+        type_index=0,
+        memoize=False,
+    )
+    @example(
+        profile=ChainProfile(_OVERFLOW_CHAIN),
+        counts=[1, 2, 0],
+        divisor=9,
+        type_index=0,
+        memoize=True,
     )
     @settings(max_examples=150, deadline=None)
     def test_walk_decides_as_the_paper_recursion(
-        self, profile, counts, divisor, memoize
+        self, profile, counts, divisor, type_index, memoize
     ):
         """Same stages and period as Algos. 5-6 with a fresh ``ComputeStage``
         per branch, and no ``(type, start, budget)`` evaluated twice."""
         resources = Resources.from_counts(counts[: len(profile.types())])
         if not any(resources.counts):
             return
-        # From the heaviest type's total: a subnormal period against ~2^53
-        # weights overflows ``ceil`` in every greedy solver (CHANGES.md).
-        period = max(max(s[-1] for s in profile._mirror()[0]) / divisor, 5e-324)
+        # From any type's total, so a subnormal period meets ~2^53 weights.
+        total = profile.prefix[type_index % profile.ktype][-1]
+        period = max(total / divisor, 5e-324)
         seen = []
 
         def recording(sums, nxt, last, start, available, target):
@@ -401,8 +476,6 @@ def _facts(outcome):
         outcome.probes,
     )
 
-
-_GREEDY = ("fertac", "otac_b", "otac_l", "2catac", "2catac_memo")
 
 _DATA = Path(__file__).resolve().parent.parent / "data"
 #: The edge corpus and what every greedy strategy answered on it at the

@@ -237,18 +237,38 @@ class TestTieOracle:
                 assert _stages(unmerged.solution) == row["herad"]["stages_unmerged"]
 
 
-def traced_peak(call):
-    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+#: numpy's own modules: a small array they allocate may be parked in numpy's
+#: buffer cache when freed, which ``tracemalloc`` still counts, a varying few.
+_NUMPY_FILES = tracemalloc.Filter(False, str(Path(np.__file__).parent / "*"))
+
+
+def _held(snapshot):
+    return sum(trace.size for trace in snapshot.filter_traces([_NUMPY_FILES]).traces)
+
+
+def traced_memory(call):
+    """``(retained, peak)`` bytes of ``call()`` under ``tracemalloc``: what it
+    allocated outside numpy's modules and still holds when it returns, its
+    result included, and the peak."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
+    before = _held(tracemalloc.take_snapshot())
     tracemalloc.reset_peak()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+        retained = _held(tracemalloc.take_snapshot()) - before
+        del result  # alive until the memory is read
+        return retained, peak
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak, in bytes, of ``call()``."""
+    return traced_memory(call)[1]
 
 
 class TestBlockMemory:

@@ -405,7 +405,8 @@ def test_report_histograms_carry_their_unit(capsys):
         "  solve.period.otac_l: n=18 mean=508.222 p50=399.474 p90=871.465 p99=889.070 min=262.000 max=898.000",
     ]
     timed = re.compile(
-        r"  solve\.seconds\.\w+: n=9 mean=[\d.]+ms p50=[\d.]+ms p90=[\d.]+ms "
+        r"  solve\.seconds\.\w+ \(seconds per instance, one value per solve group\): "
+        r"n=9 mean=[\d.]+ms p50=[\d.]+ms p90=[\d.]+ms "
         r"p99=[\d.]+ms min=[\d.]+ms max=[\d.]+ms"
     )
     assert len(histograms) == 10 and all(timed.fullmatch(line) for line in histograms[5:])

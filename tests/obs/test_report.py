@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
+from repro.cli import main
+from repro.engine import reset_default_engine
 from repro.obs import (
     NULL_CONTEXT,
     MetricsRegistry,
@@ -53,7 +57,10 @@ class TestRunReport:
         cost, timed = lines[lines.index("histograms:") + 1:]
         assert cost.startswith("  sim.resched.cost: n=1 mean=9.000 p50=")
         assert cost.endswith(" min=9.000 max=9.000") and "ms" not in cost
-        assert timed.startswith("  solve.seconds.herad: n=1 mean=2.000ms p50=")
+        assert timed.startswith(
+            "  solve.seconds.herad (seconds per instance, one value per solve"
+            " group): n=1 mean=2.000ms p50="
+        )
         assert timed.endswith(" min=2.000ms max=2.000ms")
 
     def test_zero_lookups_is_not_a_division(self):
@@ -74,7 +81,7 @@ class TestRunReport:
         report = RunReport.from_parts((), MetricsSnapshot(), 0.5)
         rendered = report.render()
         assert "failures: none" in rendered
-        assert "no spans recorded" in rendered
+        assert "spans" not in rendered and "time sinks" not in rendered
 
     def test_from_observability(self):
         obs = Observability(ObsConfig(trace=True, metrics=True))
@@ -105,8 +112,63 @@ class TestRunReport:
             rendered = report.render()
             for name in PAPER_ORDER:
                 assert timed[f"solve.seconds.{name}"].count >= 1
-                assert f"solve.seconds.{name}: n=" in rendered
+                assert f"solve.seconds.{name} (seconds per instance" in rendered
             assert report.counter("solve.count") == len(chains) * len(PAPER_ORDER)
+
+
+#: ``table1 --chains 3 --seed 0 --jobs 1 --metrics``'s run report with every
+#: duration masked: the lines that do not depend on timing, verbatim.
+_GOLDEN_TABLE1_REPORT = """\
+== Run report ==
+wall-clock: <t>
+memo: 0/135 hits (0.0%)
+failures: none
+counters:
+  binary_search.calls = 108
+  binary_search.iterations = 773
+  herad.calls = 27
+  herad.dp_cells = 54999
+  packing.compute_stage_calls = 23392
+  solve.count = 135
+histograms:
+  solve.period.2catac: n=27 mean=114.927 p50=98.505 p90=190.590 p99=202.000 min=72.000 max=202.000
+  solve.period.fertac: n=27 mean=115.971 p50=98.505 p90=190.590 p99=202.000 min=72.000 max=202.000
+  solve.period.herad: n=27 mean=114.340 p50=96.554 p90=190.590 p99=202.000 min=72.000 max=202.000
+  solve.period.otac_b: n=27 mean=169.926 p50=138.395 p90=290.075 p99=319.000 min=72.000 max=319.000
+  solve.period.otac_l: n=27 mean=558.519 p50=459.507 p90=1002.428 p99=1192.000 min=262.000 max=1192.000
+  solve.seconds.2catac (seconds per instance, one value per solve group): n=9 mean=<t> p50=<t> p90=<t> p99=<t> min=<t> max=<t>
+  solve.seconds.fertac (seconds per instance, one value per solve group): n=9 mean=<t> p50=<t> p90=<t> p99=<t> min=<t> max=<t>
+  solve.seconds.herad (seconds per instance, one value per solve group): n=9 mean=<t> p50=<t> p90=<t> p99=<t> min=<t> max=<t>
+  solve.seconds.otac_b (seconds per instance, one value per solve group): n=9 mean=<t> p50=<t> p90=<t> p99=<t> min=<t> max=<t>
+  solve.seconds.otac_l (seconds per instance, one value per solve group): n=9 mean=<t> p50=<t> p90=<t> p99=<t> min=<t> max=<t>
+"""
+
+_DURATION = re.compile(r"\d+\.\d+m?s\b")
+
+
+def _run_report(argv, capsys):
+    reset_default_engine()  # a cold memo: every cell is solved
+    assert main(argv) == 0
+    reset_default_engine()
+    out = capsys.readouterr().out
+    return _DURATION.sub("<t>", out[out.index("== Run report ==") :])
+
+
+class TestGoldenReport:
+    ARGV = ["table1", "--chains", "3", "--seed", "0", "--jobs", "1", "--metrics"]
+
+    def test_table1_metrics_report(self, capsys):
+        """No spans line without ``--trace``; each ``solve.seconds`` histogram
+        says its values are per-instance costs of solve groups."""
+        assert _run_report(self.ARGV, capsys) == _GOLDEN_TABLE1_REPORT
+
+    def test_trace_adds_the_time_sinks(self, capsys, tmp_path):
+        traced = _run_report(
+            [*self.ARGV, "--trace", str(tmp_path / "trace.json")], capsys
+        ).splitlines()
+        assert traced[:2] == _GOLDEN_TABLE1_REPORT.splitlines()[:2]
+        assert traced[2].startswith("top time sinks (inclusive/self, top ")
+        assert traced[3].split()[2] == "experiment"  # the outermost span
 
 
 class TestAmbientContext:
