@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InvalidChainError, InvalidParameterError
@@ -181,7 +182,11 @@ class ChainProfile:
             )
         self._check_interval(start, end)
         sums = self.prefix[core_type]
-        return max(1, math.ceil((sums[end + 1] - sums[start]) / period))
+        weight = sums[end + 1] - sums[start]
+        try:
+            return max(1, math.ceil(weight / period))
+        except OverflowError:  # the float quotient is infinite; this is exact
+            return math.ceil(Fraction(weight) / Fraction(period))
 
     def max_packing(
         self, start: int, cores: int, core_type: CoreIndex, period: float

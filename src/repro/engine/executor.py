@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ..core.chain_stats import ChainProfile, profile_of
+from ..core.chain_stats import ChainProfile
 from ..core.errors import InvalidParameterError
 from ..core.registry import get_info
 from ..core.task import TaskChain
@@ -125,9 +125,6 @@ class CampaignEngine:
             zero-overhead no-op implementation.  Spans and counters are
             recorded *about* the campaign, never consulted by it — results
             are bitwise identical with observability on or off (tested).
-        unit_wall: target estimated solve seconds per work unit for the
-            cost-adaptive planner (:mod:`repro.engine.plan`; default
-            :data:`~repro.engine.plan.DEFAULT_UNIT_WALL_S`).
 
     An engine that dispatched to the process tier holds live workers: call
     :meth:`close` (or use the engine as a context manager) when done with
@@ -143,14 +140,8 @@ class CampaignEngine:
         journal: "CheckpointJournal | str | Path | None" = None,
         faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
-        unit_wall: float = DEFAULT_UNIT_WALL_S,
     ) -> None:
-        if unit_wall <= 0:
-            raise InvalidParameterError(
-                f"unit_wall must be > 0 seconds, got {unit_wall}"
-            )
         self.jobs = resolve_jobs(jobs)
-        self.unit_wall = unit_wall
         self._cost_model = AdaptiveCostModel()
         self._pool = WorkerPool()
         if memo is True:
@@ -402,11 +393,13 @@ class CampaignEngine:
             # Serial fast path: one unit, zero chunk overhead.
             groups = [tuple(pending)]
         else:
+            # Looked up per campaign, not bound as a default, so tests can
+            # patch the one unit wall.
             groups = plan_units(
                 pending,
                 jobs=jobs,
                 cost_snapshot=self._cost_model.snapshot(),
-                unit_wall=self.unit_wall,
+                unit_wall=DEFAULT_UNIT_WALL_S,
             )
         units = units_from_groups(
             groups, resources, certify=certify,

@@ -1,11 +1,13 @@
-"""Lint rule machinery: file context, rule base class, and the registry.
+"""Lint rule machinery: file context, rule base classes, and the registry.
 
-A rule is an :class:`ast.NodeVisitor` subclass registered with
-:func:`register`.  The engine instantiates each applicable rule once per
-file, hands it the parsed module, and collects the findings the rule
-reported.  Rules declare *where* they apply through :meth:`LintRule.applies`
-(e.g. the determinism rule only guards the solver paths) so the engine can
-lint the whole tree with one file walk.
+Every rule registers with :func:`register` in the one
+:data:`RULE_REGISTRY` and comes in one of two shapes.  A
+:class:`LintRule` is an :class:`ast.NodeVisitor` the driver runs once per
+module it applies to (:meth:`LintRule.applies` — e.g. the determinism rule
+only guards the solver paths); a
+:class:`~repro.lint.project.ProjectRule` reasons over the whole parsed
+tree at once.  Both see the same parse: each module is read and parsed
+once per run.
 
 Suppression: a source line ending in ``# lint: ignore[rule-name]`` (or the
 blanket ``# lint: ignore``) silences findings reported on that line.  The
@@ -28,12 +30,16 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence, TypeVar
 
-from .findings import Finding, Severity
+from .findings import EvidenceStep, Finding, Severity
+
+if TYPE_CHECKING:
+    from .project.context import ProjectContext
 
 __all__ = [
     "FileContext",
+    "Rule",
     "LintRule",
     "RULE_REGISTRY",
     "register",
@@ -49,7 +55,7 @@ class FileContext:
 
     Attributes:
         path: absolute path of the file.
-        rel: path relative to the linted root (used in findings).
+        rel: path relative to the project root (used in findings).
         module: dotted module name when the file sits under a package root
             (e.g. ``repro.core.herad``), else the stem.
         source: full text of the file.
@@ -115,7 +121,7 @@ class FileContext:
                 merged = span + tuple(n for n in lines if n not in span and n != lineno)
                 self._covering[lineno] = merged
 
-    def is_suppressed(self, line: int, rule: "LintRule | type[LintRule]") -> bool:
+    def is_suppressed(self, line: int, rule: "Rule | type[Rule]") -> bool:
         """True when a pragma covering ``line`` silences ``rule``."""
         for candidate in (line, *self._covering.get(line, ())):
             if candidate not in self._suppressions:
@@ -141,11 +147,14 @@ class FileContext:
         return self.in_core or self.in_engine
 
 
-class LintRule(ast.NodeVisitor):
-    """Base class for one lint rule (a per-file AST visitor).
+class Rule:
+    """What every rule shares: identity, metadata, and how a finding lands.
 
-    Subclasses set the class attributes, implement ``visit_*`` methods, and
-    call :meth:`report` on violations.  The engine calls :meth:`run`.
+    A rule comes in one of two shapes — :class:`LintRule` visits one module
+    at a time, :class:`~repro.lint.project.ProjectRule` reasons over the
+    whole :class:`~repro.lint.project.ProjectContext` — and both report
+    through :meth:`_emit`, so a per-line pragma silences either shape the
+    same way.
     """
 
     #: Stable identifier, e.g. ``REP101``.
@@ -156,26 +165,76 @@ class LintRule(ast.NodeVisitor):
     description: ClassVar[str]
     #: Default fix hint attached to findings.
     hint: ClassVar[str]
+    #: Longer prose for ``--explain``: what the rule computes and why.
+    explanation: ClassVar[str] = ""
     #: Default severity of the rule's findings.
     severity: ClassVar[Severity] = Severity.ERROR
 
+    findings: list[Finding]
+
+    @classmethod
+    def check_project(cls, pctx: "ProjectContext") -> list[Finding]:
+        """Every finding this rule reports on the parsed project."""
+        raise NotImplementedError
+
+    def _emit(
+        self,
+        ctx: FileContext,
+        line: int,
+        col: int,
+        message: str,
+        hint: "str | None",
+        severity: "Severity | None",
+        evidence: "Sequence[EvidenceStep]" = (),
+    ) -> None:
+        """Record one finding in ``ctx`` unless a pragma covers its line."""
+        if ctx.is_suppressed(line, self):
+            return
+        self.findings.append(
+            Finding(
+                rule_id=self.id,
+                rule_name=self.name,
+                message=message,
+                hint=hint if hint is not None else self.hint,
+                path=ctx.rel,
+                line=line,
+                col=col,
+                severity=severity if severity is not None else self.severity,
+                evidence=tuple(evidence),
+            )
+        )
+
+
+class LintRule(Rule, ast.NodeVisitor):
+    """A per-file rule: an AST visitor run on each module it applies to.
+
+    Subclasses set the class attributes, implement ``visit_*`` methods, and
+    call :meth:`report` on violations.
+    """
+
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
-        self.findings: list[Finding] = []
+        self.findings = []
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
         """Whether the rule runs on this file (default: everywhere)."""
         return True
 
+    @classmethod
+    def check_project(cls, pctx: "ProjectContext") -> list[Finding]:
+        """Visit every module the rule applies to."""
+        return [
+            finding
+            for ctx in pctx.files.values()
+            if cls.applies(ctx)
+            for finding in cls(ctx).run()
+        ]
+
     def run(self) -> list[Finding]:
         """Visit the file and return the (unsuppressed) findings."""
         self.visit(self.ctx.tree)
-        return [
-            f
-            for f in self.findings
-            if not self.ctx.is_suppressed(f.line, self)
-        ]
+        return self.findings
 
     def report(
         self,
@@ -185,25 +244,23 @@ class LintRule(ast.NodeVisitor):
         severity: "Severity | None" = None,
     ) -> None:
         """Record one violation anchored at ``node``."""
-        self.findings.append(
-            Finding(
-                rule_id=self.id,
-                rule_name=self.name,
-                message=message,
-                hint=hint if hint is not None else self.hint,
-                path=self.ctx.rel,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                severity=severity if severity is not None else self.severity,
-            )
+        self._emit(
+            self.ctx,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0),
+            message,
+            hint,
+            severity,
         )
 
 
-#: All registered rules, keyed by slug, in registration order.
-RULE_REGISTRY: dict[str, type[LintRule]] = {}
+#: All registered rules of both shapes, keyed by slug, in registration order.
+RULE_REGISTRY: dict[str, type[Rule]] = {}
+
+_R = TypeVar("_R", bound=type[Rule])
 
 
-def register(cls: type[LintRule]) -> type[LintRule]:
+def register(cls: _R) -> _R:
     """Class decorator adding a rule to :data:`RULE_REGISTRY`."""
     for attr in ("id", "name", "description", "hint"):
         if not getattr(cls, attr, None):
@@ -217,7 +274,7 @@ def register(cls: type[LintRule]) -> type[LintRule]:
     return cls
 
 
-def rules_by_name(names: "Iterable[str] | None" = None) -> list[type[LintRule]]:
+def rules_by_name(names: "Iterable[str] | None" = None) -> list[type[Rule]]:
     """Resolve rule selectors (slugs or ids) to rule classes.
 
     Args:
@@ -229,7 +286,7 @@ def rules_by_name(names: "Iterable[str] | None" = None) -> list[type[LintRule]]:
     if names is None:
         return list(RULE_REGISTRY.values())
     by_id = {rule.id: rule for rule in RULE_REGISTRY.values()}
-    selected: list[type[LintRule]] = []
+    selected: list[type[Rule]] = []
     for name in names:
         rule = RULE_REGISTRY.get(name) or by_id.get(name.upper())
         if rule is None:

@@ -1,8 +1,8 @@
 """``repro lint`` / ``python -m repro.lint`` — run the project lint.
 
-Two tiers share this entry point: the per-file rules (REP1xx, default)
-and the whole-project rules (REP2xx, ``--project``).  Exit codes: 0
-clean, 1 error findings, 2 usage errors (argparse or unknown selectors).
+One run parses the package once and applies every selected rule, per-file
+(REP1xx) and whole-project (REP2xx) alike.  Exit codes: 0 clean, 1 error
+findings, 2 usage errors (argparse, unknown selectors, a missing package).
 """
 
 from __future__ import annotations
@@ -10,41 +10,34 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from .base import RULE_REGISTRY
-from .engine import lint_paths, lint_project
+from .base import RULE_REGISTRY, rules_by_name
+from .engine import lint
 from .reporters import REPORTERS
 
 __all__ = ["build_parser", "main"]
 
-#: Default lint targets, relative to the repository root.
-DEFAULT_TARGETS = ("src/repro",)
+#: Default package root, relative to the repository root.
+DEFAULT_PACKAGE = Path("src/repro")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro lint`` / ``python -m repro.lint`` parser."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
+        allow_abbrev=False,
         description=(
             "Project-specific static analysis: float-comparison, "
             "immutability, error-hierarchy, determinism, typing, and "
-            "picklability rules guarding the paper's invariants — plus "
-            "whole-project race/fork-safety/layering rules (--project)."
+            "picklability rules guarding the paper's invariants, plus "
+            "whole-project race/fork-safety/layering rules, in one pass."
         ),
     )
     parser.add_argument(
-        "paths",
-        nargs="*",
+        "package",
+        nargs="?",
         type=Path,
-        default=None,
-        help=f"files/directories to lint (default: {' '.join(DEFAULT_TARGETS)})",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "run the whole-project rules (REP201-REP206): symbol table, "
-            "import graph, call graph over the full tree"
-        ),
+        default=DEFAULT_PACKAGE,
+        help=f"package directory to lint (default: {DEFAULT_PACKAGE})",
     )
     parser.add_argument(
         "--format",
@@ -61,14 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to specific rules (slug or id); repeatable",
     )
     parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        dest="rules",
-        metavar="NAME",
-        help="alias for --rules (one selector per flag)",
-    )
-    parser.add_argument(
         "--explain",
         default=None,
         metavar="REPxxx",
@@ -83,40 +68,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         type=Path,
         default=None,
-        help="directory findings are reported relative to (default: cwd)",
+        help=(
+            "project root: findings are reported relative to it and REP206 "
+            "scans its src/tests/examples (default: inferred from the package)"
+        ),
     )
     return parser
 
 
 def _explain(selector: str) -> int:
-    """Print the long-form description of one rule (either tier)."""
-    from .project.base import PROJECT_RULE_REGISTRY
-
-    wanted = selector.strip()
-    for registry in (RULE_REGISTRY, PROJECT_RULE_REGISTRY):
-        for rule in registry.values():
-            if wanted.upper() == rule.id or wanted == rule.name:
-                print(f"{rule.id} [{rule.name}]")
-                print(f"  {rule.description}")
-                explanation = getattr(rule, "explanation", "")
-                if explanation:
-                    print()
-                    print(f"  {explanation}")
-                print()
-                print(f"  hint: {rule.hint}")
-                return 0
-    print(f"repro lint: unknown rule {selector!r}")
-    return 2
+    """Print the long-form description of one rule."""
+    try:
+        (rule,) = rules_by_name([selector.strip()])
+    except KeyError:
+        print(f"repro lint: unknown rule {selector!r}")
+        return 2
+    print(f"{rule.id} [{rule.name}]")
+    print(f"  {rule.description}")
+    if rule.explanation:
+        print()
+        print(f"  {rule.explanation}")
+    print()
+    print(f"  hint: {rule.hint}")
+    return 0
 
 
 def _list_rules() -> int:
-    from .project.base import PROJECT_RULE_REGISTRY
-
-    print("per-file rules:")
     for rule in RULE_REGISTRY.values():
-        print(f"  {rule.id}  {rule.name:<22} {rule.description}")
-    print("project rules (--project):")
-    for rule in PROJECT_RULE_REGISTRY.values():
         print(f"  {rule.id}  {rule.name:<22} {rule.description}")
     return 0
 
@@ -136,14 +114,8 @@ def main(argv: "list[str] | None" = None) -> int:
             for name in chunk.split(",")
             if name.strip()
         ]
-    paths = args.paths or [Path(p) for p in DEFAULT_TARGETS]
     try:
-        if args.project:
-            report = lint_project(
-                paths[0], rule_names=selectors, project_root=args.root
-            )
-        else:
-            report = lint_paths(paths, rule_names=selectors, root=args.root)
+        report = lint(args.package, rule_names=selectors, project_root=args.root)
     except (FileNotFoundError, KeyError) as exc:
         print(f"repro lint: {exc}")
         return 2

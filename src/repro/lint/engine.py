@@ -1,33 +1,24 @@
-"""The lint driver: file discovery, parsing, rule dispatch.
+"""The lint driver: one parse of the package, every selected rule.
 
-One AST parse per file; every applicable rule visits that tree.  Findings
-come back sorted and deduplicated, with syntax errors surfaced as findings
-of the pseudo-rule ``REP000`` rather than crashing the run (a broken file
-must fail the build, not the linter).
+:func:`lint` builds one :class:`~repro.lint.project.ProjectContext` — each
+module under the package root read and parsed once — and runs each
+selected rule over it: a per-file rule on every module it applies to, a
+project rule once over the whole context.  A module that does not parse
+becomes a finding of the pseudo-rule ``REP000`` rather than crashing the
+run (a broken file must fail the build, not the linter).
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .base import FileContext, LintRule, rules_by_name
+from .base import rules_by_name
 from .findings import Finding, Severity
+from .project import AllowEntry, ProjectContext
 
-__all__ = [
-    "LintReport",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_project",
-]
-
-#: Directory names never descended into.
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".venv", "venv", "build", "dist", "node_modules"}
-)
+__all__ = ["LintReport", "lint"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +27,7 @@ class LintReport:
 
     Attributes:
         findings: all findings, sorted by location then rule.
-        files_checked: number of Python files parsed.
+        files_checked: number of Python files read.
     """
 
     findings: tuple[Finding, ...]
@@ -55,140 +46,38 @@ class LintReport:
         return not self.errors
 
 
-def iter_python_files(paths: Iterable[Path]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files.
-
-    Raises:
-        FileNotFoundError: when a requested path does not exist.
-    """
-    files: set[Path] = set()
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no such file or directory: {path}")
-        if path.is_dir():
-            for candidate in path.rglob("*.py"):
-                if not _SKIP_DIRS.intersection(candidate.parts):
-                    files.add(candidate.resolve())
-        elif path.suffix == ".py":
-            files.add(path.resolve())
-    return sorted(files)
-
-
-def _module_name(path: Path) -> str:
-    """Dotted module name inferred from the path (best effort).
-
-    Files under a directory named ``repro`` get their real dotted name so
-    path-scoped rules (core/engine/cli carve-outs) fire correctly; files
-    elsewhere (tests, fixtures) get their stem, which matches no carve-out
-    and therefore runs the default rule set.
-    """
-    parts = list(path.parts)
-    if "repro" in parts:
-        tail = parts[parts.index("repro") :]
-        tail[-1] = path.stem
-        return ".".join(tail)
-    return path.stem
-
-
-def _relative_to(path: Path, root: "Path | None") -> str:
-    if root is not None:
-        try:
-            return str(path.relative_to(root))
-        except ValueError:
-            pass
-    return str(path)
-
-
-def lint_file(
-    path: Path,
-    rules: Sequence[type[LintRule]],
-    root: "Path | None" = None,
-) -> list[Finding]:
-    """Lint one file with the given rules."""
-    rel = _relative_to(path, root)
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule_id="REP000",
-                rule_name="syntax-error",
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error",
-                path=rel,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-            )
-        ]
-    ctx = FileContext(
-        path=path, rel=rel, module=_module_name(path), source=source, tree=tree
-    )
-    findings: list[Finding] = []
-    for rule_cls in rules:
-        if rule_cls.applies(ctx):
-            findings.extend(rule_cls(ctx).run())
-    return findings
-
-
-def lint_paths(
-    paths: Iterable["Path | str"],
-    rule_names: "Iterable[str] | None" = None,
-    root: "Path | str | None" = None,
-) -> LintReport:
-    """Lint files/directories and return the consolidated report.
-
-    Args:
-        paths: files or directories to lint.
-        rule_names: rule slugs/ids to run (default: all registered rules).
-        root: paths in findings are rendered relative to this directory.
-    """
-    rules = rules_by_name(None if rule_names is None else list(rule_names))
-    root_path = None if root is None else Path(root).resolve()
-    findings: list[Finding] = []
-    files = iter_python_files(Path(p) for p in paths)
-    for path in files:
-        findings.extend(lint_file(path, rules, root=root_path))
-    findings.sort(key=lambda f: f.sort_key)
-    return LintReport(findings=tuple(findings), files_checked=len(files))
-
-
-def lint_project(
+def lint(
     package_root: "Path | str" = "src/repro",
     rule_names: "Iterable[str] | None" = None,
     project_root: "Path | str | None" = None,
-    allowlist: "Sequence[object] | None" = None,
+    allowlist: "Sequence[AllowEntry] | None" = None,
 ) -> LintReport:
-    """Run the whole-project rules (REP201-REP206) over one package tree.
-
-    Parses every module under ``package_root`` once, builds the shared
-    :class:`~repro.lint.project.ProjectContext` (symbol table, import
-    graph, call graph), and runs the selected project rules over it.
+    """Lint one package tree with every selected rule.
 
     Args:
-        package_root: directory of the analyzed package (default
+        package_root: directory of the linted package (default
             ``src/repro`` relative to the current directory).
-        rule_names: project rule slugs/REP2xx ids (default: all).
-        project_root: repository root used for REP206 reference scanning
-            and for rendering finding paths (inferred when omitted).
-        allowlist: sanctioned-site entries; ``None`` selects the shipped
-            allowlist, pass ``()`` to disable (fixture corpora do).
-    """
-    from .project import ProjectContext, project_rules_by_name
+        rule_names: rule slugs/ids to run (default: every registered rule).
+        project_root: repository root; finding paths are rendered relative
+            to it and REP206 scans its ``src``/``tests``/``examples`` for
+            references (inferred from ``package_root`` when omitted).
+        allowlist: sanctioned-site entries for the project rules; ``None``
+            selects the shipped allowlist, pass ``()`` to disable (fixture
+            corpora do).
 
+    Raises:
+        FileNotFoundError: when ``package_root`` is not a directory.
+        KeyError: for an unknown rule selector.
+    """
+    rules = rules_by_name(None if rule_names is None else list(rule_names))
     pctx = ProjectContext.build(
-        package_root,
-        project_root=project_root,
-        allowlist=allowlist,  # type: ignore[arg-type]
+        package_root, project_root=project_root, allowlist=allowlist
     )
-    rules = project_rules_by_name(
-        None if rule_names is None else list(rule_names)
-    )
-    findings: list[Finding] = []
+    findings = list(pctx.syntax_errors)
     for rule_cls in rules:
-        findings.extend(rule_cls(pctx).run())
+        findings.extend(rule_cls.check_project(pctx))
     findings.sort(key=lambda f: f.sort_key)
     return LintReport(
-        findings=tuple(findings), files_checked=len(pctx.files)
+        findings=tuple(findings),
+        files_checked=len(pctx.files) + len(pctx.syntax_errors),
     )

@@ -1,35 +1,31 @@
-"""Project-rule machinery: base class and the REP2xx registry.
+"""The whole-project rule shape: :class:`ProjectRule`.
 
 Project rules parallel the per-file :class:`~repro.lint.base.LintRule` but
-see the whole tree at once through a :class:`ProjectContext`.  They live in
-their own registry so the per-file engine, its CLI defaults, and the tests
-that pin the per-file rule set are untouched; ``repro lint --project``
-selects from this registry instead.
+see the whole tree at once through a :class:`ProjectContext`.  Both shapes
+register in the one :data:`~repro.lint.base.RULE_REGISTRY` and report
+through :meth:`~repro.lint.base.Rule._emit`.
 
-Suppression composes from both layers: a per-line pragma
-(``# lint: ignore[rule-name]``) on the violation line still works — the
-project engine resolves it through the same :class:`FileContext` — and a
-sanctioned (rule, module, symbol) triple in the allowlist silences the
-site tree-wide, each entry carrying a one-line justification.
+Suppression composes from two layers: a per-line pragma
+(``# lint: ignore[rule-name]``) on the violation line works exactly as for
+a per-file rule — it is resolved through the same
+:class:`~repro.lint.base.FileContext` — and a sanctioned (rule, module,
+symbol) triple in the allowlist silences the site tree-wide, each entry
+carrying a one-line justification.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Iterable, Sequence
+from typing import Sequence
 
+from ..base import Rule
 from ..findings import EvidenceStep, Finding, Severity
 from .context import ProjectContext
 
-__all__ = [
-    "ProjectRule",
-    "PROJECT_RULE_REGISTRY",
-    "project_register",
-    "project_rules_by_name",
-]
+__all__ = ["ProjectRule"]
 
 
-class ProjectRule:
+class ProjectRule(Rule):
     """Base class for one whole-project rule.
 
     Subclasses set the class attributes and implement :meth:`check`,
@@ -37,22 +33,14 @@ class ProjectRule:
     ``repro lint --explain REPxxx``.
     """
 
-    #: Stable identifier, e.g. ``REP201``.
-    id: ClassVar[str]
-    #: Human slug, e.g. ``worker-global-write``.
-    name: ClassVar[str]
-    #: One-line description shown by ``--list-rules``.
-    description: ClassVar[str]
-    #: Default fix hint attached to findings.
-    hint: ClassVar[str]
-    #: Longer prose for ``--explain``: what the rule computes and why.
-    explanation: ClassVar[str] = ""
-    #: Default severity of the rule's findings.
-    severity: ClassVar[Severity] = Severity.ERROR
-
     def __init__(self, pctx: ProjectContext) -> None:
         self.pctx = pctx
-        self.findings: list[Finding] = []
+        self.findings = []
+
+    @classmethod
+    def check_project(cls, pctx: ProjectContext) -> list[Finding]:
+        """Run the rule once over the whole project."""
+        return cls(pctx).run()
 
     def check(self) -> None:
         """Inspect the project and call :meth:`report` on violations."""
@@ -91,58 +79,6 @@ class ProjectRule:
         ctx = self.pctx.files.get(module)
         if ctx is None:
             return
-        if ctx.is_suppressed(line, self):  # type: ignore[arg-type]
-            return
         if self.pctx.allowed(self.id, module, symbol) is not None:
             return
-        self.findings.append(
-            Finding(
-                rule_id=self.id,
-                rule_name=self.name,
-                message=message,
-                hint=hint if hint is not None else self.hint,
-                path=ctx.rel,
-                line=line,
-                col=col,
-                severity=severity if severity is not None else self.severity,
-                evidence=tuple(evidence or ()),
-            )
-        )
-
-
-#: All registered project rules, keyed by slug, in registration order.
-PROJECT_RULE_REGISTRY: dict[str, type[ProjectRule]] = {}
-
-
-def project_register(cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding a rule to :data:`PROJECT_RULE_REGISTRY`."""
-    for attr in ("id", "name", "description", "hint"):
-        if not getattr(cls, attr, None):
-            raise ValueError(f"project rule {cls.__name__} is missing {attr!r}")
-    if cls.name in PROJECT_RULE_REGISTRY:
-        raise ValueError(f"duplicate project rule name {cls.name!r}")
-    ids = {rule.id for rule in PROJECT_RULE_REGISTRY.values()}
-    if cls.id in ids:
-        raise ValueError(f"duplicate project rule id {cls.id!r}")
-    PROJECT_RULE_REGISTRY[cls.name] = cls
-    return cls
-
-
-def project_rules_by_name(
-    names: "Iterable[str] | None" = None,
-) -> list[type[ProjectRule]]:
-    """Resolve selectors (slugs or REP2xx ids) to project rule classes."""
-    if names is None:
-        return list(PROJECT_RULE_REGISTRY.values())
-    by_id = {rule.id: rule for rule in PROJECT_RULE_REGISTRY.values()}
-    selected: list[type[ProjectRule]] = []
-    for name in names:
-        rule = PROJECT_RULE_REGISTRY.get(name) or by_id.get(name.upper())
-        if rule is None:
-            raise KeyError(
-                f"unknown project lint rule {name!r}; available: "
-                f"{sorted(PROJECT_RULE_REGISTRY)}"
-            )
-        if rule not in selected:
-            selected.append(rule)
-    return selected
+        self._emit(ctx, line, col, message, hint, severity, evidence or ())

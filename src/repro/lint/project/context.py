@@ -1,8 +1,11 @@
-"""The shared :class:`ProjectContext` handed to every project-wide rule.
+"""The shared :class:`ProjectContext` every rule of a lint run reads.
 
-Built once per ``repro lint --project`` run: parse every module under the
-package root, distill each into :class:`~repro.lint.project.model.ModuleFacts`,
-then derive the three graphs the REP201-REP206 rules reason over:
+Built once per ``repro lint`` run: parse every module under the package
+root once (a module that does not parse becomes a ``REP000`` finding),
+hand each parsed module's :class:`~repro.lint.base.FileContext` to the
+per-file rules, distill it into
+:class:`~repro.lint.project.model.ModuleFacts`, then derive the three
+graphs the REP201-REP206 rules reason over:
 
 * the **symbol table** — every module-level binding, function, and class,
   indexed by module, bare name, and project-unique function id;
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..base import FileContext
+from ..findings import Finding
 from .allowlist import ALLOWLIST, AllowEntry
 from .model import (
     Binding,
@@ -39,6 +43,11 @@ from .model import (
 )
 
 __all__ = ["ProjectContext", "DispatchSite", "StrategyRoot"]
+
+#: Directory names never descended into.
+_SKIP_DIRS = frozenset(
+    {"__pycache__", ".git", ".venv", "venv", "build", "dist", "node_modules"}
+)
 
 #: Method names that dispatch a callable onto a worker pool.
 _DISPATCH_METHODS = frozenset(
@@ -84,6 +93,7 @@ class ProjectContext:
     package_root: Path
     project_root: Path
     files: dict[str, FileContext]
+    syntax_errors: tuple[Finding, ...]
     facts: dict[str, ModuleFacts]
     functions: dict[str, FunctionFacts]
     classes_by_name: dict[str, tuple[ClassFacts, ...]]
@@ -107,7 +117,6 @@ class ProjectContext:
         package_root: "Path | str",
         project_root: "Path | str | None" = None,
         allowlist: "Sequence[AllowEntry] | None" = None,
-        reference_dirs: "Sequence[str] | None" = None,
     ) -> "ProjectContext":
         """Parse the tree under ``package_root`` and derive all graphs.
 
@@ -120,11 +129,13 @@ class ProjectContext:
                 looks like ``<root>/src/repro``, else its parent).
             allowlist: sanctioned-site entries (default: the shipped
                 :data:`~repro.lint.project.allowlist.ALLOWLIST`).
-            reference_dirs: override the reference-scan subdirectories.
-        """
-        from ..engine import _module_name, iter_python_files
 
+        Raises:
+            FileNotFoundError: when ``package_root`` is not a directory.
+        """
         package_root = Path(package_root).resolve()
+        if not package_root.is_dir():
+            raise FileNotFoundError(f"no such package directory: {package_root}")
         if project_root is None:
             if package_root.parent.name == "src":
                 root = package_root.parent.parent
@@ -135,14 +146,30 @@ class ProjectContext:
 
         files: dict[str, FileContext] = {}
         facts: dict[str, ModuleFacts] = {}
-        for path in iter_python_files([package_root]):
+        syntax_errors: list[Finding] = []
+        trees: dict[Path, "ast.Module | None"] = {}
+        for path in _python_files(package_root):
             source = path.read_text(encoding="utf-8")
+            rel = _rel(path, root)
             try:
                 tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                continue  # surfaced by the per-file pass as REP000
-            module = _module_name(path)
-            rel = _rel(path, root)
+            except SyntaxError as exc:
+                trees[path] = None
+                syntax_errors.append(
+                    Finding(
+                        rule_id="REP000",
+                        rule_name="syntax-error",
+                        message=f"file does not parse: {exc.msg}",
+                        hint="fix the syntax error",
+                        path=rel,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1,
+                    )
+                )
+                continue
+            trees[path] = tree
+            parts = path.relative_to(package_root).with_suffix("").parts
+            module = ".".join((package_root.name, *parts))
             files[module] = FileContext(
                 path=path, rel=rel, module=module, source=source, tree=tree
             )
@@ -160,13 +187,14 @@ class ProjectContext:
                     frozen.add(klass.name)
 
         reference_names = _scan_references(
-            root, reference_dirs or ("src", "tests", "examples")
+            root, ("src", "tests", "examples"), trees
         )
 
         ctx = cls(
             package_root=package_root,
             project_root=root,
             files=files,
+            syntax_errors=tuple(syntax_errors),
             facts=facts,
             functions=functions,
             classes_by_name={
@@ -541,21 +569,38 @@ def _expr_name(node: ast.AST) -> "str | None":
     return None
 
 
-def _scan_references(
-    root: Path, subdirs: Sequence[str]
-) -> set[str]:
-    from ..engine import iter_python_files
+def _python_files(directory: Path) -> list[Path]:
+    """The ``.py`` files under ``directory``, resolved and sorted."""
+    return sorted(
+        path.resolve()
+        for path in directory.rglob("*.py")
+        if not _SKIP_DIRS.intersection(path.relative_to(directory).parts)
+    )
 
+
+def _scan_references(
+    root: Path,
+    subdirs: Sequence[str],
+    parsed: "dict[Path, ast.Module | None]",
+) -> set[str]:
+    """Every name mentioned under ``root``'s ``subdirs``; a file in
+    ``parsed`` (the package, already parsed or found unparseable) is not
+    parsed again."""
     trees: list[ast.Module] = []
     bases = [root / sub for sub in subdirs if (root / sub).is_dir()]
     if not bases:
         bases = [root]  # fixture corpora: scan the tree itself
     for base in bases:
-        for path in iter_python_files([base]):
-            try:
-                trees.append(
-                    ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-                )
-            except SyntaxError:
-                continue
+        for path in _python_files(base):
+            if path in parsed:
+                tree = parsed[path]
+            else:
+                try:
+                    tree = ast.parse(
+                        path.read_text(encoding="utf-8"), filename=str(path)
+                    )
+                except SyntaxError:
+                    continue
+            if tree is not None:
+                trees.append(tree)
     return collect_reference_names(trees)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import ast
 import sys
 
+from ..base import register
 from ..findings import EvidenceStep
-from .base import ProjectRule, project_register
+from .base import ProjectRule
 from .evidence import call_chain, entry_of
 from .model import FunctionFacts
 
@@ -118,7 +119,7 @@ def _package_of(module: str) -> "str | None":
     return parts[1]
 
 
-@project_register
+@register
 class WorkerGlobalWriteRule(ProjectRule):
     """REP201: module-level mutable state written on a worker-reachable path."""
 
@@ -198,7 +199,7 @@ class WorkerGlobalWriteRule(ProjectRule):
                 )
 
 
-@project_register
+@register
 class LockDisciplineRule(ProjectRule):
     """REP202: attrs guarded by a lock in some methods, unguarded in others."""
 
@@ -317,7 +318,7 @@ class LockDisciplineRule(ProjectRule):
     _lock_held: set[str] = set()
 
 
-@project_register
+@register
 class ForkUnsafeCaptureRule(ProjectRule):
     """REP203: fork-unsafe objects flowing into process-tier work units."""
 
@@ -485,7 +486,7 @@ class ForkUnsafeCaptureRule(ProjectRule):
         )
 
 
-@project_register
+@register
 class LayerBoundaryRule(ProjectRule):
     """REP204: the architecture layering contract, machine-checked."""
 
@@ -578,7 +579,7 @@ class LayerBoundaryRule(ProjectRule):
                 )
 
 
-@project_register
+@register
 class MemoPurityRule(ProjectRule):
     """REP205: memo-feeding functions must be pure of ambient state/clocks."""
 
@@ -690,7 +691,7 @@ class MemoPurityRule(ProjectRule):
             )
 
 
-@project_register
+@register
 class DeadPublicSymbolRule(ProjectRule):
     """REP206: exported names never referenced anywhere in the project."""
 

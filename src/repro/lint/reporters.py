@@ -63,9 +63,8 @@ def render_json(report: LintReport) -> str:
 
 
 def _rule_metadata() -> dict[str, dict[str, str]]:
-    """id -> {name, description} for every registered rule (both tiers)."""
+    """id -> {name, description} for every registered rule."""
     from .base import RULE_REGISTRY
-    from .project.base import PROJECT_RULE_REGISTRY
 
     meta: dict[str, dict[str, str]] = {
         "REP000": {
@@ -73,12 +72,8 @@ def _rule_metadata() -> dict[str, dict[str, str]]:
             "description": "file does not parse",
         }
     }
-    for registry in (RULE_REGISTRY, PROJECT_RULE_REGISTRY):
-        for rule in registry.values():
-            meta[rule.id] = {
-                "name": rule.name,
-                "description": rule.description,
-            }
+    for rule in RULE_REGISTRY.values():
+        meta[rule.id] = {"name": rule.name, "description": rule.description}
     return meta
 
 

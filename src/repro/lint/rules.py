@@ -1054,12 +1054,3 @@ class TwoTypeAssumptionRule(LintRule):
         self._check_literal_enumeration(node)
         self.generic_visit(node)
 
-
-def all_rule_docs() -> "list[tuple[str, str, str]]":
-    """``(id, name, description)`` of every registered rule, for --list-rules."""
-    from .base import RULE_REGISTRY
-
-    return [
-        (rule.id, rule.name, rule.description)
-        for rule in RULE_REGISTRY.values()
-    ]

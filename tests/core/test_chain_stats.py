@@ -6,6 +6,7 @@ import gc
 import math
 import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,6 +117,15 @@ class TestRequiredCores:
             profile.required_cores(0, 1, CoreType.BIG, 0.0)
         with pytest.raises(ValueError):
             profile.required_cores(0, 1, CoreType.BIG, math.inf)
+
+    def test_a_need_past_the_float_range_is_the_exact_ceiling(self):
+        """``3 * 2^53 / 5e-324`` overflows a float; the count stays exact."""
+        chain = TaskChain.from_weights(
+            [5e-324, 5e-324, 1e-300], [2.0**53, 2.0**54, 1.0], [True, False, True]
+        )
+        need = ChainProfile(chain).required_cores(0, 1, CoreType.LITTLE, 5e-324)
+        assert need == math.ceil(Fraction(3 * 2**53) / Fraction(5e-324))
+        assert need > 2**1024
 
 
 class TestMaxPacking:

@@ -130,6 +130,30 @@ class TestInfiniteCoreNeed:
         sums, nxt, last = _tables_of(weights, replicable)
         assert probe_stage(sums, nxt, last, 0, available, 5e-324) == plan
 
+    def test_the_object_oracle_agrees_at_the_overflow_corner(self):
+        """The oracle's exact ``required_cores`` and the probe's
+        ``available + 1`` both say "more cores than available"."""
+        profile = ChainProfile(_OVERFLOW_CHAIN)
+        prefix, nxt, last = probe_tables(profile, 5e-324)
+        for core_type in profile.types():
+            for start in range(profile.n):
+                for available in range(4):
+                    want = oracle_compute_stage(
+                        profile, start, available, core_type, 5e-324
+                    )
+                    fits = oracle_stage_fits(
+                        profile, start, want, available, core_type, 5e-324
+                    )
+                    end, cores, weight = probe_stage(
+                        prefix[core_type], nxt, last, start, available, 5e-324
+                    )
+                    assert end == want.end
+                    assert (weight <= 5e-324) is fits
+                    if want.cores <= available:
+                        assert cores == want.cores
+                    else:
+                        assert cores > available
+
     @pytest.mark.parametrize(
         "name",
         [

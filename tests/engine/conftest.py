@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
+from repro.engine import executor
 from repro.engine import pool as pool_mod
 
 
@@ -40,3 +42,16 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", RecordingProcessPool)
     return RecordingProcessPool
+
+
+@pytest.fixture
+def unit_wall(monkeypatch):
+    """``unit_wall(seconds)`` sets the wall the engine plans its next
+    campaigns with; ``unit_wall(ONE_CELL_UNITS)`` makes every
+    ``(chain, strategy)`` cell its own work unit.
+
+    The engine plans in the parent process from
+    ``executor.DEFAULT_UNIT_WALL_S``, read when a campaign starts, so pool
+    workers need nothing; the constant is restored after the test.
+    """
+    return partial(monkeypatch.setattr, executor, "DEFAULT_UNIT_WALL_S")

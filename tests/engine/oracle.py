@@ -13,8 +13,9 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.registry import get_info
 from repro.engine import StrategyArrays
 
-#: A ``unit_wall`` no cell fits under, so the planner makes every
-#: ``(chain, strategy)`` cell its own work unit — how tests force many units.
+#: A unit wall no cell fits under, so the planner makes every
+#: ``(chain, strategy)`` cell its own work unit — how tests force many units
+#: (``unit_wall(ONE_CELL_UNITS)`` with the ``unit_wall`` fixture).
 ONE_CELL_UNITS = 1e-9
 
 

@@ -88,25 +88,28 @@ class TestDeterminism:
     """jobs=1 and jobs=N must produce bitwise-identical arrays."""
 
     @pytest.mark.parametrize("jobs", [pytest.param(2, id="process")])
-    def test_parallel_matches_serial_bitwise(self, jobs):
+    def test_parallel_matches_serial_bitwise(self, jobs, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
         serial = CampaignEngine(jobs=1, memo=False)
-        parallel = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
+        parallel = CampaignEngine(jobs=jobs, memo=False)
         _assert_same_arrays(
             serial.solve_instances(chains, resources, PAPER_ORDER),
             parallel.solve_instances(chains, resources, PAPER_ORDER),
         )
 
-    def test_unit_wall_does_not_matter(self):
+    def test_unit_wall_does_not_matter(self, unit_wall):
         chains = _chains(5)
         resources = Resources(2, 3)
-        a = CampaignEngine(jobs=2, memo=False, unit_wall=ONE_CELL_UNITS)
-        b = CampaignEngine(jobs=2, memo=False, unit_wall=10.0)
-        _assert_same_arrays(
-            a.solve_instances(chains, resources, ("herad", "fertac")),
-            b.solve_instances(chains, resources, ("herad", "fertac")),
-        )
+        arrays = []
+        for wall in (ONE_CELL_UNITS, 10.0):
+            unit_wall(wall)
+            engine = CampaignEngine(jobs=2, memo=False)
+            arrays.append(
+                engine.solve_instances(chains, resources, ("herad", "fertac"))
+            )
+        _assert_same_arrays(*arrays)
 
     def test_memo_replay_is_bitwise_identical(self):
         chains = _chains(4)
@@ -183,18 +186,15 @@ class TestMemoIntegration:
 
 
 class TestEngineConfig:
-    def test_constructor_takes_exactly_seven_parameters(self):
-        """The tier follows ``jobs``; there is no backend/transport/cache knob."""
+    def test_constructor_takes_exactly_six_parameters(self):
+        """The tier follows ``jobs`` and the plan ``DEFAULT_UNIT_WALL_S``;
+        there is no backend/transport/cache/unit-wall knob."""
         import inspect
 
         parameters = list(inspect.signature(CampaignEngine.__init__).parameters)
         assert parameters[1:] == [
-            "jobs", "memo", "resilience", "journal", "faults", "obs", "unit_wall"
+            "jobs", "memo", "resilience", "journal", "faults", "obs"
         ]
-
-    def test_rejects_bad_unit_wall(self):
-        with pytest.raises(ValueError):
-            CampaignEngine(unit_wall=0.0)
 
     def test_default_engine_is_a_singleton_until_reset(self):
         reset_default_engine()
@@ -338,14 +338,14 @@ class TestResilientDeterminism:
     @pytest.mark.parametrize(
         "jobs", [pytest.param(1, id="serial"), pytest.param(4, id="process")]
     )
-    def test_fault_free_resilient_matches_serial_bitwise(self, jobs):
+    def test_fault_free_resilient_matches_serial_bitwise(self, jobs, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
         serial = CampaignEngine(jobs=1, memo=False)
         resilient = CampaignEngine(
             jobs=jobs,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
                 timeout=60.0,
@@ -370,10 +370,11 @@ class TestKernelTier:
     @pytest.mark.parametrize(
         "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
     )
-    def test_batch_kernel_bitwise_parity(self, jobs):
+    def test_batch_kernel_bitwise_parity(self, jobs, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
-        engine = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
+        engine = CampaignEngine(jobs=jobs, memo=False)
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),
             engine.solve_instances(chains, resources, PAPER_ORDER),

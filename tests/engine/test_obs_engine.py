@@ -53,13 +53,12 @@ class TestBitwiseParity:
     @pytest.mark.parametrize(
         "jobs", [pytest.param(1, id="serial-1"), pytest.param(4, id="process-4")]
     )
-    def test_traced_matches_untraced(self, jobs):
+    def test_traced_matches_untraced(self, jobs, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
-        plain = CampaignEngine(jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS)
-        traced = CampaignEngine(
-            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS, obs=True
-        )
+        plain = CampaignEngine(jobs=jobs, memo=False)
+        traced = CampaignEngine(jobs=jobs, memo=False, obs=True)
         _assert_same_arrays(
             plain.solve_instances(chains, resources, PAPER_ORDER),
             traced.solve_instances(chains, resources, PAPER_ORDER),
@@ -111,14 +110,14 @@ def _deterministic(counters):
 class TestExactCounters:
     """Merged worker counters equal the serial run's, to the last increment."""
 
-    def test_fault_free_process_counters_match_serial(self):
+    def test_fault_free_process_counters_match_serial(self, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
 
         def run(jobs, strategies=PAPER_ORDER):
             engine = CampaignEngine(
-                jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
-                obs=ObsConfig(metrics=True),
+                jobs=jobs, memo=False, obs=ObsConfig(metrics=True)
             )
             engine.solve_instances(chains, resources, strategies)
             return engine.obs.metrics.counters()
@@ -143,11 +142,12 @@ class TestExactCounters:
             if name.startswith("worker.") and name.endswith(".units")
         }
         assert worker_units
-        # One unit per cell (unit_wall=ONE_CELL_UNITS).
+        # One unit per cell (``unit_wall(ONE_CELL_UNITS)``).
         assert sum(worker_units.values()) == len(chains) * len(PAPER_ORDER)
 
-    def test_faulted_process_counters_match_serial(self, tmp_path):
+    def test_faulted_process_counters_match_serial(self, tmp_path, unit_wall):
         """Injected faults: retries/quarantines count identically on every tier."""
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
         bug_chain = ChainProfile(chains[2]).fingerprint
@@ -172,7 +172,6 @@ class TestExactCounters:
             engine = CampaignEngine(
                 jobs=jobs,
                 memo=False,
-                unit_wall=ONE_CELL_UNITS,
                 resilience=ResilienceConfig(
                     retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
                 ),
@@ -205,18 +204,18 @@ class TestExactCounters:
         assert np.isnan(serial_arrays["fertac"].periods[2])
         assert len(engine.failures) == 1
 
-    def test_batch_kernel_memo_counters_match_serial(self):
+    def test_batch_kernel_memo_counters_match_serial(self, unit_wall):
         """Bulk memo fills (get_many/put_many) count one miss then one hit
         per cell, and the ``memo.*`` metrics agree with the cache's own
         stats — serial and on the process tier alike."""
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         resources = Resources(3, 3)
         cells = len(chains) * len(PAPER_ORDER)
 
         def run(jobs):
             engine = CampaignEngine(
-                jobs=jobs, memo=True, unit_wall=ONE_CELL_UNITS,
-                obs=ObsConfig(metrics=True),
+                jobs=jobs, memo=True, obs=ObsConfig(metrics=True)
             )
             engine.solve_instances(chains, resources, PAPER_ORDER)
             engine.solve_instances(chains, resources, PAPER_ORDER)
@@ -255,12 +254,15 @@ class TestSketchParity:
     the *same bytes* as the serial one.
     """
 
+    @pytest.fixture(autouse=True)
+    def _one_cell_units(self, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
+
     @staticmethod
     def _sketches(jobs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
-            obs=ObsConfig(metrics=True),
+            jobs=jobs, memo=False, obs=ObsConfig(metrics=True)
         )
         engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
         snapshot = engine.obs.metrics.snapshot()
@@ -298,12 +300,15 @@ class TestSketchParity:
 class TestWorkerAttribution:
     """The process tier attributes IPC costs per worker pid."""
 
+    @pytest.fixture(autouse=True)
+    def _one_cell_units(self, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
+
     @staticmethod
     def _run(jobs):
         chains = _chains(6)
         engine = CampaignEngine(
-            jobs=jobs, memo=False, unit_wall=ONE_CELL_UNITS,
-            obs=ObsConfig(metrics=True),
+            jobs=jobs, memo=False, obs=ObsConfig(metrics=True)
         )
         engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
         return engine.obs.metrics.counters(), engine.obs.metrics.snapshot()

@@ -194,7 +194,8 @@ class TestRetryRecovery:
         assert report.retries >= 1
         assert report.quarantined == 0
 
-    def test_hang_is_abandoned_at_soft_deadline(self, tmp_path):
+    def test_hang_is_abandoned_at_soft_deadline(self, tmp_path, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(3)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -213,7 +214,6 @@ class TestRetryRecovery:
         engine = CampaignEngine(
             jobs=3,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
             faults=plan,
         )
@@ -228,7 +228,10 @@ class TestRetryRecovery:
 class TestPoolHygiene:
     """A dirty round's workers never serve another round or campaign."""
 
-    def test_timed_out_round_does_not_hand_workers_on(self, tmp_path, recording_pool):
+    def test_timed_out_round_does_not_hand_workers_on(
+        self, tmp_path, recording_pool, unit_wall
+    ):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(3)
         resources = Resources(2, 2)
         plan = FaultPlan(
@@ -246,7 +249,6 @@ class TestPoolHygiene:
         engine = CampaignEngine(
             jobs=3,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
             faults=plan,
         )
@@ -264,7 +266,10 @@ class TestPoolHygiene:
         engine.close()
         assert fresh.shutdown_calls == [(True, False)]
 
-    def test_interrupt_commits_finished_units_and_leaves_no_pool(self, tmp_path):
+    def test_interrupt_commits_finished_units_and_leaves_no_pool(
+        self, tmp_path, unit_wall
+    ):
+        unit_wall(ONE_CELL_UNITS)
         children = set(multiprocessing.active_children())
         chains = _chains(6)
         resources = Resources(2, 2)
@@ -283,7 +288,6 @@ class TestPoolHygiene:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,

@@ -44,7 +44,8 @@ def _assert_same_arrays(a, b):
 
 
 class TestInterruptAndResume:
-    def test_killed_process_campaign_resumes_bitwise(self, tmp_path):
+    def test_killed_process_campaign_resumes_bitwise(self, tmp_path, unit_wall):
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(16)
         resources = Resources(2, 2)
         reference = CampaignEngine(jobs=1, memo=False).solve_instances(
@@ -67,7 +68,6 @@ class TestInterruptAndResume:
         interrupted = CampaignEngine(
             jobs=8,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,
@@ -84,7 +84,6 @@ class TestInterruptAndResume:
         resumed = CampaignEngine(
             jobs=8,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
         )
@@ -130,12 +129,13 @@ class TestInterruptAndResume:
 
 class TestCleanShutdown:
     def test_interrupted_pool_is_cancelled_not_leaked(
-        self, tmp_path, recording_pool
+        self, tmp_path, recording_pool, unit_wall
     ):
         """On Ctrl-C the pool is shut down with cancel_futures=True and the
 
         journal retains every chunk that finished before the interrupt.
         """
+        unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
         plan = FaultPlan(
             specs=(
@@ -152,7 +152,6 @@ class TestCleanShutdown:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            unit_wall=ONE_CELL_UNITS,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
             faults=plan,

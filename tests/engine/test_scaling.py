@@ -18,6 +18,7 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.registry import STRATEGIES
 from repro.core.types import Resources
 from repro.engine import (
+    DEFAULT_UNIT_WALL_S,
     CampaignEngine,
     FaultPlan,
     FaultSpec,
@@ -73,20 +74,21 @@ class TestBitwiseParity:
         )
         _assert_same_arrays(arrays, reference)
 
-    def test_unit_wall_is_advisory(self, oracle_setup):
+    def test_unit_wall_is_advisory(self, oracle_setup, unit_wall):
         """Any unit wall -> a different plan -> the identical arrays."""
         chains, resources, names, reference = oracle_setup
         for wall in (1e-6, 10.0):
-            arrays = CampaignEngine(
-                jobs=2, memo=False, unit_wall=wall
-            ).solve_instances(chains, resources, names)
+            unit_wall(wall)
+            arrays = CampaignEngine(jobs=2, memo=False).solve_instances(
+                chains, resources, names
+            )
             _assert_same_arrays(arrays, reference)
 
 
 class TestResumeThroughJournal:
     """Kill a process-tier campaign mid-run, resume it through its journal."""
 
-    def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup):
+    def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup, unit_wall):
         chains, resources, _, _ = oracle_setup
         names = ("fertac",)
         reference = scalar_arrays(chains, resources, names)
@@ -103,8 +105,9 @@ class TestResumeThroughJournal:
             state_dir=str(tmp_path / "faults"),
         )
         path = tmp_path / "run.jsonl"
+        unit_wall(ONE_CELL_UNITS)
         interrupted = CampaignEngine(
-            jobs=4, memo=False, unit_wall=ONE_CELL_UNITS,
+            jobs=4, memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path, faults=plan,
         )
@@ -116,6 +119,7 @@ class TestResumeThroughJournal:
         partial = load_journal(path)
         assert 0 < len(partial) < len(chains)
 
+        unit_wall(DEFAULT_UNIT_WALL_S)
         resumed = CampaignEngine(
             jobs=4, memo=False,
             resilience=ResilienceConfig(retry=_FAST), journal=path,

@@ -14,20 +14,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Severity, lint_project
+from repro.lint import Severity, lint
 from repro.lint.project import AllowEntry
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
 
 
+def _lint(package, allowlist=()):
+    """The whole-project rules alone: the corpora are built for them."""
+    return lint(
+        package, rule_names=[f"REP20{i}" for i in range(1, 7)],
+        allowlist=allowlist,
+    )
+
+
 @pytest.fixture(scope="module")
 def bad_report():
-    return lint_project(FIXTURES / "proj_bad" / "repro", allowlist=())
+    return _lint(FIXTURES / "proj_bad" / "repro")
 
 
 @pytest.fixture(scope="module")
 def clean_report():
-    return lint_project(FIXTURES / "proj_clean" / "repro", allowlist=())
+    return _lint(FIXTURES / "proj_clean" / "repro")
 
 
 def _hits(report, rule_id):
@@ -122,14 +130,14 @@ def _write_box(tmp_path, pragma="", line_pragma=""):
 
 class TestSuppressionPlumbing:
     def test_violation_fires_without_suppression(self, tmp_path):
-        report = lint_project(_write_box(tmp_path), allowlist=())
+        report = _lint(_write_box(tmp_path))
         assert _hits(report, "REP202") == [("repro/box.py", 14)]
 
     def test_per_line_pragma_suppresses(self, tmp_path):
         pkg = _write_box(
             tmp_path, line_pragma="  # lint: ignore[lock-discipline]"
         )
-        report = lint_project(pkg, allowlist=())
+        report = _lint(pkg)
         assert report.findings == ()
 
     def test_allowlist_entry_suppresses(self, tmp_path):
@@ -140,7 +148,7 @@ class TestSuppressionPlumbing:
             symbol="Box.peek",
             justification="test: sanctioned site",
         )
-        report = lint_project(pkg, allowlist=(entry,))
+        report = _lint(pkg, allowlist=(entry,))
         assert report.findings == ()
 
     def test_allowlist_is_rule_scoped(self, tmp_path):
@@ -151,5 +159,5 @@ class TestSuppressionPlumbing:
             symbol="Box.peek",
             justification="test: wrong rule",
         )
-        report = lint_project(pkg, allowlist=(entry,))
+        report = _lint(pkg, allowlist=(entry,))
         assert _hits(report, "REP202") == [("repro/box.py", 14)]

@@ -7,14 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintReport, lint_project, render_sarif
+from repro.lint import LintReport, lint, render_sarif
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
+#: The whole-project rules; the corpus is built to exercise these alone.
+PROJECT_RULES = [f"REP20{i}" for i in range(1, 7)]
 
 
 @pytest.fixture(scope="module")
 def sarif():
-    report = lint_project(FIXTURES / "proj_bad" / "repro", allowlist=())
+    report = lint(
+        FIXTURES / "proj_bad" / "repro", rule_names=PROJECT_RULES, allowlist=()
+    )
     return json.loads(render_sarif(report))
 
 
