@@ -10,13 +10,16 @@ finally keeping the better alternative with ``ChooseBestSolution`` (Algo. 6):
   little ones, and otherwise the one using fewer cores in total.
 
 On a ``k``-type platform the two choices become ``k`` choices per stage, and
-``ChooseBestSolution`` compares usages by *efficiency mass* (cores weighted
+``ChooseBestSolution`` compares branches by *efficiency mass* (cores weighted
 by their type index) against *performance mass* (cores weighted by the
 reversed index): a candidate wins outright when it uses strictly more
 efficient and strictly less performant capacity.  At ``k = 2`` the masses
 are exactly the little- and big-core counts, so the pairwise rule — and the
 left fold applying it across the per-type branches in type order, later
-branch winning ties — reproduces Algo. 6 decision for decision.
+branch winning ties — reproduces Algo. 6 decision for decision.  Both
+masses are linear in the cores spent, so a branch carries them as two
+integers (the paper amortizes its usage sums the same way, Algo. 5 line
+13), and a branch's node is built only when the rule keeps it.
 
 The exploration is exponential in the number of stages (worst case ``O(k^n)``
 per probe when each stage holds one task).  A memoized variant — an extension
@@ -41,8 +44,6 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import NamedTuple
-
 from ..obs.context import counter_add
 from .binary_search import ScheduleOutcome, schedule_by_binary_search
 from .chain_stats import ChainProfile
@@ -52,74 +53,24 @@ from .solution import Solution
 from .task import TaskChain
 from .types import INFINITY, Resources
 
-__all__ = ["twocatac_compute_solution", "twocatac", "choose_best"]
-
-
-class _Partial(NamedTuple):
-    """A partial solution: stages from some start to the end of the chain,
-    with accumulated per-type core usage (the paper amortizes the usage sums
-    the same way, Algo. 5 line 13) and the largest stage weight among them.
-
-    ``stages`` is a cons list ``((start, end, cores, type), rest)`` ending in
-    ``None``, so a branch shares its suffix instead of copying it.
-    """
-
-    stages: "tuple | None"
-    used: tuple[int, ...]
-    weight: float = 0.0
-
-
-def _masses(used: tuple[int, ...]) -> tuple[int, int]:
-    """``(performance mass, efficiency mass)`` of a usage vector.
-
-    Performance mass weights cores by reversed type index, efficiency mass
-    by the type index itself; at ``k = 2`` they are exactly
-    ``(big_used, little_used)`` (the k=2 shortcut also keeps this off the
-    two-type hot path's profile).
-    """
-    if len(used) == 2:
-        return used[0], used[1]
-    k = len(used)
-    performance = efficiency = 0
-    for v, c in enumerate(used):
-        efficiency += c * v
-        performance += c * (k - 1 - v)
-    return performance, efficiency
-
-
-def choose_best(
-    big_branch: "_Partial | None", little_branch: "_Partial | None"
-) -> "_Partial | None":
-    """Paper's ``ChooseBestSolution`` (Algo. 6) on two candidate branches.
-
-    Both candidates, when present, already respect the target period and the
-    core budget; the comparison is purely about the secondary objective.
-    The first argument is the more-performant-type branch (``S_B`` at
-    ``k = 2``); ties go to the second (``S_L``), as in the paper.
-    """
-    if big_branch is None:
-        return little_branch
-    if little_branch is None:
-        return big_branch
-
-    bb, bl = _masses(big_branch.used)
-    lb, ll = _masses(little_branch.used)
-    if bl > ll and bb < lb:
-        return big_branch  # S_B makes better usage of little cores
-    if bl < ll and bb > lb:
-        return little_branch  # S_L makes better usage of little cores
-    if bb + bl < lb + ll:
-        return big_branch  # S_B uses fewer cores
-    return little_branch  # S_L uses fewer cores (or tie)
+__all__ = ["twocatac_compute_solution", "twocatac"]
 
 
 #: A ``ComputeStage`` answer: ``(end, cores, weight)`` (``packing.probe_stage``).
 _Plan = tuple[int, int, float]
-#: One core type's share of a probe: ``(index, stride, radix, prefix sums,
-#: budget-free plans by start, budget-bound plans by start * radix + budget)``.
+#: One core type's share of a probe: ``(index, stride, radix, performance
+#: weight of a core, prefix sums, budget-free plans by start, budget-bound
+#: plans by start * radix + budget)``.  A core's efficiency weight is its
+#: type index.
 _Layer = tuple[
-    int, int, int, "tuple[float, ...]", "list[_Plan | None]", "dict[int, _Plan]"
+    int, int, int, int, "tuple[float, ...]", "list[_Plan | None]", "dict[int, _Plan]"
 ]
+#: The stages from some start to the end of the chain, as a cons cell
+#: ``(start, end, cores, type, rest)``: a branch shares its suffix.
+_Cell = tuple[int, int, int, int, "_Cell | None"]
+#: A branch: ``(stages, performance mass, efficiency mass, largest stage
+#: weight)``.
+_Node = tuple[_Cell, int, int, float]
 
 
 def _twocatac_walk(
@@ -131,26 +82,29 @@ def _twocatac_walk(
     # ``code - cores * stride[v]`` and a memo key is ``start * span + code``.
     layers: "list[_Layer]" = []
     span = 1
+    ktype = len(resources.counts)
     for index, count in enumerate(resources.counts):
         # The stage table: ``free[start]`` is the plan ``ComputeStage`` makes
         # when the budget does not bind, which every budget ``>= cores``
         # gets; ``bound`` holds the others under ``start * radix + budget``.
         free: "list[_Plan | None]" = [None] * (last + 1)
-        layers.append((index, span, count + 1, prefix[index], free, {}))
+        layers.append(
+            (index, span, count + 1, ktype - 1 - index, prefix[index], free, {})
+        )
         span *= count + 1
-    zero = (0,) * len(layers)
-    cache: "dict[int, _Partial | None] | None" = {} if memoize else None
+    cache: "dict[int, _Node | None] | None" = {} if memoize else None
     calls = 0
 
-    def solve(start: int, code: int) -> "_Partial | None":
+    def solve(start: int, code: int) -> "_Node | None":
         nonlocal calls
         if cache is not None:
             key = start * span + code
             if key in cache:
                 return cache[key]
 
-        best: "_Partial | None" = None
-        for index, stride, radix, sums, free, bound in layers:
+        best: "_Node | None" = None
+        best_perf = best_eff = 0
+        for index, stride, radix, to_perf, sums, free, bound in layers:
             # One stage decision per type, whether or not it is evaluated.
             calls += 1
             available = code // stride % radix
@@ -171,25 +125,33 @@ def _twocatac_walk(
             end, cores, weight = plan
             if weight > period:
                 continue
-            stage = (start, end, cores, index)
-            if end == last:
-                usage = list(zero)
-                usage[index] = cores
-                candidate = _Partial((stage, None), tuple(usage), weight)
-            else:
-                rest = solve(end + 1, code - cores * stride)
-                if rest is None:
+            rest: "_Cell | None" = None
+            perf = cores * to_perf
+            eff = cores * index
+            if end != last:
+                tail = solve(end + 1, code - cores * stride)
+                if tail is None:
                     continue
-                usage = list(rest.used)
-                usage[index] += cores
-                candidate = _Partial(
-                    (stage, rest.stages),
-                    tuple(usage),
-                    weight if weight > rest.weight else rest.weight,
+                rest, tail_perf, tail_eff, top = tail
+                perf += tail_perf
+                eff += tail_eff
+                weight = weight if weight > top else top
+            # Algo. 6 as a left fold in type order, the kept branch playing
+            # S_B and this one S_L: S_B stays if it makes better use of
+            # efficient cores, or if neither does and it uses fewer cores
+            # (at any k, performance + efficiency mass is (k - 1) * cores);
+            # ties go to S_L.
+            if best is not None and (
+                (eff < best_eff and perf > best_perf)
+                or (
+                    perf + eff > best_perf + best_eff
+                    and not (eff > best_eff and perf < best_perf)
                 )
-            # Left fold in type order, later branch winning ties: at k = 2
-            # this is exactly choose_best(branches[BIG], branches[LITTLE]).
-            best = choose_best(best, candidate)
+            ):
+                continue
+            best = ((start, end, cores, index, rest), perf, eff, weight)
+            best_perf = perf
+            best_eff = eff
 
         if cache is not None:
             cache[key] = best
@@ -212,11 +174,11 @@ def _twocatac_walk(
     if result is None:
         return None, INFINITY
     stages = []
-    node = result.stages
-    while node is not None:
-        stages.append(node[0])
-        node = node[1]
-    return stages, result.weight
+    cell: "_Cell | None" = result[0]
+    while cell is not None:
+        stages.append(cell[:4])
+        cell = cell[4]
+    return stages, result[3]
 
 
 def twocatac_compute_solution(

@@ -7,7 +7,8 @@ Five contracts:
    (hypothesis, edge weights included);
 2. a plan that did not use its whole budget is the budget-free plan, which
    every budget ``>= cores`` gets — the premise of 2CATAC's stage table —
-   and the walk built on that table decides as the paper's recursion;
+   and the walk built on that table decides as the paper's recursion, whose
+   ``ChooseBestSolution`` on usage vectors (``choose_best``) lives here;
 3. hoisting the guards out of the inner loop lost no typed refusal;
 4. an edge corpus solves identically on both call shapes (scalar and
    ``solve_batch``), identically to the answers frozen in
@@ -22,8 +23,10 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -47,13 +50,7 @@ from repro.core.otac import otac, otac_compute_solution
 from repro.core.packing import compute_stage, probe_stage, probe_tables
 from repro.core.registry import PAPER_ORDER, get_strategy, solve_batch
 from repro.core.task import TaskChain
-from repro.core.twocatac import (
-    _Partial,
-    _twocatac_walk,
-    choose_best,
-    twocatac,
-    twocatac_compute_solution,
-)
+from repro.core.twocatac import _twocatac_walk, twocatac, twocatac_compute_solution
 from repro.core.types import CoreType, Resources
 from repro.engine import CampaignEngine
 from repro.experiments import table1
@@ -239,9 +236,65 @@ def _zero_weight_tables(draw):
     return _tables_of(weights, replicable)
 
 
-def _paper_walk(profile, resources, period):
+class _Partial(NamedTuple):
+    """A partial solution: stages from some start to the end of the chain,
+    with accumulated per-type core usage and the largest stage weight.
+
+    ``stages`` is a cons list ``((start, end, cores, type), rest)`` ending in
+    ``None``, so a branch shares its suffix instead of copying it.
+    """
+
+    stages: "tuple | None"
+    used: tuple[int, ...]
+    weight: float = 0.0
+
+
+def _masses(used):
+    """``(performance mass, efficiency mass)`` of a usage vector: cores
+    weighted by reversed type index and by the type index itself; at
+    ``k = 2`` exactly ``(big_used, little_used)``."""
+    k = len(used)
+    performance = sum(c * (k - 1 - v) for v, c in enumerate(used))
+    efficiency = sum(c * v for v, c in enumerate(used))
+    return performance, efficiency
+
+
+def choose_best(big_branch, little_branch, outcomes=None):
+    """The paper's ``ChooseBestSolution`` (Algo. 6), line for line, on two
+    candidate branches.
+
+    Both candidates, when present, already respect the target period and the
+    core budget; the comparison is purely about the secondary objective.
+    The first argument is the more-performant-type branch (``S_B`` at
+    ``k = 2``); ties go to the second (``S_L``).  ``outcomes``, when given,
+    collects which line decided.
+    """
+    if big_branch is None:
+        return little_branch
+    if little_branch is None:
+        return big_branch
+
+    bb, bl = _masses(big_branch.used)
+    lb, ll = _masses(little_branch.used)
+    if bl > ll and bb < lb:
+        decided, kept = "exchange_big", big_branch  # S_B uses little cores better
+    elif bl < ll and bb > lb:
+        decided, kept = "exchange_little", little_branch  # S_L does
+    elif bb + bl < lb + ll:
+        decided, kept = "fewer_big", big_branch  # S_B uses fewer cores
+    elif bb + bl > lb + ll:
+        decided, kept = "fewer_little", little_branch  # S_L uses fewer cores
+    else:
+        decided, kept = "tie", little_branch  # equal totals: the later branch
+    if outcomes is not None:
+        outcomes.add(decided)
+    return kept
+
+
+def _paper_walk(profile, resources, period, outcomes=None):
     """Algos. 5-6 as written: every branch evaluates its stage afresh and
-    carries the remaining budget as a tuple."""
+    carries the remaining budget and its usage as tuples; ``outcomes``
+    collects which line of Algo. 6 decided each comparison."""
     prefix, nxt, last = probe_tables(profile, period)
     ktype = len(resources.counts)
 
@@ -267,7 +320,7 @@ def _paper_walk(profile, resources, period):
                     tuple(u + c for u, c in zip(rest.used, spent)),
                     max(weight, rest.weight),
                 )
-            best = choose_best(best, candidate)
+            best = choose_best(best, candidate, outcomes)
         return best
 
     result = solve(0, resources.counts)
@@ -278,6 +331,44 @@ def _paper_walk(profile, resources, period):
         stages.append(node[0])
         node = node[1]
     return stages, result.weight
+
+
+#: Few distinct weights, so stages, and whole branches, tie.
+_TIE_WEIGHTS = (1.0, 2.0, 3.0, 8.0)
+
+
+@st.composite
+def _tie_heavy_profiles(draw):
+    """Duplicate-rich weights; each type either shares one row (its branches
+    tie stage for stage) or has its own (cores trade for cores)."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(_TIE_WEIGHTS), min_size=n, max_size=n)
+    shared = draw(row)
+    rows = [
+        shared if draw(st.booleans()) else draw(row)
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    replicable = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return ChainProfile(TaskChain.from_weight_matrix(rows, replicable))
+
+
+def _assert_walk_decides_as_the_paper(profile, resources, period, memoize, outcomes):
+    """Same stages and period as Algos. 5-6 with a fresh ``ComputeStage`` per
+    branch, and no ``(type, start, budget)`` evaluated twice."""
+    seen = []
+
+    def recording(sums, nxt, last, start, available, target):
+        seen.append((id(sums), start, available))
+        return probe_stage(sums, nxt, last, start, available, target)
+
+    with mock.patch.object(_twocatac_module, "probe_stage", recording):
+        walk = _twocatac_walk(profile, resources, period, memoize)
+    assert walk == _paper_walk(profile, resources, period, outcomes)
+    assert len(seen) == len(set(seen))
+
+
+#: Every line of Algo. 6 that can decide a comparison of two valid branches.
+_OUTCOMES = {"exchange_big", "exchange_little", "fewer_big", "fewer_little", "tie"}
 
 
 class TestStageTable:
@@ -326,10 +417,13 @@ class TestStageTable:
         assert path in _premise(*_tables_of(weights, replicable), period)
 
     @given(
-        profile=_profiles(),
-        counts=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        profile=st.one_of(_profiles(), _tie_heavy_profiles()),
+        counts=st.one_of(
+            st.lists(st.integers(0, 4), min_size=4, max_size=4),
+            st.integers(1, 3).map(lambda count: [count] * 4),  # equal budgets
+        ),
         divisor=st.integers(1, 9),
-        type_index=st.integers(0, 2),
+        type_index=st.integers(0, 3),
         memoize=st.booleans(),
     )
     @example(
@@ -365,28 +459,54 @@ class TestStageTable:
         type_index=0,
         memoize=True,
     )
+    @example(
+        profile=ChainProfile(TaskChain.from_weight_matrix(
+            [[2, 2, 1, 2, 2]] * 4, [True, True, False, True, True]
+        )),
+        counts=[2, 2, 2, 2],
+        divisor=3,
+        type_index=3,
+        memoize=True,
+    )
     @settings(max_examples=150, deadline=None)
     def test_walk_decides_as_the_paper_recursion(
         self, profile, counts, divisor, type_index, memoize
     ):
-        """Same stages and period as Algos. 5-6 with a fresh ``ComputeStage``
-        per branch, and no ``(type, start, budget)`` evaluated twice."""
+        """k = 2, 3 and 4, on edge weights and on tie-heavy chains (duplicate
+        weights on every type, equal per-type budgets)."""
         resources = Resources.from_counts(counts[: len(profile.types())])
         if not any(resources.counts):
             return
         # From any type's total, so a subnormal period meets ~2^53 weights.
         total = profile.prefix[type_index % profile.ktype][-1]
         period = max(total / divisor, 5e-324)
-        seen = []
+        _assert_walk_decides_as_the_paper(profile, resources, period, memoize, None)
 
-        def recording(sums, nxt, last, start, available, target):
-            seen.append((id(sums), start, available))
-            return probe_stage(sums, nxt, last, start, available, target)
-
-        with mock.patch.object(_twocatac_module, "probe_stage", recording):
-            walk = _twocatac_walk(profile, resources, period, memoize)
-        assert walk == _paper_walk(profile, resources, period)
-        assert len(seen) == len(set(seen))
+    def test_tie_heavy_chains_reach_every_line_of_algo_6(self):
+        """The walk's inline rule meets the oracle on every line: both
+        outright exchanges, both fewer-cores outcomes and the equal-total
+        tie that goes to the later branch, at k = 2, 3 and 4."""
+        rng = random.Random(30)
+        for ktype in (2, 3, 4):
+            outcomes = set()
+            for _ in range(200):
+                n = rng.randint(2, 7)
+                shared = [rng.choice(_TIE_WEIGHTS) for _ in range(n)]
+                rows = [
+                    shared
+                    if rng.random() < 0.5
+                    else [rng.choice(_TIE_WEIGHTS) for _ in range(n)]
+                    for _ in range(ktype)
+                ]
+                replicable = [rng.random() < 0.7 for _ in range(n)]
+                profile = ChainProfile(TaskChain.from_weight_matrix(rows, replicable))
+                resources = Resources.from_counts([rng.randint(1, 3)] * ktype)
+                period = profile.prefix[0][-1] / rng.randint(1, 6)
+                for memoize in (False, True):
+                    _assert_walk_decides_as_the_paper(
+                        profile, resources, period, memoize, outcomes
+                    )
+            assert outcomes == _OUTCOMES, ktype
 
 
 _PROFILE = ChainProfile(

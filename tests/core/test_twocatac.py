@@ -7,18 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from test_greedy_probe import _Partial, choose_best  # the literal Algo. 6
 from test_kernels import traced_peak
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.fertac import fertac
 from repro.core.herad import herad
 from repro.core.task import TaskChain
-from repro.core.twocatac import (
-    _Partial,
-    choose_best,
-    twocatac,
-    twocatac_compute_solution,
-)
+from repro.core.twocatac import twocatac, twocatac_compute_solution
 from repro.core.types import Resources
 from repro.workloads.synthetic import (
     GeneratorConfig,
@@ -28,6 +24,8 @@ from repro.workloads.synthetic import (
 
 
 class TestChooseBest:
+    """The test-side ``ChooseBestSolution`` the walk is held to."""
+
     def p(self, big: int, little: int) -> _Partial:
         return _Partial(stages=(), used=(big, little))
 
@@ -146,11 +144,13 @@ class TestWalkMemory:
     def _bounds(self, n, counts):
         k = len(counts)
         key = sys.getsizeof(1 << 40)
-        stage = (0, n - 1, max(counts), k - 1)
-        partial = _Partial((stage, None), tuple(counts), 1.5)
-        per_state = self.SLOT + key + sum(
-            map(sys.getsizeof, (partial, partial.used, partial.stages, stage, 1.5))
-        )
+        # A memo state holds one branch: ``(stages, performance mass,
+        # efficiency mass, weight)`` over its first cons cell (the rest is
+        # shared with the states below it); masses and stage fields are
+        # small cached ints.
+        cell = (0, n - 1, max(counts), k - 1, None)
+        node = (cell, sum(counts) * (k - 1), 0, 1.5)
+        per_state = self.SLOT + key + sum(map(sys.getsizeof, (node, cell, 1.5)))
         per_plan = self.SLOT + key + sys.getsizeof((n, 1, 1.5)) + sys.getsizeof(1.5)
         table = per_plan * n * (k + sum(c + 1 for c in counts))
         states = per_state * n * math.prod(c + 1 for c in counts)
