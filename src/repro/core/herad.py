@@ -19,25 +19,29 @@ time (:func:`_fill_tables`), and Algo. 9's neighbour propagation is one
 ranked prefix minimum per budget axis (:func:`_neighbor_sweep`).
 
 Every array carries a leading **batch axis**: :func:`herad_batch` sweeps a
-whole campaign batch through each operation at once (one instance is ~1 800
-NumPy calls and ~1 300 indexing operations at ``n = 20, R = (10, 10)`` —
-4 ms, nearly all of it dispatch — so a batch amortises that), and
-:func:`herad` is the same DP on a one-row batch.  Rows never interact; three
-arguments make a row's answer independent of its neighbours:
+whole campaign batch through each operation at once (one instance at ``n =
+20, R = (10, 10)`` is ~2.5 ms, nearly all of it NumPy dispatch, which a
+batch amortises), and :func:`herad` is the same DP on a one-row batch.
+Rows never interact; three arguments make a row's answer independent of
+its neighbours:
 
-* **Packed DP key.**  The cell key ``(period, acc_b, acc_l)`` with
-  first-start tie-break is ``(period, acc_b << 42 | acc_l << 21 | start)``.
-  Each component is non-negative and fits its 21-bit lane (guarded at
-  entry), so the packing is order-isomorphic and one float min plus one
-  integer min give the reduction *and* its winning start.  Tables store the
-  key with the start lane zeroed.
+* **Packed DP key.**  The cell key ``(period, acc_b, acc_l)`` with the
+  paper's candidate order as tie-break is ``(period, acc_b << 42 | acc_l <<
+  21 | q * (n + 1) + start)``, where ``q`` numbers the stage's ``(type,
+  u)``: ``u - 1`` on big, ``b + u - 1`` on little.  Each component is
+  non-negative and fits its 21-bit lane (guarded at entry), so the packing
+  is order-isomorphic and one float min plus one integer min give the
+  reduction *and* its winning candidate.  Tables store the key with the
+  low lane zeroed; ``how`` keeps that lane beside the neighbour sweep's
+  source cell, which is all :func:`_extract` needs.
 * **Masked invalid starts.**  A ``u >= 2``-core stage must be replicable;
   the DP reads the run of starts from the batch's first replicable one on
   and masks the rest of each row to an infinite stage weight.  An
   infinite-period candidate always carries a positive accumulator while an
-  untouched cell holds ``(inf, 0)``, so the strict lexicographic update
-  never fires on one — nor on a candidate read from the ``(inf, 0)``
-  padding below budget zero (:func:`_padded_planes`).
+  untouched cell holds ``(inf, 0)``, so no such candidate wins a cell —
+  nor one read from the ``(inf, 0)`` padding below budget zero
+  (:func:`_padded_planes`) — and a cell no finite candidate reaches keeps
+  ``(inf, 0)``.
 * **Padding.**  Planes ``j > n_i`` of a shorter chain hold finite garbage
   that nothing reads: plane ``j`` consumes only planes ``< j``, and
   extraction for instance ``i`` starts at plane ``n_i``.
@@ -70,28 +74,36 @@ from .types import CoreType, Resources
 __all__ = ["herad", "herad_batch", "herad_solution"]
 
 _KEY_SENTINEL = np.iinfo(np.int64).max
-#: Three 21-bit lanes of the packed key: ``acc_b << 42 | acc_l << 21 | start``.
+#: Three 21-bit lanes of the packed key: ``acc_b << 42 | acc_l << 21 | low``,
+#: ``low = q * (n + 1) + start`` naming the candidate.
 _ACC_L_SHIFT = 21
 _ACC_B_SHIFT = 2 * _ACC_L_SHIFT
-#: Per-type budget / chain-length bound under which the packed key is exact.
-#: Far past what the DP could walk: at ``b = 2^21`` the ``u`` loop of one
-#: plane alone visits ``b^2 / 2`` ~ 2.2e12 candidate cells.
+#: Bound on ``(b + l) * (n + 1)``, under which every lane of the key is
+#: exact.  Far past what the DP could walk: at ``b = 2^20`` the ``u`` loop
+#: of one plane alone visits ``b^2 / 2`` ~ 5.5e11 candidate cells.
 _LANE_LIMIT = 1 << _ACC_L_SHIFT
 _LANE_MASK = _LANE_LIMIT - 1
 #: Candidate cells ``(row, start, u, b, l)`` one block of ``u`` values may
 #: hold (a single ``u`` is always allowed).  Below it a plane is bound by
 #: NumPy dispatch and stacking ``u`` removes calls; above it by memory
-#: traffic, and stacking only loses the per-``u`` early exit.  Measured on
-#: Table I's three budgets, 20 tasks, ms per row at 1 / 2^13 / 2^14 / 2^15 /
+#: traffic.  Measured (before blocks wrote slots) on Table I's three
+#: budgets, 20 tasks, ms per row at 1 / 2^13 / 2^14 / 2^15 /
 #: 2^16 / 2^20: one row 8.9 / 4.1 / 4.1 / 4.0 / 4.0 / 4.3, ten rows 2.54 /
 #: 1.78 / 1.49 / 1.50 / 1.53 / 1.61, fifty rows 1.47 / 1.51 / 1.51 / 1.47 /
 #: 1.46 / 1.71 (run-to-run spread ~0.1).
 _BLOCK_CELLS = 1 << 15
 
 
-def _unpack(combo: int) -> tuple[int, int]:
-    """The ``(acc_b, acc_l)`` lanes of a stored key."""
-    return combo >> _ACC_B_SHIFT, (combo >> _ACC_L_SHIFT) & _LANE_MASK
+def _decode(
+    how: int, width: int, big: int, little: int
+) -> tuple[int, int, CoreType, int, int]:
+    """A ``how`` entry as ``(source_b, source_l, type, cores, start)``: the
+    cell whose candidate won, and that candidate's last stage."""
+    q, start = divmod(how & _LANE_MASK, width)
+    source_b, source_l = divmod(how >> _ACC_L_SHIFT, little + 1)
+    if q < big:
+        return source_b, source_l, CoreType.BIG, q + 1, start
+    return source_b, source_l, CoreType.LITTLE, q - big + 1, start
 
 
 def _pack(
@@ -143,22 +155,21 @@ class _BatchTables:
 
     Axis order is ``(instance, plane, big budget, little budget)`` where
     plane ``j`` describes optimal schedules of the first ``j`` tasks.  The
-    ``combo`` plane packs both accumulators (start lane zero).  ``period``
-    and ``combo`` are :func:`_padded_planes` with ``pad`` rows below big
-    budget zero.
+    ``combo`` plane packs both accumulators (low lane zero); ``period`` and
+    ``combo`` are :func:`_padded_planes` with ``pad`` rows below big budget
+    zero.  ``how`` is ``source << 21 | low``: the flat in-plane index of the
+    cell whose candidate the neighbour sweep kept, and that candidate's low
+    lane (:func:`_decode`).
     """
 
-    __slots__ = ("period", "combo", "prev_b", "prev_l", "vtype", "start")
+    __slots__ = ("period", "combo", "how")
 
     def __init__(
         self, size: int, n: int, big: int, little: int, pad: int
     ) -> None:
         shape = (size, n + 1, big + 1, little + 1)
         self.period, self.combo = _padded_planes(size, n, pad, *shape[2:])
-        self.prev_b = np.zeros(shape, dtype=np.int32)
-        self.prev_l = np.zeros(shape, dtype=np.int32)
-        self.vtype = np.full(shape, int(CoreType.LITTLE), dtype=np.int8)
-        self.start = np.zeros(shape, dtype=np.int32)
+        self.how = np.zeros(shape, dtype=np.int64)
 
 
 def _neighbor_sweep(period: np.ndarray, combo: np.ndarray) -> np.ndarray:
@@ -213,12 +224,10 @@ class _Lane(NamedTuple):
     pred_p: np.ndarray  #: predecessor periods (:func:`_padded_planes`)
     pred_k: np.ndarray  #: predecessor combos
     pad: int  #: rows of padding in front of each predecessor plane
-    cur_p: np.ndarray  #: the working plane's period ...
-    cur_k: np.ndarray  #: ... un-stripped key ...
-    choice: np.ndarray  #: ... and winning block, all row-major in this type
-    adds: np.ndarray  #: packed accumulator increment of u = 1 .. cap
+    slot_p: np.ndarray  #: the plane's per-block period minima ...
+    slot_k: np.ndarray  #: ... and key minima, row-major in this type
+    adds: np.ndarray  #: (n, cap) key increment of start s on u = 1 .. cap
     divisors: np.ndarray  #: u = 2 .. cap as floats
-    mark: int  #: sign of this type's entries in the choice plane
 
 
 def _fill_tables(
@@ -226,46 +235,47 @@ def _fill_tables(
 ) -> _BatchTables:
     """Run the DP over all planes for every instance of the batch.
 
-    Plane ``j`` is the first-wins lexicographic minimum of ``(period,
-    combo)`` over the candidates in the order big ``u = 1, 2, ...`` then
-    little ``u = 1, 2, ...``, each ``u`` offering its own minimum over
-    stage starts with the smallest start among ties.  Candidates are
-    folded a *block* at a time: a block is one core type, a run of
-    consecutive ``u`` and a run of starts, evaluated as one
+    Plane ``j`` is the lexicographic minimum of ``(period, combo, q,
+    start)`` over the candidates, which is what the paper's first-wins fold
+    over big then little ``u = 1, 2, ...`` keeps.  A *block* is one core
+    type, a run of consecutive ``u`` and a run of starts, evaluated as one
     ``max(P[start, budget - u], w / u)`` array read through a strided
     window of the padded predecessor planes and reduced by one float min
-    and one key min over the period-tied.  The key's low lane holds ``(u -
-    u0) * (n + 1) + start``, so that second min also settles first ``u``
-    then first start, and the block meets the plane through one strict
-    compare.  How many ``u`` a block stacks is set by its candidate count
-    (:data:`_BLOCK_CELLS`): a one-row plane folds all of ``u >= 2`` at
-    once, a fifty-row span one ``u`` at a time.
-
-    Only ``period``, that key and the block's ``(type, u0)`` are carried
-    through the plane; the four companion tables are derived once, from the
-    cell that wins the neighbour sweep.
+    and one key min over the period-tied into its own *slot* of a stack;
+    the plane is the same reduction over the slots.  How many ``u`` a block
+    stacks is set by its candidate count (:data:`_BLOCK_CELLS`): a one-row
+    plane folds all of ``u >= 2`` at once, a fifty-row span one at a time.
     """
     prefixes, next_seq = _pack(profiles)
     size, n = next_seq.shape[0], next_seq.shape[1] - 1
     plane = (size, big + 1, little + 1)
     cells = plane[1] * plane[2]
     # The most u values one block may stack: what the candidate budget
-    # allows at a single start, what the key's low lane can index, and
-    # the u >= 2 a lane has (a block never reaches past its type's cap).
-    stack = max(1, min(
-        _BLOCK_CELLS // (size * cells),
-        (_LANE_LIMIT - 1) // (n + 1),
-        max(big, little) - 1,
-    ))
+    # allows at a single start, and the u >= 2 a lane has (a block never
+    # reaches past its type's cap).
+    stack = max(1, min(_BLOCK_CELLS // (size * cells), max(big, little) - 1))
+
+    def depth_at(reach: int) -> int:
+        """``u`` per block when the ``u >= 2`` blocks read ``reach`` starts."""
+        return max(1, min(stack, _BLOCK_CELLS // (size * reach * cells)))
+
     pad_b, pad_l = (max(0, min(stack, cap - 1) - 1) for cap in (big, little))
     tables = _BatchTables(size, n, big, little, pad_b)
 
-    # The working plane, reset per prefix length: period, the un-stripped
-    # key, and the winning block as +u0 (big) / -u0 (little) / 0 (no
-    # candidate yet: decodes to the untouched cell's companions).
-    cur_p = np.empty(plane)
-    cur_k = np.empty(plane, dtype=np.int64)
-    choice = np.empty(plane, dtype=np.int32)
+    # The slot stack: slot 0 is the untouched cell (inf, 0), blocks write
+    # slots 1, 2, ... in candidate order, and a full stack's minimum moves
+    # to slot 1 (the key orders a cell's candidates totally, so partial
+    # minima compose).  It holds every block of a plane, but no more slots
+    # than the table has planes: the DP's space stays O(n b l).  A block
+    # covers the budgets that can host its u0; what lies below keeps an inf
+    # period and a non-negative key, which the tie mask raises to the
+    # sentinel.
+    slots = min(
+        max(3, n + 1),
+        1 + sum(1 + -(-(v - 1) // depth_at(n)) for v in (big, little) if v),
+    )
+    stack_p = np.full((slots, *plane), np.inf)
+    stack_k = np.zeros((slots, *plane), dtype=np.int64)
     # Candidate buffers, sized for the largest block the loop builds: a
     # single-u block holds at most every start at one u, a stacked one at
     # most _BLOCK_CELLS (the depth rule) and at most every start at
@@ -275,34 +285,52 @@ def _fill_tables(
     work_k = np.empty(room, dtype=np.int64)
 
     starts = np.arange(n, dtype=np.int64)
-    low_step = np.arange(stack, dtype=np.int64) * (n + 1)
     row_base = (np.arange(size) * cells)[:, None, None]
 
     # Big reads the tables themselves; little a little-major twin of their
-    # period and combo, written alongside.
+    # period and combo, written alongside.  A stage from start s on u cores
+    # adds u to its type's accumulator and q * (n + 1) + s to the low lane,
+    # with q = u - 1 on big and big + u - 1 on little.
+    def adds(cap: int, shift: int, q0: int) -> np.ndarray:
+        u = np.arange(1, cap + 1, dtype=np.int64)
+        return starts[:, None] + (u << shift) + (q0 + u - 1) * (n + 1)
+
     lanes = []
     if big:
-        counts = np.arange(1, big + 1, dtype=np.int64)
         lanes.append(_Lane(
             prefixes[int(CoreType.BIG)], big, tables.period, tables.combo,
-            pad_b, cur_p, cur_k, choice, counts << _ACC_B_SHIFT,
-            counts[1:].astype(np.float64), 1,
+            pad_b, stack_p, stack_k, adds(big, _ACC_B_SHIFT, 0),
+            np.arange(2, big + 1, dtype=np.float64),
         ))
     if little:
         twin_p, twin_k = _padded_planes(size, n, pad_l, little + 1, big + 1)
-        counts = np.arange(1, little + 1, dtype=np.int64)
         lanes.append(_Lane(
             prefixes[int(CoreType.LITTLE)], little, twin_p, twin_k, pad_l,
-            cur_p.transpose(0, 2, 1), cur_k.transpose(0, 2, 1),
-            choice.transpose(0, 2, 1), counts << _ACC_L_SHIFT,
-            counts[1:].astype(np.float64), -1,
+            stack_p.transpose(0, 1, 3, 2), stack_k.transpose(0, 1, 3, 2),
+            adds(little, _ACC_L_SHIFT, big),
+            np.arange(2, little + 1, dtype=np.float64),
         ))
 
-    def fold(lane: _Lane, first: int, u0: int, stage_w: np.ndarray) -> None:
-        """Meet the working plane with one block: ``count`` starts from
-        ``first`` by ``u0 <= u < u0 + depth`` cores of ``lane``'s type,
-        ``stage_w`` their ``(size, count, depth)`` stage weights (infinite
-        where a row's start is masked)."""
+    def reduce(count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lexicographic minimum over slots ``[0, count)``, which are
+        then reset.  Float equality is exact as in ``fold``."""
+        used_p, used_k = stack_p[:count], stack_k[:count]
+        low_p = np.minimum.reduce(used_p, axis=0)
+        np.copyto(used_k, _KEY_SENTINEL, where=used_p != low_p)  # lint: ignore[float-equality]
+        low_k = np.minimum.reduce(used_k, axis=0)
+        used_p[1:], used_k[0] = np.inf, 0
+        return low_p, low_k
+
+    def fold(
+        lane: _Lane, slot: int, first: int, u0: int, stage_w: np.ndarray
+    ) -> int:
+        """Reduce a block into ``slot`` (slot 2 if the stack is full), return
+        the next slot: ``count`` starts from ``first`` by ``u0 <= u < u0 +
+        depth`` cores of ``lane``'s type, ``stage_w`` their ``(size, count,
+        depth)`` stage weights (infinite where a row's start is masked)."""
+        if slot == slots:
+            stack_p[1], stack_k[1] = reduce(slots)
+            slot = 2
         count, depth = stage_w.shape[1:]
         rows, cols = lane.cap + 1 - u0, lane.pred_p.shape[3]
         block = (size, count, depth, rows, cols)
@@ -325,51 +353,31 @@ def _fill_tables(
             window(lane.pred_p), stage_w[:, :, :, None, None],
             out=cand_p.reshape(block),
         )
-        p_min = cand_p.min(axis=1)
+        # Reduced into fresh arrays, then copied: reducing straight into
+        # little's transposed slot view was ~4x slower on large planes.
+        p_min = np.minimum.reduce(cand_p, axis=1)
+        lane.slot_p[slot, :, u0:] = p_min
         # Exact DP tie-break: p_min comes from the very array it is
         # compared to, so equal values are bitwise-identical by
         # construction; the packed-key min over the period-tied candidates
-        # then resolves ties by (acc_b, acc_l, u, start).  The others are
+        # then resolves ties by (acc_b, acc_l, q, start).  The others are
         # raised to the sentinel (0 / 1 -> 0 / all ones, or-ed in), which
         # measures at a third of ``np.min(..., where=)``; the float buffer
         # is dead once they are known and lends its bytes to the keys.
         np.not_equal(cand_p, p_min[:, None], out=cand_k)  # lint: ignore[float-equality]
         cand_k *= _KEY_SENTINEL
         keys = cand_p.view(np.int64)
-        offsets = starts[first : first + count, None] + (
-            lane.adds[u0 - 1 : u0 - 1 + depth] + low_step[:depth]
-        )
+        inc = lane.adds[first : first + count, u0 - 1 : u0 - 1 + depth]
         np.add(
-            window(lane.pred_k), offsets[:, :, None, None],
+            window(lane.pred_k), inc[:, :, None, None],
             out=keys.reshape(block),
         )
         cand_k |= keys
-        key_min = cand_k.min(axis=1)
-
-        # Strict lexicographic update: an equal (period, stripped combo)
-        # keeps the incumbent — the earlier block.  Both planes hold values
-        # produced by the identical max/divide pipeline, so equal values
-        # really are bitwise-equal; isclose here would merge distinct
-        # optima.  Filling the candidate's low lane makes the integer
-        # compare exact: it is below the incumbent's key iff its stripped
-        # combo is *strictly* smaller, whatever the two low lanes hold.
-        tgt_p, tgt_k = lane.cur_p[:, u0:], lane.cur_k[:, u0:]
-        better = (p_min < tgt_p) | (
-            (p_min == tgt_p)  # lint: ignore[float-equality]
-            & ((key_min | _LANE_MASK) < tgt_k)
-        )
-        if not better.any():
-            return
-        np.copyto(tgt_p, p_min, where=better)
-        np.copyto(tgt_k, key_min, where=better)
-        np.copyto(lane.choice[:, u0:], lane.mark * u0, where=better)
+        lane.slot_k[slot, :, u0:] = np.minimum.reduce(cand_k, axis=1)
+        return slot + 1
 
     for j in range(1, n + 1):
         end = j - 1
-        cur_p.fill(np.inf)
-        cur_k.fill(0)
-        choice.fill(0)
-
         # rep[i, s]: interval [s, end] of instance i is replicable (padded
         # rows yield garbage that the inf-mask argument neutralizes).  For
         # u >= 2 only the starts from the batch's first replicable one on
@@ -379,49 +387,39 @@ def _fill_tables(
         any_rep = rep.any(axis=0)
         first = int(any_rep.argmax()) if any_rep.any() else j
 
+        slot = 1
         for lane in lanes:
             # weights[i, s] = w([tau_s, tau_end], 1, v) of instance i.
             weights = lane.prefix[:, j : j + 1] - lane.prefix[:, :j]
             weights = weights[:, :, None]
-            fold(lane, 0, 1, weights)
+            slot = fold(lane, slot, 0, 1, weights)
             if lane.cap == 1 or first == j:
                 continue
             # Sequential stages gain nothing from extra cores (Section V
             # optimization): only replicable starts can host a u-core
             # stage; instances for which a start of the run is sequential
-            # are masked to inf, which the strict key update ignores.
+            # are masked to inf, which never wins a cell.
             stage_w = np.where(
                 rep[:, first:, None], weights[:, first:] / lane.divisors, np.inf
             )
-            depth = max(
-                1, min(stack, _BLOCK_CELLS // (size * (j - first) * cells))
-            )
-            for k in range(0, lane.cap - 1, depth):
-                fold(lane, first, 2 + k, stage_w[:, :, k : k + depth])
+            step = depth_at(j - first)
+            for k in range(0, lane.cap - 1, step):
+                slot = fold(
+                    lane, slot, first, 2 + k, stage_w[:, :, k : k + step]
+                )
 
+        cur_p, cur_k = reduce(slot)
         combo = cur_k & ~_LANE_MASK
         source = _neighbor_sweep(cur_p, combo)
         winner = source + row_base
-        key = cur_k.ravel()[winner]
-        mark = choice.ravel()[winner]
-        # The winning candidate, decoded: the key's low lane is
-        # (u - u0) * (n + 1) + start and the mark is the block's signed u0.
-        ahead, start = np.divmod(key & _LANE_MASK, n + 1)
-        cores = np.abs(mark) + ahead
-        is_big = mark > 0
-        cores_b = np.where(is_big, cores, 0)
-        source_b, source_l = np.divmod(source, little + 1)
         tables.period[:, j] = won_p = cur_p.ravel()[winner]
-        tables.combo[:, j] = won_k = key & ~_LANE_MASK
+        tables.combo[:, j] = won_k = combo.ravel()[winner]
         if little:
             twin_p[:, j] = won_p.transpose(0, 2, 1)
             twin_k[:, j] = won_k.transpose(0, 2, 1)
-        tables.prev_b[:, j] = source_b - cores_b
-        tables.prev_l[:, j] = source_l - (cores - cores_b)
-        tables.vtype[:, j] = np.where(
-            is_big, int(CoreType.BIG), int(CoreType.LITTLE)
-        )
-        tables.start[:, j] = start
+        source <<= _ACC_L_SHIFT
+        source |= cur_k.ravel()[winner] & _LANE_MASK
+        tables.how[:, j] = source
 
     return tables
 
@@ -429,28 +427,27 @@ def _fill_tables(
 def _extract(
     tables: _BatchTables, row: int, n: int, big: int, little: int
 ) -> Solution:
-    """Paper's ``ExtractSolution`` (Algo. 11) on one batch row."""
-    end = n - 1
-    r_b, r_l = big, little
+    """Paper's ``ExtractSolution`` (Algo. 11) on one batch row, from the
+    cell at budget ``(big, little)`` (any cell of the tables): each cell's
+    stage and source come from ``how``, and the stage before it ends at the
+    source's budget less the stage's cores."""
+    _, width, rows, cols = tables.how.shape
+    end, r_b, r_l = n - 1, big, little
     stages: list[Stage] = []
 
     while end >= 0:
         j = end + 1
         if not math.isfinite(tables.period[row, j, r_b, r_l]):
             return Solution.empty()
-        start = int(tables.start[row, j, r_b, r_l])
-        used_b, used_l = _unpack(int(tables.combo[row, j, r_b, r_l]))
-        p_b = int(tables.prev_b[row, j, r_b, r_l])
-        p_l = int(tables.prev_l[row, j, r_b, r_l])
-        if start > 0:
-            prev_b, prev_l = _unpack(int(tables.combo[row, start, p_b, p_l]))
-            used_b -= prev_b
-            used_l -= prev_l
-        vtype = CoreType(int(tables.vtype[row, j, r_b, r_l]))
-        cores = used_b if vtype is CoreType.BIG else used_l
+        r_b, r_l, vtype, cores, start = _decode(
+            int(tables.how[row, j, r_b, r_l]), width, rows - 1, cols - 1
+        )
+        if vtype is CoreType.BIG:
+            r_b -= cores
+        else:
+            r_l -= cores
         stages.append(Stage(start, end, cores, vtype))
         end = start - 1
-        r_b, r_l = p_b, p_l
 
     stages.reverse()
     return Solution(stages)
@@ -468,10 +465,11 @@ def _solve(
     if resources.total <= 0:
         raise InvalidPlatformError("HeRAD needs at least one core")
     big, little = resources.big, resources.little
-    if max(big, little, *(p.n for p in profiles)) >= _LANE_LIMIT:
+    n = max((p.n for p in profiles), default=0)
+    if (big + little) * (n + 1) > _LANE_LIMIT:
         raise InvalidPlatformError(
-            "instance exceeds HeRAD's packed-key lanes (budget per type "
-            f"and chain length must both be < {_LANE_LIMIT})"
+            "instance exceeds HeRAD's packed-key lanes ((big + little) * "
+            f"(chain length + 1) must be <= {_LANE_LIMIT})"
         )
     # Observability hook: DP table volume is HeRAD's cost driver
     # (O(n * b * l) cells); no-op unless an obs context is ambient.

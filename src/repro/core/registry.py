@@ -47,15 +47,15 @@ BatchStrategyFn = Callable[
 ]
 
 #: Instances handed to the HeRAD DP per call.  A span bounds the DP's memory
-#: (tables and candidate buffers are ~150 kB per row at 20 tasks, (10B,10L))
+#: (a 25-row fill at 20 tasks, (10B,10L) peaks at ~6.4 MB, ~260 kB a row)
 #: and, past the point where NumPy dispatch is amortised, more rows only
-#: grow the working set.  Measured on the blocked DP (core/herad.py), 200
-#: chains of 20 tasks at SR 0.5, ms per row, best of 9, at spans 25 / 50 /
-#: 100 / 200: (16B,4L) 1.15 / 1.28 / 1.23 / 1.29, (10B,10L) 1.55 / 1.65 /
-#: 1.74 / 1.82, (4B,16L) 1.18 / 1.31 / 1.35 / 1.38 — flat to within the
-#: run-to-run spread (~0.1) from 25 on, so the smallest flat span is kept.
-#: Off Table I the optimum moves with the plane: (2B,2L) 0.29 / 0.21 / 0.17
-#: / 0.15, (20B,20L) 6.9 / 7.3 / 8.0 / 9.6.
+#: grow the working set.  Measured on the slot-stack DP (core/herad.py),
+#: 200 chains of 20 tasks at SR 0.5, ms per row, best of 9, at spans 25 /
+#: 50 / 100 / 200: (16B,4L) 0.87 / 1.00 / 1.00 / 1.23, (10B,10L) 1.26 /
+#: 1.34 / 1.27 / 1.52, (4B,16L) 0.95 / 0.98 / 1.08 / 1.05 — 25 is the
+#: fastest or tied (run-to-run spread ~0.1), so it is kept.  Off Table I
+#: the optimum moves with the plane: (2B,2L) 0.21 / 0.14 / 0.12 / 0.11,
+#: (20B,20L) 6.4 / 7.8 / 8.4 / 9.7.
 _BATCH_SPAN: int = 25
 
 

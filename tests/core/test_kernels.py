@@ -30,15 +30,15 @@ from repro.core.errors import InvalidChainError, InvalidPlatformError
 from repro.core.herad import (
     _ACC_B_SHIFT,
     _ACC_L_SHIFT,
-    _LANE_MASK,
+    _LANE_LIMIT,
+    _decode,
     _pack,
-    _unpack,
     herad,
     herad_batch,
 )
 from repro.core.registry import get_info, get_strategy, solve_batch
 from repro.core.task import TaskChain
-from repro.core.types import Resources
+from repro.core.types import CoreType, Resources
 from repro.workloads.synthetic import (
     GeneratorConfig,
     chain_batch,
@@ -186,13 +186,38 @@ class TestKernelDifferential:
 
         monkeypatch.setattr(herad_mod, "_fill_tables", reached)
         profile = _mixed_profiles()[0]
-        for refused in (
-            lambda: herad(profile, Resources(1 << 21, 1)),
-            lambda: herad_batch([profile], Resources(1 << 21, 1)),
-            lambda: solve_batch([profile], Resources(1, 1 << 21), "herad"),
+        assert profile.n == 1
+        # One type past its lane, then both types within theirs but their
+        # candidates past the low lane: (b + l) * (n + 1) = 2^22.
+        for budget in (
+            Resources(1 << 21, 1),
+            Resources(1, 1 << 21),
+            Resources(1 << 20, 1 << 20),
         ):
-            with pytest.raises(InvalidPlatformError):
-                refused()
+            for refused in (
+                lambda: herad(profile, budget),
+                lambda: herad_batch([profile], budget),
+                lambda: solve_batch([profile], budget, "herad"),
+            ):
+                with pytest.raises(InvalidPlatformError):
+                    refused()
+
+    def test_budget_filling_the_low_lane_exactly_reaches_the_dp(
+        self, monkeypatch
+    ):
+        """``(b + l) * (n + 1) == 2^21`` is inside the lanes: the guard lets
+        it through (to a stub, which is all this box could run)."""
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(herad_mod, "_fill_tables", reached)
+        profile = _mixed_profiles()[0]
+        with pytest.raises(Reached):
+            herad(profile, Resources(1 << 19, 1 << 19))
 
 
 def _stages(solution):
@@ -275,9 +300,50 @@ class TestBlockMemory:
     """A block cap past the largest block the DP can build costs nothing:
     at ``C* = size * n * cells * max(1, max(b, l) - 1)`` every ``u`` of a
     plane already stacks, so 2^30 builds the same blocks and may allocate
-    no more.  The slack is Python-object noise, a few hundred bytes."""
+    no more.  The slack is Python-object noise, a few hundred bytes.
+
+    And a fill's peak is budgeted by formula: what the DP sizes from
+    ``(size, n, b, l)`` plus a stated slack."""
 
     SLACK = 16 << 10
+    #: Plane-sized (``size * cells`` 8-byte) temporaries a plane may hold
+    #: beside the stated arrays — the neighbour sweep's ranks, orders and
+    #: codes, the plane's minima and gathers (~15 measured) — and a fixed
+    #: allowance for packing, profiles and outcomes (~40 kB measured).
+    TEMP_PLANES = 20
+    FIXED = 64 << 10
+
+    @staticmethod
+    def stated_bytes(size, n, big, little):
+        """The arrays of one fill, by the DP's own sizing rules: tables
+        (period and combo over ``pad`` extra big rows, ``how``), the
+        little-major twin, the slot stack and the two candidate buffers."""
+        cells = (big + 1) * (little + 1)
+        cap = herad_mod._BLOCK_CELLS
+        stack = max(1, min(cap // (size * cells), max(big, little) - 1))
+        pad_b, pad_l = (max(0, min(stack, v - 1) - 1) for v in (big, little))
+        depth = max(1, min(stack, cap // (size * n * cells)))
+        slots = 1 + sum(1 + -(-(v - 1) // depth) for v in (big, little) if v)
+        slots = min(max(3, n + 1), slots)
+        planes = size * (n + 1)
+        tables = 16 * planes * (big + 1 + pad_b) * (little + 1)
+        tables += 8 * planes * cells
+        twin = 16 * planes * (little + 1 + pad_l) * (big + 1) if little else 0
+        room = max(size * n * cells, min(cap, size * n * cells * stack))
+        return tables + twin + 16 * slots * size * cells + 16 * room
+
+    @pytest.mark.parametrize("budget", ((10, 10), (16, 4), (4, 16)))
+    def test_span_fill_peak_within_stated_bound(self, budget):
+        """One 25-row fill (a campaign span) at each Table I budget."""
+        cfg = GeneratorConfig(num_tasks=20, stateless_ratio=0.5)
+        profiles = [ChainProfile(c) for c in chain_batch(25, cfg, seed=7)]
+        resources = Resources(*budget)
+        herad_batch(profiles, resources)  # first-call caches
+        peak = traced_peak(lambda: herad_batch(profiles, resources))
+        size, cells = len(profiles), (budget[0] + 1) * (budget[1] + 1)
+        bound = self.stated_bytes(size, 20, *budget)
+        bound += self.TEMP_PLANES * 8 * size * cells + self.FIXED
+        assert peak <= bound
 
     @pytest.mark.parametrize("budget", ((0, 5), (4, 4), (10, 10), (16, 4)))
     def test_peak_at_2_30_is_the_peak_at_the_largest_block(
@@ -306,19 +372,53 @@ class TestBlockMemory:
 
 
 class TestPackedKeyLanes:
-    """``acc_b << 42 | acc_l << 21 | start``: three 21-bit lanes."""
+    """``acc_b << 42 | acc_l << 21 | q * (n + 1) + start``: three 21-bit
+    lanes, the low one naming the candidate, and ``how = source << 21 |
+    low`` naming the cell it won through."""
+
+    #: ``n + 1`` of a one-task, a Table I and the longest admissible chain.
+    WIDTHS = (2, 21, 1 << 20)
+
+    @staticmethod
+    def edges(limit):
+        """Both ends of ``range(limit)``, ascending and distinct."""
+        return sorted({0, 1, limit - 2, limit - 1} & set(range(limit)))
 
     def test_key_orders_like_the_tuple_at_the_lane_edges(self):
-        edges = (0, 1, (1 << 21) - 2, (1 << 21) - 1)
-        # product() of ascending edges yields the triples in tuple order.
-        triples = list(itertools.product(edges, repeat=3))
-        acc_b, acc_l, start = np.array(triples, dtype=np.int64).T
-        keys = (acc_b << _ACC_B_SHIFT) | (acc_l << _ACC_L_SHIFT) | start
-        assert (keys >= 0).all()  # sign-safe
-        assert (np.diff(keys) > 0).all()  # order-isomorphic, injective
-        for triple, key in zip(triples, keys):
-            stored = int(key & ~_LANE_MASK)
-            assert (*_unpack(stored), int(key & _LANE_MASK)) == triple
+        accs = self.edges(_LANE_LIMIT)
+        for width in self.WIDTHS:
+            # q < b + l <= 2^21 / (n + 1) and start < n.
+            qs = self.edges(_LANE_LIMIT // width)
+            starts = self.edges(width - 1)
+            # product() of ascending edges yields the tuples in tuple order.
+            tuples = list(itertools.product(accs, accs, qs, starts))
+            acc_b, acc_l, q, start = np.array(tuples, dtype=np.int64).T
+            low = q * width + start
+            assert (low <= _LANE_LIMIT - 1).all()
+            keys = (acc_b << _ACC_B_SHIFT) | (acc_l << _ACC_L_SHIFT) | low
+            assert (keys >= 0).all()  # sign-safe
+            assert (np.diff(keys) > 0).all()  # order-isomorphic, injective
+
+    def test_how_round_trips_source_type_cores_start(self):
+        for width in self.WIDTHS:
+            total = _LANE_LIMIT // width  # the largest b + l the guard admits
+            for big in self.edges(total + 1):
+                self.round_trip(width, big, total - big)
+
+    def round_trip(self, width, big, little):
+        sources = itertools.product(self.edges(big + 1), self.edges(little + 1))
+        stages = [(CoreType.BIG, u) for u in self.edges(big + 1)[1:]]
+        stages += [(CoreType.LITTLE, u) for u in self.edges(little + 1)[1:]]
+        for (src_b, src_l), (vtype, cores), start in itertools.product(
+            sources, stages, self.edges(width - 1)
+        ):
+            q = cores - 1 if vtype is CoreType.BIG else big + cores - 1
+            source = src_b * (little + 1) + src_l
+            how = source << _ACC_L_SHIFT | (q * width + start)
+            assert how >= 0
+            assert _decode(how, width, big, little) == (
+                src_b, src_l, vtype, cores, start
+            )
 
 
 class TestSolveBatch:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import time
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -271,6 +271,7 @@ class TestPoolHygiene:
     ):
         unit_wall(ONE_CELL_UNITS)
         children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
         chains = _chains(6)
         resources = Resources(2, 2)
         plan = FaultPlan(
@@ -297,17 +298,15 @@ class TestPoolHygiene:
         # Units finished before the Ctrl-C are on disk; the pool is gone
         # without anyone calling close().
         assert len(load_journal(path)) == len(chains) - 1
-        # The abandoned executor's manager thread joins these same workers.
-        # When it reaps one first, a join() here returns before the exit
-        # code is stored and active_children() lists the dead, reaped
-        # process for a moment more (1 full-suite run in ~7), so poll to
-        # the 10 s bound rather than look once right after a join().
-        deadline = time.monotonic() + 10
-        while (
-            set(multiprocessing.active_children()) - children
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
+        # The abandoned executor's manager thread joins these same workers;
+        # reaping them from here as well races it (a join() here can
+        # return before the exit code is stored, and active_children()
+        # then lists a dead process).  So wait for the threads the campaign
+        # left behind to finish — the manager exits once every worker is
+        # joined — and only then look.  The timeout only bounds a failure.
+        for thread in set(threading.enumerate()) - threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), thread
         assert set(multiprocessing.active_children()) - children == set()
         # The engine survives: the rest resumes through the same journal on
         # a fresh pool.

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.herad import herad
 from repro.core.task import TaskChain
 from repro.core.types import Resources
+from repro.streampu import module
 from repro.streampu.module import (
     CallableTask,
     NumpyKernelTask,
@@ -19,12 +20,15 @@ from repro.streampu.runtime import PipelineRuntime
 
 
 class TestExecutors:
-    def test_sleep_task_duration(self):
+    def test_sleep_task_duration(self, monkeypatch):
+        """The task sleeps its weight times its scale, in one sleep (which
+        lasts at least what it is asked for)."""
+        asked = []
+        monkeypatch.setattr(module, "time", SimpleNamespace(sleep=asked.append))
         task = SyntheticSleepTask(weight=100.0, time_scale=1e-4)
-        start = time.perf_counter()
-        task.process(None)
-        elapsed = time.perf_counter() - start
-        assert elapsed >= 0.01  # 100 * 1e-4 seconds
+        assert task.process("payload") == "payload"
+        assert len(asked) == 1
+        assert asked[0] >= 0.01  # 100 * 1e-4 seconds
 
     def test_sleep_task_passthrough(self):
         task = SyntheticSleepTask(weight=0.0)
