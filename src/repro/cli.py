@@ -6,7 +6,6 @@ Usage (after ``pip install -e .``)::
     repro fig2
     repro table2 --frames 5000
     repro all --chains 100 --out results/
-    repro table1 --certify          # audit every solution while running
     repro table1 --resume run.jsonl # checkpoint to (and resume from) a journal
     repro table1 --retries 5 --timeout 60   # harden a long campaign
     repro table1 --trace out.json   # Chrome-trace the run (chrome://tracing)
@@ -15,7 +14,7 @@ Usage (after ``pip install -e .``)::
     repro bench compare --baseline OLD/ledger.json --candidate perf/out/ledger.json
     repro lint                      # project-specific static analysis
     repro solve --cores big=6,little=8           # paper-style two-type solve
-    repro solve --cores big=6,little=8,lpe=2 --certify   # k-type platform
+    repro solve --cores big=6,little=8,lpe=2     # k-type platform
     repro simulate --kind storm --certify        # online failure-storm sim
     repro simulate --kind bursty --events 1000 --deadline 16 --journal sim.jsonl
 
@@ -196,15 +195,6 @@ def _experiment_options() -> argparse.ArgumentParser:
         ),
     )
     parent.add_argument(
-        "--certify",
-        action="store_true",
-        help=(
-            "audit every solution with the independent certificate checker "
-            "(repro.core.certify) while the campaign runs; fails loudly on "
-            "the first violation (disables memo-cache replay)"
-        ),
-    )
-    parent.add_argument(
         "--resume",
         type=_journal_path,
         default=None,
@@ -212,10 +202,9 @@ def _experiment_options() -> argparse.ArgumentParser:
         help=(
             "checkpoint journal (JSONL): every solved instance is appended "
             "and fsync'd per chunk; if the file already holds rows (e.g. "
-            "from a killed run), they replay through the memo cache and "
-            "only the remainder is solved — results are bitwise identical "
-            "to an uninterrupted run (--certify bypasses replay and "
-            "re-solves everything)"
+            "from a killed run), each is audited by the certificate checker "
+            "and replayed through the memo cache, and only the remainder is "
+            "solved — results are bitwise identical to an uninterrupted run"
         ),
     )
     parent.add_argument(
@@ -317,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Schedule a batch of synthetic task chains on a platform "
             "described by --cores (classes listed most performant first). "
             "Two-type budgets reproduce the paper's setting exactly; more "
-            "classes exercise the k-type generalization."
+            "classes exercise the k-type generalization.  Every schedule is "
+            "audited by the independent certificate checker before it is "
+            "printed; a failed audit exits 2."
         ),
     )
     solve_parser.add_argument(
@@ -356,14 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_parser.add_argument(
         "--seed", type=int, default=0, help="base random seed"
-    )
-    solve_parser.add_argument(
-        "--certify",
-        action="store_true",
-        help=(
-            "audit every solution with the independent certificate checker; "
-            "exits non-zero on the first violation"
-        ),
     )
     solve_parser.add_argument(
         "--log-level",
@@ -613,9 +596,7 @@ def _run_one(
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     module = import_module(f".experiments.{name}", __package__)
-    campaign = dict(
-        seed=args.seed, jobs=args.jobs, certify=args.certify, engine=engine
-    )
+    campaign = dict(seed=args.seed, jobs=args.jobs, engine=engine)
     if name in ("table1", "fig1", "fig2"):
         result = module.run(num_chains=args.chains, **campaign)
     elif name == "fig6":
@@ -668,22 +649,16 @@ def run_solve(args: argparse.Namespace) -> int:
         for name, info in infos:
             outcome = solved[name][row]
             try:
-                if args.certify:
-                    certify_outcome(
-                        outcome,
-                        profile,
-                        resources,
-                        optimal=info.optimal,
-                        context=name,
-                    )
+                certify_outcome(
+                    outcome, profile, resources, optimal=info.optimal, context=name
+                )
             except SchedulingError as error:
                 _log.error("%s on %s: %s", name, chain.name, error)
                 return 2
             usage = outcome.solution.core_usage(resources.ktype)
-            certified = "  [certified]" if args.certify else ""
             print(
                 f"{chain.name}  {info.name:<12} period={outcome.period:.6g}  "
-                f"usage={usage}{certified}"
+                f"usage={usage}"
             )
     return 0
 
@@ -826,6 +801,11 @@ def main(argv: "list[str] | None" = None) -> int:
             print()
             if args.out is not None:
                 (args.out / f"{name}.txt").write_text(report + "\n")
+    except SchedulingError as error:
+        # A failed certificate audit (of a solve or of a journaled row) or
+        # an unusable journal: named on stderr, no traceback.
+        _log.error("%s", error)
+        return 2
     finally:
         # A Ctrl-C lands here too: committed journal chunks survive for
         # --resume even when the sweep is aborted mid-experiment, and a

@@ -23,15 +23,15 @@ Usage::
 
 or let :func:`certify_solution` raise a
 :class:`~repro.core.errors.CertificationError`.  The campaign engine runs
-this auditor on every fresh solve when ``--certify`` is passed to the CLI
-or ``certify=True`` to :func:`repro.experiments.common.run_campaign`.
+this auditor on every solve and on every journaled row it replays, and
+``repro solve`` on every schedule it prints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CertificationError, InvalidChainError, InvalidPlatformError
 from .solution import Solution
@@ -137,14 +137,15 @@ def _chain_of(chain: "TaskChain | ChainProfile") -> TaskChain:
     )
 
 
-def _task_weight(task: Task, core_type: CoreIndex) -> float:
-    """Direct field access (no Task.weight helper: stay independent)."""
+def _weights(tasks: "Sequence[Task]", core_type: CoreIndex) -> "list[float]":
+    """Each task's weight on one core type, by direct field access (no
+    Task.weight helper: stay independent)."""
     index = int(core_type)
     if index == 0:
-        return task.weight_big
+        return [task.weight_big for task in tasks]
     if index == 1:
-        return task.weight_little
-    return task.extra_weights[index - 2]
+        return [task.weight_little for task in tasks]
+    return [task.extra_weights[index - 2] for task in tasks]
 
 
 def _close(a: float, b: float, rel_tol: float) -> bool:
@@ -176,7 +177,8 @@ def optimality_bracket(
     if not usable:
         raise InvalidPlatformError("cannot bracket the period without cores")
 
-    fastest = [min(_task_weight(t, v) for v in usable) for t in tasks]
+    columns = [_weights(tasks, v) for v in usable]
+    fastest = [min(weights) for weights in zip(*columns)]
     balance = math.fsum(fastest) / resources.total
     heaviest_seq = max(
         (w for t, w in zip(tasks, fastest) if not t.replicable), default=0.0
@@ -184,9 +186,8 @@ def optimality_bracket(
     lower = max(balance, heaviest_seq)
 
     upper = min(
-        math.fsum(_task_weight(t, v) for t in tasks) / resources.count(v)
-        + max(_task_weight(t, v) for t in tasks)
-        for v in usable
+        math.fsum(column) / resources.count(v) + max(column)
+        for v, column in zip(usable, columns)
     )
     return lower, max(upper, lower)
 
@@ -289,7 +290,7 @@ def audit_solution(
             )
             continue
         replicable = all(t.replicable for t in members)
-        interval = math.fsum(_task_weight(t, stage.core_type) for t in members)
+        interval = math.fsum(_weights(members, stage.core_type))
         if replicable:
             weight = interval / stage.cores
         else:
@@ -435,28 +436,4 @@ def certify_outcome(
     )
 
 
-def audit_many(
-    outcomes: "Iterable[tuple[str, ScheduleOutcome]]",
-    chain: "TaskChain | ChainProfile",
-    resources: Resources,
-    optimal_strategies: "frozenset[str] | set[str]" = frozenset({"herad"}),
-) -> "dict[str, CertificateReport]":
-    """Certify several strategies' outcomes on one instance.
-
-    Raises:
-        CertificationError: on the first failing strategy.
-    """
-    return {
-        name: certify_outcome(
-            outcome,
-            chain,
-            resources,
-            optimal=name in optimal_strategies,
-            context=name,
-        )
-        for name, outcome in outcomes
-    }
-
-
-__all__.append("audit_many")
 __all__.append("DEFAULT_REL_TOL")

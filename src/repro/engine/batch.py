@@ -5,7 +5,8 @@ instance: one chain costs milliseconds to schedule, so per-instance dispatch
 would drown in executor overhead.  A :class:`WorkUnit` carries a slice of the
 campaign — ``(chain index, chain, strategies still to run)`` triples plus the
 shared budget — and :func:`solve_unit` resolves it into indexed
-:class:`~repro.engine.memo.InstanceResult` rows.
+:class:`SolvedCell` rows.  Every cell is audited by the independent
+certificate checker (:mod:`repro.core.certify`) before its row is recorded.
 
 Everything here is picklable with module-level functions only, so the same
 code path runs in-process (serial tier) and in worker processes (process
@@ -20,7 +21,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..core.binary_search import ScheduleOutcome
 from ..core.certify import certify_outcome
@@ -31,11 +32,13 @@ from ..core.types import Resources
 from ..obs.clock import monotonic
 from ..obs.context import ObsConfig, ObsPayload, activate, current
 from ..obs.metrics import MetricsLike
+from .checkpoint import Stages
 from .faults import FaultPlan
 from .memo import InstanceResult
 
 __all__ = [
     "PendingInstance",
+    "SolvedCell",
     "WorkUnit",
     "UnitResult",
     "UnitOutcome",
@@ -67,8 +70,9 @@ class WorkUnit:
     Attributes:
         pending: the instances in this chunk.
         resources: the shared platform budget.
-        certify: audit every solution with the independent certificate
-            checker (:mod:`repro.core.certify`) as it is produced.
+        journal: the engine journals this unit's rows, so each cell ships
+            its stage list home (:attr:`SolvedCell.stages`; left empty
+            otherwise — the arrays and the memo never read it).
         faults: deterministic fault plan armed for this chunk (tests only;
             ``None`` in production).
         tier: the execution tier running this chunk (``serial`` /
@@ -89,15 +93,27 @@ class WorkUnit:
 
     pending: tuple[PendingInstance, ...]
     resources: Resources
-    certify: bool = False
+    journal: bool = False
     faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
     dispatched_at: "float | None" = None
 
 
-#: ``(chain index, {strategy: result})`` rows produced by one unit.
-UnitResult = list[tuple[int, dict[str, InstanceResult]]]
+class SolvedCell(NamedTuple):
+    """One audited ``(chain, strategy)`` cell as it leaves a worker.
+
+    ``result`` is what the memo and the arrays keep; ``stages`` (empty
+    unless the unit is journaled) rides only as far as the checkpoint
+    journal, so a resumed run can audit the row again.
+    """
+
+    result: InstanceResult
+    stages: Stages
+
+
+#: ``(chain index, {strategy: cell})`` rows produced by one unit.
+UnitResult = list[tuple[int, dict[str, SolvedCell]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,18 +141,18 @@ def solve_instance(
     profile: ChainProfile,
     resources: Resources,
     strategies: Iterable[str],
-    certify: bool = False,
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
-) -> dict[str, InstanceResult]:
+    journal: bool = False,
+) -> dict[str, SolvedCell]:
     """Run the given strategies on one profiled chain.
 
     The per-cell scalar route: :func:`_solve_rows` sends the instances an
     armed fault plan targets through it (everything else is solved a
     strategy group at a time), on whichever tier the unit runs.
 
-    With ``certify=True`` each outcome is audited by the independent
-    certificate checker before the result row is recorded (raising
+    Each outcome is audited by the independent certificate checker before
+    its row is recorded (raising
     :class:`~repro.core.errors.CertificationError` on any violation);
     registry-optimal strategies additionally get the optimality-bracket
     certificate.
@@ -152,14 +168,14 @@ def solve_instance(
     per-strategy histogram — recorded around the same code path, never
     altering it.
     """
-    results: dict[str, InstanceResult] = {}
+    results: dict[str, SolvedCell] = {}
     obs = current()
     for name in strategies:
         if obs.active:
             with obs.span("solve", "solve", strategy=name, tier=tier):
                 start = monotonic()
                 results[name] = _solve_cell(
-                    profile, resources, name, certify, faults, tier
+                    profile, resources, name, faults, tier, journal
                 )
                 obs.metrics.observe(f"solve.seconds.{name}", monotonic() - start)
                 obs.metrics.add("solve.count")
@@ -167,11 +183,11 @@ def solve_instance(
                 # periods is identical across tiers (bitwise-identical
                 # results), so its sketch merges bitwise-identically too.
                 obs.metrics.observe(
-                    f"solve.period.{name}", results[name].period
+                    f"solve.period.{name}", results[name].result.period
                 )
         else:
             results[name] = _solve_cell(
-                profile, resources, name, certify, faults, tier
+                profile, resources, name, faults, tier, journal
             )
     return results
 
@@ -180,10 +196,10 @@ def _solve_cell(
     profile: ChainProfile,
     resources: Resources,
     name: str,
-    certify: bool,
     faults: "FaultPlan | None",
     tier: str,
-) -> InstanceResult:
+    journal: bool,
+) -> SolvedCell:
     """One ``(chain, strategy)`` cell: fault hook, solve, corrupt, audit."""
     info = get_info(name)
     spec = (
@@ -196,26 +212,39 @@ def _solve_cell(
     outcome = info.func(profile, resources)
     if spec is not None and spec.kind == "corrupt":
         outcome = spec.corrupt(outcome)
-    if certify:
-        certify_outcome(
-            outcome,
-            profile,
-            resources,
-            optimal=info.optimal,
-            context=name,
-        )
-    return _result_of(outcome, resources)
+    return _audited(outcome, profile, resources, name, info.optimal, journal)
 
 
-def _result_of(outcome: ScheduleOutcome, resources: Resources) -> InstanceResult:
-    """Collapse a schedule outcome into the campaign result scalars."""
-    usage = outcome.solution.core_usage(resources.ktype)
-    return InstanceResult(
+def _audited(
+    outcome: ScheduleOutcome,
+    profile: ChainProfile,
+    resources: Resources,
+    name: str,
+    optimal: bool,
+    journal: bool,
+) -> SolvedCell:
+    """Certify one outcome, then collapse it into its campaign row."""
+    # A passing audit holds its re-derived usage equal to the library's.
+    usage = certify_outcome(
+        outcome,
+        profile,
+        resources,
+        optimal=optimal,
+        context=f"{name} on chain {profile.fingerprint}",
+    ).usage
+    result = InstanceResult(
         period=outcome.period,
-        big_used=usage.counts[0],
-        little_used=usage.counts[1] if usage.ktype > 1 else 0,
-        extra_used=usage.counts[2:],
+        big_used=usage[0],
+        little_used=usage[1] if len(usage) > 1 else 0,
+        extra_used=usage[2:],
     )
+    if not journal:
+        return SolvedCell(result, ())
+    stages = tuple(
+        (stage.start, stage.end, stage.cores, int(stage.core_type))
+        for stage in outcome.solution.stages
+    )
+    return SolvedCell(result, stages)
 
 
 def _solve_rows(unit: WorkUnit) -> UnitResult:
@@ -226,8 +255,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     :func:`repro.core.registry.solve_batch` call — HeRAD's vectorized kernel,
     2CATAC's memoised walk, the scalar solver mapped over the group
     otherwise; either way the outcomes are bitwise those of the plain
-    scalar solvers.  Certification audits every solution with the
-    independent checker.
+    scalar solvers.  Every solution is audited by the independent checker.
 
     Instances an armed fault plan *could* target (non-consuming
     :meth:`~repro.engine.faults.FaultPlan.targets` check) are solved cell
@@ -242,7 +270,7 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     profiles = [ChainProfile(item.chain) for item in unit.pending]
     obs = current()
     by_strategy: dict[str, list[int]] = {}
-    results: list[dict[str, InstanceResult]] = [{} for _ in unit.pending]
+    results: list[dict[str, SolvedCell]] = [{} for _ in unit.pending]
     for position, item in enumerate(unit.pending):
         if unit.faults is not None and unit.faults.targets(
             item.chain.fingerprint, item.strategies
@@ -251,9 +279,9 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
                 profiles[position],
                 unit.resources,
                 item.strategies,
-                certify=unit.certify,
                 faults=unit.faults,
                 tier=unit.tier,
+                journal=unit.journal,
             )
             continue
         for name in item.strategies:
@@ -285,7 +313,7 @@ def _solve_group(
     name: str,
     members: "list[int]",
     profiles: "list[ChainProfile]",
-    results: "list[dict[str, InstanceResult]]",
+    results: "list[dict[str, SolvedCell]]",
 ) -> None:
     """Solve one strategy's group of a unit and record its rows."""
     info = get_info(name)
@@ -293,19 +321,18 @@ def _solve_group(
     outcomes = solve_batch(group, unit.resources, name)
     metrics = current().metrics
     for position, outcome in zip(members, outcomes):
-        if unit.certify:
-            certify_outcome(
-                outcome,
-                profiles[position],
-                unit.resources,
-                optimal=info.optimal,
-                context=name,
-            )
-        result = _result_of(outcome, unit.resources)
+        cell = _audited(
+            outcome,
+            profiles[position],
+            unit.resources,
+            name,
+            info.optimal,
+            unit.journal,
+        )
         # Same deterministic period stream as the per-cell route, so the
         # sketch does not depend on which route a cell took.
-        metrics.observe(f"solve.period.{name}", result.period)
-        results[position][name] = result
+        metrics.observe(f"solve.period.{name}", cell.result.period)
+        results[position][name] = cell
 
 
 def _attribute_worker_costs(
@@ -377,10 +404,10 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
 def units_from_groups(
     groups: Sequence[tuple[PendingInstance, ...]],
     resources: Resources,
-    certify: bool = False,
     faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
+    journal: bool = False,
 ) -> list[WorkUnit]:
     """Materialize planner groups (:func:`repro.engine.plan.plan_units`)
     into work units.
@@ -398,7 +425,7 @@ def units_from_groups(
         WorkUnit(
             pending=group,
             resources=resources,
-            certify=certify,
+            journal=journal,
             faults=faults,
             tier=tier,
             obs=obs,

@@ -1,33 +1,38 @@
 """Journaled checkpoints: crash-safe persistence of campaign results.
 
 A campaign is a pure map from ``(chain fingerprint, budget, strategy)`` keys
-to :class:`~repro.engine.memo.InstanceResult` triples, so checkpointing needs
+to :class:`~repro.engine.memo.InstanceResult` rows, so checkpointing needs
 no coordination: an append-only JSONL journal of solved rows is enough to
 resume a killed run.  The engine appends one line per solved instance and
-fsyncs once per completed work unit; on resume the journal is replayed into
-the memo cache, the already-solved instances short-circuit through the
-ordinary memo path, and only the remainder is solved — producing arrays
-bitwise identical to an uninterrupted run (floats round-trip exactly through
-``json``'s shortest-repr encoding).
+fsyncs once per completed work unit; on resume each journaled row a
+campaign asks for is audited and replayed through the memo cache, and only
+the remainder is solved — producing arrays bitwise identical to an
+uninterrupted run (floats round-trip exactly through ``json``'s
+shortest-repr encoding).
 
-Crash safety: a process killed mid-write leaves at most one torn final line.
-:func:`load_journal` is tolerant — any line that does not parse back into a
-complete row is skipped, never fatal — and duplicate keys are fine (last
-wins; a resumed run may legitimately re-append rows the first run already
-journaled).
+A row comes from disk, so it is not trusted: it carries the schedule's
+stage list, and :meth:`CheckpointJournal.replay_into` audits it with
+:func:`~repro.core.certify.certify_solution` against the chain of the
+campaign that first looks it up, before it enters the memo.  A row that
+parses but fails its audit is a
+:class:`~repro.core.errors.CertificationError` naming the journal and the
+line.
+
+Crash safety: a process killed mid-write leaves at most one torn final
+line, which :func:`load_journal` drops (:func:`read_records`, the one JSONL
+read rule of the engine journal, the simulator's journal and its trace
+files).  Any other unusable line is an
+:class:`~repro.core.errors.InvalidParameterError` naming the path and the line.
+Duplicate keys are fine (last wins; a resumed run may legitimately
+re-append rows the first run already journaled).
 
 Format: one JSON object per line, carrying the budget's full type
-signature and the per-type usage::
+signature, the per-type usage and the stage list as
+:meth:`~repro.core.solution.Solution.from_triplets` input
+(``[start, end, cores, type index]``)::
 
-    {"fp": "3f9a...", "counts": [10, 10, 4], "strategy": "ktype_ref",
-     "period": 12.375, "used": [3, 2, 1]}
-
-Journals written before the k-type platform layer spelled two-type rows
-out field by field; :func:`load_journal` still reads that layout (alone or
-mixed with the current one in the same file), but nothing writes it::
-
-    {"fp": "3f9a...", "big": 10, "little": 10, "strategy": "fertac",
-     "period": 12.375, "big_used": 3, "little_used": 2}
+    {"fp": "3f9a...", "counts": [10, 10], "strategy": "fertac",
+     "period": 12.375, "used": [3, 2], "stages": [[0, 11, 3, 0], [12, 19, 2, 1]]}
 """
 
 from __future__ import annotations
@@ -36,16 +41,66 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import IO
+from typing import IO, Any, Callable, Iterable, NamedTuple
 
+from ..core.certify import certify_solution
+from ..core.errors import CertificationError, InvalidParameterError, SchedulingError
+from ..core.registry import get_info
+from ..core.solution import Solution
+from ..core.task import TaskChain
+from ..core.types import Resources
 from .memo import InstanceResult, MemoCache, MemoKey
 
-__all__ = ["CheckpointJournal", "load_journal", "open_for_append"]
+__all__ = [
+    "CheckpointJournal",
+    "JournalRow",
+    "Stages",
+    "load_journal",
+    "open_for_append",
+    "read_records",
+]
 
 _log = logging.getLogger(__name__)
 
+#: A schedule's stages as ``(start, end, cores, type index)`` rows.
+Stages = tuple[tuple[int, int, int, int], ...]
 
-def _encode(key: MemoKey, result: InstanceResult) -> str:
+
+class JournalRow(NamedTuple):
+    """One journaled instance: its result, its schedule, and its line."""
+
+    result: InstanceResult
+    stages: Stages
+    line: int
+
+
+def read_records(
+    path: "Path | str", lines: "list[str]", first: int, build: "Callable[[Any], Any]"
+) -> "dict[int, Any]":
+    """Decode JSONL ``lines`` through ``build``; ``lines[0]`` is line ``first`` of ``path``.
+
+    Returns the built records keyed by their 1-based line number, in file
+    order.  Only the file's last line may fail to decode — the torn tail of
+    a writer killed mid-``write`` — and it is dropped.  Any other
+    undecodable line, and any line ``build`` cannot use, is an
+    :class:`InvalidParameterError` naming the path and the line.
+    """
+    records = {}
+    for number, line in enumerate(lines, first):
+        if not line.strip():
+            continue
+        try:
+            records[number] = build(json.loads(line))
+        except (LookupError, TypeError, ValueError) as exc:
+            if isinstance(exc, json.JSONDecodeError) and number == first + len(lines) - 1:
+                break
+            raise InvalidParameterError(
+                f"{path}, line {number}: not a usable record ({exc!r})"
+            ) from None
+    return records
+
+
+def _encode(key: MemoKey, result: InstanceResult, stages: Stages) -> str:
     fingerprint, counts, strategy = key
     row = {
         "fp": fingerprint,
@@ -53,84 +108,52 @@ def _encode(key: MemoKey, result: InstanceResult) -> str:
         "strategy": strategy,
         "period": result.period,
         "used": list(result.usage),
+        "stages": [list(stage) for stage in stages],
     }
     return json.dumps(row, separators=(",", ":"))
 
 
-def _int_list(value: object) -> "list[int] | None":
-    if not isinstance(value, list) or not all(
-        isinstance(item, int) for item in value
+def _ints(value: object, size: "int | None" = None) -> "tuple[int, ...]":
+    if (
+        not isinstance(value, list)
+        or not all(type(item) is int for item in value)
+        or (size is not None and len(value) != size)
     ):
-        return None
-    return value
+        raise TypeError(f"expected a list of {size or 'some'} integers, got {value!r}")
+    return tuple(value)
 
 
-def _decode(line: str) -> "tuple[MemoKey, InstanceResult] | None":
-    """Parse one journal line; ``None`` for torn or foreign lines."""
-    try:
-        row = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(row, dict):
-        return None
-    fingerprint = row.get("fp")
-    strategy = row.get("strategy")
-    period = row.get("period")
+def _decode(row: "dict[str, Any]") -> "tuple[MemoKey, InstanceResult, Stages]":
+    """One journal object; raises on anything this layout does not write."""
+    fingerprint, strategy, period = row["fp"], row["strategy"], row["period"]
     if not (
         isinstance(fingerprint, str)
         and isinstance(strategy, str)
-        and isinstance(period, (int, float))
+        and type(period) in (int, float)
     ):
-        return None
-    if "counts" in row:
-        counts = _int_list(row.get("counts"))
-        used = _int_list(row.get("used"))
-        if counts is None or used is None or len(used) < 2:
-            return None
-        key: MemoKey = (fingerprint, tuple(counts), strategy)
-        return key, InstanceResult(
-            period=float(period),
-            big_used=used[0],
-            little_used=used[1],
-            extra_used=tuple(used[2:]),
-        )
-    # Legacy two-type layout (read-only: no writer produces it any more).
-    big = row.get("big")
-    little = row.get("little")
-    big_used = row.get("big_used")
-    little_used = row.get("little_used")
-    if not (
-        isinstance(big, int)
-        and isinstance(little, int)
-        and isinstance(big_used, int)
-        and isinstance(little_used, int)
-    ):
-        return None
-    key = (fingerprint, (big, little), strategy)
-    return key, InstanceResult(
-        period=float(period), big_used=big_used, little_used=little_used
-    )
+        raise TypeError("fp, strategy and period must be str, str and a number")
+    used = _ints(row["used"])
+    stages = tuple(_ints(stage, 4) for stage in row["stages"])
+    result = InstanceResult(float(period), used[0], used[1], used[2:])
+    return (fingerprint, _ints(row["counts"]), strategy), result, stages
 
 
-def load_journal(path: "str | Path") -> "dict[MemoKey, InstanceResult]":
-    """Replay a journal file into a key → result mapping.
+def load_journal(path: "str | Path") -> "dict[MemoKey, JournalRow]":
+    """Read a journal file into a key → row mapping (last row of a key wins).
 
-    Missing files yield an empty mapping (a fresh ``--resume`` target);
-    unparseable lines (a torn tail after a crash, stray garbage) are skipped.
+    A missing file yields an empty mapping (a fresh ``--resume`` target).
+    A torn final line is dropped; any other unusable line — including a
+    row without a stage list — raises :class:`InvalidParameterError`.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         return {}
-    rows: dict[MemoKey, InstanceResult] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        decoded = _decode(line)
-        if decoded is not None:
-            rows[decoded[0]] = decoded[1]
-    return rows
+    records = read_records(path, text.splitlines(), 1, _decode)
+    return {
+        key: JournalRow(result, stages, line)
+        for line, (key, result, stages) in records.items()
+    }
 
 
 def open_for_append(path: Path) -> "IO[str]":
@@ -163,37 +186,63 @@ class CheckpointJournal:
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._file: "IO[str] | None" = None
-        self._replayed = False
+        self._unaudited: "dict[MemoKey, JournalRow] | None" = None
         self.rows_written = 0
 
-    def load(self) -> "dict[MemoKey, InstanceResult]":
-        """Parse the journal from disk (tolerant; see :func:`load_journal`)."""
-        return load_journal(self.path)
+    def replay_into(
+        self,
+        memo: MemoCache,
+        cells: "Iterable[tuple[MemoKey, TaskChain]]",
+        resources: Resources,
+    ) -> int:
+        """Audit the journaled rows of ``cells`` and put them in ``memo``.
 
-    def replay_into(self, memo: MemoCache) -> int:
-        """Load the journal into a memo cache; returns rows replayed."""
-        replayed = memo.warm(self.load())
-        if replayed:
-            _log.debug("replayed %d journaled row(s) from %s", replayed, self.path)
-        return replayed
+        The file is read on the first call.  Each row is audited once,
+        against the chain of the first call that asks for its key, and
+        then leaves the journal's keeping: the memo holds only audited
+        results.  Returns the rows replayed by this call.
 
-    def replay_into_once(self, memo: MemoCache) -> int:
-        """Like :meth:`replay_into`, but at most once per journal object.
-
-        The engine calls this at the top of every campaign; after the first
-        replay the journal's new rows are already in the cache, so re-reading
-        the file would be wasted work.
+        Raises:
+            CertificationError: a row's schedule fails its audit (or is not
+                a schedule at all); the message names the file and line.
         """
-        if self._replayed:
-            return 0
-        self._replayed = True
-        return self.replay_into(memo)
+        if self._unaudited is None:
+            self._unaudited = load_journal(self.path)
+        audited = []
+        for key, chain in cells:
+            row = self._unaudited.pop(key, None)
+            if row is not None:
+                self._audit(key, row, chain, resources)
+                audited.append((key, row.result))
+        if audited:
+            memo.put_many(audited)
+            _log.debug("replayed %d journaled row(s) from %s", len(audited), self.path)
+        return len(audited)
 
-    def record(self, key: MemoKey, result: InstanceResult) -> None:
+    def _audit(
+        self, key: MemoKey, row: JournalRow, chain: TaskChain, resources: Resources
+    ) -> None:
+        strategy = key[2]
+        context = f"{self.path}, line {row.line}: {strategy}"
+        try:
+            solution = Solution.from_triplets(row.stages)
+        except SchedulingError as error:
+            raise CertificationError(f"{context}: {error}") from None
+        certify_solution(
+            solution,
+            chain,
+            resources,
+            claimed_period=row.result.period,
+            claimed_usage=row.result.usage,
+            optimal=get_info(strategy).optimal,
+            context=context,
+        )
+
+    def record(self, key: MemoKey, result: InstanceResult, stages: Stages) -> None:
         """Append one solved row (buffered until :meth:`commit`)."""
         if self._file is None:
             self._file = open_for_append(self.path)
-        self._file.write(_encode(key, result) + "\n")
+        self._file.write(_encode(key, result, stages) + "\n")
         self.rows_written += 1
 
     def commit(self) -> None:

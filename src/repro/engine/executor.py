@@ -38,8 +38,12 @@ Two optional layers harden long campaigns (DESIGN.md §9):
   (their array cells keep NaN/-1 sentinels) instead of aborting the run.
 * **Checkpointing** (``journal=``): every solved instance is appended to a
   crash-safe JSONL journal (fsync'd per work unit); re-running with the same
-  journal replays finished instances through the memo cache and solves only
-  the remainder, bitwise identically.
+  journal audits the finished instances again, replays them through the
+  memo cache and solves only the remainder, bitwise identically.
+
+Every solved instance is audited by the independent certificate checker
+(:mod:`repro.core.certify`) in the worker that solved it; memo hits are
+trusted, because the memo only ever holds audited outcomes.
 """
 
 from __future__ import annotations
@@ -112,10 +116,11 @@ class CampaignEngine:
             keeps the lean fail-fast path, where any solver exception aborts
             the campaign.
         journal: a :class:`~repro.engine.checkpoint.CheckpointJournal` (or a
-            path) recording every solved instance; an existing journal is
-            replayed through the memo cache before solving, which is how
-            ``--resume`` works.  A journal implies an instance cache: if
-            memoization was disabled, a private cache is created for replay.
+            path) recording every solved instance; the rows of an existing
+            journal are audited and replayed through the memo cache before
+            solving, which is how ``--resume`` works.  A journal implies an
+            instance cache: if memoization was disabled, a private cache is
+            created for replay.
         faults: a deterministic :class:`~repro.engine.faults.FaultPlan`
             armed on every work unit (tests only).
         obs: observability surface.  Accepts a live
@@ -192,7 +197,6 @@ class CampaignEngine:
         resources: Resources,
         strategies: Iterable[str],
         jobs: int | None = None,
-        certify: bool = False,
     ) -> dict[str, StrategyArrays]:
         """Solve every ``(chain, strategy)`` instance at one budget.
 
@@ -200,12 +204,11 @@ class CampaignEngine:
         row ``i`` holding chain ``i``'s outcome — independent of job count
         and cache state.
 
-        With ``certify=True`` every solution is audited by the independent
-        certificate checker (:mod:`repro.core.certify`) as it is produced.
-        The memo cache stores only result scalars, not solutions, so a cache
-        hit cannot be re-audited — certification therefore bypasses the cache
-        (and journal replay, which flows through it) and solves every
-        instance fresh (results still feed the cache).
+        Every solution is audited by the independent certificate checker
+        (:mod:`repro.core.certify`) as it is produced, and every journaled
+        row before it is replayed; a failed audit raises
+        :class:`~repro.core.errors.CertificationError` (or, with resilience
+        on, quarantines a solved cell).
 
         Cells are pre-filled with sentinels (``NaN`` period, ``-1`` cores) so
         an aborted or quarantining campaign can never hand callers
@@ -227,37 +230,24 @@ class CampaignEngine:
         with activate(self.obs.context()), self.obs.span(
             "campaign", "campaign", chains=count, strategies=len(names)
         ):
-            if self.journal is not None and self.memo is not None and not certify:
-                replayed = self.journal.replay_into_once(self.memo)
-                if replayed:
-                    self.obs.metrics.add("journal.replayed", replayed)
-
-            if certify:
-                pending = [
-                    PendingInstance(index=i, chain=chain, strategies=tuple(names))
-                    for i, chain in enumerate(chains)
-                ]
-            else:
-                with self.obs.span("memo.fill", "memo"):
-                    pending = self._fill_from_memo(chains, resources, names, arrays)
+            with self.obs.span("memo.fill", "memo"):
+                pending = self._fill_from_memo(chains, resources, names, arrays)
             if pending:
                 effective_jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-                outcomes = self._execute(
-                    pending, resources, effective_jobs, certify=certify
-                )
+                outcomes = self._execute(pending, resources, effective_jobs)
                 try:
                     for outcome in outcomes:
                         self.obs.absorb(outcome.obs)
                         self._feed_cost_model(outcome)
                         solved: list[tuple[MemoKey, InstanceResult]] = []
-                        for index, results in outcome.rows:
+                        for index, cells in outcome.rows:
                             chain = chains[index]
-                            for name, result in results.items():
+                            for name, (result, stages) in cells.items():
                                 self._store(arrays, index, name, result)
                                 key = make_key(chain, resources, name)
                                 solved.append((key, result))
                                 if self.journal is not None:
-                                    self.journal.record(key, result)
+                                    self.journal.record(key, result, stages)
                         if self.memo is not None and solved:
                             # Bulk insert: one lock acquisition per work
                             # unit, same LRU/eviction behavior as per-key
@@ -308,7 +298,8 @@ class CampaignEngine:
     ) -> list[PendingInstance]:
         """Replay cached instances into ``arrays``; return what's left.
 
-        The whole campaign is looked up in one
+        The journal's rows for this campaign's keys are audited and put in
+        the memo first.  The whole campaign is then looked up in one
         :meth:`~repro.engine.memo.MemoCache.get_many` call — a single lock
         round-trip instead of ``chains x strategies`` of them — with hit and
         miss counters identical to the per-instance lookups it replaced
@@ -324,6 +315,13 @@ class CampaignEngine:
                 for chain in chains
                 for name in names
             ]
+            if self.journal is not None:
+                owners = (chain for chain in chains for _ in names)
+                replayed = self.journal.replay_into(
+                    self.memo, zip(keys, owners), resources
+                )
+                if replayed:
+                    self.obs.metrics.add("journal.replayed", replayed)
             flat = self.memo.get_many(keys)
         pending: list[PendingInstance] = []
         hits = 0
@@ -370,7 +368,6 @@ class CampaignEngine:
         pending: list[PendingInstance],
         resources: Resources,
         jobs: int,
-        certify: bool = False,
     ) -> "Iterator[UnitOutcome]":
         """Run the pending instances on the tier ``jobs`` selects.
 
@@ -385,8 +382,8 @@ class CampaignEngine:
         # Cache every fingerprint before anything is dispatched: a process
         # pool's feeder thread pickles a chain's ``__dict__`` while this
         # thread handles earlier outcomes, and a chain sits in one unit per
-        # strategy, so a lazy ``chain.fingerprint`` (memo off, or certify)
-        # would grow that dict mid-pickle.  Workers reuse the cached value.
+        # strategy, so a lazy ``chain.fingerprint`` (memo off) would grow
+        # that dict mid-pickle.  Workers reuse the cached value.
         for item in pending:
             item.chain.fingerprint
         if tier == "serial" and self.journal is None:
@@ -402,8 +399,9 @@ class CampaignEngine:
                 unit_wall=DEFAULT_UNIT_WALL_S,
             )
         units = units_from_groups(
-            groups, resources, certify=certify,
+            groups, resources,
             faults=self.faults, tier=tier, obs=self.obs.worker_config(),
+            journal=self.journal is not None,
         )
 
         if self.resilience is not None:

@@ -21,9 +21,10 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``hang`` — sleep for :attr:`FaultSpec.seconds` before solving (exercises the
   soft-deadline/timeout path).
 * ``corrupt`` — let the solve finish, then *tamper with the claimed outcome*
-  (period scaled by :attr:`FaultSpec.factor`).  Undetectable without
-  ``--certify``; with it, :func:`repro.core.certify.certify_outcome` rejects
-  the tampered claim — the test that proves the auditor earns its keep.
+  (period scaled by :attr:`FaultSpec.factor`) before the worker's audit;
+  :func:`repro.core.certify.certify_outcome` rejects the tampered claim
+  with a :class:`~repro.core.errors.CertificationError` naming the cell —
+  the test that proves the auditor earns its keep.
 * ``interrupt`` — raise :class:`KeyboardInterrupt` (a Ctrl-C mid-campaign; the
   retry machinery must *not* swallow it).
 * ``core_failure`` / ``core_recovery`` — *timed platform events* (see

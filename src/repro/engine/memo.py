@@ -15,7 +15,10 @@ computed once per process.
 
 Thread-safe; eviction is LRU.  The cache stores only the scalar outcome
 triple (period, big cores, little cores) — a few dozen bytes per instance —
-not solutions, so a million entries fit comfortably in memory.
+not solutions, so a million entries fit comfortably in memory.  Every
+entry is an audited outcome — a solve certified in its worker, or a
+journaled row certified on replay (:mod:`repro.engine.checkpoint`) — so a
+hit is trusted and not audited again.
 """
 
 from __future__ import annotations
@@ -186,21 +189,6 @@ class MemoCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self._evictions += 1
-
-    def warm(self, rows: "dict[MemoKey, InstanceResult]") -> int:
-        """Bulk-insert rows (checkpoint replay); returns entries inserted.
-
-        One lock acquisition for the whole batch — a resumed campaign can
-        replay hundreds of thousands of journal rows in one call.
-        """
-        with self._lock:
-            for key, result in rows.items():
-                self._data[key] = result
-                self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
-        return len(rows)
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""

@@ -54,9 +54,15 @@ from typing import Generator, Iterator, Sequence
 from ..core.chain_stats import ChainProfile
 from ..core.errors import CertificationError, InvalidParameterError
 from ..obs.context import activate
-from .batch import UnitOutcome, UnitResult, WorkUnit, solve_instance, solve_unit
+from .batch import (
+    SolvedCell,
+    UnitOutcome,
+    UnitResult,
+    WorkUnit,
+    solve_instance,
+    solve_unit,
+)
 from .faults import InjectedFault
-from .memo import InstanceResult
 from .pool import WorkerPool
 
 _log = logging.getLogger(__name__)
@@ -372,9 +378,9 @@ def _solve_serially(
     rows: UnitResult = []
     for item in unit.pending:
         profile = ChainProfile(item.chain)
-        results: dict[str, InstanceResult] = {}
+        results: dict[str, SolvedCell] = {}
         for name in item.strategies:
-            solved: "InstanceResult | None" = None
+            solved: "SolvedCell | None" = None
             failure: "Exception | None" = None
             attempts = 0
             for attempt in range(policy.max_attempts):
@@ -390,9 +396,9 @@ def _solve_serially(
                         profile,
                         unit.resources,
                         (name,),
-                        certify=unit.certify,
                         faults=unit.faults,
                         tier="serial",
+                        journal=unit.journal,
                     )[name]
                     break
                 except Exception as exc:

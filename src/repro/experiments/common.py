@@ -106,7 +106,6 @@ def run_campaign(
     seed: int = 0,
     jobs: int | None = None,
     engine: CampaignEngine | None = None,
-    certify: bool = False,
     chains: "Sequence[TaskChain] | None" = None,
 ) -> CampaignResult:
     """Run one synthetic campaign (Section VI-A-1 protocol).
@@ -124,19 +123,23 @@ def run_campaign(
             arrays bit for bit.
         engine: campaign engine override; defaults to the process-wide
             engine with its shared memo cache.
-        certify: audit every solution with the independent certificate
-            checker (:mod:`repro.core.certify`); raises
-            :class:`~repro.core.errors.CertificationError` on any violation.
-            Bypasses the memo cache (cached entries hold no solution to
-            audit).
         chains: the population, when the caller already drew it with
             :func:`campaign_chains` from the same arguments (a driver that
             sweeps budgets over one population draws it once, and each
             chain is fingerprinted once).  The result's ``num_chains`` is
             this population's size.
 
+    Every solution is audited by the independent certificate checker
+    (:mod:`repro.core.certify`) in the engine's workers, and every
+    journaled row before it is replayed.
+
     Returns:
         The raw campaign outcomes.
+
+    Raises:
+        CertificationError: an outcome or a journaled row fails its audit
+            (an engine with resilience on quarantines a failed solve
+            instead).
     """
     names = list(strategies) if strategies is not None else list(PAPER_ORDER)
     if "herad" not in names:
@@ -147,9 +150,7 @@ def run_campaign(
         chains = campaign_chains(stateless_ratio, num_chains, num_tasks, seed)
 
     eng = engine if engine is not None else default_engine()
-    arrays = eng.solve_instances(
-        chains, resources, canonical, jobs=jobs, certify=certify
-    )
+    arrays = eng.solve_instances(chains, resources, canonical, jobs=jobs)
 
     records = {
         name: StrategyRecord(

@@ -45,7 +45,6 @@ def run(
     stateless_ratios: Sequence[float] = PAPER_STATELESS_RATIOS,
     seed: int = 0,
     jobs: int | None = None,
-    certify: bool = False,
     engine: "CampaignEngine | None" = None,
 ) -> Fig1Result:
     """Compute the slowdown CDFs for every scenario.
@@ -63,7 +62,7 @@ def run(
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed, jobs=jobs,
-                certify=certify, engine=engine, chains=populations[sr],
+                engine=engine, chains=populations[sr],
             )
             optimal = campaign.optimal_periods
             cdfs = {

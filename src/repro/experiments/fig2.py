@@ -41,7 +41,6 @@ def run(
     strategy: str = "fertac",
     seed: int = 0,
     jobs: int | None = None,
-    certify: bool = False,
     engine: "CampaignEngine | None" = None,
 ) -> Fig2Result:
     """Compute the Fig. 2 heatmaps.
@@ -53,7 +52,6 @@ def run(
         strategy: strategy compared against HeRAD (paper: FERTAC).
         seed: campaign seed.
         jobs: campaign-engine worker count (None: all cores).
-        certify: audit every solution with the certificate checker.
         engine: campaign engine override — the CLI passes a resilient /
             journaled engine here for ``--resume``/``--retries``/``--timeout``.
     """
@@ -64,7 +62,6 @@ def run(
         strategies=["herad", strategy],
         seed=seed,
         jobs=jobs,
-        certify=certify,
         engine=engine,
     )
     rec = campaign.records[strategy]

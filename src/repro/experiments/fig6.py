@@ -58,7 +58,6 @@ def run(
     strategies: Sequence[str] = PAPER_ORDER,
     seed: int = 0,
     jobs: int | None = None,
-    certify: bool = False,
     engine: "CampaignEngine | None" = None,
 ) -> Fig6Result:
     """Compute the summary axes.
@@ -70,7 +69,6 @@ def run(
         table2: reuse an existing Table II result (recomputed otherwise).
         strategies: strategies to summarize.
         seed: campaign seed.
-        certify: audit every solution with the certificate checker.
         engine: campaign engine override — the CLI passes a resilient /
             journaled engine here for ``--resume``/``--retries``/``--timeout``.
     """
@@ -83,8 +81,8 @@ def run(
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed,
-                strategies=list(strategies), jobs=jobs, certify=certify,
-                engine=engine, chains=populations[sr],
+                strategies=list(strategies), jobs=jobs, engine=engine,
+                chains=populations[sr],
             )
             opt = campaign.records["herad"]
             for name in strategies:

@@ -52,7 +52,6 @@ def run(
     stateless_ratios: Sequence[float] = PAPER_STATELESS_RATIOS,
     seed: int = 0,
     jobs: int | None = None,
-    certify: bool = False,
     engine: "CampaignEngine | None" = None,
 ) -> Table1Result:
     """Run the Table I campaign.
@@ -66,7 +65,6 @@ def run(
             re-labelled for its SR, exactly like regenerating the paper's
             population).
         jobs: campaign-engine worker count (None: all cores).
-        certify: audit every solution with the certificate checker.
         engine: campaign engine override — the CLI passes a resilient /
             journaled engine here for ``--resume``/``--retries``/``--timeout``.
     """
@@ -78,7 +76,7 @@ def run(
         for sr in stateless_ratios:
             campaign = run_campaign(
                 resources, sr, num_chains=num_chains, seed=seed, jobs=jobs,
-                certify=certify, engine=engine, chains=populations[sr],
+                engine=engine, chains=populations[sr],
             )
             stats = {
                 name: aggregate_scenario(

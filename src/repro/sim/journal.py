@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
-from ..engine.checkpoint import open_for_append
+from ..engine.checkpoint import open_for_append, read_records
 from .scheduler import ChainDecision
-from .trace import read_records
 
 __all__ = ["EventRecord", "SimJournal"]
 
@@ -108,7 +107,7 @@ class SimJournal:
         if not self.path.exists():
             return ()
         lines = self.path.read_text(encoding="utf-8").splitlines()
-        return tuple(read_records(self.path, lines, 1, EventRecord.from_json))
+        return tuple(read_records(self.path, lines, 1, EventRecord.from_json).values())
 
     def append(self, record: EventRecord) -> None:
         """Append one record and flush it to the OS."""

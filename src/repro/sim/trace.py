@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.errors import InvalidParameterError
 from ..core.task import TaskChain
+from ..engine.checkpoint import read_records
 from .events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,31 +83,6 @@ def _event_from_json(record: "dict[str, Any]") -> SimEvent:
         core_type=int(record["core_type"]),
         cores=int(record["cores"]),
     )
-
-
-def read_records(
-    path: "Path | str", lines: "list[str]", first: int, build: "Callable[[Any], Any]"
-) -> "list[Any]":
-    """Decode JSONL ``lines`` through ``build``; ``lines[0]`` is line ``first`` of ``path``.
-
-    Only the file's last line may fail to decode — the torn tail of a writer
-    killed mid-``write`` — and it is dropped.  Any other undecodable line,
-    and any line ``build`` cannot use, is an :class:`InvalidParameterError`
-    naming the path and the 1-based line.
-    """
-    records = []
-    for number, line in enumerate(lines, first):
-        if not line.strip():
-            continue
-        try:
-            records.append(build(json.loads(line)))
-        except (LookupError, TypeError, ValueError) as exc:
-            if isinstance(exc, json.JSONDecodeError) and number == first + len(lines) - 1:
-                break
-            raise InvalidParameterError(
-                f"{path}, line {number}: not a usable record ({exc!r})"
-            ) from None
-    return records
 
 
 @dataclass(frozen=True)
@@ -179,7 +155,8 @@ class SimTrace:
         """Load a trace written by :meth:`write` (a torn final line tolerated).
 
         A file that cannot be read, whose header line is not this format's,
-        or with an unusable event line (:func:`read_records`) raises
+        or with an unusable event line
+        (:func:`~repro.engine.checkpoint.read_records`) raises
         :class:`InvalidParameterError` naming the path.
         """
         try:
@@ -204,7 +181,7 @@ class SimTrace:
             )
         return cls(
             initial_counts=tuple(counts),
-            events=tuple(read_records(path, lines[1:], 2, _event_from_json)),
+            events=tuple(read_records(path, lines[1:], 2, _event_from_json).values()),
             name=str(header.get("name", "trace")),
             metadata=tuple(sorted(dict(header.get("metadata", {})).items())),
         )

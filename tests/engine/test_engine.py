@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -74,14 +75,26 @@ class TestBatch:
                 for i, c in enumerate(chains)
             ),
             resources=Resources(2, 2),
+            journal=True,
         )
         outcome = solve_unit(unit)
         assert outcome.obs is None  # observability off: no payload shipped
         assert [index for index, _ in outcome.rows] == [0, 1, 2]
         for _, results in outcome.rows:
             assert set(results) == {"fertac", "otac_b"}
-            for result in results.values():
-                assert np.isfinite(result.period)
+            for cell in results.values():
+                assert np.isfinite(cell.result.period)
+                assert cell.stages[0][0] == 0  # the schedule rides along
+        # Unjournaled, the rows are the same results and no schedules.
+        bare = solve_unit(dataclasses.replace(unit, journal=False))
+
+        def results_of(rows):
+            return [{n: cell.result for n, cell in cells.items()} for _, cells in rows]
+
+        assert results_of(bare.rows) == results_of(outcome.rows)
+        assert all(
+            cell.stages == () for _, cells in bare.rows for cell in cells.values()
+        )
 
 
 class TestDeterminism:
@@ -380,14 +393,30 @@ class TestKernelTier:
             engine.solve_instances(chains, resources, PAPER_ORDER),
         )
 
-    def test_batch_kernel_with_certification(self):
-        """``certify`` audits every batch-produced cell, and changes none."""
+    def test_batch_kernel_with_certification(self, monkeypatch):
+        """Every batch-produced cell is audited once, and none is changed."""
+        from repro.core.chain_stats import ChainProfile
+        from repro.engine import batch
+
         chains = _chains(4)
         resources = Resources(2, 3)
+        audited = []
+        audit = batch.certify_outcome
+
+        def recording(outcome, profile, *args, **kwargs):
+            audited.append((profile.fingerprint, kwargs["context"].split()[0]))
+            return audit(outcome, profile, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "certify_outcome", recording)
         engine = CampaignEngine(jobs=1, memo=False)
         _assert_same_arrays(
             scalar_arrays(chains, resources, PAPER_ORDER),
-            engine.solve_instances(chains, resources, PAPER_ORDER, certify=True),
+            engine.solve_instances(chains, resources, PAPER_ORDER),
+        )
+        assert sorted(audited) == sorted(
+            (ChainProfile(chain).fingerprint, name)
+            for chain in chains
+            for name in PAPER_ORDER
         )
 
     def test_fault_plan_forces_python_path(self, tmp_path):
@@ -443,5 +472,5 @@ class TestKernelTier:
 
         monkeypatch.setattr(executor, "units_from_groups", recording)
         engine = CampaignEngine(jobs=1, memo=False)
-        engine.solve_instances(_chains(3), Resources(2, 2), ("fertac",), certify=True)
+        engine.solve_instances(_chains(3), Resources(2, 2), ("fertac",))
         assert seen and all(seen)

@@ -419,7 +419,7 @@ class TestQuarantine:
 
 class TestCorruptionRecovery:
     def test_certify_catches_corrupt_then_resolve_recovers(self, tmp_path):
-        """--certify turns silent corruption into a recoverable transient."""
+        """The audit turns a corrupt claim into a recoverable transient."""
         chains = _chains(3)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -439,38 +439,9 @@ class TestCorruptionRecovery:
             resilience=ResilienceConfig(retry=_FAST),
             faults=plan,
         )
-        arrays = engine.solve_instances(
-            chains, resources, ("fertac",), certify=True
-        )
+        arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
         report = engine.last_report
         assert report is not None
         assert report.retries >= 1
         assert report.quarantined == 0
-
-    def test_without_certify_corruption_lands_in_arrays(self, tmp_path):
-        """Control: no audit means the tampered claim is recorded as-is."""
-        chains = _chains(2)
-        resources = Resources(2, 2)
-        reference = _reference(chains, resources)
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    kind="corrupt",
-                    fingerprint=_fingerprint(chains[0]),
-                    factor=0.5,
-                    times=1,
-                ),
-            ),
-            state_dir=str(tmp_path),
-        )
-        engine = CampaignEngine(
-            jobs=1,
-            memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
-        )
-        arrays = engine.solve_instances(chains, resources, ("fertac",))
-        assert arrays["fertac"].periods[0] == pytest.approx(
-            reference["fertac"].periods[0] * 0.5
-        )

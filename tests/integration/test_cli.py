@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,18 +97,49 @@ def test_seed_flag_changes_campaign(capsys):
     assert first != second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--certify"],
+        ["all", "--certify"],
+        ["solve", "--cores", "4,4", "--certify"],
+    ],
+    ids=["table1-certify", "all-certify", "solve-certify"],
+)
+def test_retired_flags_exit_two(argv, capsys):
+    """Every campaign and ``repro solve`` result is audited: there is no
+    flag to ask for it."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_certify_flag_defaults_off():
+    """The one ``--certify`` left is the simulator's opt-in audit."""
     parser = build_parser()
-    assert parser.parse_args(["table1"]).certify is False
-    assert parser.parse_args(["table1", "--certify"]).certify is True
+    assert parser.parse_args(["simulate"]).certify is False
+    assert parser.parse_args(["simulate", "--certify"]).certify is True
+    assert not hasattr(parser.parse_args(["table1"]), "certify")
 
 
-def test_certified_run_matches_plain(capsys):
+def test_certified_run_matches_plain(capsys, monkeypatch):
+    """The audit every run makes changes no byte of the report."""
+    from repro.engine import batch, reset_default_engine
+
+    reset_default_engine()
     assert main(["fig2", "--chains", "6"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["fig2", "--chains", "6", "--certify"]) == 0
     audited = capsys.readouterr().out
-    assert plain == audited
+    reset_default_engine()
+
+    def unaudited(outcome, profile, resources, **kwargs):
+        usage = outcome.solution.core_usage(resources.ktype).counts
+        return SimpleNamespace(usage=usage)
+
+    monkeypatch.setattr(batch, "certify_outcome", unaudited)
+    assert main(["fig2", "--chains", "6"]) == 0
+    assert capsys.readouterr().out == audited
+    reset_default_engine()
 
 
 def test_lint_subcommand_reports_clean_tree(capsys):
@@ -245,10 +277,10 @@ def test_hardened_run_matches_plain(capsys, tmp_path):
     assert resumed == plain
 
 
-def test_resume_replays_a_legacy_layout_journal_and_solves_nothing(capsys, tmp_path):
+def test_resume_refuses_a_legacy_layout_journal(capsys, tmp_path):
     """A journal in the pre-``counts`` two-type layout (written by an older
-    release; no writer produces it now) still resumes: the same report, and
-    not one row appended — every instance replayed, none solved."""
+    release) holds no schedules to audit: resuming from it exits 2 before
+    any report, and leaves the file as it was."""
     from repro.engine import reset_default_engine
 
     fixture = Path(__file__).parents[1] / "data" / "legacy_journal_fig2_chains4.jsonl"
@@ -256,12 +288,29 @@ def test_resume_replays_a_legacy_layout_journal_and_solves_nothing(capsys, tmp_p
     journal = tmp_path / "legacy.jsonl"
     shutil.copy(fixture, journal)
     reset_default_engine()
-    assert main(["fig2", "--chains", "4", "--resume", str(journal)]) == 0
-    resumed = capsys.readouterr().out
+    assert main(["fig2", "--chains", "4", "--resume", str(journal)]) == 2
+    assert capsys.readouterr().out == ""
     assert journal.read_bytes() == fixture.read_bytes()
+
+
+def test_resume_from_a_tampered_journal_exits_two(capsys, tmp_path):
+    """A row whose period was edited fails its audit at replay: no report
+    is printed from it."""
+    import json
+
+    from repro.engine import reset_default_engine
+
+    journal = tmp_path / "run.jsonl"
     reset_default_engine()
-    assert main(["fig2", "--chains", "4"]) == 0
-    assert capsys.readouterr().out == resumed
+    assert main(["fig2", "--chains", "2", "--resume", str(journal)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in journal.read_text().splitlines()]
+    rows[-1]["period"] *= 0.5
+    journal.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    reset_default_engine()
+    assert main(["fig2", "--chains", "2", "--resume", str(journal)]) == 2
+    assert capsys.readouterr().out == ""
+    reset_default_engine()
 
 
 def test_obs_flags_default_off():
@@ -325,24 +374,48 @@ class TestSolveSubcommand:
         out = capsys.readouterr().out
         assert "platform: big=4, little=4  (k=2)" in out
         assert out.count("period=") == 2
-        # Batched HeRAD (certified optimal) and the memoised 2CATAC walk.
-        strategies = ["--strategy", "herad", "--strategy", "2catac", "--certify"]
+        # Batched HeRAD (audited as optimal) and the memoised 2CATAC walk;
+        # the audit prints nothing of its own.
+        strategies = ["--strategy", "herad", "--strategy", "2catac"]
         assert main(["solve", "--cores", "big=4,little=4", "--chains", "2", *strategies]) == 0
-        assert capsys.readouterr().out.count("[certified]") == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "platform: big=4, little=4  (k=2)",
+            "chain-k2-0-0  herad        period=116  usage=(4B, 4L)",
+            "chain-k2-0-0  2catac       period=116  usage=(4B, 4L)",
+            "chain-k2-0-1  herad        period=180  usage=(4B, 4L)",
+            "chain-k2-0-1  2catac       period=180  usage=(4B, 4L)",
+        ]
 
-    def test_ktype_solve_certifies(self, capsys):
-        assert (
-            main(
-                [
-                    "solve", "--cores", "big=3,little=3,lpe=2",
-                    "--chains", "2", "--certify",
-                ]
-            )
-            == 0
-        )
+    def test_ktype_solve_certifies(self, capsys, monkeypatch):
+        import repro.cli
+
+        audited = []
+        audit = repro.cli.certify_outcome
+
+        def recording(outcome, *args, **kwargs):
+            audited.append(kwargs["context"])
+            return audit(outcome, *args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "certify_outcome", recording)
+        assert main(["solve", "--cores", "big=3,little=3,lpe=2", "--chains", "2"]) == 0
         out = capsys.readouterr().out
         assert "(k=3)" in out
-        assert out.count("[certified]") == 2
+        assert audited == ["ktype_ref", "ktype_ref"]
+
+    def test_failed_audit_exits_two(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.core.registry import STRATEGIES
+
+        honest = STRATEGIES["ktype_ref"]
+
+        def lying(profile, resources):
+            outcome = honest.func(profile, resources)
+            return dataclasses.replace(outcome, period=outcome.period * 0.5)
+
+        monkeypatch.setitem(STRATEGIES, "ktype_ref", dataclasses.replace(honest, func=lying))
+        assert main(["solve", "--cores", "2,2", "--chains", "1", "--num-tasks", "4"]) == 2
+        assert "period=" not in capsys.readouterr().out
 
     def test_heuristics_run_on_ktype_platform(self, capsys):
         assert (
@@ -350,7 +423,7 @@ class TestSolveSubcommand:
                 [
                     "solve", "--cores", "3,3,2",
                     "--strategy", "fertac", "--strategy", "2catac",
-                    "--chains", "2", "--certify",
+                    "--chains", "2",
                 ]
             )
             == 0
