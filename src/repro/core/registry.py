@@ -12,7 +12,8 @@ plain identifiers (``otac_b``) are both accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .binary_search import ScheduleOutcome
 from .chain_stats import ChainProfile
@@ -209,18 +210,20 @@ STRATEGIES: dict[str, StrategyInfo] = {
 #: The strategies, in the order the paper's tables list them.
 PAPER_ORDER: tuple[str, ...] = ("herad", "2catac", "fertac", "otac_b", "otac_l")
 
-_ALIASES = {
-    "twocatac": "2catac",
-    "reference": "ktype_ref",
-    "ktype-ref": "ktype_ref",
-    "2-catac": "2catac",
-    "otac(b)": "otac_b",
-    "otac (b)": "otac_b",
-    "otac-b": "otac_b",
-    "otac(l)": "otac_l",
-    "otac (l)": "otac_l",
-    "otac-l": "otac_l",
-}
+_ALIASES: Mapping[str, str] = MappingProxyType(
+    {
+        "twocatac": "2catac",
+        "reference": "ktype_ref",
+        "ktype-ref": "ktype_ref",
+        "2-catac": "2catac",
+        "otac(b)": "otac_b",
+        "otac (b)": "otac_b",
+        "otac-b": "otac_b",
+        "otac(l)": "otac_l",
+        "otac (l)": "otac_l",
+        "otac-l": "otac_l",
+    }
+)
 
 
 def get_strategy(name: str) -> StrategyFn:

@@ -4,10 +4,13 @@ A small AST-based lint engine with rules guarding the invariants the
 paper's correctness claims rest on: float comparison discipline on
 periods/weights (Eqs. (1)-(2)), immutability of the scheduling value
 objects, the core error hierarchy, engine determinism (the ``--jobs``
-bitwise guarantee), numpy scalar containment, strict public typing,
-stdout hygiene, and process-pool picklability (REP101-REP111, one module
-at a time) — plus the cross-module rules that races, fork-safety,
-layering and memo purity need (REP201-REP206, :mod:`repro.lint.project`).
+bitwise guarantee), numpy scalar containment, broad excepts, raw clock
+reads and two-type assumptions (REP101-REP105, REP109-REP111, one module
+at a time) — plus the rules that span modules: no global writes in the
+modules a worker runs, lock discipline, layering, memo purity and dead
+public symbols (REP201, REP202, REP204-REP206, :mod:`repro.lint.project`).
+Typing is mypy's, stdout hygiene ruff's (``T10``/``T20``); what a worker
+cannot pickle fails on the first ``--jobs 2`` dispatch.
 
 One run parses each module of the package once and runs every selected
 rule.  Run it with ``repro lint``, ``python -m repro.lint``, or
@@ -22,7 +25,7 @@ Suppress an intentional violation with a justified per-line pragma::
     if a == b:  # lint: ignore[float-equality] exact DP tie-break
 """
 
-from . import rules as _rules  # noqa: F401  (registers REP101-REP111, then REP2xx)
+from . import rules as _rules  # noqa: F401  (registers REP1xx, then REP2xx)
 from .base import RULE_REGISTRY, FileContext, LintRule, Rule, register, rules_by_name
 from .engine import LintReport, lint
 from .findings import EvidenceStep, Finding, Severity

@@ -49,6 +49,25 @@ __all__ = [
 _PRAGMA = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Za-z0-9_,\- ]+)\])?")
 
 
+def dotted_name(node: ast.AST) -> "str | None":
+    """Render a Name/Attribute chain as ``a.b.c`` (None for other shapes)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def leaf_name(node: ast.AST) -> "str | None":
+    """The trailing identifier of a Name/Attribute, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
 @dataclass
 class FileContext:
     """Everything a rule needs to know about the file being linted.
@@ -137,14 +156,9 @@ class FileContext:
         return self.module.startswith("repro.core")
 
     @property
-    def in_engine(self) -> bool:
-        """True for modules under ``repro.engine``."""
-        return self.module.startswith("repro.engine")
-
-    @property
     def in_solver_paths(self) -> bool:
         """True for the determinism-guarded solver packages."""
-        return self.in_core or self.in_engine
+        return self.in_core or self.module.startswith("repro.engine")
 
 
 class Rule:
@@ -184,7 +198,6 @@ class Rule:
         col: int,
         message: str,
         hint: "str | None",
-        severity: "Severity | None",
         evidence: "Sequence[EvidenceStep]" = (),
     ) -> None:
         """Record one finding in ``ctx`` unless a pragma covers its line."""
@@ -199,7 +212,7 @@ class Rule:
                 path=ctx.rel,
                 line=line,
                 col=col,
-                severity=severity if severity is not None else self.severity,
+                severity=self.severity,
                 evidence=tuple(evidence),
             )
         )
@@ -241,7 +254,6 @@ class LintRule(Rule, ast.NodeVisitor):
         node: ast.AST,
         message: str,
         hint: "str | None" = None,
-        severity: "Severity | None" = None,
     ) -> None:
         """Record one violation anchored at ``node``."""
         self._emit(
@@ -250,7 +262,6 @@ class LintRule(Rule, ast.NodeVisitor):
             getattr(node, "col_offset", 0),
             message,
             hint,
-            severity,
         )
 
 

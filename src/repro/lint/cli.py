@@ -27,9 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
         description=(
             "Project-specific static analysis: float-comparison, "
-            "immutability, error-hierarchy, determinism, typing, and "
-            "picklability rules guarding the paper's invariants, plus "
-            "whole-project race/fork-safety/layering rules, in one pass."
+            "immutability, error-hierarchy, determinism and timing rules "
+            "guarding the paper's invariants, plus worker-global, lock, "
+            "layering, memo-purity and dead-symbol rules, in one pass."
         ),
     )
     parser.add_argument(

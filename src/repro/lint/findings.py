@@ -32,11 +32,11 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class EvidenceStep:
-    """One link in a cross-file evidence chain.
+    """One link in a finding's evidence chain.
 
-    Project-wide rules justify a finding with the path that connects cause
-    to effect — definition site, call edges, violation site.  Each step is
-    one location plus a note saying what role it plays in the chain.
+    Project-wide rules justify a finding with the sites that connect cause
+    to effect — e.g. a binding's definition site, then the violation site.
+    Each step is one location plus a note saying what role it plays.
     """
 
     path: str
@@ -66,8 +66,8 @@ class Finding:
         line: 1-based source line.
         col: 0-based source column (AST convention).
         severity: :class:`Severity` of the finding.
-        evidence: cross-file chain (definition site → call path → violation
-            site) attached by project-wide rules; empty for per-file rules.
+        evidence: the steps from definition site to violation site
+            attached by project-wide rules; empty for per-file rules.
     """
 
     rule_id: str

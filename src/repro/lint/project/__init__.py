@@ -1,10 +1,11 @@
-"""Whole-project semantic analysis (rules REP201-REP206).
+"""Whole-project analysis (rules REP201, REP202, REP204, REP205, REP206).
 
 Where the per-file rules (REP1xx) see one module at a time, these rules
 read the :class:`ProjectContext` every ``repro lint`` run builds from its
-one parse of the tree — symbol table, import graph, over-approximate call
-graph — and check the cross-module properties races, fork-safety,
-layering, and memo purity actually require.  They register in the same
+one parse of the tree — per-module facts, the classes by name, the import
+records — and check the properties that span modules: no worker module
+mutates shared globals, lock discipline, layering, memo purity, and dead
+public symbols.  They register in the same
 :data:`~repro.lint.base.RULE_REGISTRY` as the per-file rules and run in
 the same pass::
 
@@ -14,8 +15,7 @@ the same pass::
 
 from .allowlist import ALLOWLIST, AllowEntry
 from .base import ProjectRule
-from .context import DispatchSite, ProjectContext, StrategyRoot
-from .evidence import call_chain, definition_step, entry_of
+from .context import ProjectContext
 from . import rules as _rules  # noqa: F401  (importing registers the rules)
 
 __all__ = [
@@ -23,9 +23,4 @@ __all__ = [
     "AllowEntry",
     "ProjectRule",
     "ProjectContext",
-    "DispatchSite",
-    "StrategyRoot",
-    "call_chain",
-    "definition_step",
-    "entry_of",
 ]

@@ -15,11 +15,10 @@ carrying a one-line justification.
 
 from __future__ import annotations
 
-import ast
 from typing import Sequence
 
 from ..base import Rule
-from ..findings import EvidenceStep, Finding, Severity
+from ..findings import EvidenceStep, Finding
 from .context import ProjectContext
 
 __all__ = ["ProjectRule"]
@@ -54,31 +53,23 @@ class ProjectRule(Rule):
     def report(
         self,
         module: str,
-        line: "int | ast.AST",
+        line: int,
         message: str,
         *,
         symbol: str,
-        evidence: "Sequence[EvidenceStep] | None" = None,
-        hint: "str | None" = None,
-        severity: "Severity | None" = None,
-        col: int = 0,
+        evidence: "Sequence[EvidenceStep]" = (),
     ) -> None:
         """Record one violation unless a pragma or allowlist entry covers it.
 
         Args:
             module: dotted module the violation lives in.
-            line: 1-based line number or the anchoring AST node.
+            line: 1-based line number.
             message: occurrence-specific description.
-            symbol: the symbol the allowlist matches on (function qualname,
-                binding name, or exported name).
-            evidence: cross-file chain (definition -> call path -> site).
+            symbol: the symbol the allowlist matches on (binding name,
+                ``Class.method``, import target, or exported name).
+            evidence: the steps from definition site to violation site.
         """
-        if isinstance(line, ast.AST):
-            col = getattr(line, "col_offset", 0)
-            line = getattr(line, "lineno", 1)
         ctx = self.pctx.files.get(module)
-        if ctx is None:
+        if ctx is None or self.pctx.allowed(self.id, module, symbol):
             return
-        if self.pctx.allowed(self.id, module, symbol) is not None:
-            return
-        self._emit(ctx, line, col, message, hint, severity, evidence or ())
+        self._emit(ctx, line, 0, message, None, evidence)

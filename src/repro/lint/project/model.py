@@ -1,38 +1,35 @@
-"""Per-module facts the project-wide analyzer extracts in one AST pass.
+"""Per-module facts the project-wide rules read, extracted in one AST pass.
 
-The whole-project rules (REP201-REP206) never re-walk raw trees: each file
-is distilled once into a :class:`ModuleFacts` — imports, module-level
-bindings with a mutability classification, function summaries (calls,
-reads, writes, ``self`` attribute accesses with their guarding ``with``
-contexts), class summaries, and ``__all__`` exports.  Rules then reason
-over these summaries plus the graphs :mod:`repro.lint.project.context`
-derives from them.
-
-Everything here is deliberately *over-approximate in the safe direction
-for a linter*: when a construct cannot be resolved statically (a call
-through a variable, a dynamically-built name) it is recorded as unknown
-and the rules prefer a false negative over a false positive.
+The project rules (REP201, REP202, REP204-REP206) never re-walk raw trees:
+each file is distilled once into a :class:`ModuleFacts` — imports,
+module-level bindings with a mutability classification, function
+summaries (reads and writes of non-local names, ``self`` attribute
+accesses with their guarding ``with`` contexts), class summaries, and
+``__all__`` exports.  No rule follows a call: each one checks the facts of
+the modules it names.  A construct that cannot be resolved statically (a
+dynamically-built name) is recorded as unknown, and the rules prefer a
+false negative over a false positive.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
+
+from ..base import dotted_name, leaf_name
 
 __all__ = [
     "ImportRecord",
     "Binding",
-    "CallSite",
-    "ReadSite",
+    "NameSite",
     "WriteSite",
     "SelfAccess",
     "FunctionFacts",
     "ClassFacts",
-    "ExportedName",
     "ModuleFacts",
     "extract_module_facts",
-    "annotation_tokens",
+    "collect_reference_names",
 ]
 
 #: Constructors producing module-level *mutable* containers.
@@ -54,7 +51,7 @@ _MUTABLE_CTORS = frozenset(
     }
 )
 
-#: Constructors producing immutable values (exact comparison is sound).
+#: Constructors producing immutable values.
 _IMMUTABLE_CTORS = frozenset(
     {"tuple", "frozenset", "int", "float", "str", "bytes", "bool", "complex"}
 )
@@ -82,18 +79,6 @@ _MUTATING_METHODS = frozenset(
 )
 
 
-def _dotted(node: ast.AST) -> "str | None":
-    """Render a Name/Attribute chain as ``a.b.c`` (None for other shapes)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _base_name(node: ast.AST) -> "str | None":
     """The root Name of an Attribute/Subscript chain, else None."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -101,24 +86,6 @@ def _base_name(node: ast.AST) -> "str | None":
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def annotation_tokens(node: "ast.expr | None") -> frozenset[str]:
-    """Identifier tokens mentioned by an annotation (handles string forms)."""
-    if node is None:
-        return frozenset()
-    tokens: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            tokens.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            tokens.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            for raw in sub.value.replace("|", " ").replace("[", " ").split():
-                token = raw.strip("\"'[](),. ")
-                if token.isidentifier():
-                    tokens.add(token)
-    return frozenset(tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,17 +123,9 @@ class Binding:
 
 
 @dataclass(frozen=True, slots=True)
-class CallSite:
-    """One call (or function reference) inside a function body."""
-
-    name: str  # dotted ("a.b.c"), "self.x", or bare
-    lineno: int
-    is_reference: bool = False  # a bare Name load, not a direct call
-
-
-@dataclass(frozen=True, slots=True)
-class ReadSite:
-    """A Name load of a non-local identifier inside a function body."""
+class NameSite:
+    """A name and the line it appears on: a function's load of a non-local
+    identifier, or one ``__all__`` entry."""
 
     name: str
     lineno: int
@@ -198,7 +157,6 @@ class SelfAccess:
 
     attr: str
     lineno: int
-    write: bool
     guards: tuple[str, ...]
 
 
@@ -210,23 +168,10 @@ class FunctionFacts:
     qualname: str
     name: str
     lineno: int
-    end_lineno: int
-    class_name: "str | None"
-    calls: tuple[CallSite, ...]
-    reads: tuple[ReadSite, ...]
+    reads: tuple[NameSite, ...]
     writes: tuple[WriteSite, ...]
     self_accesses: tuple[SelfAccess, ...]
-    global_decls: frozenset[str]
-    local_names: frozenset[str]
-    param_annotations: tuple[tuple[str, frozenset[str]], ...]
-    local_instances: tuple[tuple[str, str, int], ...]
-    is_generator: bool
     decorators: tuple[str, ...]
-
-    @property
-    def fid(self) -> str:
-        """Project-unique function id, ``module:qualname``."""
-        return f"{self.module}:{self.qualname}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,20 +184,11 @@ class ClassFacts:
     methods: tuple[FunctionFacts, ...]
     attr_classes: tuple[tuple[str, str], ...]  # self.x = Cls(...) in any method
     decorators: tuple[str, ...]
-    bases: tuple[str, ...]
 
     @property
     def is_frozen_dataclass(self) -> bool:
         """True for ``@dataclass(frozen=True)`` classes (value objects)."""
         return any("frozen=True" in d for d in self.decorators)
-
-
-@dataclass(frozen=True, slots=True)
-class ExportedName:
-    """One ``__all__`` entry with the line it appears on."""
-
-    name: str
-    lineno: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,26 +201,22 @@ class ModuleFacts:
     bindings: tuple[Binding, ...]
     functions: tuple[FunctionFacts, ...]
     classes: tuple[ClassFacts, ...]
-    exports: tuple[ExportedName, ...]
-    binding_map: dict[str, Binding] = field(default_factory=dict)
+    exports: tuple[NameSite, ...]
+    binding_map: dict[str, Binding]
 
     def binding(self, name: str) -> "Binding | None":
         return self.binding_map.get(name)
 
 
 class _FunctionScanner(ast.NodeVisitor):
-    """Collects call/read/write/self-access facts from one function body."""
+    """Collects read/write/self-access facts from one function body."""
 
-    def __init__(self, func: ast.AST, class_name: "str | None") -> None:
-        self.class_name = class_name
-        self.calls: list[CallSite] = []
-        self.reads: list[ReadSite] = []
+    def __init__(self, func: ast.AST) -> None:
+        self.reads: list[NameSite] = []
         self.writes: list[WriteSite] = []
         self.self_accesses: list[SelfAccess] = []
         self.global_decls: set[str] = set()
         self.local_names: set[str] = set()
-        self.local_instances: list[tuple[str, str, int]] = []
-        self.is_generator = False
         self._guards: list[str] = []
         self._collect_locals(func)
 
@@ -310,21 +242,6 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- traversal helpers ---------------------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # Nested defs: their bodies still run in-process when called, so we
-        # keep scanning (their locals were already folded in).
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self.is_generator = True
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.is_generator = True
-        self.generic_visit(node)
-
     def visit_With(self, node: ast.With) -> None:
         self._visit_with(node)
 
@@ -334,9 +251,9 @@ class _FunctionScanner(ast.NodeVisitor):
     def _visit_with(self, node: "ast.With | ast.AsyncWith") -> None:
         added = []
         for item in node.items:
-            dotted = _dotted(item.context_expr)
+            dotted = dotted_name(item.context_expr)
             if dotted is None and isinstance(item.context_expr, ast.Call):
-                dotted = _dotted(item.context_expr.func)
+                dotted = dotted_name(item.context_expr.func)
             if dotted is not None:
                 self._guards.append(dotted)
                 added.append(dotted)
@@ -357,30 +274,12 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- fact collection -----------------------------------------------------
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if isinstance(node.value, ast.Call):
-            ctor = node.value.func
-            cname = (
-                ctor.id
-                if isinstance(ctor, ast.Name)
-                else (ctor.attr if isinstance(ctor, ast.Attribute) else None)
-            )
-            if cname is not None:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.local_instances.append(
-                            (target.id, cname, node.lineno)
-                        )
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            self.calls.append(CallSite(name=dotted, lineno=node.lineno))
+        dotted = dotted_name(node.func)
+        if dotted is not None and "." in dotted:
             base = dotted.split(".", 1)[0]
             if (
-                "." in dotted
-                and node.func.attr in _MUTATING_METHODS  # type: ignore[union-attr]
+                node.func.attr in _MUTATING_METHODS  # type: ignore[union-attr]
                 and base not in self.local_names
                 and base != "self"
             ):
@@ -392,16 +291,12 @@ class _FunctionScanner(ast.NodeVisitor):
                         detail=f"{dotted}()",
                     )
                 )
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
+        self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
             if node.id not in self.local_names:
-                self.reads.append(ReadSite(name=node.id, lineno=node.lineno))
-                self.calls.append(
-                    CallSite(name=node.id, lineno=node.lineno, is_reference=True)
-                )
+                self.reads.append(NameSite(name=node.id, lineno=node.lineno))
         elif isinstance(node.ctx, ast.Store) and node.id in self.global_decls:
             self.writes.append(
                 WriteSite(name=node.id, lineno=node.lineno, kind="global")
@@ -412,10 +307,7 @@ class _FunctionScanner(ast.NodeVisitor):
         if base == "self" and isinstance(node.value, ast.Name):
             self.self_accesses.append(
                 SelfAccess(
-                    attr=node.attr,
-                    lineno=node.lineno,
-                    write=isinstance(node.ctx, (ast.Store, ast.Del)),
-                    guards=tuple(self._guards),
+                    attr=node.attr, lineno=node.lineno, guards=tuple(self._guards)
                 )
             )
         elif (
@@ -428,7 +320,7 @@ class _FunctionScanner(ast.NodeVisitor):
                     name=base,
                     lineno=node.lineno,
                     kind="attribute",
-                    detail=_dotted(node) or node.attr,
+                    detail=dotted_name(node) or node.attr,
                 )
             )
         self.generic_visit(node)
@@ -458,12 +350,7 @@ def _classify_value(value: "ast.expr | None") -> "tuple[str, str | None]":
     if isinstance(value, (ast.Constant, ast.Tuple, ast.JoinedStr)):
         return "immutable", None
     if isinstance(value, ast.Call):
-        func = value.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else (func.attr if isinstance(func, ast.Attribute) else None)
-        )
+        name = leaf_name(value.func)
         if name in _MUTABLE_CTORS:
             return "mutable", None
         if name in _IMMUTABLE_CTORS:
@@ -479,34 +366,18 @@ def _scan_function(
     module: str,
     class_name: "str | None",
 ) -> FunctionFacts:
-    scanner = _FunctionScanner(node, class_name)
+    scanner = _FunctionScanner(node)
     for stmt in node.body:
         scanner.visit(stmt)
-    qualname = f"{class_name}.{node.name}" if class_name else node.name
-    params = tuple(
-        (arg.arg, annotation_tokens(arg.annotation))
-        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-        if arg.annotation is not None
-    )
     return FunctionFacts(
         module=module,
-        qualname=qualname,
+        qualname=f"{class_name}.{node.name}" if class_name else node.name,
         name=node.name,
         lineno=node.lineno,
-        end_lineno=getattr(node, "end_lineno", node.lineno) or node.lineno,
-        class_name=class_name,
-        calls=tuple(scanner.calls),
         reads=tuple(scanner.reads),
         writes=tuple(scanner.writes),
         self_accesses=tuple(scanner.self_accesses),
-        global_decls=frozenset(scanner.global_decls),
-        local_names=frozenset(scanner.local_names),
-        param_annotations=params,
-        local_instances=tuple(scanner.local_instances),
-        is_generator=scanner.is_generator,
-        decorators=tuple(
-            ast.unparse(d) for d in node.decorator_list
-        ),
+        decorators=tuple(ast.unparse(d) for d in node.decorator_list),
     )
 
 
@@ -559,25 +430,10 @@ def extract_module_facts(
     bindings: list[Binding] = []
     functions: list[FunctionFacts] = []
     classes: list[ClassFacts] = []
-    exports: list[ExportedName] = []
+    exports: list[NameSite] = []
 
-    def record_binding(
-        name: str, lineno: int, value: "ast.expr | None", kind: str = "value"
-    ) -> None:
-        if kind in ("function", "class", "import"):
-            bindings.append(
-                Binding(name=name, lineno=lineno, mutability="immutable", kind=kind)
-            )
-            return
-        mutability, value_class = _classify_value(value)
-        bindings.append(
-            Binding(
-                name=name,
-                lineno=lineno,
-                mutability=mutability,
-                value_class=value_class,
-            )
-        )
+    def record_binding(name: str, lineno: int, kind: str) -> None:
+        bindings.append(Binding(name, lineno, "immutable", kind=kind))
 
     # Import records cover the whole module: an import deferred into a
     # function or an ``if TYPE_CHECKING:`` block is still an edge of the
@@ -595,48 +451,28 @@ def extract_module_facts(
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                record_binding(
-                    alias.asname or alias.name.split(".")[0],
-                    node.lineno,
-                    None,
-                    kind="import",
-                )
+                name = alias.asname or alias.name.split(".")[0]
+                record_binding(name, node.lineno, "import")
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                record_binding(
-                    alias.asname or alias.name, node.lineno, None, kind="import"
-                )
+                record_binding(alias.asname or alias.name, node.lineno, "import")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.append(_scan_function(node, module, None))
-            record_binding(node.name, node.lineno, None, kind="function")
+            record_binding(node.name, node.lineno, "function")
         elif isinstance(node, ast.ClassDef):
             methods = [
                 _scan_function(sub, module, node.name)
                 for sub in node.body
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-            attr_classes: list[tuple[str, str]] = []
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign):
-                    for target_node in sub.targets:
-                        if (
-                            isinstance(target_node, ast.Attribute)
-                            and isinstance(target_node.value, ast.Name)
-                            and target_node.value.id == "self"
-                            and isinstance(sub.value, ast.Call)
-                        ):
-                            ctor = sub.value.func
-                            cname = (
-                                ctor.id
-                                if isinstance(ctor, ast.Name)
-                                else (
-                                    ctor.attr
-                                    if isinstance(ctor, ast.Attribute)
-                                    else None
-                                )
-                            )
-                            if cname is not None:
-                                attr_classes.append((target_node.attr, cname))
+            attr_classes = [
+                (target.attr, cname)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
+                and (cname := leaf_name(sub.value.func)) is not None
+                for target in sub.targets
+                if isinstance(target, ast.Attribute) and dotted_name(target.value) == "self"
+            ]
             classes.append(
                 ClassFacts(
                     module=module,
@@ -645,13 +481,10 @@ def extract_module_facts(
                     methods=tuple(methods),
                     attr_classes=tuple(attr_classes),
                     decorators=tuple(ast.unparse(d) for d in node.decorator_list),
-                    bases=tuple(
-                        filter(None, (_dotted(base) for base in node.bases))
-                    ),
                 )
             )
             functions.extend(methods)
-            record_binding(node.name, node.lineno, None, kind="class")
+            record_binding(node.name, node.lineno, "class")
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -668,14 +501,17 @@ def extract_module_facts(
                             element.value, str
                         ):
                             exports.append(
-                                ExportedName(
+                                NameSite(
                                     name=element.value, lineno=element.lineno
                                 )
                             )
                     continue
-                record_binding(target_node.id, node.lineno, value)
+                mutability, value_class = _classify_value(value)
+                bindings.append(
+                    Binding(target_node.id, node.lineno, mutability, value_class)
+                )
 
-    facts = ModuleFacts(
+    return ModuleFacts(
         module=module,
         rel=rel,
         imports=tuple(imports),
@@ -683,10 +519,8 @@ def extract_module_facts(
         functions=tuple(functions),
         classes=tuple(classes),
         exports=tuple(exports),
+        binding_map={binding.name: binding for binding in bindings},
     )
-    for binding in bindings:
-        facts.binding_map[binding.name] = binding
-    return facts
 
 
 def collect_reference_names(trees: Iterable[ast.Module]) -> set[str]:
@@ -742,6 +576,3 @@ def collect_reference_names(trees: Iterable[ast.Module]) -> set[str]:
                         if token.isidentifier():
                             referenced.add(token)
     return referenced
-
-
-__all__.append("collect_reference_names")

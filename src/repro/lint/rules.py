@@ -16,13 +16,6 @@ Each rule guards one invariant the paper's correctness claims depend on
 * ``numpy-scalar-leak`` — public core APIs return Python scalars, not
   ``np.float64`` (which pickles bigger, compares oddly with ``is``, and
   leaks dtype decisions to callers).
-* ``public-annotations`` — every public core function is fully annotated
-  (the static half of the ``mypy --strict`` gate).
-* ``no-print`` — library code reports through return values and
-  exceptions; only the CLI prints.
-* ``picklable-workers`` — process-pool work units must be module-level
-  callables; lambdas/closures die in ``pickle`` only when ``--jobs`` > 1,
-  the least-tested path.
 * ``broad-except`` — ``except:`` and ``except BaseException`` swallow
   ``KeyboardInterrupt``/``SystemExit``; only the resilience layer (whose
   contract is to classify and re-raise them) may catch that broadly.
@@ -39,14 +32,19 @@ Each rule guards one invariant the paper's correctness claims depend on
 
 All rules are heuristic AST checks: they prefer false negatives over false
 positives, and intentional exceptions carry a per-line
-``# lint: ignore[rule-name]`` pragma next to a justification.
+``# lint: ignore[rule-name]`` pragma next to a justification.  Each rule's
+``explanation`` (``repro lint --explain``) names its invariant, what else
+holds it, and the change it caught (DESIGN.md §13 keeps the same census).
+Retired ids stay retired: REP106 went to ``mypy --strict``, REP107 to
+ruff's ``T10``/``T20``, REP108 to the pickling of every dispatch on the
+``--jobs 2`` tier-1 path.
 """
 
 from __future__ import annotations
 
 import ast
 
-from .base import FileContext, LintRule, register
+from .base import FileContext, LintRule, dotted_name, leaf_name, register
 
 __all__ = [
     "FloatEqualityRule",
@@ -54,34 +52,10 @@ __all__ = [
     "ErrorHierarchyRule",
     "DeterminismRule",
     "NumpyScalarLeakRule",
-    "PublicAnnotationsRule",
-    "NoPrintRule",
-    "PicklableWorkersRule",
     "BroadExceptRule",
     "RawTimingRule",
     "TwoTypeAssumptionRule",
 ]
-
-
-def _identifier_of(node: ast.AST) -> "str | None":
-    """The trailing identifier of a Name/Attribute, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _dotted(node: ast.AST) -> "str | None":
-    """Render a Name/Attribute chain as ``a.b.c`` (None for other shapes)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _tokens(identifier: str) -> set[str]:
@@ -135,10 +109,10 @@ def _is_infinity(node: ast.expr) -> bool:
     """True for expressions that denote +/-inf (exact comparison is sound)."""
     if isinstance(node, ast.UnaryOp):
         return _is_infinity(node.operand)
-    ident = _identifier_of(node)
+    ident = leaf_name(node)
     if ident is not None and ident.lower() in {"inf", "infinity", "_inf"}:
         return True
-    if isinstance(node, ast.Call) and _identifier_of(node.func) == "float":
+    if isinstance(node, ast.Call) and leaf_name(node.func) == "float":
         if len(node.args) == 1 and isinstance(node.args[0], ast.Constant):
             value = node.args[0].value
             return isinstance(value, str) and value.strip("+-").lower() in {
@@ -153,9 +127,9 @@ def _is_infinity(node: ast.expr) -> bool:
 def _is_float_flavored(node: ast.expr) -> bool:
     """Heuristic: does this expression hold a float period/weight?"""
     if isinstance(node, ast.Call):
-        ident = _identifier_of(node.func)
+        ident = leaf_name(node.func)
         return ident in _FLOAT_CALLS
-    ident = _identifier_of(node)
+    ident = leaf_name(node)
     if ident is not None and _tokens(ident) & _FLOAT_TOKENS:
         return True
     return False
@@ -174,6 +148,11 @@ class FloatEqualityRule(LintRule):
     hint = (
         "use math.isclose(a, b, rel_tol=...) or abs(a - b) <= eps; "
         "exact comparison against math.inf is fine"
+    )
+    explanation = (
+        "Invariant: periods/weights are compared with a tolerance (a "
+        "re-derived sum differs by ULPs). Also held by: nothing. Caught: "
+        "none recorded."
     )
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -225,6 +204,11 @@ class FrozenMutationRule(LintRule):
         "TaskChain.from_weights); object.__setattr__ is reserved for the "
         "owning class's __init__/__post_init__ and internal caches"
     )
+    explanation = (
+        "Invariant: the fingerprinted value objects are never mutated. Also "
+        "held by: @dataclass(frozen=True), for plain writes that run; not "
+        "object.__setattr__. Caught: none recorded."
+    )
 
     def __init__(self, ctx: FileContext) -> None:
         super().__init__(ctx)
@@ -263,7 +247,7 @@ class FrozenMutationRule(LintRule):
 
     def visit_Call(self, node: ast.Call) -> None:
         if (
-            _dotted(node.func) == "object.__setattr__"
+            dotted_name(node.func) == "object.__setattr__"
             and node.args
             and not (
                 isinstance(node.args[0], ast.Name)
@@ -282,21 +266,6 @@ class FrozenMutationRule(LintRule):
 # ---------------------------------------------------------------------------
 # REP103 — error-hierarchy
 # ---------------------------------------------------------------------------
-
-#: Exception names the core may raise.
-_ALLOWED_RAISES = frozenset(
-    {
-        "SchedulingError",
-        "InvalidChainError",
-        "InvalidPlatformError",
-        "InvalidParameterError",
-        "InfeasibleScheduleError",
-        "UnknownStrategyError",
-        "CertificationError",
-        "NotImplementedError",
-        "StopIteration",
-    }
-)
 
 #: Builtin exceptions whose use in core signals a hierarchy escape.
 _BANNED_RAISES = frozenset(
@@ -330,6 +299,11 @@ class ErrorHierarchyRule(LintRule):
         "InvalidParameterError / UnknownStrategyError (see "
         "repro.core.errors) instead of a bare builtin exception"
     )
+    explanation = (
+        "Invariant: repro.core raises only repro.core.errors types. Also "
+        "held by: the tests' pytest.raises, on the paths they run. Caught: "
+        "none recorded."
+    )
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
@@ -339,9 +313,9 @@ class ErrorHierarchyRule(LintRule):
         exc = node.exc
         name = None
         if isinstance(exc, ast.Call):
-            name = _identifier_of(exc.func)
+            name = leaf_name(exc.func)
         elif exc is not None:
-            name = _identifier_of(exc)
+            name = leaf_name(exc)
         if name is not None and name in _BANNED_RAISES:
             self.report(
                 node,
@@ -396,13 +370,18 @@ class DeterminismRule(LintRule):
         "thread an explicit seeded np.random.default_rng(seed) through the "
         "call, and iterate sorted() or list-ordered collections"
     )
+    explanation = (
+        "Invariant: same bits on every run and for any --jobs. Also held "
+        "by: the --jobs parity tests and the artefact and sim digests, on "
+        "the paths they run. Caught: none recorded."
+    )
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
         return ctx.in_solver_paths
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "popitem"
@@ -478,7 +457,7 @@ class DeterminismRule(LintRule):
                 hint="iterate a tuple/list, or sorted(...) the set",
             )
         elif isinstance(iterable, ast.Call):
-            dotted = _dotted(iterable.func)
+            dotted = dotted_name(iterable.func)
             if dotted in _FS_ORDER_CALLS:
                 self.report(
                     iterable,
@@ -524,7 +503,7 @@ def _subscripts_arrayish(node: ast.expr) -> bool:
     """True when the expression subscripts an array-conventional name."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Subscript):
-            base = _identifier_of(sub.value)
+            base = leaf_name(sub.value)
             if base is not None and base in _ARRAYISH:
                 return True
     return False
@@ -542,6 +521,11 @@ class NumpyScalarLeakRule(LintRule):
         "leaks dtypes into caches, JSON, and equality checks"
     )
     hint = "wrap the returned expression in float(...) or int(...)"
+    explanation = (
+        "Invariant: a public core float/int function returns a Python "
+        "scalar. Also held by: nothing (np.float64 subclasses float). "
+        "Caught: none recorded."
+    )
 
     def __init__(self, ctx: FileContext) -> None:
         super().__init__(ctx)
@@ -573,7 +557,7 @@ class NumpyScalarLeakRule(LintRule):
             value = stmt.value
             if value is None:
                 continue
-            if isinstance(value, ast.Call) and _identifier_of(value.func) in {
+            if isinstance(value, ast.Call) and leaf_name(value.func) in {
                 "float",
                 "int",
                 "bool",
@@ -608,7 +592,7 @@ class NumpyScalarLeakRule(LintRule):
     @staticmethod
     def _leaks(value: ast.expr) -> bool:
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None and dotted.startswith(("np.", "numpy.")):
                 return True
             if (
@@ -619,187 +603,6 @@ class NumpyScalarLeakRule(LintRule):
         if isinstance(value, (ast.Subscript, ast.BinOp)):
             return _subscripts_arrayish(value)
         return False
-
-
-# ---------------------------------------------------------------------------
-# REP106 — public-annotations
-# ---------------------------------------------------------------------------
-
-
-@register
-class PublicAnnotationsRule(LintRule):
-    """Every public core function carries full type annotations."""
-
-    id = "REP106"
-    name = "public-annotations"
-    description = (
-        "public repro.core functions must annotate every parameter and the "
-        "return type (the static half of the mypy --strict gate)"
-    )
-    hint = "add parameter and return annotations"
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        return ctx.in_core
-
-    def __init__(self, ctx: FileContext) -> None:
-        super().__init__(ctx)
-        self._class_stack: list[str] = []
-        self._func_depth = 0
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check(node)
-        self._func_depth += 1
-        self.generic_visit(node)
-        self._func_depth -= 1
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def _check(self, node: ast.FunctionDef) -> None:
-        if self._func_depth > 0:
-            return  # local helpers are mypy's (strict) problem, not the API's
-        public = not node.name.startswith("_") or (
-            node.name.startswith("__") and node.name.endswith("__")
-        )
-        if not public or any(c.startswith("_") for c in self._class_stack):
-            return
-        missing: list[str] = []
-        args = node.args
-        positional = [*args.posonlyargs, *args.args]
-        if positional and self._class_stack and positional[0].arg in {
-            "self",
-            "cls",
-        }:
-            positional = positional[1:]
-        for arg in [*positional, *args.kwonlyargs]:
-            if arg.annotation is None:
-                missing.append(arg.arg)
-        for star in (args.vararg, args.kwarg):
-            if star is not None and star.annotation is None:
-                missing.append(star.arg)
-        if node.returns is None:
-            missing.append("return")
-        if missing:
-            self.report(
-                node,
-                f"public function {node.name}() is missing annotations "
-                f"for: {', '.join(missing)}",
-            )
-
-
-# ---------------------------------------------------------------------------
-# REP107 — no-print
-# ---------------------------------------------------------------------------
-
-#: Modules allowed to write to stdout (the user-facing surfaces).
-_PRINT_ALLOWED = ("repro.cli", "repro.__main__", "repro.lint")
-
-
-@register
-class NoPrintRule(LintRule):
-    """No ``print()`` (or debugger leftovers) in library code."""
-
-    id = "REP107"
-    name = "no-print"
-    description = (
-        "library code communicates through return values and exceptions; "
-        "only the CLI/reporter modules print"
-    )
-    hint = (
-        "return the rendered string (like the experiment render() "
-        "functions) or raise; printing belongs to repro.cli"
-    )
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        return ctx.module.startswith("repro") and not ctx.module.startswith(
-            _PRINT_ALLOWED
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if isinstance(node.func, ast.Name) and node.func.id in {
-            "print",
-            "breakpoint",
-        }:
-            self.report(node, f"{node.func.id}() call in library code")
-        elif dotted in {"pdb.set_trace", "sys.stdout.write"}:
-            self.report(node, f"{dotted}() call in library code")
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# REP108 — picklable-workers
-# ---------------------------------------------------------------------------
-
-#: Executor methods that ship their callable argument to workers.
-_DISPATCH_METHODS = frozenset({"map", "submit", "apply_async", "imap", "starmap"})
-
-
-@register
-class PicklableWorkersRule(LintRule):
-    """Engine work units must be module-level (picklable) callables."""
-
-    id = "REP108"
-    name = "picklable-workers"
-    description = (
-        "callables handed to executor.map/submit must be module-level "
-        "functions: lambdas and closures fail to pickle, and only when "
-        "--jobs > 1 — the least-tested configuration"
-    )
-    hint = (
-        "move the worker to module scope (like repro.engine.batch."
-        "solve_unit) and pass its inputs as picklable arguments"
-    )
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        return ctx.in_engine
-
-    def __init__(self, ctx: FileContext) -> None:
-        super().__init__(ctx)
-        self._nested: set[str] = set()
-        self._collect_nested(ctx.tree, depth=0)
-
-    def _collect_nested(self, node: ast.AST, depth: int) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if depth >= 1:
-                    self._nested.add(child.name)
-                self._collect_nested(child, depth + 1)
-            else:
-                self._collect_nested(child, depth)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _DISPATCH_METHODS
-            and node.args
-        ):
-            worker = node.args[0]
-            if isinstance(worker, ast.Lambda):
-                self.report(
-                    node, "lambda passed to an executor dispatch method"
-                )
-            elif (
-                isinstance(worker, ast.Name) and worker.id in self._nested
-            ):
-                self.report(
-                    node,
-                    f"locally-defined function {worker.id!r} passed to an "
-                    "executor dispatch method (closures don't pickle)",
-                )
-        for keyword in node.keywords:
-            if keyword.arg == "initializer" and isinstance(
-                keyword.value, ast.Lambda
-            ):
-                self.report(node, "lambda used as a pool initializer")
-        self.generic_visit(node)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +631,12 @@ class BroadExceptRule(LintRule):
         "observe KeyboardInterrupt, route the work through "
         "repro.engine.resilience instead"
     )
+    explanation = (
+        "Invariant: only repro.engine.resilience catches KeyboardInterrupt. "
+        "Also held by: ruff E722, for bare `except:` only. Caught: none "
+        "recorded (the streampu runtime's handlers got pragmas when it came "
+        "in)."
+    )
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
@@ -844,7 +653,7 @@ class BroadExceptRule(LintRule):
             )
         else:
             for exc in self._named_exceptions(node.type):
-                if _identifier_of(exc) == "BaseException":
+                if leaf_name(exc) == "BaseException":
                     self.report(
                         node,
                         "'except BaseException' swallows KeyboardInterrupt "
@@ -912,6 +721,11 @@ class RawTimingRule(LintRule):
     hint = (
         "from repro.obs.clock import monotonic  # durations\n"
         "    (or wall() for display timestamps); time.sleep is fine"
+    )
+    explanation = (
+        "Invariant: every clock read goes through repro.obs.clock. Also "
+        "held by: nothing. Caught: when it came in, raw clock reads in the "
+        "CLI, executor, ablation, table3 and streampu runtime."
     )
 
     @classmethod
@@ -995,6 +809,11 @@ class TwoTypeAssumptionRule(LintRule):
         "no identity), and derive the complement from the index instead of "
         ".other"
     )
+    explanation = (
+        "Invariant: code outside the k = 2 shims works for any number of "
+        "core types. Also held by: tests/core/test_ktype.py, on its paths. "
+        "Caught: when it came in, the tree's two-type assumptions."
+    )
 
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
@@ -1004,7 +823,7 @@ class TwoTypeAssumptionRule(LintRule):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr == "other":
-            ident = _identifier_of(node.value)
+            ident = leaf_name(node.value)
             if ident is not None and (
                 ident == "CoreType" or "type" in _tokens(ident)
             ):
@@ -1021,7 +840,7 @@ class TwoTypeAssumptionRule(LintRule):
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
         )
         if has_identity and any(
-            (dotted := _dotted(operand)) is not None
+            (dotted := dotted_name(operand)) is not None
             and dotted.startswith("CoreType.")
             for operand in operands
         ):
@@ -1035,7 +854,7 @@ class TwoTypeAssumptionRule(LintRule):
 
     def _check_literal_enumeration(self, node: "ast.Tuple | ast.List") -> None:
         members = {
-            _dotted(element)
+            dotted_name(element)
             for element in node.elts
             if isinstance(element, ast.Attribute)
         }

@@ -34,7 +34,7 @@ implementations (:data:`~repro.obs.tracer.NULL_TRACER`,
 permanently inlined in the hot paths.
 """
 
-from .clock import monotonic, monotonic_ns, wall
+from .clock import monotonic, wall
 from .context import (
     NULL_CONTEXT,
     ObsConfig,
@@ -82,7 +82,6 @@ from .tracer import NULL_TRACER, NullTracer, Tracer, TracerLike
 
 __all__ = [
     "monotonic",
-    "monotonic_ns",
     "wall",
     "AttrValue",
     "Span",

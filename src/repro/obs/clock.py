@@ -3,7 +3,8 @@
 Every timing decision in the tree routes through this module so that the
 project has exactly one place where "what does a timestamp mean" is decided.
 Lint rule REP110 (``raw-timing``) enforces this: raw ``time.perf_counter()``
-and ``time.time()`` calls are forbidden outside ``repro.obs``.
+and ``time.time()`` calls are forbidden outside this module and
+``repro.obs.profile``.
 
 ``monotonic()`` is :func:`time.perf_counter`, which on Linux is
 ``CLOCK_MONOTONIC`` — a *system-wide* clock, so span timestamps recorded in
@@ -19,17 +20,12 @@ measure durations.
 
 import time
 
-__all__ = ["monotonic", "monotonic_ns", "wall"]
+__all__ = ["monotonic", "wall"]
 
 
 def monotonic() -> float:
     """Seconds on a monotonic, system-wide clock; use for all durations."""
     return time.perf_counter()  # lint: ignore[raw-timing]
-
-
-def monotonic_ns() -> int:
-    """Nanoseconds on the same clock as :func:`monotonic`."""
-    return time.perf_counter_ns()  # lint: ignore[raw-timing]
 
 
 def wall() -> float:

@@ -1,4 +1,4 @@
-"""Graph-builder sanity: symbol table, import map, call graph, entries."""
+"""Fact-layer sanity: symbol table, import records and map, package graph."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.project import ProjectContext
+from repro.lint.project.rules import LayerBoundaryRule
 from repro.lint.project.model import extract_module_facts
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
@@ -40,12 +41,12 @@ class TestSymbolTable:
 
 
 class TestImportResolution:
-    def test_cross_module_class_resolves_to_ctor(self, pctx):
-        fids = pctx.resolve_callable("repro.core.uses_engine", "Cache")
-        assert fids == ("repro.engine.cache:Cache.__init__",)
+    def test_imported_name_resolves_to_its_binding(self, pctx):
+        home, binding = pctx.resolve_module_binding("repro.core.uses_engine", "Cache")
+        assert (home, binding.name, binding.kind) == ("repro.engine.cache", "Cache", "class")
 
     def test_unknown_name_resolves_to_nothing(self, pctx):
-        assert pctx.resolve_callable("repro.core.solvers", "no_such") == ()
+        assert pctx.resolve_module_binding("repro.core.solvers", "no_such") is None
 
     def test_deferred_imports_are_edges_and_the_module_body_wins_a_name(self):
         tree = ast.parse(
@@ -63,44 +64,7 @@ class TestImportResolution:
         ]
 
 
-class TestCallGraph:
-    def test_direct_call_edge(self, pctx):
-        edges = dict(pctx.call_edges["repro.core.solvers:solve_chain_batch"])
-        assert "repro.core.solvers:solve_chain" in edges
-
-    def test_reachability_walks_edges(self, pctx):
-        reach = pctx.reachable_from(["repro.core.solvers:solve_chain_batch"])
-        assert "repro.core.solvers:solve_chain" in reach
-        parent, _ = reach["repro.core.solvers:solve_chain"]
-        assert parent == "repro.core.solvers:solve_chain_batch"
-
-
-class TestEntryDiscovery:
-    def test_strategy_roots_found(self, pctx):
-        roots = {(r.fid, r.keyword) for r in pctx.strategy_roots}
-        assert roots == {
-            ("repro.core.solvers:solve_chain", "func"),
-            ("repro.core.solvers:solve_chain_batch", "batch_func"),
-        }
-
-    def test_dispatch_site_found(self, pctx):
-        sites = {s.module: s for s in pctx.dispatch_sites}
-        assert set(sites) == {
-            "repro.engine.dispatch",
-            "repro.engine.shmem",
-        }
-        site = sites["repro.engine.dispatch"]
-        assert site.method == "map"
-        assert site.target_fids == ("repro.engine.dispatch:run_unit",)
-
-    def test_worker_entries_union(self, pctx):
-        entries = pctx.worker_entry_points()
-        assert "repro.engine.dispatch:run_unit" in entries
-        assert "repro.core.solvers:solve_chain" in entries
-
-
 class TestPackageGraph:
     def test_upward_edge_visible(self, pctx):
-        graph = pctx.package_import_graph()
-        targets = {tgt for tgt, _, _ in graph.get("core", set())}
-        assert "engine" in targets  # the seeded inversion
+        findings = LayerBoundaryRule.check_project(pctx)
+        assert ("repro/core/uses_engine.py", 3) in {(f.path, f.line) for f in findings}

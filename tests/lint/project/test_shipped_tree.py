@@ -8,9 +8,11 @@ allowlist entry fails here before it fails in production.
 from __future__ import annotations
 
 import ast
+import io
 import re
 import shutil
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,23 @@ class TestShippedTreeClean:
         assert reappeared == {
             (rule_id, f"src/{path}") for rule_id, path in sanctioned
         }
+
+    def test_every_pragma_names_a_registered_rule(self):
+        """A pragma naming a retired or misspelt rule silences nothing and
+        claims a check that no longer runs (REP106-REP108 and REP203 were
+        retired; their ids are refused, and must not linger in a pragma)."""
+        known = {r.name for r in RULE_REGISTRY.values()}
+        known |= {r.id for r in RULE_REGISTRY.values()}
+        stale = [
+            f"{path.relative_to(ROOT)}:{token.start[0]}: {name.strip()}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if token.type == tokenize.COMMENT
+            for names in re.findall(r"lint:\s*ignore\[([^\]]*)\]", token.string)
+            for name in names.split(",")
+            if name.strip() not in known
+        ]
+        assert stale == []
 
     def test_allowlist_entries_carry_justifications(self):
         for entry in ALLOWLIST:
@@ -145,14 +164,24 @@ class TestDocsNameWhatExists:
 
 class TestLayerContract:
     def test_every_import_flows_downward(self, pctx):
-        """The REP204 contract, asserted structurally: rank(src) > rank(tgt)."""
-        graph = pctx.package_import_graph()
-        for src_pkg, edges in graph.items():
-            for tgt_pkg, module, lineno in edges:
-                if src_pkg == tgt_pkg:
+        """The REP204 contract, asserted structurally on the raw import
+        facts (no pragma or allowlist can hide an edge): rank(src) > rank(tgt).
+        """
+
+        def package_of(module: str) -> "str | None":
+            if module != "repro" and not module.startswith("repro."):
+                return None
+            parts = module.split(".")
+            return parts[1] if len(parts) > 1 else ""
+
+        for module, facts in pctx.facts.items():
+            src_pkg = package_of(module)
+            for record in facts.imports:
+                tgt_pkg = package_of(record.target)
+                if src_pkg is None or tgt_pkg is None or src_pkg == tgt_pkg:
                     continue
                 assert LAYER_RANKS[src_pkg] > LAYER_RANKS[tgt_pkg], (
-                    f"{module}:{lineno} imports {tgt_pkg} from {src_pkg}: "
+                    f"{module}:{record.lineno} imports {tgt_pkg} from {src_pkg}: "
                     f"layer inversion"
                 )
 

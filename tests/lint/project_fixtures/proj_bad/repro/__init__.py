@@ -1,1 +1,1 @@
-"""Seeded-violation corpus: one deliberate REP201-REP206 hit per rule."""
+"""Seeded-violation corpus: deliberate hits for REP201, REP202, REP204-REP206."""

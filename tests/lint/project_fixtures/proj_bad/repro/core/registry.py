@@ -1,4 +1,4 @@
-"""Strategy registry: marks the solvers as memo-feeding worker entries."""
+"""Strategy registry: the solvers' one reference (keeps REP206 quiet)."""
 
 from .solvers import solve_chain, solve_chain_batch
 

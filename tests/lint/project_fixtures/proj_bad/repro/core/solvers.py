@@ -1,6 +1,4 @@
-"""Seeded REP201/REP205 violations: worker-side global state and clocks."""
-
-import time
+"""Seeded REP201/REP205 violations: solver code on module-level state."""
 
 from ..obs.constants import LIVE_LIMIT
 
@@ -11,12 +9,11 @@ _COUNTS: dict[str, int] = {}
 _TUNING: dict[str, float] = {"alpha": 0.5}
 
 
-def solve_chain(profile: str) -> tuple[str, float, float]:
-    started = time.monotonic()  # SEED REP205: clock outside obs.clock
+def solve_chain(profile: str) -> tuple[str, float]:
     scale = _TUNING["alpha"]  # SEED REP205: ambient mutable read
-    _COUNTS[profile] = LIVE_LIMIT  # SEED REP201: worker-reachable write
-    return (profile, scale, started)
+    _COUNTS[profile] = LIVE_LIMIT  # SEED REP201: write in a worker module
+    return (profile, scale)
 
 
-def solve_chain_batch(profiles: list[str]) -> list[tuple[str, float, float]]:
+def solve_chain_batch(profiles: list[str]) -> list[tuple[str, float]]:
     return [solve_chain(profile) for profile in profiles]

@@ -3,5 +3,5 @@
 from ..engine.cache import Cache  # SEED REP204: core -> engine is upward
 
 
-def make_cache() -> Cache:
+def _make_cache() -> Cache:
     return Cache()

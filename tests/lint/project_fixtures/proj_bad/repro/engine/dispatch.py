@@ -1,24 +1,26 @@
-"""Seeded REP203 violation: a lock-holding object flows into a WorkUnit."""
+"""Engine dispatch: a frozen WorkUnit crosses to the pool from the parent."""
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from .cache import Cache
+from ..core.solvers import solve_chain
+
+#: Parent-process bookkeeping: ``engine.dispatch`` is not one of the modules
+#: a worker runs, so REP201 leaves this write alone.
+_LAUNCHED: list[int] = []
 
 
 @dataclass(frozen=True)
 class WorkUnit:
     payload: Any
-    cache: Any
 
 
 def run_unit(unit: WorkUnit) -> Any:
-    return unit.payload
+    return solve_chain(str(unit.payload))
 
 
-def launch(items: list[Any]) -> list[Any]:
-    cache = Cache()
-    units = [WorkUnit(payload=item, cache=cache) for item in items]  # SEED REP203
+def _launch(items: list[Any]) -> list[Any]:
+    _LAUNCHED.append(len(items))
     with ProcessPoolExecutor() as pool:
-        return list(pool.map(run_unit, units))
+        return list(pool.map(run_unit, [WorkUnit(item) for item in items]))

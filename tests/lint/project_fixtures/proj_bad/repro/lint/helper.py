@@ -3,5 +3,5 @@
 from ..core.solvers import solve_chain  # SEED REP204: lint -> core
 
 
-def helper():
+def _helper():
     return solve_chain

@@ -1,6 +1,10 @@
-"""Seeded REP206 violation: one exported name no code ever references."""
+"""Seeded REP206 violations: an export and a public def nothing references."""
 
 __all__ = ["LIVE_LIMIT", "DEAD_LIMIT"]
 
 LIVE_LIMIT = 10
 DEAD_LIMIT = 99
+
+
+def dead_window() -> int:
+    return LIVE_LIMIT

@@ -1,4 +1,4 @@
-"""Strategy registry for the clean corpus."""
+"""Strategy registry for the clean corpus: the solvers' one reference."""
 
 from .solvers import solve_chain, solve_chain_batch
 

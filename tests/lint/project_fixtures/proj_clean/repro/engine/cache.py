@@ -3,7 +3,7 @@
 import threading
 
 
-class Cache:
+class _Cache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict[str, object] = {}

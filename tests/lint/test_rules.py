@@ -77,7 +77,7 @@ class TestFloatEquality:
         findings = lint_source(
             """
             def check(period: float, other_period: float) -> bool:
-                return period == other_period  # lint: ignore[no-print]
+                return period == other_period  # lint: ignore[broad-except]
             """,
             rules=["float-equality"],
         )
@@ -396,164 +396,8 @@ class TestNumpyScalarLeak:
 
 
 # ---------------------------------------------------------------------------
-# REP106 — public-annotations
+# REP109 — broad-except
 # ---------------------------------------------------------------------------
-
-
-class TestPublicAnnotations:
-    def test_flags_missing_annotations(self, lint_source):
-        findings = lint_source(
-            """
-            def schedule(chain, resources) -> None:
-                del chain, resources
-            """,
-            rules=["public-annotations"],
-        )
-        assert _ids(findings) == ["REP106"]
-        assert "chain" in findings[0].message
-        assert "resources" in findings[0].message
-
-    def test_flags_missing_return_annotation(self, lint_source):
-        findings = lint_source(
-            """
-            def schedule(chain: object):
-                return chain
-            """,
-            rules=["public-annotations"],
-        )
-        assert _ids(findings) == ["REP106"]
-        assert "return" in findings[0].message
-
-    def test_allows_fully_annotated_and_private(self, lint_source):
-        findings = lint_source(
-            """
-            def schedule(chain: object, *, jobs: int = 1) -> object:
-                return _helper(chain, jobs)
-
-            def _helper(chain, jobs):
-                return chain
-
-            class Planner:
-                def plan(self, chain: object) -> object:
-                    def local(x):
-                        return x
-
-                    return local(chain)
-            """,
-            rules=["public-annotations"],
-        )
-        assert findings == ()
-
-    def test_does_not_apply_outside_core(self, lint_source):
-        findings = lint_source(
-            """
-            def schedule(chain, resources):
-                return chain
-            """,
-            relpath="src/repro/analysis/sample.py",
-            rules=["public-annotations"],
-        )
-        assert findings == ()
-
-
-# ---------------------------------------------------------------------------
-# REP107 — no-print
-# ---------------------------------------------------------------------------
-
-
-class TestNoPrint:
-    def test_flags_print_in_library_code(self, lint_source):
-        findings = lint_source(
-            """
-            def report(value: float) -> None:
-                print(value)
-            """,
-            relpath="src/repro/workloads/sample.py",
-            rules=["no-print"],
-        )
-        assert _ids(findings) == ["REP107"]
-
-    def test_flags_debugger_leftovers(self, lint_source):
-        findings = lint_source(
-            """
-            import pdb
-
-            def report(value: float) -> None:
-                pdb.set_trace()
-            """,
-            relpath="src/repro/workloads/sample.py",
-            rules=["no-print"],
-        )
-        assert _ids(findings) == ["REP107"]
-
-    def test_allows_print_in_cli_modules(self, lint_source):
-        findings = lint_source(
-            """
-            def report(value: float) -> None:
-                print(value)
-            """,
-            relpath="src/repro/cli.py",
-            rules=["no-print"],
-        )
-        assert findings == ()
-
-
-# ---------------------------------------------------------------------------
-# REP108 — picklable-workers
-# ---------------------------------------------------------------------------
-
-
-class TestPicklableWorkers:
-    def test_flags_lambda_dispatch(self, lint_source):
-        findings = lint_source(
-            """
-            def run(pool, items):
-                return list(pool.map(lambda x: x + 1, items))
-            """,
-            relpath="src/repro/engine/sample.py",
-            rules=["picklable-workers"],
-        )
-        assert _ids(findings) == ["REP108"]
-
-    def test_flags_closure_dispatch(self, lint_source):
-        findings = lint_source(
-            """
-            def run(pool, items, offset):
-                def worker(x):
-                    return x + offset
-
-                return list(pool.map(worker, items))
-            """,
-            relpath="src/repro/engine/sample.py",
-            rules=["picklable-workers"],
-        )
-        assert _ids(findings) == ["REP108"]
-        assert "worker" in findings[0].message
-
-    def test_allows_module_level_worker(self, lint_source):
-        findings = lint_source(
-            """
-            def worker(x):
-                return x + 1
-
-            def run(pool, items):
-                return list(pool.map(worker, items))
-            """,
-            relpath="src/repro/engine/sample.py",
-            rules=["picklable-workers"],
-        )
-        assert findings == ()
-
-    def test_does_not_apply_outside_engine(self, lint_source):
-        findings = lint_source(
-            """
-            def run(pool, items):
-                return list(pool.map(lambda x: x + 1, items))
-            """,
-            relpath="src/repro/analysis/sample.py",
-            rules=["picklable-workers"],
-        )
-        assert findings == ()
 
 
 class TestBroadExcept:
