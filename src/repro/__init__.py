@@ -3,8 +3,8 @@
 A complete, self-contained reproduction of *"Scheduling Strategies for
 Partially-Replicable Task Chains on Two Types of Resources"* (Orhan et al.,
 IPPS 2025): the FERTAC and 2CATAC greedy heuristics, the optimal HeRAD
-dynamic program, the OTAC homogeneous baseline, a StreamPU-like pipelined
-streaming runtime (discrete-event simulated and threaded), the DVB-S2
+dynamic program, the OTAC homogeneous baseline, a discrete-event model of
+StreamPU's pipelined streaming runtime, the DVB-S2
 receiver workload, and the full experimental campaign of the paper.
 
 Quickstart::

@@ -13,9 +13,10 @@ ablations re-schedule the same populations, and ``repro all`` chains several
 such drivers in one process.  With the cache, each distinct instance is
 computed once per process.
 
-Thread-safe; eviction is LRU.  The cache stores only the scalar outcome
-triple (period, big cores, little cores) — a few dozen bytes per instance —
-not solutions, so a million entries fit comfortably in memory.  Every
+Eviction is LRU, and the cache holds no lock: the library runs one thread
+per process (DESIGN.md §10).  It stores only the scalar outcome triple
+(period, big cores, little cores) — a few dozen bytes per instance — not
+solutions, so a million entries fit comfortably in memory.  Every
 entry is an audited outcome — a solve certified in its worker, or a
 journaled row certified on replay (:mod:`repro.engine.checkpoint`) — so a
 hit is trusted and not audited again.
@@ -23,7 +24,6 @@ hit is trusted and not audited again.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -109,10 +109,12 @@ class MemoStats:
 
 
 class MemoCache:
-    """A bounded, thread-safe LRU cache of :class:`InstanceResult`.
+    """A bounded LRU cache of :class:`InstanceResult`.
 
     One instance is shared by the default campaign engine for the whole
-    process; independent engines can carry private caches (or none).
+    process; independent engines can carry private caches (or none).  It is
+    not for sharing across threads: the library runs one thread per
+    process (DESIGN.md §10).
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
@@ -120,61 +122,55 @@ class MemoCache:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._data: OrderedDict[MemoKey, InstanceResult] = OrderedDict()
-        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._data)
 
     def get(self, key: MemoKey) -> InstanceResult | None:
         """Return the cached result, or None (counted as a miss)."""
-        with self._lock:
-            result = self._data.get(key)
-            if result is None:
-                self._misses += 1
-                return None
-            self._data.move_to_end(key)
-            self._hits += 1
-            return result
+        result = self._data.get(key)
+        if result is None:
+            self._misses += 1
+            return None
+        self._data.move_to_end(key)
+        self._hits += 1
+        return result
 
     def get_many(self, keys: "Sequence[MemoKey]") -> "list[InstanceResult | None]":
-        """Bulk lookup under a single lock acquisition.
+        """Bulk lookup: one call per work unit instead of one per instance.
 
         Returns one entry per key, in order, with ``None`` for misses.  The
         hit/miss counters and LRU recency update exactly as the equivalent
         sequence of :meth:`get` calls would — bulk lookups are an overhead
-        optimization (one lock round-trip per work unit instead of one per
-        instance), never a semantic change
+        optimization, never a semantic change
         (``tests/engine/test_memo.py``).
         """
         results: list[InstanceResult | None] = []
-        with self._lock:
-            for key in keys:
-                result = self._data.get(key)
-                if result is None:
-                    self._misses += 1
-                else:
-                    self._data.move_to_end(key)
-                    self._hits += 1
-                results.append(result)
+        for key in keys:
+            result = self._data.get(key)
+            if result is None:
+                self._misses += 1
+            else:
+                self._data.move_to_end(key)
+                self._hits += 1
+            results.append(result)
         return results
 
     def put(self, key: MemoKey, result: InstanceResult) -> None:
         """Insert (or refresh) one result, evicting LRU entries if full."""
-        with self._lock:
-            self._data[key] = result
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
+        self._data[key] = result
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self._evictions += 1
 
     def put_many(
         self, items: "Iterable[tuple[MemoKey, InstanceResult]]"
     ) -> None:
-        """Bulk insert under a single lock acquisition.
+        """Bulk insert: one call per work unit instead of one per instance.
 
         Equivalent to :meth:`put` per item: every inserted key becomes
         most-recently-used in iteration order and LRU eviction respects
@@ -182,27 +178,24 @@ class MemoCache:
         same entries as evicting after each insert, since fresh inserts are
         always at the MRU end).
         """
-        with self._lock:
-            for key, result in items:
-                self._data[key] = result
-                self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self._evictions += 1
+        for key, result in items:
+            self._data[key] = result
+            self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self._evictions += 1
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
     @property
     def stats(self) -> MemoStats:
-        """A consistent snapshot of the cache counters."""
-        with self._lock:
-            return MemoStats(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._data),
-                maxsize=self.maxsize,
-                evictions=self._evictions,
-            )
+        """A snapshot of the cache counters."""
+        return MemoStats(
+            hits=self._hits,
+            misses=self._misses,
+            size=len(self._data),
+            maxsize=self.maxsize,
+            evictions=self._evictions,
+        )

@@ -32,9 +32,9 @@ ALLOWLIST: tuple[AllowEntry, ...] = (
         module="repro.obs.context",
         symbol="_AMBIENT",
         justification=(
-            "threading.local ambient obs context: each worker process (and "
-            "each thread of a library user's) writes only its own slot, "
-            "racing is impossible by construction"
+            "the ambient obs context slot: the library runs one thread per "
+            "process, and each worker process writes only its own copy, "
+            "which activate() restores on exit"
         ),
     ),
     AllowEntry(

@@ -5,8 +5,8 @@ root once (a module that does not parse becomes a ``REP000`` finding),
 hand each parsed module's :class:`~repro.lint.base.FileContext` to the
 per-file rules, and distill it into
 :class:`~repro.lint.project.model.ModuleFacts` for the project rules.  On
-top of the facts the context keeps the classes by name (which classes are
-frozen, which hold a lock), each module's import map (``bound name ->
+top of the facts the context keeps the project's class names (and which
+of them are frozen), each module's import map (``bound name ->
 (module, orig)``, so a module-level binding can be followed across one
 import), and the names referenced anywhere under ``src``/``tests``/
 ``examples`` (REP206).  There is no call graph: a rule that needs to know
@@ -25,7 +25,6 @@ from ..findings import Finding
 from .allowlist import ALLOWLIST, AllowEntry
 from .model import (
     Binding,
-    ClassFacts,
     ModuleFacts,
     collect_reference_names,
     extract_module_facts,
@@ -46,7 +45,7 @@ class ProjectContext:
     files: dict[str, FileContext]
     syntax_errors: tuple[Finding, ...]
     facts: dict[str, ModuleFacts]
-    classes_by_name: dict[str, tuple[ClassFacts, ...]]
+    class_names: frozenset[str]
     reference_names: frozenset[str]
     frozen_class_names: frozenset[str]
     allowlist: tuple[AllowEntry, ...]
@@ -120,13 +119,7 @@ class ProjectContext:
             )
             facts[module] = extract_module_facts(module, rel, tree)
 
-        classes_by_name: dict[str, list[ClassFacts]] = {}
-        frozen: set[str] = set()
-        for mod_facts in facts.values():
-            for klass in mod_facts.classes:
-                classes_by_name.setdefault(klass.name, []).append(klass)
-                if klass.is_frozen_dataclass:
-                    frozen.add(klass.name)
+        classes = [klass for mod_facts in facts.values() for klass in mod_facts.classes]
 
         reference_names = _scan_references(
             root, ("src", "tests", "examples"), trees
@@ -136,11 +129,11 @@ class ProjectContext:
             files=files,
             syntax_errors=tuple(syntax_errors),
             facts=facts,
-            classes_by_name={
-                name: tuple(group) for name, group in classes_by_name.items()
-            },
+            class_names=frozenset(klass.name for klass in classes),
             reference_names=frozenset(reference_names),
-            frozen_class_names=frozenset(frozen),
+            frozen_class_names=frozenset(
+                klass.name for klass in classes if klass.is_frozen_dataclass
+            ),
             allowlist=tuple(ALLOWLIST if allowlist is None else allowlist),
         )
         ctx._build_import_maps()
@@ -184,7 +177,7 @@ class ProjectContext:
             cname = binding.value_class or ""
             if cname in self.frozen_class_names:
                 return False
-            if cname in self.classes_by_name:
+            if cname in self.class_names:
                 return True  # non-frozen project class instance
             return cname in ("local", "Lock", "RLock", "Event", "Queue")
         return False

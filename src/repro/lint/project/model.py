@@ -1,19 +1,19 @@
 """Per-module facts the project-wide rules read, extracted in one AST pass.
 
-The project rules (REP201, REP202, REP204-REP206) never re-walk raw trees:
-each file is distilled once into a :class:`ModuleFacts` — imports,
-module-level bindings with a mutability classification, function
-summaries (reads and writes of non-local names, ``self`` attribute
-accesses with their guarding ``with`` contexts), class summaries, and
-``__all__`` exports.  No rule follows a call: each one checks the facts of
-the modules it names.  A construct that cannot be resolved statically (a
-dynamically-built name) is recorded as unknown, and the rules prefer a
-false negative over a false positive.
+The project rules (REP201, REP204-REP206) never re-walk raw trees: each
+file is distilled once into a :class:`ModuleFacts` — imports, module-level
+bindings with a mutability classification, function summaries (reads and
+writes of non-local names), class summaries, and ``__all__`` exports.  No
+rule follows a call: each one checks the facts of the modules it names.  A
+construct that cannot be resolved statically (a dynamically-built name) is
+recorded as unknown, and the rules prefer a false negative over a false
+positive.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,13 +24,15 @@ __all__ = [
     "Binding",
     "NameSite",
     "WriteSite",
-    "SelfAccess",
     "FunctionFacts",
     "ClassFacts",
     "ModuleFacts",
     "extract_module_facts",
     "collect_reference_names",
 ]
+
+#: An identifier inside a string annotation (``"Foo | None"``, ``"a.B"``).
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 #: Constructors producing module-level *mutable* containers.
 _MUTABLE_CTORS = frozenset(
@@ -147,20 +149,6 @@ class WriteSite:
 
 
 @dataclass(frozen=True, slots=True)
-class SelfAccess:
-    """One ``self.<attr>`` access inside a method.
-
-    ``guards`` lists the dotted context expressions of the ``with`` blocks
-    enclosing the access (e.g. ``("self._lock",)``), which is how the
-    lock-discipline rule decides whether the access was protected.
-    """
-
-    attr: str
-    lineno: int
-    guards: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class FunctionFacts:
     """Summary of one function or method."""
 
@@ -170,19 +158,16 @@ class FunctionFacts:
     lineno: int
     reads: tuple[NameSite, ...]
     writes: tuple[WriteSite, ...]
-    self_accesses: tuple[SelfAccess, ...]
     decorators: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
 class ClassFacts:
-    """Summary of one class: methods, attribute types, decorators."""
+    """Summary of one class: where it is and how it is decorated."""
 
     module: str
     name: str
     lineno: int
-    methods: tuple[FunctionFacts, ...]
-    attr_classes: tuple[tuple[str, str], ...]  # self.x = Cls(...) in any method
     decorators: tuple[str, ...]
 
     @property
@@ -209,15 +194,13 @@ class ModuleFacts:
 
 
 class _FunctionScanner(ast.NodeVisitor):
-    """Collects read/write/self-access facts from one function body."""
+    """Collects read/write facts from one function body."""
 
     def __init__(self, func: ast.AST) -> None:
         self.reads: list[NameSite] = []
         self.writes: list[WriteSite] = []
-        self.self_accesses: list[SelfAccess] = []
         self.global_decls: set[str] = set()
         self.local_names: set[str] = set()
-        self._guards: list[str] = []
         self._collect_locals(func)
 
     def _collect_locals(self, func: ast.AST) -> None:
@@ -239,38 +222,6 @@ class _FunctionScanner(ast.NodeVisitor):
                 if node is not func:
                     self.local_names.add(node.name)
         self.local_names -= self.global_decls
-
-    # -- traversal helpers ---------------------------------------------------
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node)
-
-    def _visit_with(self, node: "ast.With | ast.AsyncWith") -> None:
-        added = []
-        for item in node.items:
-            dotted = dotted_name(item.context_expr)
-            if dotted is None and isinstance(item.context_expr, ast.Call):
-                dotted = dotted_name(item.context_expr.func)
-            if dotted is not None:
-                self._guards.append(dotted)
-                added.append(dotted)
-            # the context expression itself is evaluated unguarded
-            self._scan_expr(item.context_expr, guarded_before=len(added))
-        for stmt in node.body:
-            self.visit(stmt)
-        for _ in added:
-            self._guards.pop()
-
-    def _scan_expr(self, expr: ast.expr, guarded_before: int) -> None:
-        # Record self-accesses in the context expression with the guards
-        # active *before* this with-item acquired its own.
-        saved = self._guards
-        self._guards = saved[: len(saved) - guarded_before]
-        self.visit(expr)
-        self._guards = saved
 
     # -- fact collection -----------------------------------------------------
 
@@ -304,16 +255,11 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         base = _base_name(node)
-        if base == "self" and isinstance(node.value, ast.Name):
-            self.self_accesses.append(
-                SelfAccess(
-                    attr=node.attr, lineno=node.lineno, guards=tuple(self._guards)
-                )
-            )
-        elif (
+        if (
             isinstance(node.ctx, (ast.Store, ast.Del))
             and base is not None
             and base not in self.local_names
+            and base != "self"
         ):
             self.writes.append(
                 WriteSite(
@@ -376,7 +322,6 @@ def _scan_function(
         lineno=node.lineno,
         reads=tuple(scanner.reads),
         writes=tuple(scanner.writes),
-        self_accesses=tuple(scanner.self_accesses),
         decorators=tuple(ast.unparse(d) for d in node.decorator_list),
     )
 
@@ -460,30 +405,19 @@ def extract_module_facts(
             functions.append(_scan_function(node, module, None))
             record_binding(node.name, node.lineno, "function")
         elif isinstance(node, ast.ClassDef):
-            methods = [
-                _scan_function(sub, module, node.name)
-                for sub in node.body
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
-            attr_classes = [
-                (target.attr, cname)
-                for sub in ast.walk(node)
-                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call)
-                and (cname := leaf_name(sub.value.func)) is not None
-                for target in sub.targets
-                if isinstance(target, ast.Attribute) and dotted_name(target.value) == "self"
-            ]
             classes.append(
                 ClassFacts(
                     module=module,
                     name=node.name,
                     lineno=node.lineno,
-                    methods=tuple(methods),
-                    attr_classes=tuple(attr_classes),
                     decorators=tuple(ast.unparse(d) for d in node.decorator_list),
                 )
             )
-            functions.extend(methods)
+            functions.extend(
+                _scan_function(sub, module, node.name)
+                for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
             record_binding(node.name, node.lineno, "class")
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (
@@ -523,29 +457,41 @@ def extract_module_facts(
     )
 
 
+def _annotations(tree: ast.Module) -> Iterable[ast.expr]:
+    """Every annotation in ``tree``: arguments, returns and ``AnnAssign``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            if node.annotation is not None:
+                yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _string_annotation_names(tree: ast.Module) -> Iterable[str]:
+    """The identifiers inside each string annotation of ``tree``
+    (``x: "Foo | None"``, ``-> list["Foo"]``)."""
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from _IDENTIFIER.findall(node.value)
+
+
 def collect_reference_names(trees: Iterable[ast.Module]) -> set[str]:
     """Identifiers referenced anywhere in the given trees (REP206 input).
 
     A name counts as referenced when it appears as a Name load, an
     attribute, an imported name, a segment of an imported module path, or
-    an identifier token inside any string constant (type annotations in
-    string form, doctests, documented API names).  Definitions (Name
-    stores, ``def``/``class`` statements) and ``__all__`` string entries do
-    NOT count — an export mentioned only by its own ``__all__`` is dead.
+    a name inside a string annotation.  Any other string — a docstring, a
+    message, a table of names — references nothing.  Definitions (Name
+    stores, ``def``/``class`` statements) and ``__all__`` entries do NOT
+    count — an export mentioned only by its own ``__all__`` is dead.
     """
     referenced: set[str] = set()
     for tree in trees:
-        all_strings: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "__all__"
-                        and isinstance(node.value, (ast.List, ast.Tuple))
-                    ):
-                        for element in node.value.elts:
-                            all_strings.add(id(element))
+        referenced.update(_string_annotation_names(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(
                 node.ctx, (ast.Load, ast.Del)
@@ -561,18 +507,4 @@ def collect_reference_names(trees: Iterable[ast.Module]) -> set[str]:
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     referenced.update(alias.name.split("."))
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and id(node) not in all_strings
-            ):
-                for raw in node.value.split():
-                    for token in (
-                        raw.replace("(", " ").replace(")", " ")
-                        .replace("[", " ").replace("]", " ")
-                        .replace(".", " ").replace(",", " ")
-                        .replace("`", " ").replace(":", " ").split()
-                    ):
-                        if token.isidentifier():
-                            referenced.add(token)
     return referenced

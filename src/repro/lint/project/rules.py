@@ -1,9 +1,9 @@
-"""The project-wide rules: REP201, REP202, REP204, REP205, REP206.
+"""The project-wide rules: REP201, REP204, REP205, REP206.
 
 Each rule reads the facts of the modules it names from the one
 :class:`ProjectContext` and attaches the evidence that connects the
-definition to the violation (a binding's definition site, a lock's
-guarded access, an exported name's ``__all__`` line).  No rule follows a
+definition to the violation (a binding's definition site, an import
+edge, an exported name's ``__all__`` line).  No rule follows a
 call: REP201 and REP205 name the modules they police (``WORKER_MODULES``,
 ``repro.core``).  All rules prefer a false negative over a false
 positive: an unresolvable construct is skipped, never guessed against.
@@ -21,7 +21,6 @@ from .model import FunctionFacts
 __all__ = [
     "WORKER_MODULES",
     "WorkerGlobalWriteRule",
-    "LockDisciplineRule",
     "LayerBoundaryRule",
     "MemoPurityRule",
     "DeadPublicSymbolRule",
@@ -38,11 +37,6 @@ WORKER_MODULES = (
     "repro.engine.faults",
     "repro.engine.checkpoint",
     "repro.engine.memo",
-)
-
-#: Lock-like constructors recognized by the lock-discipline rule.
-_LOCK_CTORS = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 )
 
 #: Architecture ranks: an import must flow strictly downward (higher rank
@@ -66,10 +60,6 @@ LAYER_RANKS: dict[str, int] = {
     "__init__": 80,
     "__main__": 90,
 }
-
-#: Construction methods exempt from lock discipline (no sharing yet/anymore).
-_LOCK_EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__del__", "__repr__"})
-
 
 def _package_of(module: str) -> str:
     """Second-level package of ``module`` (``""`` for the top package)."""
@@ -160,120 +150,6 @@ class WorkerGlobalWriteRule(ProjectRule):
                 symbol=write.name,
                 evidence=evidence,
             )
-
-
-@register
-class LockDisciplineRule(ProjectRule):
-    """REP202: attrs guarded by a lock in some methods, unguarded in others."""
-
-    id = "REP202"
-    name = "lock-discipline"
-    description = (
-        "attribute guarded by a self-lock in some methods of a class but "
-        "accessed unguarded in others"
-    )
-    hint = (
-        "take the same lock around every access, or document why this one "
-        "is safe with a per-line pragma"
-    )
-    explanation = (
-        "For every class holding a threading lock attribute, flags accesses "
-        "outside `with self._lock:` to attributes some method accesses "
-        "inside it; construction methods are exempt, and private helpers "
-        "only ever invoked under the lock count as lock-held. Invariant: "
-        "state a lock guards is never touched without it. Also held by: "
-        "nothing (a race does not reproduce on demand). Caught: on its "
-        "first run, an unguarded MemoCache.__len__ read (fixed) and the "
-        "streampu channel-capacity read (pragma)."
-    )
-
-    def check(self) -> None:
-        pctx = self.pctx
-        for groups in pctx.classes_by_name.values():
-            for klass in groups:
-                lock_attrs = {
-                    attr
-                    for attr, ctor in klass.attr_classes
-                    if ctor in _LOCK_CTORS
-                }
-                if not lock_attrs:
-                    continue
-                self._check_class(klass, lock_attrs)
-
-    def _check_class(self, klass, lock_attrs: set[str]) -> None:
-        guard_names = {f"self.{attr}" for attr in lock_attrs}
-        method_names = {method.name for method in klass.methods}
-
-        def is_guarded(guards: tuple[str, ...]) -> bool:
-            return any(g in guard_names for g in guards)
-
-        # Methods only ever invoked as self.m() while the lock is held are
-        # lock-held context themselves (the classic private-helper pattern).
-        invocations: dict[str, list[bool]] = {}
-        for method in klass.methods:
-            for access in method.self_accesses:
-                if access.attr in method_names:
-                    invocations.setdefault(access.attr, []).append(
-                        is_guarded(access.guards)
-                    )
-        lock_held = {
-            name for name, guarded in invocations.items() if guarded and all(guarded)
-        }
-
-        guarded_attrs: dict[str, tuple[str, int]] = {}  # attr -> witness site
-        for method in klass.methods:
-            for access in method.self_accesses:
-                if (
-                    access.attr not in lock_attrs
-                    and access.attr not in method_names
-                    and is_guarded(access.guards)
-                    and access.attr not in guarded_attrs
-                ):
-                    guarded_attrs[access.attr] = (method.name, access.lineno)
-
-        reported: set[tuple[str, str]] = set()
-        for method in klass.methods:
-            if method.name in _LOCK_EXEMPT_METHODS or method.name in lock_held:
-                continue
-            for access in method.self_accesses:
-                if (
-                    access.attr in guarded_attrs
-                    and not is_guarded(access.guards)
-                    and (method.name, access.attr) not in reported
-                ):
-                    reported.add((method.name, access.attr))
-                    witness_method, witness_line = guarded_attrs[access.attr]
-                    rel = self.pctx.facts[klass.module].rel
-                    lock = sorted(lock_attrs)[0]
-                    self.report(
-                        klass.module,
-                        access.lineno,
-                        f"`{klass.name}.{method.name}` accesses "
-                        f"`self.{access.attr}` without holding "
-                        f"`self.{lock}`, which guards it in "
-                        f"`{klass.name}.{witness_method}`",
-                        symbol=f"{klass.name}.{method.name}",
-                        evidence=[
-                            EvidenceStep(
-                                path=rel,
-                                line=klass.lineno,
-                                note=f"`{klass.name}` holds lock `self.{lock}`",
-                            ),
-                            EvidenceStep(
-                                path=rel,
-                                line=witness_line,
-                                note=(
-                                    f"`self.{access.attr}` guarded by "
-                                    f"`self.{lock}` in `{witness_method}`"
-                                ),
-                            ),
-                            EvidenceStep(
-                                path=rel,
-                                line=access.lineno,
-                                note=f"unguarded access in `{method.name}`",
-                            ),
-                        ],
-                    )
 
 
 @register
@@ -441,9 +317,10 @@ class DeadPublicSymbolRule(ProjectRule):
     explanation = (
         "Invariant: what the package defines, something uses. Flags each "
         "__all__ entry and each public module-level def/class that no name "
-        "load, attribute, import or identifier token in a string under "
-        "src/tests/examples mentions (__all__ entries themselves excluded); "
-        "decorator-registered definitions are exempt. Also held by: the "
+        "load, attribute, import or string annotation under "
+        "src/tests/examples mentions (any other string, __all__ entries "
+        "included, mentions nothing); decorator-registered definitions are "
+        "exempt. Also held by: the "
         "module census (TestCensus), for whole modules only. Caught: on its "
         "first run, the dead `NULL_OBSERVABILITY` export."
     )

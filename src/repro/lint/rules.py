@@ -329,11 +329,12 @@ class ErrorHierarchyRule(LintRule):
 # REP104 — determinism
 # ---------------------------------------------------------------------------
 
-#: Dotted call names that inject wall-clock or entropy into a solve.
+#: Dotted call names that inject wall-clock or entropy into a solve.  The
+#: ``time.*`` clocks are not here: REP110 flags every one of them in every
+#: module outside ``repro.obs.clock`` and ``repro.obs.profile``, which covers
+#: the solver paths, so listing them here would report one call twice.
 _NONDETERMINISTIC_CALLS = frozenset(
     {
-        "time.time",
-        "time.time_ns",
         "datetime.now",
         "datetime.utcnow",
         "datetime.today",
@@ -362,9 +363,9 @@ class DeterminismRule(LintRule):
     name = "determinism"
     description = (
         "repro/core and repro/engine must be bitwise deterministic for any "
-        "--jobs: no time.time, no global/unseeded RNG, no set-order "
+        "--jobs: no datetime.now, no global/unseeded RNG, no set-order "
         "iteration, no unsorted directory listings, no dict.popitem "
-        "(time.perf_counter is allowed: measurement only)"
+        "(time.* clock reads are REP110's)"
     )
     hint = (
         "thread an explicit seeded np.random.default_rng(seed) through the "

@@ -8,9 +8,9 @@ too.  This package provides the project's single observability surface:
   REP110 forbids raw ``time.perf_counter()`` / ``time.time()`` everywhere
   else, so every timing decision is auditable in one module.
 * :class:`~repro.obs.tracer.Tracer` / :class:`~repro.obs.span.Span` — a
-  span-based tracer with explicit parent–child nesting, per-thread buffers
-  merged at collection, and picklable spans so process-tier workers can ship
-  their spans home inside work-unit results.
+  span-based tracer with explicit parent–child nesting, one buffer per
+  process (the library runs one thread per process), and picklable spans so
+  process-tier workers can ship their spans home inside work-unit results.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms with picklable, mergeable snapshots (cross-process aggregation
   is a tested exactness guarantee, not best-effort).

@@ -10,25 +10,23 @@ Three layers, from outermost in:
   processes inside :class:`~repro.engine.batch.WorkUnit`.  A worker calls
   :meth:`ObsConfig.create_context` to build its own live tracer/registry,
   records into them, and returns the resulting :class:`ObsPayload`.
-* the **ambient context** — a module-level :class:`threading.local` holding
-  the active :class:`ObsContext`.  Instrumentation hooks deep in the core
-  algorithms (:func:`counter_add` in ``binary_search``/``herad``/``packing``)
-  read it via :func:`current` instead of threading an ``obs`` parameter
-  through every call signature.  The engine itself runs one thread per
-  process (``jobs == 1`` in-process, ``jobs > 1`` worker processes), and a
-  worker process inherits nothing, so ``solve_unit`` activates the unit's
-  own context; the slot is per-thread so that a library user who drives
-  engines from several threads of theirs still gets one context each.
+* the **ambient context** — a module-level slot holding the active
+  :class:`ObsContext`.  Instrumentation hooks deep in the core algorithms
+  (:func:`counter_add` in ``binary_search``/``herad``/``packing``) read it
+  via :func:`current` instead of threading an ``obs`` parameter through
+  every call signature.  The library runs one thread per process
+  (DESIGN.md §10: ``jobs == 1`` in-process, ``jobs > 1`` worker
+  processes), and a worker process inherits nothing, so ``solve_unit``
+  activates the unit's own context; one slot per process is all there is.
 
-The default everywhere is :data:`NULL_CONTEXT`: ``current()`` on a thread
+The default everywhere is :data:`NULL_CONTEXT`: ``current()`` in a process
 that never activated anything returns it, and every operation on it is a
-no-op — uninstrumented call sites pay one threading.local read and one
-attribute check, nothing more.
+no-op — uninstrumented call sites pay one attribute read and one attribute
+check, nothing more.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -102,10 +100,14 @@ class ObsContext:
 
 
 NULL_CONTEXT = ObsContext(tracer=NULL_TRACER, metrics=NULL_METRICS)
-"""The inert context every thread sees until something is activated."""
+"""The inert context a process sees until something is activated."""
 
 
-class _Ambient(threading.local):
+class _Ambient:
+    """The process's one ambient-context slot."""
+
+    __slots__ = ("context",)
+
     def __init__(self) -> None:
         self.context: ObsContext = NULL_CONTEXT
 
@@ -114,13 +116,13 @@ _AMBIENT = _Ambient()
 
 
 def current() -> ObsContext:
-    """The context active on this thread (``NULL_CONTEXT`` if none)."""
+    """The context active in this process (``NULL_CONTEXT`` if none)."""
     return _AMBIENT.context
 
 
 @contextmanager
 def activate(context: ObsContext) -> Iterator[ObsContext]:
-    """Make ``context`` ambient on this thread for the duration of the block."""
+    """Make ``context`` ambient for the duration of the block."""
     prior = _AMBIENT.context
     _AMBIENT.context = context
     try:
@@ -133,7 +135,7 @@ def counter_add(name: str, value: float = 1.0) -> None:
     """Increment a counter on the ambient context (no-op when inert).
 
     This is *the* hook shape for core algorithms: one function call, one
-    threading.local read, one no-op method call when observability is off.
+    attribute read, one no-op method call when observability is off.
     """
     _AMBIENT.context.metrics.add(name, value)
 

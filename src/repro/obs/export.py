@@ -4,8 +4,8 @@ Chrome trace-event format
 -------------------------
 Each span becomes a matched pair of duration events — ``{"ph": "B"}`` at the
 start and ``{"ph": "E"}`` at the end — with microsecond ``ts`` relative to
-the earliest span in the trace, keyed by ``pid``/``tid`` so every worker
-thread and process renders as its own track.  The resulting object
+the earliest span in the trace, keyed by ``pid``/``tid`` so every process
+(and every lane of a simulated run) renders as its own track.  The resulting object
 (``{"traceEvents": [...], "displayTimeUnit": "ms"}``) loads directly into
 ``chrome://tracing`` or https://ui.perfetto.dev.
 

@@ -23,7 +23,6 @@ group related metrics by prefix.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -108,17 +107,16 @@ class MetricsLike(Protocol):
 
 
 class MetricsRegistry:
-    """Thread-safe counters/gauges/histograms.
+    """Counters/gauges/histograms of one process's thread.
 
-    One plain lock protects everything: metric updates are far rarer than
-    span opens (they sit at decision points — memo lookups, retries — not
-    inner loops), so contention is negligible and the simplicity is worth it.
+    Not for sharing across threads: the library runs one thread per
+    process (DESIGN.md §10), and worker processes ship snapshots home
+    instead.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramStats] = {}
@@ -126,85 +124,76 @@ class MetricsRegistry:
 
     def add(self, name: str, value: float = 1.0) -> None:
         """Increment counter ``name`` by ``value``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
+        self._counters[name] = self._counters.get(name, 0.0) + value
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins on merge)."""
-        with self._lock:
-            self._gauges[name] = value
+        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name`` and its sketch."""
-        with self._lock:
-            prior = self._histograms.get(name)
-            if prior is None:
-                self._histograms[name] = HistogramStats(1, value, value, value)
-            else:
-                self._histograms[name] = HistogramStats(
-                    count=prior.count + 1,
-                    total=prior.total + value,
-                    minimum=min(prior.minimum, value),
-                    maximum=max(prior.maximum, value),
-                )
-            builder = self._sketches.get(name)
-            if builder is None:
-                builder = self._sketches[name] = SketchBuilder()
-            builder.observe(value)
+        prior = self._histograms.get(name)
+        if prior is None:
+            self._histograms[name] = HistogramStats(1, value, value, value)
+        else:
+            self._histograms[name] = HistogramStats(
+                count=prior.count + 1,
+                total=prior.total + value,
+                minimum=min(prior.minimum, value),
+                maximum=max(prior.maximum, value),
+            )
+        builder = self._sketches.get(name)
+        if builder is None:
+            builder = self._sketches[name] = SketchBuilder()
+        builder.observe(value)
 
     def sketch(self, name: str) -> SketchSnapshot | None:
         """Current sketch for histogram ``name`` (None if never observed)."""
-        with self._lock:
-            builder = self._sketches.get(name)
-            return builder.snapshot() if builder is not None else None
+        builder = self._sketches.get(name)
+        return builder.snapshot() if builder is not None else None
 
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0.0 if never incremented)."""
-        with self._lock:
-            return self._counters.get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def counters(self) -> dict[str, float]:
         """Copy of all counters."""
-        with self._lock:
-            return dict(self._counters)
+        return dict(self._counters)
 
     def snapshot(self) -> MetricsSnapshot:
         """Picklable copy of the full registry state."""
-        with self._lock:
-            return MetricsSnapshot(
-                counters=tuple(sorted(self._counters.items())),
-                gauges=tuple(sorted(self._gauges.items())),
-                histograms=tuple(sorted(self._histograms.items())),
-                sketches=tuple(
-                    sorted(
-                        (name, builder.snapshot())
-                        for name, builder in self._sketches.items()
-                    )
-                ),
-            )
+        return MetricsSnapshot(
+            counters=tuple(sorted(self._counters.items())),
+            gauges=tuple(sorted(self._gauges.items())),
+            histograms=tuple(sorted(self._histograms.items())),
+            sketches=tuple(
+                sorted(
+                    (name, builder.snapshot())
+                    for name, builder in self._sketches.items()
+                )
+            ),
+        )
 
     def merge(self, snapshot: MetricsSnapshot) -> None:
         """Fold a worker snapshot in: counters sum, histograms combine."""
-        with self._lock:
-            for name, value in snapshot.counters:
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, value in snapshot.gauges:
-                self._gauges[name] = value
-            for name, stats in snapshot.histograms:
-                prior = self._histograms.get(name)
-                self._histograms[name] = stats if prior is None else prior.merged(stats)
-            for name, sk in snapshot.sketches:
-                builder = self._sketches.get(name)
-                if builder is None:
-                    builder = self._sketches[name] = SketchBuilder(alpha=sk.alpha)
-                builder.absorb(sk)
+        for name, value in snapshot.counters:
+            self._counters[name] = self._counters.get(name, 0.0) + value
+        for name, value in snapshot.gauges:
+            self._gauges[name] = value
+        for name, stats in snapshot.histograms:
+            prior = self._histograms.get(name)
+            self._histograms[name] = stats if prior is None else prior.merged(stats)
+        for name, sk in snapshot.sketches:
+            builder = self._sketches.get(name)
+            if builder is None:
+                builder = self._sketches[name] = SketchBuilder(alpha=sk.alpha)
+            builder.absorb(sk)
 
     def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._sketches.clear()
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()
+        self._sketches.clear()
 
 
 class NullMetrics:

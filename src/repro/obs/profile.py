@@ -7,7 +7,7 @@ view from the same buffers — no extra instrumentation, no sampling:
 
 * :func:`self_seconds` — per-span exclusive time, defined as the span's
   inclusive duration minus the summed durations of its *direct* children
-  (``parent_id`` links are per-process, per-thread).  The definition is an
+  (``parent_id`` links are per-process).  The definition is an
   exact partition: summed over a span forest, self time equals the summed
   inclusive time of the roots, which is why the flamegraph validator can
   demand >= 95% of traced wall-clock attributed to leaf frames — anything

@@ -151,9 +151,8 @@ class SketchSnapshot:
 class SketchBuilder:
     """Mutable accumulator behind :class:`SketchSnapshot`.
 
-    Not thread-safe on its own: :class:`~repro.obs.metrics.MetricsRegistry`
-    guards it with the registry lock, the same discipline as every other
-    metric family.
+    Holds no lock, like the :class:`~repro.obs.metrics.MetricsRegistry`
+    that owns it: the library runs one thread per process (DESIGN.md §10).
     """
 
     alpha: float = DEFAULT_ALPHA

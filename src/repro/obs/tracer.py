@@ -1,15 +1,12 @@
-"""Span-based tracer with per-thread buffers.
+"""Span-based tracer: one span stack and one span list, no lock.
 
 Concurrency model
 -----------------
-The engine records from one thread per process and never shares a tracer
-between threads itself; the class nevertheless stays safe to call from a
-library user's threads.  Rather than serialising every span append through
-one lock (which would put a lock acquisition on the solve hot path), each
-thread gets its own buffer and span stack via :class:`threading.local`; the
-only locked operation is registering a brand-new thread's buffer, which
-happens once per thread.  ``collect()`` merges all buffers into one
-deterministic order.
+The library runs one thread per process (DESIGN.md §10, "One thread
+per process"): the engine records from the thread that drives it, and no
+product code starts another.  So a tracer keeps a single span stack and a
+single list, with no lock and no thread-local, and every span it records
+sits on one lane: ``tid`` is the process id, the main thread's id on Linux.
 
 Process-tier campaigns can't share a tracer at all: each worker process
 builds its own :class:`Tracer` (from the picklable
@@ -19,20 +16,18 @@ to :meth:`Tracer.absorb` on the parent tracer.  Because the monotonic clock
 is system-wide on Linux, absorbed spans interleave correctly with local
 ones when sorted by start time.
 
-Span ids are allocated from a single :class:`itertools.count`; ``next()`` on
-a count is atomic under the GIL, so ids are unique across threads without a
-lock.  Worker ids restart per work unit (pool workers rebuild their tracer
-for every unit), so :meth:`Tracer.absorb` remaps each incoming forest into
-the session counter — after absorption, (pid, span_id) is globally unique
-and ``parent_id`` only ever refers to a span with the same pid.
+Span ids are allocated from a single :class:`itertools.count`.  Worker ids
+restart per work unit (pool workers rebuild their tracer for every unit),
+so :meth:`Tracer.absorb` remaps each incoming forest into the session
+counter — after absorption, (pid, span_id) is globally unique and
+``parent_id`` only ever refers to a span with the same pid.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import replace
 from types import TracebackType
 from typing import Protocol
@@ -68,14 +63,6 @@ class TracerLike(Protocol):
     def absorb(self, spans: Iterable[Span]) -> None: ...
 
 
-class _ThreadState(threading.local):
-    """Per-thread span stack and buffer; created lazily on first use."""
-
-    def __init__(self) -> None:
-        self.stack: list[int] = []
-        self.buffer: list[Span] | None = None
-
-
 class _SpanScope:
     """Open span: records start on ``__enter__`` and the Span on ``__exit__``.
 
@@ -98,8 +85,7 @@ class _SpanScope:
 
     def __enter__(self) -> None:
         tracer = self._tracer
-        state = tracer._state
-        stack = state.stack
+        stack = tracer._stack
         self._parent_id = stack[-1] if stack else None
         self._depth = len(stack)
         self._span_id = next(tracer._ids)
@@ -115,19 +101,15 @@ class _SpanScope:
     ) -> None:
         end = _clock()
         tracer = self._tracer
-        state = tracer._state
-        state.stack.pop()
-        buffer = state.buffer
-        if buffer is None:
-            buffer = tracer._register_buffer()
-        buffer.append(
+        tracer._stack.pop()
+        tracer._spans.append(
             Span(
                 name=self._name,
                 category=self._category,
                 start=self._start,
                 end=end,
                 pid=tracer._pid,
-                tid=threading.get_ident(),
+                tid=tracer._pid,
                 span_id=self._span_id,
                 parent_id=self._parent_id,
                 depth=self._depth,
@@ -137,24 +119,19 @@ class _SpanScope:
 
 
 class Tracer:
-    """Collects :class:`Span` records from any number of threads."""
+    """Collects the :class:`Span` records of one process's thread.
+
+    Not for sharing across threads: the library runs one thread per
+    process (DESIGN.md §10).
+    """
 
     enabled = True
 
     def __init__(self) -> None:
         self._pid = os.getpid()
         self._ids = itertools.count(1)
-        self._state = _ThreadState()
-        self._lock = threading.Lock()
-        self._buffers: list[list[Span]] = []
-        self._foreign: list[Span] = []
-
-    def _register_buffer(self) -> list[Span]:
-        buffer: list[Span] = []
-        self._state.buffer = buffer
-        with self._lock:
-            self._buffers.append(buffer)
-        return buffer
+        self._stack: list[int] = []
+        self._spans: list[Span] = []
 
     def span(self, name: str, category: str = "misc", **attrs: AttrValue) -> _SpanScope:
         """Open a span; use as ``with tracer.span("solve", strategy=s): ...``."""
@@ -187,30 +164,22 @@ class Tracer:
             )
             for span in batch
         ]
-        with self._lock:
-            self._foreign.extend(remapped)
+        self._spans.extend(remapped)
 
     def collect(self) -> tuple[Span, ...]:
-        """Merge all buffers into one deterministically-ordered tuple.
+        """Recorded and absorbed spans as one deterministically-ordered tuple.
 
         Sorted by ``(start, depth, pid, span_id)``: start time first so the
         timeline reads chronologically, depth second so an enclosing span
         sorts before children that started the same instant.
         """
-        with self._lock:
-            merged: list[Span] = []
-            for buffer in self._buffers:
-                merged.extend(buffer)
-            merged.extend(self._foreign)
-        merged.sort(key=lambda s: (s.start, s.depth, s.pid, s.span_id))
-        return tuple(merged)
+        return tuple(
+            sorted(self._spans, key=lambda s: (s.start, s.depth, s.pid, s.span_id))
+        )
 
     def clear(self) -> None:
-        """Drop all recorded spans (buffers stay registered)."""
-        with self._lock:
-            for buffer in self._buffers:
-                buffer.clear()
-            self._foreign.clear()
+        """Drop all recorded spans."""
+        self._spans.clear()
 
 
 class _NullScope:
@@ -254,9 +223,3 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 """Module-level singleton used wherever tracing is disabled."""
 
-
-def _iter_buffers_for_test(tracer: Tracer) -> Iterator[int]:
-    """Buffer sizes, for white-box tests of the per-thread buffer scheme."""
-    with tracer._lock:
-        for buffer in tracer._buffers:
-            yield len(buffer)

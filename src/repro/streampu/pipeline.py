@@ -4,9 +4,9 @@ A :class:`PipelineSpec` is the runtime-facing view of a
 :class:`~repro.core.solution.Solution`: an ordered list of
 :class:`PipelineStage` entries carrying the per-frame latency of each stage
 (the sum of its tasks' latencies on its core type), the replica count, and
-bookkeeping.  Both the discrete-event simulator and the threaded runtime
-consume this structure — mirroring how StreamPU instantiates a pipeline from
-a sequence decomposition.
+bookkeeping.  The discrete-event simulators consume this structure —
+mirroring how StreamPU instantiates a pipeline from a sequence
+decomposition.
 """
 
 from __future__ import annotations

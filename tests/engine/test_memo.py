@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.types import Resources
@@ -129,20 +127,3 @@ class TestMemoCache:
         cache.put(keys[2], InstanceResult(3.0, 0, 0))
         assert cache.get(keys[1]) is None
         assert cache.get(keys[0]) == InstanceResult(2.0, 0, 0)
-
-    def test_thread_safety_smoke(self):
-        cache = MemoCache(maxsize=64)
-        keys = [make_key(_chain(i), Resources(1, 1), "fertac") for i in range(8)]
-
-        def worker():
-            for _ in range(200):
-                for i, key in enumerate(keys):
-                    cache.put(key, InstanceResult(float(i), i, i))
-                    assert cache.get(key) == InstanceResult(float(i), i, i)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(cache) == len(keys)

@@ -13,7 +13,6 @@ from repro.sdr.dvbs2 import dvbs2_chain
 from repro.sdr.framing import DVBS2_NORMAL_R8_9
 from repro.streampu.overheads import CalibratedOverhead, NoOverhead
 from repro.streampu.pipeline import PipelineSpec
-from repro.streampu.runtime import PipelineRuntime
 from repro.streampu.simulator import simulate_pipeline
 from repro.workloads.synthetic import GeneratorConfig, random_chain
 
@@ -63,22 +62,6 @@ class TestScheduleToSimulation:
         mbps = sim.report.mbps(DVBS2_NORMAL_R8_9.info_bits, interframe=4)
         # Paper: 59.9 Mb/s expected.
         assert mbps == pytest.approx(59.9, rel=0.03)
-
-
-class TestScheduleToThreadedRuntime:
-    def test_synthetic_chain_runs_threaded(self):
-        rng = np.random.default_rng(0)
-        chain = random_chain(
-            rng, GeneratorConfig(num_tasks=6, stateless_ratio=0.5)
-        )
-        profile = ChainProfile(chain)
-        outcomes = run_strategies(profile, Resources(2, 2), names=["herad"])
-        runtime = PipelineRuntime.from_solution(
-            outcomes["herad"].solution, profile, time_scale=2e-6
-        )
-        result = runtime.run(num_frames=40)
-        assert result.payloads == tuple(range(40))
-        assert result.report.measured_period > 0
 
 
 class TestStrategyConsistency:

@@ -59,8 +59,3 @@ def test_pipeline_visualization_output():
 def test_static_vs_dynamic_output():
     out = run_example("static_vs_dynamic.py")
     assert "dynamic" in out and "STATIC" in out
-
-
-def test_streaming_runtime_output():
-    out = run_example("streaming_runtime.py")
-    assert "checksums" in out

@@ -1,7 +1,6 @@
 """Positive/negative demonstrations of the project rules on the fixture corpora.
 
-``proj_bad`` seeds deliberate violations of REP201, REP202 and REP204-REP206
-(plus the incidental read that accompanies the seeded write); every rule
+``proj_bad`` seeds deliberate violations of REP201 and REP204-REP206 (plus the incidental read that accompanies the seeded write); every rule
 must fire at precisely the seeded sites and nowhere else.  ``proj_clean`` is
 the behaviorally-equivalent twin written with the blessed patterns; every
 rule must stay silent on it.
@@ -19,7 +18,7 @@ from repro.lint.project import AllowEntry
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
 #: The whole-project rules; the corpora are built to exercise these alone.
-PROJECT_RULES = ["REP201", "REP202", "REP204", "REP205", "REP206"]
+PROJECT_RULES = ["REP201", "REP204", "REP205", "REP206"]
 
 
 def _lint(package, allowlist=(), rules=PROJECT_RULES):
@@ -47,9 +46,6 @@ class TestSeededCorpusFires:
     def test_rep201_worker_global_write(self, bad_report):
         assert _hits(bad_report, "REP201") == [("repro/core/solvers.py", 14)]
 
-    def test_rep202_lock_discipline(self, bad_report):
-        assert _hits(bad_report, "REP202") == [("repro/engine/cache.py", 16)]
-
     def test_rep204_layer_boundary(self, bad_report):
         assert _hits(bad_report, "REP204") == [
             ("repro/core/uses_engine.py", 3),
@@ -64,6 +60,7 @@ class TestSeededCorpusFires:
 
     def test_rep206_dead_public_symbol(self, bad_report):
         assert _hits(bad_report, "REP206") == [
+            ("repro/obs/clock.py", 4),  # named only in another module's strings
             ("repro/obs/constants.py", 3),  # exported via __all__
             ("repro/obs/constants.py", 9),  # public def outside __all__
         ]
@@ -71,6 +68,7 @@ class TestSeededCorpusFires:
             f.message for f in bad_report.findings if f.rule_id == "REP206"
         )
         assert "DEAD_LIMIT" in messages and "dead_window" in messages
+        assert "monotonic_ns" in messages
         assert "LIVE_LIMIT" not in messages
 
     def test_nothing_else_fires(self, bad_report):
@@ -95,65 +93,54 @@ class TestCleanCorpusSilent:
 
 
 _BOX = """\
-import threading
+_ITEMS = []
 
 
-class Box:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = []
-
-    def add(self, item):
-        with self._lock:
-            self._items.append(item)
-
-    def peek(self):{pragma}
-        return self._items[0]{line_pragma}
+def add(item):
+    _ITEMS.append(item){line_pragma}
 """
 
 
-def _write_box(tmp_path, pragma="", line_pragma=""):
+def _write_box(tmp_path, line_pragma=""):
     pkg = tmp_path / "repro"
-    pkg.mkdir()
-    (pkg / "box.py").write_text(
-        textwrap.dedent(_BOX).format(pragma=pragma, line_pragma=line_pragma)
-    )
+    (pkg / "core").mkdir(parents=True)
+    (pkg / "core" / "box.py").write_text(_BOX.format(line_pragma=line_pragma))
     return pkg
 
 
 class TestSuppressionPlumbing:
     def test_violation_fires_without_suppression(self, tmp_path):
-        report = _lint(_write_box(tmp_path), rules=["REP202"])
-        assert _hits(report, "REP202") == [("repro/box.py", 14)]
+        report = _lint(_write_box(tmp_path), rules=["REP201"])
+        assert _hits(report, "REP201") == [("repro/core/box.py", 5)]
 
     def test_per_line_pragma_suppresses(self, tmp_path):
         pkg = _write_box(
-            tmp_path, line_pragma="  # lint: ignore[lock-discipline]"
+            tmp_path, line_pragma="  # lint: ignore[worker-global-write]"
         )
-        report = _lint(pkg, rules=["REP202"])
+        report = _lint(pkg, rules=["REP201"])
         assert report.findings == ()
 
     def test_allowlist_entry_suppresses(self, tmp_path):
         pkg = _write_box(tmp_path)
         entry = AllowEntry(
-            rule_id="REP202",
-            module="repro.box",
-            symbol="Box.peek",
+            rule_id="REP201",
+            module="repro.core.box",
+            symbol="_ITEMS",
             justification="test: sanctioned site",
         )
-        report = _lint(pkg, allowlist=(entry,), rules=["REP202"])
+        report = _lint(pkg, allowlist=(entry,), rules=["REP201"])
         assert report.findings == ()
 
     def test_allowlist_is_rule_scoped(self, tmp_path):
         pkg = _write_box(tmp_path)
         entry = AllowEntry(
-            rule_id="REP201",  # wrong rule: must not silence REP202
-            module="repro.box",
-            symbol="Box.peek",
+            rule_id="REP205",  # wrong rule: must not silence REP201
+            module="repro.core.box",
+            symbol="_ITEMS",
             justification="test: wrong rule",
         )
-        report = _lint(pkg, allowlist=(entry,), rules=["REP202"])
-        assert _hits(report, "REP202") == [("repro/box.py", 14)]
+        report = _lint(pkg, allowlist=(entry,), rules=["REP201"])
+        assert _hits(report, "REP201") == [("repro/core/box.py", 5)]
 
     def test_entry_covers_its_own_symbol_only(self, tmp_path):
         pkg = tmp_path / "repro"

@@ -259,10 +259,14 @@ def _called_names(tree: ast.AST) -> set[str]:
 
 
 class TestOneThreadPerProcess:
-    """ROADMAP item 3(a): since PR 15 nothing in ``engine``, ``core``, ``sim``
-    or ``experiments`` runs on a second thread of its process.  Recorded while
-    true, so the change that makes the recorders lock-free can rely on it and
-    the change that breaks it has to say so here."""
+    """The library runs one thread per process (DESIGN.md §10), which is why
+    the tracer, the metrics registry, the memo and the ambient obs context
+    hold no lock and no thread-local.  Product code starts no thread: it
+    imports no ``threading``, calls no ``Thread`` or ``Timer``, and hangs no
+    callback on a future (``add_done_callback`` runs it on the pool's
+    manager thread).  ``engine.pool`` is the only pool site.  The change
+    that needs a second thread has to say so here, and bring back the locks
+    with it."""
 
     @pytest.fixture(scope="class")
     def trees(self):
@@ -279,27 +283,27 @@ class TestOneThreadPerProcess:
             if (isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names))
             or (isinstance(node, ast.ImportFrom) and node.module == "threading")
         }
-        assert importers == {
-            "streampu.runtime", "streampu.channels",  # the runtime's stage threads
-            "obs.context", "obs.metrics", "obs.tracer", "engine.memo",  # locks only
-        }
+        assert importers == set()
 
     def test_the_only_sites_that_start_a_thread_or_a_pool(self, trees):
         def sites(*names: str) -> set[str]:
             return {m for m, tree in trees.items() if _called_names(tree) & set(names)}
 
-        assert sites("Thread", "Timer") == {"streampu.runtime"}
+        assert sites("Thread", "Timer") == set()
+        assert sites("add_done_callback") == set()
         assert sites("ThreadPoolExecutor", "ProcessPoolExecutor", "Pool") == {"engine.pool"}
 
-    def test_streampu_reads_the_clock_of_obs_and_nothing_else(self, pctx):
-        from_obs = {
+    def test_streampu_reads_no_clock(self, pctx):
+        """The StreamPU model is a discrete-event simulation: its time is
+        modelled, so no module of it imports a clock."""
+        clocks = {
             record.target
             for module, facts in pctx.facts.items()
             if module.startswith("repro.streampu")
             for record in facts.imports
-            if record.target == "repro.obs" or record.target.startswith("repro.obs.")
+            if record.target in ("time", "repro.obs.clock")
         }
-        assert from_obs == {"repro.obs.clock"}
+        assert clocks == set()
 
 
 def _census_roots() -> list[ImportRecord]:

@@ -1,1 +1,1 @@
-"""Seeded-violation corpus: deliberate hits for REP201, REP202, REP204-REP206."""
+"""Seeded-violation corpus: deliberate hits for REP201 and REP204-REP206."""

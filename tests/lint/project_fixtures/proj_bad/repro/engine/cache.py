@@ -1,16 +1,9 @@
-"""Seeded REP202 violation: lock discipline broken in one method."""
-
-import threading
+"""The engine-side cache that the seeded REP204 import reaches up to."""
 
 
 class Cache:
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._data: dict[str, object] = {}
 
     def put(self, key: str, value: object) -> None:
-        with self._lock:
-            self._data[key] = value
-
-    def size(self) -> int:
-        return len(self._data)  # SEED REP202: unguarded access to _data
+        self._data[key] = value

@@ -50,7 +50,7 @@ class TestEngine:
         assert [rule.id for rule in RULE_REGISTRY.values()] == [
             "REP101", "REP102", "REP103", "REP104", "REP105",
             "REP109", "REP110", "REP111",
-            "REP201", "REP202", "REP204", "REP205", "REP206",
+            "REP201", "REP204", "REP205", "REP206",
         ]
 
     def test_every_rule_explains_its_invariant_and_its_record(self):
@@ -105,16 +105,16 @@ class TestEngine:
         """A module that does not parse does not hide the rest of the tree
         from the whole-project rules, and both land in one report."""
         package = tmp_path / "repro"
-        (package / "engine").mkdir(parents=True)
+        (package / "obs").mkdir(parents=True)
         shutil.copy(
-            FIXTURES / "proj_bad" / "repro" / "engine" / "cache.py",
-            package / "engine" / "cache.py",
+            FIXTURES / "proj_bad" / "repro" / "obs" / "clock.py",
+            package / "obs" / "clock.py",
         )
         (package / "broken.py").write_text("def oops(:\n")
         assert lint_main([str(package)]) == 1
         out = capsys.readouterr().out
         assert "repro/broken.py:1:9: error REP000 [syntax-error]" in out
-        assert "repro/engine/cache.py:16:0: error REP202 [lock-discipline]" in out
+        assert "repro/obs/clock.py:4:0: error REP206 [dead-public-symbol]" in out
         assert "in 2 file(s)" in out
 
     def test_each_module_is_parsed_once(self, shipped_lint):
@@ -165,7 +165,7 @@ class TestStandaloneCli:
         "selector, header",
         [
             ("REP101", "REP101 [float-equality]"),
-            ("lock-discipline", "REP202 [lock-discipline]"),
+            ("dead-public-symbol", "REP206 [dead-public-symbol]"),
         ],
     )
     def test_explain_finds_either_rule_shape(self, selector, header, capsys):
@@ -176,11 +176,14 @@ class TestStandaloneCli:
         assert lint_main(["--explain", "REP999"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("rule_id", ["REP106", "REP107", "REP108", "REP203"])
+    @pytest.mark.parametrize(
+        "rule_id", ["REP106", "REP107", "REP108", "REP202", "REP203"]
+    )
     def test_retired_rules_exit_two(self, rule_id, clean_file: Path, capsys):
         """A retired id is refused, never silently ignored: REP106 is
         mypy's, REP107 ruff's, REP108 and REP203 fail loudly on the first
-        ``--jobs 2`` dispatch."""
+        ``--jobs 2`` dispatch, and REP202's locks are gone with the threads
+        they guarded against (``TestOneThreadPerProcess``)."""
         assert lint_main(["--explain", rule_id]) == 2
         assert lint_main([str(clean_file.parents[1]), "--rules", rule_id]) == 2
         assert rule_id not in capsys.readouterr().out.partition("available")[2]

@@ -18,11 +18,11 @@ class TestMultiLineStatementPragmas:
     def test_finding_fires_without_pragma(self, lint_source):
         findings = lint_source(
             """
-            import time
+            import random
 
             def stamp() -> float:
                 return max(
-                    time.time(),
+                    random.random(),
                     0.0,
                 )
             """,
@@ -33,11 +33,11 @@ class TestMultiLineStatementPragmas:
     def test_pragma_on_first_line_covers_whole_statement(self, lint_source):
         findings = lint_source(
             """
-            import time
+            import random
 
             def stamp() -> float:
                 return max(  # lint: ignore[determinism]
-                    time.time(),
+                    random.random(),
                     0.0,
                 )
             """,
@@ -48,11 +48,11 @@ class TestMultiLineStatementPragmas:
     def test_pragma_on_last_line_covers_whole_statement(self, lint_source):
         findings = lint_source(
             """
-            import time
+            import random
 
             def stamp() -> float:
                 return max(
-                    time.time(),
+                    random.random(),
                     0.0,
                 )  # lint: ignore[determinism]
             """,
@@ -65,11 +65,11 @@ class TestMultiLineStatementPragmas:
         # statements are never widened.
         findings = lint_source(
             """
-            import time
+            import random
 
             def stamp(flag: bool) -> float:
                 if flag:  # lint: ignore[determinism]
-                    return time.time()
+                    return random.random()
                 return 0.0
             """,
             rules=["determinism"],
@@ -79,11 +79,11 @@ class TestMultiLineStatementPragmas:
     def test_pragma_on_unrelated_line_does_not_leak(self, lint_source):
         findings = lint_source(
             """
-            import time
+            import random
 
             def stamp() -> float:
                 x = 1.5  # lint: ignore[determinism]
-                return time.time()
+                return random.random()
             """,
             rules=["determinism"],
         )
@@ -92,14 +92,14 @@ class TestMultiLineStatementPragmas:
 
 class TestDecoratedDefPragmas:
     _DECORATED = """
-        import time
+        import random
 
         def tag(value):
             def wrap(fn):
                 return fn
             return wrap
 
-        @tag(time.time()){decorator_pragma}
+        @tag(random.random()){decorator_pragma}
         def solve() -> int:{def_pragma}
             return 1
         """

@@ -200,14 +200,27 @@ class TestDeterminism:
     def test_flags_wall_clock(self, lint_source):
         findings = lint_source(
             """
-            import time
+            from datetime import datetime
 
             def stamp() -> float:
-                return time.time()
+                return datetime.now().timestamp()
             """,
             rules=["determinism"],
         )
         assert _ids(findings) == ["REP104"]
+
+    def test_a_time_clock_read_is_reported_once_by_raw_timing(self, lint_source):
+        """``time.time()`` in a solver module is one finding, REP110's: the
+        ``time.*`` clocks are REP110's everywhere, REP104 does not repeat it."""
+        findings = lint_source(
+            """
+            import time
+
+            def _stamp() -> float:
+                return time.time()
+            """,
+        )
+        assert _ids(findings) == ["REP110"]
 
     def test_flags_global_random(self, lint_source):
         findings = lint_source(
@@ -265,10 +278,10 @@ class TestDeterminism:
     def test_does_not_apply_outside_solver_paths(self, lint_source):
         findings = lint_source(
             """
-            import time
+            from datetime import datetime
 
             def stamp() -> float:
-                return time.time()
+                return datetime.now().timestamp()
             """,
             relpath="src/repro/analysis/sample.py",
             rules=["determinism"],

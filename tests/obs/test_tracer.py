@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pickle
-import threading
 
 from repro.obs import NULL_TRACER, Span, Tracer
-from repro.obs.tracer import _iter_buffers_for_test
 
 
 class TestSpanRecording:
@@ -58,53 +57,23 @@ class TestSpanRecording:
         assert span.name == "doomed"
         assert span.end >= span.start
 
+    def test_every_span_sits_on_the_process_lane(self):
+        """One thread per process, so one Chrome-trace lane: ``tid`` is the
+        process id."""
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert {(span.pid, span.tid) for span in tracer.collect()} == {
+            (os.getpid(), os.getpid())
+        }
+
     def test_clear_drops_spans(self):
         tracer = Tracer()
         with tracer.span("x"):
             pass
         tracer.clear()
         assert tracer.collect() == ()
-
-
-class TestThreading:
-    def test_each_thread_gets_its_own_buffer(self):
-        tracer = Tracer()
-
-        def record(name):
-            with tracer.span(name):
-                pass
-
-        threads = [
-            threading.Thread(target=record, args=(f"t{i}",)) for i in range(4)
-        ]
-        with tracer.span("main"):
-            pass
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        spans = tracer.collect()
-        assert {span.name for span in spans} == {"main", "t0", "t1", "t2", "t3"}
-        # One buffer per recording thread, one span each.  (Thread *idents*
-        # may be reused by the OS, so tids are not asserted unique.)
-        assert sorted(_iter_buffers_for_test(tracer)) == [1, 1, 1, 1, 1]
-
-    def test_parenting_never_crosses_threads(self):
-        tracer = Tracer()
-        child_parent = []
-
-        def record():
-            with tracer.span("worker"):
-                pass
-            child_parent.append(
-                next(s for s in tracer.collect() if s.name == "worker").parent_id
-            )
-
-        with tracer.span("ambient-on-main"):
-            thread = threading.Thread(target=record)
-            thread.start()
-            thread.join()
-        assert child_parent == [None]
 
 
 class TestAbsorb:
