@@ -18,8 +18,6 @@ Public API:
   quarantine (:class:`~repro.engine.resilience.FailureRecord`).
 * :class:`~repro.engine.checkpoint.CheckpointJournal` — crash-safe JSONL
   checkpointing behind ``--resume``.
-* :class:`~repro.engine.faults.FaultPlan` — deterministic fault injection
-  used to prove every recovery path.
 * Observability (``obs=`` on the engine): spans, counters, and worker
   payloads from :mod:`repro.obs`, merged exactly across tiers
   (:class:`~repro.engine.batch.UnitOutcome` carries them home).
@@ -32,7 +30,6 @@ from .batch import (
     PendingInstance,
     UnitOutcome,
     WorkUnit,
-    solve_instance,
     solve_unit,
     units_from_groups,
 )
@@ -43,13 +40,6 @@ from .executor import (
     default_engine,
     reset_default_engine,
     resolve_jobs,
-)
-from .faults import (
-    FAULT_KINDS,
-    PLATFORM_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
 )
 from .memo import DEFAULT_MAXSIZE, InstanceResult, MemoCache, MemoStats, make_key
 from .plan import DEFAULT_UNIT_WALL_S, AdaptiveCostModel, plan_units
@@ -71,7 +61,6 @@ __all__ = [
     "PendingInstance",
     "UnitOutcome",
     "WorkUnit",
-    "solve_instance",
     "solve_unit",
     "units_from_groups",
     "DEFAULT_UNIT_WALL_S",
@@ -84,11 +73,6 @@ __all__ = [
     "make_key",
     "CheckpointJournal",
     "load_journal",
-    "FAULT_KINDS",
-    "PLATFORM_FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "TIERS",
     "FailureRecord",
     "ResilienceConfig",

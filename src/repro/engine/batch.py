@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.binary_search import ScheduleOutcome
 from ..core.certify import certify_outcome
@@ -33,7 +33,6 @@ from ..obs.clock import monotonic
 from ..obs.context import ObsConfig, ObsPayload, activate, current
 from ..obs.metrics import MetricsLike
 from .checkpoint import Stages
-from .faults import FaultPlan
 from .memo import InstanceResult
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "WorkUnit",
     "UnitResult",
     "UnitOutcome",
-    "solve_instance",
     "solve_unit",
     "units_from_groups",
 ]
@@ -73,11 +71,8 @@ class WorkUnit:
         journal: the engine journals this unit's rows, so each cell ships
             its stage list home (:attr:`SolvedCell.stages`; left empty
             otherwise — the arrays and the memo never read it).
-        faults: deterministic fault plan armed for this chunk (tests only;
-            ``None`` in production).
         tier: the execution tier running this chunk (``serial`` /
-            ``process``) — lets tier-scoped faults target, say, only worker
-            processes so the degradation ladder can be exercised.
+            ``process``), recorded on its spans and worker attribution.
         obs: observability switches for this chunk (``None`` = fully off).
             When set, the worker builds a local tracer/metrics context,
             records into it, and ships the resulting payload home in its
@@ -94,7 +89,6 @@ class WorkUnit:
     pending: tuple[PendingInstance, ...]
     resources: Resources
     journal: bool = False
-    faults: "FaultPlan | None" = None
     tier: str = "serial"
     obs: "ObsConfig | None" = None
     dispatched_at: "float | None" = None
@@ -135,84 +129,6 @@ class UnitOutcome:
     rows: UnitResult
     obs: "ObsPayload | None" = None
     seconds: "float | None" = None
-
-
-def solve_instance(
-    profile: ChainProfile,
-    resources: Resources,
-    strategies: Iterable[str],
-    faults: "FaultPlan | None" = None,
-    tier: str = "serial",
-    journal: bool = False,
-) -> dict[str, SolvedCell]:
-    """Run the given strategies on one profiled chain.
-
-    The per-cell scalar route: :func:`_solve_rows` sends the instances an
-    armed fault plan targets through it (everything else is solved a
-    strategy group at a time), on whichever tier the unit runs.
-
-    Each outcome is audited by the independent certificate checker before
-    its row is recorded (raising
-    :class:`~repro.core.errors.CertificationError` on any violation);
-    registry-optimal strategies additionally get the optimality-bracket
-    certificate.
-
-    An armed fault plan is consulted per ``(instance, strategy)`` cell:
-    pre-solve kinds (raise / bug / crash / hang / interrupt) trigger before
-    the strategy runs; ``corrupt`` tampers with the finished outcome *before*
-    certification, which is exactly how certification proves it catches
-    corrupted results.
-
-    When an observability context is ambient (:func:`repro.obs.context.current`),
-    each strategy cell is wrapped in a ``solve`` span and its latency feeds a
-    per-strategy histogram — recorded around the same code path, never
-    altering it.
-    """
-    results: dict[str, SolvedCell] = {}
-    obs = current()
-    for name in strategies:
-        if obs.active:
-            with obs.span("solve", "solve", strategy=name, tier=tier):
-                start = monotonic()
-                results[name] = _solve_cell(
-                    profile, resources, name, faults, tier, journal
-                )
-                obs.metrics.observe(f"solve.seconds.{name}", monotonic() - start)
-                obs.metrics.add("solve.count")
-                # Deterministic observation stream: the multiset of solved
-                # periods is identical across tiers (bitwise-identical
-                # results), so its sketch merges bitwise-identically too.
-                obs.metrics.observe(
-                    f"solve.period.{name}", results[name].result.period
-                )
-        else:
-            results[name] = _solve_cell(
-                profile, resources, name, faults, tier, journal
-            )
-    return results
-
-
-def _solve_cell(
-    profile: ChainProfile,
-    resources: Resources,
-    name: str,
-    faults: "FaultPlan | None",
-    tier: str,
-    journal: bool,
-) -> SolvedCell:
-    """One ``(chain, strategy)`` cell: fault hook, solve, corrupt, audit."""
-    info = get_info(name)
-    spec = (
-        faults.fire(profile.fingerprint, name, tier)
-        if faults is not None
-        else None
-    )
-    if spec is not None and spec.kind != "corrupt":
-        spec.trigger()
-    outcome = info.func(profile, resources)
-    if spec is not None and spec.kind == "corrupt":
-        outcome = spec.corrupt(outcome)
-    return _audited(outcome, profile, resources, name, info.optimal, journal)
 
 
 def _audited(
@@ -257,33 +173,15 @@ def _solve_rows(unit: WorkUnit) -> UnitResult:
     otherwise; either way the outcomes are bitwise those of the plain
     scalar solvers.  Every solution is audited by the independent checker.
 
-    Instances an armed fault plan *could* target (non-consuming
-    :meth:`~repro.engine.faults.FaultPlan.targets` check) are solved cell
-    by cell through :func:`solve_instance` instead — the only place faults
-    get their ``fire()`` consultation — so injection is unconditional while
-    the rest of the unit stays batched.
-
     ``solve.seconds.<strategy>`` is fed here with the group wall divided by
-    its instance count: the per-cell cost the planner's sketch feedback and
-    the RunReport's per-strategy histograms read.
+    its instance count: the per-cell cost the RunReport's per-strategy
+    histograms read.
     """
     profiles = [ChainProfile(item.chain) for item in unit.pending]
     obs = current()
     by_strategy: dict[str, list[int]] = {}
     results: list[dict[str, SolvedCell]] = [{} for _ in unit.pending]
     for position, item in enumerate(unit.pending):
-        if unit.faults is not None and unit.faults.targets(
-            item.chain.fingerprint, item.strategies
-        ):
-            results[position] = solve_instance(
-                profiles[position],
-                unit.resources,
-                item.strategies,
-                faults=unit.faults,
-                tier=unit.tier,
-                journal=unit.journal,
-            )
-            continue
         for name in item.strategies:
             by_strategy.setdefault(name, []).append(position)
 
@@ -329,8 +227,9 @@ def _solve_group(
             info.optimal,
             unit.journal,
         )
-        # Same deterministic period stream as the per-cell route, so the
-        # sketch does not depend on which route a cell took.
+        # Deterministic observation stream: the multiset of solved periods
+        # is identical across tiers and plans (bitwise-identical results),
+        # so its sketch merges bitwise-identically too.
         metrics.observe(f"solve.period.{name}", cell.result.period)
         results[position][name] = cell
 
@@ -404,7 +303,6 @@ def solve_unit(unit: WorkUnit) -> UnitOutcome:
 def units_from_groups(
     groups: Sequence[tuple[PendingInstance, ...]],
     resources: Resources,
-    faults: "FaultPlan | None" = None,
     tier: str = "serial",
     obs: "ObsConfig | None" = None,
     journal: bool = False,
@@ -426,7 +324,6 @@ def units_from_groups(
             pending=group,
             resources=resources,
             journal=journal,
-            faults=faults,
             tier=tier,
             obs=obs,
             dispatched_at=dispatched_at,

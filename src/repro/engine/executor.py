@@ -31,7 +31,7 @@ all``) nearly free after the first pass.
 Two optional layers harden long campaigns (DESIGN.md §9):
 
 * **Resilience** (``resilience=``): transient failures — broken process
-  pools, pickling/IPC errors, soft-deadline timeouts, injected faults — are
+  pools, pickling/IPC errors, soft-deadline timeouts, failed audits — are
   retried with deterministic backoff, degraded from the process tier to
   the serial one, and instances that still fail are
   *quarantined* as :class:`~repro.engine.resilience.FailureRecord` rows
@@ -64,7 +64,6 @@ from ..obs.clock import monotonic
 from ..obs.context import NULL_OBSERVABILITY, Observability, ObsConfig, activate
 from .batch import PendingInstance, UnitOutcome, solve_unit, units_from_groups
 from .checkpoint import CheckpointJournal
-from .faults import FaultPlan
 from .memo import InstanceResult, MemoCache, MemoKey, make_key
 from .plan import DEFAULT_UNIT_WALL_S, AdaptiveCostModel, plan_units
 from .pool import WorkerPool
@@ -121,8 +120,6 @@ class CampaignEngine:
             solving, which is how ``--resume`` works.  A journal implies an
             instance cache: if memoization was disabled, a private cache is
             created for replay.
-        faults: a deterministic :class:`~repro.engine.faults.FaultPlan`
-            armed on every work unit (tests only).
         obs: observability surface.  Accepts a live
             :class:`~repro.obs.context.Observability`, an
             :class:`~repro.obs.context.ObsConfig`, ``True`` (tracing and
@@ -143,7 +140,6 @@ class CampaignEngine:
         memo: "MemoCache | bool | None" = True,
         resilience: "ResilienceConfig | bool | None" = None,
         journal: "CheckpointJournal | str | Path | None" = None,
-        faults: "FaultPlan | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
@@ -167,7 +163,6 @@ class CampaignEngine:
             self.journal = CheckpointJournal(journal)
         if self.journal is not None and self.memo is None:
             self.memo = MemoCache()
-        self.faults = faults
         if isinstance(obs, Observability):
             self.obs = obs
         elif isinstance(obs, ObsConfig):
@@ -249,9 +244,8 @@ class CampaignEngine:
                                 if self.journal is not None:
                                     self.journal.record(key, result, stages)
                         if self.memo is not None and solved:
-                            # Bulk insert: one lock acquisition per work
-                            # unit, same LRU/eviction behavior as per-key
-                            # puts.
+                            # Bulk insert per work unit, same LRU/eviction
+                            # behavior as per-key puts.
                             self.memo.put_many(solved)
                         if self.journal is not None:
                             with self.obs.span("journal.commit", "journal"):
@@ -264,15 +258,6 @@ class CampaignEngine:
                     outcomes.close()
                     if self.journal is not None:
                         self.journal.commit()
-            if self.obs.metrics.enabled:
-                # Cross-campaign planner feedback: the p50 of each
-                # strategy's solve-latency sketch (tier-merged, DESIGN.md
-                # §15) refines the cost model for the *next* plan.  Purely
-                # advisory — results never depend on it.
-                for name in names:
-                    sketch = self.obs.metrics.sketch(f"solve.seconds.{name}")
-                    if sketch is not None and sketch.count:
-                        self._cost_model.feed_sketch(name, sketch.p50)
         return arrays
 
     @property
@@ -300,10 +285,10 @@ class CampaignEngine:
 
         The journal's rows for this campaign's keys are audited and put in
         the memo first.  The whole campaign is then looked up in one
-        :meth:`~repro.engine.memo.MemoCache.get_many` call — a single lock
-        round-trip instead of ``chains x strategies`` of them — with hit and
-        miss counters identical to the per-instance lookups it replaced
-        (``tests/engine/test_memo.py`` pins the equivalence).
+        :meth:`~repro.engine.memo.MemoCache.get_many` call instead of
+        ``chains x strategies`` of them, with hit and miss counters identical
+        to the per-instance lookups it replaced (``tests/engine/test_memo.py``
+        pins the equivalence).
         """
         if self.memo is None:
             flat: list["InstanceResult | None"] = [None] * (
@@ -400,7 +385,7 @@ class CampaignEngine:
             )
         units = units_from_groups(
             groups, resources,
-            faults=self.faults, tier=tier, obs=self.obs.worker_config(),
+            tier=tier, obs=self.obs.worker_config(),
             journal=self.journal is not None,
         )
 

@@ -18,11 +18,10 @@ and strategies are pure functions, the assembled arrays are bitwise
 identical for *any* plan — cost feedback can only change wall time, never
 results (``tests/engine/test_plan.py``, ``tests/engine/test_scaling.py``).
 
-The model is fed from two directions: always-on per-unit wall measurements
+The model has one input: the always-on per-unit wall measurements
 (:attr:`repro.engine.batch.UnitOutcome.seconds`, read off the sanctioned
-:mod:`repro.obs.clock`), and — when engine metrics are enabled — the p50 of
-the ``solve.seconds.<strategy>`` quantile sketches, which survive across
-campaigns and tiers (DESIGN.md §15).
+:mod:`repro.obs.clock`).  Observability never feeds it, so the plan does not
+depend on whether metrics are recorded.
 """
 
 from __future__ import annotations
@@ -93,11 +92,6 @@ class AdaptiveCostModel:
                 continue
             per_cell = (seconds * estimated[name] / total) / count
             self._fold(name, per_cell)
-
-    def feed_sketch(self, strategy: str, p50_seconds: float) -> None:
-        """Fold a ``solve.seconds.<strategy>`` sketch median in (PR 9 path)."""
-        if p50_seconds > 0.0:
-            self._fold(strategy, p50_seconds)
 
     def _fold(self, strategy: str, per_cell: float) -> None:
         previous = self._cost.get(strategy)

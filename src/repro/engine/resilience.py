@@ -7,8 +7,8 @@ the whole campaign and discards every finished result.  This module makes the
 fan-out *resilient*:
 
 * **Retry with deterministic backoff** — transient failures (a broken process
-  pool, pickling/IPC errors, injected faults, a failed certificate audit that
-  may stem from worker memory corruption) are retried up to
+  pool, pickling/IPC errors, a failed certificate audit that may stem from
+  worker memory corruption) are retried up to
   :attr:`RetryPolicy.max_attempts` times per tier, with exponential backoff
   and *seeded* jitter (hash-derived, never ``random``: the engine's
   determinism lint forbids entropy in solver paths).
@@ -18,8 +18,9 @@ fan-out *resilient*:
   serial tier cannot preempt a running solve — deadlines are a pooled-tier
   guarantee.
 * **Graceful degradation** — a work unit that keeps failing on the process
-  tier is re-run instance-by-instance on the serial tier, where failures are
-  isolated to single ``(chain, strategy)`` cells.
+  tier is re-run cell by cell on the serial tier, each ``(chain, strategy)``
+  cell a one-cell unit through :func:`~repro.engine.batch.solve_unit`, so
+  failures are isolated to single cells.
 * **Quarantine** — an instance that still fails serially is recorded as a
   structured :class:`FailureRecord` and the campaign continues; its result
   cells keep the engine's sentinel values (``NaN`` period, ``-1`` cores).
@@ -51,18 +52,9 @@ from concurrent.futures import (
 from dataclasses import dataclass, field, replace
 from typing import Generator, Iterator, Sequence
 
-from ..core.chain_stats import ChainProfile
 from ..core.errors import CertificationError, InvalidParameterError
-from ..obs.context import activate
-from .batch import (
-    SolvedCell,
-    UnitOutcome,
-    UnitResult,
-    WorkUnit,
-    solve_instance,
-    solve_unit,
-)
-from .faults import InjectedFault
+from ..obs.context import ObsConfig, Observability
+from .batch import UnitOutcome, WorkUnit, solve_unit
 from .pool import WorkerPool
 
 _log = logging.getLogger(__name__)
@@ -80,8 +72,8 @@ __all__ = [
 #: Degradation ladder, most parallel first.
 TIERS: tuple[str, ...] = ("process", "serial")
 
-#: Failure types worth retrying: environment/IPC trouble, injected transients,
-#: and certificate rejections (a corrupt *claim* may come from a sick worker —
+#: Failure types worth retrying: environment/IPC trouble and certificate
+#: rejections (a corrupt *claim* may come from a sick worker —
 #: re-deriving on a clean tier either recovers or quarantines with evidence).
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     BrokenExecutor,
@@ -91,7 +83,6 @@ _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     pickle.UnpicklingError,
     EOFError,
     ConnectionError,
-    InjectedFault,
     CertificationError,
 )
 
@@ -344,99 +335,97 @@ def _serial_pass(
     config: ResilienceConfig,
     report: ResilienceReport,
 ) -> Iterator[UnitOutcome]:
-    """Last rung: solve instance-by-instance, quarantining what still fails.
+    """Last rung: solve cell by cell, quarantining what still fails.
 
-    Observability mirrors :func:`~repro.engine.batch.solve_unit`: each unit
-    gets its own local context (activated for the duration, so the ambient
-    hooks inside the solvers record into it) and ships its payload home in
-    the yielded outcome — the exact protocol of the pooled tiers, which is
-    what makes counter aggregation tier-independent.
+    Each ``(chain, strategy)`` cell is a one-cell unit solved by
+    :func:`~repro.engine.batch.solve_unit`, the entry point of every tier,
+    so a failure stays in its cell and a solved cell's rows and
+    observability payload are the ones a pooled unit ships (its trace has
+    one ``unit`` span per cell).  A unit's cells come home as one outcome,
+    so the journal still commits once per unit.
     """
     for t in tracked:
-        unit = replace(t.unit, tier="serial")
-        cfg = unit.obs
-        if cfg is not None and cfg.enabled:
-            context = cfg.create_context()
-            with activate(context):
-                with context.span(
-                    "unit", "engine", tier="serial", instances=len(unit.pending)
-                ):
-                    rows = _solve_serially(unit, t, config, report)
-            yield UnitOutcome(rows=rows, obs=context.payload())
-        else:
-            yield UnitOutcome(rows=_solve_serially(unit, t, config, report))
+        solved: list[UnitOutcome] = []
+        for item in t.unit.pending:
+            for name in item.strategies:
+                cell = replace(
+                    t.unit,
+                    pending=(replace(item, strategies=(name,)),),
+                    tier="serial",
+                )
+                outcome = _solve_or_quarantine(cell, t, config.retry, report)
+                if outcome is not None:
+                    solved.append(outcome)
+        yield _merged(solved, t.unit.obs)
 
 
-def _solve_serially(
-    unit: WorkUnit,
+def _merged(outcomes: "list[UnitOutcome]", cfg: "ObsConfig | None") -> UnitOutcome:
+    """The outcomes of one unit's cells as one outcome of that unit.
+
+    Each cell traced into a fresh tracer, so span ids repeat from cell to
+    cell; absorbing every cell's payload as its own forest renumbers them,
+    as the engine does for pooled payloads.
+    """
+    rows = [row for outcome in outcomes for row in outcome.rows]
+    if cfg is None or not cfg.enabled:
+        return UnitOutcome(rows=rows)
+    merged = Observability(cfg)
+    for outcome in outcomes:
+        merged.absorb(outcome.obs)
+    return UnitOutcome(rows=rows, obs=merged.context().payload())
+
+
+def _solve_or_quarantine(
+    cell: WorkUnit,
     t: _Tracked,
-    config: ResilienceConfig,
+    policy: RetryPolicy,
     report: ResilienceReport,
-) -> UnitResult:
-    """Solve one unit instance-by-instance with per-cell retry/quarantine."""
-    policy = config.retry
-    rows: UnitResult = []
-    for item in unit.pending:
-        profile = ChainProfile(item.chain)
-        results: dict[str, SolvedCell] = {}
-        for name in item.strategies:
-            solved: "SolvedCell | None" = None
-            failure: "Exception | None" = None
-            attempts = 0
-            for attempt in range(policy.max_attempts):
-                if attempt:
-                    time.sleep(
-                        policy.delay(
-                            attempt - 1, token=f"serial:{item.index}:{name}"
-                        )
-                    )
-                attempts += 1
-                try:
-                    solved = solve_instance(
-                        profile,
-                        unit.resources,
-                        (name,),
-                        faults=unit.faults,
-                        tier="serial",
-                        journal=unit.journal,
-                    )[name]
-                    break
-                except Exception as exc:
-                    failure = exc
-                    if not is_transient(exc):
-                        break
-                    report.retries += 1
-                    _log.debug(
-                        "transient %s for chain %d / %s on serial tier "
-                        "(attempt %d); retrying",
-                        type(exc).__name__,
-                        item.index,
-                        name,
-                        attempts,
-                    )
-            if solved is not None:
-                results[name] = solved
-            else:
-                assert failure is not None
-                report.quarantined += 1
-                report.failures.append(
-                    FailureRecord(
-                        index=item.index,
-                        fingerprint=profile.fingerprint,
-                        strategy=name,
-                        error_type=type(failure).__name__,
-                        message=str(failure),
-                        attempts=t.attempts + attempts,
-                        tier="serial",
-                    )
-                )
-                _log.warning(
-                    "quarantined chain %d / %s after %d attempt(s): %s: %s",
-                    item.index,
-                    name,
-                    t.attempts + attempts,
-                    type(failure).__name__,
-                    failure,
-                )
-        rows.append((item.index, results))
-    return rows
+) -> "UnitOutcome | None":
+    """Solve a one-cell unit with retries; quarantine it if it still fails."""
+    (item,) = cell.pending
+    (name,) = item.strategies
+    failure: "Exception | None" = None
+    attempts = 0
+    for attempt in range(policy.max_attempts):
+        if attempt:
+            time.sleep(
+                policy.delay(attempt - 1, token=f"serial:{item.index}:{name}")
+            )
+        attempts += 1
+        try:
+            return solve_unit(cell)
+        except Exception as exc:
+            failure = exc
+            if not is_transient(exc):
+                break
+            report.retries += 1
+            _log.debug(
+                "transient %s for chain %d / %s on serial tier "
+                "(attempt %d); retrying",
+                type(exc).__name__,
+                item.index,
+                name,
+                attempts,
+            )
+    assert failure is not None
+    report.quarantined += 1
+    report.failures.append(
+        FailureRecord(
+            index=item.index,
+            fingerprint=item.chain.fingerprint,
+            strategy=name,
+            error_type=type(failure).__name__,
+            message=str(failure),
+            attempts=t.attempts + attempts,
+            tier="serial",
+        )
+    )
+    _log.warning(
+        "quarantined chain %d / %s after %d attempt(s): %s: %s",
+        item.index,
+        name,
+        t.attempts + attempts,
+        type(failure).__name__,
+        failure,
+    )
+    return None

@@ -34,7 +34,6 @@ WORKER_MODULES = (
     "repro.core",
     "repro.obs",
     "repro.engine.batch",
-    "repro.engine.faults",
     "repro.engine.checkpoint",
     "repro.engine.memo",
 )
@@ -91,7 +90,7 @@ class WorkerGlobalWriteRule(ProjectRule):
         "worker process has its own copy of every module global, so a write "
         "to one silently diverges. Flags, in the WORKER_MODULES modules "
         "(repro.core, repro.obs, "
-        "repro.engine.{batch,faults,checkpoint,memo}), every `global` "
+        "repro.engine.{batch,checkpoint,memo}), every `global` "
         "rebind and every mutation (item/attribute assignment, "
         ".append()/.update()/...) of a module-level mutable binding, "
         "following one import. Also held by: the --jobs 2 parity tests "

@@ -8,11 +8,8 @@ survive torn tails the same way the engine's checkpoint journal does.
 
 Arrival and mutation events embed the full chain (per-type weight matrix +
 replicability flags), making a trace file reproducible without the
-generator that produced it.  :meth:`SimTrace.from_fault_plan` converts the
-timed ``core_failure`` / ``core_recovery`` specs of an engine
-:class:`~repro.engine.faults.FaultPlan` into platform events, so one plan
-can drive the batch engine's per-cell faults and the simulator's platform
-dynamics from a single description.
+generator that produced it.  Platform dynamics are ``core_failure`` /
+``core_recovery`` events in the same list.
 """
 
 from __future__ import annotations
@@ -20,15 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any
 
 from ..core.errors import InvalidParameterError
 from ..core.task import TaskChain
 from ..engine.checkpoint import read_records
 from .events import SimEvent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.faults import FaultPlan
 
 __all__ = ["TRACE_FORMAT", "SimTrace", "chain_to_payload", "chain_from_payload"]
 
@@ -184,38 +178,4 @@ class SimTrace:
             events=tuple(read_records(path, lines[1:], 2, _event_from_json).values()),
             name=str(header.get("name", "trace")),
             metadata=tuple(sorted(dict(header.get("metadata", {})).items())),
-        )
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_fault_plan(
-        cls,
-        plan: "FaultPlan",
-        initial_counts: "Iterable[int]",
-        events: "Iterable[SimEvent]" = (),
-        name: str = "fault-plan",
-    ) -> "SimTrace":
-        """Build a trace whose platform dynamics come from a fault plan.
-
-        The plan's timed ``core_failure`` / ``core_recovery`` specs (see
-        :meth:`~repro.engine.faults.FaultPlan.platform_events`) become
-        platform events; ``events`` supplies the workload side (arrivals /
-        departures / mutations).  The merge is time-sorted and stable.
-        """
-        platform = tuple(
-            SimEvent(
-                spec.kind,
-                spec.at,
-                core_type=spec.core_type,
-                cores=spec.cores,
-            )
-            for spec in plan.platform_events()
-        )
-        merged = [(e.time, i, e) for i, e in enumerate((*events, *platform))]
-        merged.sort(key=lambda item: (item[0], item[1]))
-        return cls(
-            initial_counts=tuple(initial_counts),
-            events=tuple(e for _, _, e in merged),
-            name=name,
         )

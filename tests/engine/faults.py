@@ -1,12 +1,20 @@
-"""Deterministic fault injection for the campaign engine.
+"""Deterministic fault injection for the engine tests.
 
 The resilience layer (:mod:`repro.engine.resilience`) is only trustworthy if
 every one of its recovery paths is *provoked* under test, not just reasoned
-about.  This module provides the provocation: a :class:`FaultPlan` is a
-picklable, deterministic description of which scheduling instances fail, how,
-and how many times.  Plans ride inside :class:`~repro.engine.batch.WorkUnit`
-objects, so the same faults fire identically on the serial path and in
-freshly-spawned worker processes.
+about.  A :class:`FaultPlan` is a picklable, deterministic description of
+which ``(chain, strategy)`` solves fail, how, and how many times;
+:func:`inject_faults` arms it without any engine parameter, through the two
+seams the product already has:
+
+* the strategy registry — each strategy a plan can hit is replaced by a
+  :class:`_FaultedSolve` wrapper with no batch kernel, so every campaign
+  cell of that strategy goes through the wrapper (the registry guarantees
+  the scalar map is bitwise the batch kernel's answer);
+* the engine's one executor construction site,
+  ``repro.engine.pool.ProcessPoolExecutor`` — every pool worker runs
+  :func:`_install` as its initializer, so the same wrappers fire in workers
+  whatever the start method (``fork``, ``spawn``, ``forkserver``).
 
 Fault kinds (:data:`FAULT_KINDS`):
 
@@ -16,59 +24,38 @@ Fault kinds (:data:`FAULT_KINDS`):
   *deterministic* solver failure: retrying is useless, the instance must be
   quarantined).
 * ``crash`` — hard-kill the worker with ``os._exit`` (surfaces as
-  ``BrokenProcessPool`` on the process tier — the closest reproducible stand-in
-  for an OOM-killed or segfaulted worker).
-* ``hang`` — sleep for :attr:`FaultSpec.seconds` before solving (exercises the
-  soft-deadline/timeout path).
-* ``corrupt`` — let the solve finish, then *tamper with the claimed outcome*
-  (period scaled by :attr:`FaultSpec.factor`) before the worker's audit;
-  :func:`repro.core.certify.certify_outcome` rejects the tampered claim
-  with a :class:`~repro.core.errors.CertificationError` naming the cell —
-  the test that proves the auditor earns its keep.
-* ``interrupt`` — raise :class:`KeyboardInterrupt` (a Ctrl-C mid-campaign; the
-  retry machinery must *not* swallow it).
-* ``core_failure`` / ``core_recovery`` — *timed platform events* (see
-  :data:`PLATFORM_FAULT_KINDS`): at simulated time :attr:`FaultSpec.at`,
-  :attr:`FaultSpec.cores` cores of type :attr:`FaultSpec.core_type` go down
-  (respectively come back).  These kinds never fire in the per-cell batch
-  path — :meth:`FaultSpec.matches` is ``False`` for them — they are consumed
-  by the discrete-event simulator (:mod:`repro.sim`), so one
-  :class:`FaultPlan` can drive the batch engine and the simulator together.
+  ``BrokenProcessPool`` on the process tier — the closest reproducible
+  stand-in for an OOM-killed or segfaulted worker).
+* ``hang`` — sleep for :attr:`FaultSpec.seconds` before solving (exercises
+  the soft-deadline path).
+* ``corrupt`` — let the solve finish, then tamper with the claimed period
+  (scaled by :attr:`FaultSpec.factor`); the worker's audit rejects it with a
+  :class:`~repro.core.errors.CertificationError` naming the cell.
+* ``interrupt`` — raise :class:`KeyboardInterrupt` (a Ctrl-C mid-campaign;
+  the retry machinery must *not* swallow it).
 
-Determinism: a fault fires based only on the instance fingerprint, strategy,
-execution tier, and a firing counter — never on wall-clock or entropy.  The
-counter lives in ``state_dir`` as one file per concrete instance (a byte
-appended per firing), so "fail the first N attempts, then succeed" holds even
-when attempts land in different worker processes.
+Determinism: a fault fires based only on the chain fingerprint, strategy,
+execution tier (``process`` inside a pool worker, ``serial`` otherwise) and a
+firing counter — never on wall-clock or entropy.  The counter lives in
+``state_dir`` as one file per concrete instance (a byte appended per
+firing), so "fail the first N attempts, then succeed" holds even when
+attempts land in different worker processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
 
-from ..core.errors import InvalidParameterError, SchedulingError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.binary_search import ScheduleOutcome
-
-__all__ = [
-    "FAULT_KINDS",
-    "PLATFORM_FAULT_KINDS",
-    "InjectedFault",
-    "FaultSpec",
-    "FaultPlan",
-]
-
-#: Timed platform-event kinds, consumed by the simulator (never per-cell).
-PLATFORM_FAULT_KINDS: tuple[str, ...] = (
-    "core_failure",
-    "core_recovery",
-)
+from repro.core.binary_search import ScheduleOutcome
+from repro.core.errors import InvalidParameterError, SchedulingError
+from repro.core.registry import STRATEGIES, StrategyInfo
+from repro.engine import pool as pool_mod
 
 #: Recognized fault kinds (see module docstring).
 FAULT_KINDS: tuple[str, ...] = (
@@ -78,15 +65,18 @@ FAULT_KINDS: tuple[str, ...] = (
     "hang",
     "corrupt",
     "interrupt",
-    *PLATFORM_FAULT_KINDS,
 )
 
 #: Exit status used by ``crash`` faults (distinctive in worker post-mortems).
 CRASH_EXIT_CODE: int = 13
 
 
-class InjectedFault(SchedulingError):
-    """A transient failure injected by a :class:`FaultPlan` (tests only)."""
+class InjectedFault(ConnectionError):
+    """A transient failure injected by a :class:`FaultPlan`.
+
+    A ``ConnectionError``, so the engine classifies it as transient through
+    a type it already retries — no test type leaks into product code.
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +95,6 @@ class FaultSpec:
         seconds: sleep duration of ``hang`` faults.
         factor: multiplier applied to the claimed period by ``corrupt``
             faults (0.5 claims an impossibly good schedule).
-        at: simulated time of a timed platform event (``core_failure`` /
-            ``core_recovery`` only; ignored by per-cell kinds).
-        core_type: platform type index the timed event acts on.
-        cores: number of cores the timed event takes down / brings back.
     """
 
     kind: str
@@ -118,9 +104,6 @@ class FaultSpec:
     times: int = 1
     seconds: float = 0.75
     factor: float = 0.5
-    at: float = 0.0
-    core_type: int = 0
-    cores: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -137,31 +120,9 @@ class FaultSpec:
             raise InvalidParameterError(
                 f"factor must be > 0, got {self.factor}"
             )
-        if self.at < 0:
-            raise InvalidParameterError(f"at must be >= 0, got {self.at}")
-        if self.core_type < 0:
-            raise InvalidParameterError(
-                f"core_type must be >= 0, got {self.core_type}"
-            )
-        if self.cores < 1:
-            raise InvalidParameterError(
-                f"cores must be >= 1, got {self.cores}"
-            )
-
-    @property
-    def is_timed(self) -> bool:
-        """True for timed platform events (simulator-only kinds)."""
-        return self.kind in PLATFORM_FAULT_KINDS
 
     def matches(self, fingerprint: str, strategy: str, tier: str) -> bool:
-        """Whether this rule targets the given instance on the given tier.
-
-        Timed platform events never match a per-cell solve: they describe
-        the *platform* over simulated time, not an instance, and are
-        consumed by :mod:`repro.sim` instead.
-        """
-        if self.is_timed:
-            return False
+        """Whether this rule targets the given instance on the given tier."""
         if self.fingerprint is not None and self.fingerprint != fingerprint:
             return False
         if self.strategy is not None and self.strategy != strategy:
@@ -188,7 +149,7 @@ class FaultSpec:
         if self.kind == "hang":
             time.sleep(self.seconds)
 
-    def corrupt(self, outcome: "ScheduleOutcome") -> "ScheduleOutcome":
+    def corrupt(self, outcome: ScheduleOutcome) -> ScheduleOutcome:
         """Tamper with a finished outcome's claimed period."""
         return dataclasses.replace(outcome, period=outcome.period * self.factor)
 
@@ -201,8 +162,8 @@ class FaultPlan:
         specs: the rules, consulted in order; the first match wins.
         state_dir: directory holding one counter file per concrete
             ``(rule, chain, strategy)`` instance.  File size = firings so
-            far, bumped by appending one byte — atomic enough for the
-            engine's append-only usage, and shared by every worker process.
+            far, bumped by appending one byte — atomic enough for this
+            append-only usage, and shared by every worker process.
     """
 
     specs: tuple[FaultSpec, ...]
@@ -224,40 +185,9 @@ class FaultPlan:
             return None
         return None
 
-    def targets(self, fingerprint: str, strategies: "tuple[str, ...]") -> bool:
-        """Whether *any* rule could fire on this instance on *any* tier.
-
-        Non-consuming (no ledger access) and deliberately tier-agnostic and
-        firing-count-agnostic: the batch engine uses it to route instances a
-        plan might touch through the scalar per-cell path, where the armed
-        fault actually gets its :meth:`fire` consultation.  Over-approximating
-        (routing an already-exhausted target to the scalar path) only costs
-        the vectorized speedup for that instance — results stay identical.
-        """
-        for spec in self.specs:
-            if spec.is_timed:
-                continue
-            if spec.fingerprint is not None and spec.fingerprint != fingerprint:
-                continue
-            if spec.strategy is not None and spec.strategy not in strategies:
-                continue
-            return True
-        return False
-
-    def platform_events(self) -> "tuple[FaultSpec, ...]":
-        """The timed platform events, sorted by time (stable in spec order).
-
-        This is the bridge to :mod:`repro.sim`: the simulator turns these
-        into ``core_failure`` / ``core_recovery`` events on its clock, so a
-        single plan drives per-cell solver faults *and* platform dynamics.
-        """
-        timed = [
-            (spec.at, index, spec)
-            for index, spec in enumerate(self.specs)
-            if spec.is_timed
-        ]
-        timed.sort(key=lambda item: (item[0], item[1]))
-        return tuple(spec for _, _, spec in timed)
+    def hits(self, strategy: str) -> bool:
+        """Whether any rule could fire on ``strategy``."""
+        return any(spec.strategy in (None, strategy) for spec in self.specs)
 
     def firings(self, index: int, fingerprint: str, strategy: str) -> int:
         """How often rule ``index`` has fired for one concrete instance."""
@@ -280,3 +210,59 @@ class FaultPlan:
         with open(path, "ab") as ledger:
             ledger.write(b".")
         return before
+
+
+@dataclass(frozen=True, slots=True)
+class _FaultedSolve:
+    """A registry ``func`` that consults a plan around the shipped solver."""
+
+    shipped: StrategyInfo
+    plan: FaultPlan
+
+    def __call__(self, chain, resources) -> ScheduleOutcome:
+        tier = "serial" if multiprocessing.parent_process() is None else "process"
+        spec = self.plan.fire(chain.fingerprint, self.shipped.name, tier)
+        if spec is not None and spec.kind != "corrupt":
+            spec.trigger()
+        outcome = self.shipped.func(chain, resources)
+        if spec is not None and spec.kind == "corrupt":
+            outcome = spec.corrupt(outcome)
+        return outcome
+
+
+def _install(plan: FaultPlan, setitem=STRATEGIES.__setitem__) -> None:
+    """Arm ``plan`` on the registry of this process.
+
+    Idempotent: an entry that is already wrapped (a worker forked from an
+    armed parent, or a second plan in one test) is unwrapped first, so a
+    solver is never wrapped twice and strategies the plan cannot hit run
+    as shipped.  Also each pool worker's initializer.
+    """
+    for name, info in list(STRATEGIES.items()):
+        shipped = info.func.shipped if isinstance(info.func, _FaultedSolve) else info
+        if plan.hits(name):
+            faulted = _FaultedSolve(shipped, plan)
+            setitem(name, dataclasses.replace(shipped, func=faulted, batch_func=None))
+        elif shipped is not info:
+            setitem(name, shipped)
+
+
+def inject_faults(monkeypatch, plan: FaultPlan) -> None:
+    """Arm ``plan`` for the rest of the test, in this process and in every
+    pool worker an engine builds from now on.
+
+    Composes with other patches of the pool construction site (the
+    ``recording_pool`` fixture, a ``spawn``-context pool): the armed pool
+    subclasses whatever class is installed there now.
+    """
+    _install(plan, partial(monkeypatch.setitem, STRATEGIES))
+    base = pool_mod.ProcessPoolExecutor
+
+    class FaultedPool(base):
+        def __init__(self, *args, **kwargs):
+            # The outermost (latest) plan wins over any wrapped one.
+            kwargs.setdefault("initializer", _install)
+            kwargs.setdefault("initargs", (plan,))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", FaultedPool)

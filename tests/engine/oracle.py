@@ -2,7 +2,8 @@
 
 The engine resolves every campaign through ``registry.solve_batch``; what it
 must reproduce, bit for bit, is the plain ``get_strategy(s)(profile, R)`` map
-— built here with no engine code on the path.
+— built here with no engine code on the path.  :func:`solve_cells` is the
+engine side of one instance: a one-instance unit through ``solve_unit``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,24 @@ import numpy as np
 
 from repro.core.chain_stats import ChainProfile
 from repro.core.registry import get_info
-from repro.engine import StrategyArrays
+from repro.engine import PendingInstance, StrategyArrays, WorkUnit, solve_unit
 
 #: A unit wall no cell fits under, so the planner makes every
 #: ``(chain, strategy)`` cell its own work unit — how tests force many units
 #: (``unit_wall(ONE_CELL_UNITS)`` with the ``unit_wall`` fixture).
 ONE_CELL_UNITS = 1e-9
+
+
+def solve_cells(chain, resources, strategies, journal=False):
+    """``{strategy: SolvedCell}`` of one chain, solved and audited by the
+    engine's one solve route (a one-instance ``WorkUnit``)."""
+    unit = WorkUnit(
+        pending=(PendingInstance(0, chain, tuple(strategies)),),
+        resources=resources,
+        journal=journal,
+    )
+    ((_, cells),) = solve_unit(unit).rows
+    return cells
 
 
 def scalar_outcomes(chains, resources, names):

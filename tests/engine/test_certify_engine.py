@@ -13,11 +13,10 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.registry import STRATEGIES
 from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
 from repro.engine import batch
-from repro.engine.batch import solve_instance
 from repro.engine.memo import InstanceResult, make_key
 from repro.experiments.common import campaign_chains, run_campaign
 
-from .oracle import scalar_arrays
+from .oracle import scalar_arrays, solve_cells
 
 #: HeRAD's prefix sums absorb task 2 of this chain and claim 5e-324 for a
 #: schedule whose certified period is 1.0 (the arithmetic is not mended
@@ -50,9 +49,11 @@ def _tampered_herad(chain, resources) -> ScheduleOutcome:
 
 
 class TestSolveInstance:
+    """One instance through ``solve_unit``, the engine's one solve route."""
+
     def test_certified_results_match_uncertified(self, chains, resources):
         """The audit changes no result: the rows are the scalar solvers'."""
-        cells = solve_instance(ChainProfile(chains[0]), resources, ["herad", "fertac"])
+        cells = solve_cells(chains[0], resources, ["herad", "fertac"])
         plain = scalar_arrays(chains[:1], resources, ["herad", "fertac"])
         for name, cell in cells.items():
             assert cell.result.period == plain[name].periods[0]
@@ -60,11 +61,13 @@ class TestSolveInstance:
             assert cell.result.little_used == plain[name].little_used[0]
 
     def test_lying_strategy_is_caught(self, chains, resources, monkeypatch):
-        broken = dataclasses.replace(STRATEGIES["herad"], func=_tampered_herad)
+        broken = dataclasses.replace(
+            STRATEGIES["herad"], func=_tampered_herad, batch_func=None
+        )
         monkeypatch.setitem(STRATEGIES, "herad", broken)
         profile = ChainProfile(chains[0])
         with pytest.raises(CertificationError, match=f"herad on chain {profile.fingerprint}"):
-            solve_instance(profile, resources, ["herad"])
+            solve_cells(chains[0], resources, ["herad"])
 
 
 class TestEngineBypass:

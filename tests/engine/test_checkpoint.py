@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.chain_stats import ChainProfile
 from repro.core.errors import CertificationError, InvalidParameterError
 from repro.core.types import Resources
 from repro.engine import (
@@ -17,10 +16,11 @@ from repro.engine import (
     MemoCache,
     load_journal,
 )
-from repro.engine.batch import solve_instance
 from repro.engine.checkpoint import JournalRow
 from repro.engine.memo import make_key
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .oracle import solve_cells
 
 
 def _chains(count=6, num_tasks=8, sr=0.5, seed=0):
@@ -114,9 +114,7 @@ class TestJournalFile:
         (chain,) = _chains(1)
         resources = Resources(2, 2)
         key = make_key(chain, resources, "fertac")
-        cell = solve_instance(
-            ChainProfile(chain), resources, ("fertac",), journal=True
-        )["fertac"]
+        cell = solve_cells(chain, resources, ("fertac",), journal=True)["fertac"]
         path = tmp_path / "run.jsonl"
         with CheckpointJournal(path) as journal:
             journal.record(key, *cell)
@@ -131,9 +129,7 @@ class TestJournalFile:
         (chain,) = _chains(1)
         resources = Resources(2, 2)
         key = make_key(chain, resources, "fertac")
-        cell = solve_instance(
-            ChainProfile(chain), resources, ("fertac",), journal=True
-        )["fertac"]
+        cell = solve_cells(chain, resources, ("fertac",), journal=True)["fertac"]
         path = tmp_path / "run.jsonl"
         with CheckpointJournal(path) as journal:
             journal.record(key, *cell)

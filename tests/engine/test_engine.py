@@ -10,13 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.registry import PAPER_ORDER
+from repro.core.registry import PAPER_ORDER, STRATEGIES
 from repro.core.types import Resources
 from repro.engine import (
     CampaignEngine,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
     MemoCache,
     ResilienceConfig,
     RetryPolicy,
@@ -31,6 +28,7 @@ from repro.engine.batch import PendingInstance, WorkUnit
 from repro.experiments.common import run_campaign
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .faults import FaultPlan, FaultSpec, InjectedFault, inject_faults
 from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays
@@ -199,15 +197,14 @@ class TestMemoIntegration:
 
 
 class TestEngineConfig:
-    def test_constructor_takes_exactly_six_parameters(self):
+    def test_constructor_takes_exactly_five_parameters(self):
         """The tier follows ``jobs`` and the plan ``DEFAULT_UNIT_WALL_S``;
-        there is no backend/transport/cache/unit-wall knob."""
+        there is no backend/transport/cache/unit-wall knob, and faults are
+        armed from tests (``tests/engine/faults.py``), not passed in."""
         import inspect
 
         parameters = list(inspect.signature(CampaignEngine.__init__).parameters)
-        assert parameters[1:] == [
-            "jobs", "memo", "resilience", "journal", "faults", "obs"
-        ]
+        assert parameters[1:] == ["jobs", "memo", "resilience", "journal", "obs"]
 
     def test_default_engine_is_a_singleton_until_reset(self):
         reset_default_engine()
@@ -283,7 +280,9 @@ class TestEnginePool:
         assert set(multiprocessing.active_children()) - children == set()
 
     @pytest.mark.parametrize("crash", [False, True], ids=["clean", "worker-crash"])
-    def test_pooled_campaign_starts_no_resource_tracker(self, tmp_path, crash):
+    def test_pooled_campaign_starts_no_resource_tracker(
+        self, tmp_path, crash, monkeypatch
+    ):
         """Pickled rows are the only result transport: a pooled campaign —
         clean, or recovering from a killed worker — never starts
         multiprocessing's resource-tracker process, and a closed engine
@@ -293,9 +292,8 @@ class TestEnginePool:
         children = set(multiprocessing.active_children())
         segments = _shm_segments()
         chains = _chains(4)
-        faults = None
         if crash:
-            faults = FaultPlan(
+            plan = FaultPlan(
                 specs=(
                     FaultSpec(
                         kind="crash",
@@ -306,9 +304,10 @@ class TestEnginePool:
                 ),
                 state_dir=str(tmp_path),
             )
+            inject_faults(monkeypatch, plan)
         retry = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
         with CampaignEngine(
-            jobs=2, memo=False, resilience=ResilienceConfig(retry=retry), faults=faults
+            jobs=2, memo=False, resilience=ResilienceConfig(retry=retry)
         ) as engine:
             arrays = engine.solve_instances(chains, Resources(2, 2), ("fertac",))
             assert (engine.last_report.retries >= 1) == crash
@@ -419,20 +418,22 @@ class TestKernelTier:
             for name in PAPER_ORDER
         )
 
-    def test_fault_plan_forces_python_path(self, tmp_path):
-        """Faults fire per cell, so targeted instances leave the batch."""
+    def test_fault_plan_forces_python_path(self, tmp_path, monkeypatch):
+        """Faults fire per cell, so an armed strategy leaves its batch
+        kernel for the scalar map, where the fault meets every cell."""
         chains = _chains(2)
         plan = FaultPlan(
             specs=(FaultSpec(kind="raise", strategy="herad"),),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
+        assert STRATEGIES["herad"].batch_func is None
         unit = WorkUnit(
             pending=tuple(
                 PendingInstance(index=i, chain=c, strategies=("herad",))
                 for i, c in enumerate(chains)
             ),
             resources=Resources(2, 2),
-            faults=plan,
         )
         with pytest.raises(InjectedFault):
             solve_unit(unit)

@@ -1,6 +1,8 @@
-"""Tests for the deterministic fault-injection harness (repro.engine.faults)."""
+"""Tests for the deterministic fault-injection harness (tests/engine/faults.py)."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -10,10 +12,22 @@ from repro.core.errors import (
     InvalidParameterError,
     SchedulingError,
 )
+from repro.core.registry import STRATEGIES
 from repro.core.types import Resources
-from repro.engine import FAULT_KINDS, FaultPlan, FaultSpec, InjectedFault
-from repro.engine.batch import solve_instance
+from repro.engine import is_transient
+from repro.engine import pool as pool_mod
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
+
+from .faults import (
+    FAULT_KINDS,
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    _FaultedSolve,
+    _install,
+    inject_faults,
+)
+from .oracle import solve_cells
 
 
 def _profile(seed=0):
@@ -68,8 +82,9 @@ class TestMatching:
 
 class TestTrigger:
     def test_raise_is_transient_injected_fault(self):
-        with pytest.raises(InjectedFault):
+        with pytest.raises(InjectedFault) as excinfo:
             FaultSpec(kind="raise").trigger()
+        assert is_transient(excinfo.value)
 
     def test_bug_is_plain_scheduling_error(self):
         with pytest.raises(SchedulingError) as excinfo:
@@ -138,14 +153,56 @@ class TestFiringLedger:
 
 
 class TestCorruptionAndCertification:
-    def test_certify_rejects_corrupt_claim(self, tmp_path):
+    def test_certify_rejects_corrupt_claim(self, tmp_path, monkeypatch):
         """The auditor's reason to exist: tampered outcomes cannot pass."""
         plan = FaultPlan(
             specs=(FaultSpec(kind="corrupt", factor=0.5),),
             state_dir=str(tmp_path),
         )
         profile = _profile()
+        inject_faults(monkeypatch, plan)
         with pytest.raises(
             CertificationError, match=f"fertac on chain {profile.fingerprint}"
         ):
-            solve_instance(profile, Resources(2, 2), ("fertac",), faults=plan)
+            solve_cells(profile.chain, Resources(2, 2), ("fertac",))
+
+
+class TestArming:
+    def test_arming_wraps_only_hit_strategies_once(self, tmp_path, monkeypatch):
+        """Re-arming (a forked worker's initializer, a second plan) never
+        wraps a solver twice, and strategies a plan cannot hit run as
+        shipped, batch kernel included."""
+        shipped = dict(STRATEGIES)
+        every = FaultPlan(specs=(FaultSpec(kind="raise"),), state_dir=str(tmp_path))
+        fertac_only = FaultPlan(
+            specs=(FaultSpec(kind="raise", strategy="fertac"),),
+            state_dir=str(tmp_path),
+        )
+        inject_faults(monkeypatch, every)
+        inject_faults(monkeypatch, fertac_only)
+        _install(fertac_only, partial(monkeypatch.setitem, STRATEGIES))
+        faulted = STRATEGIES["fertac"].func
+        assert isinstance(faulted, _FaultedSolve)
+        assert faulted.shipped is shipped["fertac"]
+        assert faulted.plan is fertac_only
+        assert STRATEGIES["fertac"].batch_func is None
+        for name in set(STRATEGIES) - {"fertac"}:
+            assert STRATEGIES[name] is shipped[name]
+
+    def test_every_pool_worker_arms_the_latest_plan(self, tmp_path, monkeypatch):
+        built = []
+
+        class Recording(pool_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Recording)
+        first = FaultPlan(specs=(FaultSpec(kind="raise"),), state_dir=str(tmp_path))
+        second = FaultPlan(specs=(FaultSpec(kind="bug"),), state_dir=str(tmp_path))
+        inject_faults(monkeypatch, first)
+        inject_faults(monkeypatch, second)
+        pool_mod.ProcessPoolExecutor(max_workers=1).shutdown()
+        assert built == [
+            {"max_workers": 1, "initializer": _install, "initargs": (second,)}
+        ]

@@ -19,19 +19,14 @@ import pytest
 from repro.core.chain_stats import ChainProfile
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
-from repro.engine import (
-    CampaignEngine,
-    FaultPlan,
-    FaultSpec,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
 from repro.obs import Observability, ObsConfig, counter_add, to_chrome_trace
 from repro.obs import clock as obs_clock
 from repro.obs import validate_chrome_trace, validate_flamegraph, write_flamegraph
 from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .faults import FaultPlan, FaultSpec, inject_faults
 from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_outcomes
@@ -125,6 +120,33 @@ class TestSpanCoverage:
         folded = (tmp_path / "run.folded").read_text().splitlines()
         assert folded and validate_flamegraph(folded, spans) == []
 
+    def test_serial_rung_spans_form_one_forest(self, unit_wall):
+        """A hardened ``jobs=1`` campaign solves on the resilience serial
+        rung, each cell as a one-cell unit with its own tracer; a unit's
+        merged payload must still renumber them: ``(pid, span_id)`` is
+        unique and every ``parent_id`` resolves."""
+        unit_wall(1e9)  # one unit of all twelve cells
+        engine = CampaignEngine(
+            jobs=1,
+            memo=False,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+            ),
+            obs=True,
+        )
+        engine.solve_instances(_chains(6), Resources(3, 3), ("herad", "fertac"))
+        spans = engine.obs.spans()
+        by_key = {(s.pid, s.span_id): s for s in spans}
+        assert len(by_key) == len(spans)
+        for span in spans:
+            if span.parent_id is not None:
+                assert (span.pid, span.parent_id) in by_key
+        groups = [s for s in spans if s.name == "solve_batch"]
+        assert len(groups) == 12
+        parents = {(s.pid, s.parent_id) for s in groups}
+        assert len(parents) == 12
+        assert {by_key[key].name for key in parents} == {"unit"}
+
 
 def _deterministic(counters):
     """Drop the ``worker.*`` attribution namespace, the one documented
@@ -175,7 +197,9 @@ class TestExactCounters:
         # One unit per cell (``unit_wall(ONE_CELL_UNITS)``).
         assert sum(worker_units.values()) == len(chains) * len(PAPER_ORDER)
 
-    def test_faulted_process_counters_match_serial(self, tmp_path, unit_wall):
+    def test_faulted_process_counters_match_serial(
+        self, tmp_path, unit_wall, monkeypatch
+    ):
         """Injected faults: retries/quarantines count identically on every tier."""
         unit_wall(ONE_CELL_UNITS)
         chains = _chains(6)
@@ -199,19 +223,19 @@ class TestExactCounters:
                 ),
                 state_dir=str(state_dir),
             )
+            inject_faults(monkeypatch, plan)
             engine = CampaignEngine(
                 jobs=jobs,
                 memo=False,
                 resilience=ResilienceConfig(
                     retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
                 ),
-                faults=plan,
                 obs=ObsConfig(metrics=True),
             )
             arrays = engine.solve_instances(chains, resources, ("fertac", "herad"))
             return arrays, _resilience_counters(engine), engine
 
-        serial_arrays, serial_counters, _ = run(1, tmp_path / "serial")
+        serial_arrays, serial_counters, serial = run(1, tmp_path / "serial")
         process_arrays, process_counters, engine = run(4, tmp_path / "process")
 
         # Retry and quarantine counts are tier-independent facts about the
@@ -233,6 +257,13 @@ class TestExactCounters:
             )
         assert np.isnan(serial_arrays["fertac"].periods[2])
         assert len(engine.failures) == 1
+        # Only solved cells count: a failed attempt's payload never comes
+        # home, from a worker or from the serial rung's one-cell units.
+        solves = [
+            run_engine.obs.metrics.counters()["solve.count"]
+            for run_engine in (serial, engine)
+        ]
+        assert solves == [len(chains) * 2 - 1] * 2
 
     def test_batch_kernel_memo_counters_match_serial(self, unit_wall):
         """Bulk memo fills (get_many/put_many) count one miss then one hit

@@ -170,8 +170,8 @@ class TestAdaptiveCostModel:
 
     def test_apportions_by_current_estimates(self):
         model = AdaptiveCostModel()
-        model.feed_sketch("slow", 0.09)
-        model.feed_sketch("fast", 0.01)
+        model.observe_unit({"slow": 1}, seconds=0.09)
+        model.observe_unit({"fast": 1}, seconds=0.01)
         model.observe_unit({"slow": 1, "fast": 1}, seconds=0.1)
         assert model.cell_cost("slow") > model.cell_cost("fast")
 
@@ -179,32 +179,39 @@ class TestAdaptiveCostModel:
         model = AdaptiveCostModel()
         model.observe_unit({}, seconds=1.0)
         model.observe_unit({"a": 1}, seconds=0.0)
-        model.feed_sketch("a", 0.0)
+        model.observe_unit({"a": 0}, seconds=1.0)
         assert model.snapshot() == ()
 
     def test_snapshot_is_sorted_and_frozen(self):
         model = AdaptiveCostModel()
-        model.feed_sketch("b", 0.2)
-        model.feed_sketch("a", 0.1)
+        model.observe_unit({"b": 1}, seconds=0.2)
+        model.observe_unit({"a": 1}, seconds=0.1)
         snapshot = model.snapshot()
         assert snapshot == (("a", 0.1), ("b", 0.2))
         assert isinstance(snapshot, tuple)
 
 
 class TestCampaignFeedback:
-    def test_sketch_feedback_moves_the_cost_model(self):
-        """A metrics-enabled campaign feeds each strategy's
-        ``solve.seconds`` sketch back into the planner's cost model."""
+    def test_metrics_do_not_steer_the_cost_model(self, monkeypatch):
+        """Observability is recorded about a campaign, never consulted by
+        it: the planner's cost model takes the same updates, for the same
+        strategies in the same order, with metrics on and off."""
         config = GeneratorConfig(num_tasks=8, stateless_ratio=0.5)
         chains = list(chain_batch(6, config, seed=0))
-        engine = CampaignEngine(jobs=1, memo=False, obs=ObsConfig(metrics=True))
-        assert engine._cost_model.snapshot() == ()
-        engine.solve_instances(chains, Resources(3, 3), PAPER_ORDER)
-        costs = dict(engine._cost_model.snapshot())
-        assert set(costs) == set(PAPER_ORDER)
-        for name in PAPER_ORDER:
-            sketch = engine.obs.metrics.sketch(f"solve.seconds.{name}")
-            assert sketch is not None and sketch.count == 1  # one group
-        # The serial unit's wall alone is apportioned by equal priors, which
-        # would leave every strategy at one cost; the sketches tell them apart.
-        assert len(set(costs.values())) > 1
+        folds = []
+        fold = AdaptiveCostModel._fold
+
+        def recording(self, strategy, per_cell):
+            folds.append(strategy)
+            fold(self, strategy, per_cell)
+
+        monkeypatch.setattr(AdaptiveCostModel, "_fold", recording)
+        sequences = []
+        for obs in (ObsConfig(metrics=True), None):
+            folds.clear()
+            engine = CampaignEngine(jobs=1, memo=False, obs=obs)
+            for resources in (Resources(3, 3), Resources(2, 4)):
+                engine.solve_instances(chains, resources, PAPER_ORDER)
+            sequences.append(list(folds))
+        assert sequences[0] == sequences[1]
+        assert sequences[0] == list(PAPER_ORDER) * 2

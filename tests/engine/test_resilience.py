@@ -1,10 +1,12 @@
 """Tests for retry/degradation/quarantine recovery (repro.engine.resilience).
 
-Every recovery path is *provoked* with a deterministic fault plan rather than
-merely reasoned about: transient raise → retry succeeds; worker crash →
-process pool rebuilt; hang → soft deadline abandons and retries; tier-scoped
-persistent failure → serial rung; deterministic bug → quarantine with
-sentinel cells; corrupt claim → certification rejects, re-solve recovers.
+Every recovery path is *provoked* with a deterministic fault plan
+(``tests/engine/faults.py``, armed through the strategy registry and every
+pool worker's initializer) rather than merely reasoned about: transient
+raise → retry succeeds; worker crash → process pool rebuilt; hang → soft
+deadline abandons and retries; tier-scoped persistent failure → serial
+rung; deterministic bug → quarantine with sentinel cells; corrupt claim →
+certification rejects, re-solve recovers.
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ from repro.core.errors import (
 from repro.core.types import Resources
 from repro.engine import (
     CampaignEngine,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
     ResilienceConfig,
     RetryPolicy,
     is_transient,
     load_journal,
 )
+from repro.engine import pool as pool_mod
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .faults import FaultPlan, FaultSpec, InjectedFault, inject_faults
 from .oracle import ONE_CELL_UNITS
 
 
@@ -143,7 +144,7 @@ class TestConfig:
 
 
 class TestRetryRecovery:
-    def test_transient_fault_retries_to_bitwise_recovery(self, tmp_path):
+    def test_transient_fault_retries_to_bitwise_recovery(self, tmp_path, monkeypatch):
         chains = _chains(4)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -151,11 +152,11 @@ class TestRetryRecovery:
             specs=(FaultSpec(kind="raise", times=1),),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=2,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -165,7 +166,7 @@ class TestRetryRecovery:
         assert report.quarantined == 0
         assert engine.failures == ()
 
-    def test_worker_crash_rebuilds_process_pool(self, tmp_path):
+    def test_worker_crash_rebuilds_process_pool(self, tmp_path, monkeypatch):
         """A hard-killed worker (BrokenProcessPool) is retried, not fatal."""
         chains = _chains(4)
         resources = Resources(2, 2)
@@ -181,11 +182,11 @@ class TestRetryRecovery:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=2,
             memo=False,
             resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -194,7 +195,7 @@ class TestRetryRecovery:
         assert report.retries >= 1
         assert report.quarantined == 0
 
-    def test_hang_is_abandoned_at_soft_deadline(self, tmp_path, unit_wall):
+    def test_hang_is_abandoned_at_soft_deadline(self, tmp_path, unit_wall, monkeypatch):
         unit_wall(ONE_CELL_UNITS)
         chains = _chains(3)
         resources = Resources(2, 2)
@@ -211,11 +212,11 @@ class TestRetryRecovery:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=3,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -225,11 +226,45 @@ class TestRetryRecovery:
         assert report.quarantined == 0
 
 
+class TestSpawnedWorkers:
+    def test_process_fault_fires_in_spawned_workers(self, tmp_path, monkeypatch):
+        """The seam does not lean on ``fork``: a ``spawn`` worker imports a
+        clean registry, and the pool initializer alone arms it."""
+        chains = _chains(2, num_tasks=4)
+        resources = Resources(2, 2)
+        reference = _reference(chains, resources)
+        spawn = multiprocessing.get_context("spawn")
+
+        class SpawnPool(pool_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                kwargs.setdefault("mp_context", spawn)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", SpawnPool)
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="raise", tiers=("process",), times=1),),
+            state_dir=str(tmp_path),
+        )
+        inject_faults(monkeypatch, plan)
+        with CampaignEngine(
+            jobs=2, memo=False, resilience=ResilienceConfig(retry=_FAST)
+        ) as engine:
+            arrays = engine.solve_instances(chains, resources, ("fertac",))
+        _assert_same_arrays(arrays, reference)
+        report = engine.last_report
+        assert report is not None
+        # One unit of both cells: each chain's one firing fails one attempt,
+        # and only a worker can fire a process-tier fault.
+        assert report.retries == len(chains)
+        assert report.degradations == 0
+        assert report.quarantined == 0
+
+
 class TestPoolHygiene:
     """A dirty round's workers never serve another round or campaign."""
 
     def test_timed_out_round_does_not_hand_workers_on(
-        self, tmp_path, recording_pool, unit_wall
+        self, tmp_path, recording_pool, unit_wall, monkeypatch
     ):
         unit_wall(ONE_CELL_UNITS)
         chains = _chains(3)
@@ -246,11 +281,11 @@ class TestPoolHygiene:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=3,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
-            faults=plan,
         )
         engine.solve_instances(chains, resources, ("fertac",))
         assert engine.last_report is not None
@@ -267,7 +302,7 @@ class TestPoolHygiene:
         assert fresh.shutdown_calls == [(True, False)]
 
     def test_interrupt_commits_finished_units_and_leaves_no_pool(
-        self, tmp_path, unit_wall
+        self, tmp_path, unit_wall, monkeypatch
     ):
         unit_wall(ONE_CELL_UNITS)
         children = set(multiprocessing.active_children())
@@ -286,12 +321,12 @@ class TestPoolHygiene:
             state_dir=str(tmp_path / "faults"),
         )
         path = tmp_path / "run.jsonl"
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=2,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
-            faults=plan,
         )
         with pytest.raises(KeyboardInterrupt):
             engine.solve_instances(chains, resources, ("fertac",))
@@ -318,7 +353,7 @@ class TestPoolHygiene:
 
 class TestDegradation:
     def test_persistent_process_failure_degrades_to_serial(
-        self, tmp_path, recording_pool
+        self, tmp_path, recording_pool, monkeypatch
     ):
         """A unit that fails every process-tier attempt is solved cell by
         cell on the serial rung: one degradation, and no other pool built."""
@@ -329,11 +364,11 @@ class TestDegradation:
             specs=(FaultSpec(kind="raise", tiers=("process",), times=50),),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=2,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -349,7 +384,7 @@ class TestDegradation:
 
 
 class TestQuarantine:
-    def test_deterministic_bug_is_quarantined_with_sentinels(self, tmp_path):
+    def test_deterministic_bug_is_quarantined_with_sentinels(self, tmp_path, monkeypatch):
         chains = _chains(4)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -360,11 +395,11 @@ class TestQuarantine:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=1,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
 
@@ -391,7 +426,7 @@ class TestQuarantine:
         engine.clear_failures()
         assert engine.failures == ()
 
-    def test_exhausted_transient_fault_is_quarantined(self, tmp_path):
+    def test_exhausted_transient_fault_is_quarantined(self, tmp_path, monkeypatch):
         """A transient fault that never stops firing ends in quarantine."""
         chains = _chains(2)
         resources = Resources(2, 2)
@@ -403,11 +438,11 @@ class TestQuarantine:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=1,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         assert np.isnan(arrays["fertac"].periods[0])
@@ -418,7 +453,7 @@ class TestQuarantine:
 
 
 class TestCorruptionRecovery:
-    def test_certify_catches_corrupt_then_resolve_recovers(self, tmp_path):
+    def test_certify_catches_corrupt_then_resolve_recovers(self, tmp_path, monkeypatch):
         """The audit turns a corrupt claim into a recoverable transient."""
         chains = _chains(3)
         resources = Resources(2, 2)
@@ -433,11 +468,11 @@ class TestCorruptionRecovery:
             ),
             state_dir=str(tmp_path),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=1,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)

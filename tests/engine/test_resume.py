@@ -17,14 +17,13 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.types import Resources
 from repro.engine import (
     CampaignEngine,
-    FaultPlan,
-    FaultSpec,
     ResilienceConfig,
     RetryPolicy,
     load_journal,
 )
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .faults import FaultPlan, FaultSpec, inject_faults
 from .oracle import ONE_CELL_UNITS
 
 _FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
@@ -44,7 +43,9 @@ def _assert_same_arrays(a, b):
 
 
 class TestInterruptAndResume:
-    def test_killed_process_campaign_resumes_bitwise(self, tmp_path, unit_wall):
+    def test_killed_process_campaign_resumes_bitwise(
+        self, tmp_path, unit_wall, monkeypatch
+    ):
         unit_wall(ONE_CELL_UNITS)
         chains = _chains(16)
         resources = Resources(2, 2)
@@ -65,12 +66,12 @@ class TestInterruptAndResume:
             state_dir=str(tmp_path / "faults"),
         )
         path = tmp_path / "run.jsonl"
+        inject_faults(monkeypatch, plan)
         interrupted = CampaignEngine(
             jobs=8,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
-            faults=plan,
         )
         with pytest.raises(KeyboardInterrupt):
             interrupted.solve_instances(chains, resources, ("fertac",))
@@ -110,18 +111,18 @@ class TestInterruptAndResume:
         assert len(load_journal(path)) == len(path.read_text().splitlines()) == 6
         assert rows_written(6) == 0
 
-    def test_interrupt_on_serial_tier_propagates(self, tmp_path):
+    def test_interrupt_on_serial_tier_propagates(self, tmp_path, monkeypatch):
         """The retry loop classifies only Exception: a Ctrl-C escapes it."""
         chains = _chains(4)
         plan = FaultPlan(
             specs=(FaultSpec(kind="interrupt", times=1),),
             state_dir=str(tmp_path / "faults"),
         )
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=1,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            faults=plan,
         )
         with pytest.raises(KeyboardInterrupt):
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))
@@ -129,7 +130,7 @@ class TestInterruptAndResume:
 
 class TestCleanShutdown:
     def test_interrupted_pool_is_cancelled_not_leaked(
-        self, tmp_path, recording_pool, unit_wall
+        self, tmp_path, recording_pool, unit_wall, monkeypatch
     ):
         """On Ctrl-C the pool is shut down with cancel_futures=True and the
 
@@ -149,12 +150,12 @@ class TestCleanShutdown:
             state_dir=str(tmp_path / "faults"),
         )
         path = tmp_path / "run.jsonl"
+        inject_faults(monkeypatch, plan)
         engine = CampaignEngine(
             jobs=2,
             memo=False,
             resilience=ResilienceConfig(retry=_FAST),
             journal=path,
-            faults=plan,
         )
         with pytest.raises(KeyboardInterrupt):
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))

@@ -20,14 +20,13 @@ from repro.core.types import Resources
 from repro.engine import (
     DEFAULT_UNIT_WALL_S,
     CampaignEngine,
-    FaultPlan,
-    FaultSpec,
     ResilienceConfig,
     RetryPolicy,
     load_journal,
 )
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
+from .faults import FaultPlan, FaultSpec, inject_faults
 from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays
@@ -88,7 +87,9 @@ class TestBitwiseParity:
 class TestResumeThroughJournal:
     """Kill a process-tier campaign mid-run, resume it through its journal."""
 
-    def test_kill_then_resume_bitwise(self, tmp_path, oracle_setup, unit_wall):
+    def test_kill_then_resume_bitwise(
+        self, tmp_path, oracle_setup, unit_wall, monkeypatch
+    ):
         chains, resources, _, _ = oracle_setup
         names = ("fertac",)
         reference = scalar_arrays(chains, resources, names)
@@ -106,10 +107,11 @@ class TestResumeThroughJournal:
         )
         path = tmp_path / "run.jsonl"
         unit_wall(ONE_CELL_UNITS)
+        inject_faults(monkeypatch, plan)
         interrupted = CampaignEngine(
             jobs=4, memo=False,
             resilience=ResilienceConfig(retry=_FAST),
-            journal=path, faults=plan,
+            journal=path,
         )
         with pytest.raises(KeyboardInterrupt):
             interrupted.solve_instances(chains, resources, names)

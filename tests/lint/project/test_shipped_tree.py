@@ -8,6 +8,8 @@ allowlist entry fails here before it fails in production.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import io
 import re
 import shutil
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import engine
 from repro.cli import _EXPERIMENTS, build_parser
 from repro.lint import RULE_REGISTRY, ProjectRule, lint
 from repro.lint.project import ALLOWLIST, ProjectContext
@@ -368,10 +371,58 @@ def _unreached(facts: dict[str, ModuleFacts], roots: list[ImportRecord]) -> list
     return sorted(set(facts) - reached)
 
 
+def _passed_arguments(callee: str, parameters: "list[str]") -> set[str]:
+    """The ``parameters`` of ``callee`` that some call in ``src/`` or
+    ``perf/`` (their test directories aside) passes, by keyword or by
+    position.  A ``**mapping`` or ``*sequence`` argument names nothing."""
+    passed: set[str] = set()
+    scripts = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perf").rglob("*.py")]
+    for script in sorted(scripts):
+        if "tests" in script.relative_to(ROOT).parts:
+            continue
+        for node in ast.walk(ast.parse(script.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                name = func.id if isinstance(func, ast.Name) else None
+            if name != callee:
+                continue
+            positional = 0
+            for argument in node.args:
+                if isinstance(argument, ast.Starred):
+                    break
+                positional += 1
+            passed.update(parameters[:positional])
+            passed.update(k.arg for k in node.keywords if k.arg is not None)
+    return passed
+
+
 class TestCensus:
     """ROADMAP item 4(a): every module under ``src/repro`` is on the path of
     a command, a ledger workload or an example.  A module only its own test
-    imports is a test helper and lives under ``tests/``."""
+    imports is a test helper and lives under ``tests/``.
+
+    The same holds one level down, for the engine's public parameters: a
+    parameter that only tests set is a test seam, and it belongs in
+    ``tests/`` (faults are armed from ``tests/engine/faults.py`` through the
+    strategy registry and the pool's construction site, not passed in).
+    """
+
+    @pytest.mark.parametrize(
+        "callee", ["CampaignEngine", "units_from_groups", "WorkUnit"]
+    )
+    def test_every_engine_parameter_is_passed_by_product_code(self, callee):
+        target = getattr(engine, callee)
+        if dataclasses.is_dataclass(target):
+            parameters = [field.name for field in dataclasses.fields(target)]
+        else:
+            signature = inspect.signature(target)
+            parameters = [name for name in signature.parameters if name != "self"]
+        unpassed = set(parameters) - _passed_arguments(callee, parameters)
+        assert unpassed == set(), f"{callee} parameters only tests pass"
 
     def test_every_module_is_reached_from_something_a_user_runs(self, pctx):
         assert _unreached(pctx.facts, _census_roots()) == []

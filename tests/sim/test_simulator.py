@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.engine import FaultPlan, FaultSpec
 from repro.obs.export import validate_chrome_trace
 from repro.sim import (
     SimConfig,
@@ -185,22 +184,20 @@ class TestInvariantsAcrossWorkloads:
         assert result.overcommit_events == 0
 
 
-class TestFaultPlanBridge:
-    """One FaultPlan drives both the batch engine and the simulator."""
+class TestPlatformEvents:
+    """Core failures and recoveries are plain trace events."""
 
-    def test_plan_platform_events_shape_the_run(self, tmp_path):
+    def test_platform_events_shape_the_run(self):
         chain = TaskChain.from_weights(
             [4, 10, 3], [9, 21, 8], [True, True, False], name="alpha"
         )
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="core_failure", at=5.0, core_type=0, cores=2),
-                FaultSpec(kind="core_recovery", at=9.0, core_type=0, cores=2),
+        trace = SimTrace(
+            initial_counts=(2, 2),
+            events=(
+                SimEvent("chain_arrival", 0.0, chain=chain),
+                SimEvent("core_failure", 5.0, core_type=0, cores=2),
+                SimEvent("core_recovery", 9.0, core_type=0, cores=2),
             ),
-            state_dir=str(tmp_path),
-        )
-        trace = SimTrace.from_fault_plan(
-            plan, (2, 2), events=(SimEvent("chain_arrival", 0.0, chain=chain),)
         )
         result = simulate(trace)
         availabilities = [r.availability for r in result.records]

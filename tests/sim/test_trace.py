@@ -7,7 +7,6 @@ import re
 import pytest
 
 from repro.core.errors import InvalidParameterError
-from repro.engine import FaultPlan, FaultSpec
 from repro.sim import (
     SimEvent,
     SimTrace,
@@ -111,28 +110,6 @@ class TestTraceSerialization:
         torn = SimTrace.read(path)
         assert torn.num_events == trace.num_events - 1
         assert torn.events == trace.events[:-1]
-
-
-class TestFromFaultPlan:
-    def test_timed_specs_become_platform_events(self, tmp_path):
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="core_recovery", at=9.0, core_type=1, cores=2),
-                FaultSpec(kind="core_failure", at=3.0, core_type=1, cores=2),
-                FaultSpec(kind="raise"),  # per-cell spec: not a platform event
-            ),
-            state_dir=str(tmp_path),
-        )
-        arrivals = (SimEvent("chain_arrival", 0.0, chain=_chain("a")),)
-        trace = SimTrace.from_fault_plan(plan, (2, 3), events=arrivals)
-        assert [e.kind for e in trace.events] == [
-            "chain_arrival",
-            "core_failure",
-            "core_recovery",
-        ]
-        assert [e.time for e in trace.events] == [0.0, 3.0, 9.0]
-        assert trace.events[1].core_type == 1
-        assert trace.events[1].cores == 2
 
 
 class TestGenerators:
