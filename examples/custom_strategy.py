@@ -13,14 +13,14 @@ Run:  python examples/custom_strategy.py
 
 from __future__ import annotations
 
-from repro import PAPER_ORDER, Resources, TaskChain, get_strategy
 from repro.core.binary_search import schedule_by_binary_search
 from repro.core.chain_stats import ChainProfile
 from repro.core.packing import compute_stage, stage_fits
-from repro.core.registry import get_info
+from repro.core.registry import PAPER_ORDER, get_info, get_strategy
 from repro.core.solution import Solution
 from repro.core.stage import Stage
-from repro.core.types import CoreType
+from repro.core.task import TaskChain
+from repro.core.types import CoreType, Resources
 
 
 def bigfirst_compute_solution(

@@ -14,8 +14,7 @@ Run:  python examples/dvbs2_receiver.py
 
 from __future__ import annotations
 
-from repro import PAPER_ORDER, get_strategy
-from repro.core.registry import get_info
+from repro.core.registry import PAPER_ORDER, get_info, get_strategy
 from repro.platform import REAL_CONFIGURATIONS
 from repro.sdr import DVBS2_NORMAL_R8_9, dvbs2_chain, fps_from_period_us
 from repro.streampu import CalibratedOverhead, PipelineSpec, simulate_pipeline

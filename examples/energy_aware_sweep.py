@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CoreType, Resources, fertac, herad
+from repro.core.fertac import fertac
+from repro.core.herad import herad
+from repro.core.types import CoreType, Resources
 from repro.workloads import random_chain
 from repro.workloads.synthetic import GeneratorConfig
 

@@ -13,8 +13,10 @@ Run:  python examples/pipeline_visualization.py
 
 from __future__ import annotations
 
-from repro import PowerModel, Resources, herad, pareto_front
-from repro.analysis import render_gantt
+from repro.analysis.gantt import render_gantt
+from repro.core.herad import herad
+from repro.core.power import PowerModel, pareto_front
+from repro.core.types import Resources
 from repro.sdr import dvbs2_mac_studio_chain
 from repro.streampu import PipelineSpec, simulate_pipeline
 

@@ -10,8 +10,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import PAPER_ORDER, Resources, TaskChain, get_strategy
-from repro.core.registry import get_info
+from repro.core.registry import PAPER_ORDER, get_info, get_strategy
+from repro.core.task import TaskChain
+from repro.core.types import Resources
 
 
 def main() -> None:

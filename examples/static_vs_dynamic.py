@@ -22,7 +22,8 @@ Run:  python examples/static_vs_dynamic.py
 
 from __future__ import annotations
 
-from repro import Resources, herad
+from repro.core.herad import herad
+from repro.core.types import Resources
 from repro.sdr import dvbs2_mac_studio_chain, fps_from_period_us
 from repro.streampu import simulate_dynamic_scheduler
 

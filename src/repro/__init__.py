@@ -9,7 +9,9 @@ receiver workload, and the full experimental campaign of the paper.
 
 Quickstart::
 
-    from repro import TaskChain, Resources, herad
+    from repro.core.herad import herad
+    from repro.core.task import TaskChain
+    from repro.core.types import Resources
 
     chain = TaskChain.from_weights(
         weights_big=[4, 10, 3, 7],
@@ -23,95 +25,4 @@ See ``examples/`` for runnable scenarios and ``DESIGN.md`` for the paper
 mapping.
 """
 
-from .core import (
-    INFINITY,
-    PAPER_ORDER,
-    STRATEGIES,
-    CertificateReport,
-    CertificationError,
-    ChainProfile,
-    CoreType,
-    CoreUsage,
-    InfeasibleScheduleError,
-    InvalidChainError,
-    InvalidParameterError,
-    InvalidPlatformError,
-    PowerModel,
-    PowerReport,
-    Resources,
-    ScheduleOutcome,
-    SchedulingError,
-    Solution,
-    Stage,
-    StrategyInfo,
-    Task,
-    TaskChain,
-    UnknownStrategyError,
-    audit_solution,
-    certify_outcome,
-    certify_solution,
-    fertac,
-    get_strategy,
-    herad,
-    herad_reference,
-    herad_solution,
-    merge_replicable_stages,
-    otac,
-    otac_big,
-    otac_little,
-    pareto_front,
-    run_strategies,
-    solution_power,
-    strategy_names,
-    twocatac,
-)
-from .engine import CampaignEngine, MemoCache, default_engine
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "Task",
-    "TaskChain",
-    "ChainProfile",
-    "Stage",
-    "Solution",
-    "CoreUsage",
-    "CoreType",
-    "Resources",
-    "INFINITY",
-    "ScheduleOutcome",
-    "fertac",
-    "twocatac",
-    "herad",
-    "herad_solution",
-    "herad_reference",
-    "otac",
-    "otac_big",
-    "otac_little",
-    "merge_replicable_stages",
-    "PowerModel",
-    "PowerReport",
-    "solution_power",
-    "pareto_front",
-    "STRATEGIES",
-    "PAPER_ORDER",
-    "StrategyInfo",
-    "get_strategy",
-    "run_strategies",
-    "strategy_names",
-    "SchedulingError",
-    "InvalidChainError",
-    "InvalidPlatformError",
-    "InvalidParameterError",
-    "InfeasibleScheduleError",
-    "UnknownStrategyError",
-    "CertificationError",
-    "CertificateReport",
-    "audit_solution",
-    "certify_solution",
-    "certify_outcome",
-    "CampaignEngine",
-    "MemoCache",
-    "default_engine",
-]

@@ -1,26 +1,1 @@
 """Analysis toolkit: slowdowns, campaign statistics, heatmaps, rendering."""
-
-from .gantt import render_gantt
-from .heatmap import UsageHeatmap, usage_heatmap
-from .slowdown import (
-    OPTIMAL_TOLERANCE,
-    SlowdownCdf,
-    slowdown_cdf,
-    slowdown_ratios,
-)
-from .stats import ScenarioStats, aggregate_scenario
-from .tables import render_step_curves, render_table
-
-__all__ = [
-    "slowdown_ratios",
-    "slowdown_cdf",
-    "SlowdownCdf",
-    "OPTIMAL_TOLERANCE",
-    "ScenarioStats",
-    "aggregate_scenario",
-    "UsageHeatmap",
-    "usage_heatmap",
-    "render_table",
-    "render_step_curves",
-    "render_gantt",
-]

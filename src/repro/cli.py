@@ -29,24 +29,18 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
-# Only what every invocation needs is imported here (``import repro`` has
-# loaded core, engine and obs already); each subcommand imports its own
-# subsystem — experiments, lint, sim, bench — in the handler that runs it,
-# so ``repro table1`` never pays for the streaming runtime or the linter.
+# Only what every invocation needs is imported here; each subcommand
+# imports its own subsystem — experiments, lint, sim, bench — and each
+# output flag its writer (``--trace``, ``--flamegraph``, ``--metrics``) in
+# the handler that runs it, so ``repro table1`` never pays for the
+# streaming runtime, the linter or an exporter it was not asked for.
 from .core.certify import certify_outcome
 from .core.chain_stats import ChainProfile
 from .core.errors import InvalidParameterError, SchedulingError
 from .core.registry import get_info, solve_batch
 from .core.types import Resources, type_name
 from .engine import CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
-from .obs import (
-    Observability,
-    ObsConfig,
-    RunReport,
-    monotonic,
-    write_chrome_trace,
-    write_flamegraph,
-)
+from .obs import Observability, ObsConfig, monotonic
 
 __all__ = ["main", "build_parser"]
 
@@ -814,16 +808,22 @@ def main(argv: "list[str] | None" = None) -> int:
             engine.journal.close()
         (engine if engine is not None else default_engine()).close()
         if obs is not None and args.trace is not None:
+            from .obs.export import write_chrome_trace
+
             path = write_chrome_trace(
                 args.trace, obs.spans(), obs.metrics.snapshot()
             )
             _log.info("trace written to %s", path)
         if obs is not None and args.flamegraph is not None:
+            from .obs.profile import write_flamegraph
+
             lines = write_flamegraph(args.flamegraph, obs.spans())
             _log.info(
                 "flamegraph written to %s (%d stacks)", args.flamegraph, lines
             )
     if obs is not None and args.metrics:
+        from .obs.report import RunReport
+
         wall = monotonic() - sweep_start
         print(RunReport.from_observability(obs, wall).render())
     return 0

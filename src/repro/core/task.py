@@ -56,6 +56,16 @@ class Task:
     extra_weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # One chained comparison per weight accepts a valid task (0,
+        # negatives, NaN and both infinities all fail it); only a rejected
+        # task walks the labelled weights to name the offending one.
+        extra = self.extra_weights
+        if (
+            0.0 < self.weight_big < math.inf
+            and 0.0 < self.weight_little < math.inf
+            and (not extra or all(0.0 < w < math.inf for w in extra))
+        ):
+            return
         labeled = (
             ("big", self.weight_big),
             ("little", self.weight_little),
@@ -107,10 +117,11 @@ class TaskChain:
         tasks = tuple(tasks)
         if not tasks:
             raise InvalidChainError("a task chain must contain at least one task")
-        if len({t.ktype for t in tasks}) > 1:
+        extra = {len(t.extra_weights) for t in tasks}
+        if len(extra) > 1:
             raise InvalidChainError(
                 "all tasks of a chain must carry weights for the same number "
-                f"of core types; got {sorted({t.ktype for t in tasks})}"
+                f"of core types; got {sorted(2 + k for k in extra)}"
             )
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "name", name)

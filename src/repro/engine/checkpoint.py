@@ -19,10 +19,11 @@ parses but fails its audit is a
 line.
 
 Crash safety: a process killed mid-write leaves at most one torn final
-line, which :func:`load_journal` drops (:func:`read_records`, the one JSONL
-read rule of the engine journal, the simulator's journal and its trace
-files).  Any other unusable line is an
-:class:`~repro.core.errors.InvalidParameterError` naming the path and the line.
+line, which :func:`load_journal` drops
+(:func:`~repro.core.jsonl.read_records`, the one JSONL read rule of the
+engine journal, the simulator's journal and its trace files).  Any other
+unusable line is an :class:`~repro.core.errors.InvalidParameterError`
+naming the path and the line.
 Duplicate keys are fine (last wins; a resumed run may legitimately
 re-append rows the first run already journaled).
 
@@ -41,10 +42,11 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, NamedTuple
+from typing import IO, Any, Iterable, NamedTuple
 
 from ..core.certify import certify_solution
-from ..core.errors import CertificationError, InvalidParameterError, SchedulingError
+from ..core.errors import CertificationError, SchedulingError
+from ..core.jsonl import open_for_append, read_records
 from ..core.registry import get_info
 from ..core.solution import Solution
 from ..core.task import TaskChain
@@ -56,8 +58,6 @@ __all__ = [
     "JournalRow",
     "Stages",
     "load_journal",
-    "open_for_append",
-    "read_records",
 ]
 
 _log = logging.getLogger(__name__)
@@ -72,32 +72,6 @@ class JournalRow(NamedTuple):
     result: InstanceResult
     stages: Stages
     line: int
-
-
-def read_records(
-    path: "Path | str", lines: "list[str]", first: int, build: "Callable[[Any], Any]"
-) -> "dict[int, Any]":
-    """Decode JSONL ``lines`` through ``build``; ``lines[0]`` is line ``first`` of ``path``.
-
-    Returns the built records keyed by their 1-based line number, in file
-    order.  Only the file's last line may fail to decode — the torn tail of
-    a writer killed mid-``write`` — and it is dropped.  Any other
-    undecodable line, and any line ``build`` cannot use, is an
-    :class:`InvalidParameterError` naming the path and the line.
-    """
-    records = {}
-    for number, line in enumerate(lines, first):
-        if not line.strip():
-            continue
-        try:
-            records[number] = build(json.loads(line))
-        except (LookupError, TypeError, ValueError) as exc:
-            if isinstance(exc, json.JSONDecodeError) and number == first + len(lines) - 1:
-                break
-            raise InvalidParameterError(
-                f"{path}, line {number}: not a usable record ({exc!r})"
-            ) from None
-    return records
 
 
 def _encode(key: MemoKey, result: InstanceResult, stages: Stages) -> str:
@@ -154,24 +128,6 @@ def load_journal(path: "str | Path") -> "dict[MemoKey, JournalRow]":
         key: JournalRow(result, stages, line)
         for line, (key, result, stages) in records.items()
     }
-
-
-def open_for_append(path: Path) -> "IO[str]":
-    """Open a JSONL journal for appending, cutting a torn tail off first.
-
-    A writer killed mid-``write`` leaves a last line with no newline; a row
-    appended straight after it would be glued onto it and both lost to every
-    later load.  The file is cut back to its last newline — what the loaders
-    already ignore — before the first append.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "ab+") as raw:
-        if raw.seek(0, os.SEEK_END):
-            raw.seek(-1, os.SEEK_END)
-            if raw.read(1) != b"\n":
-                raw.seek(0)
-                raw.truncate(raw.read().rfind(b"\n") + 1)
-    return open(path, "a", encoding="utf-8")
 
 
 class CheckpointJournal:

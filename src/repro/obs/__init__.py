@@ -32,95 +32,29 @@ untraced serial run — a regression-tested guarantee.  The default
 implementations (:data:`~repro.obs.tracer.NULL_TRACER`,
 :data:`~repro.obs.metrics.NULL_METRICS`) are no-ops cheap enough to leave
 permanently inlined in the hot paths.
+
+The package itself binds only the clock and the ambient context, which
+every importer of ``repro.obs`` loads anyway; the exporters, the report and
+the profiles are imported from their own modules by the commands that
+write them.
 """
 
-from .clock import monotonic, wall
+from .clock import monotonic
 from .context import (
     NULL_CONTEXT,
     ObsConfig,
-    ObsContext,
-    ObsPayload,
     Observability,
     activate,
     counter_add,
     current,
 )
-from .export import (
-    spans_to_chrome_events,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_events_jsonl,
-)
-from .metrics import (
-    NULL_METRICS,
-    HistogramStats,
-    MetricsLike,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NullMetrics,
-)
-from .profile import (
-    FrameStat,
-    aggregate_self,
-    collapsed_stacks,
-    leaf_attribution,
-    self_seconds,
-    validate_flamegraph,
-    write_flamegraph,
-)
-from .report import RunReport, SpanSink, WorkerCost
-from .sketch import (
-    DEFAULT_ALPHA,
-    SKETCH_VERSION,
-    SketchBuilder,
-    SketchSnapshot,
-    sketch_of,
-)
-from .span import AttrValue, Span
-from .tracer import NULL_TRACER, NullTracer, Tracer, TracerLike
 
 __all__ = [
     "monotonic",
-    "wall",
-    "AttrValue",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "TracerLike",
-    "NULL_TRACER",
-    "HistogramStats",
-    "MetricsSnapshot",
-    "MetricsRegistry",
-    "NullMetrics",
-    "MetricsLike",
-    "NULL_METRICS",
     "ObsConfig",
-    "ObsContext",
-    "ObsPayload",
     "Observability",
     "NULL_CONTEXT",
     "current",
     "activate",
     "counter_add",
-    "spans_to_chrome_events",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "validate_chrome_trace",
-    "RunReport",
-    "SpanSink",
-    "WorkerCost",
-    "DEFAULT_ALPHA",
-    "SKETCH_VERSION",
-    "SketchBuilder",
-    "SketchSnapshot",
-    "sketch_of",
-    "FrameStat",
-    "aggregate_self",
-    "collapsed_stacks",
-    "leaf_attribution",
-    "self_seconds",
-    "validate_flamegraph",
-    "write_flamegraph",
 ]

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "SKETCH_VERSION",
     "SketchSnapshot",
     "SketchBuilder",
     "bucket_index",
@@ -49,9 +48,6 @@ __all__ = [
 
 DEFAULT_ALPHA = 0.01
 """Default relative accuracy: quantiles are exact to within 1%."""
-
-SKETCH_VERSION = 1
-"""Bucketing-scheme version stamped into exported artifacts (BENCH files)."""
 
 
 def _gamma(alpha: float) -> float:

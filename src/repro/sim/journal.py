@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
-from ..engine.checkpoint import open_for_append, read_records
+from ..core.jsonl import open_for_append, read_records
 from .scheduler import ChainDecision
 
 __all__ = ["EventRecord", "SimJournal"]

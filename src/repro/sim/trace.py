@@ -21,7 +21,7 @@ from typing import Any
 
 from ..core.errors import InvalidParameterError
 from ..core.task import TaskChain
-from ..engine.checkpoint import read_records
+from ..core.jsonl import read_records
 from .events import SimEvent
 
 __all__ = ["TRACE_FORMAT", "SimTrace", "chain_to_payload", "chain_from_payload"]
@@ -150,7 +150,7 @@ class SimTrace:
 
         A file that cannot be read, whose header line is not this format's,
         or with an unusable event line
-        (:func:`~repro.engine.checkpoint.read_records`) raises
+        (:func:`~repro.core.jsonl.read_records`) raises
         :class:`InvalidParameterError` naming the path.
         """
         try:

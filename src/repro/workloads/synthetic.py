@@ -13,6 +13,7 @@ ceiling function).  The stateless ratio (SR) of each chain was set equal to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -96,27 +97,8 @@ def random_chain(
         weights ``ceil(w_B * slowdown)``, and exactly
         ``round(SR * n)`` replicable tasks.
     """
-    n = config.num_tasks
-    weights_big = rng.integers(
-        config.weight_low, config.weight_high, size=n, endpoint=True
-    ).astype(np.float64)
-    slowdowns = rng.uniform(config.slowdown_low, config.slowdown_high, size=n)
-    weights_little = np.ceil(weights_big * slowdowns)
-
-    replicable = np.zeros(n, dtype=bool)
-    chosen = rng.choice(n, size=config.num_replicable, replace=False)
-    replicable[chosen] = True
-
-    tasks = tuple(
-        Task(
-            name=f"tau_{i + 1}",
-            weight_big=float(weights_big[i]),
-            weight_little=float(weights_little[i]),
-            replicable=bool(replicable[i]),
-        )
-        for i in range(n)
-    )
-    return TaskChain(tasks, name=name or f"synthetic-n{n}-sr{config.stateless_ratio}")
+    label = name or f"synthetic-n{config.num_tasks}-sr{config.stateless_ratio}"
+    return random_ktype_chain(rng, config, 2, name=label)
 
 
 def random_ktype_chain(
@@ -131,10 +113,9 @@ def random_ktype_chain(
     weights for the most performant class, then one independent slowdown
     column per remaining class drawn from the same
     ``[slowdown_low, slowdown_high]`` interval and rounded with the ceiling
-    function.  The random stream is consumed in exactly the order of
-    :func:`random_chain` (performant weights, slowdown columns in class
-    order, replicable positions), so at ``ktype == 2`` the drawn chain is
-    bitwise identical to ``random_chain(rng, config, name)``.
+    function.  The random stream is consumed in one order (performant
+    weights, slowdown columns in class order, replicable positions), so at
+    ``ktype == 2`` this is :func:`random_chain`.
     """
     if ktype < 2:
         raise InvalidChainError(f"ktype must be >= 2, got {ktype}")
@@ -142,33 +123,34 @@ def random_ktype_chain(
     weights_big = rng.integers(
         config.weight_low, config.weight_high, size=n, endpoint=True
     ).astype(np.float64)
-    columns = [weights_big]
+    # One ``tolist`` per drawn column hands every task plain Python floats
+    # and bools: the values ``float(col[i])`` / ``bool(rep[i])`` would give,
+    # without a numpy scalar per task.
+    columns = [weights_big.tolist()]
     for _ in range(ktype - 1):
         slowdowns = rng.uniform(
             config.slowdown_low, config.slowdown_high, size=n
         )
-        columns.append(np.ceil(weights_big * slowdowns))
+        columns.append(np.ceil(weights_big * slowdowns).tolist())
 
     replicable = np.zeros(n, dtype=bool)
     chosen = rng.choice(n, size=config.num_replicable, replace=False)
     replicable[chosen] = True
 
+    big, little, *extra = columns
+    extras = list(zip(*extra)) if extra else [()] * n
     tasks = tuple(
-        Task(
-            name=f"tau_{i + 1}",
-            weight_big=float(columns[0][i]),
-            weight_little=float(columns[1][i]),
-            replicable=bool(replicable[i]),
-            extra_weights=tuple(
-                float(columns[v][i]) for v in range(2, ktype)
-            ),
-        )
-        for i in range(n)
+        map(Task, _task_names(n), big, little, replicable.tolist(), extras)
     )
     return TaskChain(
         tasks,
         name=name or f"synthetic-k{ktype}-n{n}-sr{config.stateless_ratio}",
     )
+
+
+@lru_cache(maxsize=None)
+def _task_names(n: int) -> "tuple[str, ...]":
+    return tuple(f"tau_{i + 1}" for i in range(n))
 
 
 def ktype_chain_batch(

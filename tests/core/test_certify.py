@@ -7,23 +7,20 @@ import math
 
 import pytest
 
-from repro.core import (
-    CertificationError,
-    CoreType,
-    InvalidChainError,
-    Resources,
-    Solution,
-    Stage,
-    TaskChain,
+from repro.core.certify import (
     audit_solution,
     certify_outcome,
     certify_solution,
-    get_info,
-    herad,
     optimality_bracket,
-    strategy_names,
 )
 from repro.core.chain_stats import ChainProfile
+from repro.core.errors import CertificationError, InvalidChainError
+from repro.core.herad import herad
+from repro.core.registry import get_info, strategy_names
+from repro.core.solution import Solution
+from repro.core.stage import Stage
+from repro.core.task import TaskChain
+from repro.core.types import CoreType, Resources
 
 
 @pytest.fixture
@@ -228,7 +225,7 @@ class TestOptimalityBracket:
         assert "optimality-upper-bound" in _codes(report)
 
     def test_empty_budget_rejected(self, chain):
-        from repro.core import InvalidPlatformError
+        from repro.core.errors import InvalidPlatformError
 
         with pytest.raises(InvalidPlatformError):
             optimality_bracket(chain, Resources(0, 0))

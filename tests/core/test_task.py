@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.errors import InvalidChainError
@@ -23,6 +25,52 @@ class TestTask:
     def test_invalid_weights_rejected(self, wb, wl):
         with pytest.raises(InvalidChainError):
             Task("t", wb, wl, True)
+
+
+#: Every weight the check rejects: zero of either sign, negatives, both
+#: infinities and NaN, as floats and as ints.
+_REJECTED = (0.0, -0.0, 0, -1.0, -2, -math.inf, math.inf, math.nan)
+
+
+class TestRejectedWeightMessages:
+    """A rejected weight raises the one labelled message, naming the first
+    offending core type and the value as given (a valid task skips the
+    labelled walk, so this pins what the walk still says)."""
+
+    @staticmethod
+    def _message(label, value):
+        return (
+            f"task 't': weight on {label} cores must be a finite positive "
+            f"number, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", _REJECTED, ids=repr)
+    @pytest.mark.parametrize(
+        "label, kwargs",
+        [
+            ("big", lambda w: {"weight_big": w, "weight_little": 1.0}),
+            ("little", lambda w: {"weight_big": 1.0, "weight_little": w}),
+            (
+                "type3",
+                lambda w: {
+                    "weight_big": 1.0, "weight_little": 1.0, "extra_weights": (2.0, w),
+                },
+            ),
+        ],
+    )
+    def test_message_names_type_and_value(self, label, kwargs, value):
+        with pytest.raises(InvalidChainError) as caught:
+            Task("t", replicable=True, **kwargs(value))
+        assert str(caught.value) == self._message(label, value)
+
+    def test_first_offending_type_is_named(self):
+        with pytest.raises(InvalidChainError) as caught:
+            Task("t", -2.0, math.nan, True, extra_weights=(0.0,))
+        assert str(caught.value) == self._message("big", -2.0)
+
+    def test_valid_weights_of_every_numeric_kind_pass(self):
+        task = Task("t", 1, 2.5, True, extra_weights=(3, 1e-300, 1e300))
+        assert task.ktype == 5
 
 
 class TestTaskChain:

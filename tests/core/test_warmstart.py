@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import warm_start
 from repro.core.certify import optimality_bracket
 from repro.core.chain_stats import ChainProfile
 from repro.core.registry import get_info
 from repro.core.types import Resources
+from repro.core.warmstart import warm_start
 from repro.workloads.synthetic import GeneratorConfig, random_ktype_chain
 
 _CONFIG = GeneratorConfig(num_tasks=10, stateless_ratio=0.5)

@@ -7,10 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import CertificationError, Resources, TaskChain, herad
 from repro.core.binary_search import ScheduleOutcome
 from repro.core.chain_stats import ChainProfile
+from repro.core.errors import CertificationError
+from repro.core.herad import herad
 from repro.core.registry import STRATEGIES
+from repro.core.task import TaskChain
+from repro.core.types import Resources
 from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
 from repro.engine import batch
 from repro.engine.memo import InstanceResult, make_key

@@ -20,10 +20,11 @@ from repro.core.chain_stats import ChainProfile
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
 from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
-from repro.obs import Observability, ObsConfig, counter_add, to_chrome_trace
+from repro.obs import Observability, ObsConfig, counter_add
 from repro.obs import clock as obs_clock
-from repro.obs import validate_chrome_trace, validate_flamegraph, write_flamegraph
+from repro.obs.export import to_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, NullMetrics
+from repro.obs.profile import validate_flamegraph, write_flamegraph
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 from .faults import FaultPlan, FaultSpec, inject_faults

@@ -14,16 +14,12 @@ import math
 
 import pytest
 
-from repro.core import (
-    Resources,
-    certify_outcome,
-    certify_solution,
-    get_info,
-    herad,
-    herad_reference,
-    strategy_names,
-)
+from repro.core.certify import certify_outcome, certify_solution
 from repro.core.chain_stats import ChainProfile
+from repro.core.herad import herad
+from repro.core.herad_reference import herad_reference
+from repro.core.registry import get_info, strategy_names
+from repro.core.types import Resources
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 BUDGETS = (Resources(2, 2), Resources(3, 5), Resources(6, 2))

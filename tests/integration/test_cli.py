@@ -333,7 +333,7 @@ def test_traced_run_matches_plain_and_writes_valid_trace(capsys, tmp_path):
     """--trace must not change stdout, and must emit Chrome-valid JSON."""
     import json
 
-    from repro.obs import validate_chrome_trace
+    from repro.obs.export import validate_chrome_trace
 
     assert main(["fig2", "--chains", "6"]) == 0
     plain = capsys.readouterr().out
@@ -487,7 +487,7 @@ def test_report_histograms_carry_their_unit(capsys):
 
 def test_flamegraph_flag_writes_validating_collapsed_stacks(capsys, tmp_path):
     """--flamegraph must not change stdout and must pass the structural oracle."""
-    from repro.obs import validate_flamegraph
+    from repro.obs.profile import validate_flamegraph
     from repro.obs.context import current
 
     assert main(["fig2", "--chains", "6"]) == 0

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
+from repro.obs.export import (
     spans_to_chrome_events,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_events_jsonl,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 
 def _nested_spans():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.obs import NULL_METRICS, HistogramStats, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, HistogramStats, MetricsRegistry
 
 
 class TestCounters:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    Span,
-    Tracer,
+from repro.obs.profile import (
     aggregate_self,
     collapsed_stacks,
     leaf_attribution,
@@ -14,6 +12,8 @@ from repro.obs import (
     validate_flamegraph,
     write_flamegraph,
 )
+from repro.obs.span import Span
+from repro.obs.tracer import Tracer
 
 
 def _span(name, start, end, span_id, parent_id=None, pid=1, depth=0, category="x"):

@@ -8,17 +8,16 @@ from repro.cli import main
 from repro.engine import reset_default_engine
 from repro.obs import (
     NULL_CONTEXT,
-    MetricsRegistry,
-    MetricsSnapshot,
     Observability,
     ObsConfig,
-    RunReport,
-    Tracer,
     activate,
     counter_add,
     current,
 )
 from repro.obs.context import histogram_observe
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.report import RunReport
+from repro.obs.tracer import Tracer
 
 
 def _snapshot(**counters):

@@ -15,12 +15,14 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, SketchSnapshot, sketch_of
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
     SketchBuilder,
+    SketchSnapshot,
     bucket_index,
     bucket_value,
+    sketch_of,
 )
 
 

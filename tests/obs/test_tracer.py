@@ -5,7 +5,8 @@ from __future__ import annotations
 import os
 import pickle
 
-from repro.obs import NULL_TRACER, Span, Tracer
+from repro.obs.span import Span
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 class TestSpanRecording:
