@@ -39,7 +39,7 @@ from .core.chain_stats import ChainProfile
 from .core.errors import InvalidParameterError, SchedulingError
 from .core.registry import get_info, solve_batch
 from .core.types import Resources, type_name
-from .engine import CampaignEngine, CheckpointJournal, ResilienceConfig, RetryPolicy, default_engine
+from .engine import CampaignEngine, CheckpointJournal, ResilienceConfig, default_engine
 from .obs import Observability, ObsConfig, monotonic
 
 __all__ = ["main", "build_parser"]
@@ -207,11 +207,12 @@ def _experiment_options() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "enable resilient execution with N solve attempts per tier: "
-            "transient failures (crashed workers, pickling errors, "
-            "timeouts) retry with deterministic backoff, then degrade "
-            "process -> serial; instances that still fail are "
-            "quarantined (reported on stderr) instead of aborting"
+            "enable resilient execution with N attempts per work unit, then "
+            "N per cell: transient failures (crashed workers, pickling "
+            "errors, timeouts) retry with deterministic backoff; units no "
+            "attempt finished are re-solved cell by cell in-process, and "
+            "cells that still fail are quarantined (reported on stderr) "
+            "instead of aborting"
         ),
     )
     parent.add_argument(
@@ -550,8 +551,9 @@ def _build_engine(
     resilience: "ResilienceConfig | None" = None
     journal: "CheckpointJournal | None" = None
     if hardened:
-        retry = RetryPolicy(max_attempts=args.retries if args.retries else 3)
-        resilience = ResilienceConfig(retry=retry, timeout=args.timeout)
+        resilience = ResilienceConfig(
+            attempts=args.retries or 3, timeout=args.timeout
+        )
         if args.resume is not None:
             journal = CheckpointJournal(args.resume)
     return CampaignEngine(

@@ -12,9 +12,10 @@ Public API:
 * :func:`~repro.engine.plan.plan_units` /
   :class:`~repro.engine.plan.AdaptiveCostModel` — deterministic
   cost-adaptive work-unit planning (DESIGN.md §16).
-* :class:`~repro.engine.resilience.ResilienceConfig` /
-  :class:`~repro.engine.resilience.RetryPolicy` — retries with deterministic
-  backoff, soft deadlines, process → serial degradation, and per-instance
+* :func:`~repro.engine.resilience.dispatch` — the one dispatch loop every
+  campaign runs: unit rounds on the tier, then a cell rung;
+  :class:`~repro.engine.resilience.ResilienceConfig` (attempts, soft
+  deadline) turns on retries with deterministic backoff and per-instance
   quarantine (:class:`~repro.engine.resilience.FailureRecord`).
 * :class:`~repro.engine.checkpoint.CheckpointJournal` — crash-safe JSONL
   checkpointing behind ``--resume``.
@@ -44,11 +45,9 @@ from .executor import (
 from .memo import DEFAULT_MAXSIZE, InstanceResult, MemoCache, MemoStats, make_key
 from .plan import DEFAULT_UNIT_WALL_S, AdaptiveCostModel, plan_units
 from .resilience import (
-    TIERS,
     FailureRecord,
     ResilienceConfig,
     ResilienceReport,
-    RetryPolicy,
     is_transient,
 )
 
@@ -73,10 +72,8 @@ __all__ = [
     "make_key",
     "CheckpointJournal",
     "load_journal",
-    "TIERS",
     "FailureRecord",
     "ResilienceConfig",
     "ResilienceReport",
-    "RetryPolicy",
     "is_transient",
 ]

@@ -11,9 +11,11 @@ instances on one of two tiers, chosen by the job count alone:
   whole-strategy work units, the one that scales CPU-bound pure-Python
   solves across cores (threads do not: the solvers hold the GIL).
 
-Either tier resolves :class:`~repro.engine.batch.WorkUnit` chunks into
+Both tiers run the one dispatch loop of :mod:`repro.engine.resilience`,
+which resolves :class:`~repro.engine.batch.WorkUnit` chunks into
 index-keyed rows — pickled home from workers, the only result transport —
-so assembly is order-independent and the engine's output is **bitwise
+and yields each unit's outcome as soon as it completes, so assembly is
+order-independent and the engine's output is **bitwise
 identical for every job count** — a regression-tested guarantee
 (``tests/engine/test_engine.py``).
 
@@ -30,12 +32,15 @@ all``) nearly free after the first pass.
 
 Two optional layers harden long campaigns (DESIGN.md §9):
 
-* **Resilience** (``resilience=``): transient failures — broken process
-  pools, pickling/IPC errors, soft-deadline timeouts, failed audits — are
-  retried with deterministic backoff, degraded from the process tier to
-  the serial one, and instances that still fail are
-  *quarantined* as :class:`~repro.engine.resilience.FailureRecord` rows
-  (their array cells keep NaN/-1 sentinels) instead of aborting the run.
+* **Resilience** (``resilience=``): the dispatch loop gets more than one
+  attempt.  Units that fail transiently — broken process pools,
+  pickling/IPC errors, soft-deadline timeouts, failed audits — are
+  retried whole with deterministic backoff; only the units no round
+  finished are re-solved cell by cell in-process, and cells that still
+  fail are *quarantined* as
+  :class:`~repro.engine.resilience.FailureRecord` rows (their array cells
+  keep NaN/-1 sentinels) instead of aborting the run.  Without it the
+  first failure aborts the campaign.
 * **Checkpointing** (``journal=``): every solved instance is appended to a
   crash-safe JSONL journal (fsync'd per work unit); re-running with the same
   journal audits the finished instances again, replays them through the
@@ -62,7 +67,7 @@ from ..core.task import TaskChain
 from ..core.types import Resources
 from ..obs.clock import monotonic
 from ..obs.context import NULL_OBSERVABILITY, Observability, ObsConfig, activate
-from .batch import PendingInstance, UnitOutcome, solve_unit, units_from_groups
+from .batch import PendingInstance, UnitOutcome, units_from_groups
 from .checkpoint import CheckpointJournal
 from .memo import InstanceResult, MemoCache, MemoKey, make_key
 from .plan import DEFAULT_UNIT_WALL_S, AdaptiveCostModel, plan_units
@@ -71,7 +76,7 @@ from .resilience import (
     FailureRecord,
     ResilienceConfig,
     ResilienceReport,
-    execute_with_resilience,
+    dispatch,
 )
 
 __all__ = [
@@ -110,10 +115,9 @@ class CampaignEngine:
         memo: a shared :class:`MemoCache`, ``True`` for a private cache, or
             ``False``/``None`` to disable memoization.
         resilience: a :class:`~repro.engine.resilience.ResilienceConfig`
-            (or ``True`` for the defaults) enabling retries, soft deadlines,
-            process → serial degradation, and quarantine.  ``None``/``False``
-            keeps the lean fail-fast path, where any solver exception aborts
-            the campaign.
+            enabling retries, soft deadlines, the cell rung and quarantine.
+            ``None`` keeps the lean fail-fast path: one attempt, where any
+            solver exception aborts the campaign.
         journal: a :class:`~repro.engine.checkpoint.CheckpointJournal` (or a
             path) recording every solved instance; the rows of an existing
             journal are audited and replayed through the memo cache before
@@ -138,7 +142,7 @@ class CampaignEngine:
         self,
         jobs: int | None = None,
         memo: "MemoCache | bool | None" = True,
-        resilience: "ResilienceConfig | bool | None" = None,
+        resilience: "ResilienceConfig | None" = None,
         journal: "CheckpointJournal | str | Path | None" = None,
         obs: "Observability | ObsConfig | bool | None" = None,
     ) -> None:
@@ -151,12 +155,7 @@ class CampaignEngine:
             self.memo = None
         else:
             self.memo = memo
-        if resilience is True:
-            self.resilience: ResilienceConfig | None = ResilienceConfig()
-        elif resilience is False or resilience is None:
-            self.resilience = None
-        else:
-            self.resilience = resilience
+        self.resilience = resilience
         if journal is None or isinstance(journal, CheckpointJournal):
             self.journal: CheckpointJournal | None = journal
         else:
@@ -357,11 +356,12 @@ class CampaignEngine:
         """Run the pending instances on the tier ``jobs`` selects.
 
         Yields one :class:`~repro.engine.batch.UnitOutcome` per completed
-        work unit (the journal fsync granularity).  With resilience enabled,
-        execution runs through the retry/degradation/quarantine ladder of
-        :mod:`repro.engine.resilience`; otherwise failures propagate
-        immediately (fail-fast), though the pool is still discarded with
-        ``cancel_futures`` so a Ctrl-C never leaks workers.
+        work unit (the journal fsync granularity), from the one dispatch
+        loop of :mod:`repro.engine.resilience`: unit rounds on the tier,
+        then — with resilience on — retries, the cell rung and quarantine.
+        Without it the loop makes one attempt and raises its first failure
+        (fail-fast); either way a dirty round discards the pool with
+        ``cancel_futures``, so a Ctrl-C never leaks workers.
         """
         tier = "serial" if jobs == 1 else "process"
         # Cache every fingerprint before anything is dispatched: a process
@@ -389,22 +389,13 @@ class CampaignEngine:
             journal=self.journal is not None,
         )
 
-        if self.resilience is not None:
-            report = ResilienceReport()
-            self._last_report = report
-            try:
-                yield from execute_with_resilience(
-                    units, jobs=jobs, config=self.resilience,
-                    report=report, pool=self._pool,
-                )
-            finally:
-                self._all_failures.extend(report.failures)
-                self._absorb_report(report)
-        elif tier == "serial":
-            yield from map(solve_unit, units)
-        else:
-            with self._pool.lease(jobs) as executor:
-                yield from executor.map(solve_unit, units)
+        report = ResilienceReport()
+        self._last_report = None if self.resilience is None else report
+        try:
+            yield from dispatch(units, jobs, self._pool, self.resilience, report)
+        finally:
+            self._all_failures.extend(report.failures)
+            self._absorb_report(report)
 
     def _feed_cost_model(self, outcome: UnitOutcome) -> None:
         """Fold a unit's measured solve wall into the planner's cost model.

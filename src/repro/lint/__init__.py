@@ -7,8 +7,8 @@ objects, the core error hierarchy, engine determinism (the ``--jobs``
 bitwise guarantee), numpy scalar containment, broad excepts, raw clock
 reads and two-type assumptions (REP101-REP105, REP109-REP111, one module
 at a time) — plus the rules that span modules: no global writes in the
-modules a worker runs, lock discipline, layering, memo purity and dead
-public symbols (REP201, REP202, REP204-REP206, :mod:`repro.lint.project`).
+modules a worker runs, memo purity and dead public symbols (REP201,
+REP205, REP206, :mod:`repro.lint.project`).
 Typing is mypy's, stdout hygiene ruff's (``T10``/``T20``); what a worker
 cannot pickle fails on the first ``--jobs 2`` dispatch.
 

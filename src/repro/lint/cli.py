@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Project-specific static analysis: float-comparison, "
             "immutability, error-hierarchy, determinism and timing rules "
-            "guarding the paper's invariants, plus worker-global, lock, "
-            "layering, memo-purity and dead-symbol rules, in one pass."
+            "guarding the paper's invariants, plus worker-global, "
+            "memo-purity and dead-symbol rules, in one pass."
         ),
     )
     parser.add_argument(

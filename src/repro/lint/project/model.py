@@ -1,6 +1,6 @@
 """Per-module facts the project-wide rules read, extracted in one AST pass.
 
-The project rules (REP201, REP204-REP206) never re-walk raw trees: each
+The project rules (REP201, REP205, REP206) never re-walk raw trees: each
 file is distilled once into a :class:`ModuleFacts` — imports, module-level
 bindings with a mutability classification, function summaries (reads and
 writes of non-local names), class summaries, and ``__all__`` exports.  No

@@ -1,4 +1,4 @@
-"""The project-wide rules: REP201, REP204, REP205, REP206.
+"""The project-wide rules: REP201, REP205, REP206.
 
 Each rule reads the facts of the modules it names from the one
 :class:`ProjectContext` and attaches the evidence that connects the
@@ -7,11 +7,14 @@ edge, an exported name's ``__all__`` line).  No rule follows a
 call: REP201 and REP205 name the modules they police (``WORKER_MODULES``,
 ``repro.core``).  All rules prefer a false negative over a false
 positive: an unresolvable construct is skipped, never guessed against.
+
+REP204 (layer boundaries) is retired: the layer ranks and the rule that
+``repro.lint`` imports only the stdlib are asserted on the raw import facts
+by ``TestLayerContract`` (``tests/lint/project/test_shipped_tree.py``), and
+CI runs the linter on a bare interpreter.
 """
 
 from __future__ import annotations
-
-import sys
 
 from ..base import register
 from ..findings import EvidenceStep
@@ -21,7 +24,6 @@ from .model import FunctionFacts
 __all__ = [
     "WORKER_MODULES",
     "WorkerGlobalWriteRule",
-    "LayerBoundaryRule",
     "MemoPurityRule",
     "DeadPublicSymbolRule",
 ]
@@ -37,33 +39,6 @@ WORKER_MODULES = (
     "repro.engine.checkpoint",
     "repro.engine.memo",
 )
-
-#: Architecture ranks: an import must flow strictly downward (higher rank
-#: may import lower rank, never sideways or up).  ``lint`` is rank 0 but
-#: additionally restricted to the stdlib by :class:`LayerBoundaryRule`.
-LAYER_RANKS: dict[str, int] = {
-    "obs": 0,
-    "lint": 0,
-    "core": 10,
-    "platform": 20,
-    "workloads": 20,
-    "engine": 30,
-    "sim": 35,
-    "streampu": 40,
-    "sdr": 50,
-    "analysis": 60,
-    "experiments": 70,
-    "bench": 75,
-    "cli": 80,
-    "": 80,
-    "__init__": 80,
-    "__main__": 90,
-}
-
-def _package_of(module: str) -> str:
-    """Second-level package of ``module`` (``""`` for the top package)."""
-    parts = module.split(".")
-    return parts[1] if len(parts) > 1 else ""
 
 
 def _in_modules(module: str, names: "tuple[str, ...]") -> bool:
@@ -149,98 +124,6 @@ class WorkerGlobalWriteRule(ProjectRule):
                 symbol=write.name,
                 evidence=evidence,
             )
-
-
-@register
-class LayerBoundaryRule(ProjectRule):
-    """REP204: the architecture layering contract, machine-checked."""
-
-    id = "REP204"
-    name = "layer-boundary"
-    description = (
-        "import that inverts the architecture layering (obs < core < "
-        "platform/workloads < engine < streampu < sdr < analysis < "
-        "experiments < cli); lint imports stdlib only"
-    )
-    hint = (
-        "depend downward: move the shared code into the lower layer or "
-        "invert the dependency with a callback/protocol"
-    )
-    explanation = (
-        "Invariant: every intra-project import flows strictly down "
-        "LAYER_RANKS (same package exempt), and the lint package imports "
-        "the stdlib only, so it never depends on the code it checks. Also "
-        "held by: nothing else. Caught: none recorded."
-    )
-
-    def check(self) -> None:
-        pctx = self.pctx
-        tops = {module.split(".", 1)[0] for module in pctx.facts}
-        for module, mod_facts in sorted(pctx.facts.items()):
-            src_pkg = _package_of(module)
-            if src_pkg == "lint":
-                self._check_lint_module(module, mod_facts, tops)
-                continue
-            if src_pkg not in LAYER_RANKS:
-                continue
-            for record in mod_facts.imports:
-                tgt_top = record.target.split(".", 1)[0]
-                if tgt_top not in tops:
-                    continue
-                tgt_pkg = _package_of(record.target)
-                if tgt_pkg not in LAYER_RANKS:
-                    continue
-                if tgt_pkg == src_pkg:
-                    continue
-                if LAYER_RANKS[src_pkg] > LAYER_RANKS[tgt_pkg]:
-                    continue
-                direction = (
-                    "sideways"
-                    if LAYER_RANKS[src_pkg] == LAYER_RANKS[tgt_pkg]
-                    else "upward"
-                )
-                self.report(
-                    module,
-                    record.lineno,
-                    f"`{module}` (layer `{src_pkg or 'root'}`, rank "
-                    f"{LAYER_RANKS[src_pkg]}) imports `{record.target}` "
-                    f"(layer `{tgt_pkg or 'root'}`, rank "
-                    f"{LAYER_RANKS[tgt_pkg]}): dependencies must flow "
-                    f"strictly downward, this one points {direction}",
-                    symbol=record.target,
-                    evidence=[
-                        EvidenceStep(
-                            path=pctx.facts[module].rel,
-                            line=record.lineno,
-                            note=f"{direction} import of `{record.target}`",
-                        )
-                    ],
-                )
-
-    def _check_lint_module(self, module, mod_facts, tops) -> None:
-        top = module.split(".", 1)[0]
-        for record in mod_facts.imports:
-            target = record.target
-            if target == f"{top}.lint" or target.startswith(f"{top}.lint."):
-                continue
-            head = target.split(".", 1)[0]
-            if head in tops:
-                self.report(
-                    module,
-                    record.lineno,
-                    f"`{module}` imports `{target}`: the lint package must "
-                    f"import nothing but the stdlib (it cannot depend on "
-                    f"the code it checks)",
-                    symbol=target,
-                )
-            elif head not in sys.stdlib_module_names:
-                self.report(
-                    module,
-                    record.lineno,
-                    f"`{module}` imports third-party `{target}`: the lint "
-                    f"package must import nothing but the stdlib",
-                    symbol=target,
-                )
 
 
 @register

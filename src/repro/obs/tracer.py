@@ -20,7 +20,9 @@ Span ids are allocated from a single :class:`itertools.count`.  Worker ids
 restart per work unit (pool workers rebuild their tracer for every unit),
 so :meth:`Tracer.absorb` remaps each incoming forest into the session
 counter — after absorption, (pid, span_id) is globally unique and
-``parent_id`` only ever refers to a span with the same pid.
+``parent_id`` only ever refers to a span with the same pid.  A forest
+recorded in the absorbing process (a serial unit) is hung under the span
+open at absorb time; a pool worker's stays on its own pid lane.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class Tracer:
         return _SpanScope(self, name, category, items)
 
     def absorb(self, spans: Iterable[Span]) -> None:
-        """Adopt spans recorded by another tracer (typically a worker process).
+        """Adopt spans recorded by another tracer (a work unit's).
 
         Foreign ids are remapped into this tracer's counter: a reused pool
         worker rebuilds its tracer per work unit, so its ids restart at 1
@@ -149,21 +151,28 @@ class Tracer:
         point at them preserves nesting exactly; a ``parent_id`` whose span
         was not collected becomes a root, matching how the profiler treats
         truncated buffers.
+
+        A forest recorded in this process ran inside the span open now (a
+        serial unit inside its ``campaign``), so its roots are parented
+        under that span and every depth moves down by the open stack's.
+        A pool worker's forest keeps its own pid lane and its roots.
         """
         batch = list(spans)
         mapping = {span.span_id: next(self._ids) for span in batch}
-        remapped = [
-            replace(
-                span,
-                span_id=mapping[span.span_id],
-                parent_id=(
-                    mapping.get(span.parent_id)
-                    if span.parent_id is not None
-                    else None
-                ),
+        stack = self._stack
+        remapped = []
+        for span in batch:
+            parent = None if span.parent_id is None else mapping.get(span.parent_id)
+            depth = span.depth
+            if stack and span.pid == self._pid:
+                if parent is None:
+                    parent = stack[-1]
+                depth += len(stack)
+            remapped.append(
+                replace(
+                    span, span_id=mapping[span.span_id], parent_id=parent, depth=depth
+                )
             )
-            for span in batch
-        ]
         self._spans.extend(remapped)
 
     def collect(self) -> tuple[Span, ...]:

@@ -5,7 +5,10 @@ scheduler *decided*: the event's identity, the platform availability after
 it, and per-chain ``(action, allocation, period, solution triplets)``
 rows.  That is sufficient to replay the prefix of an interrupted run
 without re-solving anything — :func:`repro.sim.simulator.simulate` rebuilds
-solutions from the triplets, advances the ladder counters exactly as the
+solutions from the triplets, certifies each against its chain and its
+recorded core counts (a tampered line is a
+:class:`~repro.core.errors.CertificationError` naming the journal and the
+line), advances the ladder counters exactly as the
 live run did, and continues live from the first unjournaled event,
 producing a bitwise-identical event log and metrics (the same contract as
 the engine's checkpoint journal, :mod:`repro.engine.checkpoint`).
@@ -102,12 +105,13 @@ class SimJournal:
         self.path = Path(path)
         self._handle: "IO[str] | None" = None
 
-    def load(self) -> "tuple[EventRecord, ...]":
-        """Read every record (a torn final line dropped; see ``read_records``)."""
+    def load(self) -> "dict[int, EventRecord]":
+        """Every record keyed by its 1-based line, in file order (a torn
+        final line dropped; see ``read_records``)."""
         if not self.path.exists():
-            return ()
+            return {}
         lines = self.path.read_text(encoding="utf-8").splitlines()
-        return tuple(read_records(self.path, lines, 1, EventRecord.from_json).values())
+        return read_records(self.path, lines, 1, EventRecord.from_json)
 
     def append(self, record: EventRecord) -> None:
         """Append one record and flush it to the OS."""

@@ -42,8 +42,9 @@ from typing import TYPE_CHECKING
 
 from ..core.binary_search import ScheduleOutcome
 from ..core.bounds import period_bounds
-from ..core.certify import certify_outcome, optimality_bracket
+from ..core.certify import certify_outcome, certify_solution, optimality_bracket
 from ..core.chain_stats import ChainProfile
+from ..core.errors import CertificationError
 from ..core.registry import get_info
 from ..core.solution import Solution
 from ..core.task import TaskChain
@@ -388,12 +389,19 @@ class IncrementalScheduler:
 
     # -- replay --------------------------------------------------------------
 
-    def apply_decision(self, decision: ChainDecision) -> None:
+    def apply_decision(self, decision: ChainDecision, context: str) -> None:
         """Apply a journaled decision without re-solving (resume replay).
 
         Rebuilds the chain's schedule and standing decision from the
         recorded triplets and advances the ladder counters exactly as the
-        live run did, so a resumed simulation continues bitwise.
+        live run did, so a resumed simulation continues bitwise.  A journal
+        is input, not memory: each rebuilt schedule is certified against
+        its chain and the decision's own core counts, its recorded period
+        included, before it is adopted.
+
+        Raises:
+            CertificationError: when the schedule fails its certificate
+                (the message starts with ``context``, the journal line).
         """
         record = self._records[decision.name]
         self.metrics.add(f"sim.resched.{decision.action}")
@@ -401,8 +409,16 @@ class IncrementalScheduler:
             self._shed(record)
             return
         solution = Solution.from_triplets(decision.triplets)
-        assert decision.period is not None
         allocation = Resources.from_counts(decision.counts)
+        if decision.period is None:
+            raise CertificationError(f"{context}: {decision.name} has no period")
+        certify_solution(
+            solution,
+            record.profile,
+            allocation,
+            claimed_period=decision.period,
+            context=f"{context}: {decision.name}",
+        )
         record.outcome = ScheduleOutcome(
             solution=solution,
             period=decision.period,

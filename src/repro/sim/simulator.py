@@ -199,7 +199,12 @@ def simulate(
         metrics=metrics,
     )
 
-    replayed: "tuple[EventRecord, ...]" = sink.load() if sink is not None else ()
+    # Each journaled record with the journal line it is audited as.
+    replayed: "list[tuple[str, EventRecord]]" = (
+        [(f"{sink.path}, line {line}", rec) for line, rec in sink.load().items()]
+        if sink is not None
+        else []
+    )
     if len(replayed) > len(trace.events):
         raise InvalidParameterError(
             f"journal holds {len(replayed)} records but the trace has only "
@@ -220,7 +225,7 @@ def simulate(
             if index < len(replayed):
                 # Replay: re-apply the event and the journaled decisions
                 # without solving; verify the journal matches the trace.
-                recorded = replayed[index]
+                where, recorded = replayed[index]
                 if recorded.seq != index or recorded.kind != event.kind:
                     raise InvalidParameterError(
                         f"journal record {recorded.seq} ({recorded.kind}) "
@@ -228,7 +233,7 @@ def simulate(
                     )
                 _apply_event(event, platform, scheduler, metrics)
                 for decision in recorded.decisions:
-                    scheduler.apply_decision(decision)
+                    scheduler.apply_decision(decision, where)
                 record = recorded
             else:
                 _apply_event(event, platform, scheduler, metrics)

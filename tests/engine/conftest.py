@@ -7,8 +7,16 @@ from functools import partial
 
 import pytest
 
-from repro.engine import executor
+from repro.engine import executor, resilience
 from repro.engine import pool as pool_mod
+
+
+@pytest.fixture(autouse=True)
+def immediate_retries(monkeypatch):
+    """Retry without backoff sleeps: the delays are module constants of
+    :mod:`repro.engine.resilience`, read at every retry, so zeroing the base
+    makes each retry immediate (a test of the schedule patches its own)."""
+    monkeypatch.setattr(resilience, "BASE_DELAY", 0.0)
 
 
 @pytest.fixture
@@ -18,8 +26,8 @@ def recording_pool(monkeypatch):
 
     The returned class lists every executor the engine built (``instances``),
     each with the ``(wait, cancel_futures)`` arguments of its shutdowns
-    (``shutdown_calls``); setting ``broken`` makes ``map`` fail like a broken
-    pool.
+    (``shutdown_calls``); setting ``broken`` makes ``submit`` fail like a
+    broken pool.
     """
 
     class RecordingProcessPool(ProcessPoolExecutor):
@@ -31,10 +39,10 @@ def recording_pool(monkeypatch):
             self.shutdown_calls: "list[tuple[bool, bool]]" = []
             type(self).instances.append(self)
 
-        def map(self, fn, *iterables, **kwargs):
+        def submit(self, fn, /, *args, **kwargs):
             if type(self).broken:
                 raise BrokenExecutor("simulated broken pool")
-            return super().map(fn, *iterables, **kwargs)
+            return super().submit(fn, *args, **kwargs)
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             self.shutdown_calls.append((wait, cancel_futures))

@@ -89,7 +89,7 @@ class FaultSpec:
         strategy: target canonical strategy name (``None`` matches all).
         tiers: execution tiers the fault is armed on (``None`` = every tier);
             e.g. ``("process",)`` injects only in worker processes, so the
-            serial rung of the degradation ladder runs clean.
+            in-process cell rung runs clean.
         times: firings per concrete ``(chain, strategy)`` instance before the
             fault disarms (1 = "fail once, then succeed").
         seconds: sleep duration of ``hang`` faults.

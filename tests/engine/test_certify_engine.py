@@ -14,7 +14,7 @@ from repro.core.herad import herad
 from repro.core.registry import STRATEGIES
 from repro.core.task import TaskChain
 from repro.core.types import Resources
-from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
+from repro.engine import CampaignEngine, ResilienceConfig
 from repro.engine import batch
 from repro.engine.memo import InstanceResult, make_key
 from repro.experiments.common import campaign_chains, run_campaign
@@ -139,9 +139,8 @@ class TestAbsorbedTask:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resilient_campaign_quarantines_with_evidence(self, jobs):
-        policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
         with CampaignEngine(
-            jobs=jobs, memo=False, resilience=ResilienceConfig(retry=policy)
+            jobs=jobs, memo=False, resilience=ResilienceConfig(attempts=1)
         ) as engine:
             arrays = engine.solve_instances(
                 [_ABSORBING_CHAIN], Resources(2, 2), ("herad", "fertac")

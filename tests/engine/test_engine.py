@@ -16,7 +16,6 @@ from repro.engine import (
     CampaignEngine,
     MemoCache,
     ResilienceConfig,
-    RetryPolicy,
     default_engine,
     plan_units,
     reset_default_engine,
@@ -305,9 +304,8 @@ class TestEnginePool:
                 state_dir=str(tmp_path),
             )
             inject_faults(monkeypatch, plan)
-        retry = RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)
         with CampaignEngine(
-            jobs=2, memo=False, resilience=ResilienceConfig(retry=retry)
+            jobs=2, memo=False, resilience=ResilienceConfig(attempts=4)
         ) as engine:
             arrays = engine.solve_instances(chains, Resources(2, 2), ("fertac",))
             assert (engine.last_report.retries >= 1) == crash
@@ -358,9 +356,7 @@ class TestResilientDeterminism:
         resilient = CampaignEngine(
             jobs=jobs,
             memo=False,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-                timeout=60.0,
+            resilience=ResilienceConfig(attempts=3, timeout=60.0,
             ),
         )
         _assert_same_arrays(

@@ -19,7 +19,7 @@ import pytest
 from repro.core.chain_stats import ChainProfile
 from repro.core.registry import PAPER_ORDER
 from repro.core.types import Resources
-from repro.engine import CampaignEngine, ResilienceConfig, RetryPolicy
+from repro.engine import CampaignEngine, ResilienceConfig
 from repro.obs import Observability, ObsConfig, counter_add
 from repro.obs import clock as obs_clock
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
@@ -121,21 +121,77 @@ class TestSpanCoverage:
         folded = (tmp_path / "run.folded").read_text().splitlines()
         assert folded and validate_flamegraph(folded, spans) == []
 
-    def test_serial_rung_spans_form_one_forest(self, unit_wall):
-        """A hardened ``jobs=1`` campaign solves on the resilience serial
-        rung, each cell as a one-cell unit with its own tracer; a unit's
-        merged payload must still renumber them: ``(pid, span_id)`` is
-        unique and every ``parent_id`` resolves."""
-        unit_wall(1e9)  # one unit of all twelve cells
+    @pytest.mark.parametrize("journal", [False, True], ids=["one-unit", "journaled"])
+    def test_serial_units_nest_under_the_campaign_span(
+        self, journal, unit_wall, tmp_path
+    ):
+        """An in-process unit runs inside the campaign span, so its spans
+        hang under it: one forest, rooted at ``campaign``, with each
+        ``unit`` one level down (no clock is read to decide this)."""
+        unit_wall(ONE_CELL_UNITS)
         engine = CampaignEngine(
             jobs=1,
             memo=False,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-            ),
+            journal=tmp_path / "run.jsonl" if journal else None,
             obs=True,
         )
-        engine.solve_instances(_chains(6), Resources(3, 3), ("herad", "fertac"))
+        engine.solve_instances(_chains(4), Resources(3, 3), ("herad", "fertac"))
+        spans = engine.obs.spans()
+        by_key = {(s.pid, s.span_id): s for s in spans}
+        (campaign,) = [s for s in spans if s.name == "campaign"]
+        units = [s for s in spans if s.name == "unit"]
+        assert len(units) == (8 if journal else 1)
+        for unit in units:
+            assert unit.parent_id == campaign.span_id
+            assert unit.depth == campaign.depth + 1
+        for span in spans:
+            if span.parent_id is not None:
+                parent = by_key[(span.pid, span.parent_id)]
+                assert span.depth == parent.depth + 1
+        assert [s.name for s in spans if s.parent_id is None] == ["campaign"]
+
+    def test_pooled_units_stay_on_their_worker_lanes(self):
+        """A pool worker's spans keep the worker's pid and their own roots."""
+        engine = CampaignEngine(jobs=2, memo=False, obs=True)
+        with engine:
+            engine.solve_instances(_chains(4), Resources(3, 3), ("herad", "fertac"))
+        spans = engine.obs.spans()
+        (campaign,) = [s for s in spans if s.name == "campaign"]
+        units = [s for s in spans if s.name == "unit"]
+        assert units
+        for unit in units:
+            assert unit.pid != campaign.pid
+            assert (unit.parent_id, unit.depth) == (None, 0)
+
+    def test_serial_rung_spans_form_one_forest(
+        self, unit_wall, tmp_path, monkeypatch
+    ):
+        """A unit that fails every round is solved on the cell rung, each
+        cell as a one-cell unit with its own tracer; the unit's merged
+        payload must still renumber them: ``(pid, span_id)`` is unique and
+        every ``parent_id`` resolves."""
+        unit_wall(1e9)  # one unit of all twelve cells
+        chains = _chains(6)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    kind="raise",
+                    fingerprint=ChainProfile(chains[0]).fingerprint,
+                    strategy="herad",
+                    times=2,
+                ),
+            ),
+            state_dir=str(tmp_path),
+        )
+        inject_faults(monkeypatch, plan)
+        engine = CampaignEngine(
+            jobs=1,
+            memo=False,
+            resilience=ResilienceConfig(attempts=2),
+            obs=True,
+        )
+        engine.solve_instances(chains, Resources(3, 3), ("herad", "fertac"))
+        assert engine.last_report.retries == 2  # both unit rounds
         spans = engine.obs.spans()
         by_key = {(s.pid, s.span_id): s for s in spans}
         assert len(by_key) == len(spans)
@@ -211,8 +267,8 @@ class TestExactCounters:
             plan = FaultPlan(
                 specs=(
                     # One chain's fertac has a deterministic bug -> quarantined.
-                    # times is high enough that the bug persists down the
-                    # process -> serial degradation ladder.
+                    # times is high enough that the bug persists through the
+                    # unit rounds and the cell rung.
                     FaultSpec(
                         kind="bug",
                         fingerprint=bug_chain,
@@ -228,9 +284,7 @@ class TestExactCounters:
             engine = CampaignEngine(
                 jobs=jobs,
                 memo=False,
-                resilience=ResilienceConfig(
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-                ),
+                resilience=ResilienceConfig(attempts=3),
                 obs=ObsConfig(metrics=True),
             )
             arrays = engine.solve_instances(chains, resources, ("fertac", "herad"))
@@ -240,8 +294,9 @@ class TestExactCounters:
         process_arrays, process_counters, engine = run(4, tmp_path / "process")
 
         # Retry and quarantine counts are tier-independent facts about the
-        # campaign; degradation counts are not (the serial tier has no ladder
-        # left to descend), so they are exempt from the parity claim.
+        # campaign; degradation counts are not (staying in-process for the
+        # cell rung is no tier switch), so they are exempt from the parity
+        # claim.
         for name in ("resilience.retries", "resilience.quarantined"):
             assert serial_counters.get(name) == process_counters.get(name), name
         assert serial_counters["resilience.retries"] == 5.0
@@ -259,7 +314,7 @@ class TestExactCounters:
         assert np.isnan(serial_arrays["fertac"].periods[2])
         assert len(engine.failures) == 1
         # Only solved cells count: a failed attempt's payload never comes
-        # home, from a worker or from the serial rung's one-cell units.
+        # home, from a worker or from the cell rung's one-cell units.
         solves = [
             run_engine.obs.metrics.counters()["solve.count"]
             for run_engine in (serial, engine)

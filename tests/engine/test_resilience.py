@@ -27,13 +27,15 @@ from repro.core.errors import (
     InvalidParameterError,
     SchedulingError,
 )
+from repro.core.registry import PAPER_ORDER, solve_batch
 from repro.core.types import Resources
 from repro.engine import (
     CampaignEngine,
     ResilienceConfig,
-    RetryPolicy,
+    batch,
     is_transient,
     load_journal,
+    resilience,
 )
 from repro.engine import pool as pool_mod
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
@@ -50,9 +52,6 @@ def _chains(count=4, num_tasks=8, sr=0.5, seed=0):
 def _fingerprint(chain):
     return ChainProfile(chain).fingerprint
 
-
-#: Fast retry schedule for tests (no real backoff sleeps).
-_FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 #: Soft deadline of the hang tests: well above spawning three workers and a
 #: one-cell solve on a loaded box, well below the injected hang.
@@ -74,37 +73,38 @@ def _assert_same_arrays(a, b):
 
 
 class TestRetryPolicy:
+    """The retry policy is ``ResilienceConfig.attempts`` plus a backoff
+    schedule of module constants, patched here as ``--retries`` never sets
+    them."""
+
     def test_rejects_bad_attempts(self):
         with pytest.raises(InvalidParameterError):
-            RetryPolicy(max_attempts=0)
+            ResilienceConfig(attempts=0)
 
-    def test_rejects_negative_delays(self):
-        with pytest.raises(InvalidParameterError):
-            RetryPolicy(base_delay=-0.1)
+    def test_delay_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BASE_DELAY", 0.1)
+        monkeypatch.setattr(resilience, "MAX_DELAY", 0.35)
+        monkeypatch.setattr(resilience, "JITTER", 0.0)
+        assert resilience._backoff(0) == pytest.approx(0.1)
+        assert resilience._backoff(1) == pytest.approx(0.2)
+        assert resilience._backoff(2) == pytest.approx(0.35)  # capped
+        assert resilience._backoff(10) == pytest.approx(0.35)
 
-    def test_rejects_out_of_range_jitter(self):
-        with pytest.raises(InvalidParameterError):
-            RetryPolicy(jitter=1.5)
-
-    def test_delay_doubles_and_caps(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.35, jitter=0.0)
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.35)  # capped
-        assert policy.delay(10) == pytest.approx(0.35)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.5, seed=7)
+    def test_jitter_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BASE_DELAY", 0.1)
+        monkeypatch.setattr(resilience, "SEED", 7)
         for retry in range(4):
-            first = policy.delay(retry, token="process")
-            assert first == policy.delay(retry, token="process")
-            raw = min(policy.max_delay, policy.base_delay * 2**retry)
+            first = resilience._backoff(retry, token="process")
+            assert first == resilience._backoff(retry, token="process")
+            raw = min(resilience.MAX_DELAY, 0.1 * 2**retry)
             assert 0.5 * raw <= first < raw
 
-    def test_jitter_varies_with_seed_and_token(self):
-        a = RetryPolicy(seed=0).delay(0, token="x")
-        b = RetryPolicy(seed=1).delay(0, token="x")
-        c = RetryPolicy(seed=0).delay(0, token="y")
+    def test_jitter_varies_with_seed_and_token(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BASE_DELAY", 0.05)
+        a = resilience._backoff(0, token="x")
+        c = resilience._backoff(0, token="y")
+        monkeypatch.setattr(resilience, "SEED", 1)
+        b = resilience._backoff(0, token="x")
         assert len({a, b, c}) == 3
 
 
@@ -137,11 +137,6 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ResilienceConfig(timeout=0.0)
 
-    def test_engine_accepts_bool_shorthand(self):
-        engine = CampaignEngine(jobs=1, resilience=True)
-        assert engine.resilience is not None
-        assert CampaignEngine(jobs=1, resilience=False).resilience is None
-
 
 class TestRetryRecovery:
     def test_transient_fault_retries_to_bitwise_recovery(self, tmp_path, monkeypatch):
@@ -156,7 +151,7 @@ class TestRetryRecovery:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -186,7 +181,7 @@ class TestRetryRecovery:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0)),
+            resilience=ResilienceConfig(attempts=4),
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -216,7 +211,7 @@ class TestRetryRecovery:
         engine = CampaignEngine(
             jobs=3,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
+            resilience=ResilienceConfig(timeout=_DEADLINE),
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -247,7 +242,7 @@ class TestSpawnedWorkers:
         )
         inject_faults(monkeypatch, plan)
         with CampaignEngine(
-            jobs=2, memo=False, resilience=ResilienceConfig(retry=_FAST)
+            jobs=2, memo=False, resilience=ResilienceConfig()
         ) as engine:
             arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
@@ -285,7 +280,7 @@ class TestPoolHygiene:
         engine = CampaignEngine(
             jobs=3,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST, timeout=_DEADLINE),
+            resilience=ResilienceConfig(timeout=_DEADLINE),
         )
         engine.solve_instances(chains, resources, ("fertac",))
         assert engine.last_report is not None
@@ -325,7 +320,7 @@ class TestPoolHygiene:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
             journal=path,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -356,7 +351,8 @@ class TestDegradation:
         self, tmp_path, recording_pool, monkeypatch
     ):
         """A unit that fails every process-tier attempt is solved cell by
-        cell on the serial rung: one degradation, and no other pool built."""
+        cell on the in-process cell rung: one degradation, and no other pool
+        built."""
         chains = _chains(3)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -368,13 +364,13 @@ class TestDegradation:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)
         report = engine.last_report
         assert report is not None
-        assert report.retries == _FAST.max_attempts
+        assert report.retries == ResilienceConfig().attempts
         assert report.degradations == 1
         assert report.quarantined == 0
         # InjectedFault is an ordinary exception: the pool stays healthy, so
@@ -383,8 +379,25 @@ class TestDegradation:
         engine.close()
 
 
+def _counters(report):
+    return {
+        "retries": report.retries,
+        "timeouts": report.timeouts,
+        "degradations": report.degradations,
+        "quarantined": report.quarantined,
+    }
+
+
 class TestQuarantine:
-    def test_deterministic_bug_is_quarantined_with_sentinels(self, tmp_path, monkeypatch):
+    """Same fault, same report on both tiers: a unit round fails, the cell
+    rung isolates the cell and quarantines it.  Only ``degradations``
+    differs — leaving the process tier for the cell rung is a tier switch,
+    staying in-process is not."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_bug_is_quarantined_with_sentinels(
+        self, jobs, tmp_path, monkeypatch
+    ):
         chains = _chains(4)
         resources = Resources(2, 2)
         reference = _reference(chains, resources)
@@ -396,12 +409,10 @@ class TestQuarantine:
             state_dir=str(tmp_path),
         )
         inject_faults(monkeypatch, plan)
-        engine = CampaignEngine(
-            jobs=1,
-            memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
-        )
-        arrays = engine.solve_instances(chains, resources, ("fertac",))
+        with CampaignEngine(
+            jobs=jobs, memo=False, resilience=ResilienceConfig()
+        ) as engine:
+            arrays = engine.solve_instances(chains, resources, ("fertac",))
 
         # The failed cell keeps its sentinels ...
         assert np.isnan(arrays["fertac"].periods[2])
@@ -413,21 +424,28 @@ class TestQuarantine:
 
         report = engine.last_report
         assert report is not None
-        assert report.quarantined == 1
+        assert _counters(report) == {
+            "retries": 0, "timeouts": 0, "degradations": jobs - 1, "quarantined": 1,
+        }
         (record,) = report.failures
         assert record.index == 2
         assert record.fingerprint == bad
         assert record.strategy == "fertac"
         assert record.error_type == "SchedulingError"
         assert record.tier == "serial"
-        # Deterministic failures skip the retry budget: one attempt only.
-        assert record.attempts == 1
+        # Deterministic failures skip the retry budget: one attempt as a
+        # unit, one as a cell.
+        assert record.attempts == 2
         assert engine.failures == (record,)
         engine.clear_failures()
         assert engine.failures == ()
 
-    def test_exhausted_transient_fault_is_quarantined(self, tmp_path, monkeypatch):
-        """A transient fault that never stops firing ends in quarantine."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhausted_transient_fault_is_quarantined(
+        self, jobs, tmp_path, monkeypatch
+    ):
+        """A transient fault that never stops firing ends in quarantine,
+        after every attempt as a unit and then every attempt as a cell."""
         chains = _chains(2)
         resources = Resources(2, 2)
         plan = FaultPlan(
@@ -439,17 +457,45 @@ class TestQuarantine:
             state_dir=str(tmp_path),
         )
         inject_faults(monkeypatch, plan)
-        engine = CampaignEngine(
-            jobs=1,
-            memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
-        )
-        arrays = engine.solve_instances(chains, resources, ("fertac",))
+        config = ResilienceConfig()
+        with CampaignEngine(jobs=jobs, memo=False, resilience=config) as engine:
+            arrays = engine.solve_instances(chains, resources, ("fertac",))
         assert np.isnan(arrays["fertac"].periods[0])
         assert np.isfinite(arrays["fertac"].periods[1])
+        assert _counters(engine.last_report) == {
+            "retries": 2 * config.attempts,
+            "timeouts": 0,
+            "degradations": jobs - 1,
+            "quarantined": 1,
+        }
         (record,) = engine.failures
         assert record.error_type == "InjectedFault"
-        assert record.attempts == _FAST.max_attempts
+        assert record.attempts == 2 * config.attempts
+
+
+class TestUnitRounds:
+    def test_hardened_serial_campaign_solves_each_strategy_batch_once(
+        self, monkeypatch
+    ):
+        """A hardened ``jobs=1`` campaign runs whole strategy batches, as a
+        lean one does: HeRAD's batch DP and 2CATAC's memoised walk see the
+        whole batch, one ``solve_batch`` call per strategy."""
+        calls = []
+
+        def recording(profiles, resources, name):
+            calls.append((name, len(profiles)))
+            return solve_batch(profiles, resources, name)
+
+        monkeypatch.setattr(batch, "solve_batch", recording)
+        chains = _chains(5)
+        with CampaignEngine(
+            jobs=1, memo=False, resilience=ResilienceConfig()
+        ) as engine:
+            engine.solve_instances(chains, Resources(3, 2), PAPER_ORDER)
+        assert calls == [(name, len(chains)) for name in PAPER_ORDER]
+        assert _counters(engine.last_report) == {
+            "retries": 0, "timeouts": 0, "degradations": 0, "quarantined": 0,
+        }
 
 
 class TestCorruptionRecovery:
@@ -472,7 +518,7 @@ class TestCorruptionRecovery:
         engine = CampaignEngine(
             jobs=1,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
         )
         arrays = engine.solve_instances(chains, resources, ("fertac",))
         _assert_same_arrays(arrays, reference)

@@ -18,15 +18,12 @@ from repro.core.types import Resources
 from repro.engine import (
     CampaignEngine,
     ResilienceConfig,
-    RetryPolicy,
     load_journal,
 )
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
 
 from .faults import FaultPlan, FaultSpec, inject_faults
 from .oracle import ONE_CELL_UNITS
-
-_FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 def _chains(count, num_tasks=8, sr=0.5, seed=0):
@@ -70,7 +67,7 @@ class TestInterruptAndResume:
         interrupted = CampaignEngine(
             jobs=8,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
             journal=path,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -85,7 +82,7 @@ class TestInterruptAndResume:
         resumed = CampaignEngine(
             jobs=8,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
             journal=path,
         )
         arrays = resumed.solve_instances(chains, resources, ("fertac",))
@@ -122,7 +119,7 @@ class TestInterruptAndResume:
         engine = CampaignEngine(
             jobs=1,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
         )
         with pytest.raises(KeyboardInterrupt):
             engine.solve_instances(chains, Resources(2, 2), ("fertac",))
@@ -154,7 +151,7 @@ class TestCleanShutdown:
         engine = CampaignEngine(
             jobs=2,
             memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
             journal=path,
         )
         with pytest.raises(KeyboardInterrupt):

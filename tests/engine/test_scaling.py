@@ -21,7 +21,6 @@ from repro.engine import (
     DEFAULT_UNIT_WALL_S,
     CampaignEngine,
     ResilienceConfig,
-    RetryPolicy,
     load_journal,
 )
 from repro.workloads.synthetic import GeneratorConfig, chain_batch
@@ -30,8 +29,6 @@ from .faults import FaultPlan, FaultSpec, inject_faults
 from .oracle import ONE_CELL_UNITS
 from .oracle import assert_same_arrays as _assert_same_arrays
 from .oracle import scalar_arrays
-
-_FAST = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 def _oracle_chains():
@@ -110,7 +107,7 @@ class TestResumeThroughJournal:
         inject_faults(monkeypatch, plan)
         interrupted = CampaignEngine(
             jobs=4, memo=False,
-            resilience=ResilienceConfig(retry=_FAST),
+            resilience=ResilienceConfig(),
             journal=path,
         )
         with pytest.raises(KeyboardInterrupt):
@@ -124,7 +121,7 @@ class TestResumeThroughJournal:
         unit_wall(DEFAULT_UNIT_WALL_S)
         resumed = CampaignEngine(
             jobs=4, memo=False,
-            resilience=ResilienceConfig(retry=_FAST), journal=path,
+            resilience=ResilienceConfig(), journal=path,
         )
         arrays = resumed.solve_instances(chains, resources, names)
         resumed.journal.close()

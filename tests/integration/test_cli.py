@@ -237,6 +237,36 @@ def test_unusable_path_arguments_exit_two_without_traceback(argv, content, tmp_p
     assert argv[-1] in done.stderr.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda decision: decision.update(period=1e-9),
+        lambda decision: decision["triplets"][0].__setitem__(2, 999),
+    ],
+    ids=["period", "cores"],
+)
+def test_tampered_sim_journal_exits_two(tamper, tmp_path):
+    """A resumed ``simulate`` audits every journaled schedule: a period or a
+    core count edited into the journal is refused, naming the line, before
+    anything is printed."""
+    import json
+    import subprocess
+    import sys
+
+    path = tmp_path / "run.jsonl"
+    storm = ["simulate", "--kind", "storm", "--journal", str(path)]
+    assert main([*storm, "--stop-after", "6"]) == 0
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    tamper(rows[2]["decisions"][0])
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *storm], capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert f"{path}, line 3: " in done.stderr
+
+
 def test_simulate_input_tolerates_a_torn_final_line(capsys, tmp_path):
     from repro.sim import failure_storm_trace
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint.project import ProjectContext
-from repro.lint.project.rules import LayerBoundaryRule
 from repro.lint.project.model import extract_module_facts
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
@@ -66,5 +65,5 @@ class TestImportResolution:
 
 class TestPackageGraph:
     def test_upward_edge_visible(self, pctx):
-        findings = LayerBoundaryRule.check_project(pctx)
-        assert ("repro/core/uses_engine.py", 3) in {(f.path, f.line) for f in findings}
+        records = pctx.facts["repro.core.uses_engine"].imports
+        assert ("repro.engine.cache", 3) in {(r.target, r.lineno) for r in records}

@@ -11,7 +11,7 @@ from repro.lint import LintReport, lint, render_sarif
 
 FIXTURES = Path(__file__).resolve().parents[1] / "project_fixtures"
 #: The whole-project rules; the corpus is built to exercise these alone.
-PROJECT_RULES = ["REP201", "REP204", "REP205", "REP206"]
+PROJECT_RULES = ["REP201", "REP205", "REP206"]
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """The shipped tree passes every lint rule, and the layer contract holds.
 
-These tests are the CI gate the ISSUE asks for: any future import that
-inverts a layer, any new worker-side global write, and any stale
-allowlist entry fails here before it fails in production.
+These tests are a CI gate: any future import that inverts a layer, any new
+worker-side global write, and any stale allowlist entry fails here before it
+fails in production.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.cli import _EXPERIMENTS, build_parser
 from repro.lint import RULE_REGISTRY, ProjectRule, lint
 from repro.lint.project import ALLOWLIST, ProjectContext
 from repro.lint.project.model import ImportRecord, ModuleFacts, extract_module_facts
-from repro.lint.project.rules import LAYER_RANKS
 
 ROOT = Path(__file__).resolve().parents[3]
 PACKAGE = ROOT / "src" / "repro"
@@ -165,41 +164,82 @@ class TestDocsNameWhatExists:
         ]
 
 
+#: Architecture ranks: an import must flow strictly downward (a higher rank
+#: may import a lower one, never sideways or up; one package may import
+#: itself).  ``lint`` is rank 0 and, beyond that, imports the stdlib only.
+LAYER_RANKS: dict[str, int] = {
+    "obs": 0,
+    "lint": 0,
+    "core": 10,
+    "platform": 20,
+    "workloads": 20,
+    "engine": 30,
+    "sim": 35,
+    "streampu": 40,
+    "sdr": 50,
+    "analysis": 60,
+    "experiments": 70,
+    "bench": 75,
+    "cli": 80,
+    "": 80,
+    "__init__": 80,
+    "__main__": 90,
+}
+
+PROJ_BAD = ROOT / "tests" / "lint" / "project_fixtures" / "proj_bad" / "repro"
+
+
+def _package_of(module: str) -> "str | None":
+    if module != "repro" and not module.startswith("repro."):
+        return None
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else ""
+
+
+def _layer_inversions(facts: "dict[str, ModuleFacts]") -> "list[tuple[str, int]]":
+    """``(module, line)`` of every import that does not flow strictly down
+    ``LAYER_RANKS``, read from the raw import facts (no pragma or allowlist
+    can hide an edge)."""
+    found = []
+    for module, mod_facts in sorted(facts.items()):
+        src_pkg = _package_of(module)
+        for record in mod_facts.imports:
+            tgt_pkg = _package_of(record.target)
+            if src_pkg is None or tgt_pkg is None or src_pkg == tgt_pkg:
+                continue
+            if LAYER_RANKS[src_pkg] <= LAYER_RANKS[tgt_pkg]:
+                found.append((module, record.lineno))
+    return found
+
+
+def _lint_imports_beyond_stdlib(
+    facts: "dict[str, ModuleFacts]",
+) -> "list[tuple[str, int]]":
+    """``(module, line)`` of every ``repro.lint`` import of anything but the
+    stdlib and ``repro.lint`` itself."""
+    return [
+        (module, record.lineno)
+        for module, mod_facts in sorted(facts.items())
+        if module.startswith("repro.lint")
+        for record in mod_facts.imports
+        if not (
+            record.target == "repro.lint"
+            or record.target.startswith("repro.lint.")
+            or record.target.split(".", 1)[0] in sys.stdlib_module_names
+        )
+    ]
+
+
 class TestLayerContract:
+    """The architecture layering, asserted structurally on the import facts
+    (it was lint rule REP204, retired: these tests and CI's bare-interpreter
+    lint step hold the same contract)."""
+
     def test_every_import_flows_downward(self, pctx):
-        """The REP204 contract, asserted structurally on the raw import
-        facts (no pragma or allowlist can hide an edge): rank(src) > rank(tgt).
-        """
-
-        def package_of(module: str) -> "str | None":
-            if module != "repro" and not module.startswith("repro."):
-                return None
-            parts = module.split(".")
-            return parts[1] if len(parts) > 1 else ""
-
-        for module, facts in pctx.facts.items():
-            src_pkg = package_of(module)
-            for record in facts.imports:
-                tgt_pkg = package_of(record.target)
-                if src_pkg is None or tgt_pkg is None or src_pkg == tgt_pkg:
-                    continue
-                assert LAYER_RANKS[src_pkg] > LAYER_RANKS[tgt_pkg], (
-                    f"{module}:{record.lineno} imports {tgt_pkg} from {src_pkg}: "
-                    f"layer inversion"
-                )
+        assert _layer_inversions(pctx.facts) == []
 
     def test_lint_package_is_stdlib_only(self, pctx):
-        for module, facts in pctx.facts.items():
-            if not module.startswith("repro.lint"):
-                continue
-            for record in facts.imports:
-                target = record.target
-                ok = (
-                    target == "repro.lint"
-                    or target.startswith("repro.lint.")
-                    or target.split(".", 1)[0] in sys.stdlib_module_names
-                )
-                assert ok, f"{module} imports {target}"
+        assert _lint_imports_beyond_stdlib(pctx.facts) == []
 
     def test_known_layers_all_ranked(self, pctx):
         packages = {
@@ -208,6 +248,14 @@ class TestLayerContract:
             if module.count(".") >= 1
         }
         assert packages <= set(LAYER_RANKS), packages - set(LAYER_RANKS)
+
+    def test_the_seeded_inversions_are_caught(self):
+        facts = ProjectContext.build(PROJ_BAD, allowlist=()).facts
+        assert _layer_inversions(facts) == [
+            ("repro.core.uses_engine", 3),
+            ("repro.lint.helper", 3),
+        ]
+        assert _lint_imports_beyond_stdlib(facts) == [("repro.lint.helper", 3)]
 
 
 def _star_subscripts(source: str) -> list[int]:
@@ -412,7 +460,8 @@ class TestCensus:
     """
 
     @pytest.mark.parametrize(
-        "callee", ["CampaignEngine", "units_from_groups", "WorkUnit"]
+        "callee",
+        ["CampaignEngine", "ResilienceConfig", "units_from_groups", "WorkUnit"],
     )
     def test_every_engine_parameter_is_passed_by_product_code(self, callee):
         target = getattr(engine, callee)

@@ -1,1 +1,2 @@
-"""Seeded-violation corpus: deliberate hits for REP201 and REP204-REP206."""
+"""Seeded-violation corpus: deliberate hits for REP201, REP205 and REP206,
+and two layer inversions for ``TestLayerContract``."""

@@ -1,6 +1,6 @@
-"""Seeded REP204 violation: a core module depending upward on engine."""
+"""Seeded layer violation: a core module depending upward on engine."""
 
-from ..engine.cache import Cache  # SEED REP204: core -> engine is upward
+from ..engine.cache import Cache  # SEED layer: core -> engine is upward
 
 
 def _make_cache() -> Cache:

@@ -1,4 +1,4 @@
-"""The engine-side cache that the seeded REP204 import reaches up to."""
+"""The engine-side cache that the seeded upward import reaches up to."""
 
 
 class Cache:

@@ -1,6 +1,6 @@
-"""Seeded REP204 violation: the lint layer must import stdlib only."""
+"""Seeded layer violation: the lint layer must import stdlib only."""
 
-from ..core.solvers import solve_chain  # SEED REP204: lint -> core
+from ..core.solvers import solve_chain  # SEED layer: lint -> core
 
 
 def _helper():

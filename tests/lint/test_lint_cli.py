@@ -50,7 +50,7 @@ class TestEngine:
         assert [rule.id for rule in RULE_REGISTRY.values()] == [
             "REP101", "REP102", "REP103", "REP104", "REP105",
             "REP109", "REP110", "REP111",
-            "REP201", "REP204", "REP205", "REP206",
+            "REP201", "REP205", "REP206",
         ]
 
     def test_every_rule_explains_its_invariant_and_its_record(self):
@@ -177,13 +177,14 @@ class TestStandaloneCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "rule_id", ["REP106", "REP107", "REP108", "REP202", "REP203"]
+        "rule_id", ["REP106", "REP107", "REP108", "REP202", "REP203", "REP204"]
     )
     def test_retired_rules_exit_two(self, rule_id, clean_file: Path, capsys):
         """A retired id is refused, never silently ignored: REP106 is
         mypy's, REP107 ruff's, REP108 and REP203 fail loudly on the first
-        ``--jobs 2`` dispatch, and REP202's locks are gone with the threads
-        they guarded against (``TestOneThreadPerProcess``)."""
+        ``--jobs 2`` dispatch, REP202's locks are gone with the threads
+        they guarded against (``TestOneThreadPerProcess``), and REP204's
+        layer ranks are ``TestLayerContract``'s."""
         assert lint_main(["--explain", rule_id]) == 2
         assert lint_main([str(clean_file.parents[1]), "--rules", rule_id]) == 2
         assert rule_id not in capsys.readouterr().out.partition("available")[2]

@@ -296,6 +296,6 @@ class TestRoundCostsWhatChanged:
         journaled = live.reschedule(budget)
         replayed = self._loaded(5)
         for decision in journaled:
-            replayed.apply_decision(decision)
+            replayed.apply_decision(decision, "journal, line 1")
         assert replayed.reschedule(budget) == live.reschedule(budget)
         assert {d.action for d in replayed.reschedule(budget)} == {"keep", "shed"}

@@ -19,7 +19,7 @@ from repro.sim import (
     simulate,
     write_sim_trace,
 )
-from repro.core.errors import InvalidParameterError
+from repro.core.errors import CertificationError, InvalidParameterError
 from repro.core.task import TaskChain
 
 
@@ -149,7 +149,21 @@ class TestJournalResume:
         journal_path = tmp_path / "run.jsonl"
         result = simulate(trace, journal=journal_path)
         loaded = SimJournal(journal_path).load()
-        assert loaded == result.records
+        assert tuple(loaded.values()) == result.records
+        assert list(loaded) == list(range(1, result.num_events + 1))
+
+    def test_a_tampered_journal_line_fails_its_audit(self, tmp_path):
+        trace = failure_storm_trace(seed=7)
+        journal = tmp_path / "run.jsonl"
+        simulate(trace, journal=journal, stop_after=6)
+        rows = [json.loads(line) for line in journal.read_text().splitlines()]
+        (decision, *_) = [
+            d for d in rows[4]["decisions"] if d["action"] != "shed"
+        ]
+        decision["period"] /= 2
+        journal.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(CertificationError, match=r"run\.jsonl, line 5: .*period"):
+            simulate(trace, journal=journal)
 
     def test_wrong_journal_is_rejected(self, tmp_path):
         long_trace = bursty_trace(30, seed=0)
